@@ -8,7 +8,6 @@ the local-isomorphism content of the definition.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -23,7 +22,7 @@ from .errors import (
     NotACycle,
     UnknownVertex,
 )
-from .graph import WeightedGraph, _is_connected, build_graph
+from .graph import WeightedGraph, build_graph, validate_assumptions
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +87,7 @@ def validate_covering(c: CoveringMap) -> CoveringValidation:
                 False, f"neighbor sets of {v!r} and {p[v]!r} are not in bijection"
             )
 
-    if not _is_connected(cover):
+    if not validate_assumptions(cover).connected:
         return CoveringValidation(False, "cover graph is not connected")
     return CoveringValidation(True, None)
 
@@ -150,18 +149,8 @@ def lift_function(c: CoveringMap, phi: Sequence[float]) -> np.ndarray:
 
 def ball_around_set(g: WeightedGraph, Y: Sequence[str], d: int) -> tuple[str, ...]:
     """Closed combinatorial d-ball around a vertex set, in vertex order."""
-    yidx = set(int(i) for i in g.subset_indices(Y))
-    dist = {i: 0 for i in yidx}
-    queue = deque(yidx)
-    while queue:
-        i = queue.popleft()
-        if dist[i] == d:
-            continue
-        for j in g.neighbors(i):
-            if int(j) not in dist:
-                dist[int(j)] = dist[i] + 1
-                queue.append(int(j))
-    return tuple(g.vertex_ids[i] for i in range(g.n) if i in dist)
+    to_y = g.hop_table[:, g.subset_indices(Y)].min(axis=1, initial=np.inf)
+    return tuple(g.vertex_ids[i] for i in np.nonzero(to_y <= d)[0])
 
 
 def lemma_sets(

@@ -5,9 +5,11 @@ symmetric nonnegative edge weight b with zero diagonal, and a positive
 vertex measure m.  Vectors over the graph are numpy arrays ordered like
 ``vertex_ids``.
 
-Length-metric computations are carried out in exact rational arithmetic
-(every float is an exact dyadic rational), so ball-membership comparisons
-at tied radii never flip due to rounding.
+Each graph computes its all-pairs distance tables once, on first use, and
+caches them on itself: hop counts from ``scipy.sparse.csgraph`` and length
+distances (1/b edge costs) in exact rational arithmetic (every float is an
+exact dyadic rational), so ball-membership comparisons at tied radii never
+flip due to rounding.  Every radius, ball and hop query reads these tables.
 """
 
 from __future__ import annotations
@@ -15,16 +17,16 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import (
     DuplicateEdge,
@@ -96,8 +98,40 @@ class WeightedGraph:
     def neighbors(self, i: int) -> np.ndarray:
         return np.nonzero(self.weights[i] > 0.0)[0]
 
-    def measure(self, indices: Iterable[int]) -> float:
-        return float(sum(self.m[i] for i in indices))
+    @cached_property
+    def hop_table(self) -> np.ndarray:
+        """All-pairs hop counts (float64, exact small integers); inf marks
+        an unreachable pair."""
+        table = shortest_path(self.weights, unweighted=True, directed=False)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def length_table(self) -> np.ndarray:
+        """All-pairs length distances as exact Fractions (object array);
+        ``math.inf`` marks an unreachable pair."""
+        n = self.n
+        lengths: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+        for i in range(n):
+            for j in self.neighbors(i):
+                lengths[i].append((int(j), Fraction(1) / Fraction(self.weights[i, j])))
+        table = np.empty((n, n), dtype=object)
+        for src in range(n):
+            dist: list = [math.inf] * n
+            dist[src] = Fraction(0)
+            heap: list[tuple[Fraction, int]] = [(Fraction(0), src)]
+            while heap:
+                d, i = heappop(heap)
+                if d > dist[i]:
+                    continue
+                for j, w in lengths[i]:
+                    nd = d + w
+                    if nd < dist[j]:
+                        dist[j] = nd
+                        heappush(heap, (nd, j))
+            table[src, :] = dist
+        table.setflags(write=False)
+        return table
 
 
 @dataclass(frozen=True)
@@ -166,7 +200,7 @@ def validate_assumptions(g: WeightedGraph) -> AssumptionReport:
     deg = g.degrees()
     positive = g.weights[g.weights > 0.0]
     return AssumptionReport(
-        connected=_is_connected(g),
+        connected=bool(np.isfinite(g.hop_table[0]).all()),
         d_max=float(deg.max()) if g.n else 0.0,
         sup_m=float(g.m.max()),
         inf_m=float(g.m.min()),
@@ -174,96 +208,29 @@ def validate_assumptions(g: WeightedGraph) -> AssumptionReport:
     )
 
 
-def _is_connected(g: WeightedGraph) -> bool:
-    if g.n == 0:
-        return True
-    seen = np.zeros(g.n, dtype=bool)
-    queue = deque([0])
-    seen[0] = True
-    while queue:
-        i = queue.popleft()
-        for j in g.neighbors(i):
-            if not seen[j]:
-                seen[j] = True
-                queue.append(j)
-    return bool(seen.all())
-
-
 # ---------------------------------------------------------------------------
 # metrics
 
 
-@lru_cache(maxsize=64)
-def _comb_matrix(g: WeightedGraph) -> np.ndarray:
-    """All-pairs hop counts; -1 marks unreachable pairs."""
-    n = g.n
-    nbrs = [g.neighbors(i) for i in range(n)]
-    out = np.full((n, n), -1, dtype=np.int64)
-    for src in range(n):
-        dist = out[src]
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            i = queue.popleft()
-            for j in nbrs[i]:
-                if dist[j] < 0:
-                    dist[j] = dist[i] + 1
-                    queue.append(j)
-    return out
+def _table(g: WeightedGraph, kind: MetricKind) -> np.ndarray:
+    return g.hop_table if kind is MetricKind.COMBINATORIAL else g.length_table
 
 
-@lru_cache(maxsize=64)
-def _length_matrix(g: WeightedGraph) -> tuple[tuple[object, ...], ...]:
-    """All-pairs length distances as exact Fractions; None marks unreachable."""
-    n = g.n
-    lengths: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in g.neighbors(i):
-            lengths[i].append((int(j), Fraction(1) / Fraction(g.weights[i, j])))
-    rows = []
-    for src in range(n):
-        dist: list[Fraction | None] = [None] * n
-        dist[src] = Fraction(0)
-        heap: list[tuple[Fraction, int]] = [(Fraction(0), src)]
-        while heap:
-            d, i = heappop(heap)
-            if dist[i] is not None and d > dist[i]:
-                continue
-            for j, w in lengths[i]:
-                nd = d + w
-                if dist[j] is None or nd < dist[j]:
-                    dist[j] = nd
-                    heappush(heap, (nd, j))
-        rows.append(tuple(dist))
-    return tuple(rows)
-
-
-def _exact_distance(g: WeightedGraph, kind: MetricKind, i: int, j: int):
-    """Distance as int / Fraction, or None when unreachable."""
-    if kind is MetricKind.COMBINATORIAL:
-        d = int(_comb_matrix(g)[i, j])
-        return None if d < 0 else d
-    return _length_matrix(g)[i][j]
+def _as_result(kind: MetricKind, d, exact: bool):
+    """A table entry as reported: int (hops) or Fraction (length) when
+    exact, float otherwise; ``math.inf`` when unreachable either way."""
+    if d == math.inf:
+        return math.inf
+    if not exact:
+        return float(d)
+    return int(d) if kind is MetricKind.COMBINATORIAL else d
 
 
 def distance(
     g: WeightedGraph, kind: MetricKind, x: str, y: str, *, exact: bool = False
 ):
     """Graph distance between two vertices; +inf when disconnected."""
-    d = _exact_distance(g, kind, g.index_of(x), g.index_of(y))
-    if exact:
-        return math.inf if d is None else d
-    return math.inf if d is None else float(d)
-
-
-def _exact_dist_to_set(g, kind, i: int, targets: Sequence[int]):
-    """min distance from vertex i to a set; None when unreachable."""
-    best = None
-    for j in targets:
-        d = _exact_distance(g, kind, i, j)
-        if d is not None and (best is None or d < best):
-            best = d
-    return best
+    return _as_result(kind, _table(g, kind)[g.index_of(x), g.index_of(y)], exact)
 
 
 def covering_radius(
@@ -276,15 +243,8 @@ def covering_radius(
     """
     if len(D) == 0:
         raise EmptySubset("covering radius needs a nonempty subset")
-    didx = [int(i) for i in g.subset_indices(D)]
-    worst = 0 if kind is MetricKind.COMBINATORIAL else Fraction(0)
-    for i in range(g.n):
-        d = _exact_dist_to_set(g, kind, i, didx)
-        if d is None:
-            return math.inf
-        if d > worst:
-            worst = d
-    return worst if exact else float(worst)
+    to_d = _table(g, kind)[:, g.subset_indices(D)].min(axis=1)
+    return _as_result(kind, to_d.max(), exact)
 
 
 def inradius(
@@ -300,30 +260,25 @@ def inradius(
     """
     if len(omega) == 0:
         return 0.0
-    oidx = set(int(i) for i in g.subset_indices(omega))
-    comp = [i for i in range(g.n) if i not in oidx]
-    if not comp:
+    inside = np.zeros(g.n, dtype=bool)
+    inside[g.subset_indices(omega)] = True
+    if inside.all():
         warnings.warn(
             "inradius of the full vertex set is unbounded",
             FullSetInradiusWarning,
             stacklevel=2,
         )
         return math.inf
-    best = None
-    for i in oidx:
-        d = _exact_dist_to_set(g, kind, i, comp)
-        if d is None:
-            return math.inf
-        if best is None or d > best:
-            best = d
-    return best if exact else float(best)
+    to_comp = _table(g, kind)[np.ix_(inside, ~inside)].min(axis=1)
+    return _as_result(kind, to_comp.max(), exact)
 
 
 def max_ball_volume(g: WeightedGraph, kind: MetricKind, r) -> float:
     """max_x m(B_r(x)) over closed balls of radius r.
 
     ``r`` may be a float, int, or Fraction; comparisons against the exact
-    rational distances are exact (floats convert exactly).
+    distances are exact (floats convert exactly).  Each ball volume is
+    summed in vertex order.
     """
     if isinstance(r, float):
         if math.isinf(r):
@@ -331,15 +286,13 @@ def max_ball_volume(g: WeightedGraph, kind: MetricKind, r) -> float:
         r = Fraction(r)
     if r < 0:
         raise ValidationError("ball radius must be nonnegative")
-    best = 0.0
-    for i in range(g.n):
-        vol = 0.0
-        for j in range(g.n):
-            d = _exact_distance(g, kind, i, j)
-            if d is not None and d <= r:
-                vol += g.m[j]
-        best = max(best, vol)
-    return best
+    if kind is MetricKind.COMBINATORIAL:
+        inside = g.hop_table <= math.floor(r)  # hop counts are integers
+    else:
+        inside = g.length_table <= r
+    # a running sum adds left to right, like a loop over the vertices
+    volumes = np.cumsum(np.where(inside, g.m, 0.0), axis=1)[:, -1]
+    return float(volumes.max())
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +349,19 @@ def graph_from_json(data: dict) -> WeightedGraph:
     return build_graph(vertices, edges)
 
 
-def load_graph_json(path: str | Path) -> WeightedGraph:
+def read_json(path: str | Path):
+    """Parse a JSON file; a missing or unreadable file and invalid JSON
+    raise ``ParseError``."""
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return graph_from_json(data)
+
+
+def load_graph_json(path: str | Path) -> WeightedGraph:
+    return graph_from_json(read_json(path))
 
 
 def subset_from_json(data: dict) -> tuple[str, ...]:
@@ -411,8 +371,4 @@ def subset_from_json(data: dict) -> tuple[str, ...]:
 
 
 def load_subset_json(path: str | Path) -> tuple[str, ...]:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return subset_from_json(data)
+    return subset_from_json(read_json(path))

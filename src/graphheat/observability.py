@@ -20,7 +20,7 @@ import scipy.linalg
 from .control import gramian
 from .errors import EmptySubset, FullSubset, NotRelativelyDense, ValidationError
 from .graph import MetricKind, WeightedGraph, covering_radius, inradius, max_ball_volume
-from .quadrature import _leggauss, graded_edges, graded_gauss_nodes
+from .quadrature import _legendre_lobatto, _leggauss, graded_edges, graded_gauss_nodes
 from .spectral import (
     EnergyInterval,
     RestrictedEvolution,
@@ -94,11 +94,25 @@ def up_paper_bound(
     bound 42 vol(Inr(Omega)) / inf m needs the stricter energy condition
     sup I <= inf m / (42 Inr(Omega) vol(Inr(Omega))^2).
     """
+    return _up_report(g, sd, D, interval, _up_geometry(g, D))
+
+
+def _up_geometry(g: WeightedGraph, D: Sequence[str]) -> tuple[float, float]:
     if len(D) == 0:
         raise EmptySubset("uncertainty bounds need a nonempty subset")
     if set(D) >= set(g.vertex_ids):
         raise FullSubset("uncertainty bounds need a proper subset")
-    inr, vol = _omega_geometry(g, D)
+    return _omega_geometry(g, D)
+
+
+def _up_report(
+    g: WeightedGraph,
+    sd: SpectralDecomposition,
+    D: Sequence[str],
+    interval: EnergyInterval,
+    geometry: tuple[float, float],
+) -> UPReport:
+    inr, vol = geometry
     threshold = 1.0 / (inr * vol)
     sup_i = interval.sup
     applicable = sup_i < threshold
@@ -129,14 +143,16 @@ def up_sweep(
     g: WeightedGraph, sd: SpectralDecomposition, D: Sequence[str]
 ) -> list[UPReport]:
     """Reports for sup I at every eigenvalue and every midpoint between
-    consecutive distinct eigenvalues (P_I is piecewise constant in sup I)."""
+    consecutive distinct eigenvalues (P_I is piecewise constant in sup I).
+    The Omega-geometry does not depend on I and is computed once."""
+    geometry = _up_geometry(g, D)
     reps = [lam for lam, _ in sd.eigenvalue_groups()]
     sups = []
     for k, lam in enumerate(reps):
         sups.append(lam)
         if k + 1 < len(reps):
             sups.append(0.5 * (lam + reps[k + 1]))
-    return [up_paper_bound(g, sd, D, EnergyInterval(hi=s)) for s in sups]
+    return [_up_report(g, sd, D, EnergyInterval(hi=s), geometry) for s in sups]
 
 
 @dataclass(frozen=True)
@@ -243,13 +259,18 @@ def _phi_batch(
 def _embedded_pair(
     re: RestrictedEvolution, cols: np.ndarray | None, lo: float, hi: float, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(GL-8, GL-16) estimates of int g^r over [lo, hi], per column."""
-    x8, w8 = _leggauss(8)
+    """(Lobatto-9, GL-16) estimates of int g^r over [lo, hi], per column.
+
+    Both are exact to degree 15.  The Lobatto nodes include the panel ends,
+    so a corner between an end and the first Gauss node, which two Gauss
+    rules would miss alike, still makes the pair disagree.
+    """
+    x9, w9 = _legendre_lobatto(9)
     x16, w16 = _leggauss(16)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = np.concatenate([mid + half * x8, mid + half * x16])
+    nodes = np.concatenate([mid + half * x9, mid + half * x16])
     powers = re.norms_sq_cols(nodes, cols) ** (0.5 * r)
-    return half * (w8 @ powers[:8]), half * (w16 @ powers[8:])
+    return half * (w9 @ powers[:9]), half * (w16 @ powers[9:])
 
 
 def _batch_lr_norms(
@@ -259,7 +280,7 @@ def _batch_lr_norms(
 
     r = 2 is closed form; r = inf is a node-grid maximum with golden
     refinement; other finite r integrate g^r on graded panels with an
-    embedded GL-8/GL-16 pair, bisecting any (panel, column) where the pair
+    embedded Lobatto-9/GL-16 pair, bisecting any (panel, column) where the pair
     disagrees (zero crossings of the trajectory put |.|^r corners between
     fixed nodes, which the embedded check catches).
     """

@@ -17,6 +17,13 @@ import numpy as np
 from .errors import QuadratureNonConvergence
 
 
+# Refinement starts from 8 equal panels (depth 3): on a single wide panel
+# the Simpson/Richardson difference can vanish by accident and accept an
+# integral that is wrong in the 8th digit.
+_INITIAL_PANELS = 8
+_INITIAL_DEPTH = 3
+
+
 def _default_norm(v) -> float:
     return float(np.linalg.norm(np.asarray(v).ravel()))
 
@@ -42,14 +49,21 @@ def adaptive_simpson(
     if b <= a:
         raise ValueError("integration window must satisfy a < b")
 
-    vals = np.asarray(fn(np.array([a, 0.5 * (a + b), b])))
-    fa, fm, fb = vals[0], vals[1], vals[2]
+    k = _INITIAL_PANELS
+    x = np.linspace(a, b, 2 * k + 1)
+    vals = np.asarray(fn(x))
+    fa, fm, fb = vals[0], vals[k], vals[2 * k]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     node_scale = (b - a) * max(norm(fa), norm(fm), norm(fb))
     tol0 = rel_tol * max(norm(whole), 1e-3 * node_scale)
 
     total = 0.0 * whole
-    work = [(a, b, fa, fm, fb, whole, tol0, 0)]
+    work = []
+    for q in range(k):
+        lo, hi = x[2 * q], x[2 * q + 2]
+        flo, fmid, fhi = vals[2 * q], vals[2 * q + 1], vals[2 * q + 2]
+        S = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+        work.append((lo, hi, flo, fmid, fhi, S, tol0 / k, _INITIAL_DEPTH))
     while work:
         mids = np.empty(2 * len(work))
         for q, (lo, hi, *_rest) in enumerate(work):
@@ -85,6 +99,14 @@ def adaptive_simpson(
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
+
+
+@lru_cache(maxsize=16)
+def _legendre_lobatto(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Lobatto nodes on [-1, 1] (both endpoints included) and weights."""
+    p = np.polynomial.legendre.Legendre.basis(points - 1)
+    x = np.concatenate([[-1.0], np.sort(p.deriv().roots().real), [1.0]])
+    return x, 2.0 / (points * (points - 1) * p(x) ** 2)
 
 
 def graded_edges(

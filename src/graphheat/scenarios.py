@@ -39,6 +39,7 @@ from .graph import (
     inradius,
     load_subset_json,
     max_ball_volume,
+    read_json,
     validate_assumptions,
 )
 from .spectral import apply_laplacian, eigendecompose
@@ -204,21 +205,20 @@ def scenario_from_dict(data: dict) -> Scenario:
     subset = data.get("subset")
     if subset is not None and not isinstance(subset, dict):
         raise ParseError("scenario 'subset' must be an object")
+    seed = data.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ParseError(f"scenario 'seed' must be an integer, got {seed!r}")
     return Scenario(
         graph=data["graph"],
         task=task,
         subset=subset,
         params=params,
-        seed=int(data.get("seed", 0)),
+        seed=seed,
     )
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(read_json(path))
 
 
 def _resolve_subset(

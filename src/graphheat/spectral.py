@@ -189,10 +189,6 @@ class RestrictedEvolution:
         U = self.W @ (E * self.C)
         return np.sqrt(np.sum(np.abs(U) ** 2, axis=0))
 
-    def norms_single(self, column: int, ts) -> np.ndarray:
-        """Restricted norms of one batch column along a time array."""
-        return self.norms_sq_cols(ts, np.array([column]))[:, 0] ** 0.5
-
     def norms_sq_cols(self, ts, cols: np.ndarray | None) -> np.ndarray:
         """Squared restricted norms of selected columns along a time array."""
         C = self.C if cols is None else self.C[:, cols]
@@ -252,12 +248,6 @@ class RestrictedEvolution:
             fc = self.norms_at_times(c)
             fd = self.norms_at_times(d)
         return np.maximum(best, np.maximum(fc, fd))
-
-    def sup_norms(self, a: float, b: float, *, grid_points: int = _SUP_GRID_POINTS) -> np.ndarray:
-        """Batched sup over [a, b] of the restricted norm: grid maximum plus
-        golden-section refinement around each column's maximizer."""
-        ts = np.linspace(a, b, grid_points)
-        return self.refine_sup(ts, self.norms(ts))
 
 
 def time_lr_norm(

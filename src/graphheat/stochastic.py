@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySubset, ValidationError
-from .graph import WeightedGraph, _comb_matrix
+from .graph import WeightedGraph
 from .spectral import SpectralDecomposition
 
 _ESTIMATOR_STREAM = 2**64 - 1  # reserved stream index for batched estimators
@@ -239,10 +239,7 @@ def far_vertex_sequence(
     """
     if len(D) == 0:
         raise EmptySubset("far-vertex search needs a nonempty subset")
-    d_idx = g.subset_indices(D)
-    sub = _comb_matrix(g)[:, d_idx].astype(float)
-    sub[sub < 0] = math.inf
-    dist = sub.min(axis=1)
+    dist = g.hop_table[:, g.subset_indices(D)].min(axis=1)
     entries = []
     stopped = None
     for n in range(1, n_max + 1):
@@ -305,11 +302,10 @@ def necessity_bounds_check(
     deg_x = float(g.degrees()[x_idx])
     d_max = float(g.degrees().max())
 
-    mat = _comb_matrix(g)
-    dists = [int(mat[x_idx, j]) for j in d_idx if mat[x_idx, j] >= 0]
-    if not dists:
+    hops = g.hop_table[x_idx, d_idx].min()
+    if hops == math.inf:
         raise ValidationError("x cannot reach D; the restricted norm is identically 0")
-    n_comb = min(dists)
+    n_comb = int(hops)
 
     delta = np.zeros(g.n)
     delta[x_idx] = 1.0 / math.sqrt(g.m[x_idx])

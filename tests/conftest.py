@@ -69,14 +69,8 @@ def grow_dense_subset(g: WeightedGraph, rng, max_covr=2.0):
         covr = covering_radius(g, MetricKind.LENGTH, D, exact=True)
         if covr <= max_covr:
             return tuple(D)
-        worst, worst_d = None, -1
-        from graphheat.graph import _exact_dist_to_set
-
-        didx = [g.index_of(v) for v in D]
-        for i in range(g.n):
-            d = _exact_dist_to_set(g, MetricKind.LENGTH, i, didx)
-            if d is not None and d > worst_d:
-                worst, worst_d = i, d
+        to_d = g.length_table[:, g.subset_indices(D)].min(axis=1)
+        worst = max(range(g.n), key=lambda i: to_d[i])  # first farthest vertex
         D.append(g.vertex_ids[worst])
 
 

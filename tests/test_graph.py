@@ -1,11 +1,16 @@
+import gc
 import math
+import weakref
+from collections import deque
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphheat.covering import ball_around_set
 from graphheat.errors import (
     DuplicateEdge,
     EmptySubset,
@@ -209,6 +214,172 @@ def test_metric_comparison(seed, n):
             dl = distance(g, LEN, x, y)
             assert dc <= sup_b * dl + 1e-9
             assert dl <= dc / inf_b + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# distance tables against per-pair reference algorithms
+
+
+def ref_hops(g):
+    """BFS hop counts from every source; None marks an unreachable pair."""
+    rows = []
+    for src in range(g.n):
+        dist = [None] * g.n
+        dist[src] = 0
+        queue = deque([src])
+        while queue:
+            i = queue.popleft()
+            for j in g.neighbors(i):
+                if dist[j] is None:
+                    dist[j] = dist[i] + 1
+                    queue.append(j)
+        rows.append(dist)
+    return rows
+
+
+def ref_lengths(g):
+    """Fraction Dijkstra from every source; None marks an unreachable pair."""
+    rows = []
+    for src in range(g.n):
+        dist = [None] * g.n
+        dist[src] = Fraction(0)
+        heap = [(Fraction(0), src)]
+        while heap:
+            d, i = heappop(heap)
+            if d > dist[i]:
+                continue
+            for j in g.neighbors(i):
+                nd = d + 1 / Fraction(g.weights[i, j])
+                if dist[j] is None or nd < dist[j]:
+                    dist[j] = nd
+                    heappush(heap, (nd, int(j)))
+        rows.append(dist)
+    return rows
+
+
+def ref_dist_to_set(rows, i, targets):
+    reachable = [rows[i][j] for j in targets if rows[i][j] is not None]
+    return min(reachable) if reachable else None
+
+
+def ref_covering_radius(rows, targets, zero):
+    worst = zero
+    for i in range(len(rows)):
+        d = ref_dist_to_set(rows, i, targets)
+        if d is None:
+            return math.inf
+        worst = max(worst, d)
+    return worst
+
+
+def ref_inradius(rows, inside):
+    outside = [j for j in range(len(rows)) if j not in inside]
+    best = None
+    for i in inside:
+        d = ref_dist_to_set(rows, i, outside)
+        if d is None:
+            return math.inf
+        if best is None or d > best:
+            best = d
+    return best
+
+
+def ref_max_ball_volume(g, rows, r):
+    best = 0.0
+    for i in range(g.n):
+        vol = 0.0
+        for j in range(g.n):
+            if rows[i][j] is not None and rows[i][j] <= r:
+                vol += g.m[j]
+        best = max(best, vol)
+    return best
+
+
+@st.composite
+def table_cases(draw):
+    """One or two components with random or uniform weights (uniform
+    weights tie many radii), plus a nonempty subset D."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+    uniform = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    b_range = (2.0, 2.0) if uniform else (0.5, 2.0)
+    vertices, edges = [], []
+    for size in sizes:
+        part = graph_to_json(random_connected_graph(rng, size, b_range=b_range))
+        offset = len(vertices)
+        vertices += [(str(int(v["id"]) + offset), v["m"]) for v in part["vertices"]]
+        edges += [
+            (str(int(e["u"]) + offset), str(int(e["v"]) + offset), e["b"])
+            for e in part["edges"]
+        ]
+    g = build_graph(vertices, edges)
+    D = draw(st.lists(st.sampled_from(g.vertex_ids), min_size=1, unique=True))
+    return g, D
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_cases())
+def test_distance_tables_match_reference(case):
+    g, D = case
+    d_idx = [g.index_of(v) for v in D]
+    omega = [v for v in g.vertex_ids if v not in D]
+    for kind, rows, exact_type in ((COMB, ref_hops(g), int), (LEN, ref_lengths(g), Fraction)):
+
+        def expect(d, exact):
+            if d is None or d == math.inf:
+                return math.inf
+            return d if exact else float(d)
+
+        def check(got, want, exact):
+            assert got == expect(want, exact)
+            if want is None or want == math.inf:
+                assert type(got) is float
+            else:
+                assert type(got) is (exact_type if exact else float)
+
+        for exact in (False, True):
+            for i, x in enumerate(g.vertex_ids):
+                for j, y in enumerate(g.vertex_ids):
+                    check(distance(g, kind, x, y, exact=exact), rows[i][j], exact)
+            zero = exact_type(0)
+            check(
+                covering_radius(g, kind, D, exact=exact),
+                ref_covering_radius(rows, d_idx, zero),
+                exact,
+            )
+            for inside in (D, omega):
+                if 0 < len(inside) < g.n:
+                    idx = [g.index_of(v) for v in inside]
+                    check(inradius(g, kind, inside, exact=exact), ref_inradius(rows, idx), exact)
+
+        radii = {d for row in rows for d in row if d is not None}
+        radii |= {float(d) for d in radii} | {Fraction(1, 3), 0.75}
+        for r in radii:
+            assert max_ball_volume(g, kind, r) == ref_max_ball_volume(g, rows, r)
+        assert max_ball_volume(g, kind, math.inf) == float(g.m.sum())
+
+    hops = ref_hops(g)
+    to_d = [ref_dist_to_set(hops, i, d_idx) for i in range(g.n)]
+    for d in range(4):
+        want = tuple(v for v, h in zip(g.vertex_ids, to_d) if h is not None and h <= d)
+        assert ball_around_set(g, D, d) == want
+
+
+def test_distance_tables_computed_once_and_read_only(c4):
+    for name in ("hop_table", "length_table"):
+        table = getattr(c4, name)
+        assert getattr(c4, name) is table
+        assert not table.flags.writeable
+
+
+def test_graph_freed_after_distance_queries():
+    g = build_graph([("0", 1.0), ("1", 1.0), ("2", 1.0)], [("0", "1", 1.0), ("1", "2", 2.0)])
+    for kind in (COMB, LEN):
+        covering_radius(g, kind, ["0"])
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------

@@ -265,10 +265,27 @@ def test_cli_seed_override_changes_output(tmp_path):
     assert a["seed"] == 1 and b["seed"] == 2
 
 
-def test_cli_malformed_scenario_exit_2(tmp_path):
+def test_cli_malformed_scenario_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{{{{")
-    assert cli_main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+    cycle4 = {"family": "cycle", "n": 4}
+    scenarios = [
+        bad,
+        tmp_path / "missing.json",
+        write_scenario(tmp_path, "no_subset_file.json", {
+            "graph": cycle4, "subset": {"file": str(tmp_path / "nope.json")},
+            "task": "weak-obs",
+        }),
+        write_scenario(tmp_path, "no_graph_file.json", {
+            "graph": {"family": "file", "path": str(tmp_path / "nope.json")},
+            "task": "validate",
+        }),
+        write_scenario(tmp_path, "bad_seed.json", {"graph": cycle4, "task": "validate", "seed": "x"}),
+    ]
+    for scenario in scenarios:
+        assert cli_main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2, scenario
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, err
 
 
 def test_cli_env_out_dir(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphheat.covering import lift_function
@@ -290,6 +290,8 @@ def test_quadrature_depth_exhaustion_raises():
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000))
+@example(572)  # a zero of the trajectory just inside a panel end
+@example(1427)  # Simpson's refinement check agreed by accident on a wide panel
 def test_batch_norms_match_op(seed):
     """Fast-path batch L_r norms agree with the adaptive-Simpson operation."""
     sd = small_sd(seed, n_max=7)
