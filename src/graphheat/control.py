@@ -6,7 +6,9 @@ f(T) = S_T f0 + Q_T eta with Q_T the controllability Gramian.  The target
 norm is met exactly through the one-parameter family
 f(T) = (I + nu Q_T)^{-1} S_T f0 with the multiplier nu found by monotone
 bisection.  Verification re-simulates Duhamel's formula by adaptive
-Simpson, independently of the Gramian algebra.
+Simpson, independently of the Gramian algebra.  Initial states and control
+values are real: complex input raises ``ValidationError`` instead of losing
+its imaginary part.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ def _phi_factor(S: np.ndarray, T: float) -> np.ndarray:
     out = np.asarray(out)
     out[S == 0.0] = T
     return out
+
+
+def _real(x, what: str) -> np.ndarray:
+    """``x`` as a float array; complex input is rejected, not truncated."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValidationError(f"{what} must be real, got complex values")
+    return np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +195,7 @@ def synth_control(
     """
     if alpha_target < 0:
         raise ValidationError("alpha_target must be nonnegative")
-    f0 = np.asarray(f0, dtype=float)
+    f0 = _real(f0, "initial state")
     norm_f0 = sd.norm(f0)
     if norm_f0 == 0.0:
         raise ValidationError("synthesis needs a nonzero initial state")
@@ -295,7 +305,7 @@ def controlled_trajectory(
     if not signal.closed_form:
         raise ValidationError("trajectory shortcut needs a closed-form signal")
     d_idx = sd.graph.subset_indices(D)
-    c0 = sd.coefficients(np.asarray(f0, dtype=float))
+    c0 = sd.coefficients(_real(f0, "initial state"))
     eta_c = sd.coefficients(signal.eta)
     free = np.exp(-np.outer(np.asarray(ts, float), sd.eigenvalues)) * c0[None, :]
     forced = _duhamel_closed_form(sd, d_idx, eta_c, signal.T, np.asarray(ts, float))
@@ -349,7 +359,8 @@ def verify_control(
     """
     if u.T != float(T):
         raise ValidationError("signal horizon does not match T")
-    f0 = np.asarray(f0, dtype=float)
+    f0 = _real(f0, "initial state")
+    _real(u.values, "control values")
     d_idx = sd.graph.subset_indices(D)
     mD = sd.graph.m[d_idx]
     VD = sd.eigenvectors[d_idx, :]
@@ -472,7 +483,7 @@ def stabilize(
         raise ValidationError("stabilization needs alpha in (0, 1)")
     if num_periods < 1:
         raise ValidationError("need at least one period")
-    f = np.asarray(f0, dtype=float)
+    f = _real(f0, "initial state")
     norms = [sd.norm(f)]
     results: list[ControlResult] = []
     gram_cache = gramian(sd, D, T)

@@ -7,9 +7,13 @@ vertex measure m.  Vectors over the graph are numpy arrays ordered like
 
 Each graph computes its all-pairs distance tables once, on first use, and
 caches them on itself: hop counts from ``scipy.sparse.csgraph`` and length
-distances (1/b edge costs) in exact rational arithmetic (every float is an
-exact dyadic rational), so ball-membership comparisons at tied radii never
-flip due to rounding.  Every radius, ball and hop query reads these tables.
+distances (1/b edge costs) in exact integer arithmetic.  Every float is an
+exact dyadic rational, so every edge length 1/b is an integer multiple of
+1/L, where the graph's ``length_scale`` L is the lcm of the denominators of
+the 1/b; the length table holds each distance times L as a Python int.
+Ball-membership comparisons at tied radii therefore never flip due to
+rounding.  Every radius, ball and hop query reads these tables, and only
+the query boundary turns a scaled distance back into a rational or float.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import shortest_path
 
 from .errors import (
@@ -73,6 +78,7 @@ class WeightedGraph:
         object.__setattr__(
             self, "_index", {v: i for i, v in enumerate(self.vertex_ids)}
         )
+        object.__setattr__(self, "_omega_geometries", {})
 
     @property
     def n(self) -> int:
@@ -102,24 +108,33 @@ class WeightedGraph:
     def hop_table(self) -> np.ndarray:
         """All-pairs hop counts (float64, exact small integers); inf marks
         an unreachable pair."""
-        table = shortest_path(self.weights, unweighted=True, directed=False)
+        # sparse input: on a dense matrix scipy drops edges with b <= 1e-8
+        table = shortest_path(csr_array(self.weights), unweighted=True, directed=False)
         table.setflags(write=False)
         return table
 
     @cached_property
+    def length_scale(self) -> int:
+        """L, the lcm of the denominators of 1/b over the distinct positive
+        edge weights b: every edge length 1/b is an integer multiple of 1/L."""
+        weights = np.unique(self.weights[self.weights > 0.0])
+        return math.lcm(*((1 / Fraction(b)).denominator for b in weights))
+
+    @cached_property
     def length_table(self) -> np.ndarray:
-        """All-pairs length distances as exact Fractions (object array);
-        ``math.inf`` marks an unreachable pair."""
-        n = self.n
-        lengths: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+        """All-pairs length distances d times ``length_scale``, as exact
+        Python ints (object array); ``math.inf`` marks an unreachable pair."""
+        n, scale = self.n, self.length_scale
+        lengths: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for i in range(n):
             for j in self.neighbors(i):
-                lengths[i].append((int(j), Fraction(1) / Fraction(self.weights[i, j])))
+                w = 1 / Fraction(self.weights[i, j])
+                lengths[i].append((int(j), w.numerator * (scale // w.denominator)))
         table = np.empty((n, n), dtype=object)
         for src in range(n):
             dist: list = [math.inf] * n
-            dist[src] = Fraction(0)
-            heap: list[tuple[Fraction, int]] = [(Fraction(0), src)]
+            dist[src] = 0
+            heap: list[tuple[int, int]] = [(0, src)]
             while heap:
                 d, i = heappop(heap)
                 if d > dist[i]:
@@ -132,6 +147,17 @@ class WeightedGraph:
             table[src, :] = dist
         table.setflags(write=False)
         return table
+
+    def omega_geometry(self, D: Sequence[str]) -> tuple[float, float]:
+        """(Inr(Omega), vol(Inr(Omega))) in the length metric, Omega = X \\ D,
+        as floats; computed once per subset D and kept on the graph."""
+        key = frozenset(self.subset_indices(D).tolist())
+        geometries = self._omega_geometries  # type: ignore[attr-defined]
+        if key not in geometries:
+            omega = [v for i, v in enumerate(self.vertex_ids) if i not in key]
+            inr = inradius(self, MetricKind.LENGTH, omega, exact=True)
+            geometries[key] = (float(inr), max_ball_volume(self, MetricKind.LENGTH, inr))
+        return geometries[key]
 
 
 @dataclass(frozen=True)
@@ -216,21 +242,23 @@ def _table(g: WeightedGraph, kind: MetricKind) -> np.ndarray:
     return g.hop_table if kind is MetricKind.COMBINATORIAL else g.length_table
 
 
-def _as_result(kind: MetricKind, d, exact: bool):
+def _as_result(g: WeightedGraph, kind: MetricKind, d, exact: bool):
     """A table entry as reported: int (hops) or Fraction (length) when
-    exact, float otherwise; ``math.inf`` when unreachable either way."""
+    exact, the correctly rounded float otherwise; ``math.inf`` when
+    unreachable either way."""
     if d == math.inf:
         return math.inf
-    if not exact:
-        return float(d)
-    return int(d) if kind is MetricKind.COMBINATORIAL else d
+    if kind is MetricKind.COMBINATORIAL:
+        return int(d) if exact else float(d)
+    d = Fraction(d, g.length_scale)
+    return d if exact else float(d)
 
 
 def distance(
     g: WeightedGraph, kind: MetricKind, x: str, y: str, *, exact: bool = False
 ):
     """Graph distance between two vertices; +inf when disconnected."""
-    return _as_result(kind, _table(g, kind)[g.index_of(x), g.index_of(y)], exact)
+    return _as_result(g, kind, _table(g, kind)[g.index_of(x), g.index_of(y)], exact)
 
 
 def covering_radius(
@@ -244,7 +272,7 @@ def covering_radius(
     if len(D) == 0:
         raise EmptySubset("covering radius needs a nonempty subset")
     to_d = _table(g, kind)[:, g.subset_indices(D)].min(axis=1)
-    return _as_result(kind, to_d.max(), exact)
+    return _as_result(g, kind, to_d.max(), exact)
 
 
 def inradius(
@@ -270,7 +298,7 @@ def inradius(
         )
         return math.inf
     to_comp = _table(g, kind)[np.ix_(inside, ~inside)].min(axis=1)
-    return _as_result(kind, to_comp.max(), exact)
+    return _as_result(g, kind, to_comp.max(), exact)
 
 
 def max_ball_volume(g: WeightedGraph, kind: MetricKind, r) -> float:
@@ -280,16 +308,14 @@ def max_ball_volume(g: WeightedGraph, kind: MetricKind, r) -> float:
     distances are exact (floats convert exactly).  Each ball volume is
     summed in vertex order.
     """
-    if isinstance(r, float):
-        if math.isinf(r):
-            return float(g.m.sum())
-        r = Fraction(r)
+    if isinstance(r, float) and math.isinf(r):
+        return float(g.m.sum())
+    r = Fraction(r)
     if r < 0:
         raise ValidationError("ball radius must be nonnegative")
-    if kind is MetricKind.COMBINATORIAL:
-        inside = g.hop_table <= math.floor(r)  # hop counts are integers
-    else:
-        inside = g.length_table <= r
+    # table entries are integers, so d <= r exactly when d <= floor(r * scale)
+    scale = 1 if kind is MetricKind.COMBINATORIAL else g.length_scale
+    inside = _table(g, kind) <= math.floor(r * scale)
     # a running sum adds left to right, like a loop over the vertices
     volumes = np.cumsum(np.where(inside, g.m, 0.0), axis=1)[:, -1]
     return float(volumes.max())

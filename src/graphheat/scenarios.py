@@ -208,6 +208,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ParseError(f"scenario 'seed' must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ParseError(f"scenario 'seed' must be nonnegative, got {seed}")
     return Scenario(
         graph=data["graph"],
         task=task,
@@ -780,6 +782,8 @@ def run_scenario(
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(scenario)
     seed = scenario.seed if seed_override is None else int(seed_override)
+    if seed < 0:
+        raise ParseError(f"seed must be nonnegative, got {seed}")
     family = build_family(str(scenario.graph["family"]), scenario.graph)
     report = _TASK_RUNNERS[scenario.task](
         family.graph, family.covering, scenario.subset, scenario.params, seed

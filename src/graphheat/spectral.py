@@ -1,7 +1,8 @@
 """Weighted Laplacian, eigendecomposition, heat semigroup, and time norms.
 
 All state vectors are numpy arrays ordered like the graph's vertex list;
-complex scalars are supported throughout.  The Laplacian is symmetrized by
+complex scalars are supported throughout this module (the control layer
+takes real states only).  The Laplacian is symmetrized by
 conjugation with the square-root measure scaling, solved with a dense
 symmetric eigensolver, and scaled back, so the returned eigenvectors are
 orthonormal in the m-weighted inner product.

@@ -168,6 +168,12 @@ def test_synth_validations(k2):
         synth_control(sd, [], 1.0, np.ones(2), 0.5)
 
 
+def test_synth_rejects_complex_state(k2):
+    sd = eigendecompose(k2)
+    with pytest.raises(ValidationError, match="real"):
+        synth_control(sd, ["0"], 1.0, np.array([1.0 + 1.0j, 0.5]), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Duhamel verification
 
@@ -201,6 +207,17 @@ def test_verify_constant_control_scalar_graph():
     u = ControlSignal(("0",), 1.0, np.array([0.0, 1.0]), np.full((2, 1), 3.0))
     res = verify_control(sd, ["0"], f0, u, 1.0)
     np.testing.assert_allclose(res.final_state, [5.0], atol=1e-12)
+
+
+def test_verify_rejects_complex_state_and_values(c4):
+    sd = eigendecompose(c4)
+    f0 = np.array([1.0, -1.0, 0.5, 0.0])
+    u = ControlSignal(("0",), 1.0, np.array([0.0, 1.0]), np.zeros((2, 1)))
+    with pytest.raises(ValidationError, match="real"):
+        verify_control(sd, ["0"], f0 + 1.0j, u, 1.0)
+    complex_u = ControlSignal(("0",), 1.0, u.times, np.full((2, 1), 1.0j))
+    with pytest.raises(ValidationError, match="real"):
+        verify_control(sd, ["0"], f0, complex_u, 1.0)
 
 
 def test_signal_grid_reproduces_closed_form(k2):
@@ -317,6 +334,12 @@ def test_stabilize_zero_state(k2):
     assert all(c == 0.0 for c in rep.total_costs.values())
 
 
+def test_stabilize_rejects_complex_state(k2):
+    sd = eigendecompose(k2)
+    with pytest.raises(ValidationError, match="real"):
+        stabilize(sd, ["0"], 1.0, 0.5, 2, np.array([1.0, 1.0j]))
+
+
 def test_controlled_trajectory_endpoints(k2):
     sd = eigendecompose(k2)
     f0 = np.array([1.0, 0.0])
@@ -324,3 +347,10 @@ def test_controlled_trajectory_endpoints(k2):
     traj = controlled_trajectory(sd, ["0"], f0, sig, np.array([0.0, 1.0]))
     np.testing.assert_allclose(traj[0], f0, atol=1e-12)
     np.testing.assert_allclose(traj[1], res.final_state, atol=1e-10)
+
+
+def test_controlled_trajectory_rejects_complex_state(k2):
+    sd = eigendecompose(k2)
+    sig, _ = synth_control(sd, ["0"], 1.0, np.array([1.0, 0.0]), 0.1)
+    with pytest.raises(ValidationError, match="real"):
+        controlled_trajectory(sd, ["0"], np.array([1.0j, 0.0]), sig, np.array([0.0, 1.0]))

@@ -7,7 +7,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphheat.covering import ball_around_set
@@ -122,6 +122,23 @@ def test_distance_length_halved_edges():
     g = path(3, b=2.0)
     assert distance(g, LEN, "0", "2") == 1.0  # 1/2 + 1/2
     assert distance(g, LEN, "0", "2", exact=True) == Fraction(1)
+
+
+def test_distance_tiny_weight_edge_counts():
+    g = build_graph([("0", 1.0), ("1", 1.0)], [("0", "1", 1e-9)])
+    assert validate_assumptions(g).connected
+    assert distance(g, COMB, "0", "1") == 1.0
+    assert distance(g, LEN, "0", "1", exact=True) == 1 / Fraction(1e-9)
+
+
+def test_length_scale_common_denominator():
+    g = build_graph(
+        [("0", 1.0), ("1", 1.0), ("2", 1.0)], [("0", "1", 3.0), ("1", "2", 0.5)]
+    )
+    assert g.length_scale == 3
+    assert g.length_table[0, 2] == 7  # 1/3 + 2 = 7/3
+    assert distance(g, LEN, "0", "2", exact=True) == Fraction(7, 3)
+    assert path(3).length_scale == 1
 
 
 def test_distance_unknown_vertex(c4):
@@ -295,21 +312,30 @@ def ref_max_ball_volume(g, rows, r):
     return best
 
 
+# 1/b is not dyadic for most of these, so the length scale exceeds 1 and
+# radii tie at values like 2/3; the last three make the scaled lengths huge
+RATIONAL_WEIGHTS = (1.0, 3.0, 0.3, 7.0, 10.0, 5e-324, 1e-300, 1e300)
+
+
 @st.composite
 def table_cases(draw):
-    """One or two components with random or uniform weights (uniform
-    weights tie many radii), plus a nonempty subset D."""
+    """One or two components with random, uniform or rational weights
+    (uniform and rational weights tie many radii), plus a nonempty subset D."""
     sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
-    uniform = draw(st.booleans())
+    regime = draw(st.sampled_from(["random", "uniform", "rational"]))
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
-    b_range = (2.0, 2.0) if uniform else (0.5, 2.0)
+    b_range = (2.0, 2.0) if regime == "uniform" else (0.5, 2.0)
     vertices, edges = [], []
     for size in sizes:
         part = graph_to_json(random_connected_graph(rng, size, b_range=b_range))
         offset = len(vertices)
         vertices += [(str(int(v["id"]) + offset), v["m"]) for v in part["vertices"]]
         edges += [
-            (str(int(e["u"]) + offset), str(int(e["v"]) + offset), e["b"])
+            (
+                str(int(e["u"]) + offset),
+                str(int(e["v"]) + offset),
+                draw(st.sampled_from(RATIONAL_WEIGHTS)) if regime == "rational" else e["b"],
+            )
             for e in part["edges"]
         ]
     g = build_graph(vertices, edges)
@@ -317,8 +343,24 @@ def table_cases(draw):
     return g, D
 
 
+def outcome(query, *args, **kwargs):
+    """A query's result, or ``OverflowError`` when it has no float value
+    (a finite distance beyond the float range, as ``float(Fraction)``)."""
+    try:
+        return query(*args, **kwargs)
+    except OverflowError:
+        return OverflowError
+
+
 @settings(max_examples=60, deadline=None)
 @given(table_cases())
+@example((  # length scale 3·5404319552844595 and a distance beyond the float range
+    build_graph(
+        [(str(i), 1.0) for i in range(4)],
+        [("0", "1", 3.0), ("1", "2", 0.3), ("2", "3", 5e-324), ("0", "2", 0.3)],
+    ),
+    ["0"],
+))
 def test_distance_tables_match_reference(case):
     g, D = case
     d_idx = [g.index_of(v) for v in D]
@@ -328,32 +370,34 @@ def test_distance_tables_match_reference(case):
         def expect(d, exact):
             if d is None or d == math.inf:
                 return math.inf
-            return d if exact else float(d)
+            return d if exact else outcome(float, d)
 
         def check(got, want, exact):
             assert got == expect(want, exact)
             if want is None or want == math.inf:
                 assert type(got) is float
-            else:
+            elif got is not OverflowError:
                 assert type(got) is (exact_type if exact else float)
 
         for exact in (False, True):
             for i, x in enumerate(g.vertex_ids):
                 for j, y in enumerate(g.vertex_ids):
-                    check(distance(g, kind, x, y, exact=exact), rows[i][j], exact)
+                    check(outcome(distance, g, kind, x, y, exact=exact), rows[i][j], exact)
             zero = exact_type(0)
             check(
-                covering_radius(g, kind, D, exact=exact),
+                outcome(covering_radius, g, kind, D, exact=exact),
                 ref_covering_radius(rows, d_idx, zero),
                 exact,
             )
             for inside in (D, omega):
                 if 0 < len(inside) < g.n:
                     idx = [g.index_of(v) for v in inside]
-                    check(inradius(g, kind, inside, exact=exact), ref_inradius(rows, idx), exact)
+                    got = outcome(inradius, g, kind, inside, exact=exact)
+                    check(got, ref_inradius(rows, idx), exact)
 
         radii = {d for row in rows for d in row if d is not None}
-        radii |= {float(d) for d in radii} | {Fraction(1, 3), 0.75}
+        radii |= {outcome(float, d) for d in radii} - {OverflowError}
+        radii |= {Fraction(1, 3), Fraction(2, 3), 0.75}
         for r in radii:
             assert max_ball_volume(g, kind, r) == ref_max_ball_volume(g, rows, r)
         assert max_ball_volume(g, kind, math.inf) == float(g.m.sum())
@@ -370,6 +414,22 @@ def test_distance_tables_computed_once_and_read_only(c4):
         table = getattr(c4, name)
         assert getattr(c4, name) is table
         assert not table.flags.writeable
+
+
+def test_omega_geometry_computed_once_per_subset():
+    g = build_graph(
+        [("0", 1.0), ("1", 2.0), ("2", 1.0), ("3", 1.0)],
+        [("0", "1", 1.0), ("1", "2", 2.0), ("2", "3", 3.0)],
+    )
+    geometry = g.omega_geometry(["0", "3"])
+    assert g.omega_geometry(("3", "0")) is geometry
+    inr = inradius(g, LEN, ["1", "2"], exact=True)
+    assert inr == Fraction(5, 6)  # from "1": min(1, 1/2 + 1/3)
+    assert geometry == (5 / 6, max_ball_volume(g, LEN, inr)) == (5 / 6, 4.0)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_graph_freed_after_distance_queries():

@@ -281,9 +281,16 @@ def test_cli_malformed_scenario_exit_2(tmp_path, capsys):
             "task": "validate",
         }),
         write_scenario(tmp_path, "bad_seed.json", {"graph": cycle4, "task": "validate", "seed": "x"}),
+        write_scenario(tmp_path, "negative_seed.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "weak-obs", "seed": -1,
+        }),
     ]
-    for scenario in scenarios:
-        assert cli_main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2, scenario
+    weak_obs = write_scenario(tmp_path, "weak_obs.json", {
+        "graph": cycle4, "subset": {"ids": ["0"]}, "task": "weak-obs",
+    })
+    runs = [[str(scenario)] for scenario in scenarios] + [[str(weak_obs), "--seed", "-1"]]
+    for args in runs:
+        assert cli_main(["run", *args, "--out", str(tmp_path / "out")]) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, err
 
