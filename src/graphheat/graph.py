@@ -6,14 +6,16 @@ vertex measure m.  Vectors over the graph are numpy arrays ordered like
 ``vertex_ids``.
 
 Each graph computes its all-pairs distance tables once, on first use, and
-caches them on itself: hop counts from ``scipy.sparse.csgraph`` and length
-distances (1/b edge costs) in exact integer arithmetic.  Every float is an
-exact dyadic rational, so every edge length 1/b is an integer multiple of
-1/L, where the graph's ``length_scale`` L is the lcm of the denominators of
-the 1/b; the length table holds each distance times L as a Python int.
-Ball-membership comparisons at tied radii therefore never flip due to
-rounding.  Every radius, ball and hop query reads these tables, and only
-the query boundary turns a scaled distance back into a rational or float.
+caches them on itself: hop counts from ``scipy.sparse.csgraph`` and exact
+length distances (1/b edge costs).  Every float is an exact dyadic rational,
+so every edge length 1/b is an integer multiple of 1/L, where L is the lcm
+of the denominators of the 1/b; the length table holds each distance times
+L as a Python int.  With many distinct weights L grows by about 50 bits per
+weight, so above ``_MAX_SCALE_BITS`` bits the same Dijkstra runs on
+``Fraction`` lengths, whose sums carry only the denominators met along each
+path.  Either way ball-membership comparisons at tied radii never flip due
+to rounding.  Every radius, ball and hop query reads these tables, and only
+the query boundary turns a table entry into a rational or float.
 """
 
 from __future__ import annotations
@@ -47,6 +49,13 @@ from .errors import (
 )
 
 
+# An integer length table costs about L.bit_length() / 8 bytes per entry, and
+# L grows by about 50 bits per distinct non-dyadic weight: n = 200 with 2000
+# random weights has an 85412-bit L, a 549 MB table built more slowly than
+# the Fraction one.  Up to this limit a table stays near 50 MB at n = 300.
+_MAX_SCALE_BITS = 4096
+
+
 class MetricKind(Enum):
     """Which graph metric to use: hop counting or 1/b edge lengths."""
 
@@ -78,7 +87,6 @@ class WeightedGraph:
         object.__setattr__(
             self, "_index", {v: i for i, v in enumerate(self.vertex_ids)}
         )
-        object.__setattr__(self, "_omega_geometries", {})
 
     @property
     def n(self) -> int:
@@ -114,27 +122,36 @@ class WeightedGraph:
         return table
 
     @cached_property
-    def length_scale(self) -> int:
+    def _length_scale(self) -> int | None:
         """L, the lcm of the denominators of 1/b over the distinct positive
-        edge weights b: every edge length 1/b is an integer multiple of 1/L."""
-        weights = np.unique(self.weights[self.weights > 0.0])
-        return math.lcm(*((1 / Fraction(b)).denominator for b in weights))
+        edge weights b, so every edge length 1/b is an integer multiple of
+        1/L; None when L has more than ``_MAX_SCALE_BITS`` bits."""
+        scale = 1
+        for b in np.unique(self.weights[self.weights > 0.0]):
+            scale = math.lcm(scale, (1 / Fraction(b)).denominator)
+            if scale.bit_length() > _MAX_SCALE_BITS:
+                return None
+        return scale
 
     @cached_property
-    def length_table(self) -> np.ndarray:
-        """All-pairs length distances d times ``length_scale``, as exact
-        Python ints (object array); ``math.inf`` marks an unreachable pair."""
-        n, scale = self.n, self.length_scale
-        lengths: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    def _length_table(self) -> np.ndarray:
+        """All-pairs length distances, exact, in a read-only object array:
+        each distance times ``_length_scale`` as a Python int, or as a
+        Fraction when there is no length scale; ``math.inf`` marks an
+        unreachable pair."""
+        n, scale = self.n, self._length_scale
+        lengths: list[list[tuple[int, int | Fraction]]] = [[] for _ in range(n)]
         for i in range(n):
             for j in self.neighbors(i):
                 w = 1 / Fraction(self.weights[i, j])
-                lengths[i].append((int(j), w.numerator * (scale // w.denominator)))
+                if scale is not None:
+                    w = w.numerator * (scale // w.denominator)
+                lengths[i].append((int(j), w))
         table = np.empty((n, n), dtype=object)
         for src in range(n):
             dist: list = [math.inf] * n
             dist[src] = 0
-            heap: list[tuple[int, int]] = [(0, src)]
+            heap: list = [(0, src)]
             while heap:
                 d, i = heappop(heap)
                 if d > dist[i]:
@@ -147,17 +164,6 @@ class WeightedGraph:
             table[src, :] = dist
         table.setflags(write=False)
         return table
-
-    def omega_geometry(self, D: Sequence[str]) -> tuple[float, float]:
-        """(Inr(Omega), vol(Inr(Omega))) in the length metric, Omega = X \\ D,
-        as floats; computed once per subset D and kept on the graph."""
-        key = frozenset(self.subset_indices(D).tolist())
-        geometries = self._omega_geometries  # type: ignore[attr-defined]
-        if key not in geometries:
-            omega = [v for i, v in enumerate(self.vertex_ids) if i not in key]
-            inr = inradius(self, MetricKind.LENGTH, omega, exact=True)
-            geometries[key] = (float(inr), max_ball_volume(self, MetricKind.LENGTH, inr))
-        return geometries[key]
 
 
 @dataclass(frozen=True)
@@ -239,7 +245,7 @@ def validate_assumptions(g: WeightedGraph) -> AssumptionReport:
 
 
 def _table(g: WeightedGraph, kind: MetricKind) -> np.ndarray:
-    return g.hop_table if kind is MetricKind.COMBINATORIAL else g.length_table
+    return g.hop_table if kind is MetricKind.COMBINATORIAL else g._length_table
 
 
 def _as_result(g: WeightedGraph, kind: MetricKind, d, exact: bool):
@@ -250,8 +256,17 @@ def _as_result(g: WeightedGraph, kind: MetricKind, d, exact: bool):
         return math.inf
     if kind is MetricKind.COMBINATORIAL:
         return int(d) if exact else float(d)
-    d = Fraction(d, g.length_scale)
-    return d if exact else float(d)
+    d = Fraction(d, g._length_scale or 1)
+    return d if exact else _as_float(d)
+
+
+def _as_float(q: Fraction) -> float:
+    """The correctly rounded float of q >= 0: +inf beyond the float range,
+    where ``float(q)`` raises ``OverflowError``."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
 
 
 def distance(
@@ -313,9 +328,10 @@ def max_ball_volume(g: WeightedGraph, kind: MetricKind, r) -> float:
     r = Fraction(r)
     if r < 0:
         raise ValidationError("ball radius must be nonnegative")
-    # table entries are integers, so d <= r exactly when d <= floor(r * scale)
-    scale = 1 if kind is MetricKind.COMBINATORIAL else g.length_scale
-    inside = _table(g, kind) <= math.floor(r * scale)
+    # integer entries d satisfy d <= r * scale exactly when d <= floor(r * scale);
+    # Fraction entries (no length scale) compare with r itself
+    scale = 1 if kind is MetricKind.COMBINATORIAL else g._length_scale
+    inside = _table(g, kind) <= (r if scale is None else math.floor(r * scale))
     # a running sum adds left to right, like a loop over the vertices
     volumes = np.cumsum(np.where(inside, g.m, 0.0), axis=1)[:, -1]
     return float(volumes.max())

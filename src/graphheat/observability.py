@@ -19,7 +19,14 @@ import scipy.linalg
 
 from .control import gramian
 from .errors import EmptySubset, FullSubset, NotRelativelyDense, ValidationError
-from .graph import MetricKind, WeightedGraph, covering_radius
+from .graph import (
+    MetricKind,
+    WeightedGraph,
+    _as_float,
+    covering_radius,
+    inradius,
+    max_ball_volume,
+)
 from .quadrature import _legendre_lobatto, _leggauss, graded_edges, graded_gauss_nodes
 from .spectral import (
     EnergyInterval,
@@ -31,6 +38,15 @@ from .spectral import (
 
 _SHARP_SINGULAR_CUTOFF = 1e-12
 _OBS_SINGULAR_REL = 1e-12
+
+
+def _omega_geometry(g: WeightedGraph, D: Sequence[str]) -> tuple[float, float]:
+    """(Inr(Omega), vol(Inr(Omega))) in the length metric, Omega = X \\ D."""
+    dset = set(D)
+    omega = [v for v in g.vertex_ids if v not in dset]
+    inr_exact = inradius(g, MetricKind.LENGTH, omega, exact=True)
+    vol = max_ball_volume(g, MetricKind.LENGTH, inr_exact)
+    return _as_float(inr_exact), vol
 
 
 @dataclass(frozen=True)
@@ -93,7 +109,7 @@ def _up_geometry(g: WeightedGraph, D: Sequence[str]) -> tuple[float, float]:
         raise EmptySubset("uncertainty bounds need a nonempty subset")
     if set(D) >= set(g.vertex_ids):
         raise FullSubset("uncertainty bounds need a proper subset")
-    return g.omega_geometry(D)
+    return _omega_geometry(g, D)
 
 
 def _up_report(
@@ -200,8 +216,11 @@ def weak_obs_constants(
         )
 
     if math.isinf(covering_radius(g, MetricKind.LENGTH, D)):
-        raise NotRelativelyDense("observation set has infinite length-metric covering radius")
-    inr, vol = g.omega_geometry(D)
+        raise NotRelativelyDense(
+            "observation set has a length-metric covering radius that is infinite"
+            " or beyond the float range"
+        )
+    inr, vol = _omega_geometry(g, D)
     lam = 1.0 / (2.0 * inr * vol)
     kappa = 8.0 * op_norm_H_plus_1(sd) ** 2 * inr * vol
     return WeakObsConstants(

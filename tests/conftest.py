@@ -69,7 +69,7 @@ def grow_dense_subset(g: WeightedGraph, rng, max_covr=2.0):
         covr = covering_radius(g, MetricKind.LENGTH, D, exact=True)
         if covr <= max_covr:
             return tuple(D)
-        to_d = g.length_table[:, g.subset_indices(D)].min(axis=1)
+        to_d = g._length_table[:, g.subset_indices(D)].min(axis=1)  # ordered like distances
         worst = max(range(g.n), key=lambda i: to_d[i])  # first farthest vertex
         D.append(g.vertex_ids[worst])
 

@@ -4,12 +4,14 @@ import weakref
 from collections import deque
 from fractions import Fraction
 from heapq import heappop, heappush
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphheat import graph as graph_module
 from graphheat.covering import ball_around_set
 from graphheat.errors import (
     DuplicateEdge,
@@ -135,10 +137,46 @@ def test_length_scale_common_denominator():
     g = build_graph(
         [("0", 1.0), ("1", 1.0), ("2", 1.0)], [("0", "1", 3.0), ("1", "2", 0.5)]
     )
-    assert g.length_scale == 3
-    assert g.length_table[0, 2] == 7  # 1/3 + 2 = 7/3
+    assert g._length_scale == 3
+    assert g._length_table[0, 2] == 7  # 1/3 + 2 = 7/3
     assert distance(g, LEN, "0", "2", exact=True) == Fraction(7, 3)
-    assert path(3).length_scale == 1
+    assert path(3)._length_scale == 1
+
+
+def test_many_distinct_weights_use_fraction_table():
+    # 120 random weights: the lcm of the denominators of the 1/b would have
+    # about 6000 bits, so the table holds exact Fractions instead
+    rng = np.random.default_rng(5)
+    n = 120
+    g = build_graph(
+        [(str(i), 1.0) for i in range(n)],
+        [(str(i), str((i + 1) % n), float(rng.uniform(0.5, 2.0))) for i in range(n)],
+    )
+    assert g._length_scale is None
+    want = ref_lengths(g)
+    assert g._length_table.tolist() == want
+    assert distance(g, LEN, "0", "60", exact=True) == want[0][60]
+    assert covering_radius(g, LEN, ["0"], exact=True) == max(want[0])
+    r = want[0][60]
+    assert max_ball_volume(g, LEN, r) == ref_max_ball_volume(g, want, r)
+
+
+def test_float_distance_beyond_float_range_is_inf():
+    # 1/5e-324 = 2**1074 and 1e308 + 1e308 have no float: the correctly
+    # rounded value is +inf, while exact=True keeps the finite distance
+    g = build_graph(
+        [(str(i), 1.0) for i in range(4)],
+        [("0", "1", 5e-324), ("1", "2", 1e-308), ("2", "3", 1e-308)],
+    )
+    assert distance(g, LEN, "0", "1", exact=True) == 2**1074
+    assert distance(g, LEN, "1", "3", exact=True) == 2 / Fraction(1e-308)
+    for x, y in (("0", "1"), ("1", "3")):
+        assert distance(g, LEN, x, y) == math.inf
+    assert covering_radius(g, LEN, ["1"]) == math.inf
+    assert covering_radius(g, LEN, ["1"], exact=True) == 2**1074
+    assert inradius(g, LEN, ["0", "1"]) == math.inf
+    assert inradius(g, LEN, ["2"], exact=True) == 1 / Fraction(1e-308)
+    assert max_ball_volume(g, LEN, 1 / Fraction(1e-308)) == 3.0  # around 2
 
 
 def test_distance_unknown_vertex(c4):
@@ -313,8 +351,8 @@ def ref_max_ball_volume(g, rows, r):
 
 
 # 1/b is not dyadic for most of these, so the length scale exceeds 1 and
-# radii tie at values like 2/3; the last three make the scaled lengths huge
-RATIONAL_WEIGHTS = (1.0, 3.0, 0.3, 7.0, 10.0, 5e-324, 1e-300, 1e300)
+# radii tie at values like 2/3; the last two make the scaled lengths huge
+RATIONAL_WEIGHTS = (1.0, 3.0, 0.3, 7.0, 10.0, 1e-300, 1e300)
 
 
 @st.composite
@@ -339,25 +377,20 @@ def table_cases(draw):
             for e in part["edges"]
         ]
     g = build_graph(vertices, edges)
+    if draw(st.booleans()):
+        # the Fraction table that a length scale beyond _MAX_SCALE_BITS selects
+        with patch.object(graph_module, "_MAX_SCALE_BITS", 0):
+            g._length_table
     D = draw(st.lists(st.sampled_from(g.vertex_ids), min_size=1, unique=True))
     return g, D
 
 
-def outcome(query, *args, **kwargs):
-    """A query's result, or ``OverflowError`` when it has no float value
-    (a finite distance beyond the float range, as ``float(Fraction)``)."""
-    try:
-        return query(*args, **kwargs)
-    except OverflowError:
-        return OverflowError
-
-
 @settings(max_examples=60, deadline=None)
 @given(table_cases())
-@example((  # length scale 3·5404319552844595 and a distance beyond the float range
+@example((  # a length scale of 3·5404319552844595·2**k and a distance of about 1e300
     build_graph(
         [(str(i), 1.0) for i in range(4)],
-        [("0", "1", 3.0), ("1", "2", 0.3), ("2", "3", 5e-324), ("0", "2", 0.3)],
+        [("0", "1", 3.0), ("1", "2", 0.3), ("2", "3", 1e-300), ("0", "2", 0.3)],
     ),
     ["0"],
 ))
@@ -370,33 +403,33 @@ def test_distance_tables_match_reference(case):
         def expect(d, exact):
             if d is None or d == math.inf:
                 return math.inf
-            return d if exact else outcome(float, d)
+            return d if exact else float(d)
 
         def check(got, want, exact):
             assert got == expect(want, exact)
             if want is None or want == math.inf:
                 assert type(got) is float
-            elif got is not OverflowError:
+            else:
                 assert type(got) is (exact_type if exact else float)
 
         for exact in (False, True):
             for i, x in enumerate(g.vertex_ids):
                 for j, y in enumerate(g.vertex_ids):
-                    check(outcome(distance, g, kind, x, y, exact=exact), rows[i][j], exact)
+                    check(distance(g, kind, x, y, exact=exact), rows[i][j], exact)
             zero = exact_type(0)
             check(
-                outcome(covering_radius, g, kind, D, exact=exact),
+                covering_radius(g, kind, D, exact=exact),
                 ref_covering_radius(rows, d_idx, zero),
                 exact,
             )
             for inside in (D, omega):
                 if 0 < len(inside) < g.n:
                     idx = [g.index_of(v) for v in inside]
-                    got = outcome(inradius, g, kind, inside, exact=exact)
+                    got = inradius(g, kind, inside, exact=exact)
                     check(got, ref_inradius(rows, idx), exact)
 
         radii = {d for row in rows for d in row if d is not None}
-        radii |= {outcome(float, d) for d in radii} - {OverflowError}
+        radii |= {float(d) for d in radii}
         radii |= {Fraction(1, 3), Fraction(2, 3), 0.75}
         for r in radii:
             assert max_ball_volume(g, kind, r) == ref_max_ball_volume(g, rows, r)
@@ -410,26 +443,10 @@ def test_distance_tables_match_reference(case):
 
 
 def test_distance_tables_computed_once_and_read_only(c4):
-    for name in ("hop_table", "length_table"):
+    for name in ("hop_table", "_length_table"):
         table = getattr(c4, name)
         assert getattr(c4, name) is table
         assert not table.flags.writeable
-
-
-def test_omega_geometry_computed_once_per_subset():
-    g = build_graph(
-        [("0", 1.0), ("1", 2.0), ("2", 1.0), ("3", 1.0)],
-        [("0", "1", 1.0), ("1", "2", 2.0), ("2", "3", 3.0)],
-    )
-    geometry = g.omega_geometry(["0", "3"])
-    assert g.omega_geometry(("3", "0")) is geometry
-    inr = inradius(g, LEN, ["1", "2"], exact=True)
-    assert inr == Fraction(5, 6)  # from "1": min(1, 1/2 + 1/3)
-    assert geometry == (5 / 6, max_ball_volume(g, LEN, inr)) == (5 / 6, 4.0)
-    ref = weakref.ref(g)
-    del g
-    gc.collect()
-    assert ref() is None
 
 
 def test_graph_freed_after_distance_queries():

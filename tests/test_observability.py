@@ -147,6 +147,18 @@ def test_constants_not_relatively_dense():
         weak_obs_constants(g, sd, ["0"], T=1.0, delta=0.0, r=2.0)
 
 
+def test_covering_radius_beyond_float_range():
+    # the edge of weight 5e-324 has length 2**1074, which no float holds
+    g = build_graph(
+        [("0", 1), ("1", 1), ("2", 1)], [("0", "1", 1.0), ("1", "2", 5e-324)]
+    )
+    sd = eigendecompose(g)
+    with pytest.raises(NotRelativelyDense, match="beyond the float range"):
+        weak_obs_constants(g, sd, ["0"], T=1.0, delta=0.0, r=2.0)
+    rep = up_paper_bound(g, sd, ["0"], EnergyInterval(hi=0.5))
+    assert rep.inradius == math.inf and not rep.applicable
+
+
 def test_constants_validations(c4):
     sd = eigendecompose(c4)
     with pytest.raises(EmptySubset):
