@@ -4,8 +4,9 @@ Geometric quantities (inradius, ball volume, covering radius) are taken in
 the length metric, where the weak observability estimate and the low-energy
 uncertainty principle hold.  ``verify_weak_obs`` screens large input
 batches with a vectorized norm evaluator and then re-computes every
-suspicious or extremal slack with the contractual adaptive-Simpson time
-norm, so reported minima always come from the slow exact path.
+suspicious or extremal slack with the certified time norm
+``time_lr_norm``, one batched call per constant set, so reported minima
+always come from the certified path.
 """
 
 from __future__ import annotations
@@ -348,8 +349,8 @@ def verify_weak_obs_multi(
 
     The batch pass shares all eigen-machinery and node evaluations across
     the parameter combinations; the bottom ``recheck_bottom`` slacks per
-    combination (plus anything negative-leaning) are then recomputed with
-    ``time_lr_norm`` so the reported minima are quadrature-certified.
+    combination (plus anything negative-leaning) are then recomputed by one
+    batched ``time_lr_norm`` call so the reported minima are certified.
     """
     d_idx = sd.graph.subset_indices(D)
     if len(d_idx) == 0:
@@ -370,13 +371,9 @@ def verify_weak_obs_multi(
         slack = const.K * lr_cache[key] + const.alpha - st_cache[const.T]
 
         margin = 1e-7 * (const.K + const.alpha + 1.0)
-        order = np.argsort(slack)
-        recheck = set(order[:recheck_bottom].tolist())
-        recheck.update(np.nonzero(slack < margin)[0].tolist())
-        for j in recheck:
-            phi_vec = sd.synthesize(C[:, j])
-            lr_exact = time_lr_norm(sd, phi_vec, D, (a, b), const.r)
-            slack[j] = const.K * lr_exact + const.alpha - float(st_cache[const.T][j])
+        recheck = np.union1d(np.argsort(slack)[:recheck_bottom], np.nonzero(slack < margin)[0])
+        lr_exact = time_lr_norm(sd, sd.synthesize(C[:, recheck]), D, (a, b), const.r)
+        slack[recheck] = const.K * lr_exact + const.alpha - st_cache[const.T][recheck]
         worst = int(np.argmin(slack))
         out.append(
             WeakObsVerification(

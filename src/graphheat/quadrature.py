@@ -1,14 +1,13 @@
 """Adaptive Simpson quadrature and supporting node generators.
 
 The Simpson routine works on batched integrands: the callable receives an
-array of times and returns one value (scalar or vector) per time.  Pending
-subintervals from a refinement wave are evaluated in a single call, which
-keeps Python overhead off the hot path.
+array of times and returns one value (scalar or array) per time.  Each
+refinement wave is held as arrays, evaluated in one integrand call and
+tested in one vectorized step, which keeps Python off the hot path.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Callable
 
@@ -24,8 +23,20 @@ _INITIAL_PANELS = 8
 _INITIAL_DEPTH = 3
 
 
-def _default_norm(v) -> float:
-    return float(np.linalg.norm(np.asarray(v).ravel()))
+def _panel_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each panel's value (panels on the first axis)."""
+    v = np.asarray(v)
+    return np.linalg.norm(v.reshape(len(v), -1), axis=1)
+
+
+def _spread(x: np.ndarray, ndim: int) -> np.ndarray:
+    """Append unit axes to x so that it broadcasts against ndim-d values."""
+    return x.reshape(x.shape + (1,) * (ndim - x.ndim))
+
+
+def _pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Interleave two per-panel arrays: left[0], right[0], left[1], ..."""
+    return np.stack([left, right], axis=1).reshape((-1,) + left.shape[1:])
 
 
 def adaptive_simpson(
@@ -35,16 +46,19 @@ def adaptive_simpson(
     *,
     rel_tol: float = 1e-10,
     max_depth: int = 40,
-    norm: Callable[[object], float] | None = None,
+    norm: Callable[[np.ndarray], np.ndarray] | None = None,
 ):
     """Integrate fn over [a, b] by adaptive Simpson with interval bisection.
 
     ``fn`` maps an array of times to an array of values with the time axis
-    first.  Convergence is certified by successive-refinement agreement;
-    exceeding ``max_depth`` raises ``QuadratureNonConvergence``.
+    first.  ``norm`` maps per-panel values (panel axis first) to what the
+    Simpson/Richardson test compares: by default one Euclidean norm per
+    panel, so a vector is accepted as a whole; ``np.abs`` on (times, k)
+    values certifies each column to ``rel_tol`` of its own integral.
+    Exceeding ``max_depth`` raises ``QuadratureNonConvergence``.
     """
     if norm is None:
-        norm = _default_norm
+        norm = _panel_norm
     a, b = float(a), float(b)
     if b <= a:
         raise ValueError("integration window must satisfy a < b")
@@ -52,46 +66,44 @@ def adaptive_simpson(
     k = _INITIAL_PANELS
     x = np.linspace(a, b, 2 * k + 1)
     vals = np.asarray(fn(x))
-    fa, fm, fb = vals[0], vals[k], vals[2 * k]
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    node_scale = (b - a) * max(norm(fa), norm(fm), norm(fb))
-    tol0 = rel_tol * max(norm(whole), 1e-3 * node_scale)
+    ends = vals[[0, k, 2 * k]]
+    whole = (b - a) / 6.0 * (ends[0] + 4.0 * ends[1] + ends[2])
+    node_scale = (b - a) * norm(ends).max(axis=0)
+    tol0 = rel_tol * np.maximum(norm(whole[None])[0], 1e-3 * node_scale)
 
+    nd = vals.ndim
+    lo, hi = x[0:-1:2], x[2::2]
+    flo, fmid, fhi = vals[0:-1:2], vals[1::2], vals[2::2]
+    S = _spread((hi - lo) / 6.0, nd) * (flo + 4.0 * fmid + fhi)
+    open_ = np.ones((k,) + tol0.shape, dtype=bool)  # entries not yet accepted
     total = 0.0 * whole
-    work = []
-    for q in range(k):
-        lo, hi = x[2 * q], x[2 * q + 2]
-        flo, fmid, fhi = vals[2 * q], vals[2 * q + 1], vals[2 * q + 2]
-        S = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-        work.append((lo, hi, flo, fmid, fhi, S, tol0 / k, _INITIAL_DEPTH))
-    while work:
-        mids = np.empty(2 * len(work))
-        for q, (lo, hi, *_rest) in enumerate(work):
-            mid = 0.5 * (lo + hi)
-            mids[2 * q] = 0.5 * (lo + mid)
-            mids[2 * q + 1] = 0.5 * (mid + hi)
-        mvals = np.asarray(fn(mids))
-
-        nxt = []
-        for q, (lo, hi, flo, fmid, fhi, S, tol, depth) in enumerate(work):
-            mid = 0.5 * (lo + hi)
-            flm, frm = mvals[2 * q], mvals[2 * q + 1]
-            Sl = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-            Sr = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-            delta = Sl + Sr - S
-            too_narrow = (hi - lo) <= 1e-14 * (abs(lo) + abs(hi) + 1.0)
-            if norm(delta) <= 15.0 * tol or too_narrow:
-                total = total + Sl + Sr + delta / 15.0
-            elif depth + 1 > max_depth:
-                raise QuadratureNonConvergence(
-                    f"Simpson refinement exceeded depth {max_depth} on "
-                    f"[{lo:.6g}, {hi:.6g}]"
-                )
-            else:
-                half = 0.5 * tol
-                nxt.append((lo, mid, flo, flm, fmid, Sl, half, depth + 1))
-                nxt.append((mid, hi, fmid, frm, fhi, Sr, half, depth + 1))
-        work = nxt
+    depth = _INITIAL_DEPTH
+    while len(lo):
+        tol = tol0 * 0.5**depth  # tol0 / k on the initial panels, halved per bisection
+        mid = 0.5 * (lo + hi)
+        mvals = np.asarray(fn(_pairs(0.5 * (lo + mid), 0.5 * (mid + hi))))
+        flm, frm = mvals[0::2], mvals[1::2]
+        Sl = _spread((mid - lo) / 6.0, nd) * (flo + 4.0 * flm + fmid)
+        Sr = _spread((hi - mid) / 6.0, nd) * (fmid + 4.0 * frm + fhi)
+        delta = Sl + Sr - S
+        too_narrow = (hi - lo) <= 1e-14 * (np.abs(lo) + np.abs(hi) + 1.0)
+        ok = (norm(delta) <= 15.0 * tol) | _spread(too_narrow, open_.ndim)
+        accept = _spread(open_ & ok, nd)
+        total = total + np.sum(np.where(accept, Sl + Sr + delta / 15.0, 0.0), axis=0)
+        open_ = open_ & ~ok
+        split = open_.reshape(len(lo), -1).any(axis=1)
+        if split.any() and depth + 1 > max_depth:
+            i = int(np.argmax(split))
+            raise QuadratureNonConvergence(
+                f"Simpson refinement exceeded depth {max_depth} on "
+                f"[{lo[i]:.6g}, {hi[i]:.6g}]"
+            )
+        lo, mid, hi, flo, flm, fmid, frm, fhi, Sl, Sr, open_ = (
+            v[split] for v in (lo, mid, hi, flo, flm, fmid, frm, fhi, Sl, Sr, open_)
+        )
+        lo, hi, S, open_ = _pairs(lo, mid), _pairs(mid, hi), _pairs(Sl, Sr), _pairs(open_, open_)
+        flo, fmid, fhi = _pairs(flo, fmid), _pairs(flm, frm), _pairs(fmid, fhi)
+        depth += 1
     return total
 
 
@@ -149,26 +161,3 @@ def graded_gauss_nodes(
         nodes.append(mid + half * x)
         weights.append(half * w)
     return np.concatenate(nodes), np.concatenate(weights)
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_max(
-    fn: Callable[[float], float], lo: float, hi: float, *, tol: float = 1e-13
-) -> float:
-    """Maximum value of a scalar function on [lo, hi] by golden-section."""
-    best = max(fn(lo), fn(hi))
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    while (hi - lo) > tol * (abs(lo) + abs(hi) + 1.0):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = fn(d)
-    return max(best, fc, fd)

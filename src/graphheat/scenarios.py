@@ -44,19 +44,6 @@ from .graph import (
 )
 from .spectral import apply_laplacian, eigendecompose
 
-TASKS = (
-    "validate",
-    "spectrum",
-    "up-sweep",
-    "weak-obs",
-    "control",
-    "non-null",
-    "necessity",
-    "stabilize",
-    "stochastic",
-)
-
-
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
@@ -195,8 +182,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if "graph" not in data or "task" not in data:
         raise ParseError("scenario needs 'graph' and 'task' fields")
     task = str(data["task"])
-    if task not in TASKS:
-        raise ValidationError(f"unknown task {task!r}; expected one of {TASKS}")
+    if task not in _TASKS:
+        raise ValidationError(f"unknown task {task!r}; expected one of {tuple(_TASKS)}")
     if not isinstance(data["graph"], dict) or "family" not in data["graph"]:
         raise ParseError("scenario 'graph' needs a 'family' field")
     params = data.get("params", {})
@@ -205,11 +192,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     subset = data.get("subset")
     if subset is not None and not isinstance(subset, dict):
         raise ParseError("scenario 'subset' must be an object")
-    seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ParseError(f"scenario 'seed' must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ParseError(f"scenario 'seed' must be nonnegative, got {seed}")
+    seed = _number(data.get("seed", 0), "seed", integer=True)
     return Scenario(
         graph=data["graph"],
         task=task,
@@ -244,12 +227,23 @@ def _require_subset(g: WeightedGraph, spec: dict | None) -> tuple[str, ...]:
     return subset
 
 
+def _number(value, name: str, *, integer: bool = False):
+    """A numeric scenario value: any JSON number, or a nonnegative integer
+    when ``integer`` is set; anything else raises ``ParseError``."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "a nonnegative integer" if integer else "a number"
+        raise ParseError(f"{name!r} must be {kind}, got {value!r}")
+    if integer and value < 0:
+        raise ParseError(f"{name!r} must be nonnegative, got {value}")
+    return value if integer else float(value)
+
+
 def _parse_r(value) -> float:
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise ValidationError(f"bad norm index {value!r}")
-    r = float(value)
+    r = _number(value, "r")
     if not r >= 1.0:
         raise ValidationError(f"norm index must lie in [1, inf], got {r}")
     return r
@@ -267,8 +261,10 @@ def _resolve_f0(sd, spec, default_seed: int) -> np.ndarray:
     n = sd.n
     if spec is None:
         spec = {"random": default_seed}
+    if not isinstance(spec, dict):
+        raise ParseError(f"f0 spec must be an object, got {spec!r}")
     if "random" in spec:
-        rng = np.random.default_rng(int(spec["random"]))
+        rng = np.random.default_rng(_number(spec["random"], "f0.random", integer=True))
         f0 = rng.standard_normal(n)
         return f0 / sd.norm(f0)
     if "delta" in spec:
@@ -277,7 +273,7 @@ def _resolve_f0(sd, spec, default_seed: int) -> np.ndarray:
         f0[i] = 1.0 / math.sqrt(sd.graph.m[i])
         return f0
     if "values" in spec:
-        f0 = np.asarray([float(v) for v in spec["values"]])
+        f0 = np.asarray([_number(v, "f0.values") for v in spec["values"]])
         if f0.shape[0] != n:
             raise ValidationError("f0 'values' length does not match the graph")
         return f0
@@ -389,10 +385,10 @@ def _task_up_sweep(g, cover, subset, params, seed) -> TaskReport:
 def _task_weak_obs(g, cover, subset, params, seed) -> TaskReport:
     D = _require_subset(g, subset)
     sd = eigendecompose(g)
-    T = float(params.get("T", 1.0))
-    delta = float(params.get("delta", 0.0))
+    T = _number(params.get("T", 1.0), "T")
+    delta = _number(params.get("delta", 0.0), "delta")
     r = _parse_r(params.get("r", 2))
-    samples = int(params.get("samples", 1000))
+    samples = _number(params.get("samples", 1000), "samples", integer=True)
     const = obs.weak_obs_constants(g, sd, D, T, delta, r)
     ver = obs.verify_weak_obs(sd, D, const, samples=samples, seed=seed)
     tol = 1e-9 * (const.K + const.alpha + 1.0)
@@ -433,13 +429,13 @@ def _task_weak_obs(g, cover, subset, params, seed) -> TaskReport:
 def _task_control(g, cover, subset, params, seed) -> TaskReport:
     D = _require_subset(g, subset)
     sd = eigendecompose(g)
-    T = float(params.get("T", 1.0))
-    delta = float(params.get("delta", 0.5))
+    T = _number(params.get("T", 1.0), "T")
+    delta = _number(params.get("delta", 0.5), "delta")
     r_obs = _parse_r(params.get("r", 2))
     r_ctl = _conjugate(r_obs)
     f0 = _resolve_f0(sd, params.get("f0"), seed)
     const = obs.weak_obs_constants(g, sd, D, T, delta, r_obs)
-    alpha_target = float(params.get("alpha_target", const.alpha))
+    alpha_target = _number(params.get("alpha_target", const.alpha), "alpha_target")
     from_duality = "alpha_target" not in params
 
     signal, res = synth_control(
@@ -499,8 +495,8 @@ def _task_control(g, cover, subset, params, seed) -> TaskReport:
 def _task_non_null(g, cover, subset, params, seed) -> TaskReport:
     D = _require_subset(g, subset)
     sd = eigendecompose(g)
-    T = float(params.get("T", 1.0))
-    n_random = int(params.get("n_random", 50))
+    T = _number(params.get("T", 1.0), "T")
+    n_random = _number(params.get("n_random", 50), "n_random", integer=True)
     obstructions = hautus_obstruction(sd, D)
     c_exact = obs.exact_obs_constant(sd, D, T)
     report = TaskReport(
@@ -564,8 +560,8 @@ def _task_necessity(g, cover, subset, params, seed) -> TaskReport:
     xs = [str(v) for v in params.get("x", [])]
     if not xs:
         raise ValidationError("necessity task needs a nonempty 'x' list")
-    t_grid = [float(t) for t in params.get("t_grid", [0.1, 1.0, 5.0, 10.0])]
-    n_max = int(params.get("n_max", 10))
+    t_grid = [_number(t, "t_grid") for t in params.get("t_grid", [0.1, 1.0, 5.0, 10.0])]
+    n_max = _number(params.get("n_max", 10), "n_max", integer=True)
     far = sto.far_vertex_sequence(g, D, n_max)
     rows = []
     all_pass = True
@@ -626,9 +622,9 @@ def _task_necessity(g, cover, subset, params, seed) -> TaskReport:
 def _task_stabilize(g, cover, subset, params, seed) -> TaskReport:
     D = _require_subset(g, subset)
     sd = eigendecompose(g)
-    T = float(params.get("T", 1.0))
-    alpha = float(params.get("alpha", 0.5))
-    periods = int(params.get("N", 10))
+    T = _number(params.get("T", 1.0), "T")
+    alpha = _number(params.get("alpha", 0.5), "alpha")
+    periods = _number(params.get("N", 10), "N", integer=True)
     f0 = _resolve_f0(sd, params.get("f0"), seed)
     rep = stabilize(sd, D, T, alpha, periods, f0)
     norm0 = rep.period_norms[0]
@@ -665,15 +661,15 @@ def _task_stabilize(g, cover, subset, params, seed) -> TaskReport:
 def _task_stochastic(g, cover, subset, params, seed) -> TaskReport:
     sd = eigendecompose(g)
     x = str(params.get("x", g.vertex_ids[0]))
-    t = float(params.get("t", 1.0))
-    n_samples = int(params.get("n_samples", 20000))
-    repeats = int(params.get("repeats", 1))
+    t = _number(params.get("t", 1.0), "t")
+    n_samples = _number(params.get("n_samples", 20000), "n_samples", integer=True)
+    repeats = _number(params.get("repeats", 1), "repeats", integer=True)
     f_spec = params.get("f")
     if f_spec is None:
         f = np.zeros(g.n)
         f[g.index_of(x)] = 1.0
     else:
-        f = np.asarray([float(v) for v in f_spec])
+        f = np.asarray([_number(v, "f") for v in f_spec])
     x_idx = g.index_of(x)
     exact = float(
         (sd.eigenvectors @ (np.exp(-sd.eigenvalues * t) * sd.coefficients(f)))[x_idx].real
@@ -711,7 +707,7 @@ def _task_stochastic(g, cover, subset, params, seed) -> TaskReport:
         f"{hits}/{repeats}",
     )
 
-    jump_samples = int(params.get("first_jump_samples", 0))
+    jump_samples = _number(params.get("first_jump_samples", 0), "first_jump_samples", integer=True)
     if jump_samples > 0:
         counts: dict[str, int] = {}
         jumped = 0
@@ -739,7 +735,7 @@ def _task_stochastic(g, cover, subset, params, seed) -> TaskReport:
         report.summary["first_jump_samples"] = jump_samples
         report.check("first_jump_law", law_ok)
 
-    n_paths = int(params.get("sample_paths", 0))
+    n_paths = _number(params.get("sample_paths", 0), "sample_paths", integer=True)
     if n_paths > 0:
         path_table = []
         for i in range(n_paths):
@@ -750,16 +746,21 @@ def _task_stochastic(g, cover, subset, params, seed) -> TaskReport:
     return report
 
 
-_TASK_RUNNERS = {
-    "validate": _task_validate,
-    "spectrum": _task_spectrum,
-    "up-sweep": _task_up_sweep,
-    "weak-obs": _task_weak_obs,
-    "control": _task_control,
-    "non-null": _task_non_null,
-    "necessity": _task_necessity,
-    "stabilize": _task_stabilize,
-    "stochastic": _task_stochastic,
+# Each task's runner and the parameters it reads; any other key is
+# rejected, so a misspelt option cannot silently run with its default.
+_TASKS = {
+    "validate": (_task_validate, ()),
+    "spectrum": (_task_spectrum, ()),
+    "up-sweep": (_task_up_sweep, ()),
+    "weak-obs": (_task_weak_obs, ("T", "delta", "r", "samples")),
+    "control": (_task_control, ("T", "delta", "r", "f0", "alpha_target")),
+    "non-null": (_task_non_null, ("T", "n_random")),
+    "necessity": (_task_necessity, ("x", "t_grid", "n_max")),
+    "stabilize": (_task_stabilize, ("T", "alpha", "N", "f0")),
+    "stochastic": (
+        _task_stochastic,
+        ("x", "t", "n_samples", "repeats", "f", "first_jump_samples", "sample_paths"),
+    ),
 }
 
 
@@ -784,8 +785,12 @@ def run_scenario(
     seed = scenario.seed if seed_override is None else int(seed_override)
     if seed < 0:
         raise ParseError(f"seed must be nonnegative, got {seed}")
+    runner, accepted = _TASKS[scenario.task]
+    unknown = sorted(set(scenario.params) - set(accepted))
+    if unknown:
+        raise ParseError(f"task {scenario.task!r} takes only {list(accepted)}, not {unknown}")
     family = build_family(str(scenario.graph["family"]), scenario.graph)
-    report = _TASK_RUNNERS[scenario.task](
+    report = runner(
         family.graph, family.covering, scenario.subset, scenario.params, seed
     )
     report.summary.setdefault("seed", seed)

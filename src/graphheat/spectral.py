@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EigensolveFailure, EmptySubset, NegativeTime, ParseError
 from .graph import WeightedGraph
-from .quadrature import adaptive_simpson, golden_max
+from .quadrature import adaptive_simpson
 
 _SUP_GRID_POINTS = 1025
 
@@ -96,8 +96,11 @@ class SpectralDecomposition:
         return math.sqrt(float(np.sum(np.abs(np.asarray(f)) ** 2 * self._m)))
 
     def coefficients(self, f) -> np.ndarray:
-        """Spectral coefficients <f, v_i> of a state vector."""
-        return self.eigenvectors.T @ (self._m * np.asarray(f))
+        """Spectral coefficients <f, v_i> of a state, or of each column of
+        an (n, k) batch of states."""
+        f = np.asarray(f)
+        m = self._m if f.ndim == 1 else self._m[:, None]
+        return self.eigenvectors.T @ (m * f)
 
     def synthesize(self, coefs) -> np.ndarray:
         return self.eigenvectors @ np.asarray(coefs)
@@ -177,12 +180,9 @@ class RestrictedEvolution:
     def max_rate(self) -> float:
         return float(self.lam[-1])
 
-    def norms_sq(self, ts) -> np.ndarray:
-        """Squared restricted norms, shape (len(ts), batch)."""
-        return self.norms_sq_cols(ts, None)
-
     def norms(self, ts) -> np.ndarray:
-        return np.sqrt(self.norms_sq(ts))
+        """Restricted norms, shape (len(ts), batch)."""
+        return np.sqrt(self.norms_sq_cols(ts, None))
 
     def norms_at_times(self, ts_per_column: np.ndarray) -> np.ndarray:
         """Restricted norm of column j at its own time ts_per_column[j]."""
@@ -257,12 +257,13 @@ def time_lr_norm(
     D: Sequence[str],
     window: tuple[float, float],
     r: float,
-) -> float:
+) -> float | np.ndarray:
     """L_r norm in time of t -> ||(S_t f0)|_D|| over the window (a, b).
 
-    Finite r uses adaptive Simpson on the r-th power to relative tolerance
-    1e-10; r = inf uses a 1025-point grid maximum refined by golden-section
-    search around the maximizer.
+    ``f0`` is one state (a float is returned) or an (n, k) batch (one norm
+    per column).  Finite r integrates the r-th power by adaptive Simpson,
+    each column to relative tolerance 1e-10 of its own integral; r = inf
+    refines each column's 1025-point grid maximum by golden-section search.
     """
     a, b = float(window[0]), float(window[1])
     if not (0.0 <= a < b):
@@ -272,17 +273,15 @@ def time_lr_norm(
     d_idx = sd.graph.subset_indices(D)
     if len(d_idx) == 0:
         raise EmptySubset("time norm needs a nonempty observation set")
+    f0 = np.asarray(f0)
     re = RestrictedEvolution(sd, d_idx, sd.coefficients(f0))
 
     if math.isinf(r):
         ts = np.linspace(a, b, _SUP_GRID_POINTS)
-        vals = re.norms(ts)[:, 0]
-        i = int(np.argmax(vals))
-        lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
-        refined = golden_max(lambda t: float(re.norms(np.array([t]))[0, 0]), lo, hi)
-        return max(float(vals[i]), refined)
-
-    integral = adaptive_simpson(
-        lambda ts: re.norms(ts)[:, 0] ** r, a, b, rel_tol=1e-10, max_depth=40
-    )
-    return float(integral) ** (1.0 / r)
+        norms = re.refine_sup(ts, re.norms(ts))
+    else:
+        integrals = adaptive_simpson(
+            lambda ts: re.norms(ts) ** r, a, b, rel_tol=1e-10, max_depth=40, norm=np.abs
+        )
+        norms = integrals ** (1.0 / r)
+    return float(norms[0]) if f0.ndim == 1 else norms

@@ -284,6 +284,22 @@ def test_cli_malformed_scenario_exit_2(tmp_path, capsys):
         write_scenario(tmp_path, "negative_seed.json", {
             "graph": cycle4, "subset": {"ids": ["0"]}, "task": "weak-obs", "seed": -1,
         }),
+        write_scenario(tmp_path, "negative_f0_seed.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "control",
+            "params": {"f0": {"random": -1}},
+        }),
+        write_scenario(tmp_path, "fractional_f0_seed.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "control",
+            "params": {"f0": {"random": 1.5}},
+        }),
+        write_scenario(tmp_path, "non_numeric_T.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "weak-obs",
+            "params": {"T": "abc"},
+        }),
+        write_scenario(tmp_path, "unknown_key.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "weak-obs",
+            "params": {"sampels": 5},
+        }),
     ]
     weak_obs = write_scenario(tmp_path, "weak_obs.json", {
         "graph": cycle4, "subset": {"ids": ["0"]}, "task": "weak-obs",

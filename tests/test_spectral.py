@@ -94,6 +94,22 @@ def test_op_norm(k2, c4):
     assert op_norm_H_plus_1(eigendecompose(single)) == 1.0
 
 
+def test_coefficients_of_a_batch_match_columns():
+    # a square batch has the measure's shape along both axes, so weighting
+    # the wrong axis would broadcast without an error
+    g = build_graph(
+        [("0", 0.5), ("1", 1.0), ("2", 2.0)], [("0", "1", 1.0), ("1", "2", 3.0)]
+    )
+    sd = eigendecompose(g)
+    rng = np.random.default_rng(3)
+    for k in (3, 5):
+        batch = rng.standard_normal((3, k))
+        got = sd.coefficients(batch)
+        assert got.shape == (3, k)
+        for j in range(k):
+            np.testing.assert_allclose(got[:, j], sd.coefficients(batch[:, j]), rtol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # semigroup
 
@@ -311,3 +327,27 @@ def test_batch_norms_match_op(seed):
         for j in range(5):
             slow = time_lr_norm(sd, batch[:, j], D, (a, b), r)
             assert fast[j] == pytest.approx(slow, rel=2e-8, abs=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000))
+def test_batched_time_norm_matches_columns(seed):
+    """One batched call certifies every column as a one-column call does,
+    including a zero column and a column scaled by 1e-8."""
+    sd = small_sd(seed, n_max=7)
+    g = sd.graph
+    rng = np.random.default_rng(seed + 9)
+    d_idx = rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False)
+    D = [g.vertex_ids[i] for i in d_idx]
+    batch = rng.standard_normal((g.n, 5))
+    zero, tiny = rng.choice(5, size=2, replace=False)
+    batch[:, zero] = 0.0
+    batch[:, tiny] *= 1e-8
+    a = float(rng.uniform(0.0, 1.0))
+    b = a + float(rng.uniform(0.1, 2.0))
+    for r in [1.0, 3.0, math.inf]:
+        got = time_lr_norm(sd, batch, D, (a, b), r)
+        assert got.shape == (5,) and got[zero] == 0.0
+        for j in range(5):
+            one = time_lr_norm(sd, batch[:, j], D, (a, b), r)
+            assert got[j] == pytest.approx(one, rel=1e-10, abs=0.0)
