@@ -5,10 +5,11 @@ u(tau) = 1_D^* S_{T-tau} eta, so the controlled final state is
 f(T) = S_T f0 + Q_T eta with Q_T the controllability Gramian.  The target
 norm is met exactly through the one-parameter family
 f(T) = (I + nu Q_T)^{-1} S_T f0 with the multiplier nu found by monotone
-bisection.  Verification re-simulates Duhamel's formula by adaptive
-Simpson, independently of the Gramian algebra.  Initial states and control
-values are real: complex input raises ``ValidationError`` instead of losing
-its imaginary part.
+bisection.  Verification re-simulates Duhamel's formula with one adaptive
+Simpson integral over [0, T], independently of the Gramian algebra; it
+returns the final state, and cost norms come from the synthesis alone.
+Initial states and control values are real: complex input raises
+``ValidationError`` instead of losing its imaginary part.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .quadrature import adaptive_simpson
 from .spectral import SpectralDecomposition, time_lr_norm
 
 _EXPORT_GRID_POINTS = 512
+_INTRA_SAMPLES = 65
 _NULL_CLAMP_REL = 1e-13
 _NONSINGULAR_REL = 1e-10
 _NU_MAX = 1e18
@@ -126,16 +128,21 @@ class ControlSignal:
     def closed_form(self) -> bool:
         return self.eta is not None
 
-    def value_at(self, sd: SpectralDecomposition, tau: float) -> np.ndarray:
-        """Control values on D at one time (closed form or linear interp)."""
+    def values_at(self, sd: SpectralDecomposition, taus: np.ndarray) -> np.ndarray:
+        """Control values on D at each of ``taus``, one row per time.
+
+        Closed-form signals are evaluated exactly; grid signals are linear
+        between their knots.
+        """
+        taus = np.asarray(taus, dtype=float)
         if self.closed_form:
             d_idx = sd.graph.subset_indices(self.D)
-            damp = np.exp(-sd.eigenvalues * (self.T - tau))
-            return sd.eigenvectors[d_idx, :] @ (damp * sd.coefficients(self.eta))
-        out = np.empty(self.values.shape[1], dtype=self.values.dtype)
-        for col in range(self.values.shape[1]):
-            out[col] = np.interp(tau, self.times, self.values[:, col])
-        return out
+            E = np.exp(-np.outer(sd.eigenvalues, self.T - taus))
+            return (sd.eigenvectors[d_idx, :] @ (E * sd.coefficients(self.eta)[:, None])).T
+        k = np.clip(np.searchsorted(self.times, taus, side="right") - 1, 0, len(self.times) - 2)
+        t0, t1 = self.times[k], self.times[k + 1]
+        v0, v1 = self.values[k], self.values[k + 1]
+        return v0 + ((taus - t0) / (t1 - t0))[:, None] * (v1 - v0)
 
 
 @dataclass(frozen=True)
@@ -144,11 +151,10 @@ class ControlResult:
 
     final_state: np.ndarray
     achieved_alpha: float
-    costs: dict[float, float]
+    costs: dict[float, float] = field(default_factory=dict)
     nu: float | None = None
     energy: float | None = None
     duality_K: float | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def _closed_form_signal(
@@ -312,100 +318,50 @@ def controlled_trajectory(
     return (free + forced) @ sd.eigenvectors.T
 
 
-def _grid_cost(
-    sd: SpectralDecomposition, u: ControlSignal, r: float
-) -> float:
-    """L_r cost of a grid signal; norms use the m-weights on D."""
-    d_idx = sd.graph.subset_indices(u.D)
-    mD = sd.graph.m[d_idx]
-
-    def seg_norm(vals: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.abs(vals) ** 2 @ mD)
-
-    if math.isinf(r):
-        # the norm of a vector-linear segment is convex: knots suffice
-        return float(seg_norm(u.values).max())
-    total = 0.0
-    for k in range(len(u.times) - 1):
-        t0, t1 = float(u.times[k]), float(u.times[k + 1])
-        if t1 <= t0:
-            continue
-        v0, v1 = u.values[k], u.values[k + 1]
-
-        def integrand(ts: np.ndarray) -> np.ndarray:
-            w = (ts - t0) / (t1 - t0)
-            vals = v0[None, :] + w[:, None] * (v1 - v0)[None, :]
-            return seg_norm(vals) ** r
-
-        total += float(adaptive_simpson(integrand, t0, t1, rel_tol=1e-10, max_depth=40))
-    return total ** (1.0 / r)
-
-
 def verify_control(
     sd: SpectralDecomposition,
     D: Sequence[str],
     f0,
     u: ControlSignal,
     T: float,
-    *,
-    rel_tol: float = 1e-10,
-    cost_exponents: Sequence[float] = COST_EXPONENTS,
 ) -> ControlResult:
     """Re-simulate Duhamel's formula f(T) = S_T f0 + int S_{T-tau} 1_D u(tau) dtau.
 
-    The time integral is evaluated by adaptive Simpson; closed-form signals
-    are sampled exactly at the quadrature nodes, grid signals by linear
-    interpolation with panels aligned to the knots.
+    The time integral over [0, T] is one adaptive Simpson call whose
+    integrand reads the control through ``ControlSignal.values_at``.  A
+    grid signal needs one value row per knot and knots increasing strictly
+    from 0 to T.
     """
     if u.T != float(T):
         raise ValidationError("signal horizon does not match T")
+    if u.D != tuple(D):
+        raise ValidationError("signal is supported on another set than D")
+    knots = u.times
+    if not u.closed_form and not (
+        u.values.shape == (len(knots), len(u.D))
+        and len(knots) >= 2
+        and knots[0] == 0.0
+        and knots[-1] == u.T
+        and np.all(np.diff(knots) > 0.0)
+    ):
+        raise ValidationError("grid signal needs a value row per knot, knots rising from 0 to T")
     f0 = _real(f0, "initial state")
     _real(u.values, "control values")
     d_idx = sd.graph.subset_indices(D)
     mD = sd.graph.m[d_idx]
     VD = sd.eigenvectors[d_idx, :]
     lam = sd.eigenvalues
-    c0 = sd.coefficients(f0)
-    free = np.exp(-lam * T) * c0
 
-    if u.closed_form:
-        eta_c = sd.coefficients(u.eta)
+    def integrand(taus: np.ndarray) -> np.ndarray:
+        embedded = VD.T @ (mD[None, :] * u.values_at(sd, taus)).T  # coefs of 1_D u(tau)
+        return (np.exp(-np.outer(lam, T - taus)) * embedded).T
 
-        def integrand(taus: np.ndarray) -> np.ndarray:
-            u_vals = (VD @ (np.exp(-np.outer(lam, T - taus)) * eta_c[:, None])).T
-            embedded = VD.T @ (mD[None, :] * u_vals).T  # coefs of 1_D u(tau)
-            return (np.exp(-np.outer(lam, T - taus)) * embedded).T
-
-        forced = adaptive_simpson(integrand, 0.0, T, rel_tol=rel_tol, max_depth=40)
-    else:
-        forced = np.zeros_like(free)
-        for k in range(len(u.times) - 1):
-            t0, t1 = float(u.times[k]), float(u.times[k + 1])
-            if t1 <= t0:
-                continue
-            v0, v1 = u.values[k], u.values[k + 1]
-
-            def integrand(taus: np.ndarray) -> np.ndarray:
-                w = (taus - t0) / (t1 - t0)
-                u_vals = v0[None, :] + w[:, None] * (v1 - v0)[None, :]
-                embedded = VD.T @ (mD[None, :] * u_vals).T
-                return (np.exp(-np.outer(lam, T - taus)) * embedded).T
-
-            forced = forced + adaptive_simpson(
-                integrand, t0, t1, rel_tol=rel_tol, max_depth=40
-            )
-
-    fT_hat = free + forced
-    costs = (
-        _signal_costs(sd, D, T, u.eta, cost_exponents)
-        if u.closed_form
-        else {r: _grid_cost(sd, u, r) for r in cost_exponents}
-    )
+    free = np.exp(-lam * T) * sd.coefficients(f0)
+    fT_hat = free + adaptive_simpson(integrand, 0.0, T, rel_tol=1e-10, max_depth=40)
     norm_f0 = sd.norm(f0)
     return ControlResult(
         final_state=sd.synthesize(fT_hat),
         achieved_alpha=float(np.linalg.norm(fT_hat)) / norm_f0 if norm_f0 else 0.0,
-        costs=costs,
     )
 
 
@@ -469,9 +425,6 @@ def stabilize(
     alpha: float,
     num_periods: int,
     f0,
-    *,
-    intra_samples: int = 65,
-    cost_exponents: Sequence[float] = COST_EXPONENTS,
 ) -> StabilizationReport:
     """Open-loop stabilization by concatenating per-period contractions.
 
@@ -488,14 +441,14 @@ def stabilize(
     results: list[ControlResult] = []
     gram_cache = gramian(sd, D, T)
     intra_ratio = 1.0
-    ts = np.linspace(0.0, T, intra_samples)
+    ts = np.linspace(0.0, T, _INTRA_SAMPLES)
     for _ in range(num_periods):
         if norms[-1] == 0.0:
             results.append(
                 ControlResult(
                     final_state=np.zeros(sd.n),
                     achieved_alpha=0.0,
-                    costs={r: 0.0 for r in cost_exponents},
+                    costs={r: 0.0 for r in COST_EXPONENTS},
                     nu=0.0,
                     energy=0.0,
                 )
@@ -503,9 +456,7 @@ def stabilize(
             norms.append(0.0)
             f = np.zeros(sd.n)
             continue
-        signal, res = synth_control(
-            sd, D, T, f, alpha, gram=gram_cache, cost_exponents=cost_exponents
-        )
+        signal, res = synth_control(sd, D, T, f, alpha, gram=gram_cache)
         traj = controlled_trajectory(sd, D, f, signal, ts)
         peak = max(sd.norm(traj[k]) for k in range(len(ts)))
         intra_ratio = max(intra_ratio, peak / norms[-1])
@@ -514,7 +465,7 @@ def stabilize(
         norms.append(sd.norm(f))
     omega = math.log(alpha) / T
     total: dict[float, float] = {}
-    for r in cost_exponents:
+    for r in COST_EXPONENTS:
         parts = [res.costs[r] for res in results]
         if math.isinf(r):
             total[r] = max(parts)

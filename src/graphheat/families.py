@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .covering import CoveringMap, build_cyclic_cover
 from .errors import InvalidParams
-from .graph import WeightedGraph, build_graph, load_graph_json
+from .graph import WeightedGraph, _number, build_graph, load_graph_json
 
 
 @dataclass(frozen=True)
@@ -16,8 +16,8 @@ class FamilyResult:
 
 
 def _uniform(params: dict) -> tuple[float, float]:
-    m = float(params.get("m", 1.0))
-    b = float(params.get("b", 1.0))
+    m = _number(params.get("m", 1.0), "m")
+    b = _number(params.get("b", 1.0), "b")
     if m <= 0 or b <= 0:
         raise InvalidParams("uniform overrides m and b must be positive")
     return m, b
@@ -30,7 +30,7 @@ def build_family(name: str, params: dict) -> FamilyResult:
     with uniform m = 1 and b = 1 unless overridden in ``params``.
     """
     if name == "path":
-        n = int(params.get("n", 0))
+        n = _number(params.get("n", 0), "n", integer=True)
         if n < 1:
             raise InvalidParams("path needs n >= 1")
         m, b = _uniform(params)
@@ -41,7 +41,7 @@ def build_family(name: str, params: dict) -> FamilyResult:
             )
         )
     if name == "cycle":
-        n = int(params.get("n", 0))
+        n = _number(params.get("n", 0), "n", integer=True)
         if n < 3:
             raise InvalidParams("cycle needs n >= 3")
         m, b = _uniform(params)
@@ -52,7 +52,8 @@ def build_family(name: str, params: dict) -> FamilyResult:
             )
         )
     if name == "torus":
-        p, q = int(params.get("p", 0)), int(params.get("q", 0))
+        p = _number(params.get("p", 0), "p", integer=True)
+        q = _number(params.get("q", 0), "q", integer=True)
         if p < 3 or q < 3:
             raise InvalidParams("torus needs p, q >= 3 (smaller wraps collapse edges)")
         m, b = _uniform(params)
@@ -67,7 +68,7 @@ def build_family(name: str, params: dict) -> FamilyResult:
         base_spec = params.get("base")
         if not isinstance(base_spec, dict) or "family" not in base_spec:
             raise InvalidParams("cyclic-cover needs a 'base' family spec")
-        k = int(params.get("k", 0))
+        k = _number(params.get("k", 0), "k", integer=True)
         base = build_family(base_spec["family"], base_spec).graph
         cover = build_cyclic_cover(base, k)
         return FamilyResult(cover.cover, cover)

@@ -391,9 +391,30 @@ def graph_from_json(data: dict) -> WeightedGraph:
     return build_graph(vertices, edges)
 
 
+def _number(value, name: str, *, integer: bool = False):
+    """A numeric scenario or family parameter: any JSON number, or a
+    nonnegative integer when ``integer`` is set; anything else raises
+    ``ParseError``."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "a nonnegative integer" if integer else "a number"
+        raise ParseError(f"{name!r} must be {kind}, got {value!r}")
+    if integer and value < 0:
+        raise ParseError(f"{name!r} must be nonnegative, got {value}")
+    return value if integer else float(value)
+
+
+def _list(value, name: str) -> list:
+    """A list-valued scenario parameter; anything else raises ``ParseError``."""
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{name!r} must be a list, got {value!r}")
+    return value
+
+
 def read_json(path: str | Path):
     """Parse a JSON file; a missing or unreadable file and invalid JSON
     raise ``ParseError``."""
+    if not isinstance(path, (str, Path)):
+        raise ParseError(f"a file path must be a string, got {path!r}")
     try:
         return json.loads(Path(path).read_text())
     except OSError as exc:

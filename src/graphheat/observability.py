@@ -39,6 +39,10 @@ from .spectral import (
 
 _SHARP_SINGULAR_CUTOFF = 1e-12
 _OBS_SINGULAR_REL = 1e-12
+# Certified recheck of a screened constant set: every slack below this
+# margin (relative to K + alpha + 1), plus the lowest few, is recomputed.
+_RECHECK_MARGIN_REL = 1e-7
+_RECHECK_BOTTOM = 4
 
 
 def _omega_geometry(g: WeightedGraph, D: Sequence[str]) -> tuple[float, float]:
@@ -342,15 +346,14 @@ def verify_weak_obs_multi(
     constants_list: Sequence[WeakObsConstants],
     samples: int = 1000,
     seed: int = 0,
-    *,
-    recheck_bottom: int = 4,
 ) -> list[WeakObsVerification]:
     """Verify several constant sets against one shared input battery.
 
     The batch pass shares all eigen-machinery and node evaluations across
-    the parameter combinations; the bottom ``recheck_bottom`` slacks per
-    combination (plus anything negative-leaning) are then recomputed by one
-    batched ``time_lr_norm`` call so the reported minima are certified.
+    the parameter combinations; the bottom ``_RECHECK_BOTTOM`` slacks per
+    combination (plus anything below the recheck margin) are then
+    recomputed by one batched ``time_lr_norm`` call so the reported minima
+    are certified.
     """
     d_idx = sd.graph.subset_indices(D)
     if len(d_idx) == 0:
@@ -370,8 +373,8 @@ def verify_weak_obs_multi(
             st_cache[const.T] = re.final_norms(const.T)
         slack = const.K * lr_cache[key] + const.alpha - st_cache[const.T]
 
-        margin = 1e-7 * (const.K + const.alpha + 1.0)
-        recheck = np.union1d(np.argsort(slack)[:recheck_bottom], np.nonzero(slack < margin)[0])
+        margin = _RECHECK_MARGIN_REL * (const.K + const.alpha + 1.0)
+        recheck = np.union1d(np.argsort(slack)[:_RECHECK_BOTTOM], np.nonzero(slack < margin)[0])
         lr_exact = time_lr_norm(sd, sd.synthesize(C[:, recheck]), D, (a, b), const.r)
         slack[recheck] = const.K * lr_exact + const.alpha - st_cache[const.T][recheck]
         worst = int(np.argmin(slack))

@@ -35,6 +35,8 @@ from .families import build_family, parity_subset
 from .graph import (
     MetricKind,
     WeightedGraph,
+    _list,
+    _number,
     covering_radius,
     inradius,
     load_subset_json,
@@ -212,7 +214,7 @@ def _resolve_subset(
     if spec is None:
         return None
     if "ids" in spec:
-        return tuple(str(v) for v in spec["ids"])
+        return tuple(str(v) for v in _list(spec["ids"], "subset.ids"))
     if "parity" in spec:
         return parity_subset(g, str(spec["parity"]))
     if "file" in spec:
@@ -225,17 +227,6 @@ def _require_subset(g: WeightedGraph, spec: dict | None) -> tuple[str, ...]:
     if subset is None:
         raise ValidationError("this task needs a 'subset' entry")
     return subset
-
-
-def _number(value, name: str, *, integer: bool = False):
-    """A numeric scenario value: any JSON number, or a nonnegative integer
-    when ``integer`` is set; anything else raises ``ParseError``."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "a nonnegative integer" if integer else "a number"
-        raise ParseError(f"{name!r} must be {kind}, got {value!r}")
-    if integer and value < 0:
-        raise ParseError(f"{name!r} must be nonnegative, got {value}")
-    return value if integer else float(value)
 
 
 def _parse_r(value) -> float:
@@ -273,7 +264,7 @@ def _resolve_f0(sd, spec, default_seed: int) -> np.ndarray:
         f0[i] = 1.0 / math.sqrt(sd.graph.m[i])
         return f0
     if "values" in spec:
-        f0 = np.asarray([_number(v, "f0.values") for v in spec["values"]])
+        f0 = np.asarray([_number(v, "f0.values") for v in _list(spec["values"], "f0.values")])
         if f0.shape[0] != n:
             raise ValidationError("f0 'values' length does not match the graph")
         return f0
@@ -557,10 +548,11 @@ def _task_non_null(g, cover, subset, params, seed) -> TaskReport:
 def _task_necessity(g, cover, subset, params, seed) -> TaskReport:
     D = _require_subset(g, subset)
     sd = eigendecompose(g)
-    xs = [str(v) for v in params.get("x", [])]
+    xs = [str(v) for v in _list(params.get("x", []), "x")]
     if not xs:
         raise ValidationError("necessity task needs a nonempty 'x' list")
-    t_grid = [_number(t, "t_grid") for t in params.get("t_grid", [0.1, 1.0, 5.0, 10.0])]
+    t_grid = params.get("t_grid", [0.1, 1.0, 5.0, 10.0])
+    t_grid = [_number(t, "t_grid") for t in _list(t_grid, "t_grid")]
     n_max = _number(params.get("n_max", 10), "n_max", integer=True)
     far = sto.far_vertex_sequence(g, D, n_max)
     rows = []
@@ -669,7 +661,7 @@ def _task_stochastic(g, cover, subset, params, seed) -> TaskReport:
         f = np.zeros(g.n)
         f[g.index_of(x)] = 1.0
     else:
-        f = np.asarray([_number(v, "f") for v in f_spec])
+        f = np.asarray([_number(v, "f") for v in _list(f_spec, "f")])
     x_idx = g.index_of(x)
     exact = float(
         (sd.eigenvectors @ (np.exp(-sd.eigenvalues * t) * sd.coefficients(f)))[x_idx].real

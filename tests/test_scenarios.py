@@ -300,6 +300,46 @@ def test_cli_malformed_scenario_exit_2(tmp_path, capsys):
             "graph": cycle4, "subset": {"ids": ["0"]}, "task": "weak-obs",
             "params": {"sampels": 5},
         }),
+        write_scenario(tmp_path, "scalar_t_grid.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "necessity",
+            "params": {"x": ["1"], "t_grid": 5},
+        }),
+        write_scenario(tmp_path, "scalar_x.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "necessity",
+            "params": {"x": 3},
+        }),
+        write_scenario(tmp_path, "scalar_f0_values.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "control",
+            "params": {"f0": {"values": 1}},
+        }),
+        write_scenario(tmp_path, "scalar_subset_ids.json", {
+            "graph": cycle4, "subset": {"ids": 0}, "task": "weak-obs",
+        }),
+        write_scenario(tmp_path, "scalar_f.json", {
+            "graph": cycle4, "task": "stochastic", "params": {"f": 2},
+        }),
+        write_scenario(tmp_path, "numeric_graph_path.json", {
+            "graph": {"family": "file", "path": 5}, "task": "validate",
+        }),
+        write_scenario(tmp_path, "numeric_subset_file.json", {
+            "graph": cycle4, "subset": {"file": 5}, "task": "weak-obs",
+        }),
+        write_scenario(tmp_path, "non_numeric_n.json", {
+            "graph": {"family": "cycle", "n": "abc"}, "task": "validate",
+        }),
+        write_scenario(tmp_path, "fractional_p.json", {
+            "graph": {"family": "torus", "p": 3.5, "q": 4}, "task": "validate",
+        }),
+        write_scenario(tmp_path, "non_numeric_k.json", {
+            "graph": {"family": "cyclic-cover", "base": cycle4, "k": "two"},
+            "task": "validate",
+        }),
+        write_scenario(tmp_path, "non_numeric_m.json", {
+            "graph": {"family": "path", "n": 3, "m": "heavy"}, "task": "validate",
+        }),
+        write_scenario(tmp_path, "non_numeric_b.json", {
+            "graph": {"family": "cycle", "n": 4, "b": [1.0]}, "task": "validate",
+        }),
     ]
     weak_obs = write_scenario(tmp_path, "weak_obs.json", {
         "graph": cycle4, "subset": {"ids": ["0"]}, "task": "weak-obs",
