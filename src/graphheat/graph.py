@@ -67,6 +67,27 @@ class FullSetInradiusWarning(UserWarning):
     """The inradius of the full vertex set is unbounded on a finite graph."""
 
 
+@dataclass(frozen=True)
+class TransitionTable:
+    """Jump law of the random walk, one row per vertex, padded to the
+    largest neighbour count.
+
+    Row j lists the neighbours of j in ``targets``, with the running sums
+    ``np.cumsum(w)`` of their edge weights w in ``cumulative`` and its last
+    entry in ``totals[j]``.  ``probabilities`` holds ``cumsum(w) / w.sum()``
+    with the last entry forced to 1.0.  ``w.sum()`` is a pairwise sum and
+    ``totals`` a sequential one, and from 9 neighbours up they can differ,
+    so both are kept.  Padding entries are +inf, so counting the entries
+    <= u picks a neighbour as ``searchsorted(row, u, side="right")`` does;
+    padding targets repeat the last neighbour (j itself on an empty row).
+    """
+
+    targets: np.ndarray
+    cumulative: np.ndarray
+    totals: np.ndarray
+    probabilities: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Immutable weighted graph (X, b, m).
@@ -119,6 +140,31 @@ class WeightedGraph:
         # sparse input: on a dense matrix scipy drops edges with b <= 1e-8
         table = shortest_path(csr_array(self.weights), unweighted=True, directed=False)
         table.setflags(write=False)
+        return table
+
+    @cached_property
+    def transition_table(self) -> TransitionTable:
+        """The random walk's jump law, shared by every sampler on this graph."""
+        nbrs = [self.neighbors(j) for j in range(self.n)]
+        width = max((len(nb) for nb in nbrs), default=0)
+        targets = np.zeros((self.n, width), dtype=int)
+        cumulative = np.full((self.n, width), math.inf)
+        probabilities = np.full((self.n, width), math.inf)
+        totals = np.zeros(self.n)
+        for j, nb in enumerate(nbrs):
+            targets[j] = nb[-1] if len(nb) else j
+            if len(nb) == 0:
+                continue
+            w = self.weights[j, nb]
+            running = np.cumsum(w)
+            targets[j, : len(nb)] = nb
+            cumulative[j, : len(nb)] = running
+            totals[j] = running[-1]
+            probabilities[j, : len(nb)] = running / w.sum()
+            probabilities[j, len(nb) - 1] = 1.0
+        table = TransitionTable(targets, cumulative, totals, probabilities)
+        for a in (targets, cumulative, totals, probabilities):
+            a.setflags(write=False)
         return table
 
     @cached_property

@@ -704,8 +704,7 @@ def _task_stochastic(g, cover, subset, params, seed) -> TaskReport:
         counts: dict[str, int] = {}
         jumped = 0
         horizon = 20.0 / max(float(g.degrees()[x_idx]), 1e-9)
-        for i in range(jump_samples):
-            path = sto.sample_ctmc_path(g, x, horizon, seed, path_index=i)
+        for path in sto.sample_ctmc_paths(g, x, horizon, seed, range(jump_samples)):
             if path.jump_count() >= 1:
                 jumped += 1
                 counts[path.states[1]] = counts.get(path.states[1], 0) + 1
@@ -730,8 +729,7 @@ def _task_stochastic(g, cover, subset, params, seed) -> TaskReport:
     n_paths = _number(params.get("sample_paths", 0), "sample_paths", integer=True)
     if n_paths > 0:
         path_table = []
-        for i in range(n_paths):
-            p = sto.sample_ctmc_path(g, x, t, seed, path_index=i)
+        for i, p in enumerate(sto.sample_ctmc_paths(g, x, t, seed, range(n_paths))):
             for k, (jt, state) in enumerate(sto.path_rows(p)):
                 path_table.append([i, k, jt, state])
         report.tables["paths"] = (["path_index", "k", "J_k", "Y_k"], path_table)

@@ -3,8 +3,16 @@
 The walk associated with the heat semigroup holds at a vertex for an
 exponential time with rate Deg and then jumps with probability
 proportional to the edge weight.  Randomness comes from counter-based
-Philox streams keyed by (seed, stream), so results are bit-reproducible
-for a fixed seed regardless of how work is scheduled.
+Philox4x64-10 streams keyed by (seed, stream) (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011), so results are
+bit-reproducible for a fixed seed regardless of how work is scheduled.
+
+``sample_ctmc_paths`` moves many paths in lock-step, path i reading the
+stream keyed (seed, i) through a vectorized Philox; its output for each
+path index is bit-identical to ``sample_ctmc_path`` with that index, so
+batched output equals the per-path streams.  ``fk_estimate`` moves its
+samples in lock-step on one reserved stream.  Both read the graph's
+cached ``transition_table``.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,17 +30,85 @@ from .spectral import SpectralDecomposition
 
 _ESTIMATOR_STREAM = 2**64 - 1  # reserved stream index for batched estimators
 
+# Philox4x64-10 multipliers and Weyl key increments (Random123)
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
+
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
     key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _positive_uniform(rng: np.random.Generator) -> float:
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    return u
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * b, the high
+    word assembled from 32-bit halves so no partial product overflows."""
+    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
+    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
+    carry = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
+    hi = a_hi * b_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + (carry >> _SHIFT32)
+    return hi, np.uint64(a) * b
+
+
+class _PhiloxStreams:
+    """The streams ``_stream(seed, i)`` of many path indices i, vectorized.
+
+    Stream i yields its k-th uniform from word k % 4 of counter block
+    k // 4 + 1 as ``(word >> 11) * 2**-53``, exactly as
+    ``_stream(seed, i).random()`` does.  Each stream keeps its own count of
+    uniforms drawn and its current block, so streams advance independently.
+    """
+
+    def __init__(self, seed: int, path_indices: Iterable[int]) -> None:
+        seed %= 2**64
+        keys = np.array([int(i) % 2**64 for i in path_indices], dtype=np.uint64)
+        bumps = [r * _PHILOX_BUMP[0] + seed for r in range(_PHILOX_ROUNDS)]
+        self._key0 = [np.uint64(k % 2**64) for k in bumps]
+        self._key1 = np.stack(
+            [keys + np.uint64(r * _PHILOX_BUMP[1] % 2**64) for r in range(_PHILOX_ROUNDS)]
+        )
+        self.drawn = np.zeros(len(keys), dtype=np.int64)
+        self.block = np.zeros((len(keys), 4))
+        self.loaded = np.zeros(len(keys), dtype=np.int64)  # 0: no block held
+
+    def _blocks(self, rows: np.ndarray, counters: np.ndarray) -> np.ndarray:
+        """The four uniforms of block ``counters[j]`` of stream ``rows[j]``."""
+        key1 = self._key1[:, rows]
+        c0 = counters.astype(np.uint64)
+        c1 = c2 = c3 = np.zeros_like(c0)
+        for r in range(_PHILOX_ROUNDS):
+            hi0, lo0 = _mulhilo(_PHILOX_MUL[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_MUL[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ self._key0[r], lo1, hi0 ^ c3 ^ key1[r], lo0
+        words = np.stack((c0, c1, c2, c3), axis=1)
+        return (words >> _SHIFT11).astype(np.float64) * 2.0**-53
+
+    def draw(self, rows: np.ndarray) -> np.ndarray:
+        """The next uniform of each stream in ``rows`` (distinct positions)."""
+        k = self.drawn[rows]
+        block_no = k // 4 + 1
+        stale = self.loaded[rows] != block_no
+        if stale.any():
+            fresh = rows[stale]
+            self.block[fresh] = self._blocks(fresh, block_no[stale])
+            self.loaded[fresh] = block_no[stale]
+        self.drawn[rows] = k + 1
+        return self.block[rows, k % 4]
+
+    def draw_positive(self, rows: np.ndarray) -> np.ndarray:
+        """Like ``draw``, but a stream that yields 0.0 draws again, so only
+        that stream's counter advances further."""
+        u = self.draw(rows)
+        zero = np.flatnonzero(u == 0.0)
+        while len(zero):
+            u[zero] = self.draw(rows[zero])
+            zero = zero[u[zero] == 0.0]
+        return u
 
 
 @dataclass(frozen=True)
@@ -58,42 +134,64 @@ class CTMCPath:
         return self.states[bisect_right(self.jump_times, t) - 1]
 
 
+def sample_ctmc_paths(
+    g: WeightedGraph, x0: str, t_max: float, seed: int, path_indices: Iterable[int]
+) -> list[CTMCPath]:
+    """Sample one path started at x0 per path index, truncated at the horizon.
+
+    All paths move in lock-step.  Path i reads the Philox stream keyed
+    (seed, i): per step a holding-time uniform, redrawn while it is 0.0 so
+    holding times are strictly positive, then a jump-choice uniform.  Path
+    i is therefore fully determined by (g, x0, t_max, seed, i) and is
+    bit-identical whichever other indices share the batch; distinct indices
+    give independent streams under the same seed.
+    """
+    if not 0.0 <= t_max < math.inf:
+        raise ValidationError("horizon must be finite and nonnegative")
+    i = g.index_of(x0)
+    deg = g.degrees()
+    horizon = float(t_max)
+    streams = _PhiloxStreams(seed, path_indices)
+    n_paths = len(streams.drawn)
+    if deg[i] <= 0.0:
+        return [CTMCPath(np.array([0.0]), (x0,), horizon, isolated=True) for _ in range(n_paths)]
+
+    table = g.transition_table
+    state = np.full(n_paths, i)
+    clock = np.zeros(n_paths)
+    active = np.arange(n_paths)
+    steps = [(active, clock.copy(), state.copy())]  # (path, J_k, Y_k) entries
+    while len(active):
+        u = streams.draw_positive(active)
+        # math.log, not np.log: the two differ in the last bit on some inputs
+        xi = -np.fromiter(map(math.log, u.tolist()), float, len(u))
+        t = clock[active] + xi / deg[state[active]]
+        moved = t <= t_max
+        active, t = active[moved], t[moved]
+        at = state[active]
+        u = streams.draw(active) * table.totals[at]
+        state[active] = table.targets[at, np.sum(table.cumulative[at] <= u[:, None], axis=1)]
+        clock[active] = t
+        steps.append((active, t, state[active]))
+
+    path_of = np.concatenate([s[0] for s in steps])
+    order = np.argsort(path_of, kind="stable")
+    times = np.concatenate([s[1] for s in steps])[order]
+    ids = g.vertex_ids
+    names = [ids[j] for j in np.concatenate([s[2] for s in steps])[order].tolist()]
+    ends = np.cumsum(np.bincount(path_of, minlength=n_paths)).tolist()
+    return [
+        CTMCPath(times[a:b], tuple(names[a:b]), horizon)
+        for a, b in zip([0] + ends[:-1], ends)
+    ]
+
+
 def sample_ctmc_path(
     g: WeightedGraph, x0: str, t_max: float, seed: int, *, path_index: int = 0
 ) -> CTMCPath:
-    """Sample one path started at x0, truncated at the horizon.
-
-    The path is fully determined by (g, x0, t_max, seed, path_index);
-    distinct path indices give independent streams under the same seed.
-    Holding times use inverse-CDF sampling on the open unit interval, so
-    they are strictly positive.
-    """
-    if t_max < 0:
-        raise ValidationError("horizon must be nonnegative")
-    i = g.index_of(x0)
-    deg = g.degrees()
-    rng = _stream(seed, path_index)
-
-    if deg[i] <= 0.0:
-        return CTMCPath(np.array([0.0]), (x0,), float(t_max), isolated=True)
-
-    nbrs = [g.neighbors(j) for j in range(g.n)]
-    cumw = [np.cumsum(g.weights[j, nbrs[j]]) for j in range(g.n)]
-    states = [i]
-    times = [0.0]
-    t = 0.0
-    while True:
-        xi = -math.log(_positive_uniform(rng))
-        t += xi / deg[states[-1]]
-        if t > t_max:
-            break
-        row_nbrs, row_cum = nbrs[states[-1]], cumw[states[-1]]
-        u = rng.random() * row_cum[-1]
-        states.append(int(row_nbrs[np.searchsorted(row_cum, u, side="right")]))
-        times.append(t)
-    return CTMCPath(
-        np.asarray(times), tuple(g.vertex_ids[j] for j in states), float(t_max)
-    )
+    """Sample one path started at x0, truncated at the horizon: the
+    one-path case of ``sample_ctmc_paths``."""
+    return sample_ctmc_paths(g, x0, t_max, seed, [path_index])[0]
 
 
 def path_rows(p: CTMCPath) -> list[tuple[float, str]]:
@@ -116,12 +214,13 @@ def fk_estimate(
 ) -> MCEstimate:
     """Monte Carlo estimate of (S_t f)(x) = E_x[f(Z_t)].
 
-    All paths evolve in lock-step on one reserved Philox stream, which
+    All samples evolve in lock-step on one reserved Philox stream, which
     keeps the estimate deterministic in the seed while staying vectorized;
-    per-path replay is available through ``sample_ctmc_path``.
+    per-path replay, where path i has its own stream keyed (seed, i), is
+    available through ``sample_ctmc_paths``.
     """
-    if t < 0:
-        raise ValidationError("time must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValidationError("time must be finite and nonnegative")
     if n_samples < 1:
         raise ValidationError("need at least one sample")
     f = np.asarray(f, dtype=float)
@@ -131,38 +230,31 @@ def fk_estimate(
     if t == 0.0 or deg[x_idx] <= 0.0:
         return MCEstimate(float(f[x_idx]), 0.0, n_samples, seed)
 
-    # padded transition tables: row j holds cumulative probabilities over
-    # the neighbors of j, padded with 1.0 so searchsorted stays in range
-    max_deg = max(len(g.neighbors(j)) for j in range(g.n))
-    cum = np.ones((g.n, max_deg))
-    targets = np.zeros((g.n, max_deg), dtype=int)
-    for j in range(g.n):
-        nb = g.neighbors(j)
-        w = g.weights[j, nb]
-        cum[j, : len(nb)] = np.cumsum(w) / w.sum()
-        cum[j, len(nb) - 1] = 1.0
-        targets[j, : len(nb)] = nb
-        targets[j, len(nb) :] = nb[-1] if len(nb) else j
-
+    table = g.transition_table
     rng = _stream(seed, _ESTIMATOR_STREAM)
     states = np.full(n_samples, x_idx, dtype=int)
     clock = np.zeros(n_samples)
-    active = np.ones(n_samples, dtype=bool)
-    while active.any():
-        u = rng.random(n_samples)
+    live = np.arange(n_samples)  # samples whose clock has not passed t
+    while len(live):
+        # every step draws for all samples, so the stream does not depend
+        # on which samples are still live
+        u = rng.random(n_samples)[live]
         u[u == 0.0] = 0.5
-        clock = clock + np.where(active, -np.log(u) / deg[states], 0.0)
-        jumped = active & (clock <= t)
-        v = rng.random(n_samples)
-        rows = states[jumped]
-        choice = np.sum(v[jumped, None] >= cum[rows], axis=1)
-        states[jumped] = targets[rows, choice]
-        active = jumped
+        clock[live] += -np.log(u) / deg[states[live]]
+        live = live[clock[live] <= t]
+        v = rng.random(n_samples)[live]
+        rows = states[live]
+        choice = np.sum(v[:, None] >= table.probabilities[rows], axis=1)
+        states[live] = table.targets[rows, choice]
 
-    values = f[states]
-    mean = math.fsum(values) / n_samples
+    mean = math.fsum(f[states].tolist()) / n_samples
     if n_samples > 1:
-        var = math.fsum((v - mean) ** 2 for v in values) / (n_samples - 1)
+        # A sample's squared deviation is that of its vertex, squared as a
+        # numpy scalar: the array square (f - mean) ** 2 rounds as x * x and
+        # differs in the last bit on some inputs, and Python's float ** 2
+        # raises OverflowError where numpy returns inf.
+        squares = np.array([d**2 for d in f - mean])
+        var = math.fsum(squares[states].tolist()) / (n_samples - 1)
         stderr = math.sqrt(var / n_samples)
     else:
         stderr = 0.0

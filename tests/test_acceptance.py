@@ -32,7 +32,7 @@ from graphheat.observability import (
     weak_obs_constants,
 )
 from graphheat.spectral import EnergyInterval, apply_laplacian, eigendecompose
-from graphheat.stochastic import erlang_tail, fk_estimate, sample_ctmc_path
+from graphheat.stochastic import erlang_tail, fk_estimate, sample_ctmc_paths
 
 from conftest import cycle, m_norm
 
@@ -303,8 +303,7 @@ def test_criterion_6_feynman_kac(k2, c8):
         deg = float(g.degrees()[x_idx])
         counts = {}
         jumped = 0
-        for i in range(100_000):
-            p = sample_ctmc_path(g, x, 3.0 / deg, seed=55, path_index=i)
+        for p in sample_ctmc_paths(g, x, 3.0 / deg, 55, range(100_000)):
             if p.jump_count() >= 1:
                 jumped += 1
                 counts[p.states[1]] = counts.get(p.states[1], 0) + 1

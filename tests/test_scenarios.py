@@ -318,6 +318,9 @@ def test_cli_malformed_scenario_exit_2(tmp_path, capsys):
         write_scenario(tmp_path, "scalar_f.json", {
             "graph": cycle4, "task": "stochastic", "params": {"f": 2},
         }),
+        write_scenario(tmp_path, "infinite_t.json", {
+            "graph": cycle4, "task": "stochastic", "params": {"t": math.inf},
+        }),
         write_scenario(tmp_path, "numeric_graph_path.json", {
             "graph": {"family": "file", "path": 5}, "task": "validate",
         }),

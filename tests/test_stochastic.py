@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphheat.errors import EmptySubset, ValidationError
+from graphheat.families import build_family
 from graphheat.graph import build_graph
 from graphheat.spectral import eigendecompose, semigroup_apply
 from graphheat.stochastic import (
@@ -15,7 +16,92 @@ from graphheat.stochastic import (
     fk_estimate,
     necessity_bounds_check,
     sample_ctmc_path,
+    sample_ctmc_paths,
 )
+from graphheat.stochastic import _PhiloxStreams
+
+# A hub of degree 10 whose weights make numpy's pairwise w.sum() differ from
+# the sequential cumsum(w)[-1], plus two rim edges.
+HUB_WEIGHTS = (1.924, 2.789, 1.377, 2.868, 1.55, 1.333, 1.899, 2.986, 2.852, 1.434)
+
+
+def hub_graph():
+    vertices = [("0", 2.0)] + [(str(j), 0.5 + 0.125 * j) for j in range(1, 11)]
+    edges = [("0", str(j), b) for j, b in enumerate(HUB_WEIGHTS, start=1)]
+    return build_graph(vertices, edges + [("1", "2", 0.5), ("5", "6", 2.25)])
+
+
+def weighted_p3():
+    # b(0,1)=1, b(1,2)=3: from the middle the walk jumps 1/4 vs 3/4
+    return build_graph(
+        [("0", 1.0), ("1", 1.0), ("2", 1.0)],
+        [("0", "1", 1.0), ("1", "2", 3.0)],
+    )
+
+
+def numpy_stream(seed, i):
+    """numpy's own Philox4x64-10 keyed (seed, i), each taken mod 2**64."""
+    key = np.array([seed % 2**64, i % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def reference_path(g, x0, t_max, seed, path_index):
+    """The one-path sampler as a plain loop on numpy's own Philox stream,
+    with the neighbour rows built directly: what ``sample_ctmc_paths``
+    must replay bit for bit."""
+    i = g.index_of(x0)
+    deg = g.degrees()
+    rng = numpy_stream(seed, path_index)
+    if deg[i] <= 0.0:
+        return np.array([0.0]), (x0,)
+    states, times, t = [i], [0.0], 0.0
+    while True:
+        u = rng.random()
+        while u == 0.0:
+            u = rng.random()
+        t += -math.log(u) / deg[states[-1]]
+        if t > t_max:
+            break
+        nb = g.neighbors(states[-1])
+        row = np.cumsum(g.weights[states[-1], nb])
+        states.append(int(nb[np.searchsorted(row, rng.random() * row[-1], side="right")]))
+        times.append(t)
+    return np.asarray(times), tuple(g.vertex_ids[j] for j in states)
+
+
+def reference_fk(g, f, t, x, n_samples, seed):
+    """``fk_estimate`` with its transition rows built directly and the
+    variance summed over numpy scalars, as a plain reference."""
+    f = np.asarray(f, dtype=float)
+    deg = g.degrees()
+    width = max(len(g.neighbors(j)) for j in range(g.n))
+    cum = np.ones((g.n, width))
+    targets = np.zeros((g.n, width), dtype=int)
+    for j in range(g.n):
+        nb = g.neighbors(j)
+        w = g.weights[j, nb]
+        cum[j, : len(nb)] = np.cumsum(w) / w.sum()
+        cum[j, len(nb) - 1] = 1.0
+        targets[j, : len(nb)] = nb
+        targets[j, len(nb) :] = nb[-1]
+    rng = numpy_stream(seed, 2**64 - 1)
+    states = np.full(n_samples, g.index_of(x), dtype=int)
+    clock = np.zeros(n_samples)
+    active = np.ones(n_samples, dtype=bool)
+    while active.any():
+        u = rng.random(n_samples)
+        u[u == 0.0] = 0.5
+        clock = clock + np.where(active, -np.log(u) / deg[states], 0.0)
+        jumped = active & (clock <= t)
+        v = rng.random(n_samples)
+        rows = states[jumped]
+        states[jumped] = targets[rows, np.sum(v[jumped, None] >= cum[rows], axis=1)]
+        active = jumped
+    values = f[states]
+    mean = math.fsum(values) / n_samples
+    var = math.fsum((v - mean) ** 2 for v in values) / (n_samples - 1)
+    return mean, math.sqrt(var / n_samples)
+
 
 # ---------------------------------------------------------------------------
 # path sampling
@@ -51,10 +137,7 @@ def test_isolated_vertex_flagged():
 def test_k2_jump_counts_poisson(k2):
     # Deg = 1 everywhere, so jumps by time t are Poisson(t)
     t, n = 2.0, 100_000
-    counts = [
-        sample_ctmc_path(k2, "0", t, seed=99, path_index=i).jump_count()
-        for i in range(n)
-    ]
+    counts = [p.jump_count() for p in sample_ctmc_paths(k2, "0", t, 99, range(n))]
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1)) / math.sqrt(n)
     assert abs(mean - t) <= 4 * stderr
@@ -62,21 +145,107 @@ def test_k2_jump_counts_poisson(k2):
 
 def test_first_jump_law_weighted():
     # P3 with b(0,1)=1, b(1,2)=3, started at the middle: jumps 1/4 vs 3/4
-    g = build_graph(
-        [("0", 1.0), ("1", 1.0), ("2", 1.0)],
-        [("0", "1", 1.0), ("1", "2", 3.0)],
-    )
+    g = weighted_p3()
     n = 100_000
     hits0 = 0
     jumped = 0
-    for i in range(n):
-        p = sample_ctmc_path(g, "1", 5.0, seed=31, path_index=i)
+    for p in sample_ctmc_paths(g, "1", 5.0, 31, range(n)):
         if p.jump_count() >= 1:
             jumped += 1
             hits0 += p.states[1] == "0"
     p_hat = hits0 / jumped
     se = math.sqrt(0.25 * 0.75 / jumped)
     assert abs(p_hat - 0.25) <= 4 * se
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**63 + 5])
+def test_vectorized_philox_matches_numpy(seed):
+    indices = [0, 7, 2**40 + 3, 2**64 - 1]
+    streams = _PhiloxStreams(seed, indices)
+    rows = np.arange(len(indices))
+    drawn = np.array([streams.draw(rows) for _ in range(40)])
+    for j, i in enumerate(indices):
+        rng = numpy_stream(seed, i)
+        assert drawn[:, j].tolist() == [rng.random() for _ in range(40)]
+
+
+def test_zero_draw_advances_only_that_stream():
+    streams = _PhiloxStreams(3, [0, 1, 2])
+    streams.block[:] = [
+        [0.5, 0.6, 0.7, 0.8],
+        [0.0, 0.0, 0.25, 0.4],
+        [0.1, 0.2, 0.3, 0.0],
+    ]
+    streams.loaded[:] = 1
+    streams.drawn[2] = 3  # stream 2 sits on the last word of its block
+    u = streams.draw_positive(np.arange(3))
+    rng = numpy_stream(3, 2)
+    fifth = [rng.random() for _ in range(5)][-1]
+    assert u.tolist() == [0.5, 0.25, fifth]
+    assert streams.drawn.tolist() == [1, 3, 5]
+
+
+def test_transition_table_matches_direct_build(c8):
+    g = hub_graph()
+    hub = g.weights[0, g.neighbors(0)]
+    assert np.cumsum(hub)[-1] != hub.sum()  # the two sums really differ here
+    for graph in (g, c8, weighted_p3()):
+        table = graph.transition_table
+        width = max(len(graph.neighbors(j)) for j in range(graph.n))
+        assert table.cumulative.shape == table.probabilities.shape == (graph.n, width)
+        for j in range(graph.n):
+            nb = graph.neighbors(j)
+            w = graph.weights[j, nb]
+            running = np.cumsum(w)
+            probs = running / w.sum()
+            probs[-1] = 1.0
+            np.testing.assert_array_equal(table.cumulative[j, : len(nb)], running)
+            assert table.totals[j] == running[-1]
+            np.testing.assert_array_equal(table.probabilities[j, : len(nb)], probs)
+            np.testing.assert_array_equal(table.targets[j, : len(nb)], nb)
+            assert np.all(table.targets[j, len(nb) :] == nb[-1])
+            assert np.all(table.cumulative[j, len(nb) :] == np.inf)
+            assert np.all(table.probabilities[j, len(nb) :] == np.inf)
+    assert g.transition_table is g.transition_table
+
+
+@pytest.mark.parametrize("name", ["K2", "C8", "P3", "torus", "hub"])
+def test_batched_paths_equal_looped_and_reference(name, k2, c8):
+    g, x0 = {
+        "K2": (k2, "0"),
+        "C8": (c8, "3"),
+        "P3": (weighted_p3(), "1"),
+        "torus": (build_family("torus", {"p": 16, "q": 16}).graph, "3,4"),
+        "hub": (hub_graph(), "0"),
+    }[name]
+    # non-contiguous and large indices first, then enough paths that a
+    # last-bit slip in any holding time or jump choice would show
+    indices = [4, 0, 9, 2**40 + 3, 2**64 - 1, 31, 2] + list(range(100, 400))
+    for t_max in (0.0, 3.0):
+        batch = sample_ctmc_paths(g, x0, t_max, 17, indices)
+        assert len(batch) == len(indices)
+        for k, (p, i) in enumerate(zip(batch, indices)):
+            ref_times, ref_states = reference_path(g, x0, t_max, 17, i)
+            assert p.states == ref_states
+            np.testing.assert_array_equal(p.jump_times, ref_times)
+            assert p.horizon == t_max and not p.isolated
+            if k < 7 or k % 50 == 0:
+                one = sample_ctmc_path(g, x0, t_max, 17, path_index=i)
+                assert one.states == p.states
+                np.testing.assert_array_equal(one.jump_times, p.jump_times)
+    assert sample_ctmc_paths(g, x0, 3.0, 17, []) == []
+    with pytest.raises(ValidationError):
+        sample_ctmc_paths(g, x0, -1e-9, 17, indices)
+
+
+def test_batched_paths_isolated_start():
+    g = build_graph([("0", 1.0), ("1", 1.0), ("2", 1.0)], [("0", "1", 1.0)])
+    batch = sample_ctmc_paths(g, "2", 3.0, 5, [1, 0, 2**64 - 1])
+    for p, i in zip(batch, [1, 0, 2**64 - 1]):
+        one = sample_ctmc_path(g, "2", 3.0, 5, path_index=i)
+        assert p.isolated and one.isolated
+        assert p.states == one.states == ("2",)
+        np.testing.assert_array_equal(p.jump_times, one.jump_times)
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +277,34 @@ def test_fk_deterministic_in_seed(c8):
     assert c.mean != a.mean
 
 
+def test_fk_matches_reference_exactly(k2, c8):
+    rng = np.random.default_rng(8)
+    for g, x in ((c8, "2"), (hub_graph(), "0"), (hub_graph(), "7")):
+        for seed, t in ((5, 0.5), (6, 1.0), (7, 3.0)):
+            f = rng.normal(size=g.n)
+            est = fk_estimate(g, f, t, x, 3_000, seed)
+            assert (est.mean, est.stderr) == reference_fk(g, f, t, x, 3_000, seed)
+    # One sample of three ends at "1".  The squared deviation of this value
+    # rounds differently as an array square (x * x) than as pow(x, 2), and
+    # here the difference reaches the stderr.
+    f = np.array([0.0, 1.9179378905536235])
+    est = fk_estimate(k2, f, 1.0, "0", 3, seed=3)
+    assert est.mean == f[1] / 3
+    assert (est.mean, est.stderr) == reference_fk(k2, f, 1.0, "0", 3, 3)
+    # squared deviations beyond the float range give an infinite stderr
+    f = np.array([1e200, 0.0])
+    with np.errstate(over="ignore"):
+        est = fk_estimate(k2, f, 1.0, "0", 3, seed=3)
+        assert (est.mean, est.stderr) == reference_fk(k2, f, 1.0, "0", 3, 3)
+    assert est.stderr == math.inf
+
+
 def test_fk_validations(k2):
-    with pytest.raises(ValidationError):
-        fk_estimate(k2, np.zeros(2), -1.0, "0", 10, seed=0)
+    for t in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            fk_estimate(k2, np.zeros(2), t, "0", 10, seed=0)
+        with pytest.raises(ValidationError):
+            sample_ctmc_paths(k2, "0", t, 0, [0])
     with pytest.raises(ValidationError):
         fk_estimate(k2, np.zeros(2), 1.0, "0", 0, seed=0)
 
