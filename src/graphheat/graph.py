@@ -438,15 +438,23 @@ def graph_from_json(data: dict) -> WeightedGraph:
 
 
 def _number(value, name: str, *, integer: bool = False):
-    """A numeric scenario or family parameter: any JSON number, or a
-    nonnegative integer when ``integer`` is set; anything else raises
-    ``ParseError``."""
+    """A numeric scenario or family parameter: any finite JSON number, or a
+    nonnegative integer when ``integer`` is set; anything else (NaN and
+    +-Infinity included) raises ``ParseError``."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         kind = "a nonnegative integer" if integer else "a number"
         raise ParseError(f"{name!r} must be {kind}, got {value!r}")
-    if integer and value < 0:
-        raise ParseError(f"{name!r} must be nonnegative, got {value}")
-    return value if integer else float(value)
+    if integer:
+        if value < 0:
+            raise ParseError(f"{name!r} must be nonnegative, got {value}")
+        return value
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{name!r} must be a finite number, got {value!r}")
+    return number
 
 
 def _list(value, name: str) -> list:

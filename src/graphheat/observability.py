@@ -2,11 +2,12 @@
 
 Geometric quantities (inradius, ball volume, covering radius) are taken in
 the length metric, where the weak observability estimate and the low-energy
-uncertainty principle hold.  ``verify_weak_obs`` screens large input
-batches with a vectorized norm evaluator and then re-computes every
-suspicious or extremal slack with the certified time norm
-``time_lr_norm``, one batched call per constant set, so reported minima
-always come from the certified path.
+uncertainty principle hold.  ``verify_weak_obs`` checks the estimate on a
+battery of unit states by bound, prune and certify: closed-form and then
+grid bounds on each state's time norm exclude every state that cannot hold
+the minimum slack, and only the rest go through the certified time-norm
+engine, in one batched call, so the reported minimum is the certified
+minimum over the whole battery.
 """
 
 from __future__ import annotations
@@ -28,21 +29,24 @@ from .graph import (
     inradius,
     max_ball_volume,
 )
-from .quadrature import _legendre_lobatto, _leggauss, graded_edges, graded_gauss_nodes
 from .spectral import (
     EnergyInterval,
     RestrictedEvolution,
     SpectralDecomposition,
+    _LR_REL_TOL,
     op_norm_H_plus_1,
-    time_lr_norm,
 )
 
 _SHARP_SINGULAR_CUTOFF = 1e-12
 _OBS_SINGULAR_REL = 1e-12
-# Certified recheck of a screened constant set: every slack below this
-# margin (relative to K + alpha + 1), plus the lowest few, is recomputed.
+# Pruning margin, relative to K + alpha + 1: a state is certified unless its
+# slack lower bound exceeds the smallest slack upper bound by more than this.
+# The certified engine's relative tolerance is added on top (times K and the
+# largest norm bound), so neither rounding in the bounds nor the engine's
+# error can prune the state that holds the certified minimum.
 _RECHECK_MARGIN_REL = 1e-7
-_RECHECK_BOTTOM = 4
+# Cells of the graded grid that re-bounds the states the closed forms keep.
+_GRID_CELLS = 32
 
 
 def _omega_geometry(g: WeightedGraph, D: Sequence[str]) -> tuple[float, float]:
@@ -199,40 +203,35 @@ def weak_obs_constants(
     """
     if len(D) == 0:
         raise EmptySubset("observability needs a nonempty observation set")
-    if T <= 0:
-        raise ValidationError(f"final time must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValidationError(f"final time must be positive and finite, got {T}")
     if not (0.0 <= delta < 1.0):
         raise ValidationError(f"delta must lie in [0, 1), got {delta}")
     if not (r >= 1.0):
         raise ValidationError(f"norm index must lie in [1, inf], got {r}")
-    window_factor = 1.0 if math.isinf(r) else ((1.0 - delta) * T) ** (1.0 / r)
-
-    if set(D) >= set(g.vertex_ids):
-        return WeakObsConstants(
-            lam=math.inf,
-            kappa=0.0,
-            K=1.0 / window_factor,
-            alpha=0.0,
-            T=float(T),
-            delta=float(delta),
-            r=float(r),
-            inradius=0.0,
-            ball_volume=0.0,
-        )
-
-    if math.isinf(covering_radius(g, MetricKind.LENGTH, D)):
-        raise NotRelativelyDense(
-            "observation set has a length-metric covering radius that is infinite"
-            " or beyond the float range"
-        )
-    inr, vol = _omega_geometry(g, D)
-    lam = 1.0 / (2.0 * inr * vol)
-    kappa = 8.0 * op_norm_H_plus_1(sd) ** 2 * inr * vol
+    full = set(D) >= set(g.vertex_ids)
+    if full:
+        lam, kappa, alpha, inr, vol = math.inf, 0.0, 0.0, 0.0, 0.0
+    else:
+        if math.isinf(covering_radius(g, MetricKind.LENGTH, D)):
+            raise NotRelativelyDense(
+                "observation set has a length-metric covering radius that is infinite"
+                " or beyond the float range"
+            )
+        inr, vol = _omega_geometry(g, D)
+        lam = 1.0 / (2.0 * inr * vol)
+        kappa = 8.0 * op_norm_H_plus_1(sd) ** 2 * inr * vol
+        alpha = (kappa + 1.0) * math.exp(-delta * lam * T)
+    window = (1.0 - delta) * T
+    window_factor = 1.0 if math.isinf(r) else window ** (1.0 / r)
+    K = (1.0 if full else kappa) / window_factor if window_factor > 0.0 else math.inf
+    if math.isinf(K):
+        raise ValidationError(f"the window (1 - delta) T = {window} is too short: K overflows")
     return WeakObsConstants(
         lam=lam,
         kappa=kappa,
-        K=kappa / window_factor,
-        alpha=(kappa + 1.0) * math.exp(-delta * lam * T),
+        K=K,
+        alpha=alpha,
         T=float(T),
         delta=float(delta),
         r=float(r),
@@ -271,73 +270,51 @@ def _phi_batch(
     return np.concatenate(blocks, axis=1), labels
 
 
-def _embedded_pair(
-    re: RestrictedEvolution, cols: np.ndarray | None, lo: float, hi: float, r: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Lobatto-9, GL-16) estimates of int g^r over [lo, hi], per column.
-
-    Both are exact to degree 15.  The Lobatto nodes include the panel ends,
-    so a corner between an end and the first Gauss node, which two Gauss
-    rules would miss alike, still makes the pair disagree.
-    """
-    x9, w9 = _legendre_lobatto(9)
-    x16, w16 = _leggauss(16)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = np.concatenate([mid + half * x9, mid + half * x16])
-    powers = re.norms_sq_cols(nodes, cols) ** (0.5 * r)
-    return half * (w9 @ powers[:9]), half * (w16 @ powers[9:])
-
-
-def _batch_lr_norms(
+def _closed_form_bounds(
     re: RestrictedEvolution, a: float, b: float, r: float
-) -> np.ndarray:
-    """Fast-path L_r time norms for the whole batch.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column bounds lo <= ||g||_{L_r(a, b)} <= hi, g(t) = ||(S_t phi)|_D||.
 
-    r = 2 is closed form; r = inf is a node-grid maximum with golden
-    refinement; other finite r integrate g^r on graded panels with an
-    embedded Lobatto-9/GL-16 pair, bisecting any (panel, column) where the pair
-    disagrees (zero crossings of the trajectory put |.|^r corners between
-    fixed nodes, which the embedded check catches).
+    With w = b - a, L2 = ||g||_2 (closed form) and G = ||S_a phi|| >= sup g:
+    - r = 2: both bounds are L2;
+    - 1 <= r < 2: (L2^2 / G^{2-r})^{1/r} <= ||g||_r <= w^{1/r - 1/2} L2;
+    - r > 2: the same two expressions with their roles swapped;
+    - r = inf: max(g(a), g(b), L2 / sqrt(w)) <= sup g <= G.
     """
+    l2 = np.sqrt(re.l2_time_integral(a, b))
+    G = re.final_norms(a)
+    w = b - a
     if math.isinf(r):
-        nodes_g, _ = graded_gauss_nodes(a, b, 2.0 * re.max_rate, order=8)
-        ts = np.unique(np.concatenate([np.linspace(a, b, 65), nodes_g]))
-        vals = re.norms(ts)
-        return re.refine_sup(ts, vals)
-    if r == 2.0:
-        return np.sqrt(re.l2_time_integral(a, b))
+        return np.maximum(re.norms([a, b]).max(axis=0), l2 / math.sqrt(w)), G
+    mean = w ** (1.0 / r - 0.5) * l2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = np.where(G > 0.0, l2 ** (2.0 / r) * G ** (1.0 - 2.0 / r), 0.0)
+    return np.minimum(mean, power), np.maximum(mean, power)
 
-    panels = graded_edges(a, b, 2.0 * re.max_rate * r, growth=1.4)
-    n_cols = re.C.shape[1]
-    total = np.zeros(n_cols)
-    pending: list[tuple[float, float, np.ndarray, np.ndarray, np.ndarray]] = []
-    coarse_all = []
-    for lo, hi in panels:
-        coarse, fine = _embedded_pair(re, None, lo, hi, r)
-        coarse_all.append(np.abs(fine))
-        pending.append((lo, hi, coarse, fine, np.arange(n_cols)))
-    scale = np.maximum(np.sum(coarse_all, axis=0), 1e-300)
-    tol = 1e-11 * scale
 
-    depth = 0
-    while pending and depth <= 45:
-        nxt = []
-        for lo, hi, coarse, fine, cols in pending:
-            bad = np.abs(coarse - fine) > tol[cols]
-            if (hi - lo) <= 1e-14 * (abs(lo) + abs(hi) + 1.0):
-                bad[:] = False
-            total[cols[~bad]] += fine[~bad]
-            if bad.any():
-                sub = cols[bad]
-                mid = 0.5 * (lo + hi)
-                for s_lo, s_hi in ((lo, mid), (mid, hi)):
-                    c2, f2 = _embedded_pair(re, sub, s_lo, s_hi, r)
-                    nxt.append((s_lo, s_hi, c2, f2, sub))
-        pending = nxt
-        depth += 1
-    for _lo, _hi, _coarse, fine, cols in pending:  # depth exhausted: keep best
-        total[cols] += fine
-    return np.maximum(total, 0.0) ** (1.0 / r)
+def _grid_bounds(
+    re: RestrictedEvolution, a: float, b: float, r: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column bounds on ||g||_{L_r(a, b)} from g on a grid graded toward a.
+
+    The cells grow geometrically from about log(1 + w lam_max) / (32 lam_max),
+    so the first ones resolve the fastest mode.  On the cell [t_k, t_k + h]
+    the rate norm L_k = ||H S_{t_k} phi|| bounds |g'|, so g stays between
+    max(0, (g_k + g_{k+1} - h L_k)/2) and (g_k + g_{k+1} + h L_k)/2 there;
+    the grid values themselves bound sup g from below.
+    """
+    x = np.linspace(0.0, 1.0, _GRID_CELLS + 1)
+    grade = math.log1p((b - a) * float(re.lam[-1]))
+    ts = a + (b - a) * (np.expm1(grade * x) / math.expm1(grade) if grade > 0.0 else x)
+    ts[-1] = b
+    g = re.norms(ts)
+    h = np.diff(ts)[:, None]
+    reach = h * re.rate_norms(ts[:-1])
+    lo = np.maximum(0.5 * (g[:-1] + g[1:] - reach), 0.0)
+    hi = 0.5 * (g[:-1] + g[1:] + reach)
+    if math.isinf(r):
+        return g.max(axis=0), hi.max(axis=0)
+    return np.sum(h * lo**r, axis=0) ** (1.0 / r), np.sum(h * hi**r, axis=0) ** (1.0 / r)
 
 
 def verify_weak_obs_multi(
@@ -349,11 +326,16 @@ def verify_weak_obs_multi(
 ) -> list[WeakObsVerification]:
     """Verify several constant sets against one shared input battery.
 
-    The batch pass shares all eigen-machinery and node evaluations across
-    the parameter combinations; the bottom ``_RECHECK_BOTTOM`` slacks per
-    combination (plus anything below the recheck margin) are then
-    recomputed by one batched ``time_lr_norm`` call so the reported minima
-    are certified.
+    Each constant set runs bound, prune and certify over the battery:
+    - bound every state's time norm in closed form (``_closed_form_bounds``);
+    - drop the states whose slack lower bound exceeds the smallest slack
+      upper bound by more than the margin (``_RECHECK_MARGIN_REL``);
+    - bound the rest again on a graded grid (``_grid_bounds``) and prune once
+      more;
+    - certify the survivors in one batched ``RestrictedEvolution.lr_norms``
+      call on their spectral coefficients.
+    No pruned state can hold the minimum, so the reported minimum slack is
+    the certified minimum over all states.
     """
     d_idx = sd.graph.subset_indices(D)
     if len(d_idx) == 0:
@@ -361,27 +343,30 @@ def verify_weak_obs_multi(
     C, labels = _phi_batch(sd, samples, seed)
     re = RestrictedEvolution(sd, d_idx, C)
 
-    lr_cache: dict[tuple[float, float, float], np.ndarray] = {}
-    st_cache: dict[float, np.ndarray] = {}
     out = []
     for const in constants_list:
-        a, b = const.delta * const.T, const.T
-        key = (a, b, const.r)
-        if key not in lr_cache:
-            lr_cache[key] = _batch_lr_norms(re, a, b, const.r)
-        if const.T not in st_cache:
-            st_cache[const.T] = re.final_norms(const.T)
-        slack = const.K * lr_cache[key] + const.alpha - st_cache[const.T]
-
-        margin = _RECHECK_MARGIN_REL * (const.K + const.alpha + 1.0)
-        recheck = np.union1d(np.argsort(slack)[:_RECHECK_BOTTOM], np.nonzero(slack < margin)[0])
-        lr_exact = time_lr_norm(sd, sd.synthesize(C[:, recheck]), D, (a, b), const.r)
-        slack[recheck] = const.K * lr_exact + const.alpha - st_cache[const.T][recheck]
-        worst = int(np.argmin(slack))
+        a, b, r = const.delta * const.T, const.T, const.r
+        final = re.final_norms(const.T)
+        cols = np.arange(C.shape[1])
+        lo, hi = _closed_form_bounds(re, a, b, r)
+        margin = (
+            _RECHECK_MARGIN_REL * (const.K + const.alpha + 1.0)
+            + 2.0 * _LR_REL_TOL * const.K * float(hi.max())
+        )
+        for regrid in (False, True):
+            if regrid:  # the closed forms are loose where g moves fast, as at a = 0
+                glo, ghi = _grid_bounds(RestrictedEvolution(sd, d_idx, C[:, cols]), a, b, r)
+                lo, hi = np.maximum(lo, glo), np.minimum(hi, ghi)
+            base = const.alpha - final[cols]
+            keep = const.K * lo + base <= np.min(const.K * hi + base) + margin
+            cols, lo, hi = cols[keep], lo[keep], hi[keep]
+        certified = RestrictedEvolution(sd, d_idx, C[:, cols]).lr_norms(a, b, r)
+        slack = const.K * certified + const.alpha - final[cols]
+        worst = int(cols[np.argmin(slack)])
         out.append(
             WeakObsVerification(
                 constants=const,
-                min_slack=float(slack[worst]),
+                min_slack=float(np.min(slack)),
                 worst_label=labels[worst],
                 worst_phi0=sd.synthesize(C[:, worst]),
                 n_inputs=C.shape[1],

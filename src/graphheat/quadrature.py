@@ -1,4 +1,4 @@
-"""Adaptive Simpson quadrature and supporting node generators.
+"""Adaptive Simpson quadrature on batched integrands.
 
 The Simpson routine works on batched integrands: the callable receives an
 array of times and returns one value (scalar or array) per time.  Each
@@ -8,7 +8,6 @@ tested in one vectorized step, which keeps Python off the hot path.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -106,58 +105,3 @@ def adaptive_simpson(
         depth += 1
     return total
 
-
-@lru_cache(maxsize=16)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-@lru_cache(maxsize=16)
-def _legendre_lobatto(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Lobatto nodes on [-1, 1] (both endpoints included) and weights."""
-    p = np.polynomial.legendre.Legendre.basis(points - 1)
-    x = np.concatenate([[-1.0], np.sort(p.deriv().roots().real), [1.0]])
-    return x, 2.0 / (points * (points - 1) * p(x) ** 2)
-
-
-def graded_edges(
-    a: float, b: float, rate: float, *, growth: float = 1.5, lead: float = 4.0
-) -> list[tuple[float, float]]:
-    """Panel edges graded toward the left endpoint.
-
-    Suitable for integrands that are sums of decaying exponentials with
-    rates up to ``rate``: the first panel spans ~lead/rate and panel widths
-    grow geometrically, so each panel resolves whatever modes are still
-    active on it.
-    """
-    a, b = float(a), float(b)
-    if b <= a:
-        raise ValueError("integration window must satisfy a < b")
-    width = b - a
-    h = width if rate <= 0.0 else min(width, lead / rate)
-    edges = [a]
-    while edges[-1] + h < b:
-        edges.append(edges[-1] + h)
-        h *= growth
-    edges.append(b)
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def graded_gauss_nodes(
-    a: float,
-    b: float,
-    rate: float,
-    *,
-    order: int = 16,
-    growth: float = 1.5,
-    lead: float = 4.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on graded panels, flattened."""
-    x, w = _leggauss(order)
-    nodes, weights = [], []
-    for lo, hi in graded_edges(a, b, rate, growth=growth, lead=lead):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)

@@ -234,6 +234,8 @@ def _parse_r(value) -> float:
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise ValidationError(f"bad norm index {value!r}")
+    if isinstance(value, float) and value == math.inf:
+        return math.inf
     r = _number(value, "r")
     if not r >= 1.0:
         raise ValidationError(f"norm index must lie in [1, inf], got {r}")

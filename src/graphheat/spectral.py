@@ -22,6 +22,8 @@ from .graph import WeightedGraph
 from .quadrature import adaptive_simpson
 
 _SUP_GRID_POINTS = 1025
+# Relative tolerance of each column's certified integral of g^r.
+_LR_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -176,13 +178,22 @@ class RestrictedEvolution:
         coefs = np.asarray(coefs)
         self.C = coefs[:, None] if coefs.ndim == 1 else coefs
 
-    @property
-    def max_rate(self) -> float:
-        return float(self.lam[-1])
-
     def norms(self, ts) -> np.ndarray:
         """Restricted norms, shape (len(ts), batch)."""
-        return np.sqrt(self.norms_sq_cols(ts, None))
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        n, n_batch = self.C.shape
+        d = self.W.shape[0]
+        out = np.empty((len(ts), n_batch))
+        chunk = max(1, int(2_000_000 // max(1, n * n_batch)))
+        for k0 in range(0, len(ts), chunk):
+            tc = ts[k0 : k0 + chunk]
+            E = np.exp(-np.outer(self.lam, tc))  # (n, tc)
+            U = self.W @ (E[:, :, None] * self.C[:, None, :]).reshape(n, -1)
+            U = np.abs(U) if np.iscomplexobj(U) else U
+            U = np.square(U, out=U).reshape(d, len(tc), n_batch)
+            out[k0 : k0 + len(tc)] = np.sum(U, axis=0)
+            del U  # no chunk's arrays outlive it: the peak is one product and one U
+        return np.sqrt(out)
 
     def norms_at_times(self, ts_per_column: np.ndarray) -> np.ndarray:
         """Restricted norm of column j at its own time ts_per_column[j]."""
@@ -190,26 +201,19 @@ class RestrictedEvolution:
         U = self.W @ (E * self.C)
         return np.sqrt(np.sum(np.abs(U) ** 2, axis=0))
 
-    def norms_sq_cols(self, ts, cols: np.ndarray | None) -> np.ndarray:
-        """Squared restricted norms of selected columns along a time array."""
-        C = self.C if cols is None else self.C[:, cols]
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        n, n_batch = C.shape
-        d = self.W.shape[0]
-        out = np.empty((len(ts), n_batch))
-        chunk = max(1, int(2_000_000 // max(1, n * n_batch)))
-        for k0 in range(0, len(ts), chunk):
-            tc = ts[k0 : k0 + chunk]
-            E = np.exp(-np.outer(self.lam, tc))  # (n, tc)
-            scaled = (E[:, :, None] * C[:, None, :]).reshape(n, -1)
-            U = (self.W @ scaled).reshape(d, len(tc), n_batch)
-            out[k0 : k0 + len(tc)] = np.sum(np.abs(U) ** 2, axis=0)
-        return out
-
     def final_norms(self, T: float) -> np.ndarray:
         """Unrestricted norms ||S_T f|| for the batch."""
         damp = np.exp(-2.0 * self.lam * T)
         return np.sqrt(np.sum(np.abs(self.C) ** 2 * damp[:, None], axis=0))
+
+    def rate_norms(self, ts) -> np.ndarray:
+        """||H S_t f|| for each time (rows) and column.
+
+        It decreases in t and bounds |d/ds ||(S_s f)|_D|| for every s >= t,
+        so it is a Lipschitz constant of the restricted norm on [t, oo).
+        """
+        damp = self.lam**2 * np.exp(-2.0 * np.outer(np.atleast_1d(ts), self.lam))
+        return np.sqrt(damp @ np.abs(self.C) ** 2)
 
     def l2_time_integral(self, a: float, b: float) -> np.ndarray:
         """Closed form of int_a^b ||(S_t f)|_D||^2 dt for the batch."""
@@ -250,6 +254,27 @@ class RestrictedEvolution:
             fd = self.norms_at_times(d)
         return np.maximum(best, np.maximum(fc, fd))
 
+    def lr_norms(self, a: float, b: float, r: float) -> np.ndarray:
+        """Certified L_r norms in time over (a, b), one per column.
+
+        Finite r integrates the r-th power by adaptive Simpson, each column
+        to relative tolerance ``_LR_REL_TOL`` of its own integral; r = inf
+        refines each column's 1025-point grid maximum by golden-section
+        search.
+        """
+        if math.isinf(r):
+            ts = np.linspace(a, b, _SUP_GRID_POINTS)
+            return self.refine_sup(ts, self.norms(ts))
+        integrals = adaptive_simpson(
+            lambda ts: self.norms(ts) ** r,
+            a,
+            b,
+            rel_tol=_LR_REL_TOL,
+            max_depth=40,
+            norm=np.abs,
+        )
+        return integrals ** (1.0 / r)
+
 
 def time_lr_norm(
     sd: SpectralDecomposition,
@@ -261,9 +286,7 @@ def time_lr_norm(
     """L_r norm in time of t -> ||(S_t f0)|_D|| over the window (a, b).
 
     ``f0`` is one state (a float is returned) or an (n, k) batch (one norm
-    per column).  Finite r integrates the r-th power by adaptive Simpson,
-    each column to relative tolerance 1e-10 of its own integral; r = inf
-    refines each column's 1025-point grid maximum by golden-section search.
+    per column), certified by ``RestrictedEvolution.lr_norms``.
     """
     a, b = float(window[0]), float(window[1])
     if not (0.0 <= a < b):
@@ -274,14 +297,5 @@ def time_lr_norm(
     if len(d_idx) == 0:
         raise EmptySubset("time norm needs a nonempty observation set")
     f0 = np.asarray(f0)
-    re = RestrictedEvolution(sd, d_idx, sd.coefficients(f0))
-
-    if math.isinf(r):
-        ts = np.linspace(a, b, _SUP_GRID_POINTS)
-        norms = re.refine_sup(ts, re.norms(ts))
-    else:
-        integrals = adaptive_simpson(
-            lambda ts: re.norms(ts) ** r, a, b, rel_tol=1e-10, max_depth=40, norm=np.abs
-        )
-        norms = integrals ** (1.0 / r)
+    norms = RestrictedEvolution(sd, d_idx, sd.coefficients(f0)).lr_norms(a, b, r)
     return float(norms[0]) if f0.ndim == 1 else norms

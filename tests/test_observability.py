@@ -3,21 +3,25 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphheat.control import hautus_obstruction
-from graphheat.errors import EmptySubset, FullSubset, NotRelativelyDense
+from graphheat.errors import EmptySubset, FullSubset, NotRelativelyDense, ValidationError
 from graphheat.graph import build_graph
 from graphheat.observability import (
+    _phi_batch,
     exact_obs_constant,
     up_paper_bound,
     up_sharp_constant,
     up_sweep,
     verify_weak_obs,
+    verify_weak_obs_multi,
     weak_obs_constants,
 )
-from graphheat.spectral import EnergyInterval, eigendecompose
+from graphheat.spectral import EnergyInterval, RestrictedEvolution, eigendecompose
 
-from conftest import cycle, random_connected_graph
+from conftest import cycle, grow_dense_subset, random_connected_graph
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +167,13 @@ def test_constants_validations(c4):
     sd = eigendecompose(c4)
     with pytest.raises(EmptySubset):
         weak_obs_constants(c4, sd, [], 1.0, 0.0, 2.0)
+    for T in (0.0, math.inf, math.nan):  # 0 * inf would reach the verifier as a NaN window
+        with pytest.raises(ValidationError):
+            weak_obs_constants(c4, sd, ["0"], T, 0.0, 2.0)
+    # windows so short that K = kappa / ((1 - delta) T)^{1/r} is not a float
+    for D, T in ((["0"], 1e-307), (["0"], 5e-324), (list(c4.vertex_ids), 5e-324)):
+        with pytest.raises(ValidationError):
+            weak_obs_constants(c4, sd, D, T, 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +197,54 @@ def test_verify_alpha_ge_one_regime(k2):
     assert c.alpha >= 1.0
     ver = verify_weak_obs(sd, ["0"], c, samples=100, seed=0)
     assert ver.min_slack >= c.alpha - 1.0 - 1e-9
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 10_000))
+def test_verify_reports_certified_minimum_over_all_states(seed):
+    """The pruned verification reports what certifying every state of the
+    battery reports: the same minimum slack, held by the same state (or by
+    one tied with it)."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(3, 13)))
+    sd = eigendecompose(g)
+    size = int(rng.integers(1, g.n))
+    D = [g.vertex_ids[i] for i in sorted(rng.choice(g.n, size=size, replace=False))]
+    consts = [
+        weak_obs_constants(g, sd, D, T, delta, r)
+        for T in (0.5, 3.0)
+        for delta in (0.0, 0.5)
+        for r in (1.0, 1.5, 2.0, 3.0, math.inf)
+    ]
+    reports = verify_weak_obs_multi(sd, D, consts, samples=40, seed=seed)
+    C, labels = _phi_batch(sd, 40, seed)
+    re = RestrictedEvolution(sd, g.subset_indices(D), C)
+    for c, ver in zip(consts, reports):
+        brute = c.K * re.lr_norms(c.delta * c.T, c.T, c.r) + c.alpha - re.final_norms(c.T)
+        tol = 1e-12 * (c.K + c.alpha + 1.0)
+        assert ver.min_slack == pytest.approx(float(brute.min()), rel=0.0, abs=tol)
+        assert brute[labels.index(ver.worst_label)] <= brute.min() + tol
+
+
+def test_certified_norm_of_a_fast_decaying_mode_keeps_its_digits():
+    """The verifier certifies a state from its spectral coefficients.  A
+    round trip through the vertex basis left about 5e-16 of round-off in
+    this mode, whose time norm is about 3.1e-20."""
+    rng = np.random.default_rng(5)
+    g = random_connected_graph(rng, 40)
+    D = grow_dense_subset(g, rng)
+    sd = eigendecompose(g)
+    d_idx = g.subset_indices(D)
+    C, labels = _phi_batch(sd, 0, 0)
+    j = labels.index("eigvec:39")
+    got = RestrictedEvolution(sd, d_idx, C[:, [j]]).lr_norms(2.5, 5.0, 1.0)[0]
+    lam = float(sd.eigenvalues[39])
+    on_d = float(np.linalg.norm(np.sqrt(g.m[d_idx]) * sd.eigenvectors[d_idx, 39]))
+    want, _ = scipy.integrate.quad(
+        lambda t: math.exp(-lam * t) * on_d, 2.5, 5.0, epsabs=0.0, epsrel=1e-13
+    )
+    assert want == pytest.approx(3.10e-20, rel=1e-2)
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

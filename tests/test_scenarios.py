@@ -1,8 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphheat.cli import main as cli_main
 from graphheat.errors import InvalidParams, ParseError
@@ -321,6 +329,37 @@ def test_cli_malformed_scenario_exit_2(tmp_path, capsys):
         write_scenario(tmp_path, "infinite_t.json", {
             "graph": cycle4, "task": "stochastic", "params": {"t": math.inf},
         }),
+        write_scenario(tmp_path, "infinite_weak_obs_T.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "weak-obs",
+            "params": {"T": math.inf},
+        }),
+        write_scenario(tmp_path, "infinite_non_null_T.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "non-null",
+            "params": {"T": math.inf},
+        }),
+        write_scenario(tmp_path, "nan_control_T.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "control",
+            "params": {"T": math.nan},
+        }),
+        write_scenario(tmp_path, "negative_infinite_stabilize_T.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "stabilize",
+            "params": {"T": -math.inf},
+        }),
+        write_scenario(tmp_path, "nan_r.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "weak-obs",
+            "params": {"r": math.nan},
+        }),
+        write_scenario(tmp_path, "window_too_short_for_K.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "weak-obs",
+            "params": {"T": 1e-307, "r": 1, "samples": 10},
+        }),
+        write_scenario(tmp_path, "integer_T_beyond_float_range.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "weak-obs",
+            "params": {"T": 10**400},
+        }),
+        write_scenario(tmp_path, "infinite_m.json", {
+            "graph": {"family": "path", "n": 3, "m": math.inf}, "task": "validate",
+        }),
         write_scenario(tmp_path, "numeric_graph_path.json", {
             "graph": {"family": "file", "path": 5}, "task": "validate",
         }),
@@ -349,9 +388,106 @@ def test_cli_malformed_scenario_exit_2(tmp_path, capsys):
     })
     runs = [[str(scenario)] for scenario in scenarios] + [[str(weak_obs), "--seed", "-1"]]
     for args in runs:
-        assert cli_main(["run", *args, "--out", str(tmp_path / "out")]) == 2, args
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["run", *args, "--out", str(tmp_path / "out")]) == 2, args
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], args
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_cli_numeric_infinite_r_is_the_sup_norm(tmp_path):
+    """JSON's Infinity is a norm index like the string "inf"."""
+    for name, r in (("numeric.json", math.inf), ("string.json", "inf")):
+        scenario = write_scenario(tmp_path, name, {
+            "graph": {"family": "cycle", "n": 4}, "subset": {"ids": ["0"]},
+            "task": "weak-obs", "params": {"r": r, "samples": 10},
+        })
+        assert cli_main(["run", str(scenario), "--out", str(tmp_path / f"out-{name}")]) == 0
+    numeric, string = (
+        json.loads((tmp_path / f"out-{name}" / "weak-obs_summary.json").read_text())
+        for name in ("numeric.json", "string.json")
+    )
+    assert numeric["r"] == "inf" and numeric == string
+
+
+
+# Small, valid scenarios on cycle-4 or cycle-8, one per task; the fuzz test
+# below mutates them.  Sizes and times stay small so every run is quick.
+_FUZZ_PARAMS = {
+    "validate": {},
+    "spectrum": {},
+    "up-sweep": {},
+    "weak-obs": {"T": 1.0, "delta": 0.0, "r": 1, "samples": 10},
+    "control": {"T": 1.0, "delta": 0.5, "r": 2, "f0": {"random": 3}, "alpha_target": 0.5},
+    "non-null": {"T": 1.0, "n_random": 3},
+    "necessity": {"x": ["1"], "t_grid": [0.1, 1.0], "n_max": 3},
+    "stabilize": {"T": 1.0, "alpha": 0.5, "N": 2, "f0": {"random": 1}},
+    "stochastic": {
+        "x": "0", "t": 0.5, "n_samples": 100, "first_jump_samples": 5, "sample_paths": 2,
+    },
+}
+_FUZZ_KEYS = {
+    "scenario": ["graph", "task", "subset", "params", "seed"],
+    "graph": ["family", "n", "m", "b"],
+    "subset": ["ids", "parity", "file"],
+}
+# Wrong types, non-finite and edge numbers.  Magnitudes stay within
+# [1e-3, 3], so a mutated size, time, mass or weight cannot make a long job
+# (a jump rate b/m of 1e300 makes a random walk that never ends).
+_FUZZ_VALUES = st.sampled_from([
+    None, True, "x", "inf", "even", -1, 0, 1, 2, 3, -0.5, 0.0, 1e-3, 0.5, 2.5,
+    math.inf, -math.inf, math.nan, [], [1.0], ["0", "1"], ["0", "0"], {},
+    {"random": 2}, {"values": [1.0, 0.0, 0.0, 0.0]}, {"parity": "odd"},
+])
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    task = draw(st.sampled_from(sorted(_FUZZ_PARAMS)))
+    scenario = {
+        "graph": {"family": "cycle", "n": draw(st.sampled_from([4, 8]))},
+        "task": task,
+        "subset": {"parity": "even"},
+        "params": copy.deepcopy(_FUZZ_PARAMS[task]),
+        "seed": 1,
+    }
+    for _ in range(draw(st.integers(1, 2))):
+        where = draw(st.sampled_from(["params", "params", "scenario", "graph", "subset"]))
+        target = scenario if where == "scenario" else scenario.get(where)
+        if not isinstance(target, dict):
+            continue
+        keys = list(_FUZZ_PARAMS[task]) + ["unknown"] if where == "params" else _FUZZ_KEYS[where]
+        key = draw(st.sampled_from(keys))
+        if draw(st.integers(0, 4)) == 0:
+            target.pop(key, None)
+        else:
+            target[key] = copy.deepcopy(draw(_FUZZ_VALUES))
+    return scenario
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_scenarios())
+def test_cli_contract_on_mutated_scenarios(scenario):
+    """Exit 0, 1 or 2 without a traceback or a RuntimeWarning on any mutated
+    scenario, and exit 1 only when the written summary records a failed
+    assertion."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli_main(["run", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code == 1:
+            summary_path = Path(tmp) / "out" / f"{scenario['task']}_summary.json"
+            summary = json.loads(summary_path.read_text())
+            assert not all(a["passed"] for a in summary["assertions"]), summary
+            assert err.getvalue().startswith("FAILED assertions:")
 
 
 def test_cli_env_out_dir(tmp_path, monkeypatch):

@@ -306,10 +306,13 @@ def test_quadrature_depth_exhaustion_raises():
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000))
-@example(572)  # a zero of the trajectory just inside a panel end
+@example(572)  # a zero of the trajectory puts a corner in |.|^r
 @example(1427)  # Simpson's refinement check agreed by accident on a wide panel
-def test_batch_norms_match_op(seed):
-    """Fast-path batch L_r norms agree with the adaptive-Simpson operation."""
+def test_lr_bounds_contain_certified_norm(seed):
+    """The closed-form and the grid bounds of the weak-observability pruning
+    each contain the certified batch L_r norm, for r in {1, 1.5, 2, 3, inf}."""
+    from graphheat.observability import _closed_form_bounds, _grid_bounds
+
     sd = small_sd(seed, n_max=7)
     g = sd.graph
     rng = np.random.default_rng(seed + 4)
@@ -319,14 +322,14 @@ def test_batch_norms_match_op(seed):
     batch = rng.standard_normal((g.n, 5))
     coefs = sd.eigenvectors.T @ (g.m[:, None] * batch)
     re = RestrictedEvolution(sd, np.sort(d_idx), coefs)
-    a, b = 0.2, 1.3
-    from graphheat.observability import _batch_lr_norms
-
-    for r in [1.0, 2.0, 3.0, math.inf]:
-        fast = _batch_lr_norms(re, a, b, r)
-        for j in range(5):
-            slow = time_lr_norm(sd, batch[:, j], D, (a, b), r)
-            assert fast[j] == pytest.approx(slow, rel=2e-8, abs=1e-12)
+    for a, b in [(0.2, 1.3), (0.0, 1.0)]:
+        for r in [1.0, 1.5, 2.0, 3.0, math.inf]:
+            # certified to 1e-10 of each integral, so compare with 1e-9 room
+            certified = time_lr_norm(sd, batch, D, (a, b), r)
+            for bounds in (_closed_form_bounds, _grid_bounds):
+                lo, hi = bounds(re, a, b, r)
+                assert np.all(lo <= certified * (1.0 + 1e-9)), (bounds.__name__, r, lo, certified)
+                assert np.all(certified <= hi * (1.0 + 1e-9)), (bounds.__name__, r, hi, certified)
 
 
 @settings(max_examples=15, deadline=None)
