@@ -8,8 +8,11 @@ f(T) = (I + nu Q_T)^{-1} S_T f0 with the multiplier nu found by monotone
 bisection.  Verification re-simulates Duhamel's formula with one adaptive
 Simpson integral over [0, T], independently of the Gramian algebra; it
 returns the final state, and cost norms come from the synthesis alone.
-Initial states and control values are real: complex input raises
-``ValidationError`` instead of losing its imaginary part.
+The Gramian, and the controlled trajectory that stabilization samples for
+its envelope, both use the restricted Gramian kernel of ``spectral``: the
+trajectory takes one Gramian step over [0, h] per sample.  Initial states
+and control values are real: complex input raises ``ValidationError``
+instead of losing its imaginary part.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .quadrature import adaptive_simpson
-from .spectral import SpectralDecomposition, time_lr_norm
+from .spectral import SpectralDecomposition, _gramian_kernel, time_lr_norm
 
 _EXPORT_GRID_POINTS = 512
 _INTRA_SAMPLES = 65
@@ -36,15 +39,6 @@ _NONSINGULAR_REL = 1e-10
 _NU_MAX = 1e18
 
 COST_EXPONENTS = (1.0, 2.0, math.inf)
-
-
-def _phi_factor(S: np.ndarray, T: float) -> np.ndarray:
-    """(1 - exp(-S T)) / S elementwise, with the limit T at S = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -np.expm1(-S * T) / S
-    out = np.asarray(out)
-    out[S == 0.0] = T
-    return out
 
 
 def _real(x, what: str) -> np.ndarray:
@@ -72,14 +66,6 @@ class Gramian:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def apply(self, f) -> np.ndarray:
-        """Q_T applied to a vertex-basis state vector."""
-        return self.sd.synthesize(self.matrix @ self.sd.coefficients(f))
-
-    def quadratic_form(self, f) -> float:
-        c = self.sd.coefficients(f)
-        return float((np.conj(c) @ (self.matrix @ c)).real)
-
     @property
     def nonsingular(self) -> bool:
         mu = self.eigenvalues
@@ -87,22 +73,15 @@ class Gramian:
 
 
 def gramian(sd: SpectralDecomposition, D: Sequence[str], T: float) -> Gramian:
-    """Closed-form Gramian in the eigenbasis.
-
-    Entries are <1_D v_i, v_j>_m weighted by (1 - e^{-(l_i+l_j)T})/(l_i+l_j),
-    with the limit T when l_i + l_j = 0.
-    """
+    """Closed-form Gramian in the eigenbasis: the restricted Gramian kernel
+    over [0, T], symmetrized, with its eigenvalues below the null clamp set
+    to zero."""
     if T <= 0:
         raise ValidationError(f"Gramian horizon must be positive, got {T}")
     d_idx = sd.graph.subset_indices(D)
     if len(d_idx) == 0:
         raise EmptySubset("Gramian needs a nonempty control set")
-    lam = sd.eigenvalues
-    mD = sd.graph.m[d_idx]
-    W = np.sqrt(mD)[:, None] * sd.eigenvectors[d_idx, :]
-    C = W.T @ W
-    S = lam[:, None] + lam[None, :]
-    mat = C * _phi_factor(S, T)
+    mat = _gramian_kernel(sd, d_idx, 0.0, T)
     mat = 0.5 * (mat + mat.T)
     mu, P = np.linalg.eigh(mat)
     mu = np.where(mu <= _NULL_CLAMP_REL * max(float(mu[-1]), 0.0), 0.0, mu)
@@ -177,9 +156,10 @@ def _signal_costs(
     """L_r norms of t -> ||u(t)||_{l2(D,m)} for the closed-form control.
 
     u(tau) = (S_{T-tau} eta)|_D, so the time profile is the reflection of
-    s -> ||(S_s eta)|_D||, and reflection preserves every L_r norm.
+    s -> ||(S_s eta)|_D||, and reflection preserves every L_r norm.  Each
+    distinct exponent is evaluated once.
     """
-    return {r: time_lr_norm(sd, eta_vertex, D, (0.0, T), r) for r in rs}
+    return {r: time_lr_norm(sd, eta_vertex, D, (0.0, T), r) for r in dict.fromkeys(rs)}
 
 
 def synth_control(
@@ -277,45 +257,36 @@ def synth_control(
     return signal, result
 
 
-def _duhamel_closed_form(
-    sd: SpectralDecomposition,
-    d_idx: np.ndarray,
-    eta_coefs: np.ndarray,
-    T: float,
-    ts: np.ndarray,
-) -> np.ndarray:
-    """Coefficients of int_0^t S_{t-tau} 1_D (S_{T-tau} eta)|_D dtau per t."""
-    lam = sd.eigenvalues
-    mD = sd.graph.m[d_idx]
-    W = np.sqrt(mD)[:, None] * sd.eigenvectors[d_idx, :]
-    C = W.T @ W
-    S = lam[:, None] + lam[None, :]
-    out = np.empty((len(ts), len(lam)))
-    for k, t in enumerate(ts):
-        factor = np.exp(-lam[None, :] * (T - t)) * _phi_factor(S, float(t)) if t > 0 else np.zeros_like(S)
-        out[k] = (C * factor) @ eta_coefs
-    return out
-
-
 def controlled_trajectory(
     sd: SpectralDecomposition,
     D: Sequence[str],
     f0,
     signal: ControlSignal,
-    ts: np.ndarray,
+    samples: int,
 ) -> np.ndarray:
-    """Closed-form controlled states f(t) at the requested times.
+    """Controlled states f(t_k) at ``samples`` equally spaced times on [0, T].
 
-    Only available for closed-form signals; used for intra-period bounds.
+    One Gramian step per sample: with h = T/(samples - 1),
+    f(t_{k+1}) = S_h f(t_k) + Q_h S_{T - t_{k+1}} eta, where Q_h is the
+    Gramian over [0, h].  Only available for closed-form signals; used for
+    intra-period bounds.
     """
     if not signal.closed_form:
         raise ValidationError("trajectory shortcut needs a closed-form signal")
-    d_idx = sd.graph.subset_indices(D)
-    c0 = sd.coefficients(_real(f0, "initial state"))
-    eta_c = sd.coefficients(signal.eta)
-    free = np.exp(-np.outer(np.asarray(ts, float), sd.eigenvalues)) * c0[None, :]
-    forced = _duhamel_closed_form(sd, d_idx, eta_c, signal.T, np.asarray(ts, float))
-    return (free + forced) @ sd.eigenvectors.T
+    if samples < 2:
+        raise ValidationError(f"trajectory needs at least 2 samples, got {samples}")
+    lam = sd.eigenvalues
+    T = signal.T
+    h = T / (samples - 1)
+    ts = np.linspace(0.0, T, samples)
+    K = _gramian_kernel(sd, sd.graph.subset_indices(D), 0.0, h)
+    drive = K @ (np.exp(-np.outer(lam, T - ts[1:])) * sd.coefficients(signal.eta)[:, None])
+    decay = np.exp(-lam * h)
+    out = np.empty((samples, sd.n))
+    out[0] = sd.coefficients(_real(f0, "initial state"))
+    for k in range(samples - 1):
+        out[k + 1] = decay * out[k] + drive[:, k]
+    return out @ sd.eigenvectors.T
 
 
 def verify_control(
@@ -357,7 +328,10 @@ def verify_control(
         return (np.exp(-np.outer(lam, T - taus)) * embedded).T
 
     free = np.exp(-lam * T) * sd.coefficients(f0)
-    fT_hat = free + adaptive_simpson(integrand, 0.0, T, rel_tol=1e-10, max_depth=40)
+    # The kinks of a grid signal converge slowly (panel error ~h^2 against a
+    # tolerance ~h) and can pass depth 40; panels narrower than the rounding
+    # of their endpoints are accepted well before depth 60.
+    fT_hat = free + adaptive_simpson(integrand, 0.0, T, rel_tol=1e-10, max_depth=60)
     norm_f0 = sd.norm(f0)
     return ControlResult(
         final_state=sd.synthesize(fT_hat),
@@ -430,7 +404,9 @@ def stabilize(
 
     Each period re-runs the synthesis from the achieved state, so
     ||f(kT)|| <= alpha^k ||f0|| and the envelope constants are
-    omega = ln(alpha)/T with M covering the intra-period excursions.
+    omega = ln(alpha)/T with M covering the intra-period excursions,
+    sampled at ``_INTRA_SAMPLES`` equally spaced times per period by
+    ``controlled_trajectory`` (one Gramian step per sample).
     """
     if not (0.0 < alpha < 1.0):
         raise ValidationError("stabilization needs alpha in (0, 1)")
@@ -441,7 +417,6 @@ def stabilize(
     results: list[ControlResult] = []
     gram_cache = gramian(sd, D, T)
     intra_ratio = 1.0
-    ts = np.linspace(0.0, T, _INTRA_SAMPLES)
     for _ in range(num_periods):
         if norms[-1] == 0.0:
             results.append(
@@ -457,8 +432,8 @@ def stabilize(
             f = np.zeros(sd.n)
             continue
         signal, res = synth_control(sd, D, T, f, alpha, gram=gram_cache)
-        traj = controlled_trajectory(sd, D, f, signal, ts)
-        peak = max(sd.norm(traj[k]) for k in range(len(ts)))
+        traj = controlled_trajectory(sd, D, f, signal, _INTRA_SAMPLES)
+        peak = max(sd.norm(row) for row in traj)
         intra_ratio = max(intra_ratio, peak / norms[-1])
         f = res.final_state
         results.append(res)

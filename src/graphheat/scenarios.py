@@ -665,7 +665,8 @@ def _task_stochastic(g, cover, subset, params, seed) -> TaskReport:
     else:
         f = np.asarray([_number(v, "f") for v in _list(f_spec, "f")])
     x_idx = g.index_of(x)
-    exact = float(
+    # S_0 = I: at t = 0 the round trip through the eigenbasis would only add rounding
+    exact = float(f[x_idx]) if t == 0 else float(
         (sd.eigenvectors @ (np.exp(-sd.eigenvalues * t) * sd.coefficients(f)))[x_idx].real
     )
     rows = []
@@ -705,7 +706,8 @@ def _task_stochastic(g, cover, subset, params, seed) -> TaskReport:
     if jump_samples > 0:
         counts: dict[str, int] = {}
         jumped = 0
-        horizon = 20.0 / max(float(g.degrees()[x_idx]), 1e-9)
+        deg = float(g.degrees()[x_idx])
+        horizon = 20.0 / deg if deg > 0.0 else 0.0  # P(no jump by the horizon) = e^-20
         for path in sto.sample_ctmc_paths(g, x, horizon, seed, range(jump_samples)):
             if path.jump_count() >= 1:
                 jumped += 1
@@ -713,8 +715,9 @@ def _task_stochastic(g, cover, subset, params, seed) -> TaskReport:
         nb = g.neighbors(x_idx)
         total_w = float(g.weights[x_idx, nb].sum())
         law_rows = []
-        law_ok = True
-        for j in nb:
+        # neighbours but no sampled jump: there is no law to compare, so the check fails
+        law_ok = jumped > 0 or len(nb) == 0
+        for j in nb if jumped else ():
             p_true = float(g.weights[x_idx, j]) / total_w
             p_hat = counts.get(g.vertex_ids[j], 0) / jumped
             se = math.sqrt(p_true * (1 - p_true) / jumped)

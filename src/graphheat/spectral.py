@@ -160,6 +160,24 @@ def spectral_projection(sd: SpectralDecomposition, interval: EnergyInterval, f) 
     return sd.synthesize(np.where(mask, c, 0.0))
 
 
+def _gramian_kernel(
+    sd: SpectralDecomposition, d_idx: np.ndarray, a: float, w: float
+) -> np.ndarray:
+    """Restricted Gramian int_a^{a+w} S_t 1_D 1_D^* S_t dt in the eigenbasis.
+
+    Entry (i, j) is C_ij e^{-s a} (1 - e^{-s w}) / s with s = l_i + l_j,
+    and C_ij w where s = 0; C = W^T W for the sqrt(m)-weighted D-rows W of
+    the eigenvectors.
+    """
+    lam = sd.eigenvalues
+    W = np.sqrt(sd.graph.m[d_idx])[:, None] * sd.eigenvectors[d_idx, :]
+    S = lam[:, None] + lam[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F = np.exp(-S * a) * (-np.expm1(-S * w)) / S
+    F[S == 0.0] = w
+    return (W.T @ W) * F
+
+
 class RestrictedEvolution:
     """Vectorized evaluation of t -> ||(S_t f)|_D|| for a batch of states.
 
@@ -172,6 +190,7 @@ class RestrictedEvolution:
         if len(d_indices) == 0:
             raise EmptySubset("restricted evolution needs a nonempty subset")
         self.sd = sd
+        self.d_indices = d_indices
         self.lam = sd.eigenvalues
         mD = sd.graph.m[d_indices]
         self.W = np.sqrt(mD)[:, None] * sd.eigenvectors[d_indices, :]
@@ -217,12 +236,7 @@ class RestrictedEvolution:
 
     def l2_time_integral(self, a: float, b: float) -> np.ndarray:
         """Closed form of int_a^b ||(S_t f)|_D||^2 dt for the batch."""
-        S = self.lam[:, None] + self.lam[None, :]
-        width = b - a
-        with np.errstate(divide="ignore", invalid="ignore"):
-            F = np.exp(-S * a) * (-np.expm1(-S * width)) / S
-        F[S == 0.0] = width
-        M = (self.W.T @ self.W) * F
+        M = _gramian_kernel(self.sd, self.d_indices, a, b - a)
         vals = np.einsum("ij,in,jn->n", M, np.conj(self.C), self.C, optimize=True).real
         return np.maximum(vals, 0.0)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphheat.control import (
@@ -55,7 +55,7 @@ def test_gramian_kills_obstruction_mode(c4):
     sd = eigendecompose(c4)
     Q = gramian(sd, ["0", "2"], 1.0)
     phi = np.array([0.0, 1.0, 0.0, -1.0])
-    assert m_norm(c4, Q.apply(phi)) <= 1e-12
+    assert m_norm(c4, sd.synthesize(Q.matrix @ sd.coefficients(phi))) <= 1e-12
 
 
 def test_gramian_symmetric_psd_random():
@@ -68,9 +68,36 @@ def test_gramian_symmetric_psd_random():
         Q = gramian(sd, D, float(rng.uniform(0.2, 3.0)))
         f = rng.standard_normal(g.n)
         h = rng.standard_normal(g.n)
-        sym = sd.inner(Q.apply(f), h) - sd.inner(f, Q.apply(h))
+        cf, ch = sd.coefficients(f), sd.coefficients(h)
+        sym = sd.inner(sd.synthesize(Q.matrix @ cf), h) - sd.inner(f, sd.synthesize(Q.matrix @ ch))
         assert abs(sym) <= 1e-10 * (m_norm(g, f) * m_norm(g, h) + 1.0)
-        assert Q.quadratic_form(f) >= -1e-12
+        assert float(cf @ (Q.matrix @ cf)) >= -1e-12
+
+
+def _old_gramian_matrix(sd, D, T):
+    """The Gramian as it was written before the shared kernel: C * phi(S, T),
+    symmetrized."""
+    d_idx = sd.graph.subset_indices(D)
+    lam = sd.eigenvalues
+    W = np.sqrt(sd.graph.m[d_idx])[:, None] * sd.eigenvectors[d_idx, :]
+    S = lam[:, None] + lam[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = -np.expm1(-S * T) / S
+    phi[S == 0.0] = T
+    mat = (W.T @ W) * phi
+    return 0.5 * (mat + mat.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_gramian_matches_old_closed_form_exactly(seed):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(1, 11)))
+    sd = eigendecompose(g)
+    size = int(rng.integers(1, g.n + 1))
+    D = [g.vertex_ids[i] for i in np.sort(rng.choice(g.n, size=size, replace=False))]
+    for T in (0.5, 1.0, float(rng.uniform(0.01, 10.0))):
+        assert np.array_equal(gramian(sd, D, T).matrix, _old_gramian_matrix(sd, D, T))
 
 
 def test_gramian_matches_direct_quadrature():
@@ -286,6 +313,7 @@ def _duhamel_per_knot(sd, D, f0, u, T):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 12))
+@example(9999, 11)  # knots 1.7e-3 apart on one vertex: refinement passes depth 40
 def test_verify_grid_signal_matches_per_knot_simpson(seed, n_knots):
     """One Simpson call over [0, T] finds the kinks of a piecewise-linear
     control at unaligned knot times by refinement."""
@@ -409,7 +437,7 @@ def test_controlled_trajectory_endpoints(k2):
     sd = eigendecompose(k2)
     f0 = np.array([1.0, 0.0])
     sig, res = synth_control(sd, ["0"], 1.0, f0, 0.1)
-    traj = controlled_trajectory(sd, ["0"], f0, sig, np.array([0.0, 1.0]))
+    traj = controlled_trajectory(sd, ["0"], f0, sig, 2)
     np.testing.assert_allclose(traj[0], f0, atol=1e-12)
     np.testing.assert_allclose(traj[1], res.final_state, atol=1e-10)
 
@@ -418,4 +446,64 @@ def test_controlled_trajectory_rejects_complex_state(k2):
     sd = eigendecompose(k2)
     sig, _ = synth_control(sd, ["0"], 1.0, np.array([1.0, 0.0]), 0.1)
     with pytest.raises(ValidationError, match="real"):
-        controlled_trajectory(sd, ["0"], np.array([1.0j, 0.0]), sig, np.array([0.0, 1.0]))
+        controlled_trajectory(sd, ["0"], np.array([1.0j, 0.0]), sig, 2)
+
+
+def test_controlled_trajectory_needs_two_samples(k2):
+    sd = eigendecompose(k2)
+    sig, _ = synth_control(sd, ["0"], 1.0, np.array([1.0, 0.0]), 0.1)
+    with pytest.raises(ValidationError, match="at least 2 samples"):
+        controlled_trajectory(sd, ["0"], np.array([1.0, 0.0]), sig, 1)
+
+
+def _trajectory_per_time(sd, D, f0, signal, ts):
+    """The controlled states at each time on its own, as they were computed
+    before the Gramian recurrence: S_t f0 plus the Duhamel closed form
+    C * e^{-l_j (T - t)} (1 - e^{-(l_i+l_j) t}) / (l_i+l_j) applied to eta."""
+    d_idx = sd.graph.subset_indices(D)
+    lam = sd.eigenvalues
+    W = np.sqrt(sd.graph.m[d_idx])[:, None] * sd.eigenvectors[d_idx, :]
+    C = W.T @ W
+    S = lam[:, None] + lam[None, :]
+    c0, eta = sd.coefficients(f0), sd.coefficients(signal.eta)
+    rows = []
+    for t in ts:
+        factor = np.zeros_like(S)
+        if t > 0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                phi = -np.expm1(-S * t) / S
+            phi[S == 0.0] = t
+            factor = np.exp(-lam[None, :] * (signal.T - t)) * phi
+        rows.append(np.exp(-lam * t) * c0 + (C * factor) @ eta)
+    return np.array(rows) @ sd.eigenvectors.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 65))
+def test_controlled_trajectory_matches_per_time_closed_form(seed, samples):
+    """The one-step-per-sample recurrence reproduces the per-time closed
+    form at every sample, and its last row is the Duhamel final state.
+
+    Errors are relative to ||f0|| + T ||eta||, the size of the terms each
+    route sums: near-singular Gramians give large multipliers eta whose
+    contributions cancel to a small state, and no route to that state is
+    accurate relative to its own size (seed 1894 with 3 samples: ||eta|| is
+    1.9e6, and both routes miss a 50-digit reference by about 1e-11)."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(1, 11)))
+    sd = eigendecompose(g)
+    size = int(rng.integers(1, g.n + 1))
+    D = tuple(g.vertex_ids[i] for i in np.sort(rng.choice(g.n, size=size, replace=False)))
+    T = float(rng.uniform(0.1, 5.0))
+    f0 = rng.standard_normal(g.n)
+    try:
+        sig, _ = synth_control(sd, D, T, f0, float(rng.uniform(0.05, 0.95)))
+    except TargetUnreachable:  # a mode invisible on D blocks the target
+        return
+    traj = controlled_trajectory(sd, D, f0, sig, samples)
+    want = _trajectory_per_time(sd, D, f0, sig, np.linspace(0.0, T, samples))
+    scale = m_norm(g, f0) + T * m_norm(g, sig.eta)
+    for got_row, want_row in zip(traj, want):
+        assert m_norm(g, got_row - want_row) <= 1e-12 * scale
+    final = verify_control(sd, D, f0, sig, T).final_state
+    assert m_norm(g, traj[-1] - final) <= 1e-10 * scale

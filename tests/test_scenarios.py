@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphheat import stochastic as sto
 from graphheat.cli import main as cli_main
 from graphheat.errors import InvalidParams, ParseError
 from graphheat.families import build_family, parity_subset
@@ -215,6 +216,67 @@ def test_stochastic_scenario_with_first_jumps(tmp_path):
     data = json.loads((tmp_path / "out" / "stochastic_summary.json").read_text())
     assert data["within_4_stderr"] == 1
     assert data["seed"] == 9
+
+
+def _run_cli(tmp_path, payload):
+    """Exit code, stderr and written summary of one CLI run."""
+    scenario = write_scenario(tmp_path, "sc.json", payload)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(["run", str(scenario), "--out", str(tmp_path / "out")])
+    summary = tmp_path / "out" / f"{payload['task']}_summary.json"
+    return code, err.getvalue(), json.loads(summary.read_text()) if summary.exists() else None
+
+
+def test_cli_first_jump_law_with_huge_holding_times(tmp_path):
+    """m = 1e300 makes holding times about 5e299: the first-jump horizon
+    follows them, and the run ends in a verdict, not a ZeroDivisionError."""
+    code, err, summary = _run_cli(
+        tmp_path,
+        {
+            "graph": {"family": "cycle", "n": 8, "m": 1e300},
+            "task": "stochastic",
+            "params": {"x": "0", "n_samples": 100, "first_jump_samples": 5},
+        },
+    )
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code == 1:
+        assert not all(a["passed"] for a in summary["assertions"])
+    law = {a["name"]: a["passed"] for a in summary["assertions"]}
+    assert law["first_jump_law"]
+
+
+def test_first_jump_law_fails_when_no_path_jumps(tmp_path, monkeypatch):
+    """Without a sampled jump there is no law to compare: the check fails."""
+    real = sto.sample_ctmc_paths
+    monkeypatch.setattr(
+        sto, "sample_ctmc_paths", lambda g, x0, t_max, seed, idx: real(g, x0, 0.0, seed, idx)
+    )
+    sc = Scenario(
+        graph={"family": "cycle", "n": 8},
+        task="stochastic",
+        params={"x": "0", "n_samples": 100, "first_jump_samples": 5},
+        seed=1,
+    )
+    out = run_scenario(sc, tmp_path / "out")
+    assert out.exit_code == 1
+    assert [a.name for a in out.report.assertions if not a.passed] == ["first_jump_law"]
+
+
+def test_cli_stochastic_at_time_zero_is_exact(tmp_path):
+    """S_0 = I, so the exact value at t = 0 is f(x) itself and matches the
+    estimate, whose stderr is 0."""
+    code, err, summary = _run_cli(
+        tmp_path,
+        {
+            "graph": {"family": "cycle", "n": 8},
+            "task": "stochastic",
+            "params": {"x": "0", "t": 0, "n_samples": 100},
+        },
+    )
+    assert code == 0, err
+    assert summary["exact_value"] == 1.0
 
 
 def test_stochastic_scenario_exports_paths(tmp_path):
