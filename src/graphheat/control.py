@@ -36,6 +36,7 @@ _EXPORT_GRID_POINTS = 512
 _INTRA_SAMPLES = 65
 _NULL_CLAMP_REL = 1e-13
 _NONSINGULAR_REL = 1e-10
+_HAUTUS_REL = 1e-10
 _NU_MAX = 1e18
 
 COST_EXPONENTS = (1.0, 2.0, math.inf)
@@ -340,12 +341,12 @@ def verify_control(
 
 
 def hautus_obstruction(
-    sd: SpectralDecomposition, D: Sequence[str], tol: float = 1e-10
+    sd: SpectralDecomposition, D: Sequence[str]
 ) -> list[tuple[float, np.ndarray]]:
     """Eigenspace intersections with {f : f|_D = 0}, per eigenvalue group.
 
     For each group, the vanishing subspace is extracted by singular-value
-    thresholding at tol * sigma_max of the D-restricted eigenvector block.
+    thresholding at ``_HAUTUS_REL`` * sigma_max of the D-restricted eigenvector block.
     An empty list means no obstruction: every eigenfunction sees D.
     """
     d_idx = sd.graph.subset_indices(D)
@@ -354,7 +355,7 @@ def hautus_obstruction(
         block = sd.eigenvectors[np.ix_(d_idx, idx)]
         _u, sigma, vt = np.linalg.svd(block, full_matrices=True)
         sigma = np.concatenate([sigma, np.zeros(len(idx) - len(sigma))])
-        null_mask = sigma <= tol * (sigma[0] if len(sigma) else 0.0)
+        null_mask = sigma <= _HAUTUS_REL * (sigma[0] if len(sigma) else 0.0)
         if null_mask.any():
             basis = sd.eigenvectors[:, idx] @ vt[null_mask].T
             out.append((lam, basis))

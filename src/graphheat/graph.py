@@ -437,17 +437,11 @@ def graph_from_json(data: dict) -> WeightedGraph:
     return build_graph(vertices, edges)
 
 
-def _number(value, name: str, *, integer: bool = False):
-    """A numeric scenario or family parameter: any finite JSON number, or a
-    nonnegative integer when ``integer`` is set; anything else (NaN and
-    +-Infinity included) raises ``ParseError``."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "a nonnegative integer" if integer else "a number"
-        raise ParseError(f"{name!r} must be {kind}, got {value!r}")
-    if integer:
-        if value < 0:
-            raise ParseError(f"{name!r} must be nonnegative, got {value}")
-        return value
+def _number(value, name: str) -> float:
+    """A numeric scenario or family parameter: any finite JSON number;
+    anything else (NaN and +-Infinity included) raises ``ParseError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{name!r} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
@@ -457,6 +451,20 @@ def _number(value, name: str, *, integer: bool = False):
     return number
 
 
+def _integer(value, name: str) -> int:
+    """A count, seed or size: a nonnegative JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{name!r} must be a nonnegative integer, got {value!r}")
+    if value < 0:
+        raise ParseError(f"{name!r} must be nonnegative, got {value}")
+    return value
+
+
+def _text(value, name: str) -> str:
+    """A vertex id, parity or family name: any JSON value, read as its str()."""
+    return str(value)
+
+
 def _list(value, name: str) -> list:
     """A list-valued scenario parameter; anything else raises ``ParseError``."""
     if not isinstance(value, (list, tuple)):
@@ -464,11 +472,51 @@ def _list(value, name: str) -> list:
     return value
 
 
+def _numbers(value, name: str) -> list[float]:
+    return [_number(v, name) for v in _list(value, name)]
+
+
+def _names(value, name: str) -> list[str]:
+    return [str(v) for v in _list(value, name)]
+
+
+def _path(value, name: str) -> str | Path:
+    """A file path; anything but a string raises ``ParseError``."""
+    if not isinstance(value, (str, Path)):
+        raise ParseError(f"{name!r} must be a file path string, got {value!r}")
+    return value
+
+
+def _object(value, name: str) -> dict:
+    """A JSON object; anything else raises ``ParseError``."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{name!r} must be an object, got {value!r}")
+    return value
+
+
+def _fields(value, name: str, table: dict, *, one_of: bool = False) -> dict:
+    """Read a JSON object through ``table``, which maps each accepted key to
+    ``(parser, default)``: a present key is read as ``parser(v, "name.key")``,
+    an absent one takes its default as given, and any other key raises
+    ``ParseError``.  With ``one_of`` exactly one key must be present, and
+    the result holds only that one."""
+    value = _object(value, name)
+    unknown = sorted(set(value) - set(table), key=str)
+    if unknown:
+        raise ParseError(f"{name!r} takes only {list(table)}, not {unknown}")
+    if one_of and len(value) != 1:
+        raise ParseError(f"{name!r} takes exactly one of {list(table)}, got {list(value)}")
+    return {
+        key: parse(value[key], f"{name}.{key}") if key in value else default
+        for key, (parse, default) in table.items()
+        if key in value or not one_of
+    }
+
+
 def read_json(path: str | Path):
     """Parse a JSON file; a missing or unreadable file and invalid JSON
     raise ``ParseError``."""
-    if not isinstance(path, (str, Path)):
-        raise ParseError(f"a file path must be a string, got {path!r}")
+    path = _path(path, "file path")
     try:
         return json.loads(Path(path).read_text())
     except OSError as exc:
@@ -481,11 +529,8 @@ def load_graph_json(path: str | Path) -> WeightedGraph:
     return graph_from_json(read_json(path))
 
 
-def subset_from_json(data: dict) -> tuple[str, ...]:
-    if not isinstance(data, dict) or "ids" not in data or not isinstance(data["ids"], list):
-        raise ParseError("subset JSON needs an 'ids' list")
-    return tuple(str(v) for v in data["ids"])
-
-
 def load_subset_json(path: str | Path) -> tuple[str, ...]:
-    return subset_from_json(read_json(path))
+    ids = _fields(read_json(path), "subset JSON", {"ids": (_names, None)})["ids"]
+    if ids is None:
+        raise ParseError("subset JSON needs an 'ids' list")
+    return tuple(ids)

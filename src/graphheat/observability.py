@@ -38,7 +38,6 @@ from .spectral import (
 )
 
 _SHARP_SINGULAR_CUTOFF = 1e-12
-_OBS_SINGULAR_REL = 1e-12
 # Pruning margin, relative to K + alpha + 1: a state is certified unless its
 # slack lower bound exceeds the smallest slack upper bound by more than this.
 # The certified engine's relative tolerance is added on top (times K and the
@@ -110,7 +109,7 @@ def up_paper_bound(
     bound 42 vol(Inr(Omega)) / inf m needs the stricter energy condition
     sup I <= inf m / (42 Inr(Omega) vol(Inr(Omega))^2).
     """
-    return _up_report(g, sd, D, interval, _up_geometry(g, D))
+    return _up_report(g, sd, interval, _up_geometry(g, D), up_sharp_constant(sd, D, interval))
 
 
 def _up_geometry(g: WeightedGraph, D: Sequence[str]) -> tuple[float, float]:
@@ -124,9 +123,9 @@ def _up_geometry(g: WeightedGraph, D: Sequence[str]) -> tuple[float, float]:
 def _up_report(
     g: WeightedGraph,
     sd: SpectralDecomposition,
-    D: Sequence[str],
     interval: EnergyInterval,
     geometry: tuple[float, float],
+    sharp: float,
 ) -> UPReport:
     inr, vol = geometry
     threshold = 1.0 / (inr * vol)
@@ -149,7 +148,7 @@ def _up_report(
         remark_threshold=remark_threshold,
         remark_applicable=remark_applicable,
         remark_bound=remark,
-        sharp_constant=up_sharp_constant(sd, D, interval),
+        sharp_constant=sharp,
         inradius=inr,
         ball_volume=vol,
     )
@@ -159,16 +158,18 @@ def up_sweep(
     g: WeightedGraph, sd: SpectralDecomposition, D: Sequence[str]
 ) -> list[UPReport]:
     """Reports for sup I at every eigenvalue and every midpoint between
-    consecutive distinct eigenvalues (P_I is piecewise constant in sup I).
-    The Omega-geometry does not depend on I and is computed once."""
+    consecutive distinct eigenvalues.  P_I is piecewise constant in sup I:
+    both rows of a group project onto the whole group and every lower one,
+    so they share one sharp constant, that of the window closed at the
+    group's top.  The Omega-geometry does not depend on I and is computed once."""
     geometry = _up_geometry(g, D)
-    reps = [lam for lam, _ in sd.eigenvalue_groups()]
-    sups = []
-    for k, lam in enumerate(reps):
-        sups.append(lam)
-        if k + 1 < len(reps):
-            sups.append(0.5 * (lam + reps[k + 1]))
-    return [_up_report(g, sd, D, EnergyInterval(hi=s), geometry) for s in sups]
+    groups = sd.eigenvalue_groups()
+    reports = []
+    for k, (lam, idx) in enumerate(groups):
+        sharp = up_sharp_constant(sd, D, EnergyInterval(hi=float(sd.eigenvalues[idx[-1]])))
+        sups = [lam] if k + 1 == len(groups) else [lam, 0.5 * (lam + groups[k + 1][0])]
+        reports += [_up_report(g, sd, EnergyInterval(hi=s), geometry, sharp) for s in sups]
+    return reports
 
 
 @dataclass(frozen=True)
@@ -392,15 +393,15 @@ def exact_obs_constant(
     """Smallest C with ||S_T phi||^2 <= C^2 int_0^T ||(S_t phi)|_D||^2 dt.
 
     Square root of the largest generalized eigenvalue of (S_T^* S_T, G)
-    where G is the observability Gramian; +inf when G is numerically
-    singular (S_T is injective on a finite graph, so any null direction of
-    G defeats every finite constant).
+    where G is the observability Gramian; +inf exactly when G is not
+    ``Gramian.nonsingular``, the rank decision ``synth_control`` uses to
+    refuse null control (S_T is injective on a finite graph, so any null
+    direction of G defeats every finite constant).
     """
     if T <= 0:
         raise ValidationError(f"final time must be positive, got {T}")
     Q = gramian(sd, D, T)
-    mu = Q.eigenvalues
-    if mu[0] <= _OBS_SINGULAR_REL * float(mu[-1]):
+    if not Q.nonsingular:
         return math.inf
     A = np.diag(np.exp(-2.0 * sd.eigenvalues * T))
     w = scipy.linalg.eigh(A, Q.matrix, eigvals_only=True)

@@ -29,14 +29,19 @@ from .control import (
     synth_control,
     verify_control,
 )
-from .covering import CoveringMap
 from .errors import ParseError, TargetUnreachable, ValidationError
 from .families import build_family, parity_subset
 from .graph import (
     MetricKind,
     WeightedGraph,
-    _list,
+    _fields,
+    _integer,
+    _names,
     _number,
+    _numbers,
+    _object,
+    _path,
+    _text,
     covering_radius,
     inradius,
     load_subset_json,
@@ -44,7 +49,7 @@ from .graph import (
     read_json,
     validate_assumptions,
 )
-from .spectral import apply_laplacian, eigendecompose
+from .spectral import apply_laplacian, eigendecompose, semigroup_apply
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -178,65 +183,51 @@ class Scenario:
     seed: int = 0
 
 
+# The nested objects are read through their own tables when the scenario runs.
+_SCENARIO_KEYS = {
+    "graph": (_object, None),
+    "task": (_text, None),
+    "subset": (_object, None),
+    "params": (_object, {}),
+    "seed": (_integer, 0),
+}
+
+
 def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ParseError("scenario must be a JSON object")
-    if "graph" not in data or "task" not in data:
+    fields = _fields(data, "scenario", _SCENARIO_KEYS)
+    if fields["graph"] is None or fields["task"] is None:
         raise ParseError("scenario needs 'graph' and 'task' fields")
-    task = str(data["task"])
-    if task not in _TASKS:
-        raise ValidationError(f"unknown task {task!r}; expected one of {tuple(_TASKS)}")
-    if not isinstance(data["graph"], dict) or "family" not in data["graph"]:
+    if "family" not in fields["graph"]:
         raise ParseError("scenario 'graph' needs a 'family' field")
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise ParseError("scenario 'params' must be an object")
-    subset = data.get("subset")
-    if subset is not None and not isinstance(subset, dict):
-        raise ParseError("scenario 'subset' must be an object")
-    seed = _number(data.get("seed", 0), "seed", integer=True)
-    return Scenario(
-        graph=data["graph"],
-        task=task,
-        subset=subset,
-        params=params,
-        seed=seed,
-    )
+    if fields["task"] not in _TASKS:
+        raise ValidationError(f"unknown task {fields['task']!r}; expected one of {tuple(_TASKS)}")
+    return Scenario(**fields)
 
 
 def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(read_json(path))
 
 
-def _resolve_subset(
-    g: WeightedGraph, spec: dict | None
-) -> tuple[str, ...] | None:
-    if spec is None:
-        return None
-    if "ids" in spec:
-        return tuple(str(v) for v in _list(spec["ids"], "subset.ids"))
-    if "parity" in spec:
-        return parity_subset(g, str(spec["parity"]))
-    if "file" in spec:
-        return load_subset_json(spec["file"])
-    raise ValidationError("subset spec needs 'ids', 'parity', or 'file'")
+_SUBSET_KEYS = {"ids": (_names, None), "parity": (_text, None), "file": (_path, None)}
 
 
-def _require_subset(g: WeightedGraph, spec: dict | None) -> tuple[str, ...]:
-    subset = _resolve_subset(g, spec)
-    if subset is None:
-        raise ValidationError("this task needs a 'subset' entry")
-    return subset
+def _resolve_subset(g: WeightedGraph, spec: dict) -> tuple[str, ...]:
+    ((kind, value),) = _fields(spec, "subset", _SUBSET_KEYS, one_of=True).items()
+    if kind == "parity":
+        return parity_subset(g, value)
+    if kind == "file":
+        return load_subset_json(value)
+    return tuple(value)
 
 
-def _parse_r(value) -> float:
+def _parse_r(value, name: str) -> float:
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise ValidationError(f"bad norm index {value!r}")
     if isinstance(value, float) and value == math.inf:
         return math.inf
-    r = _number(value, "r")
+    r = _number(value, name)
     if not r >= 1.0:
         raise ValidationError(f"norm index must lie in [1, inf], got {r}")
     return r
@@ -250,46 +241,34 @@ def _conjugate(r: float) -> float:
     return r / (r - 1.0)
 
 
-def _resolve_f0(sd, spec, default_seed: int) -> np.ndarray:
-    n = sd.n
-    if spec is None:
-        spec = {"random": default_seed}
-    if not isinstance(spec, dict):
-        raise ParseError(f"f0 spec must be an object, got {spec!r}")
-    if "random" in spec:
-        rng = np.random.default_rng(_number(spec["random"], "f0.random", integer=True))
-        f0 = rng.standard_normal(n)
+_F0_KEYS = {"random": (_integer, None), "delta": (_text, None), "values": (_numbers, None)}
+
+
+def _resolve_f0(sd, spec: dict | None, default_seed: int) -> np.ndarray:
+    spec = {"random": default_seed} if spec is None else spec
+    ((kind, value),) = _fields(spec, "params.f0", _F0_KEYS, one_of=True).items()
+    if kind == "random":
+        f0 = np.random.default_rng(value).standard_normal(sd.n)
         return f0 / sd.norm(f0)
-    if "delta" in spec:
-        i = sd.graph.index_of(str(spec["delta"]))
-        f0 = np.zeros(n)
+    if kind == "delta":
+        i = sd.graph.index_of(value)
+        f0 = np.zeros(sd.n)
         f0[i] = 1.0 / math.sqrt(sd.graph.m[i])
         return f0
-    if "values" in spec:
-        f0 = np.asarray([_number(v, "f0.values") for v in _list(spec["values"], "f0.values")])
-        if f0.shape[0] != n:
-            raise ValidationError("f0 'values' length does not match the graph")
-        return f0
-    raise ValidationError("f0 spec needs 'random', 'delta', or 'values'")
+    if len(value) != sd.n:
+        raise ValidationError("f0 'values' length does not match the graph")
+    return np.asarray(value)
 
 
 # ---------------------------------------------------------------------------
 # tasks
 
 
-def _graph_summary(g: WeightedGraph, cover: CoveringMap | None) -> dict:
-    info = {"n": g.n, "total_mass": float(g.m.sum())}
-    if cover is not None:
-        info["cover_of"] = cover.base.n
-    return info
-
-
-def _task_validate(g, cover, subset, params, seed) -> TaskReport:
+def _task_validate(g, D, seed) -> TaskReport:
     rep = validate_assumptions(g)
     report = TaskReport(
         "validate",
         {
-            "graph": _graph_summary(g, cover),
             "connected": rep.connected,
             "d_max": rep.d_max,
             "sup_m": rep.sup_m,
@@ -301,7 +280,7 @@ def _task_validate(g, cover, subset, params, seed) -> TaskReport:
     return report
 
 
-def _task_spectrum(g, cover, subset, params, seed) -> TaskReport:
+def _task_spectrum(g, D, seed) -> TaskReport:
     sd = eigendecompose(g)
     lam = sd.eigenvalues
     tol = 1e-10 * (float(lam[-1]) + 1.0)
@@ -314,7 +293,6 @@ def _task_spectrum(g, cover, subset, params, seed) -> TaskReport:
     report = TaskReport(
         "spectrum",
         {
-            "graph": _graph_summary(g, cover),
             "eigenvalue_min": float(lam[0]),
             "eigenvalue_max": float(lam[-1]),
             "max_residual": residual,
@@ -327,8 +305,7 @@ def _task_spectrum(g, cover, subset, params, seed) -> TaskReport:
     return report
 
 
-def _task_up_sweep(g, cover, subset, params, seed) -> TaskReport:
-    D = _require_subset(g, subset)
+def _task_up_sweep(g, D, seed) -> TaskReport:
     sd = eigendecompose(g)
     rows = obs.up_sweep(g, sd, D)
     table = []
@@ -354,7 +331,6 @@ def _task_up_sweep(g, cover, subset, params, seed) -> TaskReport:
     report = TaskReport(
         "up-sweep",
         {
-            "graph": _graph_summary(g, cover),
             "D": list(D),
             "threshold": rows[0].threshold,
             "inradius_length": rows[0].inradius,
@@ -375,13 +351,8 @@ def _task_up_sweep(g, cover, subset, params, seed) -> TaskReport:
     return report
 
 
-def _task_weak_obs(g, cover, subset, params, seed) -> TaskReport:
-    D = _require_subset(g, subset)
+def _task_weak_obs(g, D, seed, *, T, delta, r, samples) -> TaskReport:
     sd = eigendecompose(g)
-    T = _number(params.get("T", 1.0), "T")
-    delta = _number(params.get("delta", 0.0), "delta")
-    r = _parse_r(params.get("r", 2))
-    samples = _number(params.get("samples", 1000), "samples", integer=True)
     const = obs.weak_obs_constants(g, sd, D, T, delta, r)
     ver = obs.verify_weak_obs(sd, D, const, samples=samples, seed=seed)
     tol = 1e-9 * (const.K + const.alpha + 1.0)
@@ -391,7 +362,6 @@ def _task_weak_obs(g, cover, subset, params, seed) -> TaskReport:
     report = TaskReport(
         "weak-obs",
         {
-            "graph": _graph_summary(g, cover),
             "D": list(D),
             "T": T,
             "delta": delta,
@@ -410,7 +380,6 @@ def _task_weak_obs(g, cover, subset, params, seed) -> TaskReport:
             "worst_input": ver.worst_label,
             "n_inputs": ver.n_inputs,
             "samples": samples,
-            "seed": seed,
         },
     )
     report.check(
@@ -419,17 +388,14 @@ def _task_weak_obs(g, cover, subset, params, seed) -> TaskReport:
     return report
 
 
-def _task_control(g, cover, subset, params, seed) -> TaskReport:
-    D = _require_subset(g, subset)
+def _task_control(g, D, seed, *, T, delta, r, f0, alpha_target) -> TaskReport:
     sd = eigendecompose(g)
-    T = _number(params.get("T", 1.0), "T")
-    delta = _number(params.get("delta", 0.5), "delta")
-    r_obs = _parse_r(params.get("r", 2))
-    r_ctl = _conjugate(r_obs)
-    f0 = _resolve_f0(sd, params.get("f0"), seed)
-    const = obs.weak_obs_constants(g, sd, D, T, delta, r_obs)
-    alpha_target = _number(params.get("alpha_target", const.alpha), "alpha_target")
-    from_duality = "alpha_target" not in params
+    r_ctl = _conjugate(r)
+    f0 = _resolve_f0(sd, f0, seed)
+    const = obs.weak_obs_constants(g, sd, D, T, delta, r)
+    from_duality = alpha_target is None
+    if from_duality:
+        alpha_target = const.alpha
 
     signal, res = synth_control(
         sd, D, T, f0, alpha_target,
@@ -448,11 +414,10 @@ def _task_control(g, cover, subset, params, seed) -> TaskReport:
     report = TaskReport(
         "control",
         {
-            "graph": _graph_summary(g, cover),
             "D": list(D),
             "T": T,
             "delta": delta,
-            "r_observability": r_obs,
+            "r_observability": r,
             "r_control": r_ctl,
             "alpha_target": alpha_target,
             "achieved_alpha": res.achieved_alpha,
@@ -461,7 +426,6 @@ def _task_control(g, cover, subset, params, seed) -> TaskReport:
             "cost_r_control": res.costs[r_ctl],
             "duality_K": const.K if from_duality else math.nan,
             "resimulation_rel_error": resim_err,
-            "seed": seed,
         },
         tables={
             "signal": (
@@ -485,24 +449,19 @@ def _task_control(g, cover, subset, params, seed) -> TaskReport:
     return report
 
 
-def _task_non_null(g, cover, subset, params, seed) -> TaskReport:
-    D = _require_subset(g, subset)
+def _task_non_null(g, D, seed, *, T, n_random) -> TaskReport:
     sd = eigendecompose(g)
-    T = _number(params.get("T", 1.0), "T")
-    n_random = _number(params.get("n_random", 50), "n_random", integer=True)
     obstructions = hautus_obstruction(sd, D)
     c_exact = obs.exact_obs_constant(sd, D, T)
     report = TaskReport(
         "non-null",
         {
-            "graph": _graph_summary(g, cover),
             "D": list(D),
             "T": T,
             "obstruction_eigenvalues": [lam for lam, _ in obstructions],
             "obstruction_dimensions": [int(b.shape[1]) for _, b in obstructions],
             "exact_obs_constant": c_exact,
             "n_random": n_random,
-            "seed": seed,
         },
     )
     report.check("obstruction_found", bool(obstructions))
@@ -547,29 +506,24 @@ def _task_non_null(g, cover, subset, params, seed) -> TaskReport:
     return report
 
 
-def _task_necessity(g, cover, subset, params, seed) -> TaskReport:
-    D = _require_subset(g, subset)
+def _task_necessity(g, D, seed, *, x, t_grid, n_max) -> TaskReport:
     sd = eigendecompose(g)
-    xs = [str(v) for v in _list(params.get("x", []), "x")]
-    if not xs:
+    if not x:
         raise ValidationError("necessity task needs a nonempty 'x' list")
-    t_grid = params.get("t_grid", [0.1, 1.0, 5.0, 10.0])
-    t_grid = [_number(t, "t_grid") for t in _list(t_grid, "t_grid")]
-    n_max = _number(params.get("n_max", 10), "n_max", integer=True)
     far = sto.far_vertex_sequence(g, D, n_max)
     rows = []
     all_pass = True
     worst_lower = math.inf
     worst_upper = math.inf
-    for x in xs:
-        rep = sto.necessity_bounds_check(sd, g, D, x, t_grid)
+    for vertex in x:
+        rep = sto.necessity_bounds_check(sd, g, D, vertex, t_grid)
         all_pass = all_pass and rep.passed
         for row in rep.rows:
             worst_lower = min(worst_lower, row.lower_margin)
             worst_upper = min(worst_upper, row.upper_margin)
             rows.append(
                 [
-                    x,
+                    vertex,
                     rep.n_comb,
                     row.t,
                     row.full_norm,
@@ -583,9 +537,8 @@ def _task_necessity(g, cover, subset, params, seed) -> TaskReport:
     report = TaskReport(
         "necessity",
         {
-            "graph": _graph_summary(g, cover),
             "D": list(D),
-            "x": xs,
+            "x": x,
             "t_grid": t_grid,
             "max_distance": far.max_distance,
             "far_sequence_stopped_at": far.stopped_at,
@@ -613,14 +566,10 @@ def _task_necessity(g, cover, subset, params, seed) -> TaskReport:
     return report
 
 
-def _task_stabilize(g, cover, subset, params, seed) -> TaskReport:
-    D = _require_subset(g, subset)
+def _task_stabilize(g, D, seed, *, T, alpha, N, f0) -> TaskReport:
     sd = eigendecompose(g)
-    T = _number(params.get("T", 1.0), "T")
-    alpha = _number(params.get("alpha", 0.5), "alpha")
-    periods = _number(params.get("N", 10), "N", integer=True)
-    f0 = _resolve_f0(sd, params.get("f0"), seed)
-    rep = stabilize(sd, D, T, alpha, periods, f0)
+    f0 = _resolve_f0(sd, f0, seed)
+    rep = stabilize(sd, D, T, alpha, N, f0)
     norm0 = rep.period_norms[0]
     rows = []
     envelope_ok = True
@@ -631,15 +580,13 @@ def _task_stabilize(g, cover, subset, params, seed) -> TaskReport:
     report = TaskReport(
         "stabilize",
         {
-            "graph": _graph_summary(g, cover),
             "D": list(D),
             "T": T,
             "alpha": alpha,
-            "periods": periods,
+            "periods": N,
             "omega": rep.omega,
             "M": rep.M,
             "total_costs": {str(k): v for k, v in rep.total_costs.items()},
-            "seed": seed,
         },
         tables={"norms": (["period", "norm", "envelope"], rows)},
     )
@@ -652,23 +599,22 @@ def _task_stabilize(g, cover, subset, params, seed) -> TaskReport:
     return report
 
 
-def _task_stochastic(g, cover, subset, params, seed) -> TaskReport:
+def _task_stochastic(
+    g, D, seed, *, x, t, n_samples, repeats, f, first_jump_samples, sample_paths
+) -> TaskReport:
     sd = eigendecompose(g)
-    x = str(params.get("x", g.vertex_ids[0]))
-    t = _number(params.get("t", 1.0), "t")
-    n_samples = _number(params.get("n_samples", 20000), "n_samples", integer=True)
-    repeats = _number(params.get("repeats", 1), "repeats", integer=True)
-    f_spec = params.get("f")
-    if f_spec is None:
-        f = np.zeros(g.n)
-        f[g.index_of(x)] = 1.0
-    else:
-        f = np.asarray([_number(v, "f") for v in _list(f_spec, "f")])
+    if x is None:
+        x = g.vertex_ids[0]
     x_idx = g.index_of(x)
+    if f is None:
+        f = np.zeros(g.n)
+        f[x_idx] = 1.0
+    else:
+        if len(f) != g.n:
+            raise ValidationError("f length does not match the graph")
+        f = np.asarray(f)
     # S_0 = I: at t = 0 the round trip through the eigenbasis would only add rounding
-    exact = float(f[x_idx]) if t == 0 else float(
-        (sd.eigenvectors @ (np.exp(-sd.eigenvalues * t) * sd.coefficients(f)))[x_idx].real
-    )
+    exact = float(f[x_idx]) if t == 0 else float(semigroup_apply(sd, t, f)[x_idx])
     rows = []
     hits = 0
     for rep_i in range(repeats):
@@ -680,14 +626,12 @@ def _task_stochastic(g, cover, subset, params, seed) -> TaskReport:
     report = TaskReport(
         "stochastic",
         {
-            "graph": _graph_summary(g, cover),
             "x": x,
             "t": t,
             "n_samples": n_samples,
             "repeats": repeats,
             "exact_value": exact,
             "within_4_stderr": hits,
-            "seed": seed,
         },
         tables={
             "estimates": (
@@ -702,13 +646,12 @@ def _task_stochastic(g, cover, subset, params, seed) -> TaskReport:
         f"{hits}/{repeats}",
     )
 
-    jump_samples = _number(params.get("first_jump_samples", 0), "first_jump_samples", integer=True)
-    if jump_samples > 0:
+    if first_jump_samples > 0:
         counts: dict[str, int] = {}
         jumped = 0
         deg = float(g.degrees()[x_idx])
         horizon = 20.0 / deg if deg > 0.0 else 0.0  # P(no jump by the horizon) = e^-20
-        for path in sto.sample_ctmc_paths(g, x, horizon, seed, range(jump_samples)):
+        for path in sto.sample_ctmc_paths(g, x, horizon, seed, range(first_jump_samples)):
             if path.jump_count() >= 1:
                 jumped += 1
                 counts[path.states[1]] = counts.get(path.states[1], 0) + 1
@@ -728,34 +671,45 @@ def _task_stochastic(g, cover, subset, params, seed) -> TaskReport:
             ["target", "p_true", "p_hat", "stderr", "within_4_stderr"],
             law_rows,
         )
-        report.summary["first_jump_samples"] = jump_samples
+        report.summary["first_jump_samples"] = first_jump_samples
         report.check("first_jump_law", law_ok)
 
-    n_paths = _number(params.get("sample_paths", 0), "sample_paths", integer=True)
-    if n_paths > 0:
+    if sample_paths > 0:
         path_table = []
-        for i, p in enumerate(sto.sample_ctmc_paths(g, x, t, seed, range(n_paths))):
+        for i, p in enumerate(sto.sample_ctmc_paths(g, x, t, seed, range(sample_paths))):
             for k, (jt, state) in enumerate(sto.path_rows(p)):
                 path_table.append([i, k, jt, state])
         report.tables["paths"] = (["path_index", "k", "J_k", "Y_k"], path_table)
     return report
 
 
-# Each task's runner and the parameters it reads; any other key is
-# rejected, so a misspelt option cannot silently run with its default.
+# Tasks that run without a subset D; every other task needs one.
+_SUBSET_FREE = ("validate", "spectrum", "stochastic")
+_T, _R, _F0 = (_number, 1.0), (_parse_r, 2.0), (_object, None)
+# Each task's runner and the key table of its 'params'; the runner takes the
+# parsed values as keyword arguments.
 _TASKS = {
-    "validate": (_task_validate, ()),
-    "spectrum": (_task_spectrum, ()),
-    "up-sweep": (_task_up_sweep, ()),
-    "weak-obs": (_task_weak_obs, ("T", "delta", "r", "samples")),
-    "control": (_task_control, ("T", "delta", "r", "f0", "alpha_target")),
-    "non-null": (_task_non_null, ("T", "n_random")),
-    "necessity": (_task_necessity, ("x", "t_grid", "n_max")),
-    "stabilize": (_task_stabilize, ("T", "alpha", "N", "f0")),
-    "stochastic": (
-        _task_stochastic,
-        ("x", "t", "n_samples", "repeats", "f", "first_jump_samples", "sample_paths"),
-    ),
+    "validate": (_task_validate, {}),
+    "spectrum": (_task_spectrum, {}),
+    "up-sweep": (_task_up_sweep, {}),
+    "weak-obs": (_task_weak_obs, {
+        "T": _T, "delta": (_number, 0.0), "r": _R, "samples": (_integer, 1000),
+    }),
+    "control": (_task_control, {
+        "T": _T, "delta": (_number, 0.5), "r": _R, "f0": _F0, "alpha_target": (_number, None),
+    }),
+    "non-null": (_task_non_null, {"T": _T, "n_random": (_integer, 50)}),
+    "necessity": (_task_necessity, {
+        "x": (_names, ()), "t_grid": (_numbers, (0.1, 1.0, 5.0, 10.0)), "n_max": (_integer, 10),
+    }),
+    "stabilize": (_task_stabilize, {
+        "T": _T, "alpha": (_number, 0.5), "N": (_integer, 10), "f0": _F0,
+    }),
+    "stochastic": (_task_stochastic, {
+        "x": (_text, None), "t": (_number, 1.0), "n_samples": (_integer, 20000),
+        "repeats": (_integer, 1), "f": (_numbers, None),
+        "first_jump_samples": (_integer, 0), "sample_paths": (_integer, 0),
+    }),
 }
 
 
@@ -777,18 +731,19 @@ def run_scenario(
     asserted inequality held."""
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(scenario)
-    seed = scenario.seed if seed_override is None else int(seed_override)
-    if seed < 0:
-        raise ParseError(f"seed must be nonnegative, got {seed}")
-    runner, accepted = _TASKS[scenario.task]
-    unknown = sorted(set(scenario.params) - set(accepted))
-    if unknown:
-        raise ParseError(f"task {scenario.task!r} takes only {list(accepted)}, not {unknown}")
+    seed = scenario.seed if seed_override is None else _integer(seed_override, "seed")
+    runner, keys = _TASKS[scenario.task]
+    params = _fields(scenario.params, "params", keys)
     family = build_family(str(scenario.graph["family"]), scenario.graph)
-    report = runner(
-        family.graph, family.covering, scenario.subset, scenario.params, seed
-    )
-    report.summary.setdefault("seed", seed)
+    g = family.graph
+    D = None if scenario.subset is None else _resolve_subset(g, scenario.subset)
+    if D is None and scenario.task not in _SUBSET_FREE:
+        raise ValidationError("this task needs a 'subset' entry")
+    report = runner(g, D, seed, **params)
+    graph = {"n": g.n, "total_mass": float(g.m.sum())}
+    if family.covering is not None:
+        graph["cover_of"] = family.covering.base.n
+    report.summary.update(graph=graph, seed=seed)
     files = emit_report(report, out_dir)
     if verbose:
         for a in report.assertions:

@@ -6,8 +6,14 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphheat.control import hautus_obstruction
-from graphheat.errors import EmptySubset, FullSubset, NotRelativelyDense, ValidationError
+from graphheat.control import hautus_obstruction, synth_control
+from graphheat.errors import (
+    EmptySubset,
+    FullSubset,
+    NotRelativelyDense,
+    TargetUnreachable,
+    ValidationError,
+)
 from graphheat.graph import build_graph
 from graphheat.observability import (
     _phi_batch,
@@ -328,6 +334,25 @@ def test_exact_obs_iff_hautus_cross_module():
         assert hautus_obstruction(sd, D)
 
 
+@pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-5, 1e-4, 3e-4, 1e-3])
+def test_exact_obs_infinite_iff_null_control_refused(eps):
+    """C4 with D = {0, 2}, T = 1 and b(0, 1) = 1 + eps: the exact constant is
+    infinite exactly when synth_control refuses alpha = 0, one rank decision
+    for both, including eps = 1e-4 where the Gramian's mu_min / mu_max is
+    about 5e-11."""
+    g = build_graph(
+        [(str(i), 1.0) for i in range(4)],
+        [("0", "1", 1.0 + eps), ("1", "2", 1.0), ("2", "3", 1.0), ("3", "0", 1.0)],
+    )
+    sd = eigendecompose(g)
+    try:
+        synth_control(sd, ["0", "2"], 1.0, np.ones(4), 0.0)
+        refused = False
+    except TargetUnreachable:
+        refused = True
+    assert math.isinf(exact_obs_constant(sd, ["0", "2"], 1.0)) == refused
+
+
 # ---------------------------------------------------------------------------
 # randomized UP corpus (small-scale smoke; the full corpus runs in acceptance)
 
@@ -346,6 +371,26 @@ def test_up_bounds_random_graphs():
                 assert rep.sharp_constant <= rep.paper_bound * (1 + 1e-9)
             if rep.remark_applicable and math.isfinite(rep.sharp_constant):
                 assert rep.sharp_constant <= rep.remark_bound * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("n", [8, 100])
+def test_up_sweep_eigenvalue_row_equals_midpoint_row(n):
+    """On an even cycle with even D most eigenvalues are double; the row at
+    an eigenvalue and the midpoint row after it project onto the same whole
+    eigenspaces, so their sharp constants agree, and equal the constant of
+    the window closed at the group's largest eigenvalue."""
+    g = cycle(n)
+    sd = eigendecompose(g)
+    D = [v for v in g.vertex_ids if int(v) % 2 == 0]
+    rows = up_sweep(g, sd, D)
+    groups = sd.eigenvalue_groups()
+    assert len(rows) == 2 * len(groups) - 1
+    assert any(len(idx) > 1 for _, idx in groups)
+    for k, (_, idx) in enumerate(groups):
+        top = float(sd.eigenvalues[idx[-1]])
+        assert rows[2 * k].sharp_constant == up_sharp_constant(sd, D, EnergyInterval(hi=top))
+        if k + 1 < len(groups):
+            assert rows[2 * k + 1].sharp_constant == rows[2 * k].sharp_constant
 
 
 def test_constants_identities_random_graph():

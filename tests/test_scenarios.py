@@ -16,7 +16,7 @@ from graphheat import stochastic as sto
 from graphheat.cli import main as cli_main
 from graphheat.errors import InvalidParams, ParseError
 from graphheat.families import build_family, parity_subset
-from graphheat.graph import validate_assumptions
+from graphheat.graph import graph_to_json, validate_assumptions
 from graphheat.scenarios import (
     Scenario,
     dumps_deterministic,
@@ -57,8 +57,6 @@ def test_family_cyclic_cover():
 
 
 def test_family_file(tmp_path, c4):
-    from graphheat.graph import graph_to_json
-
     p = tmp_path / "g.json"
     p.write_text(json.dumps(graph_to_json(c4)))
     g = build_family("file", {"path": str(p)}).graph
@@ -72,6 +70,21 @@ def test_family_invalid_params():
         build_family("torus", {"p": 2, "q": 5})
     with pytest.raises(InvalidParams):
         build_family("nope", {})
+
+
+def test_family_spec_keys():
+    """A spec may repeat its own family name; any key the family does not
+    take is refused, in the cover's base spec too."""
+    assert build_family("cycle", {"family": "cycle", "n": 4, "m": 2.0}).graph.m.sum() == 8.0
+    for name, spec in [
+        ("cycle", {"n": 4, "mm": 2.0}),
+        ("torus", {"p": 3, "q": 3, "n": 9}),
+        ("cyclic-cover", {"base": {"family": "cycle", "n": 4}, "k": 2, "m": 5.0}),
+        ("cyclic-cover", {"base": {"family": "cycle", "n": 4, "k": 2}, "k": 2}),
+        ("file", {"path": "g.json", "b": 2.0}),
+    ]:
+        with pytest.raises(ParseError):
+            build_family(name, spec)
 
 
 def test_parity_subsets(c4):
@@ -339,6 +352,8 @@ def test_cli_malformed_scenario_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{{{{")
     cycle4 = {"family": "cycle", "n": 4}
+    graph_file = tmp_path / "c4.json"
+    graph_file.write_text(json.dumps(graph_to_json(build_family("cycle", cycle4).graph)))
     scenarios = [
         bad,
         tmp_path / "missing.json",
@@ -387,6 +402,9 @@ def test_cli_malformed_scenario_exit_2(tmp_path, capsys):
         }),
         write_scenario(tmp_path, "scalar_f.json", {
             "graph": cycle4, "task": "stochastic", "params": {"f": 2},
+        }),
+        write_scenario(tmp_path, "short_f.json", {
+            "graph": cycle4, "task": "stochastic", "params": {"f": [1.0, 0.0]},
         }),
         write_scenario(tmp_path, "infinite_t.json", {
             "graph": cycle4, "task": "stochastic", "params": {"t": math.inf},
@@ -444,6 +462,34 @@ def test_cli_malformed_scenario_exit_2(tmp_path, capsys):
         write_scenario(tmp_path, "non_numeric_b.json", {
             "graph": {"family": "cycle", "n": 4, "b": [1.0]}, "task": "validate",
         }),
+        write_scenario(tmp_path, "unknown_top_level_key.json", {
+            "graph": cycle4, "task": "validate", "sede": 3,
+        }),
+        write_scenario(tmp_path, "unknown_graph_key.json", {
+            "graph": {"family": "cycle", "n": 8, "mm": 2.0}, "task": "validate",
+        }),
+        write_scenario(tmp_path, "unknown_base_key.json", {
+            "graph": {"family": "cyclic-cover", "base": {"family": "cycle", "n": 4, "mm": 2.0},
+                      "k": 2},
+            "task": "validate",
+        }),
+        write_scenario(tmp_path, "m_on_cyclic_cover.json", {
+            "graph": {"family": "cyclic-cover", "base": cycle4, "k": 2, "m": 5.0},
+            "task": "validate",
+        }),
+        write_scenario(tmp_path, "m_on_file.json", {
+            "graph": {"family": "file", "path": str(graph_file), "m": 5.0}, "task": "validate",
+        }),
+        write_scenario(tmp_path, "unknown_subset_key.json", {
+            "graph": cycle4, "subset": {"parity": "even", "idz": ["1"]}, "task": "weak-obs",
+        }),
+        write_scenario(tmp_path, "two_subset_alternatives.json", {
+            "graph": cycle4, "subset": {"parity": "even", "ids": ["1"]}, "task": "weak-obs",
+        }),
+        write_scenario(tmp_path, "two_f0_alternatives.json", {
+            "graph": cycle4, "subset": {"ids": ["0"]}, "task": "control",
+            "params": {"f0": {"random": 3, "delta": "0"}},
+        }),
     ]
     weak_obs = write_scenario(tmp_path, "weak_obs.json", {
         "graph": cycle4, "subset": {"ids": ["0"]}, "task": "weak-obs",
@@ -490,9 +536,9 @@ _FUZZ_PARAMS = {
     },
 }
 _FUZZ_KEYS = {
-    "scenario": ["graph", "task", "subset", "params", "seed"],
-    "graph": ["family", "n", "m", "b"],
-    "subset": ["ids", "parity", "file"],
+    "scenario": ["graph", "task", "subset", "params", "seed", "unknown"],
+    "graph": ["family", "n", "m", "b", "unknown"],
+    "subset": ["ids", "parity", "file", "unknown"],
 }
 # Wrong types, non-finite and edge numbers.  Magnitudes stay within
 # [1e-3, 3], so a mutated size, time, mass or weight cannot make a long job
