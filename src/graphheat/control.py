@@ -32,7 +32,6 @@ from .errors import (
 from .quadrature import adaptive_simpson
 from .spectral import SpectralDecomposition, _gramian_kernel, time_lr_norm
 
-_EXPORT_GRID_POINTS = 512
 _INTRA_SAMPLES = 65
 _NULL_CLAMP_REL = 1e-13
 _NONSINGULAR_REL = 1e-10
@@ -91,17 +90,18 @@ def gramian(sd: SpectralDecomposition, D: Sequence[str], T: float) -> Gramian:
 
 @dataclass(frozen=True, eq=False)
 class ControlSignal:
-    """A control supported on D, as closed form and/or a sampled grid.
+    """A control supported on D: either a sampled grid or a closed form.
 
-    ``values[k]`` holds the function values of u(times[k]) on the vertices
-    of D (in the order of ``D``).  When ``eta`` is set the signal is the
-    closed form u(tau) = 1_D^* S_{T-tau} eta and the grid reproduces it.
+    A grid signal holds ``times`` and ``values``: ``values[k]`` holds the
+    function values of u(times[k]) on the vertices of D (in the order of
+    ``D``), and u is linear between the knots.  A closed-form signal holds
+    only ``eta``: u(tau) = 1_D^* S_{T-tau} eta.
     """
 
     D: tuple[str, ...]
     T: float
-    times: np.ndarray
-    values: np.ndarray
+    times: np.ndarray | None = None
+    values: np.ndarray | None = None
     eta: np.ndarray | None = None
 
     @property
@@ -134,17 +134,6 @@ class ControlResult:
     costs: dict[float, float] = field(default_factory=dict)
     nu: float | None = None
     energy: float | None = None
-    duality_K: float | None = None
-
-
-def _closed_form_signal(
-    sd: SpectralDecomposition, D: Sequence[str], T: float, eta_coefs: np.ndarray
-) -> ControlSignal:
-    d_idx = sd.graph.subset_indices(D)
-    times = np.linspace(0.0, T, _EXPORT_GRID_POINTS)
-    E = np.exp(-np.outer(sd.eigenvalues, T - times))
-    values = (sd.eigenvectors[d_idx, :] @ (E * eta_coefs[:, None])).T
-    return ControlSignal(tuple(D), float(T), times, values, sd.synthesize(eta_coefs))
 
 
 def _signal_costs(
@@ -171,7 +160,6 @@ def synth_control(
     alpha_target: float,
     *,
     gram: Gramian | None = None,
-    duality_K: float | None = None,
     cost_exponents: Sequence[float] = COST_EXPONENTS,
 ) -> tuple[ControlSignal, ControlResult]:
     """Minimal-energy control driving ||f(T)|| to min(alpha ||f0||, ||S_T f0||).
@@ -245,17 +233,14 @@ def synth_control(
         fT_hat = P @ scale
 
     eta_vertex = sd.synthesize(eta_hat)
-    signal = _closed_form_signal(sd, D, T, eta_hat)
-    energy = float(np.sum(mu * (P.T @ eta_hat) ** 2))
     result = ControlResult(
         final_state=sd.synthesize(fT_hat),
         achieved_alpha=float(np.linalg.norm(fT_hat)) / norm_f0,
         costs=_signal_costs(sd, D, T, eta_vertex, cost_exponents),
         nu=nu,
-        energy=energy,
-        duality_K=duality_K,
+        energy=float(np.sum(mu * (P.T @ eta_hat) ** 2)),
     )
-    return signal, result
+    return ControlSignal(tuple(D), float(T), eta=eta_vertex), result
 
 
 def controlled_trajectory(
@@ -301,8 +286,8 @@ def verify_control(
 
     The time integral over [0, T] is one adaptive Simpson call whose
     integrand reads the control through ``ControlSignal.values_at``.  A
-    grid signal needs one value row per knot and knots increasing strictly
-    from 0 to T.
+    signal needs ``eta`` or a grid; a grid needs one value row per knot
+    and knots increasing strictly from 0 to T.
     """
     if u.T != float(T):
         raise ValidationError("signal horizon does not match T")
@@ -310,15 +295,19 @@ def verify_control(
         raise ValidationError("signal is supported on another set than D")
     knots = u.times
     if not u.closed_form and not (
-        u.values.shape == (len(knots), len(u.D))
+        knots is not None
+        and u.values is not None
+        and u.values.shape == (len(knots), len(u.D))
         and len(knots) >= 2
         and knots[0] == 0.0
         and knots[-1] == u.T
         and np.all(np.diff(knots) > 0.0)
     ):
-        raise ValidationError("grid signal needs a value row per knot, knots rising from 0 to T")
+        raise ValidationError(
+            "a signal needs eta, or a value row per knot with knots rising from 0 to T"
+        )
     f0 = _real(f0, "initial state")
-    _real(u.values, "control values")
+    _real(u.eta if u.closed_form else u.values, "control values")
     d_idx = sd.graph.subset_indices(D)
     mD = sd.graph.m[d_idx]
     VD = sd.eigenvectors[d_idx, :]
@@ -388,7 +377,6 @@ class StabilizationReport:
     period_norms: list[float]
     omega: float
     M: float
-    period_results: list[ControlResult]
     total_costs: dict[float, float]
     final_state: np.ndarray
 
@@ -415,20 +403,12 @@ def stabilize(
         raise ValidationError("need at least one period")
     f = _real(f0, "initial state")
     norms = [sd.norm(f)]
-    results: list[ControlResult] = []
+    costs: list[dict[float, float]] = []
     gram_cache = gramian(sd, D, T)
     intra_ratio = 1.0
     for _ in range(num_periods):
         if norms[-1] == 0.0:
-            results.append(
-                ControlResult(
-                    final_state=np.zeros(sd.n),
-                    achieved_alpha=0.0,
-                    costs={r: 0.0 for r in COST_EXPONENTS},
-                    nu=0.0,
-                    energy=0.0,
-                )
-            )
+            costs.append(dict.fromkeys(COST_EXPONENTS, 0.0))
             norms.append(0.0)
             f = np.zeros(sd.n)
             continue
@@ -437,12 +417,12 @@ def stabilize(
         peak = max(sd.norm(row) for row in traj)
         intra_ratio = max(intra_ratio, peak / norms[-1])
         f = res.final_state
-        results.append(res)
+        costs.append(res.costs)
         norms.append(sd.norm(f))
     omega = math.log(alpha) / T
     total: dict[float, float] = {}
     for r in COST_EXPONENTS:
-        parts = [res.costs[r] for res in results]
+        parts = [c[r] for c in costs]
         if math.isinf(r):
             total[r] = max(parts)
         else:
@@ -451,7 +431,6 @@ def stabilize(
         period_norms=norms,
         omega=omega,
         M=intra_ratio / alpha,
-        period_results=results,
         total_costs=total,
         final_state=f,
     )

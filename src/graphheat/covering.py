@@ -22,7 +22,7 @@ from .errors import (
     NotACycle,
     UnknownVertex,
 )
-from .graph import WeightedGraph, build_graph, validate_assumptions
+from .graph import WeightedGraph, _boundary_weight, build_graph, validate_assumptions
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,12 +161,6 @@ def lemma_sets(
     if len(Y) == 0:
         raise EmptySubset("lemma_sets needs a nonempty subset of the cover")
     Z = ball_around_set(c.cover, Y, d)
-    zidx = set(int(i) for i in c.cover.subset_indices(Z))
-    boundary = Fraction(0)
-    for i in zidx:
-        for j in c.cover.neighbors(i):
-            if int(j) not in zidx:
-                boundary += Fraction(c.cover.weights[i, j])
     fiber = set(c.fiber(x1))
     meet = [v for v in Z if v in fiber]
     if not meet:
@@ -174,4 +168,4 @@ def lemma_sets(
     mass = sum(
         (Fraction(c.cover.m[c.cover.index_of(v)]) for v in meet), Fraction(0)
     )
-    return Z, boundary / mass
+    return Z, _boundary_weight(c.cover, Z) / mass

@@ -387,24 +387,25 @@ def max_ball_volume(g: WeightedGraph, kind: MetricKind, r) -> float:
 # Folner diagnostics
 
 
+def _boundary_weight(g: WeightedGraph, Y: Sequence[str]) -> Fraction:
+    """b(Y, Y^c), the total weight of the edges leaving Y, exactly."""
+    yidx = set(int(i) for i in g.subset_indices(Y))
+    return sum(
+        (Fraction(g.weights[i, j]) for i in yidx for j in g.neighbors(i) if int(j) not in yidx),
+        Fraction(0),
+    )
+
+
 def folner_ratio(g: WeightedGraph, Y: Sequence[str]) -> Fraction:
     """Boundary-to-volume ratio b(Y, Y^c) / m(Y), as an exact rational."""
     if len(Y) == 0:
         raise EmptySubset("Folner ratio needs a nonempty subset")
-    yidx = set(int(i) for i in g.subset_indices(Y))
-    boundary = Fraction(0)
-    for i in yidx:
-        for j in g.neighbors(i):
-            if int(j) not in yidx:
-                boundary += Fraction(g.weights[i, j])
-    mass = sum((Fraction(g.m[i]) for i in yidx), Fraction(0))
-    return boundary / mass
+    mass = sum((Fraction(g.m[i]) for i in g.subset_indices(Y)), Fraction(0))
+    return _boundary_weight(g, Y) / mass
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange
-
-_GRAPH_KEYS = {"vertices", "edges"}
 
 
 def graph_to_json(g: WeightedGraph) -> dict:
@@ -424,28 +425,22 @@ def graph_to_json(g: WeightedGraph) -> dict:
     }
 
 
-def graph_from_json(data: dict) -> WeightedGraph:
-    """Parse the JSON interchange form; NaN/inf, self-loops and duplicate
-    edges are rejected."""
-    if not isinstance(data, dict) or not _GRAPH_KEYS <= set(data):
-        raise ParseError("graph JSON needs 'vertices' and 'edges' lists")
+def _real(value, name: str) -> float:
+    """Any JSON number as a float, NaN and +-Infinity included; an integer
+    beyond the float range reads as +-inf.  Anything else (a boolean or a
+    string included) raises ``ParseError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{name!r} must be a number, got {value!r}")
     try:
-        vertices = [(str(v["id"]), float(v["m"])) for v in data["vertices"]]
-        edges = [(str(e["u"]), str(e["v"]), float(e["b"])) for e in data["edges"]]
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ParseError(f"malformed graph JSON: {exc}") from exc
-    return build_graph(vertices, edges)
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _number(value, name: str) -> float:
     """A numeric scenario or family parameter: any finite JSON number;
     anything else (NaN and +-Infinity included) raises ``ParseError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{name!r} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
+    number = _real(value, name)
     if not math.isfinite(number):
         raise ParseError(f"{name!r} must be a finite number, got {value!r}")
     return number
@@ -511,6 +506,34 @@ def _fields(value, name: str, table: dict, *, one_of: bool = False) -> dict:
         for key, (parse, default) in table.items()
         if key in value or not one_of
     }
+
+
+# Every key of these tables is required.
+_GRAPH_KEYS = {"vertices": (_list, None), "edges": (_list, None)}
+_VERTEX_KEYS = {"id": (_text, None), "m": (_real, None)}
+_EDGE_KEYS = {"u": (_text, None), "v": (_text, None), "b": (_real, None)}
+
+
+def _record(value, name: str, table: dict) -> tuple:
+    """The values of a graph JSON object in ``table`` order, read through
+    ``_fields``; a missing key raises ``ParseError``."""
+    fields = _fields(value, name, table)
+    missing = [key for key, v in fields.items() if v is None]
+    if missing:
+        raise ParseError(f"{name!r} needs {missing}")
+    return tuple(fields.values())
+
+
+def graph_from_json(data: dict) -> WeightedGraph:
+    """Parse the JSON interchange form.  The top level, each vertex and each
+    edge take exactly the keys of their tables; ids read as text, m and b
+    as JSON numbers.  ``build_graph`` rejects NaN/inf values, self-loops
+    and duplicate edges."""
+    vertices, edges = _record(data, "graph JSON", _GRAPH_KEYS)
+    return build_graph(
+        [_record(v, f"vertices[{i}]", _VERTEX_KEYS) for i, v in enumerate(vertices)],
+        [_record(e, f"edges[{i}]", _EDGE_KEYS) for i, e in enumerate(edges)],
+    )
 
 
 def read_json(path: str | Path):

@@ -248,7 +248,6 @@ class WeakObsVerification:
     constants: WeakObsConstants
     min_slack: float
     worst_label: str
-    worst_phi0: np.ndarray
     n_inputs: int
 
 
@@ -369,7 +368,6 @@ def verify_weak_obs_multi(
                 constants=const,
                 min_slack=float(np.min(slack)),
                 worst_label=labels[worst],
-                worst_phi0=sd.synthesize(C[:, worst]),
                 n_inputs=C.shape[1],
             )
         )

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EigensolveFailure, EmptySubset, NegativeTime, ParseError
+from .errors import EigensolveFailure, EmptySubset, NegativeTime
 from .graph import WeightedGraph
 from .quadrature import adaptive_simpson
 
@@ -47,27 +47,15 @@ class EnergyInterval:
             return False
         return self.lo is None or value >= self.lo
 
-    def to_json(self) -> dict:
-        if self.lo is None:
-            return {"sup": self.hi}
-        return {"lo": self.lo, "hi": self.hi}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "EnergyInterval":
-        if not isinstance(data, dict):
-            raise ParseError("interval JSON must be an object")
-        if set(data) == {"sup"}:
-            return cls(hi=float(data["sup"]))
-        if set(data) == {"lo", "hi"}:
-            return cls(hi=float(data["hi"]), lo=float(data["lo"]))
-        raise ParseError("interval JSON must be {'sup': x} or {'lo': a, 'hi': b}")
-
 
 def apply_laplacian(g: WeightedGraph, f: Sequence[complex]) -> np.ndarray:
-    """Pointwise Laplacian Hf(x) = (1/m(x)) sum_y b(x,y) (f(x) - f(y))."""
+    """Pointwise Laplacian Hf(x) = (1/m(x)) sum_y b(x,y) (f(x) - f(y)) of a
+    state, or of each column of an (n, k) batch of states."""
     f = np.asarray(f)
-    rowsum = g.weights.sum(axis=1)
-    return (rowsum * f - g.weights @ f) / g.m
+    rowsum, m = g.weights.sum(axis=1), g.m
+    if f.ndim != 1:
+        rowsum, m = rowsum[:, None], m[:, None]
+    return (rowsum * f - g.weights @ f) / m
 
 
 @dataclass(frozen=True, eq=False)

@@ -368,7 +368,6 @@ class NecessityReport:
     """
 
     x: str
-    deg_x: float
     d_max: float
     n_comb: int
     rows: tuple[NecessityRow, ...]
@@ -429,7 +428,6 @@ def necessity_bounds_check(
         rows.append(row)
     return NecessityReport(
         x=x,
-        deg_x=deg_x,
         d_max=d_max,
         n_comb=n_comb,
         rows=tuple(rows),

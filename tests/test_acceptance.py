@@ -148,7 +148,6 @@ def test_criterion_3_duality_controllability(corpus, corpus_constants):
                         f0,
                         const.alpha,
                         gram=gram_cache[key],
-                        duality_K=const.K,
                         cost_exponents=(r_ctl,),
                     )
                     active += res.nu > 0

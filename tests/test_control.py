@@ -137,7 +137,7 @@ def test_synth_free_decay_suffices(k2):
     f0 = np.array([1.0, 0.0])
     sig, res = synth_control(sd, ["0"], 1.0, f0, alpha_target=0.99)
     assert res.nu == 0.0
-    assert np.all(sig.values == 0.0)
+    assert np.all(sig.values_at(sd, np.linspace(0.0, 1.0, 9)) == 0.0)
     free = semigroup_apply(sd, 1.0, f0)
     np.testing.assert_allclose(res.final_state, free, atol=1e-12)
     assert res.costs[2.0] == 0.0
@@ -249,11 +249,26 @@ def test_verify_rejects_complex_state_and_values(c4):
 
 
 def test_signal_grid_reproduces_closed_form(k2):
+    """On the control task's 512-point export grid, ``values_at`` is
+    u(tau) = (S_{T-tau} eta)|_D, evaluated here through ``semigroup_apply``."""
     sd = eigendecompose(k2)
     sig, _ = synth_control(sd, ["0"], 1.0, np.array([1.0, 0.0]), 0.1)
-    assert sig.closed_form
-    ks = [0, 100, 317, 511]
-    np.testing.assert_allclose(sig.values_at(sd, sig.times[ks]), sig.values[ks], atol=1e-12)
+    assert sig.closed_form and sig.times is None and sig.values is None
+    taus = np.linspace(0.0, 1.0, 512)[[0, 100, 317, 511]]
+    direct = [semigroup_apply(sd, 1.0 - tau, sig.eta)[:1] for tau in taus]
+    np.testing.assert_allclose(sig.values_at(sd, taus), direct, atol=1e-12)
+
+
+def test_verify_rejects_signal_without_grid_or_eta(k2):
+    sd = eigendecompose(k2)
+    f0 = np.array([1.0, 0.0])
+    for u in [
+        ControlSignal(("0",), 1.0),
+        ControlSignal(("0",), 1.0, times=np.array([0.0, 1.0])),
+        ControlSignal(("0",), 1.0, values=np.zeros((2, 1))),
+    ]:
+        with pytest.raises(ValidationError, match="needs eta"):
+            verify_control(sd, ["0"], f0, u, 1.0)
 
 
 def test_grid_signal_value_interpolates(k2):

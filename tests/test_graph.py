@@ -512,3 +512,22 @@ def test_graph_json_rejects_nan():
 def test_graph_json_malformed():
     with pytest.raises(ParseError):
         graph_from_json({"vertices": [{"id": "0", "m": 1.0}]})
+    # the top level, each vertex and each edge take exactly their keys, all
+    # required, with m and b as JSON numbers
+    for vertex, edge, extra in [
+        ({"id": "1", "m": True}, {}, {}),
+        ({"id": "1", "m": "2.5"}, {}, {}),
+        ({"id": "1"}, {}, {}),
+        ({"id": "1", "m": 1.0}, {"b": "1e0"}, {}),
+        ({"id": "1", "m": 1.0}, {"note": "x"}, {}),
+        ({"id": "1", "m": 1.0}, {}, {"extra": 1}),
+    ]:
+        data = {
+            "vertices": [{"id": "0", "m": 1.0}, vertex],
+            "edges": [{"u": "0", "v": "1", "b": 1.0, **edge}],
+            **extra,
+        }
+        with pytest.raises(ParseError):
+            graph_from_json(data)
+    with pytest.raises(ParseError):
+        graph_from_json({"vertices": [{"id": "0", "m": 1.0}], "edges": [{"u": "0", "b": 1.0}]})

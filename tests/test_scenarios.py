@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from graphheat import stochastic as sto
 from graphheat.cli import main as cli_main
+from graphheat.control import synth_control
 from graphheat.errors import InvalidParams, ParseError
 from graphheat.families import build_family, parity_subset
 from graphheat.graph import graph_to_json, validate_assumptions
@@ -24,6 +25,7 @@ from graphheat.scenarios import (
     run_scenario,
     scenario_from_dict,
 )
+from graphheat.spectral import eigendecompose
 
 
 def write_scenario(tmp_path, name, payload):
@@ -187,6 +189,14 @@ def test_control_scenario(tmp_path):
     signal = (tmp_path / "out" / "control_signal.csv").read_text().splitlines()
     assert signal[0] == "t,u_0,u_2,u_4,u_6"
     assert len(signal) == 1 + 512
+    # the exported rows are the synthesized closed form on the grid, bit for bit
+    sd = eigendecompose(build_family("cycle", {"n": 8}).graph)
+    f0 = np.random.default_rng(5).standard_normal(8)
+    sig, _ = synth_control(sd, ["0", "2", "4", "6"], 2.0, f0 / sd.norm(f0), 0.2)
+    rows = np.array([[float(x) for x in line.split(",")] for line in signal[1:]])
+    times = np.linspace(0.0, 2.0, 512)
+    np.testing.assert_array_equal(rows[:, 0], times)
+    np.testing.assert_array_equal(rows[:, 1:], sig.values_at(sd, times))
 
 
 def test_necessity_scenario(tmp_path):
@@ -354,7 +364,23 @@ def test_cli_malformed_scenario_exit_2(tmp_path, capsys):
     cycle4 = {"family": "cycle", "n": 4}
     graph_file = tmp_path / "c4.json"
     graph_file.write_text(json.dumps(graph_to_json(build_family("cycle", cycle4).graph)))
+    # graph files read like scenarios: no boolean or string numbers, no
+    # unknown keys, and no m beyond the float range
+    (tmp_path / "loose_graph.json").write_text(
+        '{"vertices": [{"id": "0", "m": true}, {"id": "1", "m": "2.5"}],'
+        ' "edges": [{"u": "0", "v": "1", "b": "1e0", "note": "x"}], "extra": 1}'
+    )
+    (tmp_path / "huge_m_graph.json").write_text(
+        '{"vertices": [{"id": "0", "m": 1' + "0" * 400 + '}], "edges": []}'
+    )
     scenarios = [
+        *(
+            write_scenario(tmp_path, f"{name}.json", {
+                "graph": {"family": "file", "path": str(tmp_path / f"{name}_graph.json")},
+                "task": "validate",
+            })
+            for name in ("loose", "huge_m")
+        ),
         bad,
         tmp_path / "missing.json",
         write_scenario(tmp_path, "no_subset_file.json", {

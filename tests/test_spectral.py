@@ -43,6 +43,13 @@ def test_laplacian_k2_delta(k2):
 def test_laplacian_c4_alternating(c4):
     phi = np.array([0.0, 1.0, 0.0, -1.0])
     np.testing.assert_allclose(apply_laplacian(c4, phi), 2.0 * phi)
+    # an (n, k) batch maps column by column, also with nonuniform m and b
+    g = build_graph([("0", 1.0), ("1", 2.0), ("2", 0.5)], [("0", "1", 1.5), ("1", "2", 3.0)])
+    batch = np.array([[1.0, 0.5], [-2.0, 0.0], [0.25, 3.0]])
+    out = apply_laplacian(g, batch)
+    assert out.shape == (3, 2)
+    for j in range(2):
+        np.testing.assert_allclose(out[:, j], apply_laplacian(g, batch[:, j]), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +237,6 @@ def test_projection_idempotent_orthogonal(seed, cut):
     assert m_norm(sd.graph, pp - p) <= 1e-10 * (1 + m_norm(sd.graph, p))
     cross = sd.inner(p, f - p)
     assert abs(cross) <= 1e-10 * (1 + m_norm(sd.graph, f) ** 2)
-
-
-def test_interval_json_roundtrip():
-    for iv in [EnergyInterval(hi=2.0), EnergyInterval(hi=3.0, lo=1.0)]:
-        assert EnergyInterval.from_json(iv.to_json()) == iv
 
 
 # ---------------------------------------------------------------------------
