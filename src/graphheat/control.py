@@ -5,9 +5,10 @@ u(tau) = 1_D^* S_{T-tau} eta, so the controlled final state is
 f(T) = S_T f0 + Q_T eta with Q_T the controllability Gramian.  The target
 norm is met exactly through the one-parameter family
 f(T) = (I + nu Q_T)^{-1} S_T f0 with the multiplier nu found by monotone
-bisection.  Verification re-simulates Duhamel's formula with one adaptive
-Simpson integral over [0, T], independently of the Gramian algebra; it
-returns the final state, and cost norms come from the synthesis alone.
+bisection.  Verification evaluates Duhamel's formula apart from the Gramian
+algebra, exactly per segment for a control linear between knots and by
+adaptive Simpson for a closed-form one; it returns the final state, and
+cost norms come from the synthesis alone.
 The Gramian, and the controlled trajectory that stabilization samples for
 its envelope, both use the restricted Gramian kernel of ``spectral``: the
 trajectory takes one Gramian step over [0, h] per sample.  Initial states
@@ -37,6 +38,7 @@ _NULL_CLAMP_REL = 1e-13
 _NONSINGULAR_REL = 1e-10
 _HAUTUS_REL = 1e-10
 _NU_MAX = 1e18
+_SERIES_BELOW = 0.1  # psi's closed form loses ~2e-16/x relative; its series does not
 
 COST_EXPONENTS = (1.0, 2.0, math.inf)
 
@@ -109,20 +111,13 @@ class ControlSignal:
         return self.eta is not None
 
     def values_at(self, sd: SpectralDecomposition, taus: np.ndarray) -> np.ndarray:
-        """Control values on D at each of ``taus``, one row per time.
-
-        Closed-form signals are evaluated exactly; grid signals are linear
-        between their knots.
-        """
-        taus = np.asarray(taus, dtype=float)
-        if self.closed_form:
-            d_idx = sd.graph.subset_indices(self.D)
-            E = np.exp(-np.outer(sd.eigenvalues, self.T - taus))
-            return (sd.eigenvectors[d_idx, :] @ (E * sd.coefficients(self.eta)[:, None])).T
-        k = np.clip(np.searchsorted(self.times, taus, side="right") - 1, 0, len(self.times) - 2)
-        t0, t1 = self.times[k], self.times[k + 1]
-        v0, v1 = self.values[k], self.values[k + 1]
-        return v0 + ((taus - t0) / (t1 - t0))[:, None] * (v1 - v0)
+        """Values of a closed-form control on D at each of ``taus``, one row
+        per time; a grid signal raises ``ValidationError``."""
+        if not self.closed_form:
+            raise ValidationError("values_at needs a closed-form signal")
+        d_idx = sd.graph.subset_indices(self.D)
+        E = np.exp(-np.outer(sd.eigenvalues, self.T - np.asarray(taus, dtype=float)))
+        return (sd.eigenvectors[d_idx, :] @ (E * sd.coefficients(self.eta)[:, None])).T
 
 
 @dataclass(frozen=True)
@@ -275,6 +270,24 @@ def controlled_trajectory(
     return out @ sd.eigenvectors.T
 
 
+def _segment_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi_1(x) = (1 - e^{-x})/x and psi(x) = (x - 1 + e^{-x})/x^2 for x >= 0:
+    over a segment of length h with x = lam h, the integrals of e^{-lam (h-s)}
+    and of e^{-lam (h-s)} s/h are h phi_1(x) and h psi(x).  Below
+    ``_SERIES_BELOW``, psi = sum_k (-x)^k/(k+2)! in nested form and
+    phi_1 = 1 - x psi, so x = 0 gives phi_1 = 1 and psi = 1/2."""
+    small = x < _SERIES_BELOW
+    xd = np.where(small, 1.0, x)
+    phi1 = -np.expm1(-xd) / xd
+    psi = (1.0 - phi1) / xd
+    xs, series = x[small], 1.0
+    for k in range(12, 2, -1):  # 11 terms, to x^10/12!
+        series = 1.0 - xs / k * series
+    psi[small] = 0.5 * series
+    phi1[small] = 1.0 - xs * psi[small]
+    return phi1, psi
+
+
 def verify_control(
     sd: SpectralDecomposition,
     D: Sequence[str],
@@ -284,10 +297,13 @@ def verify_control(
 ) -> ControlResult:
     """Re-simulate Duhamel's formula f(T) = S_T f0 + int S_{T-tau} 1_D u(tau) dtau.
 
-    The time integral over [0, T] is one adaptive Simpson call whose
-    integrand reads the control through ``ControlSignal.values_at``.  A
-    signal needs ``eta`` or a grid; a grid needs one value row per knot
-    and knots increasing strictly from 0 to T.
+    A grid signal is exact per segment: with h = t_{k+1} - t_k, x = lam h
+    and U_k the coefficients of 1_D u(t_k), segment k adds
+    e^{-lam (T - t_{k+1})} h (phi_1(x) U_k + psi(x) (U_{k+1} - U_k)).  A
+    closed-form signal takes one adaptive Simpson call over [0, T], a check
+    of Q_T eta that shares nothing with the Gramian algebra.  A signal needs
+    ``eta`` or a grid of one value row per knot, knots rising strictly from
+    0 to T.
     """
     if u.T != float(T):
         raise ValidationError("signal horizon does not match T")
@@ -313,15 +329,19 @@ def verify_control(
     VD = sd.eigenvectors[d_idx, :]
     lam = sd.eigenvalues
 
-    def integrand(taus: np.ndarray) -> np.ndarray:
-        embedded = VD.T @ (mD[None, :] * u.values_at(sd, taus)).T  # coefs of 1_D u(tau)
-        return (np.exp(-np.outer(lam, T - taus)) * embedded).T
+    if u.closed_form:
+        def integrand(taus: np.ndarray) -> np.ndarray:
+            embedded = VD.T @ (mD[None, :] * u.values_at(sd, taus)).T  # coefs of 1_D u(tau)
+            return (np.exp(-np.outer(lam, T - taus)) * embedded).T
 
-    free = np.exp(-lam * T) * sd.coefficients(f0)
-    # The kinks of a grid signal converge slowly (panel error ~h^2 against a
-    # tolerance ~h) and can pass depth 40; panels narrower than the rounding
-    # of their endpoints are accepted well before depth 60.
-    fT_hat = free + adaptive_simpson(integrand, 0.0, T, rel_tol=1e-10, max_depth=60)
+        forced = adaptive_simpson(integrand, 0.0, T, rel_tol=1e-10)
+    else:
+        U = VD.T @ (mD[:, None] * u.values.T)  # column k: coefs of 1_D u(t_k)
+        h = np.diff(knots)
+        phi1, psi = _segment_weights(np.outer(lam, h))
+        decay = np.exp(-np.outer(lam, T - knots[1:])) * h
+        forced = np.sum(decay * (phi1 * U[:, :-1] + psi * np.diff(U, axis=1)), axis=1)
+    fT_hat = np.exp(-lam * T) * sd.coefficients(f0) + forced
     norm_f0 = sd.norm(f0)
     return ControlResult(
         final_state=sd.synthesize(fT_hat),

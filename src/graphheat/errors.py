@@ -91,7 +91,3 @@ class ParseError(GraphHeatError):
 
 class ValidationError(GraphHeatError):
     """A parsed input failed semantic validation."""
-
-
-class TaskFailure(GraphHeatError):
-    """A scenario task ran but an asserted inequality failed."""

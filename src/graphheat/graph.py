@@ -456,8 +456,10 @@ def _integer(value, name: str) -> int:
 
 
 def _text(value, name: str) -> str:
-    """A vertex id, parity or family name: any JSON value, read as its str()."""
-    return str(value)
+    """A vertex id, parity, task or family name: only a JSON string."""
+    if not isinstance(value, str):
+        raise ParseError(f"{name!r} must be a string, got {value!r}")
+    return value
 
 
 def _list(value, name: str) -> list:
@@ -472,7 +474,7 @@ def _numbers(value, name: str) -> list[float]:
 
 
 def _names(value, name: str) -> list[str]:
-    return [str(v) for v in _list(value, name)]
+    return [_text(v, name) for v in _list(value, name)]
 
 
 def _path(value, name: str) -> str | Path:

@@ -49,7 +49,7 @@ from .graph import (
     read_json,
     validate_assumptions,
 )
-from .spectral import apply_laplacian, eigendecompose, semigroup_apply
+from .spectral import apply_laplacian, eigendecompose
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -614,8 +614,9 @@ def _task_stochastic(
         if len(f) != g.n:
             raise ValidationError("f length does not match the graph")
         f = np.asarray(f)
-    # S_0 = I: at t = 0 the round trip through the eigenbasis would only add rounding
-    exact = float(f[x_idx]) if t == 0 else float(semigroup_apply(sd, t, f)[x_idx])
+    # S_t f = f + V (expm1(-lam t) c) keeps f(x) where every e^{-lam t} rounds to 1
+    drift = np.expm1(-sd.eigenvalues * t) * sd.coefficients(f)
+    exact = float(f[x_idx] + sd.eigenvectors[x_idx] @ drift)
     rows = []
     hits = 0
     for rep_i in range(repeats):

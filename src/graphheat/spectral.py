@@ -141,13 +141,6 @@ def semigroup_apply(sd: SpectralDecomposition, t: float, f) -> np.ndarray:
     return sd.synthesize(np.exp(-sd.eigenvalues * t) * c)
 
 
-def spectral_projection(sd: SpectralDecomposition, interval: EnergyInterval, f) -> np.ndarray:
-    """Projection onto the eigenspaces with eigenvalue in the interval."""
-    mask = np.array([interval.contains(float(lv)) for lv in sd.eigenvalues])
-    c = sd.coefficients(f)
-    return sd.synthesize(np.where(mask, c, 0.0))
-
-
 def _gramian_kernel(
     sd: SpectralDecomposition, d_idx: np.ndarray, a: float, w: float
 ) -> np.ndarray:
@@ -268,12 +261,7 @@ class RestrictedEvolution:
             ts = np.linspace(a, b, _SUP_GRID_POINTS)
             return self.refine_sup(ts, self.norms(ts))
         integrals = adaptive_simpson(
-            lambda ts: self.norms(ts) ** r,
-            a,
-            b,
-            rel_tol=_LR_REL_TOL,
-            max_depth=40,
-            norm=np.abs,
+            lambda ts: self.norms(ts) ** r, a, b, rel_tol=_LR_REL_TOL, norm=np.abs
         )
         return integrals ** (1.0 / r)
 

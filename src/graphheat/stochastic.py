@@ -18,7 +18,6 @@ cached ``transition_table``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -127,11 +126,6 @@ class CTMCPath:
 
     def jump_count(self) -> int:
         return len(self.states) - 1
-
-    def state_at(self, t: float) -> str:
-        if not (0.0 <= t <= self.horizon):
-            raise ValidationError(f"time {t} outside [0, {self.horizon}]")
-        return self.states[bisect_right(self.jump_times, t) - 1]
 
 
 def sample_ctmc_paths(

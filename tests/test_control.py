@@ -1,12 +1,15 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import graphheat.control
 from graphheat.control import (
     ControlSignal,
+    _segment_weights,
     controlled_trajectory,
     gramian,
     hautus_obstruction,
@@ -271,15 +274,15 @@ def test_verify_rejects_signal_without_grid_or_eta(k2):
             verify_control(sd, ["0"], f0, u, 1.0)
 
 
-def test_grid_signal_value_interpolates(k2):
+def test_grid_signal_has_no_values_at(k2):
+    """Only closed-form signals are evaluated pointwise; a grid signal is
+    read by ``verify_control`` segment by segment."""
     sd = eigendecompose(k2)
     u = ControlSignal(
         ("0",), 1.0, np.array([0.0, 0.5, 1.0]), np.array([[0.0], [2.0], [1.0]])
     )
-    np.testing.assert_allclose(
-        u.values_at(sd, np.array([0.0, 0.25, 0.5, 0.75, 1.0])),
-        [[0.0], [1.0], [2.0], [1.5], [1.0]],
-    )
+    with pytest.raises(ValidationError, match="closed-form"):
+        u.values_at(sd, np.array([0.0, 0.25, 0.5]))
 
 
 def test_verify_rejects_signal_for_another_set():
@@ -322,16 +325,16 @@ def _duhamel_per_knot(sd, D, f0, u, T):
             embedded = VD.T @ (mD[None, :] * u_vals).T
             return (np.exp(-np.outer(lam, T - taus)) * embedded).T
 
-        forced = forced + adaptive_simpson(integrand, t0, t1, rel_tol=1e-10, max_depth=40)
+        forced = forced + adaptive_simpson(integrand, t0, t1, rel_tol=1e-10)
     return sd.synthesize(np.exp(-lam * T) * sd.coefficients(f0) + forced)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 12))
-@example(9999, 11)  # knots 1.7e-3 apart on one vertex: refinement passes depth 40
+@example(9999, 11)  # knots 1.7e-3 apart on one vertex
 def test_verify_grid_signal_matches_per_knot_simpson(seed, n_knots):
-    """One Simpson call over [0, T] finds the kinks of a piecewise-linear
-    control at unaligned knot times by refinement."""
+    """The exact per-segment integral of a piecewise-linear control at
+    unaligned knot times agrees with one Simpson call per segment."""
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, int(rng.integers(1, 9)))
     sd = eigendecompose(g)
@@ -344,6 +347,57 @@ def test_verify_grid_signal_matches_per_knot_simpson(seed, n_knots):
     want = _duhamel_per_knot(sd, D, f0, u, T)
     got = verify_control(sd, D, f0, u, T).final_state
     assert m_norm(g, got - want) <= 1e-10 * m_norm(g, want)
+
+
+def _stiff_tree():
+    """A weighted tree with lambda_max = 5.55e4: m from 1e-3 to 10, b from
+    0.1 to 50."""
+    return build_graph(
+        [(str(i), m) for i, m in enumerate((0.001, 0.01, 1.0, 10.0, 0.01))],
+        [("1", "0", 50.0), ("2", "1", 1.0), ("3", "1", 50.0), ("4", "2", 0.1)],
+    )
+
+
+@pytest.mark.parametrize("case", ["stiff_tree", "short_horizon"])
+def test_verify_grid_signal_is_exact_without_quadrature(monkeypatch, case):
+    """A grid signal takes the per-segment closed form and no Simpson call.
+    It matches per-knot Simpson on a stiff tree with knot gaps down to
+    1e-9 T, and at T = 1e-6, where every lambda h (lambda = 0 included)
+    takes the series branch.  f0 = 0, so the free decay cannot hide an
+    error in the forced term."""
+    if case == "stiff_tree":
+        g, D, T = _stiff_tree(), ("1", "3"), 2.0
+        knots = T * np.array([0.0, 1e-9, 2e-9, 1e-6, 1e-3, 0.5, 1.0 - 1e-9, 1.0])
+    else:
+        g, D, T = build_family("cycle", {"n": 6}).graph, ("0", "2"), 1e-6
+        knots = np.linspace(0.0, T, 7)
+    sd = eigendecompose(g)
+    rng = np.random.default_rng(0)
+    u = ControlSignal(D, T, knots, rng.standard_normal((len(knots), len(D))))
+    f0 = np.zeros(g.n)
+    want = _duhamel_per_knot(sd, D, f0, u, T)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a grid signal needs no quadrature")
+
+    monkeypatch.setattr(graphheat.control, "adaptive_simpson", no_quadrature)
+    got = verify_control(sd, D, f0, u, T).final_state
+    assert m_norm(g, got - want) <= 1e-10 * m_norm(g, want)
+
+
+def test_segment_weights_match_high_precision():
+    """phi_1 and psi on both sides of the series cut, at 0 and at large x,
+    against 40-digit decimal evaluations of their closed forms."""
+    xs = [0.0, 1e-12, 1e-6, 1e-3, 0.0999, 0.1, 0.1001, 0.5, 3.0, 40.0, 1e4]
+    phi1, psi = _segment_weights(np.array(xs))
+    assert (phi1[0], psi[0]) == (1.0, 0.5)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for x, p1, ps in zip(xs[1:], phi1[1:], psi[1:]):
+            d = Decimal(x)
+            em1 = (-d).exp() - 1
+            assert p1 == pytest.approx(float(-em1 / d), rel=1e-15, abs=0.0)
+            assert ps == pytest.approx(float((d + em1) / (d * d)), rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

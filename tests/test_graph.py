@@ -521,6 +521,9 @@ def test_graph_json_malformed():
         ({"id": "1", "m": 1.0}, {"b": "1e0"}, {}),
         ({"id": "1", "m": 1.0}, {"note": "x"}, {}),
         ({"id": "1", "m": 1.0}, {}, {"extra": 1}),
+        # ids are strings, not a str() of another JSON value
+        ({"id": None, "m": 1.0}, {"v": None}, {}),
+        ({"id": "1", "m": 1.0}, {"u": 0}, {}),
     ]:
         data = {
             "vertices": [{"id": "0", "m": 1.0}, vertex],

@@ -9,13 +9,11 @@ from graphheat.covering import lift_function
 from graphheat.errors import EmptySubset, NegativeTime, QuadratureNonConvergence
 from graphheat.graph import build_graph
 from graphheat.spectral import (
-    EnergyInterval,
     RestrictedEvolution,
     apply_laplacian,
     eigendecompose,
     op_norm_H_plus_1,
     semigroup_apply,
-    spectral_projection,
     time_lr_norm,
 )
 
@@ -199,44 +197,6 @@ def test_dissipation_above_threshold(seed, tau, lam_cut):
     assert m_norm(sd.graph, evolved) <= math.exp(-tau * lam_cut) * m_norm(
         sd.graph, tail
     ) * (1 + 1e-10) + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# spectral projection
-
-
-def test_projection_full_interval(c4):
-    sd = eigendecompose(c4)
-    f = np.array([1.0, 2.0, -1.0, 0.5])
-    np.testing.assert_allclose(
-        spectral_projection(sd, EnergyInterval(hi=10.0), f), f, atol=1e-12
-    )
-
-
-def test_projection_constants_k2(k2):
-    sd = eigendecompose(k2)
-    out = spectral_projection(sd, EnergyInterval(hi=1.0), np.array([1.0, 0.0]))
-    np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-13)
-
-
-def test_projection_empty_interval(c4):
-    sd = eigendecompose(c4)
-    out = spectral_projection(sd, EnergyInterval(hi=1.5, lo=1.2), np.ones(4))
-    np.testing.assert_allclose(out, 0.0, atol=1e-14)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10_000), st.floats(0.0, 5.0))
-def test_projection_idempotent_orthogonal(seed, cut):
-    sd = small_sd(seed)
-    rng = np.random.default_rng(seed + 3)
-    f = rng.standard_normal(sd.n)
-    interval = EnergyInterval(hi=cut)
-    p = spectral_projection(sd, interval, f)
-    pp = spectral_projection(sd, interval, p)
-    assert m_norm(sd.graph, pp - p) <= 1e-10 * (1 + m_norm(sd.graph, p))
-    cross = sd.inner(p, f - p)
-    assert abs(cross) <= 1e-10 * (1 + m_norm(sd.graph, f) ** 2)
 
 
 # ---------------------------------------------------------------------------
