@@ -34,6 +34,7 @@ from .spectral import (
     RestrictedEvolution,
     SpectralDecomposition,
     _LR_REL_TOL,
+    _graded_grid,
     op_norm_H_plus_1,
 )
 
@@ -44,8 +45,6 @@ _SHARP_SINGULAR_CUTOFF = 1e-12
 # largest norm bound), so neither rounding in the bounds nor the engine's
 # error can prune the state that holds the certified minimum.
 _RECHECK_MARGIN_REL = 1e-7
-# Cells of the graded grid that re-bounds the states the closed forms keep.
-_GRID_CELLS = 32
 
 
 def _omega_geometry(g: WeightedGraph, D: Sequence[str]) -> tuple[float, float]:
@@ -131,13 +130,14 @@ def _up_report(
     threshold = 1.0 / (inr * vol)
     sup_i = interval.sup
     applicable = sup_i < threshold
-    paper = (
-        16.0 * op_norm_H_plus_1(sd) ** 4 / (threshold - sup_i) ** 2
-        if applicable
-        else None
-    )
+    if applicable:  # products, not powers: a stiff spectrum gives +inf, not OverflowError
+        op = op_norm_H_plus_1(sd)
+        ratio = op * (op / (threshold - sup_i))
+        paper = 16.0 * ratio * ratio
+    else:
+        paper = None
     inf_m = float(g.m.min())
-    remark_threshold = inf_m / (42.0 * inr * vol**2)
+    remark_threshold = inf_m / vol / (42.0 * inr * vol)  # vol ** 2 can underflow to 0
     remark_applicable = sup_i <= remark_threshold
     remark = 42.0 * vol / inf_m if remark_applicable else None
     return UPReport(
@@ -221,7 +221,8 @@ def weak_obs_constants(
             )
         inr, vol = _omega_geometry(g, D)
         lam = 1.0 / (2.0 * inr * vol)
-        kappa = 8.0 * op_norm_H_plus_1(sd) ** 2 * inr * vol
+        op = op_norm_H_plus_1(sd)
+        kappa = 8.0 * op * (op * inr * vol)  # finite when only op ** 2 would overflow
         alpha = (kappa + 1.0) * math.exp(-delta * lam * T)
     window = (1.0 - delta) * T
     window_factor = 1.0 if math.isinf(r) else window ** (1.0 / r)
@@ -295,18 +296,14 @@ def _closed_form_bounds(
 def _grid_bounds(
     re: RestrictedEvolution, a: float, b: float, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column bounds on ||g||_{L_r(a, b)} from g on a grid graded toward a.
+    """Per-column bounds on ||g||_{L_r(a, b)} from g on the graded grid.
 
-    The cells grow geometrically from about log(1 + w lam_max) / (32 lam_max),
-    so the first ones resolve the fastest mode.  On the cell [t_k, t_k + h]
-    the rate norm L_k = ||H S_{t_k} phi|| bounds |g'|, so g stays between
+    On the cell [t_k, t_k + h] of ``spectral._graded_grid`` the rate norm
+    L_k = ||H S_{t_k} phi|| bounds |g'|, so g stays between
     max(0, (g_k + g_{k+1} - h L_k)/2) and (g_k + g_{k+1} + h L_k)/2 there;
     the grid values themselves bound sup g from below.
     """
-    x = np.linspace(0.0, 1.0, _GRID_CELLS + 1)
-    grade = math.log1p((b - a) * float(re.lam[-1]))
-    ts = a + (b - a) * (np.expm1(grade * x) / math.expm1(grade) if grade > 0.0 else x)
-    ts[-1] = b
+    ts = _graded_grid(a, b, float(re.lam[-1]))
     g = re.norms(ts)
     h = np.diff(ts)[:, None]
     reach = h * re.rate_norms(ts[:-1])
@@ -358,7 +355,8 @@ def verify_weak_obs_multi(
                 glo, ghi = _grid_bounds(RestrictedEvolution(sd, d_idx, C[:, cols]), a, b, r)
                 lo, hi = np.maximum(lo, glo), np.minimum(hi, ghi)
             base = const.alpha - final[cols]
-            keep = const.K * lo + base <= np.min(const.K * hi + base) + margin
+            # only a definite comparison prunes, so a nan bound keeps its state
+            keep = ~(const.K * lo + base > np.min(const.K * hi + base) + margin)
             cols, lo, hi = cols[keep], lo[keep], hi[keep]
         certified = RestrictedEvolution(sd, d_idx, C[:, cols]).lr_norms(a, b, r)
         slack = const.K * certified + const.alpha - final[cols]

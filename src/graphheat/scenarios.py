@@ -399,9 +399,7 @@ def _task_control(g, D, seed, *, T, delta, r, f0, alpha_target) -> TaskReport:
     if from_duality:
         alpha_target = const.alpha
 
-    signal, res = synth_control(
-        sd, D, T, f0, alpha_target, cost_exponents=(1.0, 2.0, math.inf, r_ctl)
-    )
+    signal, res = synth_control(sd, D, T, f0, alpha_target, cost_exponents=(r_ctl,))
     sim = verify_control(sd, D, f0, signal, T)
     ref = max(sd.norm(res.final_state), 1e-30)
     resim_err = sd.norm(res.final_state - sim.final_state) / ref

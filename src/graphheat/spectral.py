@@ -21,9 +21,14 @@ from .errors import EigensolveFailure, EmptySubset, NegativeTime
 from .graph import WeightedGraph
 from .quadrature import adaptive_simpson
 
-_SUP_GRID_POINTS = 1025
-# Relative tolerance of each column's certified integral of g^r.
+# Relative tolerance of each column's certified integral of g^r, and of each
+# column's certified supremum, relative to ||S_a f||.
 _LR_REL_TOL = 1e-10
+# Cells of the graded grid that starts the grid bounds and the supremum search.
+_GRID_CELLS = 32
+# Elements of the largest temporary array that one chunk of times or cells
+# builds, which caps the memory of the batched evaluations.
+_CHUNK_ELEMENTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -95,11 +100,11 @@ class SpectralDecomposition:
     def synthesize(self, coefs) -> np.ndarray:
         return self.eigenvectors @ np.asarray(coefs)
 
-    def eigenvalue_groups(self, tol: float | None = None) -> list[tuple[float, np.ndarray]]:
-        """Indices grouped by numerically repeated eigenvalues."""
+    def eigenvalue_groups(self) -> list[tuple[float, np.ndarray]]:
+        """Indices grouped by numerically repeated eigenvalues (within
+        1e-8 (lam_max + 1) of the group's smallest)."""
         lam = self.eigenvalues
-        if tol is None:
-            tol = 1e-8 * (float(lam[-1]) + 1.0)
+        tol = 1e-8 * (float(lam[-1]) + 1.0)
         groups: list[tuple[float, np.ndarray]] = []
         start = 0
         for i in range(1, len(lam) + 1):
@@ -139,6 +144,20 @@ def semigroup_apply(sd: SpectralDecomposition, t: float, f) -> np.ndarray:
         raise NegativeTime(f"semigroup time must be nonnegative, got {t}")
     c = sd.coefficients(f)
     return sd.synthesize(np.exp(-sd.eigenvalues * t) * c)
+
+
+def _graded_grid(a: float, b: float, lam_max: float) -> np.ndarray:
+    """``_GRID_CELLS`` + 1 ascending nodes from a to b, graded toward a.
+
+    The cells grow geometrically from about log(1 + w lam_max) / (32 lam_max),
+    w = b - a, so the first ones resolve the fastest mode.  The grade stops
+    at 700, where e^grade still fits a float.
+    """
+    x = np.linspace(0.0, 1.0, _GRID_CELLS + 1)
+    grade = min(math.log1p((b - a) * lam_max), 700.0)
+    ts = a + (b - a) * (np.expm1(grade * x) / math.expm1(grade) if grade > 0.0 else x)
+    ts[-1] = b
+    return ts
 
 
 def _gramian_kernel(
@@ -184,7 +203,7 @@ class RestrictedEvolution:
         n, n_batch = self.C.shape
         d = self.W.shape[0]
         out = np.empty((len(ts), n_batch))
-        chunk = max(1, int(2_000_000 // max(1, n * n_batch)))
+        chunk = max(1, int(_CHUNK_ELEMENTS // max(1, n * n_batch)))
         for k0 in range(0, len(ts), chunk):
             tc = ts[k0 : k0 + chunk]
             E = np.exp(-np.outer(self.lam, tc))  # (n, tc)
@@ -194,12 +213,6 @@ class RestrictedEvolution:
             out[k0 : k0 + len(tc)] = np.sum(U, axis=0)
             del U  # no chunk's arrays outlive it: the peak is one product and one U
         return np.sqrt(out)
-
-    def norms_at_times(self, ts_per_column: np.ndarray) -> np.ndarray:
-        """Restricted norm of column j at its own time ts_per_column[j]."""
-        E = np.exp(-np.outer(self.lam, ts_per_column))
-        U = self.W @ (E * self.C)
-        return np.sqrt(np.sum(np.abs(U) ** 2, axis=0))
 
     def final_norms(self, T: float) -> np.ndarray:
         """Unrestricted norms ||S_T f|| for the batch."""
@@ -211,9 +224,12 @@ class RestrictedEvolution:
 
         It decreases in t and bounds |d/ds ||(S_s f)|_D|| for every s >= t,
         so it is a Lipschitz constant of the restricted norm on [t, oo).
+        The rates are scaled by lam_max, so a stiff spectrum, whose lam^2
+        overflows, gives +inf or a finite value and never inf * 0.
         """
-        damp = self.lam**2 * np.exp(-2.0 * np.outer(np.atleast_1d(ts), self.lam))
-        return np.sqrt(damp @ np.abs(self.C) ** 2)
+        scale = float(self.lam[-1]) or 1.0
+        damp = np.square(self.lam / scale * np.exp(-np.outer(np.atleast_1d(ts), self.lam)))
+        return scale * np.sqrt(damp @ np.abs(self.C) ** 2)
 
     def l2_time_integral(self, a: float, b: float) -> np.ndarray:
         """Closed form of int_a^b ||(S_t f)|_D||^2 dt for the batch."""
@@ -221,45 +237,101 @@ class RestrictedEvolution:
         vals = np.einsum("ij,in,jn->n", M, np.conj(self.C), self.C, optimize=True).real
         return np.maximum(vals, 0.0)
 
-    def refine_sup(self, ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """Golden-section refinement of per-column maxima over node values.
+    @cached_property
+    def _groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """The eigenvalue groups, stacked by size k: indices (g, k), a factor
+        R (g, min(d, k), k) with ||R_J x|| = ||W_J x|| on each group J, and
+        each group's largest eigenvalue and spread."""
+        by_size: dict[int, list[np.ndarray]] = {}
+        for _lam, idx in self.sd.eigenvalue_groups():
+            by_size.setdefault(len(idx), []).append(idx)
+        out = []
+        for groups in by_size.values():
+            idx = np.array(groups)
+            R = np.linalg.qr(self.W[:, idx].transpose(1, 0, 2), mode="r")
+            top = self.lam[idx[:, -1]]
+            out.append((idx, R, top, top - self.lam[idx[:, 0]]))
+        return out
 
-        ``ts`` must be ascending and ``vals`` its (len(ts), batch) norms;
-        each column is refined inside the bracket around its argmax.
+    def _cell_bounds(
+        self, lo: np.ndarray, h: np.ndarray, cols: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """g(lo) and an upper bound on g over [lo, lo + h] for each cell,
+        g(t) = ||(S_t f)|_D|| of column ``cols`` of the batch.
+
+        With u0 = (S_lo f)|_D and u1 = (H S_lo f)|_D, g(lo + s) <=
+        ||u0 - s u1|| + rem(s), where rem(s) bounds the Taylor remainder by
+        the smaller of
+        - (s^2 / 2) ||H^2 S_lo f||, and
+        - the sum over eigenvalue groups J of (s^2 / 2) l_{J,max}^2
+          ||(P_J S_lo f)|_D|| + s (l_{J,max} - l_{J,min}) ||P_J S_lo f||,
+          which stays small for a state that D does not see.
+        With either remainder, ||u0 - s u1|| + rem(s) is convex in s and is
+        ||u0|| at s = 0, so its maximum on [0, h] sits at an end:
+        g <= max(||u0||, ||u0 - h u1|| + rem(h)).
         """
-        imax = np.argmax(vals, axis=0)
-        best = vals[imax, np.arange(vals.shape[1])]
-        span = float(ts[-1] - ts[0])
-        lo = ts[np.maximum(imax - 1, 0)]
-        hi = ts[np.minimum(imax + 1, len(ts) - 1)]
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        fc = self.norms_at_times(c)
-        fd = self.norms_at_times(d)
-        for _ in range(60):
-            if np.all((hi - lo) <= 1e-13 * (span + 1.0)):
-                break
-            take_c = fc > fd
-            hi = np.where(take_c, d, hi)
-            lo = np.where(take_c, lo, c)
-            c = hi - invphi * (hi - lo)
-            d = lo + invphi * (hi - lo)
-            fc = self.norms_at_times(c)
-            fd = self.norms_at_times(d)
-        return np.maximum(best, np.maximum(fc, fd))
+        lam = self.lam[:, None]
+        g0, ub = np.empty(len(lo)), np.empty(len(lo))
+        # X and the arrays alive with it (about three more) share the budget
+        chunk = max(1, _CHUNK_ELEMENTS // (4 * len(self.lam)))
+        for k0 in range(0, len(lo), chunk):
+            cells = slice(k0, k0 + chunk)
+            hc = h[cells]
+            # h and lam scale the data one at a time, never each other: on a
+            # stiff spectrum a product may overflow to inf, but a mode that
+            # has decayed to 0 stays 0 instead of giving inf * 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                X = np.exp(-lam * lo[cells]) * self.C[:, cols[cells]]
+                u0 = self.W @ X
+                g0[cells] = np.linalg.norm(u0, axis=0)
+                hLX = hc * (lam * X)
+                end = np.linalg.norm(u0 - self.W @ hLX, axis=0)
+                rem = 0.5 * np.linalg.norm(hc * (lam * hLX), axis=0)
+                by_group = 0.0
+                for idx, R, top, spread in self._groups:
+                    Xg, top = X[idx], top[:, None]
+                    seen = np.linalg.norm(R @ Xg, axis=1)
+                    by_group += 0.5 * np.sum(hc * (top * (hc * (top * seen))), axis=0)
+                    by_group += hc * (spread @ np.linalg.norm(Xg, axis=1))
+                ub[cells] = np.maximum(g0[cells], end + np.fmin(rem, by_group))
+        return g0, ub
+
+    def _sup_norms(self, a: float, b: float) -> np.ndarray:
+        """Certified sup of g over [a, b] for each column, by bound and bisect.
+
+        The cells of the graded grid are bisected while their upper bound
+        (``_cell_bounds``) exceeds the column's best sampled value s by more
+        than ``_LR_REL_TOL`` ||S_a f||; s is returned, so s <= sup g <=
+        s + _LR_REL_TOL ||S_a f||.  A cell with no float between its ends
+        holds no time that is not sampled, so it is not bisected.  A bound
+        that overflows (+inf, or nan from inf - inf) counts as exceeding.
+        """
+        n_batch = self.C.shape[1]
+        ts = _graded_grid(a, b, float(self.lam[-1]))
+        best = self.norms([b])[0]
+        tol = _LR_REL_TOL * self.final_norms(a)
+        lo = np.tile(ts[:-1], n_batch)
+        hi = np.tile(ts[1:], n_batch)
+        cols = np.repeat(np.arange(n_batch), _GRID_CELLS)
+        while len(lo):
+            g0, ub = self._cell_bounds(lo, hi - lo, cols)
+            np.maximum.at(best, cols, g0)
+            mid = 0.5 * (lo + hi)
+            split = ~(ub <= best[cols] + tol[cols]) & (lo < mid) & (mid < hi)
+            lo, mid, hi, cols = lo[split], mid[split], hi[split], cols[split]
+            lo, hi, cols = np.r_[lo, mid], np.r_[mid, hi], np.r_[cols, cols]
+        return best
 
     def lr_norms(self, a: float, b: float, r: float) -> np.ndarray:
         """Certified L_r norms in time over (a, b), one per column.
 
         Finite r integrates the r-th power by adaptive Simpson, each column
         to relative tolerance ``_LR_REL_TOL`` of its own integral; r = inf
-        refines each column's 1025-point grid maximum by golden-section
-        search.
+        bisects the graded grid until each column's sampled maximum is
+        within ``_LR_REL_TOL`` ||S_a f|| of its supremum (``_sup_norms``).
         """
         if math.isinf(r):
-            ts = np.linspace(a, b, _SUP_GRID_POINTS)
-            return self.refine_sup(ts, self.norms(ts))
+            return self._sup_norms(a, b)
         integrals = adaptive_simpson(
             lambda ts: self.norms(ts) ** r, a, b, rel_tol=_LR_REL_TOL, norm=np.abs
         )
@@ -276,7 +348,9 @@ def time_lr_norm(
     """L_r norm in time of t -> ||(S_t f0)|_D|| over the window (a, b).
 
     ``f0`` is one state (a float is returned) or an (n, k) batch (one norm
-    per column), certified by ``RestrictedEvolution.lr_norms``.
+    per column), certified by ``RestrictedEvolution.lr_norms``: to relative
+    tolerance ``_LR_REL_TOL`` of the integral for finite r, and for r = inf
+    from below, within ``_LR_REL_TOL`` ||S_a f0|| of the supremum.
     """
     a, b = float(window[0]), float(window[1])
     if not (0.0 <= a < b):

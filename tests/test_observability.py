@@ -232,6 +232,28 @@ def test_verify_reports_certified_minimum_over_all_states(seed):
         assert brute[labels.index(ver.worst_label)] <= brute.min() + tol
 
 
+def test_verify_keeps_a_state_whose_bound_is_nan(c4, monkeypatch):
+    """Only a definite comparison prunes: a nan grid bound keeps its state
+    (and, through the nan minimum, every state), so the certified minimum
+    is the one without the nan."""
+    import graphheat.observability as obs
+
+    sd = eigendecompose(c4)
+    const = weak_obs_constants(c4, sd, ["0"], 2.0, 0.5, 2.0)
+    want = verify_weak_obs(sd, ["0"], const, samples=20)
+    real = obs._grid_bounds
+
+    def nan_in_first(re, a, b, r):
+        lo, hi = real(re, a, b, r)
+        hi[0] = math.nan
+        return lo, hi
+
+    monkeypatch.setattr(obs, "_grid_bounds", nan_in_first)
+    got = verify_weak_obs(sd, ["0"], const, samples=20)
+    assert got.worst_label == want.worst_label
+    assert got.min_slack == pytest.approx(want.min_slack, rel=1e-12)
+
+
 def test_certified_norm_of_a_fast_decaying_mode_keeps_its_digits():
     """The verifier certifies a state from its spectral coefficients.  A
     round trip through the vertex basis left about 5e-16 of round-off in

@@ -268,6 +268,35 @@ def test_cli_first_jump_law_with_huge_holding_times(tmp_path):
     assert summary["exact_value"] == 1.0
 
 
+_STIFF_CONTROL = {"T": 1.0, "delta": 0.5, "r": 2, "f0": {"random": 3}}
+_STIFF_CASES = [
+    ("weak-obs", {"T": 1.0, "delta": delta, "r": r, "samples": 10}, code)
+    for r, codes in ((1, (2, 0)), (2, (2, 0)), ("inf", (0, 0)))
+    for delta, code in zip((0.0, 0.5), codes)
+] + [
+    ("control", _STIFF_CONTROL, 2),
+    ("control", dict(_STIFF_CONTROL, alpha_target=0.5), 0),
+    ("up-sweep", {}, 0),
+]
+
+
+@pytest.mark.parametrize("task, params, code", _STIFF_CASES)
+def test_cli_stiff_measure_ends_in_a_verdict_or_a_refusal(tmp_path, task, params, code):
+    """m = 1e-300 on cycle-8 puts lam_max at 4e300, so lam^2 and ||H+1||^2
+    overflow a float.  Each case exits 0 or 2, never with a traceback: at
+    delta = 0 and finite r the Simpson integral of a mode that decays in
+    1e-300 exceeds its depth, and duality asks for exact null control of
+    a singular Gramian."""
+    got, err, _ = _run_cli(tmp_path, {
+        "graph": {"family": "cycle", "n": 8, "m": 1e-300},
+        "subset": {"parity": "even"},
+        "task": task,
+        "params": params,
+        "seed": 1,
+    })
+    assert got == code and "Traceback" not in err, err
+
+
 def test_first_jump_law_fails_when_no_path_jumps(tmp_path, monkeypatch):
     """Without a sampled jump there is no law to compare: the check fails."""
     real = sto.sample_ctmc_paths

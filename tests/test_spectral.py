@@ -9,6 +9,7 @@ from graphheat.covering import lift_function
 from graphheat.errors import EmptySubset, NegativeTime, QuadratureNonConvergence
 from graphheat.graph import build_graph
 from graphheat.spectral import (
+    _LR_REL_TOL,
     RestrictedEvolution,
     apply_laplacian,
     eigendecompose,
@@ -17,7 +18,7 @@ from graphheat.spectral import (
     time_lr_norm,
 )
 
-from conftest import cycle, m_norm, random_connected_graph
+from conftest import cycle, m_norm, path, random_connected_graph
 
 
 def small_sd(seed, n_max=8):
@@ -228,9 +229,7 @@ def test_time_norm_eigenvector_closed_forms(c4, i):
 def test_time_norm_interior_maximum():
     # P3 mode mix whose value at vertex 0 is e^{-t} - 2 e^{-3t}: the sup on
     # (0.4, 3) sits at the interior stationary point t* = ln(6)/2 with value
-    # (2/3)/sqrt(6), which the golden refinement must find between grid nodes
-    from conftest import path
-
+    # (2/3)/sqrt(6), which the bisection must find between grid nodes
     g = path(3)
     sd = eigendecompose(g)
     c = np.zeros(3)
@@ -240,6 +239,111 @@ def test_time_norm_interior_maximum():
     f0 = sd.synthesize(c * np.where(signs == 0, 1.0, signs))
     got = time_lr_norm(sd, f0, ["0"], (0.4, 3.0), math.inf)
     assert got == pytest.approx((2.0 / 3.0) / math.sqrt(6.0), rel=1e-10)
+
+
+def test_time_norm_sup_of_a_stiff_tree():
+    """lam_max is about 5.6e4 and the sup, 7.19431593698e-3 by
+    scipy.linalg.expm, sits at t = 4.89e-5, inside the first cell of a
+    uniform 1025-point grid; that grid plus a golden-section search in the
+    bracket of its argmax found 8.13e-5."""
+    g = build_graph(
+        [(str(i), m) for i, m in enumerate((0.001, 0.01, 1.0, 10.0, 0.01))],
+        [("1", "0", 50.0), ("2", "1", 1.0), ("3", "1", 50.0), ("4", "2", 0.1)],
+    )
+    f = np.array([1.0, 0.0, 0.0, 0.0, -1.0])
+    got = time_lr_norm(eigendecompose(g), f, ["1"], (0.0, 5.0), math.inf)
+    assert got == pytest.approx(7.19431593698e-3, rel=0.0, abs=2e-11)
+
+
+def test_time_norm_sup_of_a_state_d_cannot_see(c4):
+    """(0, 1, 0, -1) is an eigenvector that vanishes on the even vertices:
+    its restricted norm is round-off, and the bisection stops on it."""
+    f = np.array([0.0, 1.0, 0.0, -1.0])
+    got = time_lr_norm(eigendecompose(c4), f, ["0", "2"], (0.0, 5.0), math.inf)
+    assert 0.0 <= got <= 1e-10 * m_norm(c4, f)
+
+
+def test_time_norm_sup_of_a_bump_inside_the_first_cell():
+    """On path-4 with D = {3}, f = delta_0 - delta_1 starts with (S_t f)|_D
+    and its derivative both 0, and its bump peaks at t = 1.25.  Over the
+    window (0, 1e40) the first graded cell is about 5 wide and holds the
+    whole bump, so only the Taylor remainder of the cell bound keeps it."""
+    g = path(4)
+    sd = eigendecompose(g)
+    f = np.array([1.0, -1.0, 0.0, 0.0])
+    got = time_lr_norm(sd, f, ["3"], (0.0, 1e40), math.inf)
+    ts = np.linspace(1.2, 1.3, 20_001)
+    coefs = np.exp(-np.outer(sd.eigenvalues, ts)) * sd.coefficients(f)[:, None]
+    dense = float(np.abs(sd.eigenvectors[3, :] @ coefs).max())
+    assert dense == pytest.approx(0.0826697966, rel=1e-9)
+    assert dense - _LR_REL_TOL * m_norm(g, f) <= got <= m_norm(g, f)
+
+
+def test_time_norm_sup_of_a_stiff_spectrum_over_a_long_window():
+    """On cycle-8 with m = 1e-300 (lam_max = 4e300) only the constant mode
+    is left on (5e30, 1e31), and h lam overflows on every cell: a mode
+    that has decayed to 0 must not turn its bound into inf * 0, which
+    would bisect without end."""
+    g = cycle(8, m=1e-300)
+    sd = eigendecompose(g)
+    f = np.random.default_rng(3).standard_normal(8)
+    with np.errstate(over="ignore"):  # lam t overflows in exp(-lam t) as well
+        got = time_lr_norm(sd, f, ["0", "2", "4", "6"], (5e30, 1e31), math.inf)
+    assert got == pytest.approx(abs(sd.coefficients(f)[0]) / math.sqrt(2.0), rel=1e-12)
+
+
+_TREE_M = (1e-3, 1e-2, 0.1, 1.0, 10.0)
+_TREE_B = (1e-3, 0.1, 1.0, 50.0)
+
+
+@st.composite
+def _stiff_tree_cases(draw):
+    n = draw(st.integers(2, 8))
+    g = build_graph(
+        [(str(i), draw(st.sampled_from(_TREE_M))) for i in range(n)],
+        [
+            (str(draw(st.integers(0, i - 1))), str(i), draw(st.sampled_from(_TREE_B)))
+            for i in range(1, n)
+        ],
+    )
+    D = draw(st.lists(st.sampled_from(g.vertex_ids), min_size=1, max_size=n, unique=True))
+    # a delta or a difference of two spreads from where it starts, so its
+    # sup on D can come late or between grid nodes
+    f = np.zeros(n)
+    plus, minus = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    kind = draw(st.sampled_from(["normal", "delta", "deltas"]))
+    if kind == "normal":
+        f = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    else:
+        f[plus] = 1.0
+        f[minus] = -1.0 if kind == "deltas" else 0.0
+    a = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    return g, sorted(D), f, (a, a + draw(st.sampled_from([0.01, 1.0, 5.0])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stiff_tree_cases())
+@example((  # the 1025-point grid and golden-section refine found 0.10270 of 0.10460
+    build_graph([("0", 0.01), ("1", 0.001), ("2", 1.0)], [("0", "1", 0.1), ("1", "2", 50.0)]),
+    ["0", "1"],
+    np.array([1.0, 0.0, -1.0]),
+    (0.0, 5.0),
+))
+def test_time_norm_sup_is_certified_on_stiff_trees(case):
+    """The r = inf norm is a sampled value, so at most ||S_a f||, and it is
+    within _LR_REL_TOL ||S_a f|| of the maximum over 20 000 geometric and
+    20 001 uniform times, evaluated here from the eigenpairs."""
+    g, D, f, (a, b) = case
+    sd = eigendecompose(g)
+    got = time_lr_norm(sd, f, D, (a, b), math.inf)
+    ts = np.concatenate([a + np.geomspace(1e-12, b - a, 20_000), np.linspace(a, b, 20_001)])
+    d_idx = g.subset_indices(D)
+    coefs = np.exp(-np.outer(sd.eigenvalues, ts)) * sd.coefficients(f)[:, None]
+    on_d = np.sqrt(g.m[d_idx])[:, None] * (sd.eigenvectors[d_idx, :] @ coefs)
+    dense = float(np.linalg.norm(on_d, axis=0).max())
+    scale = m_norm(g, semigroup_apply(sd, a, f))
+    assert got >= dense - _LR_REL_TOL * scale
+    assert got <= scale * (1.0 + 1e-12)
 
 
 def test_time_norm_validations(c4):
