@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .quadrature import adaptive_simpson
-from .spectral import SpectralDecomposition, _gramian_kernel, time_lr_norm
+from .spectral import RestrictedEvolution, SpectralDecomposition, _gramian_kernel
 
 _INTRA_SAMPLES = 65
 _NULL_CLAMP_REL = 1e-13
@@ -142,9 +142,14 @@ def _signal_costs(
 
     u(tau) = (S_{T-tau} eta)|_D, so the time profile is the reflection of
     s -> ||(S_s eta)|_D||, and reflection preserves every L_r norm.  Each
-    distinct exponent is evaluated once.
+    distinct exponent is one column of one certified call.
     """
-    return {r: time_lr_norm(sd, eta_vertex, D, (0.0, T), r) for r in dict.fromkeys(rs)}
+    rs = list(dict.fromkeys(rs))
+    if not all(r >= 1.0 for r in rs):
+        raise ValidationError(f"cost exponents must lie in [1, inf], got {rs}")
+    coefs = np.repeat(sd.coefficients(eta_vertex)[:, None], len(rs), axis=1)
+    re = RestrictedEvolution(sd, sd.graph.subset_indices(D), coefs)
+    return dict(zip(rs, re.lr_norms(0.0, T, np.array(rs)).tolist()))
 
 
 def synth_control(

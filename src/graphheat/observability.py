@@ -329,8 +329,9 @@ def verify_weak_obs_multi(
       upper bound by more than the margin (``_RECHECK_MARGIN_REL``);
     - bound the rest again on a graded grid (``_grid_bounds``) and prune once
       more;
-    - certify the survivors in one batched ``RestrictedEvolution.lr_norms``
-      call on their spectral coefficients.
+    - certify the survivors of every set together in one batched
+      ``RestrictedEvolution.lr_norms`` call on their spectral coefficients,
+      each column on its own set's window and exponent.
     No pruned state can hold the minimum, so the reported minimum slack is
     the certified minimum over all states.
     """
@@ -340,7 +341,7 @@ def verify_weak_obs_multi(
     C, labels = _phi_batch(sd, samples, seed)
     re = RestrictedEvolution(sd, d_idx, C)
 
-    out = []
+    survivors = []
     for const in constants_list:
         a, b, r = const.delta * const.T, const.T, const.r
         final = re.final_norms(const.T)
@@ -358,8 +359,21 @@ def verify_weak_obs_multi(
             # only a definite comparison prunes, so a nan bound keeps its state
             keep = ~(const.K * lo + base > np.min(const.K * hi + base) + margin)
             cols, lo, hi = cols[keep], lo[keep], hi[keep]
-        certified = RestrictedEvolution(sd, d_idx, C[:, cols]).lr_norms(a, b, r)
-        slack = const.K * certified + const.alpha - final[cols]
+        survivors.append((cols, final[cols]))
+    if not survivors:
+        return []
+
+    # one certification for the survivors of every set, each on its own window
+    sizes = [len(cols) for cols, _ in survivors]
+    windows = np.array([(c.delta * c.T, c.T, c.r) for c in constants_list])
+    a, b, r = np.repeat(windows, sizes, axis=0).T
+    batch = C[:, np.concatenate([cols for cols, _ in survivors])]
+    certified = RestrictedEvolution(sd, d_idx, batch).lr_norms(a, b, r)
+    out = []
+    for const, (cols, final), norms in zip(
+        constants_list, survivors, np.split(certified, np.cumsum(sizes)[:-1])
+    ):
+        slack = const.K * norms + const.alpha - final
         worst = int(cols[np.argmin(slack)])
         out.append(
             WeakObsVerification(

@@ -4,6 +4,12 @@ The Simpson routine works on batched integrands: the callable receives an
 array of times and returns one value (scalar or array) per time.  Each
 refinement wave is held as arrays, evaluated in one integrand call and
 tested in one vectorized step, which keeps Python off the hot path.
+
+The window is shared by every column, or given per column: then each
+column's panels are exactly those of its own one-column call, the
+integrand receives one time per (panel node, column) entry, and an entry
+whose column is already accepted on that panel is nan and need not be
+evaluated.  So one call certifies many windows at once.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ def _pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def adaptive_simpson(
     fn: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    a: float | np.ndarray,
+    b: float | np.ndarray,
     *,
     rel_tol: float = 1e-10,
     max_depth: int = 40,
@@ -54,12 +60,17 @@ def adaptive_simpson(
     Simpson/Richardson test compares: by default one Euclidean norm per
     panel, so a vector is accepted as a whole; ``np.abs`` on (times, k)
     values certifies each column to ``rel_tol`` of its own integral.
+
+    With arrays ``a`` and ``b`` of length k, column j is integrated over
+    [a[j], b[j]]: ``fn`` receives (times, k) arrays of per-entry times, nan
+    where the column is already accepted on that panel, and ``norm`` must
+    keep the column axis, as ``np.abs`` does.
     Exceeding ``max_depth`` raises ``QuadratureNonConvergence``.
     """
     if norm is None:
         norm = _panel_norm
-    a, b = float(a), float(b)
-    if b <= a:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not np.all(b > a):
         raise ValueError("integration window must satisfy a < b")
 
     k = _INITIAL_PANELS
@@ -80,7 +91,10 @@ def adaptive_simpson(
     while len(lo):
         tol = tol0 * 0.5**depth  # tol0 / k on the initial panels, halved per bisection
         mid = 0.5 * (lo + hi)
-        mvals = np.asarray(fn(_pairs(0.5 * (lo + mid), 0.5 * (mid + hi))))
+        ts = _pairs(0.5 * (lo + mid), 0.5 * (mid + hi))
+        if ts.ndim > 1:  # per-column windows: only the open entries need values
+            ts = np.where(_pairs(open_, open_), ts, np.nan)
+        mvals = np.asarray(fn(ts))
         flm, frm = mvals[0::2], mvals[1::2]
         Sl = _spread((mid - lo) / 6.0, nd) * (flo + 4.0 * flm + fmid)
         Sr = _spread((hi - mid) / 6.0, nd) * (fmid + 4.0 * frm + fhi)
@@ -92,10 +106,12 @@ def adaptive_simpson(
         open_ = open_ & ~ok
         split = open_.reshape(len(lo), -1).any(axis=1)
         if split.any() and depth + 1 > max_depth:
-            i = int(np.argmax(split))
+            # the first open entry; with per-column windows, its column's panel
+            at = tuple(np.argwhere(open_)[0][: lo.ndim])
             raise QuadratureNonConvergence(
                 f"Simpson refinement exceeded depth {max_depth} on "
-                f"[{lo[i]:.6g}, {hi[i]:.6g}]"
+                f"[{lo[at]:.6g}, {hi[at]:.6g}]"
+                + (f" (column {at[1]})" if lo.ndim > 1 else "")
             )
         lo, mid, hi, flo, flm, fmid, frm, fhi, Sl, Sr, open_ = (
             v[split] for v in (lo, mid, hi, flo, flm, fmid, frm, fhi, Sl, Sr, open_)

@@ -143,7 +143,9 @@ def semigroup_apply(sd: SpectralDecomposition, t: float, f) -> np.ndarray:
     if t < 0:
         raise NegativeTime(f"semigroup time must be nonnegative, got {t}")
     c = sd.coefficients(f)
-    return sd.synthesize(np.exp(-sd.eigenvalues * t) * c)
+    with np.errstate(over="ignore"):  # lam t beyond the float range decays to 0
+        damp = np.exp(-sd.eigenvalues * t)
+    return sd.synthesize(damp * c)
 
 
 def _graded_grid(a: float, b: float, lam_max: float) -> np.ndarray:
@@ -172,7 +174,8 @@ def _gramian_kernel(
     lam = sd.eigenvalues
     W = np.sqrt(sd.graph.m[d_idx])[:, None] * sd.eigenvectors[d_idx, :]
     S = lam[:, None] + lam[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # S a or S w beyond the float range gives e^{-inf} = 0, the decayed value
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         F = np.exp(-S * a) * (-np.expm1(-S * w)) / S
     F[S == 0.0] = w
     return (W.T @ W) * F
@@ -198,15 +201,24 @@ class RestrictedEvolution:
         self.C = coefs[:, None] if coefs.ndim == 1 else coefs
 
     def norms(self, ts) -> np.ndarray:
-        """Restricted norms, shape (len(ts), batch)."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        """Restricted norms g(t) = ||(S_t f)|_D||, one row per row of times.
+
+        ``ts`` is a 1-D array of times shared by the batch, giving shape
+        (len(ts), batch), or a (rows, batch) array with one time per entry
+        (``_entry_norms``), where a nan entry is not evaluated and gives nan.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if ts.ndim == 2:
+            return self._entry_norms(ts)
+        ts = np.atleast_1d(ts)
         n, n_batch = self.C.shape
         d = self.W.shape[0]
         out = np.empty((len(ts), n_batch))
         chunk = max(1, int(_CHUNK_ELEMENTS // max(1, n * n_batch)))
         for k0 in range(0, len(ts), chunk):
             tc = ts[k0 : k0 + chunk]
-            E = np.exp(-np.outer(self.lam, tc))  # (n, tc)
+            with np.errstate(over="ignore"):  # lam t beyond the float range decays to 0
+                E = np.exp(-np.outer(self.lam, tc))  # (n, tc)
             U = self.W @ (E[:, :, None] * self.C[:, None, :]).reshape(n, -1)
             U = np.abs(U) if np.iscomplexobj(U) else U
             U = np.square(U, out=U).reshape(d, len(tc), n_batch)
@@ -214,10 +226,40 @@ class RestrictedEvolution:
             del U  # no chunk's arrays outlive it: the peak is one product and one U
         return np.sqrt(out)
 
-    def final_norms(self, T: float) -> np.ndarray:
-        """Unrestricted norms ||S_T f|| for the batch."""
-        damp = np.exp(-2.0 * self.lam * T)
-        return np.sqrt(np.sum(np.abs(self.C) ** 2 * damp[:, None], axis=0))
+    def _entry_norms(self, ts: np.ndarray) -> np.ndarray:
+        """g at time ts[i, j] for column j, nan where ts[i, j] is nan.
+
+        The entries are taken in time order, so each chunk needs one
+        exponential per distinct time in it.  At most four arrays of n values
+        per entry of a chunk are alive at once (the exponentials, the two
+        gathered factors and their product), and they share
+        ``_CHUNK_ELEMENTS``.
+        """
+        out = np.full(ts.shape, np.nan)
+        rows, cols = np.nonzero(~np.isnan(ts))
+        times, which = np.unique(ts[rows, cols], return_inverse=True)
+        order = np.argsort(which, kind="stable")
+        rows, cols, which = rows[order], cols[order], which[order]
+        n = len(self.lam)
+        chunk = max(1, _CHUNK_ELEMENTS // (4 * n))
+        for k0 in range(0, len(which), chunk):
+            sl = slice(k0, k0 + chunk)
+            first = which[k0]
+            with np.errstate(over="ignore"):  # lam t beyond the float range decays to 0
+                E = np.exp(-np.outer(self.lam, times[first : which[sl][-1] + 1]))
+            U = self.W @ (E[:, which[sl] - first] * self.C[:, cols[sl]])
+            U = np.abs(U) if np.iscomplexobj(U) else U
+            out[rows[sl], cols[sl]] = np.sum(np.square(U, out=U), axis=0)
+            del E, U  # freed before the next chunk allocates its own
+        return np.sqrt(out)
+
+    def final_norms(self, T) -> np.ndarray:
+        """Unrestricted norms ||S_T f|| for the batch; T is one time for all
+        columns or one per column."""
+        with np.errstate(over="ignore"):  # lam T beyond the float range decays to 0
+            damp = np.exp(np.multiply.outer(-2.0 * self.lam, T))
+        damp = damp.reshape(len(self.lam), -1)  # (n, 1) or (n, batch)
+        return np.sqrt(np.sum(np.abs(self.C) ** 2 * damp, axis=0))
 
     def rate_norms(self, ts) -> np.ndarray:
         """||H S_t f|| for each time (rows) and column.
@@ -228,13 +270,15 @@ class RestrictedEvolution:
         overflows, gives +inf or a finite value and never inf * 0.
         """
         scale = float(self.lam[-1]) or 1.0
-        damp = np.square(self.lam / scale * np.exp(-np.outer(np.atleast_1d(ts), self.lam)))
+        with np.errstate(over="ignore"):  # lam t beyond the float range decays to 0
+            decay = np.exp(-np.outer(np.atleast_1d(ts), self.lam))
+        damp = np.square(self.lam / scale * decay)
         return scale * np.sqrt(damp @ np.abs(self.C) ** 2)
 
     def l2_time_integral(self, a: float, b: float) -> np.ndarray:
         """Closed form of int_a^b ||(S_t f)|_D||^2 dt for the batch."""
         M = _gramian_kernel(self.sd, self.d_indices, a, b - a)
-        vals = np.einsum("ij,in,jn->n", M, np.conj(self.C), self.C, optimize=True).real
+        vals = np.sum(np.conj(self.C) * (M @ self.C), axis=0).real
         return np.maximum(vals, 0.0)
 
     @cached_property
@@ -296,22 +340,32 @@ class RestrictedEvolution:
                 ub[cells] = np.maximum(g0[cells], end + np.fmin(rem, by_group))
         return g0, ub
 
-    def _sup_norms(self, a: float, b: float) -> np.ndarray:
-        """Certified sup of g over [a, b] for each column, by bound and bisect.
+    def _columns(self, keep: np.ndarray) -> RestrictedEvolution:
+        """The same evolution on the columns ``keep`` of the batch."""
+        if keep.all():
+            return self
+        return RestrictedEvolution(self.sd, self.d_indices, self.C[:, keep])
 
-        The cells of the graded grid are bisected while their upper bound
-        (``_cell_bounds``) exceeds the column's best sampled value s by more
-        than ``_LR_REL_TOL`` ||S_a f||; s is returned, so s <= sup g <=
+    def _sup_norms(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Certified sup of g over [a[j], b[j]] for each column j, by bound
+        and bisect.
+
+        The cells of each column's graded grid are bisected while their upper
+        bound (``_cell_bounds``) exceeds the column's best sampled value s by
+        more than ``_LR_REL_TOL`` ||S_a f||; s is returned, so s <= sup g <=
         s + _LR_REL_TOL ||S_a f||.  A cell with no float between its ends
         holds no time that is not sampled, so it is not bisected.  A bound
         that overflows (+inf, or nan from inf - inf) counts as exceeding.
         """
         n_batch = self.C.shape[1]
-        ts = _graded_grid(a, b, float(self.lam[-1]))
-        best = self.norms([b])[0]
+        windows, window_of = np.unique(np.stack([a, b], axis=1), axis=0, return_inverse=True)
+        lam_max = float(self.lam[-1])
+        grids = np.array([_graded_grid(wa, wb, lam_max) for wa, wb in windows.tolist()])
+        ts = grids[window_of.ravel()]  # (batch, _GRID_CELLS + 1)
+        best = self.norms(b[None, :])[0]
         tol = _LR_REL_TOL * self.final_norms(a)
-        lo = np.tile(ts[:-1], n_batch)
-        hi = np.tile(ts[1:], n_batch)
+        lo = ts[:, :-1].ravel()
+        hi = ts[:, 1:].ravel()
         cols = np.repeat(np.arange(n_batch), _GRID_CELLS)
         while len(lo):
             g0, ub = self._cell_bounds(lo, hi - lo, cols)
@@ -322,20 +376,35 @@ class RestrictedEvolution:
             lo, hi, cols = np.r_[lo, mid], np.r_[mid, hi], np.r_[cols, cols]
         return best
 
-    def lr_norms(self, a: float, b: float, r: float) -> np.ndarray:
-        """Certified L_r norms in time over (a, b), one per column.
+    def lr_norms(self, a, b, r) -> np.ndarray:
+        """Certified L_r norms in time, one per column over its window (a, b).
 
-        Finite r integrates the r-th power by adaptive Simpson, each column
-        to relative tolerance ``_LR_REL_TOL`` of its own integral; r = inf
-        bisects the graded grid until each column's sampled maximum is
-        within ``_LR_REL_TOL`` ||S_a f|| of its supremum (``_sup_norms``).
+        Each of a, b and r is one value for the batch or one per column.
+        The finite-r columns integrate the r-th power in one adaptive
+        Simpson call, each column to relative tolerance ``_LR_REL_TOL`` of
+        its own integral, on times shared by the batch when the window is;
+        the r = inf columns bisect their graded grids in one run until each
+        sampled maximum is within ``_LR_REL_TOL`` ||S_a f|| of its supremum
+        (``_sup_norms``).
         """
-        if math.isinf(r):
-            return self._sup_norms(a, b)
-        integrals = adaptive_simpson(
-            lambda ts: self.norms(ts) ** r, a, b, rel_tol=_LR_REL_TOL, norm=np.abs
-        )
-        return integrals ** (1.0 / r)
+        n_batch = self.C.shape[1]
+        a, b, r = (np.broadcast_to(np.asarray(v, dtype=float), (n_batch,)) for v in (a, b, r))
+        out = np.empty(n_batch)
+        sup = np.isinf(r)
+        if sup.any():
+            out[sup] = self._columns(sup)._sup_norms(a[sup], b[sup])
+        fin = ~sup
+        if fin.any():
+            part, a, b, r = self._columns(fin), a[fin], b[fin], r[fin]
+            if np.all(a == a[0]) and np.all(b == b[0]):
+                a, b = a[0], b[0]  # one window: the batch shares its times
+            if np.all(r == r[0]):
+                r = float(r[0])  # numpy's scalar-exponent paths: x ** 2 is x * x, x ** 0.5 sqrt
+            integrals = adaptive_simpson(
+                lambda ts: part.norms(ts) ** r, a, b, rel_tol=_LR_REL_TOL, norm=np.abs
+            )
+            out[fin] = integrals ** (1.0 / r)
+        return out
 
 
 def time_lr_norm(

@@ -232,6 +232,26 @@ def test_verify_reports_certified_minimum_over_all_states(seed):
         assert brute[labels.index(ver.worst_label)] <= brute.min() + tol
 
 
+def test_verify_multi_matches_one_set_per_call():
+    """The 18 constant sets of an acceptance-corpus graph, certified in one
+    engine run, report what 18 separate verifications report."""
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(rng, 20)
+    D = grow_dense_subset(g, rng)
+    sd = eigendecompose(g)
+    consts = [
+        weak_obs_constants(g, sd, D, T, delta, r)
+        for delta in (0.0, 0.5)
+        for r in (1.0, 2.0, math.inf)
+        for T in (0.5, 1.0, 5.0)
+    ]
+    reports = verify_weak_obs_multi(sd, D, consts, samples=1000, seed=7)
+    for c, ver in zip(consts, reports):
+        one = verify_weak_obs(sd, D, c, samples=1000, seed=7)
+        assert ver.min_slack == pytest.approx(one.min_slack, rel=1e-12, abs=0.0)
+        assert ver.worst_label == one.worst_label
+
+
 def test_verify_keeps_a_state_whose_bound_is_nan(c4, monkeypatch):
     """Only a definite comparison prunes: a nan grid bound keeps its state
     (and, through the nan minimum, every state), so the certified minimum

@@ -277,16 +277,22 @@ _STIFF_CASES = [
     ("control", _STIFF_CONTROL, 2),
     ("control", dict(_STIFF_CONTROL, alpha_target=0.5), 0),
     ("up-sweep", {}, 0),
+] + [  # long windows: lam t overflows a float, and the mode has decayed to 0
+    ("weak-obs", {"T": T, "delta": delta, "r": r, "samples": 10}, code)
+    for T in (1e10, 1e15)
+    for r, codes in ((1, (2, 0)), (2, (2, 0)), ("inf", (0, 0)))
+    for delta, code in zip((0.0, 0.5), codes)
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("task, params, code", _STIFF_CASES)
 def test_cli_stiff_measure_ends_in_a_verdict_or_a_refusal(tmp_path, task, params, code):
     """m = 1e-300 on cycle-8 puts lam_max at 4e300, so lam^2 and ||H+1||^2
-    overflow a float.  Each case exits 0 or 2, never with a traceback: at
-    delta = 0 and finite r the Simpson integral of a mode that decays in
-    1e-300 exceeds its depth, and duality asks for exact null control of
-    a singular Gramian."""
+    overflow a float.  Each case exits 0 or 2, never with a traceback or a
+    warning: at delta = 0 and finite r the Simpson integral of a mode that
+    decays in 1e-300 exceeds its depth, and duality asks for exact null
+    control of a singular Gramian."""
     got, err, _ = _run_cli(tmp_path, {
         "graph": {"family": "cycle", "n": 8, "m": 1e-300},
         "subset": {"parity": "even"},

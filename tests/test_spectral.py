@@ -370,6 +370,23 @@ def test_quadrature_depth_exhaustion_raises():
     assert time_lr_norm(sd, np.ones(6), ["0"], (0.0, 1.0), 2) >= 0.0
 
 
+def test_quadrature_depth_exhaustion_names_the_column_panel():
+    """With one window per column, the refusal names the panel of the column
+    that does not converge, here the noisy second one."""
+    from graphheat.quadrature import adaptive_simpson
+
+    rng = np.random.default_rng(0)
+
+    def fn(ts):
+        return np.where(np.arange(2) == 1, rng.standard_normal(ts.shape), ts)
+
+    with pytest.raises(QuadratureNonConvergence, match=r"depth 3 on \[2, 2\.5\] \(column 1\)"):
+        adaptive_simpson(
+            fn, np.array([0.0, 2.0]), np.array([1.0, 6.0]), rel_tol=1e-12, max_depth=3,
+            norm=np.abs,
+        )
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000))
 @example(572)  # a zero of the trajectory puts a corner in |.|^r
@@ -420,3 +437,22 @@ def test_batched_time_norm_matches_columns(seed):
         for j in range(5):
             one = time_lr_norm(sd, batch[:, j], D, (a, b), r)
             assert got[j] == pytest.approx(one, rel=1e-10, abs=0.0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000))
+def test_time_norms_on_mixed_windows_match_one_column_calls(seed):
+    """One call with a window and an exponent per column certifies every
+    column as its own one-column call does."""
+    sd = small_sd(seed, n_max=7)
+    g = sd.graph
+    rng = np.random.default_rng(seed + 11)
+    d_idx = np.sort(rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False))
+    C = sd.coefficients(rng.standard_normal((g.n, 24)))
+    a = rng.choice([0.0, 0.25, 0.5], size=24)
+    b = a + rng.choice([0.5, 1.0, 5.0], size=24)
+    r = rng.choice([1.0, 2.0, 3.0, math.inf], size=24)
+    got = RestrictedEvolution(sd, d_idx, C).lr_norms(a, b, r)
+    for j in range(24):
+        one = RestrictedEvolution(sd, d_idx, C[:, [j]]).lr_norms(a[j], b[j], r[j])[0]
+        assert got[j] == pytest.approx(one, rel=1e-13, abs=0.0), (j, a[j], b[j], r[j])
