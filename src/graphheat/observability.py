@@ -12,6 +12,7 @@ minimum over the whole battery.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -271,22 +272,31 @@ def _phi_batch(
     return np.concatenate(blocks, axis=1), labels
 
 
-def _closed_form_bounds(
-    re: RestrictedEvolution, a: float, b: float, r: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column bounds lo <= ||g||_{L_r(a, b)} <= hi, g(t) = ||(S_t phi)|_D||.
+def _window_terms(
+    re: RestrictedEvolution, a: float, b: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The exponent-free terms of ``_closed_form_bounds`` on the window
+    (a, b): its width w = b - a and, per column, L2 = ||g||_{L_2(a, b)}
+    (closed form), G = ||S_a phi|| and max(g(a), g(b))."""
+    l2 = np.sqrt(re.l2_time_integral(a, b))
+    return b - a, l2, re.final_norms(a), re.norms([a, b]).max(axis=0)
 
-    With w = b - a, L2 = ||g||_2 (closed form) and G = ||S_a phi|| >= sup g:
+
+def _closed_form_bounds(
+    terms: tuple[float, np.ndarray, np.ndarray, np.ndarray], r: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column bounds lo <= ||g||_{L_r(a, b)} <= hi, g(t) = ||(S_t phi)|_D||,
+    from the window's ``_window_terms``.
+
+    With w = b - a, L2 = ||g||_2 and G = ||S_a phi|| >= sup g:
     - r = 2: both bounds are L2;
     - 1 <= r < 2: (L2^2 / G^{2-r})^{1/r} <= ||g||_r <= w^{1/r - 1/2} L2;
     - r > 2: the same two expressions with their roles swapped;
     - r = inf: max(g(a), g(b), L2 / sqrt(w)) <= sup g <= G.
     """
-    l2 = np.sqrt(re.l2_time_integral(a, b))
-    G = re.final_norms(a)
-    w = b - a
+    w, l2, G, ends = terms
     if math.isinf(r):
-        return np.maximum(re.norms([a, b]).max(axis=0), l2 / math.sqrt(w)), G
+        return np.maximum(ends, l2 / math.sqrt(w)), G
     mean = w ** (1.0 / r - 0.5) * l2
     with np.errstate(divide="ignore", invalid="ignore"):
         power = np.where(G > 0.0, l2 ** (2.0 / r) * G ** (1.0 - 2.0 / r), 0.0)
@@ -325,10 +335,14 @@ def verify_weak_obs_multi(
 
     Each constant set runs bound, prune and certify over the battery:
     - bound every state's time norm in closed form (``_closed_form_bounds``);
+      the terms that depend on the window (delta T, T) alone, namely the L_2
+      integral, ||S_{delta T} phi|| and g at both ends (``_window_terms``),
+      are computed once per distinct window and shared by its exponents, as
+      ||S_T phi|| is once per distinct T;
     - drop the states whose slack lower bound exceeds the smallest slack
       upper bound by more than the margin (``_RECHECK_MARGIN_REL``);
     - bound the rest again on a graded grid (``_grid_bounds``) and prune once
-      more;
+      more; this runs per set, on that set's own survivors;
     - certify the survivors of every set together in one batched
       ``RestrictedEvolution.lr_norms`` call on their spectral coefficients,
       each column on its own set's window and exponent.
@@ -341,12 +355,14 @@ def verify_weak_obs_multi(
     C, labels = _phi_batch(sd, samples, seed)
     re = RestrictedEvolution(sd, d_idx, C)
 
+    final_norms = functools.cache(re.final_norms)
+    window_terms = functools.cache(functools.partial(_window_terms, re))
     survivors = []
     for const in constants_list:
         a, b, r = const.delta * const.T, const.T, const.r
-        final = re.final_norms(const.T)
+        final = final_norms(const.T)
         cols = np.arange(C.shape[1])
-        lo, hi = _closed_form_bounds(re, a, b, r)
+        lo, hi = _closed_form_bounds(window_terms(a, b), r)
         margin = (
             _RECHECK_MARGIN_REL * (const.K + const.alpha + 1.0)
             + 2.0 * _LR_REL_TOL * const.K * float(hi.max())

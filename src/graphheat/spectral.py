@@ -100,11 +100,18 @@ class SpectralDecomposition:
     def synthesize(self, coefs) -> np.ndarray:
         return self.eigenvectors @ np.asarray(coefs)
 
+    @cached_property
+    def scale(self) -> float:
+        """The size of the spectrum: lam_max, or 1 where it is {0}."""
+        top = float(self.eigenvalues[-1])
+        return top if top > 0.0 else 1.0
+
     def eigenvalue_groups(self) -> list[tuple[float, np.ndarray]]:
         """Indices grouped by numerically repeated eigenvalues (within
-        1e-8 (lam_max + 1) of the group's smallest)."""
+        1e-8 ``scale`` of the group's smallest, so the grouping does not
+        depend on the size of m)."""
         lam = self.eigenvalues
-        tol = 1e-8 * (float(lam[-1]) + 1.0)
+        tol = 1e-8 * self.scale
         groups: list[tuple[float, np.ndarray]] = []
         start = 0
         for i in range(1, len(lam) + 1):
@@ -136,6 +143,24 @@ def eigendecompose(g: WeightedGraph) -> SpectralDecomposition:
 def op_norm_H_plus_1(sd: SpectralDecomposition) -> float:
     """Operator norm of H + 1 (H is self-adjoint and nonnegative)."""
     return float(sd.eigenvalues[-1]) + 1.0
+
+
+def _eigen_residuals(sd: SpectralDecomposition, lam, vectors) -> np.ndarray:
+    """||H v - lam v|| / ``sd.scale`` for each column v of ``vectors`` (n, k),
+    with one lam per column or one for all.
+
+    H is linear, so it is applied through ``apply_laplacian`` to
+    w = v / (||v||_inf scale), whose image is of unit size, and the m-norm of
+    H w - lam w is taken with the factor ||v||_inf put back per entry: a
+    measure near either end of the float range, where H v itself would
+    overflow or its residual underflow, leaves the value in range.
+    """
+    V = np.asarray(vectors)
+    top = np.abs(V).max(axis=0)
+    top = np.where(top > 0.0, top, 1.0)
+    w = V / top / sd.scale
+    R = apply_laplacian(sd.graph, w) - w * lam
+    return np.linalg.norm(np.sqrt(sd.graph.m)[:, None] * top * R, axis=0)
 
 
 def semigroup_apply(sd: SpectralDecomposition, t: float, f) -> np.ndarray:
@@ -184,9 +209,10 @@ def _gramian_kernel(
 class RestrictedEvolution:
     """Vectorized evaluation of t -> ||(S_t f)|_D|| for a batch of states.
 
-    Holds the D-restricted, sqrt(m)-scaled eigenvector rows and the spectral
-    coefficients of the batch; all time evaluations reduce to one matrix
-    product per chunk of times.
+    Holds the D-restricted, sqrt(m)-scaled eigenvector rows W (|D| x n) and
+    the spectral coefficients C (n x batch) of the batch; every evaluation
+    on shared times is one matrix product per chunk of times, in which
+    e^{-lam t} scales the smaller of W and C.
     """
 
     def __init__(self, sd: SpectralDecomposition, d_indices: np.ndarray, coefs: np.ndarray):
@@ -206,6 +232,15 @@ class RestrictedEvolution:
         ``ts`` is a 1-D array of times shared by the batch, giving shape
         (len(ts), batch), or a (rows, batch) array with one time per entry
         (``_entry_norms``), where a nan entry is not evaluated and gives nan.
+
+        On shared times the exponentials scale whichever factor is smaller:
+        the rows of W, stacked over the chunk's times into one
+        (times |D|) x n matrix times C, when the batch is wider than |D|,
+        and otherwise the columns of C, stacked into one n x (times batch)
+        matrix that W multiplies.  The products are the same; the
+        temporaries are not.  Each chunk of times keeps the scaled factor
+        and the product together within ``_CHUNK_ELEMENTS`` entries (one
+        time per chunk when a single time needs more).
         """
         ts = np.asarray(ts, dtype=float)
         if ts.ndim == 2:
@@ -213,17 +248,23 @@ class RestrictedEvolution:
         ts = np.atleast_1d(ts)
         n, n_batch = self.C.shape
         d = self.W.shape[0]
+        wide = n_batch > d
         out = np.empty((len(ts), n_batch))
-        chunk = max(1, int(_CHUNK_ELEMENTS // max(1, n * n_batch)))
+        # per time, the scaled factor has n min(d, batch) entries and U has d batch
+        chunk = max(1, _CHUNK_ELEMENTS // max(1, n * min(d, n_batch) + d * n_batch))
         for k0 in range(0, len(ts), chunk):
             tc = ts[k0 : k0 + chunk]
             with np.errstate(over="ignore"):  # lam t beyond the float range decays to 0
-                E = np.exp(-np.outer(self.lam, tc))  # (n, tc)
-            U = self.W @ (E[:, :, None] * self.C[:, None, :]).reshape(n, -1)
+                E = np.exp(-np.outer(tc, self.lam))  # (tc, n)
+            if wide:  # scale the d x n rows of W per time: one GEMM with C
+                U = (E[:, None, :] * self.W[None]).reshape(-1, n) @ self.C
+                shape, axis = (len(tc), d, n_batch), 1
+            else:  # scale the batch per time, then one GEMM with W
+                U = self.W @ (E.T[:, :, None] * self.C[:, None, :]).reshape(n, -1)
+                shape, axis = (d, len(tc), n_batch), 0
             U = np.abs(U) if np.iscomplexobj(U) else U
-            U = np.square(U, out=U).reshape(d, len(tc), n_batch)
-            out[k0 : k0 + len(tc)] = np.sum(U, axis=0)
-            del U  # no chunk's arrays outlive it: the peak is one product and one U
+            out[k0 : k0 + len(tc)] = np.sum(np.square(U, out=U).reshape(shape), axis=axis)
+            del U  # no chunk's arrays outlive it: the peak is one scaled factor and one U
         return np.sqrt(out)
 
     def _entry_norms(self, ts: np.ndarray) -> np.ndarray:

@@ -252,6 +252,52 @@ def test_verify_multi_matches_one_set_per_call():
         assert ver.worst_label == one.worst_label
 
 
+def _corpus_graph_constants():
+    """An acceptance-corpus graph with its 18 constant sets: 6 windows
+    (delta T, T), each under the exponents 1, 2 and inf."""
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(rng, 20)
+    D = grow_dense_subset(g, rng)
+    sd = eigendecompose(g)
+    consts = [
+        weak_obs_constants(g, sd, D, T, delta, r)
+        for delta in (0.0, 0.5)
+        for r in (1.0, 2.0, math.inf)
+        for T in (0.5, 1.0, 5.0)
+    ]
+    return sd, D, consts
+
+
+def test_verify_multi_computes_window_terms_once_per_window(monkeypatch):
+    """The 18 sets share 6 windows: the closed-form L_2 integral runs once
+    per window, not once per set."""
+    sd, D, consts = _corpus_graph_constants()
+    calls = []
+    real = RestrictedEvolution.l2_time_integral
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(RestrictedEvolution, "l2_time_integral", counted)
+    verify_weak_obs_multi(sd, D, consts, samples=1000, seed=7)
+    assert len(calls) == len(set(calls)) == 6
+
+
+def test_verify_multi_with_repeated_and_interleaved_windows():
+    """A constant list that repeats sets and interleaves windows reports,
+    for each set, what one verification of that set alone reports."""
+    sd, D, consts = _corpus_graph_constants()
+    order = [4, 13, 1, 4, 16, 7, 13, 0, 10, 4]
+    picked = [consts[i] for i in order]
+    reports = verify_weak_obs_multi(sd, D, picked, samples=1000, seed=7)
+    for c, ver in zip(picked, reports):
+        one = verify_weak_obs(sd, D, c, samples=1000, seed=7)
+        assert ver.constants == c
+        assert ver.min_slack == pytest.approx(one.min_slack, rel=1e-12, abs=0.0)
+        assert ver.worst_label == one.worst_label
+
+
 def test_verify_keeps_a_state_whose_bound_is_nan(c4, monkeypatch):
     """Only a definite comparison prunes: a nan grid bound keeps its state
     (and, through the nan minimum, every state), so the certified minimum

@@ -303,6 +303,30 @@ def test_cli_stiff_measure_ends_in_a_verdict_or_a_refusal(tmp_path, task, params
     assert got == code and "Traceback" not in err, err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("task", ["non-null", "spectrum"])
+@pytest.mark.parametrize("m", [1e10, 1e300, 1e-300])
+def test_cli_eigen_and_invariance_checks_are_relative(tmp_path, task, m):
+    """The eigen-residual is taken relative to lam_max and the
+    mode-invariance drift relative to the terms it compares, so an extreme
+    measure on cycle-8, whose even D has a genuine obstruction, keeps every
+    assertion (with m = 1e-300, H applied to an m-unit state overflows).
+    The obstruction is the eigenfunction sin(pi x / 2) of eigenvalue 2 / m
+    on its own, at every m: the eigenvalue grouping scales with lam_max."""
+    code, err, summary = _run_cli(tmp_path, {
+        "graph": {"family": "cycle", "n": 8, "m": m},
+        "subset": {"parity": "even"},
+        "task": task,
+        "params": {"T": 1.0} if task == "non-null" else {},
+        "seed": 1,
+    })
+    assert code == 0 and "Traceback" not in err, err
+    assert all(a["passed"] for a in summary["assertions"]), summary["assertions"]
+    if task == "non-null":
+        assert summary["obstruction_dimensions"] == [1]
+        assert summary["obstruction_eigenvalues"][0] == pytest.approx(2.0 / m, rel=1e-12)
+
+
 def test_first_jump_law_fails_when_no_path_jumps(tmp_path, monkeypatch):
     """Without a sampled jump there is no law to compare: the check fails."""
     real = sto.sample_ctmc_paths

@@ -93,6 +93,40 @@ def test_decomposition_invariants(seed):
     assert np.abs(v0 - v0[0]).max() <= 1e-8 * abs(v0[0])
 
 
+@pytest.mark.parametrize("m", [1e-300, 1e-10, 1.0, 1e10, 1e300])
+def test_eigenvalue_groups_do_not_depend_on_the_size_of_m(m):
+    """Scaling m scales the spectrum by 1/m: cycle-8 keeps its 5 groups,
+    {0}, three pairs and {4}, on every scale of m."""
+    groups = eigendecompose(cycle(8, m=m)).eigenvalue_groups()
+    assert [idx.tolist() for _, idx in groups] == [[0], [1, 2], [3, 4], [5, 6], [7]]
+    assert [lam * m for lam, _ in groups] == pytest.approx([0.0, 2 - math.sqrt(2), 2.0, 2 + math.sqrt(2), 4.0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_eigen_residuals_are_relative_and_stay_in_range(seed):
+    """``_eigen_residuals`` is ||H v - lam v|| / lam_max, so on the measure
+    s m, where H is H / s, the state v / sqrt(s) and the value lam / s give
+    the same number, for s near either end of the float range where H v
+    itself overflows or the residual underflows."""
+    from graphheat.spectral import _eigen_residuals
+
+    sd = small_sd(seed)
+    g = sd.graph
+    rng = np.random.default_rng(seed + 5)
+    V = rng.standard_normal((g.n, 3))
+    lam = rng.uniform(0.0, 2.0, size=3) * sd.eigenvalues[-1]
+    R = apply_laplacian(g, V) - V * lam
+    want = [m_norm(g, R[:, j]) / sd.eigenvalues[-1] for j in range(3)]
+    np.testing.assert_allclose(_eigen_residuals(sd, lam, V), want, rtol=1e-12)
+    for s in (1e-300, 1e300):
+        ids = g.vertex_ids
+        edges = [(ids[i], ids[j], float(g.weights[i, j])) for i, j in zip(*np.nonzero(np.triu(g.weights)))]
+        scaled = build_graph([(x, s * float(mx)) for x, mx in zip(ids, g.m)], edges)
+        got = _eigen_residuals(eigendecompose(scaled), lam / s, V / math.sqrt(s))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 def test_op_norm(k2, c4):
     assert op_norm_H_plus_1(eigendecompose(k2)) == pytest.approx(3.0, abs=1e-12)
     assert op_norm_H_plus_1(eigendecompose(c4)) == pytest.approx(5.0, abs=1e-12)
@@ -394,7 +428,7 @@ def test_quadrature_depth_exhaustion_names_the_column_panel():
 def test_lr_bounds_contain_certified_norm(seed):
     """The closed-form and the grid bounds of the weak-observability pruning
     each contain the certified batch L_r norm, for r in {1, 1.5, 2, 3, inf}."""
-    from graphheat.observability import _closed_form_bounds, _grid_bounds
+    from graphheat.observability import _closed_form_bounds, _grid_bounds, _window_terms
 
     sd = small_sd(seed, n_max=7)
     g = sd.graph
@@ -409,10 +443,12 @@ def test_lr_bounds_contain_certified_norm(seed):
         for r in [1.0, 1.5, 2.0, 3.0, math.inf]:
             # certified to 1e-10 of each integral, so compare with 1e-9 room
             certified = time_lr_norm(sd, batch, D, (a, b), r)
-            for bounds in (_closed_form_bounds, _grid_bounds):
-                lo, hi = bounds(re, a, b, r)
-                assert np.all(lo <= certified * (1.0 + 1e-9)), (bounds.__name__, r, lo, certified)
-                assert np.all(certified <= hi * (1.0 + 1e-9)), (bounds.__name__, r, hi, certified)
+            for name, (lo, hi) in (
+                ("closed form", _closed_form_bounds(_window_terms(re, a, b), r)),
+                ("grid", _grid_bounds(re, a, b, r)),
+            ):
+                assert np.all(lo <= certified * (1.0 + 1e-9)), (name, r, lo, certified)
+                assert np.all(certified <= hi * (1.0 + 1e-9)), (name, r, hi, certified)
 
 
 @settings(max_examples=15, deadline=None)
@@ -456,3 +492,40 @@ def test_time_norms_on_mixed_windows_match_one_column_calls(seed):
     for j in range(24):
         one = RestrictedEvolution(sd, d_idx, C[:, [j]]).lr_norms(a[j], b[j], r[j])[0]
         assert got[j] == pytest.approx(one, rel=1e-13, abs=0.0), (j, a[j], b[j], r[j])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.sampled_from([1, 300, 2_000_000]))
+def test_shared_time_norms_match_a_per_time_reference(seed, complex_coefs, chunk_elements):
+    """On shared times, ``norms`` scales the batch per time when the batch is
+    at most |D| wide and the rows of W when it is wider; both orientations,
+    chunked into one or several time chunks, give ||W (e^{-lam t} c)|| per
+    time and column, and what ``_entry_norms`` gives on the same times,
+    including t = 0 and t = 1e308, where lam t overflows a float for every
+    lam above 1.8.  They agree to 1e-13 of the size of the terms summed,
+    ||abs(W) (e^{-lam t} abs(c))||, which bounds the norm and its rounding
+    where the terms cancel."""
+    import graphheat.spectral as spectral
+
+    sd = small_sd(seed, n_max=7)
+    g = sd.graph
+    rng = np.random.default_rng(seed + 13)
+    d_idx = np.sort(rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False))
+    d = len(d_idx)
+    ts = np.r_[0.0, np.sort(rng.uniform(0.0, 3.0, size=6)), 1e308]
+    for width in (int(rng.integers(1, d + 1)), d + int(rng.integers(1, 6))):
+        C = rng.standard_normal((g.n, width))
+        if complex_coefs:
+            C = C + 1j * rng.standard_normal((g.n, width))
+        re = RestrictedEvolution(sd, d_idx, C)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_CHUNK_ELEMENTS", chunk_elements)
+            got = re.norms(ts)
+            per_entry = re.norms(np.repeat(ts[:, None], width, axis=1))
+        with np.errstate(over="ignore"):  # an overflowing lam t gives e^{-inf} = 0
+            decays = [np.exp(-sd.eigenvalues * t)[:, None] for t in ts]
+        want = np.array([np.linalg.norm(re.W @ (e * C), axis=0) for e in decays])
+        size = np.array([np.linalg.norm(np.abs(re.W) @ (e * np.abs(C)), axis=0) for e in decays])
+        assert got.shape == (len(ts), width)
+        assert np.all(np.abs(got - want) <= 1e-13 * size), np.abs(got - want) / size
+        assert np.all(np.abs(got - per_entry) <= 1e-13 * size), np.abs(got - per_entry) / size
