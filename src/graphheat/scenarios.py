@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -519,19 +519,7 @@ def _task_necessity(g, D, seed, *, x, t_grid, n_max) -> TaskReport:
         for row in rep.rows:
             worst_lower = min(worst_lower, row.lower_margin)
             worst_upper = min(worst_upper, row.upper_margin)
-            rows.append(
-                [
-                    vertex,
-                    rep.n_comb,
-                    row.t,
-                    row.full_norm,
-                    row.lower_bound,
-                    row.lower_margin,
-                    row.restricted_sq,
-                    row.erlang_bound,
-                    row.upper_margin,
-                ]
-            )
+            rows.append([vertex, rep.n_comb, *astuple(row)])
     report = TaskReport(
         "necessity",
         {
@@ -544,20 +532,7 @@ def _task_necessity(g, D, seed, *, x, t_grid, n_max) -> TaskReport:
             "worst_upper_margin": worst_upper,
         },
         tables={
-            "bounds": (
-                [
-                    "x",
-                    "n_comb",
-                    "t",
-                    "full_norm",
-                    "lower_bound",
-                    "lower_margin",
-                    "restricted_sq",
-                    "erlang_bound",
-                    "upper_margin",
-                ],
-                rows,
-            )
+            "bounds": (["x", "n_comb"] + [f.name for f in fields(sto.NecessityRow)], rows)
         },
     )
     report.check("bounds_hold", all_pass, "margins >= -1e-12")
@@ -597,13 +572,32 @@ def _task_stabilize(g, D, seed, *, T, alpha, N, f0) -> TaskReport:
     return report
 
 
+# Expected walk jumps a `stochastic` task may take.  On cycle-8 with b = 1000
+# (two x86-64 cores) the lock-step samplers move about 2.4e7 (fk_estimate)
+# and 2.2e6 (sample_ctmc_paths) jumps per second.
+_JUMP_BUDGET = 2e7
+
+
 def _task_stochastic(
     g, D, seed, *, x, t, n_samples, repeats, f, first_jump_samples, sample_paths
 ) -> TaskReport:
-    sd = eigendecompose(g)
     if x is None:
         x = g.vertex_ids[0]
     x_idx = g.index_of(x)
+    deg = g.degrees()
+    deg_max, deg_x = float(deg.max()), float(deg[x_idx])
+    # every walk runs to t, every first-jump path to the horizon 20 / Deg(x)
+    try:
+        jumps = (n_samples * repeats + sample_paths) * deg_max * t
+        if deg_x > 0.0:
+            jumps += first_jump_samples * 20.0 * deg_max / deg_x
+    except OverflowError:  # a sample count beyond the float range
+        jumps = math.inf
+    if not jumps <= _JUMP_BUDGET:
+        raise ValidationError(
+            f"the walks would take about {jumps:.3g} jumps, over the budget of {_JUMP_BUDGET:.0e}"
+        )
+    sd = eigendecompose(g)
     if f is None:
         f = np.zeros(g.n)
         f[x_idx] = 1.0
@@ -646,14 +640,11 @@ def _task_stochastic(
     )
 
     if first_jump_samples > 0:
-        counts: dict[str, int] = {}
-        jumped = 0
-        deg = float(g.degrees()[x_idx])
-        horizon = 20.0 / deg if deg > 0.0 else 0.0  # P(no jump by the horizon) = e^-20
-        for path in sto.sample_ctmc_paths(g, x, horizon, seed, range(first_jump_samples)):
-            if path.jump_count() >= 1:
-                jumped += 1
-                counts[path.states[1]] = counts.get(path.states[1], 0) + 1
+        horizon = 20.0 / deg_x if deg_x > 0.0 else 0.0  # P(no jump by the horizon) = e^-20
+        batch = sto.sample_ctmc_paths(g, x, horizon, seed, range(first_jump_samples))
+        targets = batch.states[batch.step == 1]
+        counts = np.bincount(targets, minlength=g.n).tolist()
+        jumped = len(targets)
         nb = g.neighbors(x_idx)
         total_w = float(g.weights[x_idx, nb].sum())
         law_rows = []
@@ -661,7 +652,7 @@ def _task_stochastic(
         law_ok = jumped > 0 or len(nb) == 0
         for j in nb if jumped else ():
             p_true = float(g.weights[x_idx, j]) / total_w
-            p_hat = counts.get(g.vertex_ids[j], 0) / jumped
+            p_hat = counts[j] / jumped
             se = math.sqrt(p_true * (1 - p_true) / jumped)
             ok = abs(p_hat - p_true) <= 4.0 * se + 1e-12
             law_ok = law_ok and ok
@@ -674,11 +665,10 @@ def _task_stochastic(
         report.check("first_jump_law", law_ok)
 
     if sample_paths > 0:
-        path_table = []
-        for i, p in enumerate(sto.sample_ctmc_paths(g, x, t, seed, range(sample_paths))):
-            for k, (jt, state) in enumerate(sto.path_rows(p)):
-                path_table.append([i, k, jt, state])
-        report.tables["paths"] = (["path_index", "k", "J_k", "Y_k"], path_table)
+        batch = sto.sample_ctmc_paths(g, x, t, seed, range(sample_paths))
+        names = [g.vertex_ids[y] for y in batch.states.tolist()]
+        entries = zip(batch.path.tolist(), batch.step.tolist(), batch.times.tolist(), names)
+        report.tables["paths"] = (["path_index", "k", "J_k", "Y_k"], [list(e) for e in entries])
     return report
 
 

@@ -8,11 +8,12 @@ random numbers: as easy as 1, 2, 3", SC 2011), so results are
 bit-reproducible for a fixed seed regardless of how work is scheduled.
 
 ``sample_ctmc_paths`` moves many paths in lock-step, path i reading the
-stream keyed (seed, i) through a vectorized Philox; its output for each
-path index is bit-identical to ``sample_ctmc_path`` with that index, so
-batched output equals the per-path streams.  ``fk_estimate`` moves its
-samples in lock-step on one reserved stream.  Both read the graph's
-cached ``transition_table``.
+stream keyed (seed, i) through a vectorized Philox, and returns their jump
+table; each path is bit-identical whichever other indices share the batch.
+``fk_estimate`` moves its samples in lock-step on one reserved stream.
+Both read the graph's cached ``transition_table``.  The necessity bounds
+take their norms from ``RestrictedEvolution`` and their Erlang tail from
+scipy's regularized incomplete gamma function.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.special
 
 from .errors import EmptySubset, ValidationError
-from .graph import WeightedGraph
-from .spectral import SpectralDecomposition
+from .graph import MetricKind, WeightedGraph, covering_radius
+from .spectral import RestrictedEvolution, SpectralDecomposition
 
 _ESTIMATOR_STREAM = 2**64 - 1  # reserved stream index for batched estimators
 
@@ -111,27 +113,28 @@ class _PhiloxStreams:
 
 
 @dataclass(frozen=True)
-class CTMCPath:
-    """One trajectory of the walk up to the horizon.
+class PathBatch:
+    """The jump table of a batch of sampled paths, in path order.
 
-    ``jump_times[k]`` is when ``states[k]`` was entered (J_0 = 0); the walk
-    sits at ``states[k]`` on [J_k, J_{k+1}).  ``isolated`` flags a start
-    vertex with Deg = 0, where the path is constant forever.
+    Entry e says that path ``path[e]`` (its position in ``path_indices``)
+    entered vertex ``states[e]`` (an index into ``vertex_ids``) at its
+    ``step[e]``-th jump, at time ``times[e]``; step 0 is the start, at time
+    0.  The walk sits at ``states[e]`` until the path's next entry, or the
+    horizon when there is none.  An isolated start (Deg = 0) gives each
+    path its step-0 entry only.
     """
 
-    jump_times: np.ndarray
-    states: tuple[str, ...]
-    horizon: float
-    isolated: bool = False
-
-    def jump_count(self) -> int:
-        return len(self.states) - 1
+    path: np.ndarray
+    step: np.ndarray
+    times: np.ndarray
+    states: np.ndarray
 
 
 def sample_ctmc_paths(
     g: WeightedGraph, x0: str, t_max: float, seed: int, path_indices: Iterable[int]
-) -> list[CTMCPath]:
-    """Sample one path started at x0 per path index, truncated at the horizon.
+) -> PathBatch:
+    """Sample one path started at x0 per path index, truncated at the
+    horizon, and return their jump table.
 
     All paths move in lock-step.  Path i reads the Philox stream keyed
     (seed, i): per step a holding-time uniform, redrawn while it is 0.0 so
@@ -144,18 +147,14 @@ def sample_ctmc_paths(
         raise ValidationError("horizon must be finite and nonnegative")
     i = g.index_of(x0)
     deg = g.degrees()
-    horizon = float(t_max)
     streams = _PhiloxStreams(seed, path_indices)
     n_paths = len(streams.drawn)
-    if deg[i] <= 0.0:
-        return [CTMCPath(np.array([0.0]), (x0,), horizon, isolated=True) for _ in range(n_paths)]
-
-    table = g.transition_table
     state = np.full(n_paths, i)
     clock = np.zeros(n_paths)
     active = np.arange(n_paths)
-    steps = [(active, clock.copy(), state.copy())]  # (path, J_k, Y_k) entries
-    while len(active):
+    steps = [(active, clock.copy(), state.copy())]  # step k: (path, J_k, Y_k)
+    table = g.transition_table
+    while len(active) and deg[i] > 0.0:  # an isolated start never jumps
         u = streams.draw_positive(active)
         # math.log, not np.log: the two differ in the last bit on some inputs
         xi = -np.fromiter(map(math.log, u.tolist()), float, len(u))
@@ -168,29 +167,10 @@ def sample_ctmc_paths(
         clock[active] = t
         steps.append((active, t, state[active]))
 
-    path_of = np.concatenate([s[0] for s in steps])
-    order = np.argsort(path_of, kind="stable")
-    times = np.concatenate([s[1] for s in steps])[order]
-    ids = g.vertex_ids
-    names = [ids[j] for j in np.concatenate([s[2] for s in steps])[order].tolist()]
-    ends = np.cumsum(np.bincount(path_of, minlength=n_paths)).tolist()
-    return [
-        CTMCPath(times[a:b], tuple(names[a:b]), horizon)
-        for a, b in zip([0] + ends[:-1], ends)
-    ]
-
-
-def sample_ctmc_path(
-    g: WeightedGraph, x0: str, t_max: float, seed: int, *, path_index: int = 0
-) -> CTMCPath:
-    """Sample one path started at x0, truncated at the horizon: the
-    one-path case of ``sample_ctmc_paths``."""
-    return sample_ctmc_paths(g, x0, t_max, seed, [path_index])[0]
-
-
-def path_rows(p: CTMCPath) -> list[tuple[float, str]]:
-    """(J_k, Y_k) pairs, the CSV export form of a sampled path."""
-    return [(float(t), s) for t, s in zip(p.jump_times, p.states)]
+    path, times, states = (np.concatenate(column) for column in zip(*steps))
+    step = np.repeat(np.arange(len(steps)), [len(s[0]) for s in steps])
+    order = np.argsort(path, kind="stable")
+    return PathBatch(path[order], step[order], times[order], states[order])
 
 
 @dataclass(frozen=True)
@@ -257,12 +237,8 @@ def fk_estimate(
 
 def erlang_tail(d_max: float, t: float, n: int) -> float:
     """P(sum of n unit-rate exponentials <= d_max * t), the Poisson upper tail
-    e^{-mu} sum_{i>=n} mu^i / i! at mu = d_max * t.
-
-    Uses the tail series directly when n > mu and one minus the head series
-    otherwise; both sums run their stable direction with terms anchored at
-    the peak and a relative cutoff of 1e-18.
-    """
+    e^{-mu} sum_{i>=n} mu^i / i! at mu = d_max * t: the regularized lower
+    incomplete gamma function P(n, mu), from ``scipy.special.gammainc``."""
     if d_max <= 0:
         raise ValidationError("d_max must be positive")
     if t < 0:
@@ -271,38 +247,7 @@ def erlang_tail(d_max: float, t: float, n: int) -> float:
         raise ValidationError("n must be nonnegative")
     if n == 0:
         return 1.0
-    mu = d_max * t
-    if mu == 0.0:
-        return 0.0
-
-    def series(start: int, stop: int | None) -> float:
-        # sum of e^{-mu} mu^i / i! for start <= i < stop, expanding outward
-        # from the largest term
-        peak = min(max(start, int(mu)), (stop - 1) if stop is not None else 10**18)
-        log_peak = peak * math.log(mu) - mu - math.lgamma(peak + 1)
-        t_peak = math.exp(log_peak)
-        total = t_peak
-        term = t_peak
-        i = peak
-        while stop is None or i + 1 < stop:
-            i += 1
-            term *= mu / i
-            total += term
-            if term <= 1e-18 * total:
-                break
-        term = t_peak
-        i = peak
-        while i > start:
-            term *= i / mu
-            i -= 1
-            total += term
-            if term <= 1e-18 * total:
-                break
-        return total
-
-    if n > mu:
-        return min(1.0, series(n, None))
-    return min(1.0, max(0.0, 1.0 - series(0, n)))
+    return float(scipy.special.gammainc(n, d_max * t))
 
 
 @dataclass(frozen=True)
@@ -320,8 +265,8 @@ def far_vertex_sequence(
     """For each n <= n_max, the first vertex with d_comb(x, D) >= n.
 
     Stops at the first n the finite graph cannot witness and reports the
-    maximum attained distance, the finite-scale proxy for relative
-    denseness of D.
+    maximum attained distance, the combinatorial covering radius of D and
+    the finite-scale proxy for its relative denseness.
     """
     if len(D) == 0:
         raise EmptySubset("far-vertex search needs a nonempty subset")
@@ -334,10 +279,7 @@ def far_vertex_sequence(
             stopped = n
             break
         entries.append((n, g.vertex_ids[int(hits[0])]))
-    finite = dist[np.isfinite(dist)]
-    max_dist = float(finite.max()) if len(finite) else math.inf
-    if np.isinf(dist).any():
-        max_dist = math.inf
+    max_dist = covering_radius(g, MetricKind.COMBINATORIAL, D)
     return FarVertexReport(tuple(entries), max_dist, stopped)
 
 
@@ -377,7 +319,12 @@ def necessity_bounds_check(
     *,
     slack: float = 1e-12,
 ) -> NecessityReport:
-    """Exact spectral norms against both necessity bounds on a time grid."""
+    """Exact spectral norms against both necessity bounds on a time grid.
+
+    ||S_t delta_x|| comes from ``RestrictedEvolution.final_norms`` and
+    ||(S_t delta_x)|_D||^2 from ``RestrictedEvolution.norms``, for the unit
+    delta at x; the Erlang bound is ``erlang_tail(Deg_max, t, n)``.
+    """
     if g is not sd.graph:
         raise ValidationError("decomposition does not belong to the given graph")
     if len(D) == 0:
@@ -394,20 +341,15 @@ def necessity_bounds_check(
 
     delta = np.zeros(g.n)
     delta[x_idx] = 1.0 / math.sqrt(g.m[x_idx])
-    coefs = sd.coefficients(delta)
-    lam = sd.eigenvalues
-    VD = sd.eigenvectors[d_idx, :]
-    mD = g.m[d_idx]
+    evolution = RestrictedEvolution(sd, d_idx, sd.coefficients(delta))
+    ts = np.asarray(t_grid, dtype=float)
+    fulls = evolution.final_norms(ts).tolist()
+    restricted = (evolution.norms(ts)[:, 0] ** 2).tolist()
 
     rows = []
     passed = True
-    for t in t_grid:
-        t = float(t)
-        damp = np.exp(-lam * t)
-        full = math.sqrt(float(np.sum((damp * coefs) ** 2)))
+    for t, full, restricted_sq in zip(ts.tolist(), fulls, restricted):
         lower = math.exp(-deg_x * t)
-        vals = VD @ (damp * coefs)
-        restricted_sq = float(np.sum(np.abs(vals) ** 2 * mD))
         bound = erlang_tail(d_max, t, n_comb)
         row = NecessityRow(
             t=t,

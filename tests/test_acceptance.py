@@ -300,17 +300,15 @@ def test_criterion_6_feynman_kac(k2, c8):
         # first-jump law against the transition probabilities
         x_idx = g.index_of(x)
         deg = float(g.degrees()[x_idx])
-        counts = {}
-        jumped = 0
-        for p in sample_ctmc_paths(g, x, 3.0 / deg, 55, range(100_000)):
-            if p.jump_count() >= 1:
-                jumped += 1
-                counts[p.states[1]] = counts.get(p.states[1], 0) + 1
+        batch = sample_ctmc_paths(g, x, 3.0 / deg, 55, range(100_000))
+        first = batch.states[batch.step == 1]  # the k = 1 states of the paths that jumped
+        counts = np.bincount(first, minlength=g.n)
+        jumped = len(first)
         nb = g.neighbors(x_idx)
         total_w = float(g.weights[x_idx, nb].sum())
         for j in nb:
             p_true = float(g.weights[x_idx, j]) / total_w
-            p_hat = counts.get(g.vertex_ids[j], 0) / jumped
+            p_hat = counts[j] / jumped
             se = math.sqrt(p_true * (1 - p_true) / jumped)
             assert abs(p_hat - p_true) <= 4.0 * se + 1e-12, (
                 f"{name}: first-jump law to {g.vertex_ids[j]}: "

@@ -268,6 +268,22 @@ def test_cli_first_jump_law_with_huge_holding_times(tmp_path):
     assert summary["exact_value"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "graph, params",
+    [
+        ({"family": "cycle", "n": 8, "b": 1e6}, {}),
+        ({"family": "cycle", "n": 8, "m": 1e-300}, {"n_samples": 10}),
+    ],
+)
+def test_cli_stochastic_over_the_jump_budget_exit_2(tmp_path, graph, params):
+    """Jump rates of 2e6 and 2e300 would keep the samplers stepping for
+    about half an hour (4e10 jumps) and forever: the expected jump count is
+    refused before sampling."""
+    code, err, summary = _run_cli(tmp_path, {"graph": graph, "task": "stochastic", "params": params})
+    assert code == 2 and summary is None
+    assert "jumps, over the budget of 2e+07" in err, err
+
+
 _STIFF_CONTROL = {"T": 1.0, "delta": 0.5, "r": 2, "f0": {"random": 3}}
 _STIFF_CASES = [
     ("weak-obs", {"T": 1.0, "delta": delta, "r": r, "samples": 10}, code)
