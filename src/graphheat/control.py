@@ -248,24 +248,20 @@ def synth_control(
     return ControlSignal(tuple(D), float(T), eta=eta_vertex), result
 
 
-def controlled_trajectory(
+def _controlled_trajectory(
     sd: SpectralDecomposition,
     D: Sequence[str],
-    f0,
+    f0: np.ndarray,
     signal: ControlSignal,
     samples: int,
 ) -> np.ndarray:
-    """Controlled states f(t_k) at ``samples`` equally spaced times on [0, T].
+    """Controlled states f(t_k) at ``samples`` >= 2 equally spaced times on
+    [0, T] for ``stabilize``'s closed-form signal and real state.
 
     One Gramian step per sample: with h = T/(samples - 1),
     f(t_{k+1}) = S_h f(t_k) + Q_h S_{T - t_{k+1}} eta, where Q_h is the
-    Gramian over [0, h].  Only available for closed-form signals; used for
-    intra-period bounds.
+    Gramian over [0, h].
     """
-    if not signal.closed_form:
-        raise ValidationError("trajectory shortcut needs a closed-form signal")
-    if samples < 2:
-        raise ValidationError(f"trajectory needs at least 2 samples, got {samples}")
     lam = sd.eigenvalues
     T = signal.T
     h = T / (samples - 1)
@@ -274,7 +270,7 @@ def controlled_trajectory(
     drive = K @ (np.exp(-np.outer(lam, T - ts[1:])) * sd.coefficients(signal.eta)[:, None])
     decay = np.exp(-lam * h)
     out = np.empty((samples, sd.n))
-    out[0] = sd.coefficients(_real(f0, "initial state"))
+    out[0] = sd.coefficients(f0)
     for k in range(samples - 1):
         out[k + 1] = decay * out[k] + drive[:, k]
     return out @ sd.eigenvectors.T
@@ -389,27 +385,13 @@ def mode_invariance_check(
     f0,
     u: ControlSignal,
     T: float,
-) -> float:
-    """|<f(T), phi> - e^{-lam T} <f0, phi>| for an obstruction eigenfunction.
-
-    Controls supported on D cannot move the phi-component, so the residual
-    is pure numerical noise for genuine obstructions.
-    """
-    return _mode_drift(sd, D, phi, lam, f0, u, T)[0]
-
-
-def _mode_drift(
-    sd: SpectralDecomposition,
-    D: Sequence[str],
-    phi,
-    lam: float,
-    f0,
-    u: ControlSignal,
-    T: float,
 ) -> tuple[float, float]:
-    """The drift of ``mode_invariance_check`` and the size of the terms it
-    compares: the free term e^{-lam T} |<f0, phi>| plus the norm of the
-    forced part f(T) - S_T f0, which grows with m and u."""
+    """The drift |<f(T), phi> - e^{-lam T} <f0, phi>| of an obstruction
+    eigenfunction phi under u, and the size of the terms it compares: the
+    free term e^{-lam T} |<f0, phi>| plus the norm of the forced part
+    f(T) - S_T f0, which grows with m and u.  Controls on D cannot move the
+    phi-component, so for a genuine obstruction the drift is rounding noise
+    on that scale."""
     result = verify_control(sd, D, f0, u, T)
     free = math.exp(-lam * T) * sd.inner(f0, phi)
     drift = abs(sd.inner(result.final_state, phi) - free)
@@ -440,8 +422,8 @@ def stabilize(
     Each period re-runs the synthesis from the achieved state, so
     ||f(kT)|| <= alpha^k ||f0|| and the envelope constants are
     omega = ln(alpha)/T with M covering the intra-period excursions,
-    sampled at ``_INTRA_SAMPLES`` equally spaced times per period by
-    ``controlled_trajectory`` (one Gramian step per sample).
+    sampled at ``_INTRA_SAMPLES`` equally spaced times per period (one
+    Gramian step per sample).
     """
     if not (0.0 < alpha < 1.0):
         raise ValidationError("stabilization needs alpha in (0, 1)")
@@ -459,7 +441,7 @@ def stabilize(
             f = np.zeros(sd.n)
             continue
         signal, res = synth_control(sd, D, T, f, alpha, gram=gram_cache)
-        traj = controlled_trajectory(sd, D, f, signal, _INTRA_SAMPLES)
+        traj = _controlled_trajectory(sd, D, f, signal, _INTRA_SAMPLES)
         peak = max(sd.norm(row) for row in traj)
         intra_ratio = max(intra_ratio, peak / norms[-1])
         f = res.final_state

@@ -3,11 +3,12 @@
 Geometric quantities (inradius, ball volume, covering radius) are taken in
 the length metric, where the weak observability estimate and the low-energy
 uncertainty principle hold.  ``verify_weak_obs`` checks the estimate on a
-battery of unit states by bound, prune and certify: closed-form and then
+battery of unit states by bound, prune and evaluate: closed-form and then
 grid bounds on each state's time norm exclude every state that cannot hold
-the minimum slack, and only the rest go through the certified time-norm
-engine, in one batched call, so the reported minimum is the certified
-minimum over the whole battery.
+the minimum slack, and only the rest go through the time-norm engine, in
+one batched call, so the reported minimum is the engine's minimum over the
+whole battery (estimated to 1e-10 for finite r, a proven bracket for
+r = inf).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .graph import (
     max_ball_volume,
 )
 from .spectral import (
-    EnergyInterval,
     RestrictedEvolution,
     SpectralDecomposition,
     _LR_REL_TOL,
@@ -40,11 +40,11 @@ from .spectral import (
 )
 
 _SHARP_SINGULAR_CUTOFF = 1e-12
-# Pruning margin, relative to K + alpha + 1: a state is certified unless its
+# Pruning margin, relative to K + alpha + 1: a state is evaluated unless its
 # slack lower bound exceeds the smallest slack upper bound by more than this.
-# The certified engine's relative tolerance is added on top (times K and the
-# largest norm bound), so neither rounding in the bounds nor the engine's
-# error can prune the state that holds the certified minimum.
+# The engine's relative tolerance is added on top (times K and the largest
+# norm bound), so neither rounding in the bounds nor the engine's error can
+# prune the state that holds the minimum.
 _RECHECK_MARGIN_REL = 1e-7
 
 
@@ -61,7 +61,7 @@ def _omega_geometry(g: WeightedGraph, D: Sequence[str]) -> tuple[float, float]:
 class UPReport:
     """Sharp versus a-priori constants of the low-energy uncertainty principle."""
 
-    interval: EnergyInterval
+    sup_I: float  # the energy cutoff: P_I projects onto the eigenvalues <= sup_I
     threshold: float
     applicable: bool
     paper_bound: float | None
@@ -73,10 +73,9 @@ class UPReport:
     ball_volume: float
 
 
-def up_sharp_constant(
-    sd: SpectralDecomposition, D: Sequence[str], interval: EnergyInterval
-) -> float:
-    """Smallest c with P_I <= c P_I 1_D P_I as quadratic forms.
+def up_sharp_constant(sd: SpectralDecomposition, D: Sequence[str], sup_I: float) -> float:
+    """Smallest c with P_I <= c P_I 1_D P_I as quadratic forms, where P_I
+    projects onto the eigenvalues at or below the cutoff ``sup_I``.
 
     Equals 1/mu_min for the compression of multiplication by 1_D to the
     range of P_I; +inf when some P_I-function vanishes on D (mu_min below
@@ -85,11 +84,11 @@ def up_sharp_constant(
     d_idx = sd.graph.subset_indices(D)
     if len(d_idx) == 0:
         raise EmptySubset("sharp constant needs a nonempty subset")
-    sel = np.array([interval.contains(float(lv)) for lv in sd.eigenvalues])
-    if not sel.any():
+    sel = np.flatnonzero(sd.eigenvalues <= sup_I)
+    if not len(sel):
         return 0.0
     mD = sd.graph.m[d_idx]
-    block = np.sqrt(mD)[:, None] * sd.eigenvectors[np.ix_(d_idx, np.nonzero(sel)[0])]
+    block = np.sqrt(mD)[:, None] * sd.eigenvectors[np.ix_(d_idx, sel)]
     mu = np.linalg.eigvalsh(block.T @ block)
     if mu[0] <= _SHARP_SINGULAR_CUTOFF:
         return math.inf
@@ -100,7 +99,7 @@ def up_paper_bound(
     g: WeightedGraph,
     sd: SpectralDecomposition,
     D: Sequence[str],
-    interval: EnergyInterval,
+    sup_I: float,
 ) -> UPReport:
     """A-priori low-energy bounds next to the sharp constant.
 
@@ -109,7 +108,7 @@ def up_paper_bound(
     bound 42 vol(Inr(Omega)) / inf m needs the stricter energy condition
     sup I <= inf m / (42 Inr(Omega) vol(Inr(Omega))^2).
     """
-    return _up_report(g, sd, interval, _up_geometry(g, D), up_sharp_constant(sd, D, interval))
+    return _up_report(g, sd, sup_I, _up_geometry(g, D), up_sharp_constant(sd, D, sup_I))
 
 
 def _up_geometry(g: WeightedGraph, D: Sequence[str]) -> tuple[float, float]:
@@ -123,26 +122,25 @@ def _up_geometry(g: WeightedGraph, D: Sequence[str]) -> tuple[float, float]:
 def _up_report(
     g: WeightedGraph,
     sd: SpectralDecomposition,
-    interval: EnergyInterval,
+    sup_I: float,
     geometry: tuple[float, float],
     sharp: float,
 ) -> UPReport:
     inr, vol = geometry
     threshold = 1.0 / (inr * vol)
-    sup_i = interval.sup
-    applicable = sup_i < threshold
+    applicable = sup_I < threshold
     if applicable:  # products, not powers: a stiff spectrum gives +inf, not OverflowError
         op = op_norm_H_plus_1(sd)
-        ratio = op * (op / (threshold - sup_i))
+        ratio = op * (op / (threshold - sup_I))
         paper = 16.0 * ratio * ratio
     else:
         paper = None
     inf_m = float(g.m.min())
     remark_threshold = inf_m / vol / (42.0 * inr * vol)  # vol ** 2 can underflow to 0
-    remark_applicable = sup_i <= remark_threshold
+    remark_applicable = sup_I <= remark_threshold
     remark = 42.0 * vol / inf_m if remark_applicable else None
     return UPReport(
-        interval=interval,
+        sup_I=sup_I,
         threshold=threshold,
         applicable=applicable,
         paper_bound=paper,
@@ -161,15 +159,15 @@ def up_sweep(
     """Reports for sup I at every eigenvalue and every midpoint between
     consecutive distinct eigenvalues.  P_I is piecewise constant in sup I:
     both rows of a group project onto the whole group and every lower one,
-    so they share one sharp constant, that of the window closed at the
-    group's top.  The Omega-geometry does not depend on I and is computed once."""
+    so they share one sharp constant, that of the cutoff at the group's
+    top.  The Omega-geometry does not depend on I and is computed once."""
     geometry = _up_geometry(g, D)
     groups = sd.eigenvalue_groups()
     reports = []
     for k, (lam, idx) in enumerate(groups):
-        sharp = up_sharp_constant(sd, D, EnergyInterval(hi=float(sd.eigenvalues[idx[-1]])))
+        sharp = up_sharp_constant(sd, D, float(sd.eigenvalues[idx[-1]]))
         sups = [lam] if k + 1 == len(groups) else [lam, 0.5 * (lam + groups[k + 1][0])]
-        reports += [_up_report(g, sd, EnergyInterval(hi=s), geometry, sharp) for s in sups]
+        reports += [_up_report(g, sd, s, geometry, sharp) for s in sups]
     return reports
 
 
@@ -333,7 +331,7 @@ def verify_weak_obs_multi(
 ) -> list[WeakObsVerification]:
     """Verify several constant sets against one shared input battery.
 
-    Each constant set runs bound, prune and certify over the battery:
+    Each constant set runs bound, prune and evaluate over the battery:
     - bound every state's time norm in closed form (``_closed_form_bounds``);
       the terms that depend on the window (delta T, T) alone, namely the L_2
       integral, ||S_{delta T} phi|| and g at both ends (``_window_terms``),
@@ -343,11 +341,12 @@ def verify_weak_obs_multi(
       upper bound by more than the margin (``_RECHECK_MARGIN_REL``);
     - bound the rest again on a graded grid (``_grid_bounds``) and prune once
       more; this runs per set, on that set's own survivors;
-    - certify the survivors of every set together in one batched
+    - evaluate the survivors of every set together in one batched
       ``RestrictedEvolution.lr_norms`` call on their spectral coefficients,
-      each column on its own set's window and exponent.
+      each column on its own set's window and exponent: estimated to
+      ``_LR_REL_TOL`` for finite r, certified for r = inf.
     No pruned state can hold the minimum, so the reported minimum slack is
-    the certified minimum over all states.
+    the engine's minimum over the whole battery.
     """
     d_idx = sd.graph.subset_indices(D)
     if len(d_idx) == 0:

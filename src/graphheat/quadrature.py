@@ -9,7 +9,8 @@ The window is shared by every column, or given per column: then each
 column's panels are exactly those of its own one-column call, the
 integrand receives one time per (panel node, column) entry, and an entry
 whose column is already accepted on that panel is nan and need not be
-evaluated.  So one call certifies many windows at once.
+evaluated.  So one call integrates many windows at once.  Acceptance rests
+on the Simpson/Richardson difference, an error estimate and not a bound.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def adaptive_simpson(
     first.  ``norm`` maps per-panel values (panel axis first) to what the
     Simpson/Richardson test compares: by default one Euclidean norm per
     panel, so a vector is accepted as a whole; ``np.abs`` on (times, k)
-    values certifies each column to ``rel_tol`` of its own integral.
+    values estimates each column to ``rel_tol`` of its own integral.
 
     With arrays ``a`` and ``b`` of length k, column j is integrated over
     [a[j], b[j]]: ``fn`` receives (times, k) arrays of per-entry times, nan

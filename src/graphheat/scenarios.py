@@ -23,8 +23,8 @@ from . import observability as obs
 from . import stochastic as sto
 from .control import (
     ControlSignal,
-    _mode_drift,
     hautus_obstruction,
+    mode_invariance_check,
     stabilize,
     synth_control,
     verify_control,
@@ -314,7 +314,7 @@ def _task_up_sweep(g, D, seed) -> TaskReport:
     for r in rows:
         table.append(
             [
-                r.interval.sup,
+                r.sup_I,
                 r.sharp_constant,
                 r.paper_bound if r.paper_bound is not None else math.nan,
                 r.remark_bound if r.remark_bound is not None else math.nan,
@@ -482,7 +482,7 @@ def _task_non_null(g, D, seed, *, T, n_random) -> TaskReport:
         f0 /= sd.norm(f0)
         values = rng.standard_normal((len(knots), len(d_idx)))
         u = ControlSignal(tuple(D), T, knots, values)
-        drift, scale = _mode_drift(sd, D, phi, lam0, f0, u, T)
+        drift, scale = mode_invariance_check(sd, D, phi, lam0, f0, u, T)
         resid = drift / scale if scale > 0.0 else drift
         rows.append([trial, resid])
         worst = max(worst, resid)
@@ -576,6 +576,11 @@ def _task_stabilize(g, D, seed, *, T, alpha, N, f0) -> TaskReport:
 # (two x86-64 cores) the lock-step samplers move about 2.4e7 (fk_estimate)
 # and 2.2e6 (sample_ctmc_paths) jumps per second.
 _JUMP_BUDGET = 2e7
+# Expected rows of the exported `paths` table.  A row costs far more than a
+# jump: on the same machine 1e6 rows took 3.4 s and 280 MB of peak RSS.
+_ROW_BUDGET = 1e6
+# First-jump paths sampled at once: about 350 bytes each while they are alive.
+_PATH_CHUNK = 100_000
 
 
 def _task_stochastic(
@@ -586,16 +591,19 @@ def _task_stochastic(
     x_idx = g.index_of(x)
     deg = g.degrees()
     deg_max, deg_x = float(deg.max()), float(deg[x_idx])
-    # every walk runs to t, every first-jump path to the horizon 20 / Deg(x)
+    # every walk runs to t; a first-jump path stops at its first jump
     try:
-        jumps = (n_samples * repeats + sample_paths) * deg_max * t
-        if deg_x > 0.0:
-            jumps += first_jump_samples * 20.0 * deg_max / deg_x
+        jumps = (n_samples * repeats + sample_paths) * deg_max * t + first_jump_samples
+        rows = sample_paths * (1.0 + deg_max * t)  # each exported path's start and jumps
     except OverflowError:  # a sample count beyond the float range
-        jumps = math.inf
+        jumps = rows = math.inf
     if not jumps <= _JUMP_BUDGET:
         raise ValidationError(
             f"the walks would take about {jumps:.3g} jumps, over the budget of {_JUMP_BUDGET:.0e}"
+        )
+    if not rows <= _ROW_BUDGET:
+        raise ValidationError(
+            f"the paths table would have about {rows:.3g} rows, over the limit of {_ROW_BUDGET:.0e}"
         )
     sd = eigendecompose(g)
     if f is None:
@@ -641,10 +649,16 @@ def _task_stochastic(
 
     if first_jump_samples > 0:
         horizon = 20.0 / deg_x if deg_x > 0.0 else 0.0  # P(no jump by the horizon) = e^-20
-        batch = sto.sample_ctmc_paths(g, x, horizon, seed, range(first_jump_samples))
-        targets = batch.states[batch.step == 1]
-        counts = np.bincount(targets, minlength=g.n).tolist()
-        jumped = len(targets)
+        counts = np.zeros(g.n, dtype=np.int64)
+        # a path does not depend on its batch, so chunks of paths bound the memory
+        for lo in range(0, first_jump_samples, _PATH_CHUNK):
+            hi = min(lo + _PATH_CHUNK, first_jump_samples)
+            steps = sto._walk_steps(g, x, horizon, seed, range(lo, hi))
+            next(steps)  # step 0: every path at x
+            _, _, targets = next(steps, (None, None, np.empty(0, dtype=int)))  # the k = 1 states
+            counts += np.bincount(targets, minlength=g.n)
+        jumped = int(counts.sum())
+        counts = counts.tolist()
         nb = g.neighbors(x_idx)
         total_w = float(g.weights[x_idx, nb].sum())
         law_rows = []

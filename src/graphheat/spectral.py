@@ -21,7 +21,7 @@ from .errors import EigensolveFailure, EmptySubset, NegativeTime
 from .graph import WeightedGraph
 from .quadrature import adaptive_simpson
 
-# Relative tolerance of each column's certified integral of g^r, and of each
+# Relative tolerance of each column's estimated integral of g^r, and of each
 # column's certified supremum, relative to ||S_a f||.
 _LR_REL_TOL = 1e-10
 # Cells of the graded grid that starts the grid bounds and the supremum search.
@@ -29,28 +29,6 @@ _GRID_CELLS = 32
 # Elements of the largest temporary array that one chunk of times or cells
 # builds, which caps the memory of the batched evaluations.
 _CHUNK_ELEMENTS = 2_000_000
-
-
-@dataclass(frozen=True)
-class EnergyInterval:
-    """Energy window (-inf, hi] (lo is None) or [lo, hi]."""
-
-    hi: float
-    lo: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.lo is not None and self.lo > self.hi:
-            raise ValueError("interval needs lo <= hi")
-
-    @property
-    def sup(self) -> float:
-        return self.hi
-
-    def contains(self, value: float) -> bool:
-        # closed endpoints, compared exactly
-        if value > self.hi:
-            return False
-        return self.lo is None or value >= self.lo
 
 
 def apply_laplacian(g: WeightedGraph, f: Sequence[complex]) -> np.ndarray:
@@ -79,22 +57,18 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.graph.n
 
-    @cached_property
-    def _m(self) -> np.ndarray:
-        return self.graph.m
-
     def inner(self, f, g) -> complex:
         """m-weighted inner product <f, g> = sum f(x) conj(g(x)) m(x)."""
-        return complex(np.sum(np.asarray(f) * np.conj(np.asarray(g)) * self._m))
+        return complex(np.sum(np.asarray(f) * np.conj(np.asarray(g)) * self.graph.m))
 
     def norm(self, f) -> float:
-        return math.sqrt(float(np.sum(np.abs(np.asarray(f)) ** 2 * self._m)))
+        return math.sqrt(float(np.sum(np.abs(np.asarray(f)) ** 2 * self.graph.m)))
 
     def coefficients(self, f) -> np.ndarray:
         """Spectral coefficients <f, v_i> of a state, or of each column of
         an (n, k) batch of states."""
         f = np.asarray(f)
-        m = self._m if f.ndim == 1 else self._m[:, None]
+        m = self.graph.m if f.ndim == 1 else self.graph.m[:, None]
         return self.eigenvectors.T @ (m * f)
 
     def synthesize(self, coefs) -> np.ndarray:
@@ -307,10 +281,10 @@ class RestrictedEvolution:
 
         It decreases in t and bounds |d/ds ||(S_s f)|_D|| for every s >= t,
         so it is a Lipschitz constant of the restricted norm on [t, oo).
-        The rates are scaled by lam_max, so a stiff spectrum, whose lam^2
+        The rates are scaled by ``sd.scale``, so a stiff spectrum, whose lam^2
         overflows, gives +inf or a finite value and never inf * 0.
         """
-        scale = float(self.lam[-1]) or 1.0
+        scale = self.sd.scale
         with np.errstate(over="ignore"):  # lam t beyond the float range decays to 0
             decay = np.exp(-np.outer(np.atleast_1d(ts), self.lam))
         damp = np.square(self.lam / scale * decay)
@@ -418,15 +392,16 @@ class RestrictedEvolution:
         return best
 
     def lr_norms(self, a, b, r) -> np.ndarray:
-        """Certified L_r norms in time, one per column over its window (a, b).
+        """L_r norms in time, one per column over its window (a, b).
 
         Each of a, b and r is one value for the batch or one per column.
         The finite-r columns integrate the r-th power in one adaptive
-        Simpson call, each column to relative tolerance ``_LR_REL_TOL`` of
-        its own integral, on times shared by the batch when the window is;
-        the r = inf columns bisect their graded grids in one run until each
-        sampled maximum is within ``_LR_REL_TOL`` ||S_a f|| of its supremum
-        (``_sup_norms``).
+        Simpson call, each column estimated to relative tolerance
+        ``_LR_REL_TOL`` of its own integral (Simpson's error estimate, not a
+        bound), on times shared by the batch when the window is.  The r = inf
+        columns are certified: they bisect their graded grids in one run
+        until each sampled maximum is within ``_LR_REL_TOL`` ||S_a f|| of
+        its supremum, a proven bracket (``_sup_norms``).
         """
         n_batch = self.C.shape[1]
         a, b, r = (np.broadcast_to(np.asarray(v, dtype=float), (n_batch,)) for v in (a, b, r))
@@ -458,9 +433,10 @@ def time_lr_norm(
     """L_r norm in time of t -> ||(S_t f0)|_D|| over the window (a, b).
 
     ``f0`` is one state (a float is returned) or an (n, k) batch (one norm
-    per column), certified by ``RestrictedEvolution.lr_norms``: to relative
-    tolerance ``_LR_REL_TOL`` of the integral for finite r, and for r = inf
-    from below, within ``_LR_REL_TOL`` ||S_a f0|| of the supremum.
+    per column), from ``RestrictedEvolution.lr_norms``: for finite r
+    estimated to relative tolerance ``_LR_REL_TOL`` of the integral, and for
+    r = inf certified from below, within ``_LR_REL_TOL`` ||S_a f0|| of the
+    supremum.
     """
     a, b = float(window[0]), float(window[1])
     if not (0.0 <= a < b):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.special
@@ -30,6 +30,8 @@ from .graph import MetricKind, WeightedGraph, covering_radius
 from .spectral import RestrictedEvolution, SpectralDecomposition
 
 _ESTIMATOR_STREAM = 2**64 - 1  # reserved stream index for batched estimators
+# How far below 0 a necessity margin may round and still pass.
+_MARGIN_SLACK = 1e-12
 
 # Philox4x64-10 multipliers and Weyl key increments (Random123)
 _PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -130,6 +132,41 @@ class PathBatch:
     states: np.ndarray
 
 
+def _walk_steps(
+    g: WeightedGraph, x0: str, t_max: float, seed: int, path_indices: Iterable[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The lock-step walk of ``sample_ctmc_paths``, one step at a time.
+
+    Step k yields (path, J_k, Y_k) for the paths whose k-th jump comes by
+    t_max; step 0 is every path's start.  A step's uniforms are drawn only
+    when the step is asked for, so a caller that stops after step k samples
+    no later jump.
+    """
+    if not 0.0 <= t_max < math.inf:
+        raise ValidationError("horizon must be finite and nonnegative")
+    i = g.index_of(x0)
+    deg = g.degrees()
+    streams = _PhiloxStreams(seed, path_indices)
+    n_paths = len(streams.drawn)
+    state = np.full(n_paths, i)
+    clock = np.zeros(n_paths)
+    active = np.arange(n_paths)
+    yield active, clock.copy(), state.copy()
+    table = g.transition_table
+    while len(active) and deg[i] > 0.0:  # an isolated start never jumps
+        u = streams.draw_positive(active)
+        # math.log, not np.log: the two differ in the last bit on some inputs
+        xi = -np.fromiter(map(math.log, u.tolist()), float, len(u))
+        t = clock[active] + xi / deg[state[active]]
+        moved = t <= t_max
+        active, t = active[moved], t[moved]
+        at = state[active]
+        u = streams.draw(active) * table.totals[at]
+        state[active] = table.targets[at, np.sum(table.cumulative[at] <= u[:, None], axis=1)]
+        clock[active] = t
+        yield active, t, state[active]
+
+
 def sample_ctmc_paths(
     g: WeightedGraph, x0: str, t_max: float, seed: int, path_indices: Iterable[int]
 ) -> PathBatch:
@@ -143,30 +180,7 @@ def sample_ctmc_paths(
     bit-identical whichever other indices share the batch; distinct indices
     give independent streams under the same seed.
     """
-    if not 0.0 <= t_max < math.inf:
-        raise ValidationError("horizon must be finite and nonnegative")
-    i = g.index_of(x0)
-    deg = g.degrees()
-    streams = _PhiloxStreams(seed, path_indices)
-    n_paths = len(streams.drawn)
-    state = np.full(n_paths, i)
-    clock = np.zeros(n_paths)
-    active = np.arange(n_paths)
-    steps = [(active, clock.copy(), state.copy())]  # step k: (path, J_k, Y_k)
-    table = g.transition_table
-    while len(active) and deg[i] > 0.0:  # an isolated start never jumps
-        u = streams.draw_positive(active)
-        # math.log, not np.log: the two differ in the last bit on some inputs
-        xi = -np.fromiter(map(math.log, u.tolist()), float, len(u))
-        t = clock[active] + xi / deg[state[active]]
-        moved = t <= t_max
-        active, t = active[moved], t[moved]
-        at = state[active]
-        u = streams.draw(active) * table.totals[at]
-        state[active] = table.targets[at, np.sum(table.cumulative[at] <= u[:, None], axis=1)]
-        clock[active] = t
-        steps.append((active, t, state[active]))
-
+    steps = list(_walk_steps(g, x0, t_max, seed, path_indices))
     path, times, states = (np.concatenate(column) for column in zip(*steps))
     step = np.repeat(np.arange(len(steps)), [len(s[0]) for s in steps])
     order = np.argsort(path, kind="stable")
@@ -316,8 +330,6 @@ def necessity_bounds_check(
     D: Sequence[str],
     x: str,
     t_grid: Sequence[float],
-    *,
-    slack: float = 1e-12,
 ) -> NecessityReport:
     """Exact spectral norms against both necessity bounds on a time grid.
 
@@ -360,7 +372,8 @@ def necessity_bounds_check(
             erlang_bound=bound,
             upper_margin=bound - restricted_sq,
         )
-        passed = passed and row.lower_margin >= -slack and row.upper_margin >= -slack
+        ok = row.lower_margin >= -_MARGIN_SLACK and row.upper_margin >= -_MARGIN_SLACK
+        passed = passed and ok
         rows.append(row)
     return NecessityReport(
         x=x,

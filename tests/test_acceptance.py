@@ -31,7 +31,7 @@ from graphheat.observability import (
     verify_weak_obs_multi,
     weak_obs_constants,
 )
-from graphheat.spectral import EnergyInterval, apply_laplacian, eigendecompose
+from graphheat.spectral import apply_laplacian, eigendecompose
 from graphheat.stochastic import erlang_tail, fk_estimate, sample_ctmc_paths
 
 from conftest import cycle, m_norm
@@ -95,14 +95,14 @@ def test_criterion_2_uncertainty_principle(corpus, c4):
             if rep.applicable and math.isfinite(rep.sharp_constant):
                 assert rep.sharp_constant <= rep.paper_bound * (1 + 1e-9), (
                     f"sharp {rep.sharp_constant} > bound {rep.paper_bound} "
-                    f"at sup I = {rep.interval.sup}"
+                    f"at sup I = {rep.sup_I}"
                 )
                 checked += 1
             if rep.remark_applicable and math.isfinite(rep.sharp_constant):
                 assert rep.sharp_constant <= rep.remark_bound * (1 + 1e-9)
 
     sd4 = eigendecompose(c4)
-    pinned = up_paper_bound(c4, sd4, ["0", "2"], EnergyInterval(hi=0.1))
+    pinned = up_paper_bound(c4, sd4, ["0", "2"], 0.1)
     sharp_ok = abs(pinned.sharp_constant - 2.0) <= 1e-10
     bound_ok = abs(pinned.paper_bound - 10000.0 / (7.0 / 30.0) ** 2) <= 1e-6 * (
         10000.0 / (7.0 / 30.0) ** 2
@@ -242,7 +242,7 @@ def test_criterion_4_non_null_controllability(c4):
             f0 /= m_norm(g, f0)
             u = ControlSignal(tuple(D), T, knots, rng.standard_normal((9, len(D))))
             worst_resid = max(
-                worst_resid, mode_invariance_check(sd, D, phi, lam, f0, u, T)
+                worst_resid, mode_invariance_check(sd, D, phi, lam, f0, u, T)[0]
             )
         assert worst_resid <= 1e-9, f"k={k}: mode invariance {worst_resid:.3e}"
 

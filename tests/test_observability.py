@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from graphheat.observability import (
     verify_weak_obs_multi,
     weak_obs_constants,
 )
-from graphheat.spectral import EnergyInterval, RestrictedEvolution, eigendecompose
+from graphheat.spectral import RestrictedEvolution, eigendecompose
 
 from conftest import cycle, grow_dense_subset, random_connected_graph
 
@@ -36,20 +37,44 @@ from conftest import cycle, grow_dense_subset, random_connected_graph
 
 def test_sharp_constants_c4(c4):
     sd = eigendecompose(c4)
-    assert up_sharp_constant(sd, ["0", "2"], EnergyInterval(hi=0.1)) == pytest.approx(
-        2.0, abs=1e-10
-    )
-    assert up_sharp_constant(
-        sd, list(c4.vertex_ids), EnergyInterval(hi=10.0)
-    ) == pytest.approx(1.0, abs=1e-10)
-    assert math.isinf(
-        up_sharp_constant(sd, ["0", "2"], EnergyInterval(hi=2.0, lo=2.0))
-    )
+    assert up_sharp_constant(sd, ["0", "2"], 0.1) == pytest.approx(2.0, abs=1e-10)
+    assert up_sharp_constant(sd, list(c4.vertex_ids), 10.0) == pytest.approx(1.0, abs=1e-10)
+    # the eigenvalue-2 mode (0, 1, 0, -1) vanishes on D
+    assert math.isinf(up_sharp_constant(sd, ["0", "2"], 2.0))
 
 
 def test_sharp_empty_projection(c4):
     sd = eigendecompose(c4)
-    assert up_sharp_constant(sd, ["0"], EnergyInterval(hi=1.5, lo=1.2)) == 0.0
+    assert up_sharp_constant(sd, ["0"], -1.0) == 0.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-0.1, 1.1))
+def test_sharp_constant_matches_principal_angle_oracle(seed, where):
+    """1/c is mu = cos^2 of the largest principal angle between sqrt(m) V_I
+    and span{e_x : x in D} (0 when dim V_I > |D|), from scipy's
+    subspace_angles; c is +inf exactly when mu <= 1e-12 and 0 when I holds
+    no eigenvalue."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(2, 11)))
+    sd = eigendecompose(g)
+    lam = sd.eigenvalues
+    # a random cutoff, or one that sits exactly on an eigenvalue
+    sup_I = float(lam[rng.integers(g.n)]) if rng.random() < 0.5 else where * float(lam[-1])
+    size = int(rng.integers(1, g.n + 1))
+    d_idx = np.sort(rng.choice(g.n, size=size, replace=False))
+    c = up_sharp_constant(sd, [g.vertex_ids[i] for i in d_idx], sup_I)
+    V = np.sqrt(g.m)[:, None] * sd.eigenvectors[:, lam <= sup_I]
+    if V.shape[1] == 0:
+        assert c == 0.0
+        return
+    if V.shape[1] > size:
+        mu = 0.0
+    else:
+        mu = math.cos(float(scipy.linalg.subspace_angles(V, np.eye(g.n)[:, d_idx])[0])) ** 2
+    assert math.isinf(c) == (mu <= 1e-12), (c, mu)
+    if not math.isinf(c):
+        assert abs(1.0 / c - mu) <= 1e-13
 
 
 def test_sharp_monotone_in_D_exhaustive():
@@ -59,15 +84,12 @@ def test_sharp_monotone_in_D_exhaustive():
         g = random_connected_graph(rng, int(rng.integers(3, 9)))
         sd = eigendecompose(g)
         cut = float(rng.uniform(0.0, sd.eigenvalues[-1]))
-        interval = EnergyInterval(hi=cut)
         size = int(rng.integers(1, g.n))
         base = list(rng.choice(g.n, size=size, replace=False))
         extra = [i for i in range(g.n) if i not in base]
-        small = up_sharp_constant(sd, [g.vertex_ids[i] for i in base], interval)
+        small = up_sharp_constant(sd, [g.vertex_ids[i] for i in base], cut)
         for add in extra:
-            big = up_sharp_constant(
-                sd, [g.vertex_ids[i] for i in base + [add]], interval
-            )
+            big = up_sharp_constant(sd, [g.vertex_ids[i] for i in base + [add]], cut)
             assert big <= small * (1 + 1e-9) or math.isinf(small)
 
 
@@ -77,7 +99,7 @@ def test_sharp_monotone_in_D_exhaustive():
 
 def test_paper_bound_c4_values(c4):
     sd = eigendecompose(c4)
-    rep = up_paper_bound(c4, sd, ["0", "2"], EnergyInterval(hi=0.1))
+    rep = up_paper_bound(c4, sd, ["0", "2"], 0.1)
     assert rep.threshold == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert rep.applicable
     assert rep.paper_bound == pytest.approx(10000.0 / (7.0 / 30.0) ** 2, rel=1e-12)
@@ -87,14 +109,14 @@ def test_paper_bound_c4_values(c4):
 
 def test_paper_bound_not_applicable(c4):
     sd = eigendecompose(c4)
-    rep = up_paper_bound(c4, sd, ["0", "2"], EnergyInterval(hi=0.5))
+    rep = up_paper_bound(c4, sd, ["0", "2"], 0.5)
     assert not rep.applicable
     assert rep.paper_bound is None
 
 
 def test_both_bounds_low_energy(c4):
     sd = eigendecompose(c4)
-    rep = up_paper_bound(c4, sd, ["0", "2"], EnergyInterval(hi=0.002))
+    rep = up_paper_bound(c4, sd, ["0", "2"], 0.002)
     assert rep.applicable and rep.remark_applicable
     assert rep.remark_bound == pytest.approx(42.0 * 3.0, rel=1e-12)
     assert rep.sharp_constant <= rep.paper_bound
@@ -104,16 +126,16 @@ def test_both_bounds_low_energy(c4):
 def test_paper_bound_validations(c4):
     sd = eigendecompose(c4)
     with pytest.raises(EmptySubset):
-        up_paper_bound(c4, sd, [], EnergyInterval(hi=0.1))
+        up_paper_bound(c4, sd, [], 0.1)
     with pytest.raises(FullSubset):
-        up_paper_bound(c4, sd, list(c4.vertex_ids), EnergyInterval(hi=0.1))
+        up_paper_bound(c4, sd, list(c4.vertex_ids), 0.1)
 
 
 def test_sweep_grid_structure(c4):
     sd = eigendecompose(c4)
     rows = up_sweep(c4, sd, ["0", "2"])
     # distinct eigenvalues 0, 2, 4 -> grid 0, 1, 2, 3, 4
-    assert [r.interval.sup for r in rows] == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0])
+    assert [r.sup_I for r in rows] == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0])
     for r in rows:
         if r.applicable and math.isfinite(r.sharp_constant):
             assert r.sharp_constant <= r.paper_bound * (1 + 1e-9)
@@ -165,7 +187,7 @@ def test_covering_radius_beyond_float_range():
     sd = eigendecompose(g)
     with pytest.raises(NotRelativelyDense, match="beyond the float range"):
         weak_obs_constants(g, sd, ["0"], T=1.0, delta=0.0, r=2.0)
-    rep = up_paper_bound(g, sd, ["0"], EnergyInterval(hi=0.5))
+    rep = up_paper_bound(g, sd, ["0"], 0.5)
     assert rep.inradius == math.inf and not rep.applicable
 
 
@@ -476,7 +498,7 @@ def test_up_sweep_eigenvalue_row_equals_midpoint_row(n):
     assert any(len(idx) > 1 for _, idx in groups)
     for k, (_, idx) in enumerate(groups):
         top = float(sd.eigenvalues[idx[-1]])
-        assert rows[2 * k].sharp_constant == up_sharp_constant(sd, D, EnergyInterval(hi=top))
+        assert rows[2 * k].sharp_constant == up_sharp_constant(sd, D, top)
         if k + 1 < len(groups):
             assert rows[2 * k + 1].sharp_constant == rows[2 * k].sharp_constant
 

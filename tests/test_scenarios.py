@@ -343,11 +343,59 @@ def test_cli_eigen_and_invariance_checks_are_relative(tmp_path, task, m):
         assert summary["obstruction_eigenvalues"][0] == pytest.approx(2.0 / m, rel=1e-12)
 
 
+@pytest.mark.parametrize("family", [{"family": "cycle", "n": 8}, {"family": "path", "n": 2}])
+def test_first_jump_paths_stop_at_their_first_jump(tmp_path, monkeypatch, family):
+    """The first-jump law reads only the k = 1 states, so each path draws one
+    holding time and samples at most one jump; its table equals the one
+    taken from the step-1 states of full-horizon paths."""
+    n, seed = 2000, 5
+    holding_draws = []
+    real = sto._PhiloxStreams.draw_positive
+
+    def counted(streams, rows):
+        holding_draws.extend(rows.tolist())
+        return real(streams, rows)
+
+    monkeypatch.setattr(sto._PhiloxStreams, "draw_positive", counted)
+    sc = Scenario(
+        graph=family,
+        task="stochastic",
+        params={"x": "0", "n_samples": 100, "first_jump_samples": n},
+        seed=seed,
+    )
+    out = run_scenario(sc, tmp_path / "out")
+    assert out.exit_code == 0
+    assert sorted(holding_draws) == list(range(n))
+
+    g = build_family(family["family"], family).graph
+    batch = sto.sample_ctmc_paths(g, "0", 20.0 / g.degrees()[0], seed, range(n))
+    targets = batch.states[batch.step == 1]
+    _columns, rows = out.report.tables["first_jump_law"]
+    assert [row[0] for row in rows] == [g.vertex_ids[j] for j in g.neighbors(0)]
+    assert [row[2] for row in rows] == [
+        np.count_nonzero(targets == j) / len(targets) for j in g.neighbors(0)
+    ]
+
+
+def test_cli_stochastic_paths_export_over_the_row_limit_exit_2(tmp_path):
+    """5000 exported paths at jump rate 2000 make about 1e7 jumps, within
+    the jump budget, but also about 1e7 rows of the paths table, which would
+    take minutes and gigabytes to write: the export is refused before
+    sampling."""
+    code, err, summary = _run_cli(tmp_path, {
+        "graph": {"family": "cycle", "n": 8, "b": 1000},
+        "task": "stochastic",
+        "params": {"x": "0", "t": 1.0, "n_samples": 1, "sample_paths": 5000},
+    })
+    assert code == 2 and summary is None
+    assert "about 1e+07 rows, over the limit of 1e+06" in err, err
+
+
 def test_first_jump_law_fails_when_no_path_jumps(tmp_path, monkeypatch):
     """Without a sampled jump there is no law to compare: the check fails."""
-    real = sto.sample_ctmc_paths
+    real = sto._walk_steps
     monkeypatch.setattr(
-        sto, "sample_ctmc_paths", lambda g, x0, t_max, seed, idx: real(g, x0, 0.0, seed, idx)
+        sto, "_walk_steps", lambda g, x0, t_max, seed, idx: real(g, x0, 0.0, seed, idx)
     )
     sc = Scenario(
         graph={"family": "cycle", "n": 8},
