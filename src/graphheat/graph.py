@@ -8,13 +8,22 @@ vertex measure m.  Vectors over the graph are numpy arrays ordered like
 Each graph computes its all-pairs distance tables once, on first use, and
 caches them on itself: hop counts from ``scipy.sparse.csgraph`` and exact
 length distances (1/b edge costs).  Every float is an exact dyadic rational,
-so every edge length 1/b is an integer multiple of 1/L, where L is the lcm
-of the denominators of the 1/b; the length table holds each distance times
-L as a Python int.  With many distinct weights L grows by about 50 bits per
-weight, so above ``_MAX_SCALE_BITS`` bits the same Dijkstra runs on
-``Fraction`` lengths, whose sums carry only the denominators met along each
-path.  Either way ball-membership comparisons at tied radii never flip due
-to rounding.  Every radius, ball and hop query reads these tables, and only
+so every edge length 1/b is an integer multiple of a unit, the gcd of the
+lengths, and the length table holds each distance in units, in one of three
+tiers picked from the graph:
+
+- When n times the longest edge is below 2**53 units, every sum Dijkstra
+  forms is an integer that a float holds exactly, so the table is scipy's
+  float64 Dijkstra, like the hop table.  Every graph with one distinct
+  weight is here, since its edges are 1 unit long.
+- Otherwise, a heap Dijkstra over Python ints.
+- The unit's denominator, the lcm of the denominators of the 1/b, grows by
+  about 50 bits per distinct weight.  Above ``_MAX_SCALE_BITS`` bits the
+  same Dijkstra runs on ``Fraction`` lengths, whose sums carry only the
+  denominators met along each path.
+
+Either way ball-membership comparisons at tied radii never flip due to
+rounding.  Every radius, ball and hop query reads these tables, and only
 the query boundary turns a table entry into a rational or float.
 """
 
@@ -168,31 +177,58 @@ class WeightedGraph:
         return table
 
     @cached_property
-    def _length_scale(self) -> int | None:
-        """L, the lcm of the denominators of 1/b over the distinct positive
-        edge weights b, so every edge length 1/b is an integer multiple of
-        1/L; None when L has more than ``_MAX_SCALE_BITS`` bits."""
-        scale = 1
-        for b in np.unique(self.weights[self.weights > 0.0]):
-            scale = math.lcm(scale, (1 / Fraction(b)).denominator)
-            if scale.bit_length() > _MAX_SCALE_BITS:
-                return None
-        return scale
+    def _edge_lengths(self) -> tuple[Fraction | None, csr_array, np.ndarray]:
+        """(scale, edges, lengths): ``edges`` is b as a csr array, and
+        ``lengths[k]`` the exact length 1/b of its k-th stored entry, in an
+        object array.
+
+        The length unit is the gcd of the edge lengths (the gcd of their
+        numerators over the lcm of their denominators) and ``scale`` its
+        inverse, so each length is stored as the int length * scale.  When
+        the lcm has more than ``_MAX_SCALE_BITS`` bits, scale is None and
+        each length stays a Fraction.  ``1/Fraction(b)`` runs once per
+        distinct weight.
+        """
+        edges = csr_array(self.weights)
+        distinct, which = np.unique(edges.data, return_inverse=True)
+        lengths = [1 / Fraction(b) for b in distinct.tolist()]
+        den, num = 1, 0
+        for w in lengths:
+            den = math.lcm(den, w.denominator)
+            if den.bit_length() > _MAX_SCALE_BITS:
+                scale = None
+                break
+            num = math.gcd(num, w.numerator)
+        else:
+            scale = Fraction(den, num or 1)
+            lengths = [(w.numerator // num) * (den // w.denominator) for w in lengths]
+        return scale, edges, np.array(lengths, dtype=object)[which]
+
+    @property
+    def _length_scale(self) -> Fraction | None:
+        return self._edge_lengths[0]
 
     @cached_property
     def _length_table(self) -> np.ndarray:
-        """All-pairs length distances, exact, in a read-only object array:
-        each distance times ``_length_scale`` as a Python int, or as a
-        Fraction when there is no length scale; ``math.inf`` marks an
-        unreachable pair."""
-        n, scale = self.n, self._length_scale
-        lengths: list[list[tuple[int, int | Fraction]]] = [[] for _ in range(n)]
-        for i in range(n):
-            for j in self.neighbors(i):
-                w = 1 / Fraction(self.weights[i, j])
-                if scale is not None:
-                    w = w.numerator * (scale // w.denominator)
-                lengths[i].append((int(j), w))
+        """All-pairs length distances, exact and read-only, each distance
+        times ``_length_scale``; inf marks an unreachable pair.
+
+        Every Dijkstra sum is an int of at most n * (largest edge length),
+        so when that is below 2**53 the table is scipy's float64 Dijkstra,
+        exact like ``hop_table``.  Otherwise it is an object array from a
+        heap Dijkstra over Python ints, or over Fractions when there is no
+        length scale.
+        """
+        n = self.n
+        scale, edges, lengths = self._edge_lengths
+        if scale is not None and n * lengths.max(initial=0) < 2**53:
+            # sparse input: on a dense matrix scipy drops small entries
+            in_units = csr_array((lengths.astype(float), edges.indices, edges.indptr), shape=(n, n))
+            table = shortest_path(in_units, method="D", directed=False)
+            table.setflags(write=False)
+            return table
+        ptr, cols, lengths = edges.indptr.tolist(), edges.indices.tolist(), lengths.tolist()
+        adjacent = [list(zip(cols[lo:hi], lengths[lo:hi])) for lo, hi in zip(ptr, ptr[1:])]
         table = np.empty((n, n), dtype=object)
         for src in range(n):
             dist: list = [math.inf] * n
@@ -202,7 +238,7 @@ class WeightedGraph:
                 d, i = heappop(heap)
                 if d > dist[i]:
                     continue
-                for j, w in lengths[i]:
+                for j, w in adjacent[i]:
                     nd = d + w
                     if nd < dist[j]:
                         dist[j] = nd
@@ -302,6 +338,8 @@ def _as_result(g: WeightedGraph, kind: MetricKind, d, exact: bool):
         return math.inf
     if kind is MetricKind.COMBINATORIAL:
         return int(d) if exact else float(d)
+    if isinstance(d, float):  # a float table holds exact integers
+        d = int(d)
     d = Fraction(d, g._length_scale or 1)
     return d if exact else _as_float(d)
 
@@ -377,7 +415,13 @@ def max_ball_volume(g: WeightedGraph, kind: MetricKind, r) -> float:
     # integer entries d satisfy d <= r * scale exactly when d <= floor(r * scale);
     # Fraction entries (no length scale) compare with r itself
     scale = 1 if kind is MetricKind.COMBINATORIAL else g._length_scale
-    inside = _table(g, kind) <= (r if scale is None else math.floor(r * scale))
+    table = _table(g, kind)
+    bound = r if scale is None else math.floor(r * scale)
+    if table.dtype != object:
+        # every finite entry of a float table is below 2**53, and a larger
+        # int may have no float
+        bound = min(bound, 2**53)
+    inside = table <= bound
     # a running sum adds left to right, like a loop over the vertices
     volumes = np.cumsum(np.where(inside, g.m, 0.0), axis=1)[:, -1]
     return float(volumes.max())

@@ -11,6 +11,8 @@ integrand receives one time per (panel node, column) entry, and an entry
 whose column is already accepted on that panel is nan and need not be
 evaluated.  So one call integrates many windows at once.  Acceptance rests
 on the Simpson/Richardson difference, an error estimate and not a bound.
+An integrand that never converges is refused at a depth limit or, before
+its panels exhaust memory, at a budget of entries per wave.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ from .errors import QuadratureNonConvergence
 # integral that is wrong in the 8th digit.
 _INITIAL_PANELS = 8
 _INITIAL_DEPTH = 3
+# Elements of the largest temporary array that one chunk of times or cells
+# builds, which caps the memory of the batched evaluations.  A Simpson wave
+# that would evaluate more (time, column) entries than this is refused: a
+# wave holds about 100 bytes per entry.
+_CHUNK_ELEMENTS = 2_000_000
 
 
 def _panel_norm(v: np.ndarray) -> np.ndarray:
@@ -66,7 +73,8 @@ def adaptive_simpson(
     [a[j], b[j]]: ``fn`` receives (times, k) arrays of per-entry times, nan
     where the column is already accepted on that panel, and ``norm`` must
     keep the column axis, as ``np.abs`` does.
-    Exceeding ``max_depth`` raises ``QuadratureNonConvergence``.
+    Exceeding ``max_depth``, or a wave of more than ``_CHUNK_ELEMENTS``
+    (time, column) entries, raises ``QuadratureNonConvergence``.
     """
     if norm is None:
         norm = _panel_norm
@@ -113,6 +121,13 @@ def adaptive_simpson(
                 f"Simpson refinement exceeded depth {max_depth} on "
                 f"[{lo[at]:.6g}, {hi[at]:.6g}]"
                 + (f" (column {at[1]})" if lo.ndim > 1 else "")
+            )
+        # the next wave evaluates fn twice on each of its panels' entries
+        entries = 4 * int(np.count_nonzero(split)) * flo[0].size
+        if entries > _CHUNK_ELEMENTS:
+            raise QuadratureNonConvergence(
+                f"Simpson refinement at depth {depth + 1} would evaluate {entries} "
+                f"entries in one wave, over the budget of {_CHUNK_ELEMENTS}"
             )
         lo, mid, hi, flo, flm, fmid, frm, fhi, Sl, Sr, open_ = (
             v[split] for v in (lo, mid, hi, flo, flm, fmid, frm, fhi, Sl, Sr, open_)

@@ -103,12 +103,7 @@ def dumps_deterministic(obj) -> str:
 
 def _cell(value) -> str:
     if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".17g")
+        return format(float(value), ".17g")  # nan, inf and -inf included
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, (bool, np.bool_)):
@@ -581,6 +576,9 @@ _JUMP_BUDGET = 2e7
 _ROW_BUDGET = 1e6
 # First-jump paths sampled at once: about 350 bytes each while they are alive.
 _PATH_CHUNK = 100_000
+# Feynman-Kac samples of one repeat, all alive at once: about 80 bytes each
+# (on cycle-8, 2e6 samples raised the peak RSS by 140-160 MB).
+_SAMPLE_BUDGET = 2e6
 
 
 def _task_stochastic(
@@ -604,6 +602,11 @@ def _task_stochastic(
     if not rows <= _ROW_BUDGET:
         raise ValidationError(
             f"the paths table would have about {rows:.3g} rows, over the limit of {_ROW_BUDGET:.0e}"
+        )
+    if not n_samples <= _SAMPLE_BUDGET:
+        raise ValidationError(
+            f"the estimate would hold {n_samples} samples at once, "
+            f"over the limit of {_SAMPLE_BUDGET:.0e}"
         )
     sd = eigendecompose(g)
     if f is None:

@@ -19,16 +19,13 @@ import numpy as np
 
 from .errors import EigensolveFailure, EmptySubset, NegativeTime
 from .graph import WeightedGraph
-from .quadrature import adaptive_simpson
+from .quadrature import _CHUNK_ELEMENTS, adaptive_simpson
 
 # Relative tolerance of each column's estimated integral of g^r, and of each
 # column's certified supremum, relative to ||S_a f||.
 _LR_REL_TOL = 1e-10
 # Cells of the graded grid that starts the grid bounds and the supremum search.
 _GRID_CELLS = 32
-# Elements of the largest temporary array that one chunk of times or cells
-# builds, which caps the memory of the batched evaluations.
-_CHUNK_ELEMENTS = 2_000_000
 
 
 def apply_laplacian(g: WeightedGraph, f: Sequence[complex]) -> np.ndarray:

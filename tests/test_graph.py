@@ -161,6 +161,19 @@ def test_many_distinct_weights_use_fraction_table():
     assert max_ball_volume(g, LEN, r) == ref_max_ball_volume(g, want, r)
 
 
+def test_uniform_non_dyadic_weight_takes_the_float_table():
+    # 1/0.3 = 2**54/5404319552844595: the length unit is that one length, so
+    # every edge is 1 unit long and scipy's float Dijkstra builds the table
+    g = cycle(300, b=0.3)
+    assert g._length_scale == Fraction(5404319552844595, 2**54)
+    assert g._length_table.dtype == np.float64
+    assert g._length_table[0, 150] == 150.0
+    want = ref_covering_radius(ref_lengths(g), [0], Fraction(0))
+    assert want == 150 / Fraction(0.3)
+    got = covering_radius(g, LEN, ["0"], exact=True)
+    assert type(got) is Fraction and got == want
+
+
 def test_float_distance_beyond_float_range_is_inf():
     # 1/5e-324 = 2**1074 and 1e308 + 1e308 have no float: the correctly
     # rounded value is +inf, while exact=True keeps the finite distance
@@ -440,6 +453,68 @@ def test_distance_tables_match_reference(case):
     for d in range(4):
         want = tuple(v for v, h in zip(g.vertex_ids, to_d) if h is not None and h <= d)
         assert ball_around_set(g, D, d) == want
+
+
+@st.composite
+def dyadic_cases(draw):
+    """A path plus random chords with dyadic weights b = 2**-k, so the
+    length unit is 2**min(k) and the longest edge 2**(max(k) - min(k))
+    units; that spread is drawn around 53 - log2(n), on both sides of
+    n * w_max = 2**53.  Sometimes a second component makes inf entries."""
+    n = draw(st.integers(2, 8))
+    split = draw(st.integers(1, n))  # a second component from vertex split on
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    pairs = [(i, i + 1) for i in range(n - 1) if i + 1 != split]
+    pairs += [(i, j) for i, j in chords if j > i + 1 and (j < split or i >= split)]
+    pairs = list(dict.fromkeys(pairs))
+    k0 = draw(st.integers(-60, 60))
+    top = 53 - (n - 1).bit_length()
+    spread = draw(st.sampled_from([0, 1, top - 1, top, top + 1, top + 2]))
+    ks = [draw(st.integers(k0, k0 + spread)) for _ in pairs]
+    if len(ks) >= 2:
+        ks[0], ks[-1] = k0, k0 + spread  # the spread is attained
+    return build_graph(
+        [(str(i), 1.0 + i) for i in range(n)],
+        [(str(i), str(j), 2.0**-k) for (i, j), k in zip(pairs, ks)],
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(dyadic_cases())
+def test_float_table_matches_reference_on_both_sides_of_2_53(g):
+    """The float table is picked exactly when n * w_max < 2**53 and equals the
+    reference Dijkstra; exact queries return int or Fraction, never float,
+    on either table, and ball volumes at radii beyond 2**53 units are those
+    of the reference."""
+    scale, _edges, lengths = g._edge_lengths
+    w_max = lengths.max(initial=0)
+    fits = g.n * w_max < 2**53
+    assert (g._length_table.dtype == np.float64) == fits
+    rows = ref_lengths(g)
+    hops = ref_hops(g)
+    for i, x in enumerate(g.vertex_ids):
+        for j, y in enumerate(g.vertex_ids):
+            d = g._length_table[i, j]
+            if rows[i][j] is None:
+                assert d == math.inf
+                continue
+            assert Fraction(int(d)) / scale == rows[i][j]
+            got = distance(g, LEN, x, y, exact=True)
+            assert type(got) is Fraction and got == rows[i][j]
+            assert type(distance(g, COMB, x, y, exact=True)) is int
+    for D in (["0"], list(g.vertex_ids[:-1])):
+        d_idx = [g.index_of(v) for v in D]
+        covr = covering_radius(g, LEN, D, exact=True)
+        assert covr == ref_covering_radius(rows, d_idx, Fraction(0))
+        assert covr == math.inf or type(covr) is Fraction
+        inr = inradius(g, LEN, D, exact=True)
+        assert inr == ref_inradius(rows, d_idx)
+        assert inr == math.inf or type(inr) is Fraction
+    beyond = [Fraction(2**53, scale), Fraction(2**53 + 1, scale), Fraction(2**60, scale), 1e300]
+    for r in beyond + [Fraction(w_max, scale), float(Fraction(w_max, scale))]:
+        assert max_ball_volume(g, LEN, r) == ref_max_ball_volume(g, rows, r)
+    for r in (2**53, 2**53 + 1, 1e300):
+        assert max_ball_volume(g, COMB, r) == ref_max_ball_volume(g, hops, r)
 
 
 def test_distance_tables_computed_once_and_read_only(c4):

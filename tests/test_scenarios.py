@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -20,7 +21,9 @@ from graphheat.families import build_family, parity_subset
 from graphheat.graph import graph_to_json, validate_assumptions
 from graphheat.scenarios import (
     Scenario,
+    TaskReport,
     dumps_deterministic,
+    emit_report,
     load_scenario,
     run_scenario,
     scenario_from_dict,
@@ -118,6 +121,18 @@ def test_deterministic_json_formats_floats():
     assert '"inf"' in text
     parsed_lines = [ln for ln in text.splitlines() if '"a"' in ln]
     assert parsed_lines
+
+
+def test_csv_cells_pin_non_finite_and_extreme_floats(tmp_path):
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
+    report = TaskReport(
+        "t", {}, tables={"x": (["py", "np"], [[v, np.float64(v)] for v in values])}
+    )
+    emit_report(report, tmp_path)
+    assert (tmp_path / "t_x.csv").read_bytes() == (
+        b"py,np\nnan,nan\ninf,inf\n-inf,-inf\n-0,-0\n"
+        b"4.9406564584124654e-324,4.9406564584124654e-324\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +404,21 @@ def test_cli_stochastic_paths_export_over_the_row_limit_exit_2(tmp_path):
     })
     assert code == 2 and summary is None
     assert "about 1e+07 rows, over the limit of 1e+06" in err, err
+
+
+def test_cli_stochastic_over_the_sample_budget_exit_2(tmp_path):
+    """At t = 1e-8 a billion samples make about 20 jumps, within the jump
+    budget, but the estimate would hold a billion samples at once, arrays of
+    7.45 GiB each: the sample count is refused before anything is sampled."""
+    t0 = time.perf_counter()
+    code, err, summary = _run_cli(tmp_path, {
+        "graph": {"family": "cycle", "n": 8},
+        "task": "stochastic",
+        "params": {"x": "0", "t": 1e-8, "n_samples": 1_000_000_000},
+    })
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and summary is None
+    assert "1000000000 samples at once, over the limit of 2e+06" in err, err
 
 
 def test_first_jump_law_fails_when_no_path_jumps(tmp_path, monkeypatch):

@@ -421,6 +421,23 @@ def test_quadrature_depth_exhaustion_names_the_column_panel():
         )
 
 
+def test_simpson_wave_budget_refuses_a_state_that_d_does_not_see():
+    """On cycle-8's even-D obstruction eigenfunction, (S_t phi)|_D is rounding
+    noise, so Simpson's panels double at every level without converging: the
+    wave budget refuses it in well under a second, long before the panels
+    would exhaust memory."""
+    from graphheat.control import hautus_obstruction
+    from graphheat.families import parity_subset
+
+    g = cycle(8)
+    D = parity_subset(g, "even")
+    sd = eigendecompose(g)
+    _lam, basis = hautus_obstruction(sd, D)[0]
+    phi = basis[:, 0] / m_norm(g, basis[:, 0])
+    with pytest.raises(QuadratureNonConvergence, match=r"entries in one wave, over the budget"):
+        time_lr_norm(sd, phi, D, (0.0, 1.0), 1)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000))
 @example(572)  # a zero of the trajectory puts a corner in |.|^r
