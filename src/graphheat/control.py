@@ -7,13 +7,14 @@ norm is met exactly through the one-parameter family
 f(T) = (I + nu Q_T)^{-1} S_T f0 with the multiplier nu found by monotone
 bisection.  Verification evaluates Duhamel's formula apart from the Gramian
 algebra, exactly per segment for a control linear between knots and by
-adaptive Simpson for a closed-form one; it returns the final state, and
-cost norms come from the synthesis alone.
+adaptive Simpson for a closed-form one; it returns the final state only.
+Cost norms are certified time norms of the closed-form control: one
+engine call per synthesis, or one for all the periods of a stabilization.
 The Gramian, and the controlled trajectory that stabilization samples for
 its envelope, both use the restricted Gramian kernel of ``spectral``: the
-trajectory takes one Gramian step over [0, h] per sample.  Initial states
-and control values are real: complex input raises ``ValidationError``
-instead of losing its imaginary part.
+trajectory takes one Gramian step over [0, h] per sample, for all periods
+at once.  Initial states and control values are real: complex input raises
+``ValidationError`` instead of losing its imaginary part.
 """
 
 from __future__ import annotations
@@ -147,11 +148,14 @@ def _signal_costs(
 
     u(tau) = (S_{T-tau} eta)|_D, so the time profile is the reflection of
     s -> ||(S_s eta)|_D||, and reflection preserves every L_r norm.  Each
-    distinct exponent is one column of one certified call.
+    distinct exponent is one column of one certified call; no exponent
+    makes no call.
     """
     rs = list(dict.fromkeys(rs))
     if not all(r >= 1.0 for r in rs):
         raise ValidationError(f"cost exponents must lie in [1, inf], got {rs}")
+    if not rs:
+        return {}
     coefs = np.repeat(sd.coefficients(eta_vertex)[:, None], len(rs), axis=1)
     re = RestrictedEvolution(sd, sd.graph.subset_indices(D), coefs)
     return dict(zip(rs, re.lr_norms(0.0, T, np.array(rs)).tolist()))
@@ -251,29 +255,35 @@ def synth_control(
 def _controlled_trajectory(
     sd: SpectralDecomposition,
     D: Sequence[str],
+    T: float,
     f0: np.ndarray,
-    signal: ControlSignal,
+    eta: np.ndarray,
     samples: int,
 ) -> np.ndarray:
-    """Controlled states f(t_k) at ``samples`` >= 2 equally spaced times on
-    [0, T] for ``stabilize``'s closed-form signal and real state.
+    """Controlled states at ``samples`` >= 2 equally spaced times on [0, T]
+    for a batch of ``stabilize``'s periods: column j of the (n, N) arrays
+    ``f0`` and ``eta`` holds period j's real initial state and the eta of
+    its closed-form control.  Entry [k, j] of the (samples, N, n) result is
+    period j's state at t_k.
 
     One Gramian step per sample: with h = T/(samples - 1),
     f(t_{k+1}) = S_h f(t_k) + Q_h S_{T - t_{k+1}} eta, where Q_h is the
-    Gramian over [0, h].
+    Gramian over [0, h].  One kernel serves every period, one matrix
+    product forms every drive, and the steps advance all periods together.
     """
     lam = sd.eigenvalues
-    T = signal.T
     h = T / (samples - 1)
     ts = np.linspace(0.0, T, samples)
     K = _gramian_kernel(sd, sd.graph.subset_indices(D), 0.0, h)
-    drive = K @ (np.exp(-np.outer(lam, T - ts[1:])) * sd.coefficients(signal.eta)[:, None])
-    decay = np.exp(-lam * h)
-    out = np.empty((samples, sd.n))
+    c_eta = sd.coefficients(eta)
+    E = np.exp(-np.outer(lam, T - ts[1:]))
+    drive = (K @ (E[:, :, None] * c_eta[:, None, :]).reshape(sd.n, -1)).reshape(E.shape + (-1,))
+    decay = np.exp(-lam * h)[:, None]
+    out = np.empty((samples,) + c_eta.shape)
     out[0] = sd.coefficients(f0)
     for k in range(samples - 1):
         out[k + 1] = decay * out[k] + drive[:, k]
-    return out @ sd.eigenvectors.T
+    return out.transpose(0, 2, 1) @ sd.eigenvectors.T
 
 
 def _segment_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,11 +429,14 @@ def stabilize(
 ) -> StabilizationReport:
     """Open-loop stabilization by concatenating per-period contractions.
 
-    Each period re-runs the synthesis from the achieved state, so
-    ||f(kT)|| <= alpha^k ||f0|| and the envelope constants are
-    omega = ln(alpha)/T with M covering the intra-period excursions,
-    sampled at ``_INTRA_SAMPLES`` equally spaced times per period (one
-    Gramian step per sample).
+    Each period re-runs the synthesis from the achieved state, without cost
+    norms, so ||f(kT)|| <= alpha^k ||f0||; a period that starts at zero
+    stays there with zero control.  Then every period is handled at once:
+    its L_1, L_2 and L_inf costs are columns of one ``lr_norms`` call, and
+    its intra-period excursion is sampled at ``_INTRA_SAMPLES`` equally
+    spaced times by ``_controlled_trajectory`` (one Gramian step per
+    sample).  The envelope constants are omega = ln(alpha)/T and M, which
+    covers the largest excursion relative to its period's start.
     """
     if not (0.0 < alpha < 1.0):
         raise ValidationError("stabilization needs alpha in (0, 1)")
@@ -431,33 +444,37 @@ def stabilize(
         raise ValidationError("need at least one period")
     f = _real(f0, "initial state")
     norms = [sd.norm(f)]
-    costs: list[dict[float, float]] = []
-    gram_cache = gramian(sd, D, T)
-    intra_ratio = 1.0
-    for _ in range(num_periods):
-        if norms[-1] == 0.0:
-            costs.append(dict.fromkeys(COST_EXPONENTS, 0.0))
-            norms.append(0.0)
-            f = np.zeros(sd.n)
-            continue
-        signal, res = synth_control(sd, D, T, f, alpha, gram=gram_cache)
-        traj = _controlled_trajectory(sd, D, f, signal, _INTRA_SAMPLES)
-        peak = max(sd.norm(row) for row in traj)
-        intra_ratio = max(intra_ratio, peak / norms[-1])
+    gram = gramian(sd, D, T)
+    starts, etas = [], []
+    while len(starts) < num_periods and norms[-1] > 0.0:
+        signal, res = synth_control(sd, D, T, f, alpha, gram=gram, cost_exponents=())
+        starts.append(f)
+        etas.append(signal.eta)
         f = res.final_state
-        costs.append(res.costs)
         norms.append(sd.norm(f))
-    omega = math.log(alpha) / T
+    live = len(starts)
+    if live < num_periods:
+        norms += [0.0] * (num_periods - live)
+        f = np.zeros(sd.n)
+    costs = np.zeros((num_periods, len(COST_EXPONENTS)))
+    intra_ratio = 1.0
+    if live:
+        eta = np.stack(etas, axis=1)
+        coefs = np.repeat(sd.coefficients(eta), len(COST_EXPONENTS), axis=1)
+        re = RestrictedEvolution(sd, sd.graph.subset_indices(D), coefs)
+        costs[:live] = re.lr_norms(0.0, T, np.tile(COST_EXPONENTS, live)).reshape(live, -1)
+        traj = _controlled_trajectory(sd, D, T, np.stack(starts, axis=1), eta, _INTRA_SAMPLES)
+        peaks = np.sqrt(np.square(traj) @ sd.graph.m).max(axis=0)
+        intra_ratio = max(intra_ratio, float(np.max(peaks / norms[:live])))
     total: dict[float, float] = {}
-    for r in COST_EXPONENTS:
-        parts = [c[r] for c in costs]
+    for r, parts in zip(COST_EXPONENTS, costs.T.tolist()):
         if math.isinf(r):
             total[r] = max(parts)
         else:
             total[r] = float(sum(p**r for p in parts)) ** (1.0 / r)
     return StabilizationReport(
         period_norms=norms,
-        omega=omega,
+        omega=math.log(alpha) / T,
         M=intra_ratio / alpha,
         total_costs=total,
         final_state=f,

@@ -4,7 +4,8 @@ Geometric quantities (inradius, ball volume, covering radius) are taken in
 the length metric, where the weak observability estimate and the low-energy
 uncertainty principle hold.  ``verify_weak_obs`` checks the estimate on a
 battery of unit states by bound, prune and evaluate: closed-form and then
-grid bounds on each state's time norm exclude every state that cannot hold
+grid bounds on each state's time norm (first on the likeliest minimiser,
+then on the states its bound leaves) exclude every state that cannot hold
 the minimum slack, and only the rest go through the time-norm engine, in
 one batched call, so the reported minimum is the engine's minimum over the
 whole battery (estimated to 1e-10 for finite r, a proven bracket for
@@ -339,8 +340,12 @@ def verify_weak_obs_multi(
       ||S_T phi|| is once per distinct T;
     - drop the states whose slack lower bound exceeds the smallest slack
       upper bound by more than the margin (``_RECHECK_MARGIN_REL``);
-    - bound the rest again on a graded grid (``_grid_bounds``) and prune once
-      more; this runs per set, on that set's own survivors;
+    - bound the state with the smallest slack lower bound again on a graded
+      grid (``_grid_bounds``) and prune with its tightened upper bound, then
+      grid the states still standing and prune once more; this runs per set,
+      on that set's own survivors.  A state dropped before it is gridded has
+      a lower bound above the final threshold already, so the staging drops
+      no survivor and keeps every reported slack;
     - evaluate the survivors of every set together in one batched
       ``RestrictedEvolution.lr_norms`` call on their spectral coefficients,
       each column on its own set's window and exponent: estimated to
@@ -360,20 +365,35 @@ def verify_weak_obs_multi(
     for const in constants_list:
         a, b, r = const.delta * const.T, const.T, const.r
         final = final_norms(const.T)
-        cols = np.arange(C.shape[1])
         lo, hi = _closed_form_bounds(window_terms(a, b), r)
         margin = (
             _RECHECK_MARGIN_REL * (const.K + const.alpha + 1.0)
             + 2.0 * _LR_REL_TOL * const.K * float(hi.max())
         )
-        for regrid in (False, True):
-            if regrid:  # the closed forms are loose where g moves fast, as at a = 0
-                glo, ghi = _grid_bounds(RestrictedEvolution(sd, d_idx, C[:, cols]), a, b, r)
-                lo, hi = np.maximum(lo, glo), np.minimum(hi, ghi)
+
+        def prune(cols, lo, hi):
             base = const.alpha - final[cols]
             # only a definite comparison prunes, so a nan bound keeps its state
             keep = ~(const.K * lo + base > np.min(const.K * hi + base) + margin)
-            cols, lo, hi = cols[keep], lo[keep], hi[keep]
+            return cols[keep], lo[keep], hi[keep]  # copies: the closed forms stay unwritten
+
+        def regrid(cols, lo, hi, which):
+            """Tighten the bounds of the states ``which``, in place."""
+            glo, ghi = _grid_bounds(RestrictedEvolution(sd, d_idx, C[:, cols[which]]), a, b, r)
+            lo[which], hi[which] = np.maximum(lo[which], glo), np.minimum(hi[which], ghi)
+
+        cols, lo, hi = prune(np.arange(C.shape[1]), lo, hi)
+        # the closed forms are loose where g moves fast, as at a = 0: the grid
+        # bounds the likeliest minimiser first, whose tightened upper bound
+        # prunes most of the rest before they are gridded
+        likeliest = int(np.argmin(const.K * lo - final[cols]))
+        regrid(cols, lo, hi, [likeliest])
+        first = cols[likeliest]
+        cols, lo, hi = prune(cols, lo, hi)
+        rest = cols != first
+        if rest.any():
+            regrid(cols, lo, hi, rest)
+            cols, lo, hi = prune(cols, lo, hi)
         survivors.append((cols, final[cols]))
     if not survivors:
         return []

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphheat.control
+import graphheat.spectral
 from graphheat.control import (
     ControlSignal,
     _controlled_trajectory,
@@ -23,7 +24,7 @@ from graphheat.errors import EmptySubset, TargetUnreachable, ValidationError
 from graphheat.families import build_family
 from graphheat.graph import build_graph
 from graphheat.quadrature import adaptive_simpson
-from graphheat.spectral import eigendecompose, semigroup_apply
+from graphheat.spectral import RestrictedEvolution, eigendecompose, semigroup_apply
 
 from conftest import m_norm, random_connected_graph
 
@@ -496,6 +497,75 @@ def test_stabilize_zero_state(k2):
     assert all(c == 0.0 for c in rep.total_costs.values())
 
 
+def _stabilize_period_by_period(sd, D, T, alpha, num_periods, f0):
+    """Each period's costs and excursion peak over its start, from one
+    ``synth_control`` with costs and one single-period trajectory each."""
+    gram = gramian(sd, D, T)
+    costs, ratios, f = [], [], f0
+    for _ in range(num_periods):
+        sig, res = synth_control(sd, D, T, f, alpha, gram=gram)
+        traj = _controlled_trajectory(sd, D, T, f[:, None], sig.eta[:, None], 65)[:, 0]
+        ratios.append(max(m_norm(sd.graph, row) for row in traj) / m_norm(sd.graph, f))
+        costs.append([res.costs[r] for r in (1.0, 2.0, math.inf)])
+        f = res.final_state
+    return np.array(costs), max(ratios)
+
+
+def test_stabilize_costs_and_envelope_match_per_period_synthesis(monkeypatch):
+    """The batched periods report what one synthesis with costs per period
+    reports: each period's L_1, L_2 and L_inf cost, their totals and M."""
+    g = random_connected_graph(np.random.default_rng(5), 12)
+    sd = eigendecompose(g)
+    D, T, alpha, N = g.vertex_ids[:4], 1.0, 0.5, 6
+    f0 = np.random.default_rng(1).standard_normal(g.n)
+    batched = []
+    real = RestrictedEvolution.lr_norms
+
+    def kept(self, a, b, r):
+        batched.append(real(self, a, b, r))
+        return batched[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(RestrictedEvolution, "lr_norms", kept)
+        rep = stabilize(sd, D, T, alpha, N, f0)
+    want, ratio = _stabilize_period_by_period(sd, D, T, alpha, N, f0)
+    np.testing.assert_allclose(batched[0].reshape(N, 3), want, rtol=1e-13, atol=0.0)
+    totals = [np.sum(want[:, 0]), np.sqrt(np.sum(want[:, 1] ** 2)), np.max(want[:, 2])]
+    np.testing.assert_allclose(list(rep.total_costs.values()), totals, rtol=1e-13, atol=0.0)
+    assert list(rep.total_costs) == [1.0, 2.0, math.inf]
+    assert rep.M == pytest.approx(ratio / alpha, rel=1e-13, abs=0.0)
+
+
+def test_stabilize_builds_two_kernels_and_certifies_once(monkeypatch):
+    """Ten periods take one Gramian kernel for the synthesis, one for every
+    trajectory step and one certified call for every period's costs."""
+    g = random_connected_graph(np.random.default_rng(5), 12)
+    sd = eigendecompose(g)
+    kernels, certified = [], []
+    real_kernel, real_norms = graphheat.spectral._gramian_kernel, RestrictedEvolution.lr_norms
+
+    def kernel(*args):
+        kernels.append(args)
+        return real_kernel(*args)
+
+    def lr_norms(self, a, b, r):
+        certified.append(self.C.shape[1])
+        return real_norms(self, a, b, r)
+
+    monkeypatch.setattr(graphheat.control, "_gramian_kernel", kernel)
+    monkeypatch.setattr(graphheat.spectral, "_gramian_kernel", kernel)
+    monkeypatch.setattr(RestrictedEvolution, "lr_norms", lr_norms)
+    stabilize(sd, g.vertex_ids[:4], 1.0, 0.5, 10, np.ones(g.n))
+    assert len(kernels) == 2
+    assert certified == [30]
+
+
+def test_synth_control_without_cost_exponents_has_no_costs(k2):
+    _, res = synth_control(eigendecompose(k2), ["0"], 1.0, np.array([1.0, 0.0]), 0.5,
+                           cost_exponents=())
+    assert res.costs == {}
+
+
 def test_stabilize_rejects_complex_state(k2):
     sd = eigendecompose(k2)
     with pytest.raises(ValidationError, match="real"):
@@ -506,7 +576,7 @@ def test_controlled_trajectory_endpoints(k2):
     sd = eigendecompose(k2)
     f0 = np.array([1.0, 0.0])
     sig, res = synth_control(sd, ["0"], 1.0, f0, 0.1)
-    traj = _controlled_trajectory(sd, ["0"], f0, sig, 2)
+    traj = _controlled_trajectory(sd, ["0"], 1.0, f0[:, None], sig.eta[:, None], 2)[:, 0]
     np.testing.assert_allclose(traj[0], f0, atol=1e-12)
     np.testing.assert_allclose(traj[1], res.final_state, atol=1e-10)
 
@@ -555,7 +625,7 @@ def test_controlled_trajectory_matches_per_time_closed_form(seed, samples):
         sig, _ = synth_control(sd, D, T, f0, float(rng.uniform(0.05, 0.95)))
     except TargetUnreachable:  # a mode invisible on D blocks the target
         return
-    traj = _controlled_trajectory(sd, D, f0, sig, samples)
+    traj = _controlled_trajectory(sd, D, T, f0[:, None], sig.eta[:, None], samples)[:, 0]
     want = _trajectory_per_time(sd, D, f0, sig, np.linspace(0.0, T, samples))
     scale = m_norm(g, f0) + T * m_norm(g, sig.eta)
     for got_row, want_row in zip(traj, want):

@@ -17,7 +17,11 @@ from graphheat.errors import (
 )
 from graphheat.graph import build_graph
 from graphheat.observability import (
+    _RECHECK_MARGIN_REL,
+    _closed_form_bounds,
+    _grid_bounds,
     _phi_batch,
+    _window_terms,
     exact_obs_constant,
     up_paper_bound,
     up_sharp_constant,
@@ -26,7 +30,7 @@ from graphheat.observability import (
     verify_weak_obs_multi,
     weak_obs_constants,
 )
-from graphheat.spectral import RestrictedEvolution, eigendecompose
+from graphheat.spectral import _LR_REL_TOL, RestrictedEvolution, eigendecompose
 
 from conftest import cycle, grow_dense_subset, random_connected_graph
 
@@ -340,6 +344,81 @@ def test_verify_keeps_a_state_whose_bound_is_nan(c4, monkeypatch):
     got = verify_weak_obs(sd, ["0"], const, samples=20)
     assert got.worst_label == want.worst_label
     assert got.min_slack == pytest.approx(want.min_slack, rel=1e-12)
+
+
+def _survivors_gridding_every_state(sd, D, c, samples, seed):
+    """The certified batch when every closed-form survivor is gridded and
+    pruned at once: the reference that the staged prune must match."""
+    C, _ = _phi_batch(sd, samples, seed)
+    re = RestrictedEvolution(sd, sd.graph.subset_indices(D), C)
+    a, b = c.delta * c.T, c.T
+    final = re.final_norms(c.T)
+    lo, hi = _closed_form_bounds(_window_terms(re, a, b), c.r)
+    margin = _RECHECK_MARGIN_REL * (c.K + c.alpha + 1.0) + 2.0 * _LR_REL_TOL * c.K * hi.max()
+    cols = np.arange(C.shape[1])
+    for regrid in (False, True):
+        if regrid:
+            glo, ghi = _grid_bounds(RestrictedEvolution(sd, re.d_indices, C[:, cols]), a, b, c.r)
+            lo, hi = np.maximum(lo, glo), np.minimum(hi, ghi)
+        base = c.alpha - final[cols]
+        keep = ~(c.K * lo + base > np.min(c.K * hi + base) + margin)
+        cols, lo, hi = cols[keep], lo[keep], hi[keep]
+    return C[:, cols]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([1.0, 2.0, math.inf]),
+    st.sampled_from([0.0, 0.5]),
+    st.sampled_from([0.5, 3.0]),
+)
+def test_staged_prune_keeps_the_survivors_of_gridding_every_state(seed, r, delta, T):
+    """Gridding the likeliest minimiser first and pruning with its bound
+    certifies exactly the states that gridding every closed-form survivor
+    leaves."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(3, 16)))
+    sd = eigendecompose(g)
+    size = int(rng.integers(1, g.n))
+    D = [g.vertex_ids[i] for i in sorted(rng.choice(g.n, size=size, replace=False))]
+    c = weak_obs_constants(g, sd, D, T, delta, r)
+    certified = []
+    real = RestrictedEvolution.lr_norms
+
+    def kept(self, a, b, r):
+        certified.append(self.C)
+        return real(self, a, b, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RestrictedEvolution, "lr_norms", kept)
+        verify_weak_obs(sd, D, c, samples=60, seed=seed)
+    want = _survivors_gridding_every_state(sd, D, c, 60, seed)
+    assert len(certified) == 1
+    np.testing.assert_array_equal(certified[0], want)
+
+
+def test_staged_prune_grids_a_handful_of_states_on_cycle_300(monkeypatch):
+    """On cycle-300 with the even vertices observed, T = 1, delta = 0 and
+    r = inf, the closed forms leave about 1450 of the 1600 states; the grid
+    bounds of the likeliest minimiser prune all but a handful of them before
+    they are gridded."""
+    import graphheat.observability as obs
+
+    g = cycle(300)
+    sd = eigendecompose(g)
+    D = g.vertex_ids[::2]
+    c = weak_obs_constants(g, sd, D, 1.0, 0.0, math.inf)
+    gridded = []
+    real = obs._grid_bounds
+
+    def counted(re, a, b, r):
+        gridded.append(re.C.shape[1])
+        return real(re, a, b, r)
+
+    monkeypatch.setattr(obs, "_grid_bounds", counted)
+    verify_weak_obs(sd, D, c, samples=1000)
+    assert sum(gridded) <= 5
 
 
 def test_certified_norm_of_a_fast_decaying_mode_keeps_its_digits():

@@ -407,9 +407,9 @@ def test_cli_stochastic_paths_export_over_the_row_limit_exit_2(tmp_path):
 
 
 def test_cli_stochastic_over_the_sample_budget_exit_2(tmp_path):
-    """At t = 1e-8 a billion samples make about 20 jumps, within the jump
-    budget, but the estimate would hold a billion samples at once, arrays of
-    7.45 GiB each: the sample count is refused before anything is sampled."""
+    """At t = 1e-8 a billion samples make about 20 jumps, but the estimate
+    would hold a billion samples at once, arrays of 7.45 GiB each: the
+    sample count is checked first and refused before anything is sampled."""
     t0 = time.perf_counter()
     code, err, summary = _run_cli(tmp_path, {
         "graph": {"family": "cycle", "n": 8},
@@ -419,6 +419,40 @@ def test_cli_stochastic_over_the_sample_budget_exit_2(tmp_path):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and summary is None
     assert "1000000000 samples at once, over the limit of 2e+06" in err, err
+
+
+def test_cli_stochastic_over_the_budget_through_repeats_exit_2(tmp_path):
+    """At t = 1e-8 the 2e6 samples of a repeat make under one jump, but each
+    sample still draws once per repeat: a million repeats count as 2e12 steps
+    and are refused before anything is sampled."""
+    t0 = time.perf_counter()
+    code, err, summary = _run_cli(tmp_path, {
+        "graph": {"family": "cycle", "n": 8},
+        "task": "stochastic",
+        "params": {"x": "0", "t": 1e-8, "n_samples": 2_000_000, "repeats": 1_000_000},
+    })
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and summary is None
+    assert "about 2e+12 jumps, over the budget of 2e+07" in err, err
+
+
+@pytest.mark.parametrize("t", [1e-4, 1e-10])
+def test_cli_estimate_without_a_sampled_jump_passes(tmp_path, t):
+    """On cycle-8 at t = 1e-4 the 1000 samples expect 0.2 jumps and seed 3
+    draws none: the estimate is f(x) = 1 with stderr 0.  The exact value
+    lies below it by less than P(jump by t) = 1 - e^{-2t}, which the missed
+    jumps can move it by, so the estimate is accepted.  At t = 1e-10 the
+    exact value's rounding near 1 is larger than the room the bound leaves,
+    and the check's allowance of a few ulps covers it."""
+    code, err, summary = _run_cli(tmp_path, {
+        "graph": {"family": "cycle", "n": 8},
+        "task": "stochastic",
+        "params": {"x": "0", "t": t, "n_samples": 1000},
+        "seed": 3,
+    })
+    assert code == 0, err
+    assert summary["within_4_stderr"] == 1
+    assert summary["exact_value"] < 1.0
 
 
 def test_first_jump_law_fails_when_no_path_jumps(tmp_path, monkeypatch):

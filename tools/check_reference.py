@@ -9,7 +9,7 @@ exact). Nothing is re-recorded and nothing under ``perfbench/`` is written.
     python3 tools/check_reference.py [workload ...]
 
 Exit code 0 means every record matched; 1 lists the inputs that differ or
-raise. All three workloads take about 10-15 s on two cores.
+raise. All three workloads take about 8 s on two cores.
 """
 
 from __future__ import annotations
