@@ -14,7 +14,8 @@ The Gramian, and the controlled trajectory that stabilization samples for
 its envelope, both use the restricted Gramian kernel of ``spectral``: the
 trajectory takes one Gramian step over [0, h] per sample, for all periods
 at once.  Initial states and control values are real: complex input raises
-``ValidationError`` instead of losing its imaginary part.
+``ValidationError`` instead of losing its imaginary part.  Decay factors
+over the spectrum come from ``spectral.decay``.
 """
 
 from __future__ import annotations
@@ -25,17 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BisectionNonConvergence,
-    EmptySubset,
-    TargetUnreachable,
-    ValidationError,
-)
+from .errors import BisectionNonConvergence, EmptySubset, TargetUnreachable, ValidationError
 from .quadrature import adaptive_simpson
 from .spectral import (
     RestrictedEvolution,
     SpectralDecomposition,
     _gramian_kernel,
+    _real,
+    decay,
     semigroup_apply,
 )
 
@@ -47,14 +45,6 @@ _NU_MAX = 1e18
 _SERIES_BELOW = 0.1  # psi's closed form loses ~2e-16/x relative; its series does not
 
 COST_EXPONENTS = (1.0, 2.0, math.inf)
-
-
-def _real(x, what: str) -> np.ndarray:
-    """``x`` as a float array; complex input is rejected, not truncated."""
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        raise ValidationError(f"{what} must be real, got complex values")
-    return np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +112,7 @@ class ControlSignal:
         if not self.closed_form:
             raise ValidationError("values_at needs a closed-form signal")
         d_idx = sd.graph.subset_indices(self.D)
-        E = np.exp(-np.outer(sd.eigenvalues, self.T - np.asarray(taus, dtype=float)))
+        E = decay(sd.eigenvalues, self.T - np.asarray(taus, dtype=float))
         return (sd.eigenvectors[d_idx, :] @ (E * sd.coefficients(self.eta)[:, None])).T
 
 
@@ -188,7 +178,7 @@ def synth_control(
         raise ValidationError("supplied Gramian does not match (D, T)")
 
     c0 = sd.coefficients(f0)
-    sT = np.exp(-sd.eigenvalues * T) * c0
+    sT = decay(sd.eigenvalues, T) * c0
     norm_sT = float(np.linalg.norm(sT))
     target = alpha_target * norm_f0
 
@@ -271,18 +261,17 @@ def _controlled_trajectory(
     Gramian over [0, h].  One kernel serves every period, one matrix
     product forms every drive, and the steps advance all periods together.
     """
-    lam = sd.eigenvalues
     h = T / (samples - 1)
     ts = np.linspace(0.0, T, samples)
     K = _gramian_kernel(sd, sd.graph.subset_indices(D), 0.0, h)
     c_eta = sd.coefficients(eta)
-    E = np.exp(-np.outer(lam, T - ts[1:]))
+    E = decay(sd.eigenvalues, T - ts[1:])
     drive = (K @ (E[:, :, None] * c_eta[:, None, :]).reshape(sd.n, -1)).reshape(E.shape + (-1,))
-    decay = np.exp(-lam * h)[:, None]
+    step = decay(sd.eigenvalues, h)[:, None]
     out = np.empty((samples,) + c_eta.shape)
     out[0] = sd.coefficients(f0)
     for k in range(samples - 1):
-        out[k + 1] = decay * out[k] + drive[:, k]
+        out[k + 1] = step * out[k] + drive[:, k]
     return out.transpose(0, 2, 1) @ sd.eigenvectors.T
 
 
@@ -348,16 +337,16 @@ def verify_control(
     if u.closed_form:
         def integrand(taus: np.ndarray) -> np.ndarray:
             embedded = VD.T @ (mD[None, :] * u.values_at(sd, taus)).T  # coefs of 1_D u(tau)
-            return (np.exp(-np.outer(lam, T - taus)) * embedded).T
+            return (decay(lam, T - taus) * embedded).T
 
         forced = adaptive_simpson(integrand, 0.0, T, rel_tol=1e-10)
     else:
         U = VD.T @ (mD[:, None] * u.values.T)  # column k: coefs of 1_D u(t_k)
         h = np.diff(knots)
         phi1, psi = _segment_weights(np.outer(lam, h))
-        decay = np.exp(-np.outer(lam, T - knots[1:])) * h
-        forced = np.sum(decay * (phi1 * U[:, :-1] + psi * np.diff(U, axis=1)), axis=1)
-    fT_hat = np.exp(-lam * T) * sd.coefficients(f0) + forced
+        weights = decay(lam, T - knots[1:]) * h
+        forced = np.sum(weights * (phi1 * U[:, :-1] + psi * np.diff(U, axis=1)), axis=1)
+    fT_hat = decay(lam, T) * sd.coefficients(f0) + forced
     norm_f0 = sd.norm(f0)
     return ControlResult(
         final_state=sd.synthesize(fT_hat),

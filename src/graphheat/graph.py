@@ -83,18 +83,21 @@ class TransitionTable:
 
     Row j lists the neighbours of j in ``targets``, with the running sums
     ``np.cumsum(w)`` of their edge weights w in ``cumulative`` and its last
-    entry in ``totals[j]``.  ``probabilities`` holds ``cumsum(w) / w.sum()``
-    with the last entry forced to 1.0.  ``w.sum()`` is a pairwise sum and
-    ``totals`` a sequential one, and from 9 neighbours up they can differ,
-    so both are kept.  Padding entries are +inf, so counting the entries
-    <= u picks a neighbour as ``searchsorted(row, u, side="right")`` does;
-    padding targets repeat the last neighbour (j itself on an empty row).
+    entry in ``totals[j]``.  Padding entries are +inf, so counting the
+    entries <= u picks a neighbour as ``searchsorted(row, u, side="right")``
+    does; padding targets repeat the last neighbour (j itself on an empty
+    row).
     """
 
     targets: np.ndarray
     cumulative: np.ndarray
     totals: np.ndarray
-    probabilities: np.ndarray
+
+    def jump(self, at: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Where walks at ``at`` jump for uniforms ``u`` in [0, 1): to the
+        neighbour whose running sum first exceeds u totals[at]."""
+        u = u * self.totals[at]
+        return self.targets[at, np.sum(self.cumulative[at] <= u[:, None], axis=1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,21 +161,17 @@ class WeightedGraph:
         width = max((len(nb) for nb in nbrs), default=0)
         targets = np.zeros((self.n, width), dtype=int)
         cumulative = np.full((self.n, width), math.inf)
-        probabilities = np.full((self.n, width), math.inf)
         totals = np.zeros(self.n)
         for j, nb in enumerate(nbrs):
             targets[j] = nb[-1] if len(nb) else j
             if len(nb) == 0:
                 continue
-            w = self.weights[j, nb]
-            running = np.cumsum(w)
+            running = np.cumsum(self.weights[j, nb])
             targets[j, : len(nb)] = nb
             cumulative[j, : len(nb)] = running
             totals[j] = running[-1]
-            probabilities[j, : len(nb)] = running / w.sum()
-            probabilities[j, len(nb) - 1] = 1.0
-        table = TransitionTable(targets, cumulative, totals, probabilities)
-        for a in (targets, cumulative, totals, probabilities):
+        table = TransitionTable(targets, cumulative, totals)
+        for a in (targets, cumulative, totals):
             a.setflags(write=False)
         return table
 

@@ -37,6 +37,7 @@ from .spectral import (
     SpectralDecomposition,
     _LR_REL_TOL,
     _graded_grid,
+    decay,
     op_norm_H_plus_1,
 )
 
@@ -448,6 +449,6 @@ def exact_obs_constant(
     Q = gramian(sd, D, T)
     if not Q.nonsingular:
         return math.inf
-    A = np.diag(np.exp(-2.0 * sd.eigenvalues * T))
+    A = np.diag(decay(2.0 * sd.eigenvalues, T))
     w = scipy.linalg.eigh(A, Q.matrix, eigvals_only=True)
     return math.sqrt(max(float(w[-1]), 0.0))

@@ -1,11 +1,11 @@
 """Weighted Laplacian, eigendecomposition, heat semigroup, and time norms.
 
-All state vectors are numpy arrays ordered like the graph's vertex list;
-complex scalars are supported throughout this module (the control layer
-takes real states only).  The Laplacian is symmetrized by
-conjugation with the square-root measure scaling, solved with a dense
-symmetric eigensolver, and scaled back, so the returned eigenvectors are
-orthonormal in the m-weighted inner product.
+All state vectors are real numpy arrays ordered like the graph's vertex
+list; complex input raises ``ValidationError``.  The Laplacian is
+symmetrized by conjugation with the square-root measure scaling, solved
+with a dense symmetric eigensolver, and scaled back, so the returned
+eigenvectors are orthonormal in the m-weighted inner product.  Every
+e^{-lam t} comes from ``decay``: lam t beyond the float range decays to 0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EigensolveFailure, EmptySubset, NegativeTime
+from .errors import EigensolveFailure, EmptySubset, NegativeTime, ValidationError
 from .graph import WeightedGraph
 from .quadrature import _CHUNK_ELEMENTS, adaptive_simpson
 
@@ -28,7 +28,23 @@ _LR_REL_TOL = 1e-10
 _GRID_CELLS = 32
 
 
-def apply_laplacian(g: WeightedGraph, f: Sequence[complex]) -> np.ndarray:
+def _real(x, what: str) -> np.ndarray:
+    """``x`` as a float array; complex input is rejected, not truncated."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValidationError(f"{what} must be real, got complex values")
+    return np.asarray(x, dtype=float)
+
+
+def decay(lam, t) -> np.ndarray:
+    """e^{-lam t} for every pair of an entry of ``lam`` and an entry of
+    ``t``, shaped lam.shape + t.shape; a product lam t beyond the float
+    range gives e^{-inf} = 0, the decayed value."""
+    with np.errstate(over="ignore"):
+        return np.exp(-np.multiply.outer(lam, t))
+
+
+def apply_laplacian(g: WeightedGraph, f: Sequence[float]) -> np.ndarray:
     """Pointwise Laplacian Hf(x) = (1/m(x)) sum_y b(x,y) (f(x) - f(y)) of a
     state, or of each column of an (n, k) batch of states."""
     f = np.asarray(f)
@@ -54,12 +70,12 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.graph.n
 
-    def inner(self, f, g) -> complex:
-        """m-weighted inner product <f, g> = sum f(x) conj(g(x)) m(x)."""
-        return complex(np.sum(np.asarray(f) * np.conj(np.asarray(g)) * self.graph.m))
+    def inner(self, f, g) -> float:
+        """m-weighted inner product <f, g> = sum f(x) g(x) m(x)."""
+        return float(np.sum(np.asarray(f) * np.asarray(g) * self.graph.m))
 
     def norm(self, f) -> float:
-        return math.sqrt(float(np.sum(np.abs(np.asarray(f)) ** 2 * self.graph.m)))
+        return math.sqrt(self.inner(f, f))
 
     def coefficients(self, f) -> np.ndarray:
         """Spectral coefficients <f, v_i> of a state, or of each column of
@@ -138,10 +154,7 @@ def semigroup_apply(sd: SpectralDecomposition, t: float, f) -> np.ndarray:
     """Heat semigroup e^{-tH} applied to a state vector."""
     if t < 0:
         raise NegativeTime(f"semigroup time must be nonnegative, got {t}")
-    c = sd.coefficients(f)
-    with np.errstate(over="ignore"):  # lam t beyond the float range decays to 0
-        damp = np.exp(-sd.eigenvalues * t)
-    return sd.synthesize(damp * c)
+    return sd.synthesize(decay(sd.eigenvalues, t) * sd.coefficients(_real(f, "state")))
 
 
 def _graded_grid(a: float, b: float, lam_max: float) -> np.ndarray:
@@ -170,9 +183,9 @@ def _gramian_kernel(
     lam = sd.eigenvalues
     W = np.sqrt(sd.graph.m[d_idx])[:, None] * sd.eigenvectors[d_idx, :]
     S = lam[:, None] + lam[None, :]
-    # S a or S w beyond the float range gives e^{-inf} = 0, the decayed value
+    # S w beyond the float range gives expm1(-inf) = -1, and S = 0 gives 0 / 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        F = np.exp(-S * a) * (-np.expm1(-S * w)) / S
+        F = decay(S, a) * (-np.expm1(-S * w)) / S
     F[S == 0.0] = w
     return (W.T @ W) * F
 
@@ -225,15 +238,13 @@ class RestrictedEvolution:
         chunk = max(1, _CHUNK_ELEMENTS // max(1, n * min(d, n_batch) + d * n_batch))
         for k0 in range(0, len(ts), chunk):
             tc = ts[k0 : k0 + chunk]
-            with np.errstate(over="ignore"):  # lam t beyond the float range decays to 0
-                E = np.exp(-np.outer(tc, self.lam))  # (tc, n)
+            E = decay(self.lam, tc)  # (n, tc)
             if wide:  # scale the d x n rows of W per time: one GEMM with C
-                U = (E[:, None, :] * self.W[None]).reshape(-1, n) @ self.C
+                U = (E.T[:, None, :] * self.W[None]).reshape(-1, n) @ self.C
                 shape, axis = (len(tc), d, n_batch), 1
             else:  # scale the batch per time, then one GEMM with W
-                U = self.W @ (E.T[:, :, None] * self.C[:, None, :]).reshape(n, -1)
+                U = self.W @ (E[:, :, None] * self.C[:, None, :]).reshape(n, -1)
                 shape, axis = (d, len(tc), n_batch), 0
-            U = np.abs(U) if np.iscomplexobj(U) else U
             out[k0 : k0 + len(tc)] = np.sum(np.square(U, out=U).reshape(shape), axis=axis)
             del U  # no chunk's arrays outlive it: the peak is one scaled factor and one U
         return np.sqrt(out)
@@ -257,10 +268,8 @@ class RestrictedEvolution:
         for k0 in range(0, len(which), chunk):
             sl = slice(k0, k0 + chunk)
             first = which[k0]
-            with np.errstate(over="ignore"):  # lam t beyond the float range decays to 0
-                E = np.exp(-np.outer(self.lam, times[first : which[sl][-1] + 1]))
+            E = decay(self.lam, times[first : which[sl][-1] + 1])
             U = self.W @ (E[:, which[sl] - first] * self.C[:, cols[sl]])
-            U = np.abs(U) if np.iscomplexobj(U) else U
             out[rows[sl], cols[sl]] = np.sum(np.square(U, out=U), axis=0)
             del E, U  # freed before the next chunk allocates its own
         return np.sqrt(out)
@@ -268,10 +277,8 @@ class RestrictedEvolution:
     def final_norms(self, T) -> np.ndarray:
         """Unrestricted norms ||S_T f|| for the batch; T is one time for all
         columns or one per column."""
-        with np.errstate(over="ignore"):  # lam T beyond the float range decays to 0
-            damp = np.exp(np.multiply.outer(-2.0 * self.lam, T))
-        damp = damp.reshape(len(self.lam), -1)  # (n, 1) or (n, batch)
-        return np.sqrt(np.sum(np.abs(self.C) ** 2 * damp, axis=0))
+        damp = decay(2.0 * self.lam, T).reshape(len(self.lam), -1)  # (n, 1) or (n, batch)
+        return np.sqrt(np.sum(np.square(self.C) * damp, axis=0))
 
     def rate_norms(self, ts) -> np.ndarray:
         """||H S_t f|| for each time (rows) and column.
@@ -282,15 +289,13 @@ class RestrictedEvolution:
         overflows, gives +inf or a finite value and never inf * 0.
         """
         scale = self.sd.scale
-        with np.errstate(over="ignore"):  # lam t beyond the float range decays to 0
-            decay = np.exp(-np.outer(np.atleast_1d(ts), self.lam))
-        damp = np.square(self.lam / scale * decay)
-        return scale * np.sqrt(damp @ np.abs(self.C) ** 2)
+        damp = np.square(self.lam / scale * decay(self.lam, np.atleast_1d(ts)).T)
+        return scale * np.sqrt(damp @ np.square(self.C))
 
     def l2_time_integral(self, a: float, b: float) -> np.ndarray:
         """Closed form of int_a^b ||(S_t f)|_D||^2 dt for the batch."""
         M = _gramian_kernel(self.sd, self.d_indices, a, b - a)
-        vals = np.sum(np.conj(self.C) * (M @ self.C), axis=0).real
+        vals = np.sum(self.C * (M @ self.C), axis=0)
         return np.maximum(vals, 0.0)
 
     @cached_property
@@ -337,7 +342,7 @@ class RestrictedEvolution:
             # stiff spectrum a product may overflow to inf, but a mode that
             # has decayed to 0 stays 0 instead of giving inf * 0
             with np.errstate(over="ignore", invalid="ignore"):
-                X = np.exp(-lam * lo[cells]) * self.C[:, cols[cells]]
+                X = decay(self.lam, lo[cells]) * self.C[:, cols[cells]]
                 u0 = self.W @ X
                 g0[cells] = np.linalg.norm(u0, axis=0)
                 hLX = hc * (lam * X)
@@ -443,6 +448,6 @@ def time_lr_norm(
     d_idx = sd.graph.subset_indices(D)
     if len(d_idx) == 0:
         raise EmptySubset("time norm needs a nonempty observation set")
-    f0 = np.asarray(f0)
+    f0 = _real(f0, "initial state")
     norms = RestrictedEvolution(sd, d_idx, sd.coefficients(f0)).lr_norms(a, b, r)
     return float(norms[0]) if f0.ndim == 1 else norms

@@ -11,9 +11,9 @@ bit-reproducible for a fixed seed regardless of how work is scheduled.
 stream keyed (seed, i) through a vectorized Philox, and returns their jump
 table; each path is bit-identical whichever other indices share the batch.
 ``fk_estimate`` moves its samples in lock-step on one reserved stream.
-Both read the graph's cached ``transition_table``.  The necessity bounds
-take their norms from ``RestrictedEvolution`` and their Erlang tail from
-scipy's regularized incomplete gamma function.
+Both jump by ``jump`` of the graph's cached ``transition_table``.  The
+necessity bounds take their norms from ``RestrictedEvolution`` and their
+Erlang tail from scipy's regularized incomplete gamma function.
 """
 
 from __future__ import annotations
@@ -152,7 +152,6 @@ def _walk_steps(
     clock = np.zeros(n_paths)
     active = np.arange(n_paths)
     yield active, clock.copy(), state.copy()
-    table = g.transition_table
     while len(active) and deg[i] > 0.0:  # an isolated start never jumps
         u = streams.draw_positive(active)
         # math.log, not np.log: the two differ in the last bit on some inputs
@@ -160,9 +159,7 @@ def _walk_steps(
         t = clock[active] + xi / deg[state[active]]
         moved = t <= t_max
         active, t = active[moved], t[moved]
-        at = state[active]
-        u = streams.draw(active) * table.totals[at]
-        state[active] = table.targets[at, np.sum(table.cumulative[at] <= u[:, None], axis=1)]
+        state[active] = g.transition_table.jump(state[active], streams.draw(active))
         clock[active] = t
         yield active, t, state[active]
 
@@ -218,7 +215,6 @@ def fk_estimate(
     if t == 0.0 or deg[x_idx] <= 0.0:
         return MCEstimate(float(f[x_idx]), 0.0, n_samples, seed)
 
-    table = g.transition_table
     rng = _stream(seed, _ESTIMATOR_STREAM)
     states = np.full(n_samples, x_idx, dtype=int)
     clock = np.zeros(n_samples)
@@ -230,10 +226,7 @@ def fk_estimate(
         u[u == 0.0] = 0.5
         clock[live] += -np.log(u) / deg[states[live]]
         live = live[clock[live] <= t]
-        v = rng.random(n_samples)[live]
-        rows = states[live]
-        choice = np.sum(v[:, None] >= table.probabilities[rows], axis=1)
-        states[live] = table.targets[rows, choice]
+        states[live] = g.transition_table.jump(states[live], rng.random(n_samples)[live])
 
     mean = math.fsum(f[states].tolist()) / n_samples
     if n_samples > 1:

@@ -288,13 +288,19 @@ def test_cli_first_jump_law_with_huge_holding_times(tmp_path):
     [
         ({"family": "cycle", "n": 8, "b": 1e6}, {}),
         ({"family": "cycle", "n": 8, "m": 1e-300}, {"n_samples": 10}),
+        ({"family": "cycle", "n": 4, "b": 1e8}, {"t": 0.09, "n_samples": 1}),
+        ({"family": "cycle", "n": 4, "b": 1e8}, {"t": 0.0049, "n_samples": 1, "sample_paths": 1}),
     ],
 )
 def test_cli_stochastic_over_the_jump_budget_exit_2(tmp_path, graph, params):
     """Jump rates of 2e6 and 2e300 would keep the samplers stepping for
-    about half an hour (4e10 jumps) and forever: the expected jump count is
+    about half an hour (4e10 jumps) and forever.  At 2e8 one walk makes only
+    1.8e7 or 1e6 jumps, but the lock-step samplers pay per step whatever
+    their width, and about 1.8e7 or 1e6 steps would take minutes.  Each is
     refused before sampling."""
+    t0 = time.perf_counter()
     code, err, summary = _run_cli(tmp_path, {"graph": graph, "task": "stochastic", "params": params})
+    assert time.perf_counter() - t0 < 1.0
     assert code == 2 and summary is None
     assert "jumps, over the budget of 2e+07" in err, err
 
@@ -313,6 +319,9 @@ _STIFF_CASES = [
     for T in (1e10, 1e15)
     for r, codes in ((1, (2, 0)), (2, (2, 0)), ("inf", (0, 0)))
     for delta, code in zip((0.0, 0.5), codes)
+] + [
+    ("control", dict(_STIFF_CONTROL, T=1e10, alpha_target=0.5), 0),
+    ("stabilize", {"T": 1e10}, 0),
 ]
 
 
@@ -332,6 +341,25 @@ def test_cli_stiff_measure_ends_in_a_verdict_or_a_refusal(tmp_path, task, params
         "seed": 1,
     })
     assert got == code and "Traceback" not in err, err
+
+
+def test_cli_non_null_residual_beyond_the_float_range_fails(tmp_path):
+    """On cycle-4 with m = 1e30 and T = 1e300 the inner products of the
+    drift overflow, so every mode-invariance residual is nan: the check
+    fails with the nan reported, not skipped and not a traceback.  The
+    forced term of the Duhamel re-simulation overflows too, and numpy warns
+    about it and about the nan it sums."""
+    with pytest.warns(RuntimeWarning):
+        code, err, summary = _run_cli(tmp_path, {
+            "graph": {"family": "cycle", "n": 4, "m": 1e30},
+            "subset": {"parity": "even"},
+            "task": "non-null",
+            "params": {"T": 1e300},
+        })
+    assert code == 1 and "Traceback" not in err, err
+    assert summary["max_mode_invariance_residual"] == "nan"
+    failed = [a["name"] for a in summary["assertions"] if not a["passed"]]
+    assert failed == ["mode_invariance"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -434,6 +462,21 @@ def test_cli_stochastic_over_the_budget_through_repeats_exit_2(tmp_path):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and summary is None
     assert "about 2e+12 jumps, over the budget of 2e+07" in err, err
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 5])
+def test_cli_estimate_on_one_value_away_from_f_x_passes(tmp_path, n_samples):
+    """With a few samples that all land on one value other than f(x), the
+    sample stderr is 0: such an estimate is judged by Hoeffding's bound at
+    the 4-stderr rule's false-failure rate, not failed outright."""
+    code, err, summary = _run_cli(tmp_path, {
+        "graph": {"family": "cycle", "n": 8},
+        "task": "stochastic",
+        "params": {"x": "0", "t": 1, "repeats": 3, "n_samples": n_samples},
+        "seed": 3,
+    })
+    assert code == 0, err
+    assert summary["within_4_stderr"] == 3
 
 
 @pytest.mark.parametrize("t", [1e-4, 1e-10])

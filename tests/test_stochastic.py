@@ -208,24 +208,21 @@ def test_zero_draw_advances_only_that_stream():
 def test_transition_table_matches_direct_build(c8):
     g = hub_graph()
     hub = g.weights[0, g.neighbors(0)]
-    assert np.cumsum(hub)[-1] != hub.sum()  # the two sums really differ here
+    # totals is the sequential sum, which differs from the pairwise hub.sum() here
+    assert np.cumsum(hub)[-1] != hub.sum()
     for graph in (g, c8, weighted_p3()):
         table = graph.transition_table
         width = max(len(graph.neighbors(j)) for j in range(graph.n))
-        assert table.cumulative.shape == table.probabilities.shape == (graph.n, width)
+        assert table.cumulative.shape == (graph.n, width)
         for j in range(graph.n):
             nb = graph.neighbors(j)
             w = graph.weights[j, nb]
             running = np.cumsum(w)
-            probs = running / w.sum()
-            probs[-1] = 1.0
             np.testing.assert_array_equal(table.cumulative[j, : len(nb)], running)
             assert table.totals[j] == running[-1]
-            np.testing.assert_array_equal(table.probabilities[j, : len(nb)], probs)
             np.testing.assert_array_equal(table.targets[j, : len(nb)], nb)
             assert np.all(table.targets[j, len(nb) :] == nb[-1])
             assert np.all(table.cumulative[j, len(nb) :] == np.inf)
-            assert np.all(table.probabilities[j, len(nb) :] == np.inf)
     assert g.transition_table is g.transition_table
 
 
