@@ -86,7 +86,8 @@ class TransitionTable:
     entry in ``totals[j]``.  Padding entries are +inf, so counting the
     entries <= u picks a neighbour as ``searchsorted(row, u, side="right")``
     does; padding targets repeat the last neighbour (j itself on an empty
-    row).
+    row).  ``cumulative`` is column-major, so each neighbour slot is one
+    contiguous column.
     """
 
     targets: np.ndarray
@@ -95,9 +96,20 @@ class TransitionTable:
 
     def jump(self, at: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Where walks at ``at`` jump for uniforms ``u`` in [0, 1): to the
-        neighbour whose running sum first exceeds u totals[at]."""
-        u = u * self.totals[at]
-        return self.targets[at, np.sum(self.cumulative[at] <= u[:, None], axis=1)]
+        neighbour whose running sum first exceeds u totals[at].
+
+        The entries <= u totals[at] are counted one slot at a time, on top
+        of each row's start in the flattened ``targets``.  The last slot is
+        never counted: u < 1 puts u totals below the total, except where a
+        subnormal total rounds the product up to itself, and then the walk
+        takes the last neighbour, where every padding slot points too.
+        """
+        u = u * self.totals.take(at)
+        width = self.targets.shape[1]
+        flat = at * width
+        for k in range(width - 1):
+            flat += self.cumulative[:, k].take(at) <= u
+        return self.targets.ravel().take(flat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +151,10 @@ class WeightedGraph:
         return np.asarray(idx, dtype=int)
 
     def degrees(self) -> np.ndarray:
-        """Weighted degree Deg(x) = (1/m(x)) * sum_y b(x,y)."""
-        return self.weights.sum(axis=1) / self.m
+        """Weighted degree Deg(x) = (1/m(x)) * sum_y b(x,y); +inf where
+        it is beyond the float range."""
+        with np.errstate(over="ignore"):
+            return self.weights.sum(axis=1) / self.m
 
     def neighbors(self, i: int) -> np.ndarray:
         return np.nonzero(self.weights[i] > 0.0)[0]
@@ -160,7 +174,7 @@ class WeightedGraph:
         nbrs = [self.neighbors(j) for j in range(self.n)]
         width = max((len(nb) for nb in nbrs), default=0)
         targets = np.zeros((self.n, width), dtype=int)
-        cumulative = np.full((self.n, width), math.inf)
+        cumulative = np.full((self.n, width), math.inf, order="F")
         totals = np.zeros(self.n)
         for j, nb in enumerate(nbrs):
             targets[j] = nb[-1] if len(nb) else j

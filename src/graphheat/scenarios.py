@@ -126,7 +126,7 @@ class AssertionRecord:
 class TaskReport:
     task: str
     summary: dict
-    tables: dict[str, tuple[list[str], list[list]]] = field(default_factory=dict)
+    tables: dict[str, tuple[list[str], list[list] | np.ndarray]] = field(default_factory=dict)
     assertions: list[AssertionRecord] = field(default_factory=list)
 
     @property
@@ -157,8 +157,13 @@ def emit_report(report: TaskReport, out_dir: str | Path) -> list[Path]:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+            # '%.17g' % x writes the bytes of _cell(x) for every float x
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            buf.writelines(line % tuple(row) for row in rows.tolist())
+        else:
+            for row in rows:
+                writer.writerow([_cell(v) for v in row])
         table_path = out / f"{report.task}_{name}.csv"
         table_path.write_text(buf.getvalue())
         paths.append(table_path)
@@ -399,10 +404,7 @@ def _task_control(g, D, seed, *, T, delta, r, f0, alpha_target) -> TaskReport:
 
     d_idx = g.subset_indices(D)
     times = np.linspace(0.0, T, _EXPORT_GRID_POINTS)
-    table = [
-        [float(t)] + [float(v) for v in row]
-        for t, row in zip(times, signal.values_at(sd, times))
-    ]
+    table = np.column_stack([times, signal.values_at(sd, times)])
     report = TaskReport(
         "control",
         {
@@ -568,13 +570,16 @@ def _task_stabilize(g, D, seed, *, T, alpha, N, f0) -> TaskReport:
 
 # Expected walk jumps a `stochastic` task may take, where each Feynman-Kac
 # sample of each repeat counts one step more for its first draw.  On cycle-8
-# with b = 1000 (two x86-64 cores) the lock-step samplers move about 2.4e7
-# (fk_estimate) and 2.2e6 (sample_ctmc_paths) jumps per second.
+# with b = 1000 (two x86-64 cores) the lock-step samplers move about 4.9e7
+# (fk_estimate) and 4.3e6 (sample_ctmc_paths) jumps per second.
 _JUMP_BUDGET = 2e7
 # Budget jumps per lock-step step, however few walks it moves: one walk on
-# cycle-4 with b = 1e8 (two AMD EPYC cores) took 9-12 us per step in
-# fk_estimate (170-220 of its jumps on cycle-8 with b = 1000) and 100-150 us
-# in sample_ctmc_paths (370-450 of its jumps).
+# cycle-4 with b = 1e8 (two AMD EPYC cores) took 7-12 us per step in
+# fk_estimate (about 400 of its wide-batch jumps) and 95-105 us in
+# sample_ctmc_paths (about 420 of its jumps).  Both constants were set when
+# a wide batch moved half as many jumps per second and a step cost what it
+# costs now; they stay, so a run at the budget ends sooner if wide and as
+# soon as before if step-bound, and every input admitted before still is.
 _STEP_JUMPS = 300
 # Expected rows of the exported `paths` table.  A row costs far more than a
 # jump: on the same machine 1e6 rows took 3.4 s and 280 MB of peak RSS.
@@ -601,6 +606,8 @@ def _task_stochastic(
             f"the estimate would hold {n_samples} samples at once, "
             f"over the limit of {_SAMPLE_BUDGET:.0e}"
         )
+    if deg_max == math.inf:  # the budget below would read 0 * inf jumps as nan
+        raise ValidationError("the largest jump rate Deg_max is beyond the float range")
     # every walk runs to t, and each estimate's sample draws once even when
     # it never jumps; a first-jump path stops at its first jump.  A repeat and
     # a path batch each take about one lock-step step per draw of a walk.

@@ -111,11 +111,15 @@ class SpectralDecomposition:
 
 def eigendecompose(g: WeightedGraph) -> SpectralDecomposition:
     """Full eigendecomposition of the weighted Laplacian."""
-    rowsum = g.weights.sum(axis=1)
-    lap = np.diag(rowsum) - g.weights
     inv_sqrt_m = 1.0 / np.sqrt(g.m)
-    sym = inv_sqrt_m[:, None] * lap * inv_sqrt_m[None, :]
-    sym = 0.5 * (sym + sym.T)
+    with np.errstate(over="ignore"):
+        lap = np.diag(g.weights.sum(axis=1)) - g.weights
+        sym = inv_sqrt_m[:, None] * lap * inv_sqrt_m[None, :]
+        sym = 0.5 * (sym + sym.T)
+    if not np.isfinite(sym).all():
+        raise EigensolveFailure(
+            "the symmetrized Laplacian m^{-1/2} L m^{-1/2} has entries beyond the float range"
+        )
     try:
         lam, vecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -390,7 +394,8 @@ class RestrictedEvolution:
             mid = 0.5 * (lo + hi)
             split = ~(ub <= best[cols] + tol[cols]) & (lo < mid) & (mid < hi)
             lo, mid, hi, cols = lo[split], mid[split], hi[split], cols[split]
-            lo, hi, cols = np.r_[lo, mid], np.r_[mid, hi], np.r_[cols, cols]
+            lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+            cols = np.concatenate((cols, cols))
         return best
 
     def lr_norms(self, a, b, r) -> np.ndarray:

@@ -10,8 +10,10 @@ bit-reproducible for a fixed seed regardless of how work is scheduled.
 ``sample_ctmc_paths`` moves many paths in lock-step, path i reading the
 stream keyed (seed, i) through a vectorized Philox, and returns their jump
 table; each path is bit-identical whichever other indices share the batch.
-``fk_estimate`` moves its samples in lock-step on one reserved stream.
-Both jump by ``jump`` of the graph's cached ``transition_table``.  The
+``fk_estimate`` moves its samples in lock-step on one reserved stream,
+and sums its mean and variance exactly from the samples' per-vertex counts
+(Shewchuk's exact summation, as ``math.fsum``).  Both samplers jump by
+``jump`` of the graph's cached ``transition_table``.  The
 necessity bounds take their norms from ``RestrictedEvolution`` and their
 Erlang tail from scipy's regularized incomplete gamma function.
 """
@@ -228,18 +230,40 @@ def fk_estimate(
         live = live[clock[live] <= t]
         states[live] = g.transition_table.jump(states[live], rng.random(n_samples)[live])
 
-    mean = math.fsum(f[states].tolist()) / n_samples
+    counts = np.bincount(states, minlength=g.n)
+    mean = _sample_sum(f, states, counts) / n_samples
     if n_samples > 1:
         # A sample's squared deviation is that of its vertex, squared as a
         # numpy scalar: the array square (f - mean) ** 2 rounds as x * x and
         # differs in the last bit on some inputs, and Python's float ** 2
         # raises OverflowError where numpy returns inf.
         squares = np.array([d**2 for d in f - mean])
-        var = math.fsum(squares[states].tolist()) / (n_samples - 1)
+        var = _sample_sum(squares, states, counts) / (n_samples - 1)
         stderr = math.sqrt(var / n_samples)
     else:
         stderr = 0.0
     return MCEstimate(mean, stderr, n_samples, seed)
+
+
+def _sample_sum(values: np.ndarray, states: np.ndarray, counts: np.ndarray) -> float:
+    """``math.fsum(values[states].tolist())``, from ``counts``, the number
+    of samples at each vertex.
+
+    fsum returns the correctly rounded exact sum, so every multiset of
+    terms with the same exact sum gives the same float.  Vertex v's
+    counts[v] samples become the exact terms values[v] * 2**b, one per set
+    bit b of counts[v].  That holds while no partial sum can overflow, in
+    any order: while len(states) * max |values| over the visited vertices
+    is below 2**1023.  Otherwise the samples are summed one by one, so
+    fsum's OverflowError, its ValueError for inf + -inf and its nan stay.
+    """
+    seen = np.flatnonzero(counts)
+    visited, counts = values[seen], counts[seen]
+    if not len(states) * float(np.abs(visited).max()) < 2.0**1023:
+        return math.fsum(values[states].tolist())
+    bits = range(int(counts.max()).bit_length())
+    terms = [np.ldexp(visited[(counts >> b) & 1 == 1], b) for b in bits]
+    return math.fsum(np.concatenate(terms).tolist())
 
 
 def erlang_tail(d_max: float, t: float, n: int) -> float:

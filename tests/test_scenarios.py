@@ -135,6 +135,25 @@ def test_csv_cells_pin_non_finite_and_extreme_floats(tmp_path):
     )
 
 
+def test_float_array_table_writes_the_bytes_of_its_cells(tmp_path):
+    """A float ndarray table is written as '%.17g' % x per cell; that is
+    the text of format(x, ".17g"), which every other table's cells use."""
+    rng = np.random.default_rng(20)
+    special = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-320,
+               2.2250738585072009e-308, 1.7976931348623157e308, 1 / 3]
+    bits = rng.integers(0, 2**63, 3000, dtype=np.uint64).view(np.float64)  # subnormals to nans
+    scaled = rng.normal(size=1000) * 10.0 ** rng.integers(-300, 300, 1000)
+    values = np.concatenate([special, bits, scaled])
+    assert all("%.17g" % x == format(x, ".17g") for x in values.tolist())
+    table = values[:4014].reshape(-1, 3)
+    report = TaskReport("t", {}, tables={
+        "array": (["a", "b", "c"], table),
+        "rows": (["a", "b", "c"], table.tolist()),
+    })
+    emit_report(report, tmp_path)
+    assert (tmp_path / "t_array.csv").read_bytes() == (tmp_path / "t_rows.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # tasks through run_scenario
 
@@ -303,6 +322,24 @@ def test_cli_stochastic_over_the_jump_budget_exit_2(tmp_path, graph, params):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and summary is None
     assert "jumps, over the budget of 2e+07" in err, err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("task, code", [("validate", 0), ("stochastic", 2), ("spectrum", 2)])
+def test_cli_jump_rate_beyond_the_float_range(tmp_path, task, code):
+    """b/m = 1e310 on cycle-8: Deg is +inf without a warning, ``validate``
+    reports it, and the walk and the eigensolver refuse it by name."""
+    got, err, summary = _run_cli(tmp_path, {
+        "graph": {"family": "cycle", "n": 8, "m": 1e-300, "b": 1e10},
+        "task": task,
+    })
+    assert got == code and "Warning" not in err and err.count("\n") <= 1, err
+    if task == "validate":
+        assert err == "" and summary["d_max"] == "inf"
+    elif task == "stochastic":
+        assert "jump rate Deg_max is beyond the float range" in err, err
+    else:
+        assert "EigensolveFailure" in err and "beyond the float range" in err, err
 
 
 _STIFF_CONTROL = {"T": 1.0, "delta": 0.5, "r": 2, "f0": {"random": 3}}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -17,6 +18,7 @@ from graphheat.stochastic import (
     necessity_bounds_check,
     sample_ctmc_paths,
 )
+from graphheat import stochastic as sto
 from graphheat.stochastic import _PhiloxStreams
 
 # A hub of degree 10 whose weights make numpy's pairwise w.sum() differ from
@@ -226,6 +228,47 @@ def test_transition_table_matches_direct_build(c8):
     assert g.transition_table is g.transition_table
 
 
+def test_jump_matches_searchsorted():
+    """``jump`` picks ``searchsorted(row, u * total, side="right")`` of the
+    row's running sums, also at u = 0, at the largest uniform below 1 and
+    where u * total lands exactly on a running sum."""
+    torus = build_family("torus", {"p": 16, "q": 16}).graph
+    rng = np.random.default_rng(12)
+    for g in (hub_graph(), torus, weighted_p3()):
+        table = g.transition_table
+        at, u, expected, on_a_sum = [], [], [], 0
+        for j in range(g.n):
+            nb = g.neighbors(j)
+            row = np.cumsum(g.weights[j, nb])
+            draws = [0.0, 1.0 - 2.0**-53] + rng.random(20).tolist()
+            for c in row[:-1]:
+                near = [c / row[-1], np.nextafter(c / row[-1], 0), np.nextafter(c / row[-1], 1)]
+                hits = [v for v in near if v * row[-1] == c]
+                draws += hits[:1]
+                on_a_sum += bool(hits)
+            at += [j] * len(draws)
+            u += draws
+            expected += [nb[np.searchsorted(row, v * row[-1], side="right")] for v in draws]
+        assert on_a_sum > 0
+        np.testing.assert_array_equal(table.jump(np.array(at), np.array(u)), expected)
+
+
+def test_jump_where_a_subnormal_total_rounds_up():
+    """With subnormal weights u * total rounds up to the total for u > 5/6
+    here; such a draw takes the row's last neighbour, and both samplers run."""
+    tiny = 5e-324
+    g = build_graph(
+        [("0", tiny), ("1", tiny), ("2", tiny)], [("0", "1", tiny), ("1", "2", 2 * tiny)]
+    )
+    table = g.transition_table
+    assert 0.9 * table.totals[1] == table.totals[1]
+    assert table.jump(np.array([1, 1, 1]), np.array([0.0, 0.4, 0.9])).tolist() == [0, 2, 2]
+    est = fk_estimate(g, np.array([0.0, 1.0, 2.0]), 1.0, "1", 2_000, seed=1)
+    assert 0.0 <= est.mean <= 2.0
+    batch = sample_ctmc_paths(g, "1", 1.0, 1, range(200))
+    assert set(batch.states.tolist()) <= {0, 1, 2}
+
+
 @pytest.mark.parametrize("name", ["K2", "C8", "P3", "torus", "hub"])
 def test_batched_paths_equal_looped_and_reference(name, k2, c8):
     g, x0 = {
@@ -298,7 +341,8 @@ def test_fk_deterministic_in_seed(c8):
 
 def test_fk_matches_reference_exactly(k2, c8):
     rng = np.random.default_rng(8)
-    for g, x in ((c8, "2"), (hub_graph(), "0"), (hub_graph(), "7")):
+    torus = build_family("torus", {"p": 16, "q": 16}).graph
+    for g, x in ((c8, "2"), (hub_graph(), "0"), (hub_graph(), "7"), (torus, "3,4")):
         for seed, t in ((5, 0.5), (6, 1.0), (7, 3.0)):
             f = rng.normal(size=g.n)
             est = fk_estimate(g, f, t, x, 3_000, seed)
@@ -316,6 +360,56 @@ def test_fk_matches_reference_exactly(k2, c8):
         est = fk_estimate(k2, f, 1.0, "0", 3, seed=3)
         assert (est.mean, est.stderr) == reference_fk(k2, f, 1.0, "0", 3, 3)
     assert est.stderr == math.inf
+
+
+def _outcome(call):
+    """A call's floats as hex strings (nan and the sign of 0 included), or
+    the type of the exception it raises."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return tuple(float(v).hex() for v in call())
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+_PARITY_VALUES = {
+    "huge": [1e308, -1e308],
+    "huge one side": [1e308, 0.5],
+    "large": [2.0**500, -(2.0**499) / 3],
+    "near the bound": [2.0**1005, -(2.0**1004)],
+    "infinite": [math.inf, -math.inf],
+    "inf": [math.inf, 1.0],
+    "nan": [math.nan, 1.0],
+    "zeros": [0.0, -0.0],
+    "negative zeros": [-0.0, -0.0],
+    "subnormal": [5e-324, -1.5e-320],
+    "tiny normal": [2.2250738585072014e-308, -3e-310],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PARITY_VALUES))
+@pytest.mark.parametrize("n_samples", [2, 3, 2**17 + 5])
+def test_fk_sums_match_the_sample_list(c8, kind, n_samples):
+    """``fk_estimate`` sums per-vertex counts exactly; it returns what the
+    list ``fsum`` of the reference returns, or raises the same exception
+    type, on extreme values and with counts that have high bits set."""
+    f = np.resize(np.array(_PARITY_VALUES[kind]), c8.n)
+    ours = _outcome(lambda: astuple(fk_estimate(c8, f, 2.0, "0", n_samples, 9))[:2])
+    assert ours == _outcome(lambda: reference_fk(c8, f, 2.0, "0", n_samples, 9))
+
+
+def test_sample_sum_matches_fsum_of_the_samples():
+    """The per-vertex count sum is the fsum of the sample list on random
+    multisets, from subnormal to overflowing values."""
+    rng = np.random.default_rng(30)
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-320, 309, n)
+        states = rng.integers(0, n, int(rng.choice([1, 7, 20_000, 2**17 + 5])))
+        counts = np.bincount(states, minlength=n)
+        assert _outcome(lambda: [sto._sample_sum(values, states, counts)]) == _outcome(
+            lambda: [math.fsum(values[states].tolist())]
+        )
 
 
 def test_fk_validations(k2):
