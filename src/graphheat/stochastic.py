@@ -11,8 +11,9 @@ bit-reproducible for a fixed seed regardless of how work is scheduled.
 stream keyed (seed, i) through a vectorized Philox, and returns their jump
 table; each path is bit-identical whichever other indices share the batch.
 ``fk_estimate`` moves its samples in lock-step on one reserved stream,
-and sums its mean and variance exactly from the samples' per-vertex counts
-(Shewchuk's exact summation, as ``math.fsum``).  Both samplers jump by
+drawing only for the samples still live, and sums its mean and variance
+exactly from the samples' per-vertex counts (Shewchuk's exact summation,
+as ``math.fsum``) on f scaled by a power of two.  Both samplers jump by
 ``jump`` of the graph's cached ``transition_table``.  The
 necessity bounds take their norms from ``RestrictedEvolution`` and their
 Erlang tail from scipy's regularized incomplete gamma function.
@@ -202,15 +203,25 @@ def fk_estimate(
     """Monte Carlo estimate of (S_t f)(x) = E_x[f(Z_t)].
 
     All samples evolve in lock-step on one reserved Philox stream, which
-    keeps the estimate deterministic in the seed while staying vectorized;
-    per-path replay, where path i has its own stream keyed (seed, i), is
+    keeps the estimate deterministic in the seed while staying vectorized:
+    each step draws the holding uniforms of the live samples, retires those
+    whose clock passes t, then draws the jump uniforms of the rest.
+    Per-path replay, where path i has its own stream keyed (seed, i), is
     available through ``sample_ctmc_paths``.
+
+    The sums run on f * 2**-e, e the exponent of max |f|, and the mean and
+    stderr are scaled back by 2**e: exactly, in the normal range, so
+    scaling f by a power of two scales the estimate by it bit for bit.
+    Both are at most max |f|, up to rounding; one past the float range
+    reads inf.  A non-finite f raises ``ValidationError``.
     """
     if not 0.0 <= t < math.inf:
         raise ValidationError("time must be finite and nonnegative")
     if n_samples < 1:
         raise ValidationError("need at least one sample")
     f = np.asarray(f, dtype=float)
+    if not np.isfinite(f).all():
+        raise ValidationError("f must be finite")
     x_idx = g.index_of(x)
     deg = g.degrees()
 
@@ -222,47 +233,38 @@ def fk_estimate(
     clock = np.zeros(n_samples)
     live = np.arange(n_samples)  # samples whose clock has not passed t
     while len(live):
-        # every step draws for all samples, so the stream does not depend
-        # on which samples are still live
-        u = rng.random(n_samples)[live]
+        u = rng.random(len(live))
         u[u == 0.0] = 0.5
         clock[live] += -np.log(u) / deg[states[live]]
         live = live[clock[live] <= t]
-        states[live] = g.transition_table.jump(states[live], rng.random(n_samples)[live])
+        states[live] = g.transition_table.jump(states[live], rng.random(len(live)))
 
+    # f scaled by 2**-e lies in (-1, 1), so no term or partial sum overflows
+    e = math.frexp(float(np.abs(f).max()))[1]
+    scaled = np.ldexp(f, -e)
     counts = np.bincount(states, minlength=g.n)
-    mean = _sample_sum(f, states, counts) / n_samples
+    mean = _count_sum(scaled, counts) / n_samples
+    stderr = 0.0
     if n_samples > 1:
-        # A sample's squared deviation is that of its vertex, squared as a
-        # numpy scalar: the array square (f - mean) ** 2 rounds as x * x and
-        # differs in the last bit on some inputs, and Python's float ** 2
-        # raises OverflowError where numpy returns inf.
-        squares = np.array([d**2 for d in f - mean])
-        var = _sample_sum(squares, states, counts) / (n_samples - 1)
+        deviations = scaled - mean
+        var = _count_sum(deviations * deviations, counts) / (n_samples - 1)
         stderr = math.sqrt(var / n_samples)
-    else:
-        stderr = 0.0
+    with np.errstate(over="ignore"):  # a scale-back past the float range reads inf
+        mean, stderr = np.ldexp([mean, stderr], e).tolist()
     return MCEstimate(mean, stderr, n_samples, seed)
 
 
-def _sample_sum(values: np.ndarray, states: np.ndarray, counts: np.ndarray) -> float:
-    """``math.fsum(values[states].tolist())``, from ``counts``, the number
-    of samples at each vertex.
+def _count_sum(values: np.ndarray, counts: np.ndarray) -> float:
+    """``math.fsum`` of the multiset holding ``values[v]`` ``counts[v]``
+    times, for |values| < 1.
 
     fsum returns the correctly rounded exact sum, so every multiset of
     terms with the same exact sum gives the same float.  Vertex v's
-    counts[v] samples become the exact terms values[v] * 2**b, one per set
-    bit b of counts[v].  That holds while no partial sum can overflow, in
-    any order: while len(states) * max |values| over the visited vertices
-    is below 2**1023.  Otherwise the samples are summed one by one, so
-    fsum's OverflowError, its ValueError for inf + -inf and its nan stay.
+    counts[v] copies become the exact terms values[v] * 2**b, one per set
+    bit b of counts[v]; with |values| < 1 none of them overflows.
     """
-    seen = np.flatnonzero(counts)
-    visited, counts = values[seen], counts[seen]
-    if not len(states) * float(np.abs(visited).max()) < 2.0**1023:
-        return math.fsum(values[states].tolist())
     bits = range(int(counts.max()).bit_length())
-    terms = [np.ldexp(visited[(counts >> b) & 1 == 1], b) for b in bits]
+    terms = [np.ldexp(values[(counts >> b) & 1 == 1], b) for b in bits]
     return math.fsum(np.concatenate(terms).tolist())
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -340,6 +341,40 @@ def test_cli_jump_rate_beyond_the_float_range(tmp_path, task, code):
         assert "jump rate Deg_max is beyond the float range" in err, err
     else:
         assert "EigensolveFailure" in err and "beyond the float range" in err, err
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_huge_f_keeps_a_finite_stderr(tmp_path):
+    """f = [1e200, 0, ...] on cycle-8: the estimate is summed on f scaled by
+    a power of two, so the squared deviations do not overflow and the
+    4-stderr check compares against a finite stderr, with no warning."""
+    code, err, summary = _run_cli(tmp_path, {
+        "graph": {"family": "cycle", "n": 8},
+        "task": "stochastic",
+        "params": {"f": [1e200] + [0] * 7, "n_samples": 1000},
+        "seed": 7,
+    })
+    assert code == 0 and err == "", err
+    (row,) = csv.DictReader(io.StringIO((tmp_path / "out" / "stochastic_estimates.csv").read_text()))
+    mean, stderr, exact = (float(row[k]) for k in ("mean", "stderr", "exact"))
+    assert 0.0 < stderr < math.inf
+    assert abs(mean - exact) <= 4.0 * stderr
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_control_resimulation_at_a_long_horizon(tmp_path):
+    """On cycle-300 at T = 400 (alpha = 2.0e-12) the free and forced parts of
+    f(T) nearly cancel; the re-simulation error is measured on their sizes,
+    not on the remainder ||f(T)||, and the run passes."""
+    code, err, summary = _run_cli(tmp_path, {
+        "graph": {"family": "cycle", "n": 300},
+        "subset": {"parity": "even"},
+        "task": "control",
+        "params": {"T": 400},
+        "seed": 3,
+    })
+    assert code == 0 and err == "", err
+    assert summary["resimulation_rel_error"] <= 1e-12
 
 
 _STIFF_CONTROL = {"T": 1.0, "delta": 0.5, "r": 2, "f0": {"random": 3}}

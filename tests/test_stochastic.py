@@ -96,8 +96,10 @@ def poisson_tail(mu, n):
 
 
 def reference_fk(g, f, t, x, n_samples, seed):
-    """``fk_estimate`` with its transition rows built directly and the
-    variance summed over numpy scalars, as a plain reference."""
+    """``fk_estimate`` with its transition rows built directly and its sums
+    taken over the list of samples, as a plain reference: f is scaled by
+    2**-e, e the exponent of max |f|, and the mean and stderr of the scaled
+    samples are scaled back, reading inf past the float range."""
     f = np.asarray(f, dtype=float)
     deg = g.degrees()
     width = max(len(g.neighbors(j)) for j in range(g.n))
@@ -115,18 +117,24 @@ def reference_fk(g, f, t, x, n_samples, seed):
     clock = np.zeros(n_samples)
     active = np.ones(n_samples, dtype=bool)
     while active.any():
-        u = rng.random(n_samples)
+        u = rng.random(int(active.sum()))
         u[u == 0.0] = 0.5
-        clock = clock + np.where(active, -np.log(u) / deg[states], 0.0)
-        jumped = active & (clock <= t)
-        v = rng.random(n_samples)
-        rows = states[jumped]
-        states[jumped] = targets[rows, np.sum(v[jumped, None] >= cum[rows], axis=1)]
-        active = jumped
-    values = f[states]
+        clock[active] += -np.log(u) / deg[states[active]]
+        active &= clock <= t
+        v = rng.random(int(active.sum()))
+        rows = states[active]
+        states[active] = targets[rows, np.sum(v[:, None] >= cum[rows], axis=1)]
+    e = math.frexp(max(abs(v) for v in f.tolist()))[1]
+    values = [math.ldexp(v, -e) for v in f[states].tolist()]
     mean = math.fsum(values) / n_samples
-    var = math.fsum((v - mean) ** 2 for v in values) / (n_samples - 1)
-    return mean, math.sqrt(var / n_samples)
+    var = math.fsum((v - mean) * (v - mean) for v in values) / (n_samples - 1)
+    scaled_back = []
+    for v in (mean, math.sqrt(var / n_samples)):
+        try:
+            scaled_back.append(math.ldexp(v, e))
+        except OverflowError:
+            scaled_back.append(math.copysign(math.inf, v))
+    return tuple(scaled_back)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +347,7 @@ def test_fk_deterministic_in_seed(c8):
     assert c.mean != a.mean
 
 
+@pytest.mark.filterwarnings("error")
 def test_fk_matches_reference_exactly(k2, c8):
     rng = np.random.default_rng(8)
     torus = build_family("torus", {"p": 16, "q": 16}).graph
@@ -354,22 +363,16 @@ def test_fk_matches_reference_exactly(k2, c8):
     est = fk_estimate(k2, f, 1.0, "0", 3, seed=3)
     assert est.mean == f[1] / 3
     assert (est.mean, est.stderr) == reference_fk(k2, f, 1.0, "0", 3, 3)
-    # squared deviations beyond the float range give an infinite stderr
+    # f is summed scaled by 2**-e, so a huge f keeps a finite stderr
     f = np.array([1e200, 0.0])
-    with np.errstate(over="ignore"):
-        est = fk_estimate(k2, f, 1.0, "0", 3, seed=3)
-        assert (est.mean, est.stderr) == reference_fk(k2, f, 1.0, "0", 3, 3)
-    assert est.stderr == math.inf
+    est = fk_estimate(k2, f, 1.0, "0", 3, seed=3)
+    assert (est.mean, est.stderr) == reference_fk(k2, f, 1.0, "0", 3, 3)
+    assert 0.0 < est.stderr <= 1e200
 
 
-def _outcome(call):
-    """A call's floats as hex strings (nan and the sign of 0 included), or
-    the type of the exception it raises."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return tuple(float(v).hex() for v in call())
-    except (OverflowError, ValueError) as exc:
-        return type(exc)
+def _hex(floats):
+    """Floats as hex strings: nan and the sign of 0 included."""
+    return [float(v).hex() for v in floats]
 
 
 _PARITY_VALUES = {
@@ -387,29 +390,47 @@ _PARITY_VALUES = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", sorted(_PARITY_VALUES))
 @pytest.mark.parametrize("n_samples", [2, 3, 2**17 + 5])
 def test_fk_sums_match_the_sample_list(c8, kind, n_samples):
     """``fk_estimate`` sums per-vertex counts exactly; it returns what the
-    list ``fsum`` of the reference returns, or raises the same exception
-    type, on extreme values and with counts that have high bits set."""
+    list ``fsum`` of the reference returns on extreme values and with counts
+    that have high bits set, and refuses a non-finite f."""
     f = np.resize(np.array(_PARITY_VALUES[kind]), c8.n)
-    ours = _outcome(lambda: astuple(fk_estimate(c8, f, 2.0, "0", n_samples, 9))[:2])
-    assert ours == _outcome(lambda: reference_fk(c8, f, 2.0, "0", n_samples, 9))
+    if not np.isfinite(f).all():
+        with pytest.raises(ValidationError):
+            fk_estimate(c8, f, 2.0, "0", n_samples, 9)
+        return
+    ours = astuple(fk_estimate(c8, f, 2.0, "0", n_samples, 9))[:2]
+    assert _hex(ours) == _hex(reference_fk(c8, f, 2.0, "0", n_samples, 9))
 
 
 def test_sample_sum_matches_fsum_of_the_samples():
     """The per-vertex count sum is the fsum of the sample list on random
-    multisets, from subnormal to overflowing values."""
+    multisets of values below 1 in magnitude, subnormals included."""
     rng = np.random.default_rng(30)
     for _ in range(300):
         n = int(rng.integers(1, 10))
-        values = rng.normal(size=n) * 10.0 ** rng.integers(-320, 309, n)
+        values = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1080, 1, n))
         states = rng.integers(0, n, int(rng.choice([1, 7, 20_000, 2**17 + 5])))
         counts = np.bincount(states, minlength=n)
-        assert _outcome(lambda: [sto._sample_sum(values, states, counts)]) == _outcome(
-            lambda: [math.fsum(values[states].tolist())]
+        assert _hex([sto._count_sum(values, counts)]) == _hex(
+            [math.fsum(values[states].tolist())]
         )
+
+
+@pytest.mark.filterwarnings("error")
+def test_fk_scales_exactly_with_f(c8):
+    """Scaling f by 2**k scales the estimate by 2**k bit for bit, for every
+    k that keeps 2**k f in the normal range."""
+    f = np.random.default_rng(21).normal(size=c8.n)
+    low = math.frexp(float(np.abs(f).min()))[1]
+    high = math.frexp(float(np.abs(f).max()))[1]
+    base = fk_estimate(c8, f, 1.0, "0", 64, seed=4)
+    for k in range(-1021 - low, 1025 - high):
+        est = fk_estimate(c8, np.ldexp(f, k), 1.0, "0", 64, seed=4)
+        assert (est.mean, est.stderr) == (math.ldexp(base.mean, k), math.ldexp(base.stderr, k))
 
 
 def test_fk_validations(k2):
@@ -420,6 +441,10 @@ def test_fk_validations(k2):
             sample_ctmc_paths(k2, "0", t, 0, [0])
     with pytest.raises(ValidationError):
         fk_estimate(k2, np.zeros(2), 1.0, "0", 0, seed=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for t in (0.0, 1.0):
+            with pytest.raises(ValidationError):
+                fk_estimate(k2, np.array([0.0, bad]), t, "0", 10, seed=0)
 
 
 # ---------------------------------------------------------------------------
