@@ -335,9 +335,12 @@ def verify_control(
     lam = sd.eigenvalues
 
     if u.closed_form:
+        c_eta = sd.coefficients(u.eta)[:, None]
+
         def integrand(taus: np.ndarray) -> np.ndarray:
-            embedded = VD.T @ (mD[None, :] * u.values_at(sd, taus)).T  # coefs of 1_D u(tau)
-            return (decay(lam, T - taus) * embedded).T
+            E = decay(lam, T - taus)  # u(tau) = 1_D^* S_{T-tau} eta, as in ``values_at``
+            embedded = VD.T @ (mD[:, None] * (VD @ (E * c_eta)))  # coefs of 1_D u(tau)
+            return (E * embedded).T
 
         forced = adaptive_simpson(integrand, 0.0, T, rel_tol=1e-10)
     else:

@@ -190,6 +190,12 @@ class WeightedGraph:
         return table
 
     @cached_property
+    def _omega_geometries(self) -> dict:
+        """Length-metric geometry of Omega = X \\ D per observation sequence
+        D, filled by ``observability._omega_geometry``."""
+        return {}
+
+    @cached_property
     def _edge_lengths(self) -> tuple[Fraction | None, csr_array, np.ndarray]:
         """(scale, edges, lengths): ``edges`` is b as a csr array, and
         ``lengths[k]`` the exact length 1/b of its k-th stored entry, in an

@@ -2,14 +2,17 @@
 
 Geometric quantities (inradius, ball volume, covering radius) are taken in
 the length metric, where the weak observability estimate and the low-energy
-uncertainty principle hold.  ``verify_weak_obs`` checks the estimate on a
-battery of unit states by bound, prune and evaluate: closed-form and then
-grid bounds on each state's time norm (first on the likeliest minimiser,
-then on the states its bound leaves) exclude every state that cannot hold
-the minimum slack, and only the rest go through the time-norm engine, in
-one batched call, so the reported minimum is the engine's minimum over the
-whole battery (estimated to 1e-10 for finite r, a proven bracket for
-r = inf).
+uncertainty principle hold; they are computed once per (graph, D) and kept
+on the graph, so every constant set and sweep row of that pair reads the
+same values.  ``verify_weak_obs`` checks the estimate on a battery of unit
+states by bound, prune and evaluate: closed-form and then grid bounds on
+each state's time norm (first on the likeliest minimiser, then on the
+states its bound leaves) exclude every state that cannot hold the minimum
+slack, and only the rest go through the time-norm engine, in one batched
+call, so the reported minimum is the engine's minimum over the whole
+battery (estimated to 1e-10 for finite r, a proven bracket for r = inf).
+The constant sets of one window share its grids: each stage grids the
+union of their states once.
 """
 
 from __future__ import annotations
@@ -50,13 +53,25 @@ _SHARP_SINGULAR_CUTOFF = 1e-12
 _RECHECK_MARGIN_REL = 1e-7
 
 
-def _omega_geometry(g: WeightedGraph, D: Sequence[str]) -> tuple[float, float]:
-    """(Inr(Omega), vol(Inr(Omega))) in the length metric, Omega = X \\ D."""
-    dset = set(D)
-    omega = [v for v in g.vertex_ids if v not in dset]
-    inr_exact = inradius(g, MetricKind.LENGTH, omega, exact=True)
-    vol = max_ball_volume(g, MetricKind.LENGTH, inr_exact)
-    return _as_float(inr_exact), vol
+def _omega_geometry(g: WeightedGraph, D: Sequence[str]) -> tuple[float, float, float]:
+    """(covering radius of D, Inr(Omega), vol(Inr(Omega))) in the length
+    metric, Omega = X \\ D, for a proper subset D.
+
+    Computed once per graph and sequence D, and kept on the graph under the
+    sequence itself, not its set: a new key runs every check again
+    (``covering_radius`` rejects duplicate and unknown ids), so a hit is the
+    very input that passed them.
+    """
+    key = tuple(D)
+    geometry = g._omega_geometries.get(key)
+    if geometry is None:
+        covr = covering_radius(g, MetricKind.LENGTH, key)
+        dset = set(key)
+        omega = [v for v in g.vertex_ids if v not in dset]
+        inr_exact = inradius(g, MetricKind.LENGTH, omega, exact=True)
+        vol = max_ball_volume(g, MetricKind.LENGTH, inr_exact)
+        geometry = g._omega_geometries[key] = (covr, _as_float(inr_exact), vol)
+    return geometry
 
 
 @dataclass(frozen=True)
@@ -118,7 +133,7 @@ def _up_geometry(g: WeightedGraph, D: Sequence[str]) -> tuple[float, float]:
         raise EmptySubset("uncertainty bounds need a nonempty subset")
     if set(D) >= set(g.vertex_ids):
         raise FullSubset("uncertainty bounds need a proper subset")
-    return _omega_geometry(g, D)
+    return _omega_geometry(g, D)[1:]
 
 
 def _up_report(
@@ -215,12 +230,12 @@ def weak_obs_constants(
     if full:
         lam, kappa, alpha, inr, vol = math.inf, 0.0, 0.0, 0.0, 0.0
     else:
-        if math.isinf(covering_radius(g, MetricKind.LENGTH, D)):
+        covr, inr, vol = _omega_geometry(g, D)
+        if math.isinf(covr):
             raise NotRelativelyDense(
                 "observation set has a length-metric covering radius that is infinite"
                 " or beyond the float range"
             )
-        inr, vol = _omega_geometry(g, D)
         lam = 1.0 / (2.0 * inr * vol)
         op = op_norm_H_plus_1(sd)
         kappa = 8.0 * op * (op * inr * vol)  # finite when only op ** 2 would overflow
@@ -303,15 +318,15 @@ def _closed_form_bounds(
     return np.minimum(mean, power), np.maximum(mean, power)
 
 
-def _grid_bounds(
-    re: RestrictedEvolution, a: float, b: float, r: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _grid_bounds(re: RestrictedEvolution, a: float, b: float, r) -> tuple[np.ndarray, np.ndarray]:
     """Per-column bounds on ||g||_{L_r(a, b)} from g on the graded grid.
 
     On the cell [t_k, t_k + h] of ``spectral._graded_grid`` the rate norm
     L_k = ||H S_{t_k} phi|| bounds |g'|, so g stays between
     max(0, (g_k + g_{k+1} - h L_k)/2) and (g_k + g_{k+1} + h L_k)/2 there;
-    the grid values themselves bound sup g from below.
+    the grid values themselves bound sup g from below.  Neither g nor the
+    reach h L_k depends on r, so a 1-D array of exponents r gives one row of
+    bounds per exponent from one evaluation of the batch.
     """
     ts = _graded_grid(a, b, float(re.lam[-1]))
     g = re.norms(ts)
@@ -319,9 +334,43 @@ def _grid_bounds(
     reach = h * re.rate_norms(ts[:-1])
     lo = np.maximum(0.5 * (g[:-1] + g[1:] - reach), 0.0)
     hi = 0.5 * (g[:-1] + g[1:] + reach)
-    if math.isinf(r):
-        return g.max(axis=0), hi.max(axis=0)
-    return np.sum(h * lo**r, axis=0) ** (1.0 / r), np.sum(h * hi**r, axis=0) ** (1.0 / r)
+
+    def bounds(r: float) -> tuple[np.ndarray, np.ndarray]:
+        if math.isinf(r):
+            return g.max(axis=0), hi.max(axis=0)
+        return np.sum(h * lo**r, axis=0) ** (1.0 / r), np.sum(h * hi**r, axis=0) ** (1.0 / r)
+
+    if np.ndim(r) == 0:
+        return bounds(float(r))
+    los, his = zip(*(bounds(float(q)) for q in r))
+    return np.array(los), np.array(his)
+
+
+class _Screen:
+    """Bound-and-prune state of one constant set over the battery: the
+    states still standing, ``cols``, with bounds lo <= ||g||_{L_r} <= hi.
+    Each prune keeps copies, so a bound shared through ``_window_terms``
+    is never written."""
+
+    def __init__(self, const: WeakObsConstants, final: np.ndarray, terms) -> None:
+        self.const, self.final = const, final
+        lo, hi = _closed_form_bounds(terms, const.r)
+        self.margin = (
+            _RECHECK_MARGIN_REL * (const.K + const.alpha + 1.0)
+            + 2.0 * _LR_REL_TOL * const.K * float(hi.max())
+        )
+        self.cols, self.lo, self.hi = np.arange(len(final)), lo, hi
+        self.prune()
+
+    def prune(self) -> None:
+        K, base = self.const.K, self.const.alpha - self.final[self.cols]
+        # only a definite comparison prunes, so a nan bound keeps its state
+        keep = ~(K * self.lo + base > np.min(K * self.hi + base) + self.margin)
+        self.cols, self.lo, self.hi = self.cols[keep], self.lo[keep], self.hi[keep]
+
+    def likeliest(self) -> np.ndarray:
+        """The position of the state with the smallest slack lower bound."""
+        return np.array([np.argmin(self.const.K * self.lo - self.final[self.cols])])
 
 
 def verify_weak_obs_multi(
@@ -343,10 +392,13 @@ def verify_weak_obs_multi(
       upper bound by more than the margin (``_RECHECK_MARGIN_REL``);
     - bound the state with the smallest slack lower bound again on a graded
       grid (``_grid_bounds``) and prune with its tightened upper bound, then
-      grid the states still standing and prune once more; this runs per set,
-      on that set's own survivors.  A state dropped before it is gridded has
-      a lower bound above the final threshold already, so the staging drops
-      no survivor and keeps every reported slack;
+      grid the states still standing and prune once more.  A state dropped
+      before it is gridded has a lower bound above the final threshold
+      already, so the staging drops no survivor and keeps every reported
+      slack.  g and its reach on a window's grid do not depend on r, so the
+      sets of one window are staged together: each stage grids the union
+      of their states in one call and every set reads its own states'
+      bounds, at its own exponent, from it;
     - evaluate the survivors of every set together in one batched
       ``RestrictedEvolution.lr_norms`` call on their spectral coefficients,
       each column on its own set's window and exponent: estimated to
@@ -359,58 +411,59 @@ def verify_weak_obs_multi(
         raise EmptySubset("verification needs a nonempty observation set")
     C, labels = _phi_batch(sd, samples, seed)
     re = RestrictedEvolution(sd, d_idx, C)
-
     final_norms = functools.cache(re.final_norms)
-    window_terms = functools.cache(functools.partial(_window_terms, re))
-    survivors = []
-    for const in constants_list:
-        a, b, r = const.delta * const.T, const.T, const.r
-        final = final_norms(const.T)
-        lo, hi = _closed_form_bounds(window_terms(a, b), r)
-        margin = (
-            _RECHECK_MARGIN_REL * (const.K + const.alpha + 1.0)
-            + 2.0 * _LR_REL_TOL * const.K * float(hi.max())
+
+    def regrid(picked: list[tuple[_Screen, np.ndarray]], a: float, b: float) -> None:
+        """Tighten the bounds of each screen's states at the positions
+        picked, from one grid of all of them on the window (a, b), then
+        prune each screen."""
+        if not picked:
+            return
+        union = np.unique(np.concatenate([s.cols[p] for s, p in picked]))
+        exponents = np.unique([s.const.r for s, _ in picked])
+        glo, ghi = _grid_bounds(
+            RestrictedEvolution(sd, d_idx, C[:, union]),
+            a,
+            b,
+            exponents if len(exponents) > 1 else exponents[0],
         )
+        glo, ghi = np.atleast_2d(glo), np.atleast_2d(ghi)
+        for s, p in picked:
+            row, at = np.searchsorted(exponents, s.const.r), np.searchsorted(union, s.cols[p])
+            s.lo[p], s.hi[p] = np.maximum(s.lo[p], glo[row, at]), np.minimum(s.hi[p], ghi[row, at])
+            s.prune()
 
-        def prune(cols, lo, hi):
-            base = const.alpha - final[cols]
-            # only a definite comparison prunes, so a nan bound keeps its state
-            keep = ~(const.K * lo + base > np.min(const.K * hi + base) + margin)
-            return cols[keep], lo[keep], hi[keep]  # copies: the closed forms stay unwritten
-
-        def regrid(cols, lo, hi, which):
-            """Tighten the bounds of the states ``which``, in place."""
-            glo, ghi = _grid_bounds(RestrictedEvolution(sd, d_idx, C[:, cols[which]]), a, b, r)
-            lo[which], hi[which] = np.maximum(lo[which], glo), np.minimum(hi[which], ghi)
-
-        cols, lo, hi = prune(np.arange(C.shape[1]), lo, hi)
+    by_window: dict[tuple[float, float], list[int]] = {}
+    for i, const in enumerate(constants_list):
+        by_window.setdefault((const.delta * const.T, const.T), []).append(i)
+    screened: dict[int, _Screen] = {}
+    for (a, b), members in by_window.items():
+        terms = _window_terms(re, a, b)
+        stage = [_Screen(constants_list[i], final_norms(constants_list[i].T), terms) for i in members]
         # the closed forms are loose where g moves fast, as at a = 0: the grid
-        # bounds the likeliest minimiser first, whose tightened upper bound
-        # prunes most of the rest before they are gridded
-        likeliest = int(np.argmin(const.K * lo - final[cols]))
-        regrid(cols, lo, hi, [likeliest])
-        first = cols[likeliest]
-        cols, lo, hi = prune(cols, lo, hi)
-        rest = cols != first
-        if rest.any():
-            regrid(cols, lo, hi, rest)
-            cols, lo, hi = prune(cols, lo, hi)
-        survivors.append((cols, final[cols]))
-    if not survivors:
+        # bounds the likeliest minimisers first, whose tightened upper bounds
+        # prune most of the rest before they are gridded
+        picked = [(s, s.likeliest()) for s in stage]
+        firsts = [s.cols[p[0]] for s, p in picked]
+        regrid(picked, a, b)
+        rest = [(s, np.flatnonzero(s.cols != first)) for s, first in zip(stage, firsts)]
+        regrid([(s, p) for s, p in rest if len(p)], a, b)
+        screened.update(zip(members, stage))
+    screens = [screened[i] for i in range(len(constants_list))]
+    if not screens:
         return []
 
     # one certification for the survivors of every set, each on its own window
-    sizes = [len(cols) for cols, _ in survivors]
+    sizes = [len(s.cols) for s in screens]
     windows = np.array([(c.delta * c.T, c.T, c.r) for c in constants_list])
     a, b, r = np.repeat(windows, sizes, axis=0).T
-    batch = C[:, np.concatenate([cols for cols, _ in survivors])]
+    batch = C[:, np.concatenate([s.cols for s in screens])]
     certified = RestrictedEvolution(sd, d_idx, batch).lr_norms(a, b, r)
     out = []
-    for const, (cols, final), norms in zip(
-        constants_list, survivors, np.split(certified, np.cumsum(sizes)[:-1])
-    ):
-        slack = const.K * norms + const.alpha - final
-        worst = int(cols[np.argmin(slack)])
+    for s, norms in zip(screens, np.split(certified, np.cumsum(sizes)[:-1])):
+        const = s.const
+        slack = const.K * norms + const.alpha - s.final[s.cols]
+        worst = int(s.cols[np.argmin(slack)])
         out.append(
             WeakObsVerification(
                 constants=const,

@@ -49,7 +49,10 @@ def _spread(x: np.ndarray, ndim: int) -> np.ndarray:
 
 def _pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Interleave two per-panel arrays: left[0], right[0], left[1], ..."""
-    return np.stack([left, right], axis=1).reshape((-1,) + left.shape[1:])
+    out = np.empty((2 * len(left),) + left.shape[1:], dtype=np.result_type(left, right))
+    out[0::2] = left
+    out[1::2] = right
+    return out
 
 
 def adaptive_simpson(

@@ -621,18 +621,23 @@ def _task_stochastic(
     exact = float(f[x_idx] + sd.eigenvectors[x_idx] @ drift)
     # an estimate with no observed variance at f(x) may have missed every
     # jump; those move the exact value by at most P(jump by t) (max f - min f),
-    # and its rounding by a few ulps of max |f|
-    spread = float(f.max() - f.min())
+    # and its rounding by a few ulps of max |f|.  These bounds are formed on
+    # f scaled by 2**-e, as ``fk_estimate`` sums it, so a spread of f beyond
+    # the float range stays finite.
+    e = math.frexp(float(np.abs(f).max()))[1]
+    scaled = np.ldexp(f, -e)
+    spread = float(scaled.max() - scaled.min())
     missed = -math.expm1(-deg_x * t) * spread
-    missed += 4.0 * np.finfo(float).eps * float(np.abs(f).max())
+    missed += 4.0 * np.finfo(float).eps * float(np.abs(scaled).max())
     rows = []
     hits = 0
     for rep_i in range(repeats):
         est = sto.fk_estimate(g, f, t, x, n_samples, seed + rep_i)
+        gap = abs(math.ldexp(est.mean, -e) - math.ldexp(exact, -e))
         if est.stderr == 0.0 and est.mean == f[x_idx]:
-            ok = abs(exact - est.mean) <= missed
+            ok = gap <= missed
         elif est.stderr == 0.0:  # one other value: Hoeffding's bound holds for every n
-            ok = abs(est.mean - exact) <= spread * math.sqrt(_HOEFFDING_LOG / (2.0 * n_samples))
+            ok = gap <= spread * math.sqrt(_HOEFFDING_LOG / (2.0 * n_samples))
         else:
             ok = abs(est.mean - exact) <= 4.0 * est.stderr
         hits += ok

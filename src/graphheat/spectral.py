@@ -88,6 +88,12 @@ class SpectralDecomposition:
         return self.eigenvectors @ np.asarray(coefs)
 
     @cached_property
+    def _group_factors(self) -> dict:
+        """``RestrictedEvolution._groups`` per observation set, keyed by its
+        vertex indices."""
+        return {}
+
+    @cached_property
     def scale(self) -> float:
         """The size of the spectrum: lam_max, or 1 where it is {0}."""
         top = float(self.eigenvalues[-1])
@@ -302,20 +308,26 @@ class RestrictedEvolution:
         vals = np.sum(self.C * (M @ self.C), axis=0)
         return np.maximum(vals, 0.0)
 
-    @cached_property
+    @property
     def _groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """The eigenvalue groups, stacked by size k: indices (g, k), a factor
         R (g, min(d, k), k) with ||R_J x|| = ||W_J x|| on each group J, and
-        each group's largest eigenvalue and spread."""
-        by_size: dict[int, list[np.ndarray]] = {}
-        for _lam, idx in self.sd.eigenvalue_groups():
-            by_size.setdefault(len(idx), []).append(idx)
-        out = []
-        for groups in by_size.values():
-            idx = np.array(groups)
-            R = np.linalg.qr(self.W[:, idx].transpose(1, 0, 2), mode="r")
-            top = self.lam[idx[:, -1]]
-            out.append((idx, R, top, top - self.lam[idx[:, 0]]))
+        each group's largest eigenvalue and spread.  They depend on the
+        spectrum and D alone, so every evolution on the same pair shares
+        one copy, kept on the decomposition."""
+        key = tuple(self.d_indices.tolist())
+        out = self.sd._group_factors.get(key)
+        if out is None:
+            by_size: dict[int, list[np.ndarray]] = {}
+            for _lam, idx in self.sd.eigenvalue_groups():
+                by_size.setdefault(len(idx), []).append(idx)
+            out = []
+            for groups in by_size.values():
+                idx = np.array(groups)
+                R = np.linalg.qr(self.W[:, idx].transpose(1, 0, 2), mode="r")
+                top = self.lam[idx[:, -1]]
+                out.append((idx, R, top, top - self.lam[idx[:, 0]]))
+            self.sd._group_factors[key] = out
         return out
 
     def _cell_bounds(

@@ -13,6 +13,7 @@ from graphheat.errors import (
     FullSubset,
     NotRelativelyDense,
     TargetUnreachable,
+    UnknownVertex,
     ValidationError,
 )
 from graphheat.graph import build_graph
@@ -419,6 +420,117 @@ def test_staged_prune_grids_a_handful_of_states_on_cycle_300(monkeypatch):
     monkeypatch.setattr(obs, "_grid_bounds", counted)
     verify_weak_obs(sd, D, c, samples=1000)
     assert sum(gridded) <= 5
+
+
+def _corpus_constants(g, sd, D):
+    return [
+        weak_obs_constants(g, sd, D, T, delta, r)
+        for delta in (0.0, 0.5)
+        for r in (1.0, 2.0, math.inf)
+        for T in (0.5, 1.0, 5.0)
+    ]
+
+
+def test_omega_geometry_runs_once_per_graph_and_observation_sequence(monkeypatch):
+    """The 18 corpus constant sets and the sweep of one (graph, D) compute
+    the inradius and the largest ball volume once.  Another D on the same
+    graph computes its own, and gets what a fresh graph gets; a D with a
+    duplicate or unknown id caches nothing and raises on every call."""
+    import graphheat.observability as obs
+
+    calls = {"inradius": 0, "max_ball_volume": 0}
+    for name in calls:
+
+        def counted(*args, _real=getattr(obs, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(obs, name, counted)
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(rng, 20)
+    D = list(grow_dense_subset(g, rng))
+    sd = eigendecompose(g)
+    consts = _corpus_constants(g, sd, D)
+    up_sweep(g, sd, D)
+    assert calls == {"inradius": 1, "max_ball_volume": 1}
+
+    D2 = [v for v in g.vertex_ids if v not in D][:1] + D
+    assert len(D2) < g.n
+    got = _corpus_constants(g, sd, D2)
+    assert calls == {"inradius": 2, "max_ball_volume": 2}
+    fresh = build_graph(
+        [(v, float(m)) for v, m in zip(g.vertex_ids, g.m)],
+        [
+            (g.vertex_ids[i], g.vertex_ids[j], float(g.weights[i, j]))
+            for i, j in zip(*np.nonzero(np.triu(g.weights)))
+        ],
+    )
+    assert got == _corpus_constants(fresh, eigendecompose(fresh), D2)
+    assert consts == _corpus_constants(g, sd, D)  # hits give what the misses gave
+
+    for bad, error in ((D + D[:1], ValidationError), (D + ["no such vertex"], UnknownVertex)):
+        for _ in range(2):
+            with pytest.raises(error):
+                weak_obs_constants(g, sd, bad, 1.0, 0.5, 2.0)
+            with pytest.raises(error):
+                up_sweep(g, sd, bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_verify_multi_matches_one_set_per_call_on_random_graphs(seed):
+    """Staging the sets of a window together, on one grid per stage, reports
+    for each of the 18 corpus constant sets what verifying that set alone
+    reports, on small random weighted graphs."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(3, 13)))
+    sd = eigendecompose(g)
+    size = int(rng.integers(1, g.n))
+    D = [g.vertex_ids[i] for i in sorted(rng.choice(g.n, size=size, replace=False))]
+    consts = _corpus_constants(g, sd, D)
+    reports = verify_weak_obs_multi(sd, D, consts, samples=30, seed=seed)
+    for c, ver in zip(consts, reports):
+        one = verify_weak_obs(sd, D, c, samples=30, seed=seed)
+        assert ver.constants == c
+        assert ver.min_slack == pytest.approx(one.min_slack, rel=1e-12, abs=0.0)
+
+
+def test_grid_bounds_for_several_exponents_match_one_call_each():
+    """An array of exponents gives one row of grid bounds per exponent, each
+    the bounds of a call with that exponent alone."""
+    sd, D, _ = _corpus_graph_constants()
+    C, _ = _phi_batch(sd, 50, 1)
+    re = RestrictedEvolution(sd, sd.graph.subset_indices(D), C)
+    rs = np.array([1.0, 2.0, math.inf])
+    lo, hi = _grid_bounds(re, 0.25, 1.0, rs)
+    assert lo.shape == hi.shape == (3, C.shape[1])
+    for row, r in enumerate(rs):
+        one_lo, one_hi = _grid_bounds(re, 0.25, 1.0, r)
+        np.testing.assert_array_equal(lo[row], one_lo)
+        np.testing.assert_array_equal(hi[row], one_hi)
+
+
+def test_verify_multi_grids_each_window_stage_once(monkeypatch):
+    """The 18 corpus sets share 6 windows: each window grids its likeliest
+    minimisers in one call and the rest in at most one more, each state of
+    a call once, however many of the window's exponents picked it."""
+    import graphheat.observability as obs
+
+    sd, D, consts = _corpus_graph_constants()
+    grids = []
+    real = obs._grid_bounds
+
+    def counted(re, a, b, r):
+        grids.append((a, b, re.C))
+        return real(re, a, b, r)
+
+    monkeypatch.setattr(obs, "_grid_bounds", counted)
+    verify_weak_obs_multi(sd, D, consts, samples=1000, seed=7)
+    windows = [(a, b) for a, b, _ in grids]
+    assert len(set(windows)) == 6
+    assert all(windows.count(w) <= 2 for w in set(windows))
+    for _, _, C in grids:
+        assert len(np.unique(C, axis=1).T) == C.shape[1]
 
 
 def test_certified_norm_of_a_fast_decaying_mode_keeps_its_digits():

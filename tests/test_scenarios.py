@@ -362,6 +362,25 @@ def test_cli_huge_f_keeps_a_finite_stderr(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
+def test_cli_f_spanning_the_float_range_runs_clean(tmp_path):
+    """f = [1e308, -1e308, 1e308, -1e308, 0, ...] on cycle-8: max f - min f
+    is beyond the float range, so the no-variance bounds are formed on f
+    scaled by a power of two, and the run ends in a verdict with no
+    warning."""
+    code, err, summary = _run_cli(tmp_path, {
+        "graph": {"family": "cycle", "n": 8},
+        "task": "stochastic",
+        "params": {"f": [1e308, -1e308, 1e308, -1e308, 0, 0, 0, 0], "n_samples": 1000},
+        "seed": 7,
+    })
+    assert code == 0 and err == "", err
+    (row,) = csv.DictReader(io.StringIO((tmp_path / "out" / "stochastic_estimates.csv").read_text()))
+    mean, stderr, exact = (float(row[k]) for k in ("mean", "stderr", "exact"))
+    assert all(math.isfinite(v) for v in (mean, stderr, exact))
+    assert summary["within_4_stderr"] == 1
+
+
+@pytest.mark.filterwarnings("error")
 def test_cli_control_resimulation_at_a_long_horizon(tmp_path):
     """On cycle-300 at T = 400 (alpha = 2.0e-12) the free and forced parts of
     f(T) nearly cancel; the re-simulation error is measured on their sizes,

@@ -473,6 +473,44 @@ def test_quadrature_depth_exhaustion_names_the_column_panel():
         )
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (np.arange(5.0), -np.arange(5.0)),
+        (np.arange(12.0).reshape(4, 3), np.ones((4, 3))),
+        (np.array([True, False, True]), np.array([False, False, True])),
+        (np.arange(4, dtype=np.int32), np.arange(4, dtype=np.int32)),
+    ],
+)
+def test_pairs_interleaves_like_stacking(left, right):
+    """The Simpson waves interleave per-panel arrays into a preallocated
+    array; it equals the ``np.stack`` interleave, dtype included."""
+    from graphheat.quadrature import _pairs
+
+    want = np.stack([left, right], axis=1).reshape((-1,) + left.shape[1:])
+    got = _pairs(left, right)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_restricted_evolutions_share_group_factors_per_subset():
+    """The eigen-group QR factors depend on the spectrum and D alone: two
+    evolutions on one (spectrum, D) share one copy, another D gets its own,
+    and the shared copy equals what a fresh decomposition computes."""
+    g = random_connected_graph(np.random.default_rng(4), 12)
+    sd = eigendecompose(g)
+    d_idx, other = g.subset_indices(["0", "3", "7"]), g.subset_indices(["0", "3"])
+    rng = np.random.default_rng(5)
+    first = RestrictedEvolution(sd, d_idx, rng.standard_normal((g.n, 4)))
+    second = RestrictedEvolution(sd, d_idx.copy(), rng.standard_normal(g.n))
+    assert first._groups is second._groups
+    assert RestrictedEvolution(sd, other, first.C)._groups is not first._groups
+    fresh = RestrictedEvolution(eigendecompose(g), d_idx, first.C)._groups
+    for got, want in zip(first._groups, fresh, strict=True):
+        for x, y in zip(got, want, strict=True):
+            np.testing.assert_array_equal(x, y)
+
+
 def test_simpson_wave_budget_refuses_a_state_that_d_does_not_see():
     """On cycle-8's even-D obstruction eigenfunction, (S_t phi)|_D is rounding
     noise, so Simpson's panels double at every level without converging: the
