@@ -86,6 +86,18 @@ def gramian(sd: SpectralDecomposition, D: Sequence[str], T: float) -> Gramian:
     return Gramian(sd, tuple(D), float(T), mat, mu, P)
 
 
+def _gramian_of(
+    sd: SpectralDecomposition, D: Sequence[str], T: float, gram: Gramian | None
+) -> Gramian:
+    """The Gramian of (D, T): ``gram`` when one is supplied, which must
+    match (D, T), and otherwise a new one."""
+    if gram is None:
+        return gramian(sd, D, T)
+    if gram.D != tuple(D) or gram.T != float(T):
+        raise ValidationError("supplied Gramian does not match (D, T)")
+    return gram
+
+
 @dataclass(frozen=True, eq=False)
 class ControlSignal:
     """A control supported on D: either a sampled grid or a closed form.
@@ -173,9 +185,7 @@ def synth_control(
     norm_f0 = sd.norm(f0)
     if norm_f0 == 0.0:
         raise ValidationError("synthesis needs a nonzero initial state")
-    Q = gram if gram is not None else gramian(sd, D, T)
-    if gram is not None and (Q.D != tuple(D) or Q.T != float(T)):
-        raise ValidationError("supplied Gramian does not match (D, T)")
+    Q = _gramian_of(sd, D, T, gram)
 
     c0 = sd.coefficients(f0)
     sT = decay(sd.eigenvalues, T) * c0
@@ -185,8 +195,13 @@ def synth_control(
     mu, P = Q.eigenvalues, Q.eigenvectors
     beta = P.T @ sT
 
+    def shrunk(nu: float) -> np.ndarray:
+        """beta / (1 + nu mu): 0 where nu mu overflows a float."""
+        with np.errstate(over="ignore"):
+            return beta / (1.0 + nu * mu)
+
     def h(nu: float) -> float:
-        return float(np.linalg.norm(beta / (1.0 + nu * mu)))
+        return float(np.linalg.norm(shrunk(nu)))
 
     if alpha_target == 0.0:
         if not Q.nonsingular:
@@ -227,7 +242,7 @@ def synth_control(
             raise BisectionNonConvergence(
                 f"multiplier search stalled at nu={nu:.6g}, ||f(T)||={h(nu):.6g}"
             )
-        scale = beta / (1.0 + nu * mu)
+        scale = shrunk(nu)
         eta_hat = P @ (-nu * scale)
         fT_hat = P @ scale
 

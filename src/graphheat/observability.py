@@ -5,14 +5,16 @@ the length metric, where the weak observability estimate and the low-energy
 uncertainty principle hold; they are computed once per (graph, D) and kept
 on the graph, so every constant set and sweep row of that pair reads the
 same values.  ``verify_weak_obs`` checks the estimate on a battery of unit
-states by bound, prune and evaluate: closed-form and then grid bounds on
-each state's time norm (first on the likeliest minimiser, then on the
-states its bound leaves) exclude every state that cannot hold the minimum
-slack, and only the rest go through the time-norm engine, in one batched
-call, so the reported minimum is the engine's minimum over the whole
-battery (estimated to 1e-10 for finite r, a proven bracket for r = inf).
-The constant sets of one window share its grids: each stage grids the
-union of their states once.
+states.  An eigenvector is a single mode, so its slack is exact, in closed
+form.  The other states go through bound, prune and evaluate: closed-form
+and then grid bounds on each state's time norm (first on the likeliest
+minimiser, then on the states its bound leaves) exclude every state that
+cannot hold the minimum slack, and only the rest go through the time-norm
+engine, in one batched call.  The reported minimum is the smaller of the
+eigenvectors' exact minimum and the engine's minimum over the other states
+(estimated to 1e-10 for finite r, a proven bracket for r = inf).  The
+constant sets of one window share its grids: each stage grids the union of
+their states once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .control import gramian
+from .control import Gramian, _gramian_of
 from .errors import EmptySubset, FullSubset, NotRelativelyDense, ValidationError
 from .graph import (
     MetricKind,
@@ -297,6 +299,28 @@ def _window_terms(
     return b - a, l2, re.final_norms(a), re.norms([a, b]).max(axis=0)
 
 
+def _mode_lr_norms(lam: np.ndarray, a: float, b: float, r: float) -> np.ndarray:
+    """||e^{-lam t}||_{L_r(a, b)} for each rate in ``lam``, in closed form.
+
+    With w = b - a it is e^{-lam a} ((1 - e^{-r lam w}) / (r lam))^{1/r},
+    w^{1/r} at lam = 0, and e^{-lam a} for r = inf.  The bracket is formed as
+    w (1 - e^{-x}) / x with x = r lam w: it is w where x is 0 (or underflows
+    to 0) and 1 / (r lam) where x overflows, so a stiff rate or a long window
+    gives a finite value or 0.
+    """
+    head = decay(lam, a)
+    if math.isinf(r):
+        return head
+    w = b - a
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rate = r * lam
+        x = rate * w
+        bracket = np.where(
+            np.isinf(x), 1.0 / rate, w * np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
+        )
+    return head * bracket ** (1.0 / r)
+
+
 def _closed_form_bounds(
     terms: tuple[float, np.ndarray, np.ndarray, np.ndarray], r: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -347,13 +371,19 @@ def _grid_bounds(re: RestrictedEvolution, a: float, b: float, r) -> tuple[np.nda
 
 
 class _Screen:
-    """Bound-and-prune state of one constant set over the battery: the
-    states still standing, ``cols``, with bounds lo <= ||g||_{L_r} <= hi.
-    Each prune keeps copies, so a bound shared through ``_window_terms``
-    is never written."""
+    """Bound-and-prune state of one constant set over the states that are
+    not eigenvectors: the states still standing, ``cols``, with bounds
+    lo <= ||g||_{L_r} <= hi.  The smallest exact eigenvector slack, ``best``
+    (held by eigenvector ``best_at``), is an upper bound on the minimum from
+    the start.  Each prune keeps copies, so a bound shared through
+    ``_window_terms`` is never written."""
 
-    def __init__(self, const: WeakObsConstants, final: np.ndarray, terms) -> None:
+    def __init__(
+        self, const: WeakObsConstants, final: np.ndarray, terms, exact: np.ndarray
+    ) -> None:
         self.const, self.final = const, final
+        self.best_at = int(np.argmin(exact))
+        self.best = float(exact[self.best_at])
         lo, hi = _closed_form_bounds(terms, const.r)
         self.margin = (
             _RECHECK_MARGIN_REL * (const.K + const.alpha + 1.0)
@@ -365,7 +395,8 @@ class _Screen:
     def prune(self) -> None:
         K, base = self.const.K, self.const.alpha - self.final[self.cols]
         # only a definite comparison prunes, so a nan bound keeps its state
-        keep = ~(K * self.lo + base > np.min(K * self.hi + base) + self.margin)
+        ceiling = np.min(K * self.hi + base, initial=self.best)
+        keep = ~(K * self.lo + base > ceiling + self.margin)
         self.cols, self.lo, self.hi = self.cols[keep], self.lo[keep], self.hi[keep]
 
     def likeliest(self) -> np.ndarray:
@@ -382,14 +413,20 @@ def verify_weak_obs_multi(
 ) -> list[WeakObsVerification]:
     """Verify several constant sets against one shared input battery.
 
-    Each constant set runs bound, prune and evaluate over the battery:
+    An eigenvector e_k of the battery is a single mode: g(t) = c_k e^{-l_k t}
+    with c_k = ||(v_k)|_D||, so its slack K c_k ||e^{-l_k t}||_{L_r} + alpha
+    - e^{-l_k T} is exact, in closed form (``_mode_lr_norms``).  The smallest
+    of these slacks bounds the minimum from above before any other state is
+    looked at.  The Dirac deltas and the random states run bound, prune and
+    evaluate, for each constant set:
     - bound every state's time norm in closed form (``_closed_form_bounds``);
       the terms that depend on the window (delta T, T) alone, namely the L_2
       integral, ||S_{delta T} phi|| and g at both ends (``_window_terms``),
       are computed once per distinct window and shared by its exponents, as
       ||S_T phi|| is once per distinct T;
     - drop the states whose slack lower bound exceeds the smallest slack
-      upper bound by more than the margin (``_RECHECK_MARGIN_REL``);
+      upper bound, the exact eigenvector slack included, by more than the
+      margin (``_RECHECK_MARGIN_REL``);
     - bound the state with the smallest slack lower bound again on a graded
       grid (``_grid_bounds``) and prune with its tightened upper bound, then
       grid the states still standing and prune once more.  A state dropped
@@ -404,13 +441,17 @@ def verify_weak_obs_multi(
       each column on its own set's window and exponent: estimated to
       ``_LR_REL_TOL`` for finite r, certified for r = inf.
     No pruned state can hold the minimum, so the reported minimum slack is
-    the engine's minimum over the whole battery.
+    the smaller of the exact eigenvector minimum (which wins a tie) and the
+    engine's minimum over the other states.
     """
     d_idx = sd.graph.subset_indices(D)
     if len(d_idx) == 0:
         raise EmptySubset("verification needs a nonempty observation set")
     C, labels = _phi_batch(sd, samples, seed)
+    n, lam = sd.n, sd.eigenvalues
+    C = C[:, n:]  # the eigenvectors are the first n columns; the rest is screened
     re = RestrictedEvolution(sd, d_idx, C)
+    seen = np.linalg.norm(re.W, axis=0)  # c_k = ||(v_k)|_D||
     final_norms = functools.cache(re.final_norms)
 
     def regrid(picked: list[tuple[_Screen, np.ndarray]], a: float, b: float) -> None:
@@ -439,14 +480,19 @@ def verify_weak_obs_multi(
     screened: dict[int, _Screen] = {}
     for (a, b), members in by_window.items():
         terms = _window_terms(re, a, b)
-        stage = [_Screen(constants_list[i], final_norms(constants_list[i].T), terms) for i in members]
+        stage = []
+        for i in members:
+            const = constants_list[i]
+            exact = const.K * (seen * _mode_lr_norms(lam, a, b, const.r))
+            exact += const.alpha - decay(lam, const.T)
+            stage.append(_Screen(const, final_norms(const.T), terms, exact))
         # the closed forms are loose where g moves fast, as at a = 0: the grid
         # bounds the likeliest minimisers first, whose tightened upper bounds
         # prune most of the rest before they are gridded
-        picked = [(s, s.likeliest()) for s in stage]
+        picked = [(s, s.likeliest()) for s in stage if len(s.cols)]
         firsts = [s.cols[p[0]] for s, p in picked]
         regrid(picked, a, b)
-        rest = [(s, np.flatnonzero(s.cols != first)) for s, first in zip(stage, firsts)]
+        rest = [(s, np.flatnonzero(s.cols != first)) for (s, _), first in zip(picked, firsts)]
         regrid([(s, p) for s, p in rest if len(p)], a, b)
         screened.update(zip(members, stage))
     screens = [screened[i] for i in range(len(constants_list))]
@@ -455,21 +501,26 @@ def verify_weak_obs_multi(
 
     # one certification for the survivors of every set, each on its own window
     sizes = [len(s.cols) for s in screens]
-    windows = np.array([(c.delta * c.T, c.T, c.r) for c in constants_list])
-    a, b, r = np.repeat(windows, sizes, axis=0).T
-    batch = C[:, np.concatenate([s.cols for s in screens])]
-    certified = RestrictedEvolution(sd, d_idx, batch).lr_norms(a, b, r)
+    certified = np.empty(0)
+    if sum(sizes):
+        windows = np.array([(c.delta * c.T, c.T, c.r) for c in constants_list])
+        a, b, r = np.repeat(windows, sizes, axis=0).T
+        batch = C[:, np.concatenate([s.cols for s in screens])]
+        certified = RestrictedEvolution(sd, d_idx, batch).lr_norms(a, b, r)
     out = []
     for s, norms in zip(screens, np.split(certified, np.cumsum(sizes)[:-1])):
         const = s.const
         slack = const.K * norms + const.alpha - s.final[s.cols]
-        worst = int(s.cols[np.argmin(slack)])
+        if len(slack) and not s.best <= np.min(slack):  # a nan slack is reported
+            min_slack, worst = float(np.min(slack)), n + int(s.cols[np.argmin(slack)])
+        else:
+            min_slack, worst = s.best, s.best_at
         out.append(
             WeakObsVerification(
                 constants=const,
-                min_slack=float(np.min(slack)),
+                min_slack=min_slack,
                 worst_label=labels[worst],
-                n_inputs=C.shape[1],
+                n_inputs=len(labels),
             )
         )
     return out
@@ -487,19 +538,20 @@ def verify_weak_obs(
 
 
 def exact_obs_constant(
-    sd: SpectralDecomposition, D: Sequence[str], T: float
+    sd: SpectralDecomposition, D: Sequence[str], T: float, *, gram: Gramian | None = None
 ) -> float:
     """Smallest C with ||S_T phi||^2 <= C^2 int_0^T ||(S_t phi)|_D||^2 dt.
 
     Square root of the largest generalized eigenvalue of (S_T^* S_T, G)
-    where G is the observability Gramian; +inf exactly when G is not
-    ``Gramian.nonsingular``, the rank decision ``synth_control`` uses to
-    refuse null control (S_T is injective on a finite graph, so any null
-    direction of G defeats every finite constant).
+    where G is the observability Gramian (``gram`` when supplied, as for
+    ``synth_control``); +inf exactly when G is not ``Gramian.nonsingular``,
+    the rank decision ``synth_control`` uses to refuse null control (S_T is
+    injective on a finite graph, so any null direction of G defeats every
+    finite constant).
     """
     if T <= 0:
         raise ValidationError(f"final time must be positive, got {T}")
-    Q = gramian(sd, D, T)
+    Q = _gramian_of(sd, D, T, gram)
     if not Q.nonsingular:
         return math.inf
     A = np.diag(decay(2.0 * sd.eigenvalues, T))

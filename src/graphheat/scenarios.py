@@ -23,6 +23,7 @@ from . import observability as obs
 from . import stochastic as sto
 from .control import (
     ControlSignal,
+    gramian,
     hautus_obstruction,
     mode_invariance_check,
     stabilize,
@@ -424,7 +425,10 @@ def _task_control(g, D, seed, *, T, delta, r, f0, alpha_target) -> TaskReport:
 def _task_non_null(g, D, seed, *, T, n_random) -> TaskReport:
     sd = eigendecompose(g)
     obstructions = hautus_obstruction(sd, D)
-    c_exact = obs.exact_obs_constant(sd, D, T)
+    # one Gramian for the constant and the synthesis; a T <= 0 is refused
+    # by exact_obs_constant, in its own words, before any Gramian is built
+    gram = gramian(sd, D, T) if T > 0 else None
+    c_exact = obs.exact_obs_constant(sd, D, T, gram=gram)
     report = TaskReport(
         "non-null",
         {
@@ -469,7 +473,7 @@ def _task_non_null(g, D, seed, *, T, n_random) -> TaskReport:
     floor = math.exp(-lam0 * T) * abs(sd.inner(f0, phi))
     target = 0.5 * floor
     try:
-        synth_control(sd, D, T, f0, target)
+        synth_control(sd, D, T, f0, target, gram=gram)
         unreachable = False
     except TargetUnreachable:
         unreachable = True

@@ -195,6 +195,32 @@ def test_non_null_scenario(tmp_path):
     assert data["max_mode_invariance_residual"] <= 1e-9
 
 
+def test_non_null_builds_one_gramian(tmp_path, monkeypatch):
+    """The exact constant and the below-floor synthesis of ``non-null`` read
+    one Gramian, built once."""
+    import graphheat.control
+    import graphheat.scenarios
+
+    built = []
+    real = graphheat.control.gramian
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graphheat.control, "gramian", counted)
+    monkeypatch.setattr(graphheat.scenarios, "gramian", counted)
+    sc = Scenario(
+        graph={"family": "cycle", "n": 8},
+        task="non-null",
+        subset={"parity": "even"},
+        params={"T": 1.0, "n_random": 2},
+        seed=1,
+    )
+    assert run_scenario(sc, tmp_path / "out").exit_code == 0
+    assert len(built) == 1
+
+
 def test_up_sweep_scenario_grid(tmp_path):
     sc = Scenario(
         graph={"family": "cycle", "n": 4},
@@ -398,22 +424,39 @@ def test_cli_control_resimulation_at_a_long_horizon(tmp_path):
 
 _STIFF_CONTROL = {"T": 1.0, "delta": 0.5, "r": 2, "f0": {"random": 3}}
 _STIFF_CASES = [
-    ("weak-obs", {"T": 1.0, "delta": delta, "r": r, "samples": 10}, code)
-    for r, codes in ((1, (2, 0)), (2, (2, 0)), ("inf", (0, 0)))
-    for delta, code in zip((0.0, 0.5), codes)
+    ("weak-obs", {"T": 1.0, "delta": delta, "r": r, "samples": 10}, 0)
+    for r in (1, 2, "inf")
+    for delta in (0.0, 0.5)
 ] + [
     ("control", _STIFF_CONTROL, 2),
     ("control", dict(_STIFF_CONTROL, alpha_target=0.5), 0),
     ("up-sweep", {}, 0),
 ] + [  # long windows: lam t overflows a float, and the mode has decayed to 0
-    ("weak-obs", {"T": T, "delta": delta, "r": r, "samples": 10}, code)
+    ("weak-obs", {"T": T, "delta": delta, "r": r, "samples": 10}, 0)
     for T in (1e10, 1e15)
-    for r, codes in ((1, (2, 0)), (2, (2, 0)), ("inf", (0, 0)))
-    for delta, code in zip((0.0, 0.5), codes)
+    for r in (1, 2, "inf")
+    for delta in (0.0, 0.5)
 ] + [
     ("control", dict(_STIFF_CONTROL, T=1e10, alpha_target=0.5), 0),
     ("stabilize", {"T": 1e10}, 0),
 ]
+
+
+def _l2_min_slack(payload):
+    """The r = 2 minimum slack of a weak-obs scenario with every time norm
+    from the closed form of its squared integral, ``l2_time_integral``."""
+    from graphheat.observability import _phi_batch, weak_obs_constants
+    from graphheat.spectral import RestrictedEvolution
+
+    g = build_family("cycle", {k: v for k, v in payload["graph"].items() if k != "family"}).graph
+    D = parity_subset(g, payload["subset"]["parity"])
+    sd = eigendecompose(g)
+    p = payload["params"]
+    c = weak_obs_constants(g, sd, D, p["T"], p["delta"], 2.0)
+    C, _ = _phi_batch(sd, p["samples"], payload["seed"])
+    re = RestrictedEvolution(sd, g.subset_indices(D), C)
+    norms = np.sqrt(re.l2_time_integral(c.delta * c.T, c.T))
+    return float(np.min(c.K * norms + c.alpha - re.final_norms(c.T)))
 
 
 @pytest.mark.filterwarnings("error")
@@ -421,17 +464,38 @@ _STIFF_CASES = [
 def test_cli_stiff_measure_ends_in_a_verdict_or_a_refusal(tmp_path, task, params, code):
     """m = 1e-300 on cycle-8 puts lam_max at 4e300, so lam^2 and ||H+1||^2
     overflow a float.  Each case exits 0 or 2, never with a traceback or a
-    warning: at delta = 0 and finite r the Simpson integral of a mode that
-    decays in 1e-300 exceeds its depth, and duality asks for exact null
-    control of a singular Gramian."""
-    got, err, _ = _run_cli(tmp_path, {
+    warning.  Every weak-obs case ends in a verdict: the eigenvectors, whose
+    modes decay in 1e-300, take their slacks in closed form, and no other
+    state comes near the minimum; at r = 2 the slack is the one from the
+    closed-form L_2 integral.  Duality asks for exact null control of a
+    singular Gramian and is refused."""
+    payload = {
         "graph": {"family": "cycle", "n": 8, "m": 1e-300},
         "subset": {"parity": "even"},
         "task": task,
         "params": params,
         "seed": 1,
-    })
+    }
+    got, err, summary = _run_cli(tmp_path, payload)
     assert got == code and "Traceback" not in err, err
+    if task == "weak-obs" and params["r"] == 2:
+        assert summary["min_slack"] == pytest.approx(_l2_min_slack(payload), rel=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_control_refusal_with_a_multiplier_beyond_the_float_range(tmp_path):
+    """On cycle-8 with b = 1e-300 and T = 1e300 the Gramian's eigenvalues
+    are so large that nu mu overflows during the multiplier search, where
+    beta / (1 + nu mu) is 0.  The run ends in the refusal of a target below
+    the invariant floor, with no warning."""
+    code, err, _ = _run_cli(tmp_path, {
+        "graph": {"family": "cycle", "n": 8, "b": 1e-300},
+        "subset": {"parity": "even"},
+        "task": "control",
+        "params": {"T": 1e300, "alpha_target": 0.001},
+        "seed": 1,
+    })
+    assert code == 2 and "TargetUnreachable" in err and "Traceback" not in err, err
 
 
 def test_cli_non_null_residual_beyond_the_float_range_fails(tmp_path):
