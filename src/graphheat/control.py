@@ -196,12 +196,13 @@ def synth_control(
     beta = P.T @ sT
 
     def shrunk(nu: float) -> np.ndarray:
-        """beta / (1 + nu mu): 0 where nu mu overflows a float."""
-        with np.errstate(over="ignore"):
-            return beta / (1.0 + nu * mu)
+        """beta / (1 + nu mu): 0 where nu mu overflows a float, which the
+        multiplier search lets pass without a warning."""
+        return beta / (1.0 + nu * mu)
 
     def h(nu: float) -> float:
-        return float(np.linalg.norm(shrunk(nu)))
+        s = shrunk(nu)
+        return float(np.sqrt(s.dot(s)))  # np.linalg.norm's own sum, without its checks
 
     if alpha_target == 0.0:
         if not Q.nonsingular:
@@ -218,31 +219,35 @@ def synth_control(
         nu = 0.0
     else:
         floor = float(np.linalg.norm(beta[mu == 0.0]))
-        nu_hi = 1.0
-        while h(nu_hi) > target and nu_hi < _NU_MAX:
-            nu_hi *= 2.0
-        if h(nu_hi) > target:
-            raise TargetUnreachable(
-                f"target norm {target:.6g} is below the invariant floor "
-                f"{floor:.6g} enforced by modes vanishing on D"
-            )
-        nu_lo = 0.0 if nu_hi == 1.0 else nu_hi / 2.0
-        for _ in range(200):
-            mid = 0.5 * (nu_lo + nu_hi)
-            if h(mid) > target:
-                nu_lo = mid
-            else:
-                nu_hi = mid
-            if abs(h(nu_hi) - target) <= 1e-12 * norm_f0:
-                break
-            if (nu_hi - nu_lo) <= 1e-15 * nu_hi:
-                break
-        nu = nu_hi  # upper endpoint keeps ||f(T)|| <= target
-        if not (h(nu) <= target * (1.0 + 1e-9) + 1e-300):
-            raise BisectionNonConvergence(
-                f"multiplier search stalled at nu={nu:.6g}, ||f(T)||={h(nu):.6g}"
-            )
-        scale = shrunk(nu)
+        with np.errstate(over="ignore"):  # nu mu may overflow (see shrunk)
+            nu_hi = 1.0
+            h_hi = h(nu_hi)
+            while h_hi > target and nu_hi < _NU_MAX:
+                nu_hi *= 2.0
+                h_hi = h(nu_hi)
+            if h_hi > target:
+                raise TargetUnreachable(
+                    f"target norm {target:.6g} is below the invariant floor "
+                    f"{floor:.6g} enforced by modes vanishing on D"
+                )
+            nu_lo = 0.0 if nu_hi == 1.0 else nu_hi / 2.0
+            for _ in range(200):
+                mid = 0.5 * (nu_lo + nu_hi)
+                h_mid = h(mid)
+                if h_mid > target:
+                    nu_lo = mid
+                else:
+                    nu_hi, h_hi = mid, h_mid
+                if abs(h_hi - target) <= 1e-12 * norm_f0:
+                    break
+                if (nu_hi - nu_lo) <= 1e-15 * nu_hi:
+                    break
+            nu = nu_hi  # upper endpoint keeps ||f(T)|| <= target
+            if not (h_hi <= target * (1.0 + 1e-9) + 1e-300):
+                raise BisectionNonConvergence(
+                    f"multiplier search stalled at nu={nu:.6g}, ||f(T)||={h_hi:.6g}"
+                )
+            scale = shrunk(nu)
         eta_hat = P @ (-nu * scale)
         fT_hat = P @ scale
 

@@ -102,14 +102,15 @@ def adaptive_simpson(
     depth = _INITIAL_DEPTH
     while len(lo):
         tol = tol0 * 0.5**depth  # tol0 / k on the initial panels, halved per bisection
+        # each panel's two children, interleaved: left[0], right[0], left[1], ...
         mid = 0.5 * (lo + hi)
-        ts = _pairs(0.5 * (lo + mid), 0.5 * (mid + hi))
+        clo, chi = _pairs(lo, mid), _pairs(mid, hi)
+        ts = 0.5 * (clo + chi)
         if ts.ndim > 1:  # per-column windows: only the open entries need values
-            ts = np.where(_pairs(open_, open_), ts, np.nan)
-        mvals = np.asarray(fn(ts))
-        flm, frm = mvals[0::2], mvals[1::2]
-        Sl = _spread((mid - lo) / 6.0, nd) * (flo + 4.0 * flm + fmid)
-        Sr = _spread((hi - mid) / 6.0, nd) * (fmid + 4.0 * frm + fhi)
+            ts = np.where(np.repeat(open_, 2, axis=0), ts, np.nan)
+        cfl, cfm, cfh = _pairs(flo, fmid), np.asarray(fn(ts)), _pairs(fmid, fhi)
+        cS = _spread((chi - clo) / 6.0, nd) * (cfl + 4.0 * cfm + cfh)
+        Sl, Sr = cS[0::2], cS[1::2]
         delta = Sl + Sr - S
         too_narrow = (hi - lo) <= 1e-14 * (np.abs(lo) + np.abs(hi) + 1.0)
         ok = (norm(delta) <= 15.0 * tol) | _spread(too_narrow, open_.ndim)
@@ -132,11 +133,12 @@ def adaptive_simpson(
                 f"Simpson refinement at depth {depth + 1} would evaluate {entries} "
                 f"entries in one wave, over the budget of {_CHUNK_ELEMENTS}"
             )
-        lo, mid, hi, flo, flm, fmid, frm, fhi, Sl, Sr, open_ = (
-            v[split] for v in (lo, mid, hi, flo, flm, fmid, frm, fhi, Sl, Sr, open_)
-        )
-        lo, hi, S, open_ = _pairs(lo, mid), _pairs(mid, hi), _pairs(Sl, Sr), _pairs(open_, open_)
-        flo, fmid, fhi = _pairs(flo, fmid), _pairs(flm, frm), _pairs(fmid, fhi)
+        lo, hi, flo, fmid, fhi, S, open_ = clo, chi, cfl, cfm, cfh, cS, np.repeat(open_, 2, axis=0)
+        if not split.all():  # the children of the panels that split
+            keep = np.repeat(split, 2)
+            lo, hi, flo, fmid, fhi, S, open_ = (
+                v[keep] for v in (lo, hi, flo, fmid, fhi, S, open_)
+            )
         depth += 1
     return total
 

@@ -26,6 +26,8 @@ from .quadrature import _CHUNK_ELEMENTS, adaptive_simpson
 _LR_REL_TOL = 1e-10
 # Cells of the graded grid that starts the grid bounds and the supremum search.
 _GRID_CELLS = 32
+# Most subcells a cell of the supremum search splits into per wave.
+_MAX_SPLIT = 8
 
 
 def _real(x, what: str) -> np.ndarray:
@@ -200,6 +202,13 @@ def _gramian_kernel(
     return (W.T @ W) * F
 
 
+def _cell_chunk(n: int) -> int:
+    """Cells per chunk of ``RestrictedEvolution._cell_bounds`` on n modes:
+    its n x cells factor X and the arrays alive with it (about three more)
+    share ``_CHUNK_ELEMENTS``."""
+    return max(1, _CHUNK_ELEMENTS // (4 * n))
+
+
 class RestrictedEvolution:
     """Vectorized evaluation of t -> ||(S_t f)|_D|| for a batch of states.
 
@@ -349,8 +358,7 @@ class RestrictedEvolution:
         """
         lam = self.lam[:, None]
         g0, ub = np.empty(len(lo)), np.empty(len(lo))
-        # X and the arrays alive with it (about three more) share the budget
-        chunk = max(1, _CHUNK_ELEMENTS // (4 * len(self.lam)))
+        chunk = _cell_chunk(len(self.lam))
         for k0 in range(0, len(lo), chunk):
             cells = slice(k0, k0 + chunk)
             hc = h[cells]
@@ -381,14 +389,19 @@ class RestrictedEvolution:
 
     def _sup_norms(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Certified sup of g over [a[j], b[j]] for each column j, by bound
-        and bisect.
+        and split.
 
-        The cells of each column's graded grid are bisected while their upper
-        bound (``_cell_bounds``) exceeds the column's best sampled value s by
-        more than ``_LR_REL_TOL`` ||S_a f||; s is returned, so s <= sup g <=
-        s + _LR_REL_TOL ||S_a f||.  A cell with no float between its ends
-        holds no time that is not sampled, so it is not bisected.  A bound
-        that overflows (+inf, or nan from inf - inf) counts as exceeding.
+        Each wave bounds g on its cells (``_cell_bounds``) and splits every
+        cell whose bound exceeds the column's best sampled value s by more
+        than ``_LR_REL_TOL`` ||S_a f|| into k equal subcells, which cover it:
+        s is returned, so s <= sup g <= s + _LR_REL_TOL ||S_a f||.  k is
+        the largest power of two up to ``_MAX_SPLIT`` whose next wave still
+        fits one chunk of ``_cell_bounds``, so a small wave goes 8 ways and
+        a wave of many cells keeps bisecting.  The subcell ends are rounds
+        of midpoints; a cell with no float between its ends holds no time
+        that is not sampled, so it is not split, and a subcell of zero width
+        is dropped.  A bound that overflows (+inf, or nan from inf - inf)
+        counts as exceeding.
         """
         n_batch = self.C.shape[1]
         windows, window_of = np.unique(np.stack([a, b], axis=1), axis=0, return_inverse=True)
@@ -400,14 +413,27 @@ class RestrictedEvolution:
         lo = ts[:, :-1].ravel()
         hi = ts[:, 1:].ravel()
         cols = np.repeat(np.arange(n_batch), _GRID_CELLS)
+        chunk = _cell_chunk(len(self.lam))
         while len(lo):
             g0, ub = self._cell_bounds(lo, hi - lo, cols)
             np.maximum.at(best, cols, g0)
             mid = 0.5 * (lo + hi)
             split = ~(ub <= best[cols] + tol[cols]) & (lo < mid) & (mid < hi)
-            lo, mid, hi, cols = lo[split], mid[split], hi[split], cols[split]
-            lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-            cols = np.concatenate((cols, cols))
+            cols = cols[split]
+            k = 2
+            while k < _MAX_SPLIT and 2 * k * len(cols) <= chunk:
+                k *= 2
+            edges = np.stack((lo[split], mid[split], hi[split]), axis=1)
+            while edges.shape[1] <= k:  # k + 1 ends per cell, by rounds of midpoints
+                finer = np.empty((len(edges), 2 * edges.shape[1] - 1))
+                finer[:, 0::2] = edges
+                finer[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
+                edges = finer
+            lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+            cols = np.repeat(cols, k)
+            wide = lo < hi
+            if not wide.all():
+                lo, hi, cols = lo[wide], hi[wide], cols[wide]
         return best
 
     def lr_norms(self, a, b, r) -> np.ndarray:
@@ -418,9 +444,10 @@ class RestrictedEvolution:
         Simpson call, each column estimated to relative tolerance
         ``_LR_REL_TOL`` of its own integral (Simpson's error estimate, not a
         bound), on times shared by the batch when the window is.  The r = inf
-        columns are certified: they bisect their graded grids in one run
-        until each sampled maximum is within ``_LR_REL_TOL`` ||S_a f|| of
-        its supremum, a proven bracket (``_sup_norms``).
+        columns are certified: they split the cells of their graded grids,
+        up to ``_MAX_SPLIT`` ways per wave, in one run until each sampled
+        maximum is within ``_LR_REL_TOL`` ||S_a f|| of its supremum, a
+        proven bracket (``_sup_norms``).
         """
         n_batch = self.C.shape[1]
         a, b, r = (np.broadcast_to(np.asarray(v, dtype=float), (n_batch,)) for v in (a, b, r))
@@ -454,8 +481,8 @@ def time_lr_norm(
     ``f0`` is one state (a float is returned) or an (n, k) batch (one norm
     per column), from ``RestrictedEvolution.lr_norms``: for finite r
     estimated to relative tolerance ``_LR_REL_TOL`` of the integral, and for
-    r = inf certified from below, within ``_LR_REL_TOL`` ||S_a f0|| of the
-    supremum.
+    r = inf certified from below, by a search that splits grid cells on a
+    proven bound, within ``_LR_REL_TOL`` ||S_a f0|| of the supremum.
     """
     a, b = float(window[0]), float(window[1])
     if not (0.0 <= a < b):

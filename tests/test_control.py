@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -20,7 +21,12 @@ from graphheat.control import (
     verify_control,
 )
 from graphheat.covering import lift_function
-from graphheat.errors import EmptySubset, TargetUnreachable, ValidationError
+from graphheat.errors import (
+    BisectionNonConvergence,
+    EmptySubset,
+    TargetUnreachable,
+    ValidationError,
+)
 from graphheat.families import build_family
 from graphheat.graph import build_graph
 from graphheat.quadrature import adaptive_simpson
@@ -192,6 +198,104 @@ def test_synth_multiplier_monotonicity(k2):
         for nu in np.logspace(-3, 6, 40)
     ]
     assert all(a >= b - 1e-15 for a, b in zip(hs, hs[1:]))
+
+
+def _plain_multiplier_search(beta, mu, target, norm_f0):
+    """The multiplier search with h(nu) = ||beta / (1 + nu mu)|| taken
+    afresh, by ``np.linalg.norm``, at every test: the reference that
+    ``synth_control``'s search must follow bit for bit."""
+
+    def h(nu):
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(beta / (1.0 + nu * mu)))
+
+    floor = float(np.linalg.norm(beta[mu == 0.0]))
+    nu_hi = 1.0
+    while h(nu_hi) > target and nu_hi < 1e18:
+        nu_hi *= 2.0
+    if h(nu_hi) > target:
+        raise TargetUnreachable(
+            f"target norm {target:.6g} is below the invariant floor "
+            f"{floor:.6g} enforced by modes vanishing on D"
+        )
+    nu_lo = 0.0 if nu_hi == 1.0 else nu_hi / 2.0
+    for _ in range(200):
+        mid = 0.5 * (nu_lo + nu_hi)
+        if h(mid) > target:
+            nu_lo = mid
+        else:
+            nu_hi = mid
+        if abs(h(nu_hi) - target) <= 1e-12 * norm_f0:
+            break
+        if (nu_hi - nu_lo) <= 1e-15 * nu_hi:
+            break
+    if not (h(nu_hi) <= target * (1.0 + 1e-9) + 1e-300):
+        raise BisectionNonConvergence(
+            f"multiplier search stalled at nu={nu_hi:.6g}, ||f(T)||={h(nu_hi):.6g}"
+        )
+    return nu_hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_synth_control_follows_the_plain_multiplier_search_bit_for_bit(seed):
+    """On random graphs and targets below the free decay, ``nu``,
+    ``achieved_alpha`` and ``energy`` equal, by hex, what the plain search
+    and the closed forms give; an unreachable target raises the same text."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(2, 13)))
+    sd = eigendecompose(g)
+    size = int(rng.integers(1, g.n + 1))
+    D = [g.vertex_ids[i] for i in sorted(rng.choice(g.n, size=size, replace=False))]
+    T = float(rng.choice([0.1, 1.0, 5.0]))
+    f0 = rng.standard_normal(g.n)
+    Q = gramian(sd, D, T)
+    mu, P = Q.eigenvalues, Q.eigenvectors
+    sT = graphheat.spectral.decay(sd.eigenvalues, T) * sd.coefficients(f0)
+    norm_f0 = sd.norm(f0)
+    alpha = float(rng.uniform(1e-3, 0.99)) * float(np.linalg.norm(sT)) / norm_f0
+    beta = P.T @ sT
+    target = alpha * norm_f0
+    try:
+        nu = _plain_multiplier_search(beta, mu, target, norm_f0)
+    except TargetUnreachable as exc:
+        with pytest.raises(TargetUnreachable) as got:
+            synth_control(sd, D, T, f0, alpha, gram=Q, cost_exponents=())
+        assert str(got.value) == str(exc)
+        return
+    _signal, res = synth_control(sd, D, T, f0, alpha, gram=Q, cost_exponents=())
+    scale = beta / (1.0 + nu * mu)
+    eta_hat, fT_hat = P @ (-nu * scale), P @ scale
+    assert res.nu.hex() == nu.hex()
+    assert res.achieved_alpha.hex() == (float(np.linalg.norm(fT_hat)) / norm_f0).hex()
+    assert res.energy.hex() == float(np.sum(mu * (P.T @ eta_hat) ** 2)).hex()
+
+
+def test_synth_control_refusal_texts_match_the_plain_search(c4):
+    """Below the floor of the modes that vanish on D the target is
+    unreachable; a Gramian whose eigenvalues are nan makes every h(nu) nan,
+    so the search runs out and stalls.  Both refusals keep their texts."""
+    sd = eigendecompose(c4)
+    D = ["0", "2"]
+    phi = np.array([0.0, 1.0, 0.0, -1.0])
+    Q = gramian(sd, D, 1.0)
+    beta = Q.eigenvectors.T @ (graphheat.spectral.decay(sd.eigenvalues, 1.0) * sd.coefficients(phi))
+    alpha = 0.5 * math.exp(-2.0)
+    with pytest.raises(TargetUnreachable) as want:
+        _plain_multiplier_search(beta, Q.eigenvalues, alpha * sd.norm(phi), sd.norm(phi))
+    with pytest.raises(TargetUnreachable) as got:
+        synth_control(sd, D, 1.0, phi, alpha, gram=Q)
+    assert str(got.value) == str(want.value)
+
+    nan_gram = dataclasses.replace(Q, eigenvalues=np.full(4, math.nan))
+    f0 = np.array([1.0, 0.5, -0.25, 2.0])
+    beta = Q.eigenvectors.T @ (graphheat.spectral.decay(sd.eigenvalues, 1.0) * sd.coefficients(f0))
+    with pytest.raises(BisectionNonConvergence) as want:
+        _plain_multiplier_search(beta, nan_gram.eigenvalues, 0.01 * sd.norm(f0), sd.norm(f0))
+    with pytest.raises(BisectionNonConvergence) as got:
+        synth_control(sd, D, 1.0, f0, 0.01, gram=nan_gram)
+    assert str(got.value) == str(want.value)
+    assert "||f(T)||=nan" in str(got.value)
 
 
 def test_synth_validations(k2):

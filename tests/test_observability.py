@@ -16,6 +16,7 @@ from graphheat.errors import (
     UnknownVertex,
     ValidationError,
 )
+from graphheat.families import build_family, parity_subset
 from graphheat.graph import build_graph
 from graphheat.observability import (
     _RECHECK_MARGIN_REL,
@@ -425,12 +426,11 @@ def test_staged_prune_keeps_the_survivors_of_gridding_every_state(seed, r, delta
     np.testing.assert_array_equal(certified[0] if certified else want, want)
 
 
-def test_staged_prune_grids_a_handful_of_states_on_cycle_300(monkeypatch):
+def test_staged_prune_grids_no_state_on_cycle_300(monkeypatch):
     """On cycle-300 with the even vertices observed, T = 1, delta = 0 and
-    r = inf, the closed forms alone left about 1450 of the 1600 states; the
-    grid bounds of the likeliest minimiser prune all but a handful of them
-    before they are gridded.  With the eigenvectors' exact slacks as an
-    upper bound, the closed forms leave none."""
+    r = inf, the closed forms alone left about 1450 of the 1600 states.
+    With the eigenvectors' exact slacks as an upper bound, the closed forms
+    leave none, so no state is gridded."""
     import graphheat.observability as obs
 
     g = cycle(300)
@@ -446,7 +446,38 @@ def test_staged_prune_grids_a_handful_of_states_on_cycle_300(monkeypatch):
 
     monkeypatch.setattr(obs, "_grid_bounds", counted)
     verify_weak_obs(sd, D, c, samples=1000)
-    assert sum(gridded) <= 5
+    assert sum(gridded) == 0
+
+
+def test_staged_prune_grids_the_likeliest_minimiser_first_on_torus_16x16(monkeypatch):
+    """On torus-16x16 with the even vertices observed, T = 1, delta = 0,
+    r = 1 and battery seed 1, the closed forms leave 451 states: the first
+    stage grids the likeliest minimiser alone and the second the other 450,
+    which its bound did not prune.  The certified survivors are those of
+    gridding every state at once."""
+    import graphheat.observability as obs
+
+    g = build_family("torus", {"p": 16, "q": 16}).graph
+    sd = eigendecompose(g)
+    D = parity_subset(g, "even")
+    c = weak_obs_constants(g, sd, D, 1.0, 0.0, 1.0)
+    gridded, certified = [], []
+    real_grid, real_norms = obs._grid_bounds, RestrictedEvolution.lr_norms
+
+    def counted(re, a, b, r):
+        gridded.append(re.C.shape[1])
+        return real_grid(re, a, b, r)
+
+    def kept(self, a, b, r):
+        certified.append(self.C)
+        return real_norms(self, a, b, r)
+
+    monkeypatch.setattr(obs, "_grid_bounds", counted)
+    monkeypatch.setattr(RestrictedEvolution, "lr_norms", kept)
+    verify_weak_obs(sd, D, c, samples=1000, seed=1)
+    assert len(gridded) == 2 and gridded[0] == 1 and gridded[1] <= 450, gridded
+    want = _survivors_gridding_every_state(sd, D, c, 1000, 1)
+    np.testing.assert_array_equal(certified[0] if certified else np.zeros((g.n, 0)), want)
 
 
 def _corpus_constants(g, sd, D):

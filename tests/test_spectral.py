@@ -14,17 +14,21 @@ from graphheat.errors import (
     ValidationError,
 )
 from graphheat.graph import build_graph
+from graphheat.scenarios import run_scenario, scenario_from_dict
 from graphheat.spectral import (
     _LR_REL_TOL,
     RestrictedEvolution,
+    _cell_chunk,
+    _graded_grid,
     apply_laplacian,
+    decay,
     eigendecompose,
     op_norm_H_plus_1,
     semigroup_apply,
     time_lr_norm,
 )
 
-from conftest import cycle, m_norm, path, random_connected_graph
+from conftest import cycle, grow_dense_subset, m_norm, path, random_connected_graph
 
 
 def small_sd(seed, n_max=8):
@@ -432,6 +436,174 @@ def test_time_norm_sup_is_certified_on_stiff_trees(case):
     assert got <= scale * (1.0 + 1e-12)
 
 
+def _bisected_sup(re, a, b, waves=None):
+    """The supremum search that splits each live cell in two per wave: a
+    reference for ``_sup_norms``, which splits up to 8 ways.  ``waves``,
+    if given, collects the number of cells of each wave."""
+    windows, window_of = np.unique(np.stack([a, b], axis=1), axis=0, return_inverse=True)
+    grids = np.array([_graded_grid(wa, wb, float(re.lam[-1])) for wa, wb in windows.tolist()])
+    ts = grids[window_of.ravel()]
+    best = re.norms(b[None, :])[0]
+    tol = _LR_REL_TOL * re.final_norms(a)
+    lo, hi = ts[:, :-1].ravel(), ts[:, 1:].ravel()
+    cols = np.repeat(np.arange(re.C.shape[1]), ts.shape[1] - 1)
+    while len(lo):
+        if waves is not None:
+            waves.append(len(lo))
+        g0, ub = re._cell_bounds(lo, hi - lo, cols)
+        np.maximum.at(best, cols, g0)
+        mid = 0.5 * (lo + hi)
+        split = ~(ub <= best[cols] + tol[cols]) & (lo < mid) & (mid < hi)
+        lo, mid, hi, cols = lo[split], mid[split], hi[split], cols[split]
+        lo, hi, cols = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.tile(cols, 2)
+    return best
+
+
+def _counting_waves(monkeypatch):
+    """Record the number of cells of every ``_cell_bounds`` call."""
+    waves = []
+    real = RestrictedEvolution._cell_bounds
+
+    def counted(self, lo, h, cols):
+        waves.append(len(lo))
+        return real(self, lo, h, cols)
+
+    monkeypatch.setattr(RestrictedEvolution, "_cell_bounds", counted)
+    return waves
+
+
+def _sampled_max(sd, d_idx, C, times):
+    """Max of g over ``times(j)`` for each column j, from the eigenpairs."""
+    W = np.sqrt(sd.graph.m[d_idx])[:, None] * sd.eigenvectors[d_idx]
+    return np.array([
+        np.linalg.norm(W @ (decay(sd.eigenvalues, times(j)) * C[:, [j]]), axis=0).max()
+        for j in range(C.shape[1])
+    ])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(0.5, 2.0), (1e-3, 1.0), (1.0, 50.0)]),
+    st.sampled_from([(0.5, 2.0), (1e-3, 1e-2), (1.0, 10.0)]),
+)
+def test_sup_search_lies_in_its_bracket_and_agrees_with_bisection(seed, b_range, m_range):
+    """On random weighted graphs, with a window per column, the r = inf norm
+    is a sampled value no larger than ||S_a f||, at least the densely
+    sampled maximum less _LR_REL_TOL ||S_a f||, and within _LR_REL_TOL
+    ||S_a f|| of what splitting every live cell in two finds: both lie in
+    [sup g - tol, sup g]."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(2, 13)), b_range=b_range, m_range=m_range)
+    sd = eigendecompose(g)
+    d_idx = np.sort(rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False))
+    F = rng.standard_normal((g.n, 6))
+    F[:, :3] = 0.0  # deltas and a difference of two spread from where they start
+    F[rng.integers(g.n), 0] = 1.0
+    F[rng.integers(g.n), 1] = 1.0
+    F[rng.integers(g.n), 2] += 1.0
+    F[rng.integers(g.n), 2] -= 1.0
+    C = sd.coefficients(F)
+    a = rng.choice([0.0, 1e-3, 0.5, 2.0], size=6)
+    b = a + rng.choice([0.01, 1.0, 5.0, 50.0], size=6)
+    re = RestrictedEvolution(sd, d_idx, C)
+    got = re.lr_norms(a, b, math.inf)
+    tol = _LR_REL_TOL * re.final_norms(a)
+    assert np.all(got <= re.final_norms(a) * (1.0 + 1e-12))
+    dense = _sampled_max(  # 4001 uniform and 4000 geometric times per window
+        sd, d_idx, C,
+        lambda j: a[j] + np.concatenate([
+            np.linspace(0.0, b[j] - a[j], 4001), np.geomspace(1e-12, b[j] - a[j], 4000)
+        ]),
+    )
+    assert np.all(got >= dense - tol)
+    assert np.all(np.abs(got - _bisected_sup(re, a, b)) <= tol)
+
+
+@pytest.mark.parametrize("weight", [1.0, 1e285])
+def test_sup_search_on_a_far_window_with_sparse_floats(weight):
+    """Floats near 1e15 are 1/8 apart, so the window (1e15, 1e15 + 1) holds
+    nine of them: its graded grid starts with cells of zero width, and the
+    split stops at cells with no float inside.  With m = 1e300 the rates are
+    tiny (b = 1) or about 1e-15 (b = 1e285).  The search ends in its
+    bracket, with no warning (RuntimeWarning is an error in this suite)."""
+    g = cycle(8, m=1e300, b=weight)
+    sd = eigendecompose(g)
+    d_idx = g.subset_indices(["0", "2", "4", "6"])
+    C = sd.coefficients(np.random.default_rng(8).standard_normal((8, 3)))
+    re = RestrictedEvolution(sd, d_idx, C)
+    a, b = np.full(3, 1e15), np.full(3, 1e15 + 1.0)
+    got = re.lr_norms(a, b, math.inf)
+    sampled = _sampled_max(sd, d_idx, C, lambda j: 1e15 + 0.125 * np.arange(9))  # every float
+    tol = _LR_REL_TOL * re.final_norms(a)
+    assert np.all(got <= sampled * (1.0 + 1e-12))
+    assert np.all(got >= sampled - tol)
+    assert np.all(np.abs(got - _bisected_sup(re, a, b)) <= tol)
+
+
+def test_sup_search_on_a_corpus_size_graph_takes_at_most_six_waves(monkeypatch):
+    """On a 40-vertex graph drawn like the acceptance corpus's, the deltas
+    on the unobserved vertices reach D late, so their sup sits inside the
+    window.  Each column, alone or in one batch, is certified in at most 6
+    waves of ``_cell_bounds``; splitting in two per wave takes 11 or more."""
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(rng, 40)
+    D = grow_dense_subset(g, rng)
+    sd = eigendecompose(g)
+    d_idx = g.subset_indices(D)
+    omega = np.setdiff1d(np.arange(g.n), d_idx)
+    F = np.zeros((g.n, len(omega)))
+    F[omega, np.arange(len(omega))] = 1.0
+    C = sd.coefficients(F)
+    waves = _counting_waves(monkeypatch)
+    for wa, wb in [(0.0, 0.5), (0.25, 0.5), (0.0, 1.0), (0.5, 1.0), (0.0, 5.0), (2.5, 5.0)]:
+        a, b = np.full(C.shape[1], wa), np.full(C.shape[1], wb)
+        for j in range(C.shape[1]):
+            waves.clear()
+            RestrictedEvolution(sd, d_idx, C[:, [j]])._sup_norms(a[:1], b[:1])
+            assert len(waves) <= 6, (wa, wb, j, waves)
+        re = RestrictedEvolution(sd, d_idx, C)
+        waves.clear()
+        re._sup_norms(a, b)
+        assert len(waves) <= 6, (wa, wb, waves)
+        bisected = []
+        _bisected_sup(re, a, b, bisected)
+        assert len(bisected) >= 11, (wa, wb, bisected)
+
+
+def test_sup_search_on_torus_16x16_forms_no_wave_over_one_chunk(monkeypatch, tmp_path):
+    """torus-16x16 weak-obs at r = inf certifies 128 states at n = 256, in
+    waves of about 1000 cells: there a wider split would only add cells, so
+    every wave formed by splitting fits one chunk of ``_cell_bounds`` (the
+    first wave is the 32-cell grids of all columns), and the search takes
+    no more waves than splitting in two does."""
+    calls = []
+    real = RestrictedEvolution._sup_norms
+
+    def kept(self, a, b):
+        calls.append((self, a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(RestrictedEvolution, "_sup_norms", kept)
+    scenario = scenario_from_dict({
+        "graph": {"family": "torus", "p": 16, "q": 16},
+        "subset": {"parity": "even"},
+        "task": "weak-obs",
+        "params": {"T": 1.0, "r": "inf", "samples": 1000},
+        "seed": 5,
+    })
+    assert run_scenario(scenario, tmp_path).exit_code == 0
+    (re, a, b), = calls
+    assert re.C.shape == (256, 128)
+    bisected = []
+    _bisected_sup(re, a, b, bisected)
+    waves = _counting_waves(monkeypatch)
+    real(re, a, b)
+    assert waves[0] == 32 * 128
+    assert max(waves[1:]) <= _cell_chunk(256), waves
+    assert len(waves) <= len(bisected)
+
+
 def test_time_norm_validations(c4):
     sd = eigendecompose(c4)
     with pytest.raises(EmptySubset):
@@ -471,6 +643,70 @@ def test_quadrature_depth_exhaustion_names_the_column_panel():
             fn, np.array([0.0, 2.0]), np.array([1.0, 6.0]), rel_tol=1e-12, max_depth=3,
             norm=np.abs,
         )
+
+
+def _vector_integrand(ts):
+    return np.stack([1.0 / (1.0 + ts * ts), ts * ts * ts - 2.0 * ts, np.sqrt(ts + 0.01)], axis=1)
+
+
+def _step_at_a_third(ts):
+    return (ts > 1e6 + 1.0 / 3.0) * 1.0
+
+
+def test_simpson_totals_are_pinned_bit_for_bit():
+    """Adaptive Simpson totals on fixed integrands built from +, *, / and
+    sqrt alone, which IEEE arithmetic rounds the same everywhere: a shared
+    window with a vector integrand, tested as a whole and per column; one
+    window per column, where accepted entries reach the integrand as nan;
+    and a step that refines until its panel is too narrow to split."""
+    from graphheat.quadrature import adaptive_simpson
+
+    nan_seen = []
+
+    def per_column(ts):
+        nan_seen.append(bool(np.isnan(ts).any()))
+        return 1.0 / (1.0 + np.array([1.0, 4.0, 9.0]) * ts * ts) + np.sqrt(ts + 0.01)
+
+    got = {
+        "vector": adaptive_simpson(_vector_integrand, 0.0, 2.0),
+        "vector, per column": adaptive_simpson(_vector_integrand, 0.0, 2.0, norm=np.abs),
+        "windows": adaptive_simpson(
+            per_column, np.array([0.0, 0.25, 1.0]), np.array([1.0, 2.0, 1.5]), norm=np.abs
+        ),
+        "too narrow": adaptive_simpson(_step_at_a_third, 1e6, 1e6 + 1.0),
+    }
+    want = {
+        "vector": ["0x1.1b6e192ebbd3fp+0", "0x0.0p+0", "0x1.e62c271043ce4p+0"],
+        "vector, per column": ["0x1.1b6e192ebbd2bp+0", "0x0.0p+0", "0x1.e62c271043c97p+0"],
+        "windows": ["0x1.761fd3621e9b7p+0", "0x1.1f0994dd34a25p+1", "0x1.307a1c02b91dcp-1"],
+        "too narrow": ["0x1.5555554888889p-1"],
+    }
+    assert {k: [float(x).hex() for x in np.atleast_1d(v)] for k, v in got.items()} == want
+    assert any(nan_seen)
+    # the step's panel is accepted as too narrow at depth 26, not before
+    with pytest.raises(QuadratureNonConvergence) as depth:
+        adaptive_simpson(_step_at_a_third, 1e6, 1e6 + 1.0, max_depth=25)
+    assert str(depth.value) == "Simpson refinement exceeded depth 25 on [1e+06, 1e+06]"
+
+
+def test_simpson_refusals_keep_their_messages():
+    from graphheat.quadrature import adaptive_simpson
+
+    with pytest.raises(QuadratureNonConvergence) as depth:
+        adaptive_simpson(
+            _step_at_a_third, np.array([1e6, 0.0]), np.array([1e6 + 1.0, 1.0]),
+            max_depth=20, norm=np.abs,
+        )
+    assert str(depth.value) == "Simpson refinement exceeded depth 20 on [1e+06, 1e+06] (column 0)"
+    rng = np.random.default_rng(0)
+    with pytest.raises(QuadratureNonConvergence) as budget:
+        adaptive_simpson(
+            lambda ts: rng.standard_normal((len(ts), 100_000)), 0.0, 1.0, norm=np.abs
+        )
+    assert str(budget.value) == (
+        "Simpson refinement at depth 4 would evaluate 3200000 entries in one wave, "
+        "over the budget of 2000000"
+    )
 
 
 @pytest.mark.parametrize(
