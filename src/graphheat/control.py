@@ -74,16 +74,22 @@ def gramian(sd: SpectralDecomposition, D: Sequence[str], T: float) -> Gramian:
     """Closed-form Gramian in the eigenbasis: the restricted Gramian kernel
     over [0, T], symmetrized, with its eigenvalues below the null clamp set
     to zero."""
+    mat = _gramian_kernel(sd, _control_indices(sd, D, T), 0.0, T)
+    mat = 0.5 * (mat + mat.T)
+    mu, P = np.linalg.eigh(mat)
+    mu = np.where(mu <= _NULL_CLAMP_REL * max(float(mu[-1]), 0.0), 0.0, mu)
+    return Gramian(sd, tuple(D), float(T), mat, mu, P)
+
+
+def _control_indices(sd: SpectralDecomposition, D: Sequence[str], T: float) -> np.ndarray:
+    """The indices of a control set D over the horizon T: T must be
+    positive and D nonempty."""
     if T <= 0:
         raise ValidationError(f"Gramian horizon must be positive, got {T}")
     d_idx = sd.graph.subset_indices(D)
     if len(d_idx) == 0:
         raise EmptySubset("Gramian needs a nonempty control set")
-    mat = _gramian_kernel(sd, d_idx, 0.0, T)
-    mat = 0.5 * (mat + mat.T)
-    mu, P = np.linalg.eigh(mat)
-    mu = np.where(mu <= _NULL_CLAMP_REL * max(float(mu[-1]), 0.0), 0.0, mu)
-    return Gramian(sd, tuple(D), float(T), mat, mu, P)
+    return d_idx
 
 
 def _gramian_of(
@@ -93,9 +99,13 @@ def _gramian_of(
     match (D, T), and otherwise a new one."""
     if gram is None:
         return gramian(sd, D, T)
+    _check_gramian(gram, D, T)
+    return gram
+
+
+def _check_gramian(gram: Gramian, D: Sequence[str], T: float) -> None:
     if gram.D != tuple(D) or gram.T != float(T):
         raise ValidationError("supplied Gramian does not match (D, T)")
-    return gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,9 +185,12 @@ def synth_control(
 ) -> tuple[ControlSignal, ControlResult]:
     """Minimal-energy control driving ||f(T)|| to min(alpha ||f0||, ||S_T f0||).
 
-    Raises ``TargetUnreachable`` when the target norm lies below the
-    invariant floor spanned by Gramian null modes (or, for alpha_target = 0,
-    when the Gramian is numerically singular).
+    Where alpha_target > 0 and ||S_T f0|| already meets the target, the
+    control is zero (nu = 0, energy 0) and no Gramian is built; a supplied
+    ``gram`` is still checked against (D, T).  Raises ``TargetUnreachable``
+    when the target norm lies below the invariant floor spanned by Gramian
+    null modes (or, for alpha_target = 0, when the Gramian is numerically
+    singular).
     """
     if alpha_target < 0:
         raise ValidationError("alpha_target must be nonnegative")
@@ -185,13 +198,26 @@ def synth_control(
     norm_f0 = sd.norm(f0)
     if norm_f0 == 0.0:
         raise ValidationError("synthesis needs a nonzero initial state")
-    Q = _gramian_of(sd, D, T, gram)
+    if gram is None:
+        _control_indices(sd, D, T)  # what ``gramian`` would refuse
+    else:
+        _check_gramian(gram, D, T)
 
     c0 = sd.coefficients(f0)
     sT = decay(sd.eigenvalues, T) * c0
     norm_sT = float(np.linalg.norm(sT))
     target = alpha_target * norm_f0
+    if alpha_target > 0.0 and norm_sT <= target:
+        result = ControlResult(
+            final_state=sd.synthesize(sT),
+            achieved_alpha=norm_sT / norm_f0,
+            costs=_signal_costs(sd, D, T, np.zeros(sd.n), cost_exponents),
+            nu=0.0,
+            energy=0.0,
+        )
+        return ControlSignal(tuple(D), float(T), eta=np.zeros(sd.n)), result
 
+    Q = gramian(sd, D, T) if gram is None else gram
     mu, P = Q.eigenvalues, Q.eigenvectors
     beta = P.T @ sT
 
@@ -213,10 +239,6 @@ def synth_control(
         eta_hat = P @ (-(beta / mu))
         fT_hat = np.zeros_like(beta)
         nu = math.inf
-    elif norm_sT <= target:
-        eta_hat = np.zeros_like(beta)
-        fT_hat = sT
-        nu = 0.0
     else:
         floor = float(np.linalg.norm(beta[mu == 0.0]))
         with np.errstate(over="ignore"):  # nu mu may overflow (see shrunk)
@@ -313,6 +335,27 @@ def _segment_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi1, psi
 
 
+def _grid_forced(
+    sd: SpectralDecomposition, d_idx: np.ndarray, knots: np.ndarray, values: np.ndarray, T: float
+) -> np.ndarray:
+    """The forced part int_0^T S_{T-tau} 1_D u(tau) dtau, in the eigenbasis,
+    of each of a batch of grid signals on shared knots: values[j, k] holds
+    signal j's values on D at knots[k], and row j of the result its forced
+    part.  One GEMM embeds every knot value of every signal; the segment
+    weights are the knots' alone, so one ``_segment_weights`` call serves
+    the batch (see ``verify_control``)."""
+    n_batch, n_knots, d = values.shape
+    mD = sd.graph.m[d_idx]
+    embed = mD[:, None] * values.transpose(2, 0, 1).reshape(d, -1)
+    # U[j, :, k]: coefs of 1_D u_j(t_k)
+    U = (sd.eigenvectors[d_idx, :].T @ embed).reshape(-1, n_batch, n_knots).transpose(1, 0, 2)
+    lam = sd.eigenvalues
+    h = np.diff(knots)
+    phi1, psi = _segment_weights(np.outer(lam, h))
+    weights = decay(lam, T - knots[1:]) * h
+    return np.sum(weights * (phi1 * U[..., :-1] + psi * np.diff(U, axis=-1)), axis=-1)
+
+
 def verify_control(
     sd: SpectralDecomposition,
     D: Sequence[str],
@@ -350,11 +393,11 @@ def verify_control(
     f0 = _real(f0, "initial state")
     _real(u.eta if u.closed_form else u.values, "control values")
     d_idx = sd.graph.subset_indices(D)
-    mD = sd.graph.m[d_idx]
-    VD = sd.eigenvectors[d_idx, :]
     lam = sd.eigenvalues
 
     if u.closed_form:
+        mD = sd.graph.m[d_idx]
+        VD = sd.eigenvectors[d_idx, :]
         c_eta = sd.coefficients(u.eta)[:, None]
 
         def integrand(taus: np.ndarray) -> np.ndarray:
@@ -364,11 +407,7 @@ def verify_control(
 
         forced = adaptive_simpson(integrand, 0.0, T, rel_tol=1e-10)
     else:
-        U = VD.T @ (mD[:, None] * u.values.T)  # column k: coefs of 1_D u(t_k)
-        h = np.diff(knots)
-        phi1, psi = _segment_weights(np.outer(lam, h))
-        weights = decay(lam, T - knots[1:]) * h
-        forced = np.sum(weights * (phi1 * U[:, :-1] + psi * np.diff(U, axis=1)), axis=1)
+        forced = _grid_forced(sd, d_idx, knots, u.values[None], T)[0]
     fT_hat = decay(lam, T) * sd.coefficients(f0) + forced
     norm_f0 = sd.norm(f0)
     return ControlResult(
@@ -387,16 +426,23 @@ def hautus_obstruction(
     An empty list means no obstruction: every eigenfunction sees D.
     """
     d_idx = sd.graph.subset_indices(D)
-    out: list[tuple[float, np.ndarray]] = []
-    for lam, idx in sd.eigenvalue_groups():
-        block = sd.eigenvectors[np.ix_(d_idx, idx)]
-        _u, sigma, vt = np.linalg.svd(block, full_matrices=True)
-        sigma = np.concatenate([sigma, np.zeros(len(idx) - len(sigma))])
-        null_mask = sigma <= _HAUTUS_REL * (sigma[0] if len(sigma) else 0.0)
-        if null_mask.any():
-            basis = sd.eigenvectors[:, idx] @ vt[null_mask].T
-            out.append((lam, basis))
-    return out
+    groups = sd.eigenvalue_groups()
+    by_size: dict[int, list[int]] = {}
+    for i, (_lam, idx) in enumerate(groups):
+        by_size.setdefault(len(idx), []).append(i)
+    found: dict[int, np.ndarray] = {}
+    for k, which in by_size.items():
+        idx = np.array([groups[i][1] for i in which])  # (groups, k)
+        blocks = sd.eigenvectors[d_idx[:, None], idx[:, None, :]]  # (groups, |D|, k)
+        # a group wider than D keeps its whole right basis: its last k - |D|
+        # right singular vectors have singular value 0
+        _u, sigma, vt = np.linalg.svd(blocks, full_matrices=k > len(d_idx))
+        sigma = np.concatenate([sigma, np.zeros((len(which), k - sigma.shape[1]))], axis=1)
+        null = sigma <= _HAUTUS_REL * sigma[:, :1]
+        for i, group_idx, mask, v in zip(which, idx, null, vt):
+            if mask.any():
+                found[i] = sd.eigenvectors[:, group_idx] @ v[mask].T
+    return [(groups[i][0], found[i]) for i in sorted(found)]
 
 
 def mode_invariance_check(
@@ -413,11 +459,59 @@ def mode_invariance_check(
     free term e^{-lam T} |<f0, phi>| plus the norm of the forced part
     f(T) - S_T f0, which grows with m and u.  Controls on D cannot move the
     phi-component, so for a genuine obstruction the drift is rounding noise
-    on that scale."""
-    result = verify_control(sd, D, f0, u, T)
-    free = math.exp(-lam * T) * sd.inner(f0, phi)
-    drift = abs(sd.inner(result.final_state, phi) - free)
-    return drift, abs(free) + sd.norm(result.final_state - semigroup_apply(sd, T, f0))
+    on that scale.  The batch of one of ``_mode_drift``, on the final state
+    of ``verify_control``."""
+    f0 = _real(f0, "initial state")
+    final = verify_control(sd, D, f0, u, T).final_state
+    free = semigroup_apply(sd, T, f0)
+    drift, scale = _mode_drift(sd, np.asarray(phi), lam, T, f0[None], free[None], final[None])
+    return float(drift[0]), float(scale[0])
+
+
+def mode_invariance_trials(
+    sd: SpectralDecomposition,
+    D: Sequence[str],
+    phi,
+    lam: float,
+    f0s: np.ndarray,
+    knots: np.ndarray,
+    values: np.ndarray,
+    T: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``mode_invariance_check`` for a batch of grid controls on shared
+    knots, one Duhamel pass for all: row j of ``f0s`` is trial j's initial
+    state and values[j, k] its control's values on D at knots[k].  Returns
+    each trial's drift and scale."""
+    d_idx = sd.graph.subset_indices(D)
+    free = decay(sd.eigenvalues, T)[:, None] * sd.coefficients(f0s.T)
+    final = free + _grid_forced(sd, d_idx, knots, values, T).T
+    return _mode_drift(
+        sd, np.asarray(phi), lam, T, f0s, sd.synthesize(free).T, sd.synthesize(final).T
+    )
+
+
+def _mode_drift(
+    sd: SpectralDecomposition,
+    phi: np.ndarray,
+    lam: float,
+    T: float,
+    f0s: np.ndarray,
+    frees: np.ndarray,
+    finals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (batch, n) arrays ``f0s``, ``frees`` and ``finals``
+    (the states f0, S_T f0 and f(T)): the drift of the phi-component and
+    the size of the terms it compares, as ``mode_invariance_check`` defines
+    them.  The m-norm of the forced part f(T) - S_T f0 is taken on the part
+    divided by its largest entry, which multiplies the root, so a forced
+    part whose squares overflow gives a finite scale."""
+    m = sd.graph.m
+    free = float(decay(lam, T)) * np.sum(f0s * phi * m, axis=1)
+    drift = np.abs(np.sum(finals * phi * m, axis=1) - free)
+    forced = finals - frees
+    top = np.abs(forced).max(axis=1, initial=0.0)
+    unit = forced / np.where(top > 0.0, top, 1.0)[:, None]
+    return drift, np.abs(free) + top * np.sqrt(np.sum(unit * unit * m, axis=1))
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,14 @@ class CoveringValidation:
 
 
 def validate_covering(c: CoveringMap) -> CoveringValidation:
-    """Check the covering axioms and connectivity; report the first failure."""
+    """Check the covering axioms and connectivity; report the first failure.
+
+    The map is checked vertex by vertex; then measures, edge weights and
+    neighbour images are compared as arrays, and the failure reported is
+    the one the vertex-order scan would meet first: a measure mismatch at
+    any vertex, then, at the first vertex with a fault among its edges, an
+    edge-weight mismatch before a neighbour set that is not in bijection.
+    """
     base, cover, p = c.base, c.cover, c.p
 
     for v in cover.vertex_ids:
@@ -62,30 +69,37 @@ def validate_covering(c: CoveringMap) -> CoveringValidation:
         missing = sorted(set(base.vertex_ids) - hit)
         return CoveringValidation(False, f"map is not surjective (misses {missing})")
 
-    for v in cover.vertex_ids:
-        i = cover.index_of(v)
-        bi = base.index_of(p[v])
-        if cover.m[i] != base.m[bi]:
-            return CoveringValidation(
-                False, f"measure mismatch at {v!r}: {cover.m[i]} != {base.m[bi]}"
-            )
+    image = np.array([base.index_of(p[v]) for v in cover.vertex_ids], dtype=int)
+    (bad,) = np.nonzero(cover.m != base.m[image])
+    if len(bad):
+        i = bad[0]
+        return CoveringValidation(
+            False,
+            f"measure mismatch at {cover.vertex_ids[i]!r}: {cover.m[i]} != {base.m[image[i]]}",
+        )
 
-    for v in cover.vertex_ids:
-        i = cover.index_of(v)
-        bi = base.index_of(p[v])
-        nb_cover = cover.neighbors(i)
-        images = [base.index_of(p[cover.vertex_ids[j]]) for j in nb_cover]
-        for j, img in zip(nb_cover, images):
-            if cover.weights[i, j] != base.weights[bi, img]:
-                return CoveringValidation(
-                    False,
-                    f"edge-weight mismatch on ({v!r}, {cover.vertex_ids[j]!r})",
-                )
-        nb_base = set(int(k) for k in base.neighbors(bi))
-        if len(set(images)) != len(images) or set(images) != nb_base:
+    # the cover's edges (i, j), in row order with j ascending in each row
+    rows, cols = np.nonzero(cover.weights > 0.0)
+    weight_bad = cover.weights[rows, cols] != base.weights[image[rows], image[cols]]
+    # N(i) maps onto N(p(i)) one to one when the degrees agree and no two
+    # neighbours share an image: an image that is no base neighbour has base
+    # weight 0, a weight mismatch, which its vertex reports first
+    base_degree = np.count_nonzero(base.weights > 0.0, axis=1)
+    faulty = np.bincount(rows, minlength=cover.n) != base_degree[image]
+    pairs, count = np.unique(rows * base.n + image[cols], return_counts=True)
+    faulty[pairs[count > 1] // base.n] = True
+    faulty[rows[weight_bad]] = True
+    if faulty.any():
+        i = int(np.argmax(faulty))
+        v = cover.vertex_ids[i]
+        (at_i,) = np.nonzero(weight_bad & (rows == i))
+        if len(at_i):
             return CoveringValidation(
-                False, f"neighbor sets of {v!r} and {p[v]!r} are not in bijection"
+                False, f"edge-weight mismatch on ({v!r}, {cover.vertex_ids[cols[at_i[0]]]!r})"
             )
+        return CoveringValidation(
+            False, f"neighbor sets of {v!r} and {p[v]!r} are not in bijection"
+        )
 
     if not validate_assumptions(cover).connected:
         return CoveringValidation(False, "cover graph is not connected")

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (
     DuplicateEdge,
@@ -333,7 +333,8 @@ def validate_assumptions(g: WeightedGraph) -> AssumptionReport:
     deg = g.degrees()
     positive = g.weights[g.weights > 0.0]
     return AssumptionReport(
-        connected=bool(np.isfinite(g.hop_table[0]).all()),
+        # on the sparse b that ``hop_table`` reads, without building the table
+        connected=bool(connected_components(csr_array(g.weights), directed=False)[0] == 1),
         d_max=float(deg.max()) if g.n else 0.0,
         sup_m=float(g.m.max()),
         inf_m=float(g.m.min()),

@@ -10,11 +10,12 @@ form.  The other states go through bound, prune and evaluate: closed-form
 and then grid bounds on each state's time norm (first on the likeliest
 minimiser, then on the states its bound leaves) exclude every state that
 cannot hold the minimum slack, and only the rest go through the time-norm
-engine, in one batched call.  The reported minimum is the smaller of the
-eigenvectors' exact minimum and the engine's minimum over the other states
-(estimated to 1e-10 for finite r, a proven bracket for r = inf).  The
-constant sets of one window share its grids: each stage grids the union of
-their states once.
+engine, in one batched call; at r = inf, states that tie by symmetry are
+certified once for the whole tie group.  The reported minimum is the
+smallest of the eigenvectors' exact minimum and the engine's minimum over
+the other states (estimated to 1e-10 for finite r, a proven lower bound
+for r = inf).  The constant sets of one window share its grids: each stage
+grids the union of their states once.
 """
 
 from __future__ import annotations
@@ -373,10 +374,12 @@ def _grid_bounds(re: RestrictedEvolution, a: float, b: float, r) -> tuple[np.nda
 class _Screen:
     """Bound-and-prune state of one constant set over the states that are
     not eigenvectors: the states still standing, ``cols``, with bounds
-    lo <= ||g||_{L_r} <= hi.  The smallest exact eigenvector slack, ``best``
-    (held by eigenvector ``best_at``), is an upper bound on the minimum from
-    the start.  Each prune keeps copies, so a bound shared through
-    ``_window_terms`` is never written."""
+    lo <= ||g||_{L_r} <= hi, and the states already settled, ``settled``,
+    with a lower bound on each one's slack, ``settled_slack``.  The
+    smallest exact eigenvector slack, ``best`` (held by eigenvector
+    ``best_at``), is an upper bound on the minimum from the start.  Each
+    prune keeps copies, so a bound shared through ``_window_terms`` is never
+    written."""
 
     def __init__(
         self, const: WeakObsConstants, final: np.ndarray, terms, exact: np.ndarray
@@ -390,6 +393,7 @@ class _Screen:
             + 2.0 * _LR_REL_TOL * const.K * float(hi.max())
         )
         self.cols, self.lo, self.hi = np.arange(len(final)), lo, hi
+        self.settled, self.settled_slack = np.empty(0, dtype=int), np.empty(0)
         self.prune()
 
     def prune(self) -> None:
@@ -402,6 +406,66 @@ class _Screen:
     def likeliest(self) -> np.ndarray:
         """The position of the state with the smallest slack lower bound."""
         return np.array([np.argmin(self.const.K * self.lo - self.final[self.cols])])
+
+    def tie_group(self) -> np.ndarray:
+        """Positions of the states whose slack lower bound lies within the
+        margin of the smallest one, the likeliest first; none unless there
+        are at least two of them (a nan bound joins no group)."""
+        lower = self.const.K * self.lo + self.const.alpha - self.final[self.cols]
+        tied = np.flatnonzero(lower <= np.min(lower, initial=np.inf) + self.margin)
+        if len(tied) < 2:
+            return np.empty(0, dtype=int)
+        first = np.argmin(lower[tied])
+        return np.concatenate(([tied[first]], np.delete(tied, first)))
+
+    def settle(self, positions: np.ndarray, slack: np.ndarray) -> None:
+        """Move the states at ``positions`` out of the screen, each with a
+        lower bound on its slack."""
+        self.settled = np.concatenate((self.settled, self.cols[positions]))
+        self.settled_slack = np.concatenate((self.settled_slack, slack))
+        keep = np.ones(len(self.cols), dtype=bool)
+        keep[positions] = False
+        self.cols, self.lo, self.hi = self.cols[keep], self.lo[keep], self.hi[keep]
+
+
+def _settle_tie_groups(
+    sd: SpectralDecomposition, d_idx: np.ndarray, C: np.ndarray, screens: list[_Screen]
+) -> None:
+    """Settle the r = inf tie groups of ``screens`` with one certification
+    each (see ``verify_weak_obs_multi``).
+
+    The likeliest member of every group is certified by ``_sup_norms``, all
+    of them in one call, which also gives the time t of each one's best
+    sample.  g(t) <= sup g, so K g(t) + alpha - ||S_T phi|| bounds each other
+    member's slack from below; one ``norms`` call samples them all.  A member
+    whose sampled slack is within K ``_LR_REL_TOL`` ||S_a phi|| of the
+    representative's certified slack, or above it, is settled with its
+    sampled slack, and so is the representative; the rest stay screened.
+    """
+    groups = [(s, s.tie_group()) for s in screens if math.isinf(s.const.r)]
+    groups = [(s, tied) for s, tied in groups if len(tied)]
+    if not groups:
+        return
+    a = np.array([s.const.delta * s.const.T for s, _ in groups])
+    b = np.array([s.const.T for s, _ in groups])
+    reps = np.array([s.cols[tied[0]] for s, tied in groups])
+    sup, at = RestrictedEvolution(sd, d_idx, C[:, reps])._sup_norms(a, b)
+    sizes = [len(tied) - 1 for _, tied in groups]
+    others = RestrictedEvolution(
+        sd, d_idx, C[:, np.concatenate([s.cols[tied[1:]] for s, tied in groups])]
+    )
+    ends = np.cumsum(sizes)[:-1]
+    sampled = np.split(others.norms(np.repeat(at, sizes)[None, :])[0], ends)
+    reach = np.split(_LR_REL_TOL * others.final_norms(np.repeat(a, sizes)), ends)
+    for (s, tied), g_rep, g, tol in zip(groups, sup, sampled, reach):
+        K, alpha = s.const.K, s.const.alpha
+        rep_slack = K * g_rep + alpha - s.final[s.cols[tied[0]]]
+        slack = K * g + alpha - s.final[s.cols[tied[1:]]]
+        drop = slack >= rep_slack - K * tol
+        s.settle(
+            np.concatenate(([tied[0]], tied[1:][drop])),
+            np.concatenate(([rep_slack], slack[drop])),
+        )
 
 
 def verify_weak_obs_multi(
@@ -436,13 +500,30 @@ def verify_weak_obs_multi(
       sets of one window are staged together: each stage grids the union
       of their states in one call and every set reads its own states'
       bounds, at its own exponent, from it;
+    - at r = inf, settle the set's tie group (``_settle_tie_groups``): the
+      survivors whose slack lower bound K lo + alpha - ||S_T phi|| lies
+      within the margin of the smallest, when there are at least two.  The
+      likeliest member is certified alone (the representatives of every set
+      in one ``_sup_norms`` call), and each other member is sampled once,
+      at the time of the representative's best sample, in one ``norms``
+      call.  A sample bounds the sup from below, so a member whose sampled
+      slack is at least the representative's certified slack less
+      K ``_LR_REL_TOL`` ||S_{delta T} phi|| is settled with it, unsearched;
     - evaluate the survivors of every set together in one batched
       ``RestrictedEvolution.lr_norms`` call on their spectral coefficients,
       each column on its own set's window and exponent: estimated to
       ``_LR_REL_TOL`` for finite r, certified for r = inf.
     No pruned state can hold the minimum, so the reported minimum slack is
-    the smaller of the exact eigenvector minimum (which wins a tie) and the
-    engine's minimum over the other states.
+    the smallest of the exact eigenvector minimum (which wins a tie), the
+    engine's minimum over the other states, the representative's certified
+    slack and the settled members' sampled slacks.  For r = inf each of
+    these is a lower bound on its state's slack, so the minimum is a lower
+    bound on the battery's; it lies within K tol of it where no tie group
+    forms and within 2 K tol where one does, tol = ``_LR_REL_TOL``
+    max ||S_{delta T} phi|| (a settled member's sampled slack is within
+    K tol of the representative's certified one, which is within K tol of
+    the representative's slack).  A sample does not bound an L_r norm from
+    below, so finite r has no tie rule.
     """
     d_idx = sd.graph.subset_indices(D)
     if len(d_idx) == 0:
@@ -498,6 +579,7 @@ def verify_weak_obs_multi(
     screens = [screened[i] for i in range(len(constants_list))]
     if not screens:
         return []
+    _settle_tie_groups(sd, d_idx, C, screens)
 
     # one certification for the survivors of every set, each on its own window
     sizes = [len(s.cols) for s in screens]
@@ -510,9 +592,10 @@ def verify_weak_obs_multi(
     out = []
     for s, norms in zip(screens, np.split(certified, np.cumsum(sizes)[:-1])):
         const = s.const
-        slack = const.K * norms + const.alpha - s.final[s.cols]
+        slack = np.concatenate((const.K * norms + const.alpha - s.final[s.cols], s.settled_slack))
+        cols = np.concatenate((s.cols, s.settled))
         if len(slack) and not s.best <= np.min(slack):  # a nan slack is reported
-            min_slack, worst = float(np.min(slack)), n + int(s.cols[np.argmin(slack)])
+            min_slack, worst = float(np.min(slack)), n + int(cols[np.argmin(slack)])
         else:
             min_slack, worst = s.best, s.best_at
         out.append(

@@ -22,10 +22,9 @@ import numpy as np
 from . import observability as obs
 from . import stochastic as sto
 from .control import (
-    ControlSignal,
     gramian,
     hautus_obstruction,
-    mode_invariance_check,
+    mode_invariance_trials,
     stabilize,
     synth_control,
     verify_control,
@@ -50,6 +49,7 @@ from .graph import (
     read_json,
     validate_assumptions,
 )
+from .quadrature import _CHUNK_ELEMENTS
 from .spectral import _eigen_residuals, eigendecompose, semigroup_apply
 
 # ---------------------------------------------------------------------------
@@ -451,19 +451,22 @@ def _task_non_null(g, D, seed, *, T, n_random) -> TaskReport:
     report.summary["obstruction_eigen_residual"] = resid_eig
     report.check("obstruction_residual", resid_eig <= 1e-10, f"{resid_eig:.3e}")
 
+    # Each trial draws its f0 and then its knot values: one draw per chunk of
+    # trials takes them in that order.  A chunk's arrays hold about
+    # _CHUNK_ELEMENTS entries, so the trial count does not bound the memory.
     rng = np.random.default_rng(seed)
-    d_idx = g.subset_indices(D)
-    rows = []
     knots = np.linspace(0.0, T, 9)
-    for trial in range(n_random):
-        f0 = rng.standard_normal(sd.n)
-        f0 /= sd.norm(f0)
-        values = rng.standard_normal((len(knots), len(d_idx)))
-        u = ControlSignal(tuple(D), T, knots, values)
-        drift, scale = mode_invariance_check(sd, D, phi, lam0, f0, u, T)
-        resid = drift / scale if scale > 0.0 else drift
-        rows.append([trial, resid])
-    worst = float(np.max([resid for _, resid in rows], initial=0.0))  # a nan residual fails
+    width = sd.n + len(knots) * len(D)
+    chunk = max(1, _CHUNK_ELEMENTS // (len(knots) * width))
+    resid = []
+    for lo in range(0, n_random, chunk):
+        draws = rng.standard_normal((min(chunk, n_random - lo), width))
+        f0s = draws[:, : sd.n] / np.sqrt(np.sum(draws[:, : sd.n] ** 2 * g.m, axis=1))[:, None]
+        values = draws[:, sd.n :].reshape(len(draws), len(knots), len(D))
+        drift, scale = mode_invariance_trials(sd, D, phi, lam0, f0s, knots, values, T)
+        resid += np.divide(drift, scale, out=drift.copy(), where=scale > 0.0).tolist()
+    rows = [[trial, r] for trial, r in enumerate(resid)]
+    worst = float(np.max(resid, initial=0.0))  # a nan residual fails
     report.summary["max_mode_invariance_residual"] = worst
     report.tables["mode_invariance"] = (["trial", "residual"], rows)
     report.check("mode_invariance", worst <= 1e-9, f"{worst:.3e} <= 1e-9")

@@ -387,9 +387,9 @@ class RestrictedEvolution:
             return self
         return RestrictedEvolution(self.sd, self.d_indices, self.C[:, keep])
 
-    def _sup_norms(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _sup_norms(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Certified sup of g over [a[j], b[j]] for each column j, by bound
-        and split.
+        and split, and the time of the sample that gives it.
 
         Each wave bounds g on its cells (``_cell_bounds``) and splits every
         cell whose bound exceeds the column's best sampled value s by more
@@ -401,7 +401,9 @@ class RestrictedEvolution:
         of midpoints; a cell with no float between its ends holds no time
         that is not sampled, so it is not split, and a subcell of zero width
         is dropped.  A bound that overflows (+inf, or nan from inf - inf)
-        counts as exceeding.
+        counts as exceeding.  The second array holds, per column, a time in
+        [a[j], b[j]] where g was sampled at the returned value: b[j], or
+        the left end of a cell whose sample equals it.
         """
         n_batch = self.C.shape[1]
         windows, window_of = np.unique(np.stack([a, b], axis=1), axis=0, return_inverse=True)
@@ -409,6 +411,7 @@ class RestrictedEvolution:
         grids = np.array([_graded_grid(wa, wb, lam_max) for wa, wb in windows.tolist()])
         ts = grids[window_of.ravel()]  # (batch, _GRID_CELLS + 1)
         best = self.norms(b[None, :])[0]
+        at = np.array(b, dtype=float)
         tol = _LR_REL_TOL * self.final_norms(a)
         lo = ts[:, :-1].ravel()
         hi = ts[:, 1:].ravel()
@@ -417,6 +420,8 @@ class RestrictedEvolution:
         while len(lo):
             g0, ub = self._cell_bounds(lo, hi - lo, cols)
             np.maximum.at(best, cols, g0)
+            hit = g0 == best[cols]
+            at[cols[hit]] = lo[hit]
             mid = 0.5 * (lo + hi)
             split = ~(ub <= best[cols] + tol[cols]) & (lo < mid) & (mid < hi)
             cols = cols[split]
@@ -434,7 +439,7 @@ class RestrictedEvolution:
             wide = lo < hi
             if not wide.all():
                 lo, hi, cols = lo[wide], hi[wide], cols[wide]
-        return best
+        return best, at
 
     def lr_norms(self, a, b, r) -> np.ndarray:
         """L_r norms in time, one per column over its window (a, b).
@@ -454,7 +459,7 @@ class RestrictedEvolution:
         out = np.empty(n_batch)
         sup = np.isinf(r)
         if sup.any():
-            out[sup] = self._columns(sup)._sup_norms(a[sup], b[sup])
+            out[sup] = self._columns(sup)._sup_norms(a[sup], b[sup])[0]
         fin = ~sup
         if fin.any():
             part, a, b, r = self._columns(fin), a[fin], b[fin], r[fin]

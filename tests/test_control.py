@@ -11,11 +11,13 @@ import graphheat.control
 import graphheat.spectral
 from graphheat.control import (
     ControlSignal,
+    _HAUTUS_REL,
     _controlled_trajectory,
     _segment_weights,
     gramian,
     hautus_obstruction,
     mode_invariance_check,
+    mode_invariance_trials,
     stabilize,
     synth_control,
     verify_control,
@@ -27,7 +29,7 @@ from graphheat.errors import (
     TargetUnreachable,
     ValidationError,
 )
-from graphheat.families import build_family
+from graphheat.families import build_family, parity_subset
 from graphheat.graph import build_graph
 from graphheat.quadrature import adaptive_simpson
 from graphheat.spectral import RestrictedEvolution, eigendecompose, semigroup_apply
@@ -151,6 +153,31 @@ def test_synth_free_decay_suffices(k2):
     free = semigroup_apply(sd, 1.0, f0)
     np.testing.assert_allclose(res.final_state, free, atol=1e-12)
     assert res.costs[2.0] == 0.0
+
+
+def test_synth_free_decay_builds_no_gramian(k2, monkeypatch):
+    """Where ||S_T f0|| already meets alpha ||f0|| the control is zero, with
+    nu = 0, energy 0 and zero costs, and no Gramian is built.  T and D are
+    validated as the Gramian validates them, and a supplied Gramian must
+    still match (D, T)."""
+    sd = eigendecompose(k2)
+    f0 = np.array([1.0, 0.0])
+    built = []
+    real = graphheat.control.gramian
+    monkeypatch.setattr(graphheat.control, "gramian", lambda *a: built.append(a) or real(*a))
+    sig, res = synth_control(sd, ["0"], 1.0, f0, alpha_target=601.0)
+    assert (res.nu, res.energy, res.costs) == (0.0, 0.0, {1.0: 0.0, 2.0: 0.0, math.inf: 0.0})
+    np.testing.assert_array_equal(sig.eta, np.zeros(2))
+    free = semigroup_apply(sd, 1.0, f0)
+    np.testing.assert_allclose(res.final_state, free, rtol=1e-15, atol=0.0)
+    assert res.achieved_alpha == pytest.approx(m_norm(k2, free), rel=1e-15)
+    with pytest.raises(ValidationError, match="does not match"):
+        synth_control(sd, ["0"], 1.0, f0, 601.0, gram=real(sd, ["0"], 2.0))
+    with pytest.raises(ValidationError, match="horizon must be positive"):
+        synth_control(sd, ["0"], 0.0, f0, 601.0)
+    with pytest.raises(EmptySubset):
+        synth_control(sd, [], 1.0, f0, 601.0)
+    assert built == []
 
 
 def test_synth_k2_hits_target(k2):
@@ -558,6 +585,93 @@ def test_mode_invariance_random_controls(c8):
         f0 = rng.standard_normal(8)
         u = ControlSignal(tuple(D), 1.0, knots, rng.standard_normal((9, 4)))
         assert mode_invariance_check(sd, D, phi, lam, f0, u, 1.0)[0] <= 1e-9
+
+
+def _hautus_per_group(sd, D):
+    """One full SVD per eigenvalue group: the reference for the stacked SVDs
+    of ``hautus_obstruction``."""
+    d_idx = sd.graph.subset_indices(D)
+    out = []
+    for lam, idx in sd.eigenvalue_groups():
+        _u, sigma, vt = np.linalg.svd(sd.eigenvectors[np.ix_(d_idx, idx)], full_matrices=True)
+        sigma = np.concatenate([sigma, np.zeros(len(idx) - len(sigma))])
+        null = sigma <= _HAUTUS_REL * sigma[0]
+        if null.any():
+            out.append((lam, sd.eigenvectors[:, idx] @ vt[null].T))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, D",
+    [
+        ({"family": "cycle", "n": 8}, "even"),
+        ({"family": "cycle", "n": 32}, "even"),
+        ({"family": "torus", "p": 6, "q": 6}, "even"),
+        ({"family": "torus", "p": 4, "q": 6}, "even"),
+        ({"family": "cyclic-cover", "base": {"family": "cycle", "n": 4}, "k": 16}, "even"),
+        ({"family": "cycle", "n": 4}, ["0", "2"]),
+        ({"family": "cycle", "n": 8}, ["0"]),  # groups of 2, wider than D
+        ({"family": "torus", "p": 6, "q": 6}, ["0,0"]),  # groups of up to 4
+    ],
+)
+def test_hautus_stacked_svds_match_one_full_svd_per_group(spec, D):
+    """The stacked SVDs find the obstructions one full SVD per group finds:
+    the same eigenvalues and dimensions, with m-orthonormal bases that vanish
+    on D and span the same eigenspace intersections."""
+    g = build_family(spec["family"], spec).graph
+    D = parity_subset(g, D) if isinstance(D, str) else D
+    sd = eigendecompose(g)
+    got, want = hautus_obstruction(sd, D), _hautus_per_group(sd, D)
+    assert got and [lam for lam, _ in got] == [lam for lam, _ in want]
+    assert [b.shape for _, b in got] == [b.shape for _, b in want]
+    d_idx = g.subset_indices(D)
+    for (_, basis), (_, ref) in zip(got, want):
+        np.testing.assert_allclose(
+            basis.T @ (g.m[:, None] * basis), np.eye(basis.shape[1]), rtol=0.0, atol=1e-10
+        )
+        assert np.abs(basis[d_idx]).max() <= 1e-10
+        np.testing.assert_allclose(
+            basis @ (basis.T @ (g.m[:, None] * ref)), ref, rtol=0.0, atol=1e-10
+        )
+    if len(D) == 1:
+        assert any(len(idx) > len(D) for _, idx in sd.eigenvalue_groups())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "cycle", "n": 8},
+        {"family": "cycle", "n": 300},
+        {"family": "torus", "p": 16, "q": 16},
+        {"family": "cyclic-cover", "base": {"family": "cycle", "n": 4}, "k": 64},
+    ],
+)
+def test_mode_invariance_trials_match_one_check_per_trial(spec):
+    """One Duhamel pass over a batch of trials gives each trial the drift and
+    scale that ``mode_invariance_check`` gives it alone, on the draws of one
+    generator taken as the ``non-null`` task takes them: f0, then the knot
+    values, trial by trial."""
+    g = build_family(spec["family"], spec).graph
+    D = parity_subset(g, "even")
+    sd = eigendecompose(g)
+    lam, basis = hautus_obstruction(sd, D)[0]
+    phi = basis[:, 0]
+    T, knots = 1.0, np.linspace(0.0, 1.0, 9)
+    rng = np.random.default_rng(3)
+    f0s, values = [], []
+    for _ in range(12):
+        f0 = rng.standard_normal(g.n)
+        f0s.append(f0 / sd.norm(f0))
+        values.append(rng.standard_normal((len(knots), len(D))))
+    drift, scale = mode_invariance_trials(
+        sd, D, phi, lam, np.array(f0s), knots, np.array(values), T
+    )
+    for j in range(12):
+        u = ControlSignal(tuple(D), T, knots, values[j])
+        one_drift, one_scale = mode_invariance_check(sd, D, phi, lam, f0s[j], u, T)
+        assert scale[j] == pytest.approx(one_scale, rel=1e-12, abs=0.0)
+        assert abs(drift[j] - one_drift) <= 1e-14 * one_scale
+        assert drift[j] <= 1e-12 * scale[j]
 
 
 def test_mode_invariance_orthogonal_component(c4):

@@ -5,13 +5,14 @@ import pytest
 
 from graphheat.covering import (
     CoveringMap,
+    CoveringValidation,
     build_cyclic_cover,
     lemma_sets,
     lift_function,
     validate_covering,
 )
 from graphheat.errors import EmptyFiberIntersection, InvalidFold, NotACycle
-from graphheat.graph import build_graph
+from graphheat.graph import WeightedGraph, build_graph
 
 from conftest import path
 
@@ -75,6 +76,97 @@ def test_validate_covering_detects_measure_mismatch(c4):
     res = validate_covering(CoveringMap(c4, cover, {v: v for v in c4.vertex_ids}))
     assert not res.valid
     assert "measure" in res.violation
+
+
+def _with_weights(g, weights):
+    return WeightedGraph(g.vertex_ids, g.m.copy(), weights)
+
+
+def test_validate_covering_detects_weight_mismatch(c4, c8_cover):
+    b = c8_cover.cover.weights.copy()
+    b[5, 6] = b[6, 5] = 2.0
+    res = validate_covering(CoveringMap(c4, _with_weights(c8_cover.cover, b), c8_cover.p))
+    assert res == CoveringValidation(False, "edge-weight mismatch on ('5', '6')")
+
+
+def test_validate_covering_detects_non_bijective_neighbours(c4):
+    """A 6-cycle over C4 whose vertex 0 has both neighbours over '1': each
+    edge lies over a base edge of the same weight, so only the bijection
+    fails."""
+    cover = build_graph(
+        [(str(i), 1.0) for i in range(6)], [(str(i), str((i + 1) % 6), 1.0) for i in range(6)]
+    )
+    p = {"0": "0", "1": "1", "2": "2", "3": "3", "4": "2", "5": "1"}
+    res = validate_covering(CoveringMap(c4, cover, p))
+    assert res == CoveringValidation(False, "neighbor sets of '0' and '0' are not in bijection")
+
+
+def test_validate_covering_detects_a_disconnected_cover(c4):
+    """Two disjoint copies of C4 satisfy every local axiom over C4."""
+    ids = [str(i) for i in range(8)]
+    cover = build_graph(
+        [(v, 1.0) for v in ids],
+        [(ids[k * 4 + i], ids[k * 4 + (i + 1) % 4], 1.0) for k in range(2) for i in range(4)],
+    )
+    p = {v: str(i % 4) for i, v in enumerate(ids)}
+    res = validate_covering(CoveringMap(c4, cover, p))
+    assert res == CoveringValidation(False, "cover graph is not connected")
+
+
+def _scanned_violation(c):
+    """The first violation met by a scan of the cover vertex by vertex: a
+    reference for ``validate_covering``'s array comparisons, given a map that
+    is defined everywhere and surjective."""
+    base, cover, p = c.base, c.cover, c.p
+    image = [base.index_of(p[v]) for v in cover.vertex_ids]
+    for i, v in enumerate(cover.vertex_ids):
+        if cover.m[i] != base.m[image[i]]:
+            return f"measure mismatch at {v!r}: {cover.m[i]} != {base.m[image[i]]}"
+    for i, v in enumerate(cover.vertex_ids):
+        nb = cover.neighbors(i)
+        images = [image[j] for j in nb]
+        for j, img in zip(nb, images):
+            if cover.weights[i, j] != base.weights[image[i], img]:
+                return f"edge-weight mismatch on ({v!r}, {cover.vertex_ids[j]!r})"
+        if len(set(images)) != len(images) or set(images) != set(base.neighbors(image[i]).tolist()):
+            return f"neighbor sets of {v!r} and {p[v]!r} are not in bijection"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_validate_covering_reports_the_first_fault_of_a_vertex_scan(seed):
+    """Covers of a 5-cycle, uniform or weighted, with a few measures,
+    weights, edges and map values changed at random: the array comparisons
+    report what the vertex-by-vertex scan meets first."""
+    rng = np.random.default_rng(seed)
+    weights = [1.0] if seed % 2 else [1.0, 0.5, 2.0]
+    base = build_graph(
+        [(str(i), 1.0) for i in range(5)],
+        [(str(i), str((i + 1) % 5), weights[i % len(weights)]) for i in range(5)],
+    )
+    c = build_cyclic_cover(base, 3)
+    m, b, p = c.cover.m.copy(), c.cover.weights.copy(), dict(c.p)
+    n = c.cover.n
+    for _ in range(int(rng.integers(1, 4))):
+        kind = rng.choice(4, p=[0.1, 0.3, 0.3, 0.3])
+        i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+        if kind == 0:
+            m[i] = 2.0
+        elif kind == 1:
+            b[i, j] = b[j, i] = [0.0, 0.5, 1.0, 2.0][rng.integers(0, 4)]
+        elif kind == 2:
+            p[str(i)] = str(int(rng.integers(0, 5)))
+        else:
+            p[str(i)], p[str(j)] = p[str(j)], p[str(i)]
+    cm = CoveringMap(base, WeightedGraph(c.cover.vertex_ids, m, b), p)
+    if set(p.values()) != set(base.vertex_ids):
+        return
+    want = _scanned_violation(cm)
+    got = validate_covering(cm)
+    if want is None:
+        assert got.violation in (None, "cover graph is not connected")
+    else:
+        assert got == CoveringValidation(False, want)
 
 
 def test_lift_eigen_pattern(c8_cover):

@@ -895,3 +895,130 @@ def test_constants_identities_random_graph():
     assert c.alpha == pytest.approx(
         (c.kappa + 1.0) * math.exp(-0.3 * c.lam * 1.7), rel=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# r = inf tie groups
+
+
+def _certify_every_survivor(sd, D, c, samples, seed):
+    """The verification with no tie group settled: every state the screens
+    leave goes through the batched certification."""
+    import graphheat.observability as obs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(obs, "_settle_tie_groups", lambda *args: None)
+        return verify_weak_obs(sd, D, c, samples=samples, seed=seed)
+
+
+def test_tie_group_on_torus_16x16_is_certified_once(monkeypatch):
+    """On torus-16x16 with the even vertices observed, T = 1, delta = 0 and
+    r = inf, the screens leave the 128 odd-vertex deltas, tied by symmetry.
+    The likeliest is certified alone, the other 127 are sampled at its best
+    time in one ``norms`` call and all settled, so no batched certification
+    runs.  The minimum lies within 2 K tol below that of certifying all
+    128, and within K tol above it."""
+    g = build_family("torus", {"p": 16, "q": 16}).graph
+    sd = eigendecompose(g)
+    D = parity_subset(g, "even")
+    c = weak_obs_constants(g, sd, D, 1.0, 0.0, math.inf)
+    every = _certify_every_survivor(sd, D, c, 1000, 5)
+    sups, sampled, certified = [], [], []
+    real_sup, real_norms, real_lr = (
+        RestrictedEvolution._sup_norms, RestrictedEvolution.norms, RestrictedEvolution.lr_norms
+    )
+
+    def sup(self, a, b):
+        sups.append(self.C.shape[1])
+        return real_sup(self, a, b)
+
+    def norms(self, ts):
+        if np.ndim(ts) == 2 and self.C.shape[1] > 1:
+            sampled.append(self.C.shape[1])
+        return real_norms(self, ts)
+
+    def lr(self, a, b, r):
+        certified.append(self.C.shape[1])
+        return real_lr(self, a, b, r)
+
+    monkeypatch.setattr(RestrictedEvolution, "_sup_norms", sup)
+    monkeypatch.setattr(RestrictedEvolution, "norms", norms)
+    monkeypatch.setattr(RestrictedEvolution, "lr_norms", lr)
+    ver = verify_weak_obs(sd, D, c, samples=1000, seed=5)
+    assert (sups, sampled, certified) == ([1], [127], [])
+    assert ver.worst_label.startswith("delta:")
+    tol = _LR_REL_TOL  # every delta is a unit state and a = 0
+    assert every.min_slack - 2.0 * c.K * tol <= ver.min_slack <= every.min_slack + c.K * tol
+
+
+def _tie_case(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        g = random_connected_graph(rng, int(rng.integers(3, 13)))
+        size = int(rng.integers(1, g.n))
+        D = [g.vertex_ids[i] for i in sorted(rng.choice(g.n, size=size, replace=False))]
+        return g, D
+    if kind == "cycle":
+        g = cycle(int(rng.integers(4, 25)))
+    else:
+        g = build_family("torus", {"p": int(rng.integers(3, 9)), "q": int(rng.integers(3, 9))}).graph
+    return g, parity_subset(g, "even")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["random", "cycle", "torus"]),
+    st.integers(0, 10_000),
+    st.sampled_from([0.0, 0.5]),
+    st.sampled_from([0.5, 1.0, 3.0]),
+)
+def test_tie_groups_keep_the_reported_minimum_a_certified_lower_bound(kind, seed, delta, T):
+    """At r = inf, on small random weighted graphs and on cycles and tori
+    with parity D, the reported minimum is at most every state's certified
+    slack upper bound (the eigenvectors' exact slack, and K (s + tol) +
+    alpha - ||S_T phi|| for every other state of the battery), and at least
+    the minimum of certifying every survivor, less 2 K tol, with
+    tol = _LR_REL_TOL max ||S_a phi||."""
+    g, D = _tie_case(kind, seed)
+    sd = eigendecompose(g)
+    c = weak_obs_constants(g, sd, D, T, delta, math.inf)
+    ver = verify_weak_obs(sd, D, c, samples=40, seed=seed)
+    every = _certify_every_survivor(sd, D, c, 40, seed)
+    C, _ = _phi_batch(sd, 40, seed)
+    d_idx = g.subset_indices(D)
+    re = RestrictedEvolution(sd, d_idx, C[:, g.n :])
+    a, lam = delta * T, sd.eigenvalues
+    tol = _LR_REL_TOL * re.final_norms(a)
+    upper = c.K * (re.lr_norms(a, T, math.inf) + tol) + c.alpha - re.final_norms(T)
+    seen = np.linalg.norm(np.sqrt(g.m[d_idx])[:, None] * sd.eigenvectors[d_idx], axis=0)
+    exact = c.K * seen * _mode_lr_norms(lam, a, T, math.inf) + c.alpha - decay(lam, T)
+    noise = 1e-12 * (c.K + c.alpha + 1.0)
+    assert ver.min_slack <= min(upper.min(), exact.min()) + noise
+    assert ver.min_slack >= every.min_slack - 2.0 * c.K * tol.max() - noise
+
+
+def test_corpus_recipe_forms_no_tie_group(corpus, monkeypatch):
+    """The acceptance corpus (random weighted graphs, n <= 40) has no
+    symmetry for a tie group to come from: at r = inf, under every window of
+    criterion 1, no screen forms one."""
+    import graphheat.observability as obs
+
+    groups = []
+    real = obs._Screen.tie_group
+
+    def recorded(self):
+        tied = real(self)
+        groups.extend([len(tied)] if len(tied) else [])
+        return tied
+
+    monkeypatch.setattr(obs._Screen, "tie_group", recorded)
+    calls = 0
+    for idx, item in enumerate(corpus):
+        consts = [
+            weak_obs_constants(item.graph, item.sd, item.D, T, delta, math.inf)
+            for delta in (0.0, 0.5)
+            for T in (0.5, 1.0, 5.0)
+        ]
+        verify_weak_obs_multi(item.sd, item.D, consts, samples=1000, seed=idx)
+        calls += 1
+    assert calls == 100 and groups == []

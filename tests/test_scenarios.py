@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from graphheat import stochastic as sto
 from graphheat.cli import main as cli_main
-from graphheat.control import synth_control
+from graphheat.control import hautus_obstruction, mode_invariance_trials, synth_control
 from graphheat.errors import InvalidParams, ParseError
 from graphheat.families import build_family, parity_subset
 from graphheat.graph import graph_to_json, validate_assumptions
@@ -515,6 +515,56 @@ def test_cli_non_null_residual_beyond_the_float_range_fails(tmp_path):
     assert summary["max_mode_invariance_residual"] == "nan"
     failed = [a["name"] for a in summary["assertions"] if not a["passed"]]
     assert failed == ["mode_invariance"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_non_null_at_a_far_horizon_compares_a_finite_scale(tmp_path):
+    """On cycle-8 with even D at T = 1e200 the forced part of f(T) is about
+    1e199, whose squares overflow: the scale of the mode-invariance check is
+    taken on the forced part divided by its largest entry, so it is finite
+    and the drift is compared with it, with no warning."""
+    code, err, summary = _run_cli(tmp_path, {
+        "graph": {"family": "cycle", "n": 8},
+        "subset": {"parity": "even"},
+        "task": "non-null",
+        "params": {"T": 1e200},
+        "seed": 1,
+    })
+    assert code == 0 and "Traceback" not in err, err
+    residual = summary["max_mode_invariance_residual"]
+    assert isinstance(residual, float) and 0.0 < residual <= 1e-9
+
+
+def test_non_null_trials_draw_f0_then_the_knot_values(tmp_path):
+    """The batched trials take each trial's f0 and then its knot values from
+    the scenario's generator, as one trial at a time did: the task's
+    residuals are those of the same batch on draws taken trial by trial."""
+    scenario = Scenario(
+        graph={"family": "cycle", "n": 32},
+        subset={"parity": "even"},
+        task="non-null",
+        params={"T": 2.0, "n_random": 7},
+        seed=11,
+    )
+    outcome = run_scenario(scenario, tmp_path)
+    assert outcome.exit_code == 0
+    rows = list(csv.reader((tmp_path / "non-null_mode_invariance.csv").open()))[1:]
+    g = build_family("cycle", {"n": 32}).graph
+    sd = eigendecompose(g)
+    D = parity_subset(g, "even")
+    lam, basis = hautus_obstruction(sd, D)[0]
+    rng = np.random.default_rng(11)
+    knots = np.linspace(0.0, 2.0, 9)
+    f0s, values = [], []
+    for _ in range(7):
+        f0 = rng.standard_normal(g.n)
+        f0 /= sd.norm(f0)
+        f0s.append(f0)
+        values.append(rng.standard_normal((len(knots), len(D))))
+    drift, scale = mode_invariance_trials(
+        sd, D, basis[:, 0], lam, np.array(f0s), knots, np.array(values), 2.0
+    )
+    assert [float(r) for _, r in rows] == (drift / scale).tolist()
 
 
 @pytest.mark.filterwarnings("error")

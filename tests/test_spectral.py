@@ -13,8 +13,8 @@ from graphheat.errors import (
     QuadratureNonConvergence,
     ValidationError,
 )
+from graphheat.families import build_family, parity_subset
 from graphheat.graph import build_graph
-from graphheat.scenarios import run_scenario, scenario_from_dict
 from graphheat.spectral import (
     _LR_REL_TOL,
     RestrictedEvolution,
@@ -571,37 +571,116 @@ def test_sup_search_on_a_corpus_size_graph_takes_at_most_six_waves(monkeypatch):
         assert len(bisected) >= 11, (wa, wb, bisected)
 
 
-def test_sup_search_on_torus_16x16_forms_no_wave_over_one_chunk(monkeypatch, tmp_path):
-    """torus-16x16 weak-obs at r = inf certifies 128 states at n = 256, in
-    waves of about 1000 cells: there a wider split would only add cells, so
-    every wave formed by splitting fits one chunk of ``_cell_bounds`` (the
-    first wave is the 32-cell grids of all columns), and the search takes
-    no more waves than splitting in two does."""
-    calls = []
-    real = RestrictedEvolution._sup_norms
+def _torus_odd_deltas():
+    """torus-16x16 with the even vertices observed, and the coefficients of
+    the deltas at its 128 odd vertices: the states the verifier's screen
+    leaves at T = 1, delta = 0, r = inf."""
+    g = build_family("torus", {"p": 16, "q": 16}).graph
+    sd = eigendecompose(g)
+    d_idx = g.subset_indices(parity_subset(g, "even"))
+    odd = np.setdiff1d(np.arange(g.n), d_idx)
+    F = np.zeros((g.n, len(odd)))
+    F[odd, np.arange(len(odd))] = 1.0
+    return sd, d_idx, sd.coefficients(F)
 
-    def kept(self, a, b):
-        calls.append((self, a, b))
-        return real(self, a, b)
 
-    monkeypatch.setattr(RestrictedEvolution, "_sup_norms", kept)
-    scenario = scenario_from_dict({
-        "graph": {"family": "torus", "p": 16, "q": 16},
-        "subset": {"parity": "even"},
-        "task": "weak-obs",
-        "params": {"T": 1.0, "r": "inf", "samples": 1000},
-        "seed": 5,
-    })
-    assert run_scenario(scenario, tmp_path).exit_code == 0
-    (re, a, b), = calls
-    assert re.C.shape == (256, 128)
+def test_sup_search_on_torus_16x16_forms_no_wave_over_one_chunk(monkeypatch):
+    """The sup search over the 128 odd-vertex deltas of torus-16x16 on
+    (0, 1), at n = 256, runs in waves of about 1000 cells: there a wider
+    split would only add cells, so every wave formed by splitting fits one
+    chunk of ``_cell_bounds`` (the first wave is the 32-cell grids of all
+    columns), and the search takes no more waves than splitting in two
+    does."""
+    sd, d_idx, C = _torus_odd_deltas()
+    re = RestrictedEvolution(sd, d_idx, C)
+    a, b = np.zeros(128), np.ones(128)
     bisected = []
     _bisected_sup(re, a, b, bisected)
     waves = _counting_waves(monkeypatch)
-    real(re, a, b)
+    re._sup_norms(a, b)
     assert waves[0] == 32 * 128
     assert max(waves[1:]) <= _cell_chunk(256), waves
     assert len(waves) <= len(bisected)
+
+
+@pytest.mark.parametrize("window", [(0.0, 1.0), (0.0, 0.01), (0.5, 1.0)])
+def test_sup_search_returns_the_time_of_its_best_sample(monkeypatch, window):
+    """Each column's time lies in its window, and g was sampled there at the
+    returned value, bit for bit: at b by the first evaluation, or at the
+    left end of a cell.  The columns are the torus deltas, whose sup lies
+    inside (0, 1) and at the right end of (0, 0.01), and random states."""
+    sd, d_idx, C = _torus_odd_deltas()
+    C = np.concatenate([C[:, :8], np.random.default_rng(2).standard_normal((256, 4))], axis=1)
+    re = RestrictedEvolution(sd, d_idx, C)
+    a, b = np.full(12, window[0]), np.full(12, window[1])
+    samples = []
+    real_bounds, real_norms = RestrictedEvolution._cell_bounds, RestrictedEvolution.norms
+
+    def bounds(self, lo, h, cols):
+        g0, ub = real_bounds(self, lo, h, cols)
+        samples.extend(zip(cols.tolist(), lo.tolist(), g0.tolist()))
+        return g0, ub
+
+    def norms(self, ts):
+        out = real_norms(self, ts)
+        samples.extend((j, t, v) for j, (t, v) in enumerate(zip(ts[0].tolist(), out[0].tolist())))
+        return out
+
+    monkeypatch.setattr(RestrictedEvolution, "_cell_bounds", bounds)
+    monkeypatch.setattr(RestrictedEvolution, "norms", norms)
+    best, at = re._sup_norms(a, b)
+    assert np.all((a <= at) & (at <= b))
+    for j in range(12):
+        mine = [(t, v) for col, t, v in samples if col == j]
+        assert best[j] == max(v for _, v in mine)
+        assert (at[j], best[j]) in mine
+    if window == (0.0, 0.01):
+        assert np.all(at[:8] == b[:8])
+
+
+def test_sup_search_drops_the_subcells_rounding_collapses(monkeypatch):
+    """On a window of 101 floats the 32 grid cells span 3 or 4 floats.  With
+    every bound overflowed (+inf exceeds any tolerance), each cell that has
+    a float inside splits 8 ways by rounds of midpoints, and the subcells
+    that rounding collapses to zero width are dropped: the next wave tiles
+    the split cells with cells of positive width only.  The search ends
+    when no cell has a float inside, and has then sampled every float."""
+    sd = eigendecompose(cycle(8))
+    d_idx = np.array([0, 2, 4, 6])
+    C = sd.coefficients(np.random.default_rng(4).standard_normal((8, 2)))
+    re = RestrictedEvolution(sd, d_idx, C)
+    a = np.full(2, 1.0)
+    b = a + 100 * np.spacing(1.0)
+    waves = []
+    real = RestrictedEvolution._cell_bounds
+
+    def overflowed(self, lo, h, cols):
+        waves.append((lo.copy(), lo + h, cols.copy()))
+        g0, _ub = real(self, lo, h, cols)
+        return g0, np.full(len(lo), np.inf)
+
+    monkeypatch.setattr(RestrictedEvolution, "_cell_bounds", overflowed)
+    got, _at = re._sup_norms(a, b)
+    dropped = 0
+    for (lo, hi, cols), (nlo, nhi, ncols) in zip(waves, waves[1:]):
+        mid = 0.5 * (lo + hi)
+        split = (lo < mid) & (mid < hi)
+        assert np.all(nlo < nhi)
+        for j in range(2):
+            parent = np.sort(np.concatenate([lo[split & (cols == j)], hi[split & (cols == j)]]))
+            child = np.sort(np.concatenate([nlo[ncols == j], nhi[ncols == j]]))
+            # each split cell is tiled: its ends and the inner ends, each twice
+            assert np.all(np.isin(parent, child))
+            assert np.sum(nhi[ncols == j] - nlo[ncols == j]) == np.sum(
+                hi[split & (cols == j)] - lo[split & (cols == j)]
+            )
+        dropped += 8 * int(split.sum()) - len(nlo)
+    # 2 x 32 cells of 3 or 4 floats split into 512 subcells: 200 hold a float step
+    assert [len(lo) for lo, _, _ in waves] == [64, 200] and dropped == 312
+    lo, hi, _ = waves[-1]
+    assert np.all((lo == hi) | (np.nextafter(lo, np.inf) == hi))
+    every_float = lambda j: 1.0 + np.spacing(1.0) * np.arange(101)  # noqa: E731
+    np.testing.assert_array_equal(got, _sampled_max(sd, d_idx, C, every_float))
 
 
 def test_time_norm_validations(c4):
