@@ -56,6 +56,7 @@ from .errors import (
     UnknownVertex,
     ValidationError,
 )
+from .quadrature import _BLOCK_ELEMENTS, _blocks
 
 
 # An integer length table costs about L.bit_length() / 8 bytes per entry, and
@@ -160,11 +161,16 @@ class WeightedGraph:
         return np.nonzero(self.weights[i] > 0.0)[0]
 
     @cached_property
+    def _edges(self) -> csr_array:
+        """b as a csr array, built once for every sparse graph query: on a
+        dense matrix scipy drops edges with b <= 1e-8."""
+        return csr_array(self.weights)
+
+    @cached_property
     def hop_table(self) -> np.ndarray:
         """All-pairs hop counts (float64, exact small integers); inf marks
         an unreachable pair."""
-        # sparse input: on a dense matrix scipy drops edges with b <= 1e-8
-        table = shortest_path(csr_array(self.weights), unweighted=True, directed=False)
+        table = shortest_path(self._edges, unweighted=True, directed=False)
         table.setflags(write=False)
         return table
 
@@ -208,7 +214,7 @@ class WeightedGraph:
         each length stays a Fraction.  ``1/Fraction(b)`` runs once per
         distinct weight.
         """
-        edges = csr_array(self.weights)
+        edges = self._edges
         distinct, which = np.unique(edges.data, return_inverse=True)
         lengths = [1 / Fraction(b) for b in distinct.tolist()]
         den, num = 1, 0
@@ -232,14 +238,18 @@ class WeightedGraph:
         """All-pairs length distances, exact and read-only, each distance
         times ``_length_scale``; inf marks an unreachable pair.
 
-        Every Dijkstra sum is an int of at most n * (largest edge length),
-        so when that is below 2**53 the table is scipy's float64 Dijkstra,
-        exact like ``hop_table``.  Otherwise it is an object array from a
-        heap Dijkstra over Python ints, or over Fractions when there is no
-        length scale.
+        When every edge is one unit long, a distance in units is a hop
+        count, and the table is ``hop_table`` itself.  Otherwise every
+        Dijkstra sum is an int of at most n * (largest edge length), so when
+        that is below 2**53 the table is scipy's float64 Dijkstra, exact
+        like ``hop_table``.  Otherwise it is an object array from a heap
+        Dijkstra over Python ints, or over Fractions when there is no length
+        scale.
         """
         n = self.n
         scale, edges, lengths = self._edge_lengths
+        if scale is not None and set(lengths.tolist()) <= {1}:
+            return self.hop_table
         if scale is not None and n * lengths.max(initial=0) < 2**53:
             # sparse input: on a dense matrix scipy drops small entries
             in_units = csr_array((lengths.astype(float), edges.indices, edges.indptr), shape=(n, n))
@@ -334,7 +344,7 @@ def validate_assumptions(g: WeightedGraph) -> AssumptionReport:
     positive = g.weights[g.weights > 0.0]
     return AssumptionReport(
         # on the sparse b that ``hop_table`` reads, without building the table
-        connected=bool(connected_components(csr_array(g.weights), directed=False)[0] == 1),
+        connected=bool(connected_components(g._edges, directed=False)[0] == 1),
         d_max=float(deg.max()) if g.n else 0.0,
         sup_m=float(g.m.max()),
         inf_m=float(g.m.min()),
@@ -348,6 +358,17 @@ def validate_assumptions(g: WeightedGraph) -> AssumptionReport:
 
 def _table(g: WeightedGraph, kind: MetricKind) -> np.ndarray:
     return g.hop_table if kind is MetricKind.COMBINATORIAL else g._length_table
+
+
+def _nearest(table: np.ndarray, cols: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """min over ``cols`` of each row of ``table``, or of each row in ``rows``,
+    gathered a block of rows at a time, so no copy of the whole rows x cols
+    block is made."""
+    out = np.empty(len(table) if rows is None else len(rows), dtype=table.dtype)
+    for rb in _blocks(len(out), _BLOCK_ELEMENTS // max(1, len(cols))):
+        block = table[rb][:, cols] if rows is None else table[np.ix_(rows[rb], cols)]
+        out[rb] = block.min(axis=1)
+    return out
 
 
 def _as_result(g: WeightedGraph, kind: MetricKind, d, exact: bool):
@@ -390,7 +411,7 @@ def covering_radius(
     """
     if len(D) == 0:
         raise EmptySubset("covering radius needs a nonempty subset")
-    to_d = _table(g, kind)[:, g.subset_indices(D)].min(axis=1)
+    to_d = _nearest(_table(g, kind), g.subset_indices(D))
     return _as_result(g, kind, to_d.max(), exact)
 
 
@@ -416,7 +437,7 @@ def inradius(
             stacklevel=2,
         )
         return math.inf
-    to_comp = _table(g, kind)[np.ix_(inside, ~inside)].min(axis=1)
+    to_comp = _nearest(_table(g, kind), np.flatnonzero(~inside), np.flatnonzero(inside))
     return _as_result(g, kind, to_comp.max(), exact)
 
 
@@ -425,7 +446,7 @@ def max_ball_volume(g: WeightedGraph, kind: MetricKind, r) -> float:
 
     ``r`` may be a float, int, or Fraction; comparisons against the exact
     distances are exact (floats convert exactly).  Each ball volume is
-    summed in vertex order.
+    summed in vertex order, a block of rows at a time.
     """
     if isinstance(r, float) and math.isinf(r):
         return float(g.m.sum())
@@ -441,9 +462,10 @@ def max_ball_volume(g: WeightedGraph, kind: MetricKind, r) -> float:
         # every finite entry of a float table is below 2**53, and a larger
         # int may have no float
         bound = min(bound, 2**53)
-    inside = table <= bound
-    # a running sum adds left to right, like a loop over the vertices
-    volumes = np.cumsum(np.where(inside, g.m, 0.0), axis=1)[:, -1]
+    volumes = np.empty(g.n)
+    for rb in _blocks(g.n, _BLOCK_ELEMENTS // (2 * g.n)):
+        # a running sum adds left to right, like a loop over the vertices
+        volumes[rb] = np.cumsum(np.where(table[rb] <= bound, g.m, 0.0), axis=1)[:, -1]
     return float(volumes.max())
 
 

@@ -38,6 +38,7 @@ from .graph import (
     inradius,
     max_ball_volume,
 )
+from .quadrature import _BLOCK_ELEMENTS, _blocks
 from .spectral import (
     RestrictedEvolution,
     SpectralDecomposition,
@@ -180,12 +181,24 @@ def up_sweep(
     consecutive distinct eigenvalues.  P_I is piecewise constant in sup I:
     both rows of a group project onto the whole group and every lower one,
     so they share one sharp constant, that of the cutoff at the group's
-    top.  The Omega-geometry does not depend on I and is computed once."""
+    top.  The Omega-geometry does not depend on I and is computed once.
+
+    The constant is +inf without an eigensolve once the cutoff keeps more
+    modes than D has vertices (the D-block has rank <= |D|, so mu_min = 0),
+    and on every row after the first +inf: by Cauchy interlacing mu_min
+    does not rise as the cutoff keeps more modes."""
     geometry = _up_geometry(g, D)
+    n_d = len(g.subset_indices(D))
     groups = sd.eigenvalue_groups()
     reports = []
+    sharp = 0.0
     for k, (lam, idx) in enumerate(groups):
-        sharp = up_sharp_constant(sd, D, float(sd.eigenvalues[idx[-1]]))
+        if not math.isinf(sharp):
+            top = int(idx[-1])  # the cutoff keeps modes 0 .. top
+            if top + 1 > n_d:
+                sharp = math.inf
+            else:
+                sharp = up_sharp_constant(sd, D, float(sd.eigenvalues[top]))
         sups = [lam] if k + 1 == len(groups) else [lam, 0.5 * (lam + groups[k + 1][0])]
         reports += [_up_report(g, sd, s, geometry, sharp) for s in sups]
     return reports
@@ -275,19 +288,34 @@ def _phi_batch(
     sd: SpectralDecomposition, samples: int, seed: int
 ) -> tuple[np.ndarray, list[str]]:
     """Spectral coefficients of the test battery: all eigenvectors, all
-    Dirac deltas, and seeded random unit vectors (unit m-norm each)."""
+    Dirac deltas, and seeded random unit vectors (unit m-norm each).
+
+    The battery is filled into one (n, 2 n + samples) array.  The random
+    block is drawn a block of rows at a time, which draws the stream in the
+    order of one (n, samples) draw, and is normalized in place, by the
+    column norms ``np.linalg.norm(z, axis=0)`` gives: its sum of squares
+    runs over the rows in order when there are two columns or more."""
     n = sd.n
-    eig = np.eye(n)
-    deltas = (np.sqrt(sd.graph.m)[:, None] * sd.eigenvectors).T
     labels = [f"eigvec:{i}" for i in range(n)]
     labels += [f"delta:{v}" for v in sd.graph.vertex_ids]
-    blocks = [eig, deltas]
+    samples = max(samples, 0)
+    out = np.zeros((n, 2 * n + samples))
+    out[np.arange(n), np.arange(n)] = 1.0
+    np.multiply(np.sqrt(sd.graph.m)[None, :], sd.eigenvectors.T, out=out[:, n : 2 * n])
     if samples > 0:
         rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n, samples))
-        blocks.append(z / np.linalg.norm(z, axis=0))
+        z = out[:, 2 * n :]
+        for rows in _blocks(n, _BLOCK_ELEMENTS // samples):
+            z[rows] = rng.standard_normal(z[rows].shape)
+        if samples == 1:  # numpy sums a single column pairwise
+            z /= np.linalg.norm(z, axis=0)
+        else:
+            squares = np.square(z[0])
+            for row in z[1:]:
+                squares += np.square(row)
+            z /= np.sqrt(squares)
         labels += [f"random:{j}" for j in range(samples)]
-    return np.concatenate(blocks, axis=1), labels
+    return out, labels
 
 
 def _window_terms(

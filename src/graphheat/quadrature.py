@@ -29,11 +29,31 @@ from .errors import QuadratureNonConvergence
 # integral that is wrong in the 8th digit.
 _INITIAL_PANELS = 8
 _INITIAL_DEPTH = 3
-# Elements of the largest temporary array that one chunk of times or cells
-# builds, which caps the memory of the batched evaluations.  A Simpson wave
-# that would evaluate more (time, column) entries than this is refused: a
-# wave holds about 100 bytes per entry.
+# The wave budget: (time, column) entries one Simpson wave may evaluate,
+# and the cells up to which the supremum search splits a cell more than two
+# ways (``spectral._cell_chunk``).  A Simpson wave over it is refused: a
+# wave holds about 100 bytes per entry.  It bounds how much work one wave
+# forms, not the memory of its evaluation, which ``_BLOCK_ELEMENTS`` does.
 _CHUNK_ELEMENTS = 2_000_000
+# The evaluation budget: elements of all the temporaries one block of a
+# batched evaluation holds at once (a chunk of times, cells, entries, rows
+# or columns).  2**18 float64 values are 2 MB, one core's L2 cache, so a
+# block's arrays stay in cache and are freed before the next block; a
+# single time or row that needs more takes a block to itself.
+_BLOCK_ELEMENTS = 2**18
+
+
+def _blocks(total: int, width: int) -> list[slice]:
+    """Consecutive slices that cover range(total), each of at most
+    ``width`` indices (rows or columns), and never of one index unless
+    ``total`` is 1: numpy sums one column along axis 0 pairwise and two or
+    more row by row, so a sum over the rows of each block gives every
+    column the bits of one sum over the whole array."""
+    width = max(2, width)
+    starts = list(range(0, total, width))
+    if len(starts) > 1 and total - starts[-1] == 1:
+        starts.pop()  # the last block takes the single index left over
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [total])]
 
 
 def _panel_norm(v: np.ndarray) -> np.ndarray:

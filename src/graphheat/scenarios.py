@@ -49,7 +49,7 @@ from .graph import (
     read_json,
     validate_assumptions,
 )
-from .quadrature import _CHUNK_ELEMENTS
+from .quadrature import _BLOCK_ELEMENTS
 from .spectral import _eigen_residuals, eigendecompose, semigroup_apply
 
 # ---------------------------------------------------------------------------
@@ -423,6 +423,8 @@ def _task_control(g, D, seed, *, T, delta, r, f0, alpha_target) -> TaskReport:
 
 
 def _task_non_null(g, D, seed, *, T, n_random) -> TaskReport:
+    if n_random == 0:  # the mode-invariance check would compare no trial
+        raise ValidationError("'n_random' must be at least 1, got 0")
     sd = eigendecompose(g)
     obstructions = hautus_obstruction(sd, D)
     # one Gramian for the constant and the synthesis; a T <= 0 is refused
@@ -453,11 +455,11 @@ def _task_non_null(g, D, seed, *, T, n_random) -> TaskReport:
 
     # Each trial draws its f0 and then its knot values: one draw per chunk of
     # trials takes them in that order.  A chunk's arrays hold about
-    # _CHUNK_ELEMENTS entries, so the trial count does not bound the memory.
+    # _BLOCK_ELEMENTS entries, so the trial count does not bound the memory.
     rng = np.random.default_rng(seed)
     knots = np.linspace(0.0, T, 9)
     width = sd.n + len(knots) * len(D)
-    chunk = max(1, _CHUNK_ELEMENTS // (len(knots) * width))
+    chunk = max(1, _BLOCK_ELEMENTS // (len(knots) * width))
     resid = []
     for lo in range(0, n_random, chunk):
         draws = rng.standard_normal((min(chunk, n_random - lo), width))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EigensolveFailure, EmptySubset, NegativeTime, ValidationError
 from .graph import WeightedGraph
-from .quadrature import _CHUNK_ELEMENTS, adaptive_simpson
+from .quadrature import _BLOCK_ELEMENTS, _CHUNK_ELEMENTS, _blocks, adaptive_simpson
 
 # Relative tolerance of each column's estimated integral of g^r, and of each
 # column's certified supremum, relative to ||S_a f||.
@@ -118,12 +118,21 @@ class SpectralDecomposition:
 
 
 def eigendecompose(g: WeightedGraph) -> SpectralDecomposition:
-    """Full eigendecomposition of the weighted Laplacian."""
+    """Full eigendecomposition of the weighted Laplacian.
+
+    The symmetrized Laplacian 0.5 (S + S^T), S = m^{-1/2} (diag(b 1) - b)
+    m^{-1/2}, is built in one n x n array, by the same operations in the
+    same order as the formula, so it holds the formula's bits: an
+    off-diagonal entry is 0 - b(x, y), a +0 where b is 0 as in the formula
+    (a -0 could turn the sign of a Householder reflector in ``eigh``)."""
     inv_sqrt_m = 1.0 / np.sqrt(g.m)
     with np.errstate(over="ignore"):
-        lap = np.diag(g.weights.sum(axis=1)) - g.weights
-        sym = inv_sqrt_m[:, None] * lap * inv_sqrt_m[None, :]
-        sym = 0.5 * (sym + sym.T)
+        sym = np.subtract(0.0, g.weights)
+        sym.flat[:: g.n + 1] = g.weights.sum(axis=1) - np.diagonal(g.weights)
+        sym *= inv_sqrt_m[:, None]
+        sym *= inv_sqrt_m[None, :]
+        sym += sym.T  # numpy reads the transposed operand from a copy
+        sym *= 0.5
     if not np.isfinite(sym).all():
         raise EigensolveFailure(
             "the symmetrized Laplacian m^{-1/2} L m^{-1/2} has entries beyond the float range"
@@ -136,7 +145,8 @@ def eigendecompose(g: WeightedGraph) -> SpectralDecomposition:
     if lam[0] < -tol:
         raise EigensolveFailure(f"negative eigenvalue {lam[0]} beyond tolerance")
     lam = np.where(lam < 0.0, 0.0, lam)
-    return SpectralDecomposition(g, lam, inv_sqrt_m[:, None] * vecs)
+    vecs *= inv_sqrt_m[:, None]
+    return SpectralDecomposition(g, lam, vecs)
 
 
 def op_norm_H_plus_1(sd: SpectralDecomposition) -> float:
@@ -190,22 +200,33 @@ def _gramian_kernel(
 
     Entry (i, j) is C_ij e^{-s a} (1 - e^{-s w}) / s with s = l_i + l_j,
     and C_ij w where s = 0; C = W^T W for the sqrt(m)-weighted D-rows W of
-    the eigenvectors.
+    the eigenvectors.  C is scaled in place a block of rows at a time, by
+    the operations of e^{-s a} (-expm1(-s w)) / s in their order, so no
+    n x n factor is formed.
     """
     lam = sd.eigenvalues
     W = np.sqrt(sd.graph.m[d_idx])[:, None] * sd.eigenvectors[d_idx, :]
-    S = lam[:, None] + lam[None, :]
-    # S w beyond the float range gives expm1(-inf) = -1, and S = 0 gives 0 / 0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        F = decay(S, a) * (-np.expm1(-S * w)) / S
-    F[S == 0.0] = w
-    return (W.T @ W) * F
+    out = W.T @ W
+    for rows in _blocks(len(lam), _BLOCK_ELEMENTS // (3 * len(lam))):
+        S = lam[rows, None] + lam[None, :]
+        # S w beyond the float range gives expm1(-inf) = -1, and S = 0 gives 0 / 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            F = np.multiply(S, -w)
+            np.negative(np.expm1(F, out=F), out=F)
+            E = np.multiply(S, a)  # decay(S, a), in place
+            np.exp(np.negative(E, out=E), out=E)
+            np.divide(np.multiply(E, F, out=F), S, out=F)
+        F[S == 0.0] = w
+        out[rows] *= F
+    return out
 
 
 def _cell_chunk(n: int) -> int:
-    """Cells per chunk of ``RestrictedEvolution._cell_bounds`` on n modes:
-    its n x cells factor X and the arrays alive with it (about three more)
-    share ``_CHUNK_ELEMENTS``."""
+    """The cells of a wave of the supremum search on n modes up to which a
+    cell splits more than two ways (``RestrictedEvolution._sup_norms``):
+    four arrays of n values per cell fill the wave budget
+    ``_CHUNK_ELEMENTS``.  It shapes the waves, not their memory:
+    ``_cell_bounds`` evaluates a wave in blocks of ``_BLOCK_ELEMENTS``."""
     return max(1, _CHUNK_ELEMENTS // (4 * n))
 
 
@@ -214,8 +235,8 @@ class RestrictedEvolution:
 
     Holds the D-restricted, sqrt(m)-scaled eigenvector rows W (|D| x n) and
     the spectral coefficients C (n x batch) of the batch; every evaluation
-    on shared times is one matrix product per chunk of times, in which
-    e^{-lam t} scales the smaller of W and C.
+    on shared times is one matrix product per block of times and columns,
+    in which e^{-lam t} scales the smaller of W and C.
     """
 
     def __init__(self, sd: SpectralDecomposition, d_indices: np.ndarray, coefs: np.ndarray):
@@ -237,13 +258,15 @@ class RestrictedEvolution:
         (``_entry_norms``), where a nan entry is not evaluated and gives nan.
 
         On shared times the exponentials scale whichever factor is smaller:
-        the rows of W, stacked over the chunk's times into one
+        the rows of W, stacked over the block's times into one
         (times |D|) x n matrix times C, when the batch is wider than |D|,
         and otherwise the columns of C, stacked into one n x (times batch)
         matrix that W multiplies.  The products are the same; the
-        temporaries are not.  Each chunk of times keeps the scaled factor
-        and the product together within ``_CHUNK_ELEMENTS`` entries (one
-        time per chunk when a single time needs more).
+        temporaries are not.  The rows of W are scaled only when one time's
+        copy of W fills at most half of ``_BLOCK_ELEMENTS``, so the product
+        gets the other half.  Each block of times and columns keeps the
+        scaled factor and the product together within ``_BLOCK_ELEMENTS``
+        entries (one time per block when a single time needs more).
         """
         ts = np.asarray(ts, dtype=float)
         if ts.ndim == 2:
@@ -251,21 +274,33 @@ class RestrictedEvolution:
         ts = np.atleast_1d(ts)
         n, n_batch = self.C.shape
         d = self.W.shape[0]
-        wide = n_batch > d
+        wide = n_batch > d and 2 * d * n <= _BLOCK_ELEMENTS
         out = np.empty((len(ts), n_batch))
-        # per time, the scaled factor has n min(d, batch) entries and U has d batch
-        chunk = max(1, _CHUNK_ELEMENTS // max(1, n * min(d, n_batch) + d * n_batch))
+        # per time, the scaled factor has d n entries (wide) or n per column,
+        # and U has d per column
+        if wide:
+            width = min(n_batch, (_BLOCK_ELEMENTS - d * n) // d)
+            per_time = d * (n + width)
+        else:
+            width = min(n_batch, _BLOCK_ELEMENTS // (n + d))
+            per_time = (n + d) * max(1, width)
+        chunk = max(1, _BLOCK_ELEMENTS // per_time)
+        columns = _blocks(n_batch, width)
         for k0 in range(0, len(ts), chunk):
             tc = ts[k0 : k0 + chunk]
             E = decay(self.lam, tc)  # (n, tc)
-            if wide:  # scale the d x n rows of W per time: one GEMM with C
-                U = (E.T[:, None, :] * self.W[None]).reshape(-1, n) @ self.C
-                shape, axis = (len(tc), d, n_batch), 1
-            else:  # scale the batch per time, then one GEMM with W
-                U = self.W @ (E[:, :, None] * self.C[:, None, :]).reshape(n, -1)
-                shape, axis = (d, len(tc), n_batch), 0
-            out[k0 : k0 + len(tc)] = np.sum(np.square(U, out=U).reshape(shape), axis=axis)
-            del U  # no chunk's arrays outlive it: the peak is one scaled factor and one U
+            if wide:  # scale the d x n rows of W per time: one GEMM per block of C
+                scaled = (E.T[:, None, :] * self.W[None]).reshape(-1, n)
+            for cb in columns:
+                C = self.C[:, cb]
+                if wide:
+                    U = scaled @ C
+                    shape, axis = (len(tc), d, C.shape[1]), 1
+                else:  # scale the block per time, then one GEMM with W
+                    U = self.W @ (E[:, :, None] * C[:, None, :]).reshape(n, -1)
+                    shape, axis = (d, len(tc), C.shape[1]), 0
+                out[k0 : k0 + len(tc), cb] = np.sum(np.square(U, out=U).reshape(shape), axis=axis)
+                del U  # no block's arrays outlive it
         return np.sqrt(out)
 
     def _entry_norms(self, ts: np.ndarray) -> np.ndarray:
@@ -275,7 +310,7 @@ class RestrictedEvolution:
         exponential per distinct time in it.  At most four arrays of n values
         per entry of a chunk are alive at once (the exponentials, the two
         gathered factors and their product), and they share
-        ``_CHUNK_ELEMENTS``.
+        ``_BLOCK_ELEMENTS``.
         """
         out = np.full(ts.shape, np.nan)
         rows, cols = np.nonzero(~np.isnan(ts))
@@ -283,7 +318,7 @@ class RestrictedEvolution:
         order = np.argsort(which, kind="stable")
         rows, cols, which = rows[order], cols[order], which[order]
         n = len(self.lam)
-        chunk = max(1, _CHUNK_ELEMENTS // (4 * n))
+        chunk = max(1, _BLOCK_ELEMENTS // (4 * n))
         for k0 in range(0, len(which), chunk):
             sl = slice(k0, k0 + chunk)
             first = which[k0]
@@ -295,9 +330,16 @@ class RestrictedEvolution:
 
     def final_norms(self, T) -> np.ndarray:
         """Unrestricted norms ||S_T f|| for the batch; T is one time for all
-        columns or one per column."""
-        damp = decay(2.0 * self.lam, T).reshape(len(self.lam), -1)  # (n, 1) or (n, batch)
-        return np.sqrt(np.sum(np.square(self.C) * damp, axis=0))
+        columns or one per column, or, for a one-column batch, any number
+        of times.  Blocks of columns hold two n x block arrays, and each
+        column's sum runs over the modes in order, as one sum over the
+        whole batch does."""
+        C, damp = np.broadcast_arrays(self.C, decay(2.0 * self.lam, T).reshape(len(self.lam), -1))
+        n, width = C.shape
+        out = np.empty(width)
+        for cb in _blocks(width, _BLOCK_ELEMENTS // (2 * n)):
+            out[cb] = np.sum(np.square(C[:, cb]) * damp[:, cb], axis=0)
+        return np.sqrt(out)
 
     def rate_norms(self, ts) -> np.ndarray:
         """||H S_t f|| for each time (rows) and column.
@@ -309,12 +351,22 @@ class RestrictedEvolution:
         """
         scale = self.sd.scale
         damp = np.square(self.lam / scale * decay(self.lam, np.atleast_1d(ts)).T)
-        return scale * np.sqrt(damp @ np.square(self.C))
+        n, n_batch = self.C.shape
+        out = np.empty((len(damp), n_batch))
+        for cb in _blocks(n_batch, _BLOCK_ELEMENTS // (n + len(damp))):
+            out[:, cb] = damp @ np.square(self.C[:, cb])
+        return scale * np.sqrt(out)
 
     def l2_time_integral(self, a: float, b: float) -> np.ndarray:
-        """Closed form of int_a^b ||(S_t f)|_D||^2 dt for the batch."""
+        """Closed form of int_a^b ||(S_t f)|_D||^2 dt for the batch: c^T M c
+        per column c, with M the restricted Gramian kernel, taken in blocks
+        of columns that hold two n x block arrays."""
         M = _gramian_kernel(self.sd, self.d_indices, a, b - a)
-        vals = np.sum(self.C * (M @ self.C), axis=0)
+        n, n_batch = self.C.shape
+        vals = np.empty(n_batch)
+        for cb in _blocks(n_batch, _BLOCK_ELEMENTS // (2 * n)):
+            C = self.C[:, cb]
+            vals[cb] = np.sum(C * (M @ C), axis=0)
         return np.maximum(vals, 0.0)
 
     @property
@@ -358,7 +410,8 @@ class RestrictedEvolution:
         """
         lam = self.lam[:, None]
         g0, ub = np.empty(len(lo)), np.empty(len(lo))
-        chunk = _cell_chunk(len(self.lam))
+        # X and the arrays alive with it (about three more) share the budget
+        chunk = max(1, _BLOCK_ELEMENTS // (4 * len(self.lam)))
         for k0 in range(0, len(lo), chunk):
             cells = slice(k0, k0 + chunk)
             hc = h[cells]
@@ -396,7 +449,7 @@ class RestrictedEvolution:
         than ``_LR_REL_TOL`` ||S_a f|| into k equal subcells, which cover it:
         s is returned, so s <= sup g <= s + _LR_REL_TOL ||S_a f||.  k is
         the largest power of two up to ``_MAX_SPLIT`` whose next wave still
-        fits one chunk of ``_cell_bounds``, so a small wave goes 8 ways and
+        has at most ``_cell_chunk`` cells, so a small wave goes 8 ways and
         a wave of many cells keeps bisecting.  The subcell ends are rounds
         of midpoints; a cell with no float between its ends holds no time
         that is not sampled, so it is not split, and a subcell of zero width

@@ -587,6 +587,34 @@ def test_mode_invariance_random_controls(c8):
         assert mode_invariance_check(sd, D, phi, lam, f0, u, 1.0)[0] <= 1e-9
 
 
+@pytest.mark.filterwarnings("error")
+def test_mode_invariance_check_at_a_far_horizon_takes_a_finite_norm(c8):
+    """At T = 1e200 on cycle-8 with even D the forced part of f(T) is about
+    1e199, whose squares overflow: ``verify_control`` takes ||f(T)|| on f(T)
+    over its largest entry, with no warning, and the one-trial check gives
+    the finite drift and scale of its batch of one.  A norm in range keeps
+    ``np.linalg.norm``'s bits."""
+    sd = eigendecompose(c8)
+    D = even_ids(c8)
+    lam, basis = [f for f in hautus_obstruction(sd, D) if abs(f[0] - 2.0) < 1e-8][0]
+    rng = np.random.default_rng(0)
+    T = 1e200
+    f0 = rng.standard_normal(8)
+    knots = np.linspace(0.0, T, 9)
+    u = ControlSignal(tuple(D), T, knots, rng.standard_normal((9, 4)))
+    res = verify_control(sd, D, f0, u, T)
+    coefs = sd.coefficients(res.final_state)
+    top = np.abs(coefs).max()
+    assert top > 1e190 and math.isfinite(res.achieved_alpha)
+    want = top * np.linalg.norm(coefs / top) / sd.norm(f0)
+    assert res.achieved_alpha == pytest.approx(want, rel=1e-12)
+    drift, scale = mode_invariance_check(sd, D, basis[:, 0], lam, f0, u, T)
+    assert math.isfinite(scale) and 0.0 <= drift <= 1e-9 * scale
+    for scale in (1e-300, 1.0, 1e150):
+        x = scale * rng.standard_normal(40)
+        assert graphheat.control._norm(x) == float(np.linalg.norm(x))
+
+
 def _hautus_per_group(sd, D):
     """One full SVD per eigenvalue group: the reference for the stacked SVDs
     of ``hautus_obstruction``."""

@@ -9,6 +9,8 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import shortest_path
 from hypothesis import strategies as st
 
 from graphheat import graph as graph_module
@@ -22,6 +24,7 @@ from graphheat.errors import (
     SelfLoop,
     UnknownVertex,
 )
+from graphheat.families import build_family
 from graphheat.graph import (
     FullSetInradiusWarning,
     MetricKind,
@@ -515,6 +518,31 @@ def test_float_table_matches_reference_on_both_sides_of_2_53(g):
         assert max_ball_volume(g, LEN, r) == ref_max_ball_volume(g, rows, r)
     for r in (2**53, 2**53 + 1, 1e300):
         assert max_ball_volume(g, COMB, r) == ref_max_ball_volume(g, hops, r)
+
+
+@pytest.mark.parametrize(
+    "family, spec",
+    [
+        ("cycle", {"n": 30}),
+        ("cycle", {"n": 12, "b": 0.3}),
+        ("torus", {"p": 6, "q": 5}),
+        ("cyclic-cover", {"base": {"family": "cycle", "n": 4}, "k": 8}),
+        ("path", {"n": 9, "b": 2.0, "m": 3.0}),
+    ],
+)
+def test_unit_length_graphs_read_the_hop_table_as_their_length_table(family, spec):
+    """When every edge is one length unit, the length table in units is the
+    hop table, which a Dijkstra over unit lengths gives, dtype included; a
+    graph with two edge lengths runs its own Dijkstra."""
+    g = build_family(family, spec).graph
+    edges = csr_array(g.weights)
+    unit = csr_array((np.ones(edges.nnz), edges.indices, edges.indptr), shape=edges.shape)
+    want = shortest_path(unit, method="D", directed=False)
+    assert g._length_table is g.hop_table
+    assert g._length_table.dtype == want.dtype and np.array_equal(g._length_table, want)
+    mixed = build_graph([("0", 1.0), ("1", 1.0), ("2", 1.0)], [("0", "1", 1.0), ("1", "2", 2.0)])
+    assert mixed._length_table is not mixed.hop_table
+    assert mixed._length_table.tolist() == [[0, 2, 3], [2, 0, 1], [3, 1, 0]]
 
 
 def test_distance_tables_computed_once_and_read_only(c4):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -599,6 +600,55 @@ def test_verify_multi_grids_each_window_stage_once(monkeypatch):
             assert ver.worst_label.startswith("eigvec:")
 
 
+def _battery_by_concatenation(sd, samples, seed):
+    """The test battery as three blocks joined: the eigenvectors, the
+    deltas and the normalized random draws."""
+    blocks = [np.eye(sd.n), (np.sqrt(sd.graph.m)[:, None] * sd.eigenvectors).T]
+    if samples > 0:
+        z = np.random.default_rng(seed).standard_normal((sd.n, samples))
+        blocks.append(z / np.linalg.norm(z, axis=0))
+    return np.concatenate(blocks, axis=1)
+
+
+@pytest.mark.parametrize("block_elements", [1, 100, 2**40])
+@pytest.mark.parametrize("samples", [0, 1, 2, 7, 300])
+def test_battery_is_filled_in_place_with_the_bits_of_its_blocks(samples, block_elements):
+    """``_phi_batch`` draws the random block by rows into one array and
+    normalizes it there; with any budget the battery has the bits of its
+    three blocks joined, and its labels in their order."""
+    import graphheat.observability as obs
+
+    rng = np.random.default_rng(samples)
+    sd = eigendecompose(random_connected_graph(rng, 17))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(obs, "_BLOCK_ELEMENTS", block_elements)
+        C, labels = _phi_batch(sd, samples, 3)
+    assert np.array_equal(C, _battery_by_concatenation(sd, samples, 3))
+    assert labels[0] == "eigvec:0" and labels[sd.n] == f"delta:{sd.graph.vertex_ids[0]}"
+    assert len(labels) == C.shape[1] == 2 * sd.n + samples
+
+
+def test_verify_on_torus_16x16_at_r_1_holds_the_battery_and_a_few_blocks():
+    """The torus-16x16 verification at r = 1 (battery seed 1, 1000 random
+    states, n = 256) holds at most the battery, one copy of its columns and
+    two evaluation blocks at once, 10.4 MB; it holds 6.1 MB, and held
+    19.8 MB before the blocks."""
+    from graphheat.quadrature import _BLOCK_ELEMENTS
+
+    g = build_family("torus", {"p": 16, "q": 16}).graph
+    sd = eigendecompose(g)
+    D = parity_subset(g, "even")
+    const = weak_obs_constants(g, sd, D, T=1.0, delta=0.0, r=1.0)
+    battery = 8 * g.n * (2 * g.n + 1000)
+    tracemalloc.start()
+    try:
+        verify_weak_obs_multi(sd, D, [const], samples=1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * battery + 2 * 8 * _BLOCK_ELEMENTS, peak
+
+
 def test_certified_norm_of_a_fast_decaying_mode_keeps_its_digits():
     """The verifier certifies a state from its spectral coefficients.  A
     round trip through the vertex basis left about 5e-16 of round-off in
@@ -857,6 +907,77 @@ def test_up_bounds_random_graphs():
                 assert rep.sharp_constant <= rep.paper_bound * (1 + 1e-9)
             if rep.remark_applicable and math.isfinite(rep.sharp_constant):
                 assert rep.sharp_constant <= rep.remark_bound * (1 + 1e-9)
+
+
+def _sharp_per_group(sd, D):
+    """The sweep's sharp constants with one eigensolve per eigenvalue group,
+    at the cutoff of the group's top, on both rows of the group."""
+    groups = sd.eigenvalue_groups()
+    out = []
+    for k, (_, idx) in enumerate(groups):
+        sharp = up_sharp_constant(sd, D, float(sd.eigenvalues[idx[-1]]))
+        out += [sharp] if k + 1 == len(groups) else [sharp, sharp]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "pendant", 1e-9, 1e-6, 1e-4]))
+@example(0, "pendant")
+@example(0, 1e-9)
+def test_up_sweep_skips_only_eigensolves_whose_constant_is_infinite(seed, kind):
+    """``up_sweep`` returns +inf without an eigensolve once the cutoff keeps
+    more modes than D has vertices, and on every row after the first +inf;
+    its constants equal one ``up_sharp_constant`` per group on
+    - random weighted graphs;
+    - a weighted path, all observed, with two unobserved leaves on one
+      vertex: their difference is a low mode that D does not see, so +inf
+      comes while the cutoff still keeps fewer modes than |D|;
+    - C4 with D = {0, 2} and b(0, 1) = 1 + eps, where the Hautus test and
+      the Gramian disagree."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        g = random_connected_graph(rng, int(rng.integers(3, 13)))
+        size = int(rng.integers(1, g.n))
+        D = [g.vertex_ids[i] for i in sorted(rng.choice(g.n, size=size, replace=False))]
+    elif kind == "pendant":
+        k = int(rng.integers(3, 10))
+        at, w = str(int(rng.integers(0, k + 1))), round(float(rng.uniform(0.001, 0.1)), 3)
+        g = build_graph(
+            [(str(i), 1.0) for i in range(k + 3)],
+            [(str(i), str(i + 1), round(float(rng.uniform(0.5, 2.0)), 3)) for i in range(k)]
+            + [(at, str(k + 1), w), (at, str(k + 2), w)],
+        )
+        D = [str(i) for i in range(k + 1)]
+    else:
+        g = build_graph(
+            [(str(i), 1.0) for i in range(4)],
+            [("0", "1", 1.0 + kind), ("1", "2", 1.0), ("2", "3", 1.0), ("3", "0", 1.0)],
+        )
+        D = ["0", "2"]
+    sd = eigendecompose(g)
+    rows = up_sweep(g, sd, D)
+    assert [r.sharp_constant for r in rows] == _sharp_per_group(sd, D)
+    if kind == "pendant":  # +inf on a row whose cutoff keeps at most |D| modes
+        first = next(i for i, r in enumerate(rows) if math.isinf(r.sharp_constant))
+        assert np.count_nonzero(sd.eigenvalues <= rows[first].sup_I) <= len(D)
+
+
+def test_up_sweep_on_cycle_400_solves_only_the_finite_rows(monkeypatch):
+    """On cycle-400 with even D the cutoff keeps more than 200 modes from
+    the 101st eigenvalue group on: those 201 rows take no eigensolve."""
+    import graphheat.observability as obs
+
+    g = cycle(400)
+    sd = eigendecompose(g)
+    D = parity_subset(g, "even")
+    cutoffs = []
+    real = obs.up_sharp_constant
+    monkeypatch.setattr(
+        obs, "up_sharp_constant", lambda sd, D, s: cutoffs.append(s) or real(sd, D, s)
+    )
+    rows = up_sweep(g, sd, D)
+    assert len(rows) == 401 and sum(math.isinf(r.sharp_constant) for r in rows) == 201
+    assert len(cutoffs) == 100
 
 
 @pytest.mark.parametrize("n", [8, 100])

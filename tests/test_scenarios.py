@@ -535,6 +535,20 @@ def test_cli_non_null_at_a_far_horizon_compares_a_finite_scale(tmp_path):
     assert isinstance(residual, float) and 0.0 < residual <= 1e-9
 
 
+def test_cli_non_null_refuses_zero_trials(tmp_path):
+    """With "n_random": 0 the mode-invariance check would compare no trial
+    and pass; the count is refused as bad input (exit 2), before any report
+    is written."""
+    code, err, summary = _run_cli(tmp_path, {
+        "graph": {"family": "cycle", "n": 8},
+        "subset": {"parity": "even"},
+        "task": "non-null",
+        "params": {"T": 1.0, "n_random": 0},
+    })
+    assert code == 2 and "n_random" in err and "Traceback" not in err, err
+    assert summary is None
+
+
 def test_non_null_trials_draw_f0_then_the_knot_values(tmp_path):
     """The batched trials take each trial's f0 and then its knot values from
     the scenario's generator, as one trial at a time did: the task's

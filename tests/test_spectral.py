@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,11 +16,14 @@ from graphheat.errors import (
     ValidationError,
 )
 from graphheat.families import build_family, parity_subset
-from graphheat.graph import build_graph
+from graphheat.graph import MetricKind, build_graph, covering_radius, inradius, max_ball_volume
+from graphheat.observability import _phi_batch
+from graphheat.quadrature import _BLOCK_ELEMENTS, _blocks
 from graphheat.spectral import (
     _LR_REL_TOL,
     RestrictedEvolution,
     _cell_chunk,
+    _gramian_kernel,
     _graded_grid,
     apply_laplacian,
     decay,
@@ -917,11 +922,12 @@ def test_time_norms_on_mixed_windows_match_one_column_calls(seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([1, 300, 2_000_000]))
-def test_shared_time_norms_match_a_per_time_reference(seed, chunk_elements):
+@given(st.integers(0, 10_000), st.sampled_from([1, 120, 300, 2**18, 2_000_000]))
+def test_shared_time_norms_match_a_per_time_reference(seed, block_elements):
     """On shared times, ``norms`` scales the batch per time when the batch is
-    at most |D| wide and the rows of W when it is wider; both orientations,
-    chunked into one or several time chunks, give ||W (e^{-lam t} c)|| per
+    at most |D| wide and the rows of W when it is wider (and one time's copy
+    of W fits half the block budget); both orientations, in one or several
+    blocks of times and columns, give ||W (e^{-lam t} c)|| per
     time and column, and what ``_entry_norms`` gives on the same times,
     including t = 0 and t = 1e308, where lam t overflows a float for every
     lam above 1.8.  They agree to 1e-13 of the size of the terms summed,
@@ -939,7 +945,7 @@ def test_shared_time_norms_match_a_per_time_reference(seed, chunk_elements):
         C = rng.standard_normal((g.n, width))
         re = RestrictedEvolution(sd, d_idx, C)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "_CHUNK_ELEMENTS", chunk_elements)
+            mp.setattr(spectral, "_BLOCK_ELEMENTS", block_elements)
             got = re.norms(ts)
             per_entry = re.norms(np.repeat(ts[:, None], width, axis=1))
         with np.errstate(over="ignore"):  # an overflowing lam t gives e^{-inf} = 0
@@ -949,3 +955,197 @@ def test_shared_time_norms_match_a_per_time_reference(seed, chunk_elements):
         assert got.shape == (len(ts), width)
         assert np.all(np.abs(got - want) <= 1e-13 * size), np.abs(got - want) / size
         assert np.all(np.abs(got - per_entry) <= 1e-13 * size), np.abs(got - per_entry) / size
+
+
+# ---------------------------------------------------------------------------
+# evaluation blocks
+
+
+def _with_budget(mp, elements):
+    """Set the evaluation budget in every module that reads it."""
+    import graphheat.graph as graph
+    import graphheat.observability as observability
+    import graphheat.spectral as spectral
+
+    for module in (graph, observability, spectral):
+        mp.setattr(module, "_BLOCK_ELEMENTS", elements)
+
+
+@pytest.mark.parametrize(
+    "total, width", [(0, 5), (1, 5), (2, 1), (3, 2), (7, 2), (7, 3), (9, 4), (5, 10)]
+)
+def test_blocks_cover_the_range_and_leave_no_index_alone(total, width):
+    blocks = _blocks(total, width)
+    assert [i for b in blocks for i in range(total)[b]] == list(range(total))
+    assert all(b.stop - b.start <= max(2, width) + 1 for b in blocks)
+    assert total == 1 or all(b.stop - b.start >= 2 for b in blocks)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1, 13, 40]))
+def test_blocked_sums_and_minima_give_the_bits_of_one_block(seed, block_elements):
+    """``final_norms`` sums each column over the modes, and ``max_ball_volume``
+    each ball over the vertices, a block of columns or rows at a time; the
+    radii take their minima by blocks of rows.  With any budget each gives
+    the bits of one block, for one column (summed pairwise by numpy) and for
+    many, one T or one per column, and a one-column batch at several T."""
+    sd = small_sd(seed, n_max=12)
+    g = sd.graph
+    rng = np.random.default_rng(seed + 5)
+    d_idx = np.sort(rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False))
+    D = [g.vertex_ids[i] for i in d_idx]
+    omega = [v for v in g.vertex_ids if v not in set(D)]
+
+    def evaluate():
+        out = []
+        for width in (1, 2, 3, 11):
+            C = np.random.default_rng(width).standard_normal((g.n, width))
+            re = RestrictedEvolution(sd, d_idx, C)
+            out += [re.final_norms(0.5), re.final_norms(np.linspace(0.0, 2.0, width))]
+            if width == 1:
+                out.append(re.final_norms(np.linspace(0.0, 2.0, 5)))
+        for kind in MetricKind:
+            out.append(covering_radius(g, kind, D, exact=True))
+            out.append(inradius(g, kind, omega, exact=True))
+            out += [max_ball_volume(g, kind, r) for r in (0, 1, 1.5, 2.75, Fraction(7, 3))]
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        _with_budget(mp, 2**40)
+        whole = evaluate()
+        _with_budget(mp, block_elements)
+        blocked = evaluate()
+    for want, got in zip(whole, blocked):
+        assert np.array_equal(want, got), (want, got)
+
+
+def _kernel_by_formula(sd, d_idx, a, w):
+    """The restricted Gramian kernel formed as one n x n expression."""
+    lam = sd.eigenvalues
+    W = np.sqrt(sd.graph.m[d_idx])[:, None] * sd.eigenvectors[d_idx, :]
+    S = lam[:, None] + lam[None, :]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        F = decay(S, a) * (-np.expm1(-S * w)) / S
+    F[S == 0.0] = w
+    return (W.T @ W) * F
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1, 13, 2**40]))
+def test_gramian_kernel_by_row_blocks_has_the_bits_of_the_formula(seed, block_elements):
+    sd = small_sd(seed, n_max=12)
+    rng = np.random.default_rng(seed + 9)
+    d_idx = np.sort(rng.choice(sd.n, size=int(rng.integers(1, sd.n + 1)), replace=False))
+    with pytest.MonkeyPatch.context() as mp:
+        _with_budget(mp, block_elements)
+        for a, w in [(0.0, 1.0), (0.25, 1.5), (1e300, 1e300), (0.0, 1e-300)]:
+            assert np.array_equal(
+                _gramian_kernel(sd, d_idx, a, w), _kernel_by_formula(sd, d_idx, a, w)
+            ), (a, w)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("m", [1.0, 1e-300, 1e300])
+def test_eigendecompose_hands_eigh_the_bits_of_the_formula(seed, m):
+    """The symmetrized Laplacian is built in place, and ``eigh`` receives
+    the bits, signs of zero included, of 0.5 (S + S^T) with
+    S = m^{-1/2} (diag(b 1) - b) m^{-1/2}; the eigenvectors are scaled back
+    in place to the bits of m^{-1/2} times ``eigh``'s."""
+    rng = np.random.default_rng(seed)
+    base = random_connected_graph(rng, int(rng.integers(2, 14)))
+    # a zero weight on a listed edge, and a stiff measure
+    vertices = [(v, m * float(x)) for v, x in zip(base.vertex_ids, base.m)]
+    edges = [
+        (base.vertex_ids[i], base.vertex_ids[j], float(base.weights[i, j]))
+        for i in range(base.n) for j in range(i + 1, base.n) if base.weights[i, j] > 0.0
+    ]
+    if seed % 2 and base.n > 2:
+        edges.append((base.vertex_ids[0], base.vertex_ids[-1], 0.0))
+    g = build_graph(vertices, edges)
+    inv = 1.0 / np.sqrt(g.m)
+    with np.errstate(over="ignore"):
+        lap = np.diag(g.weights.sum(axis=1)) - g.weights
+        sym = inv[:, None] * lap * inv[None, :]
+        sym = 0.5 * (sym + sym.T)
+    seen = []
+    real_eigh = np.linalg.eigh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", lambda a: seen.append(a.copy()) or real_eigh(a))
+        sd = eigendecompose(g)
+    assert np.array_equal(seen[0], sym) and np.array_equal(np.signbit(seen[0]), np.signbit(sym))
+    assert np.array_equal(sd.eigenvectors, inv[:, None] * real_eigh(sym)[1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1, 50]))
+def test_blocked_products_match_one_block_to_rounding(seed, block_elements):
+    """``rate_norms``, ``l2_time_integral``, ``_entry_norms`` and
+    ``_cell_bounds`` multiply matrices a block at a time, whose products
+    may round differently: against one block they agree to 1e-13 of the
+    size of the terms summed."""
+    sd = small_sd(seed, n_max=10)
+    g = sd.graph
+    rng = np.random.default_rng(seed + 21)
+    d_idx = np.sort(rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False))
+    ts = np.r_[0.0, np.sort(rng.uniform(0.0, 3.0, size=5))]
+    for width in (1, 3, 12):
+        C = rng.standard_normal((g.n, width))
+        re = RestrictedEvolution(sd, d_idx, C)
+        entry_ts = np.where(rng.uniform(size=(len(ts), width)) < 0.2, np.nan, ts[:, None])
+        lo = rng.uniform(0.0, 2.0, size=4 * width)
+        h = rng.uniform(0.0, 0.5, size=4 * width)
+        cols = np.repeat(np.arange(width), 4)
+
+        def evaluate():
+            return (
+                re.rate_norms(ts),
+                re.l2_time_integral(0.25, 1.5),
+                re.norms(entry_ts),
+                *re._cell_bounds(lo, h, cols),
+            )
+
+        with pytest.MonkeyPatch.context() as mp:
+            _with_budget(mp, 2**40)
+            whole = evaluate()
+            _with_budget(mp, block_elements)
+            blocked = evaluate()
+        aW = np.abs(re.W)
+        M = np.abs(_gramian_kernel(sd, d_idx, 0.25, 1.25))
+        entry_size = np.full(entry_ts.shape, np.nan)
+        for (i, j), t in np.ndenumerate(entry_ts):
+            if not np.isnan(t):
+                entry_size[i, j] = np.linalg.norm(aW @ (decay(sd.eigenvalues, t) * np.abs(C[:, j])))
+        X = np.abs(decay(sd.eigenvalues, lo) * C[:, cols])
+        cell_size = np.linalg.norm(aW @ X, axis=0)
+        sizes = (
+            whole[0],
+            np.sum(np.abs(C) * (M @ np.abs(C)), axis=0),
+            entry_size,
+            cell_size,
+            cell_size + whole[4],
+        )
+        for want, got, size in zip(whole, blocked, sizes):
+            assert np.array_equal(np.isnan(want), np.isnan(got))
+            ok = ~np.isnan(want)
+            assert np.all(np.abs(got - want)[ok] <= 1e-13 * size[ok]), np.abs(got - want)[ok]
+
+
+def test_norms_on_a_479_column_grid_hold_one_block_of_temporaries():
+    """torus-16x16's verifier grids 479 states on the 33 times of the graded
+    grid at r = 1 (n = 256, |D| = 128).  ``norms`` holds one block of
+    temporaries (2 MB) beside its output; one chunk of 21 times held a
+    5.5 MB scaled factor and a 10.3 MB product before the blocks."""
+    g = build_family("torus", {"p": 16, "q": 16}).graph
+    sd = eigendecompose(g)
+    d_idx = g.subset_indices(parity_subset(g, "even"))
+    C = np.ascontiguousarray(_phi_batch(sd, 1000, 1)[0][:, g.n : g.n + 479])
+    re = RestrictedEvolution(sd, d_idx, C)
+    ts = _graded_grid(0.0, 1.0, float(sd.eigenvalues[-1]))
+    tracemalloc.start()
+    try:
+        out = re.norms(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (33, 479)
+    assert peak <= 8 * _BLOCK_ELEMENTS + 2 * out.nbytes, peak
