@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BisectionNonConvergence, EmptySubset, TargetUnreachable, ValidationError
-from .quadrature import adaptive_simpson
+from .quadrature import _BLOCK_ELEMENTS, _blocks, adaptive_simpson
 from .spectral import (
     RestrictedEvolution,
     SpectralDecomposition,
@@ -159,8 +159,8 @@ def _signal_costs(
     """L_r norms of t -> ||u(t)||_{l2(D,m)} for the closed-form control.
 
     u(tau) = (S_{T-tau} eta)|_D, so the time profile is the reflection of
-    s -> ||(S_s eta)|_D||, and reflection preserves every L_r norm.  Each
-    distinct exponent is one column of one certified call; no exponent
+    s -> ||(S_s eta)|_D||, and reflection preserves every L_r norm.  One
+    call gives eta every distinct exponent, from one profile; no exponent
     makes no call.
     """
     rs = list(dict.fromkeys(rs))
@@ -168,9 +168,8 @@ def _signal_costs(
         raise ValidationError(f"cost exponents must lie in [1, inf], got {rs}")
     if not rs:
         return {}
-    coefs = np.repeat(sd.coefficients(eta_vertex)[:, None], len(rs), axis=1)
-    re = RestrictedEvolution(sd, sd.graph.subset_indices(D), coefs)
-    return dict(zip(rs, re.lr_norms(0.0, T, np.array(rs)).tolist()))
+    re = RestrictedEvolution(sd, sd.graph.subset_indices(D), sd.coefficients(eta_vertex))
+    return dict(zip(rs, re.lr_norms(0.0, T, np.array(rs)[:, None])[:, 0].tolist()))
 
 
 def synth_control(
@@ -301,19 +300,25 @@ def _controlled_trajectory(
     One Gramian step per sample: with h = T/(samples - 1),
     f(t_{k+1}) = S_h f(t_k) + Q_h S_{T - t_{k+1}} eta, where Q_h is the
     Gramian over [0, h].  One kernel serves every period, one matrix
-    product forms every drive, and the steps advance all periods together.
+    product per block of steps forms their drives for every period, and
+    the steps advance all periods together.  A block's drives and their
+    factor, two (n, steps, N) arrays, share ``_BLOCK_ELEMENTS``.
     """
     h = T / (samples - 1)
     ts = np.linspace(0.0, T, samples)
     K = _gramian_kernel(sd, sd.graph.subset_indices(D), 0.0, h)
     c_eta = sd.coefficients(eta)
     E = decay(sd.eigenvalues, T - ts[1:])
-    drive = (K @ (E[:, :, None] * c_eta[:, None, :]).reshape(sd.n, -1)).reshape(E.shape + (-1,))
     step = decay(sd.eigenvalues, h)[:, None]
     out = np.empty((samples,) + c_eta.shape)
     out[0] = sd.coefficients(f0)
-    for k in range(samples - 1):
-        out[k + 1] = step * out[k] + drive[:, k]
+    for steps in _blocks(samples - 1, _BLOCK_ELEMENTS // (2 * c_eta.size)):
+        factor = (E[:, steps, None] * c_eta[:, None, :]).reshape(sd.n, -1)
+        drive = (K @ factor).reshape(sd.n, -1, c_eta.shape[1])
+        del factor
+        for k in range(steps.start, steps.stop):
+            out[k + 1] = step * out[k] + drive[:, k - steps.start]
+        del drive
     return out.transpose(0, 2, 1) @ sd.eigenvectors.T
 
 
@@ -550,7 +555,9 @@ def stabilize(
     Each period re-runs the synthesis from the achieved state, without cost
     norms, so ||f(kT)|| <= alpha^k ||f0||; a period that starts at zero
     stays there with zero control.  Then every period is handled at once:
-    its L_1, L_2 and L_inf costs are columns of one ``lr_norms`` call, and
+    its L_1, L_2 and L_inf costs come from one ``lr_norms`` call with a
+    column per period, whose profile is evaluated once per time and raised
+    to each exponent, and
     its intra-period excursion is sampled at ``_INTRA_SAMPLES`` equally
     spaced times by ``_controlled_trajectory`` (one Gramian step per
     sample).  The envelope constants are omega = ln(alpha)/T and M, which
@@ -578,9 +585,8 @@ def stabilize(
     intra_ratio = 1.0
     if live:
         eta = np.stack(etas, axis=1)
-        coefs = np.repeat(sd.coefficients(eta), len(COST_EXPONENTS), axis=1)
-        re = RestrictedEvolution(sd, sd.graph.subset_indices(D), coefs)
-        costs[:live] = re.lr_norms(0.0, T, np.tile(COST_EXPONENTS, live)).reshape(live, -1)
+        re = RestrictedEvolution(sd, sd.graph.subset_indices(D), sd.coefficients(eta))
+        costs[:live] = re.lr_norms(0.0, T, np.array(COST_EXPONENTS)[:, None]).T
         traj = _controlled_trajectory(sd, D, T, np.stack(starts, axis=1), eta, _INTRA_SAMPLES)
         peaks = np.sqrt(np.square(traj) @ sd.graph.m).max(axis=0)
         intra_ratio = max(intra_ratio, float(np.max(peaks / norms[:live])))

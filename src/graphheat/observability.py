@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -319,13 +319,21 @@ def _phi_batch(
 
 
 def _window_terms(
-    re: RestrictedEvolution, a: float, b: float
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """The exponent-free terms of ``_closed_form_bounds`` on the window
+    re: RestrictedEvolution, windows: Sequence[tuple[float, float]], final_norms: Callable
+) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+    """The exponent-free terms of ``_closed_form_bounds`` on each window
     (a, b): its width w = b - a and, per column, L2 = ||g||_{L_2(a, b)}
-    (closed form), G = ||S_a phi|| and max(g(a), g(b))."""
-    l2 = np.sqrt(re.l2_time_integral(a, b))
-    return b - a, l2, re.final_norms(a), re.norms([a, b]).max(axis=0)
+    (closed form), G = ||S_a phi|| (from ``final_norms``, which may cache
+    it) and max(g(a), g(b)).  g comes from one ``norms`` call on the
+    distinct ends of all the windows."""
+    ends = np.unique(np.ravel(windows))
+    g = re.norms(ends)
+    out = []
+    for a, b in windows:
+        ga, gb = g[np.searchsorted(ends, [a, b])]
+        l2 = np.sqrt(re.l2_time_integral(a, b))
+        out.append((b - a, l2, final_norms(a), np.maximum(ga, gb)))
+    return out
 
 
 def _mode_lr_norms(lam: np.ndarray, a: float, b: float, r: float) -> np.ndarray:
@@ -514,8 +522,9 @@ def verify_weak_obs_multi(
     - bound every state's time norm in closed form (``_closed_form_bounds``);
       the terms that depend on the window (delta T, T) alone, namely the L_2
       integral, ||S_{delta T} phi|| and g at both ends (``_window_terms``),
-      are computed once per distinct window and shared by its exponents, as
-      ||S_T phi|| is once per distinct T;
+      are computed once per distinct window and shared by its exponents, g
+      once per distinct window end, and ||S_t phi|| once per distinct t,
+      whether t is an end delta T or a T;
     - drop the states whose slack lower bound exceeds the smallest slack
       upper bound, the exact eigenvector slack included, by more than the
       margin (``_RECHECK_MARGIN_REL``);
@@ -587,8 +596,8 @@ def verify_weak_obs_multi(
     for i, const in enumerate(constants_list):
         by_window.setdefault((const.delta * const.T, const.T), []).append(i)
     screened: dict[int, _Screen] = {}
-    for (a, b), members in by_window.items():
-        terms = _window_terms(re, a, b)
+    window_terms = _window_terms(re, list(by_window), final_norms)
+    for ((a, b), members), terms in zip(by_window.items(), window_terms):
         stage = []
         for i in members:
             const = constants_list[i]

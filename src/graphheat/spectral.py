@@ -394,63 +394,103 @@ class RestrictedEvolution:
     def _cell_bounds(
         self, lo: np.ndarray, h: np.ndarray, cols: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """g(lo) and an upper bound on g over [lo, lo + h] for each cell,
-        g(t) = ||(S_t f)|_D|| of column ``cols`` of the batch.
+        """g(lo) and an upper bound on g over [lo, hi], hi = lo + h, for each
+        cell, g(t) = ||(S_t f)|_D|| of column ``cols`` of the batch.
 
-        With u0 = (S_lo f)|_D and u1 = (H S_lo f)|_D, g(lo + s) <=
-        ||u0 - s u1|| + rem(s), where rem(s) bounds the Taylor remainder by
-        the smaller of
+        With u = (S_t f)|_D and u1 = (H S_t f)|_D at an end t of the cell, a
+        Taylor expansion from either end bounds g, and the smaller of the two
+        bounds is returned:
+        - from lo, S_{lo+s} f = S_lo f - s H S_lo f + int_0^s (s - v)
+          H^2 S_{lo+v} f dv, so g(lo + s) <= ||u_lo - s u1_lo|| + rem(s);
+        - from hi, S_{hi-s} f = S_hi f + s H S_hi f + int_0^s (s - v)
+          H^2 S_{hi-v} f dv, so g(hi - s) <= ||u_hi + s u1_hi|| + rem(s).
+        rem(s) bounds either remainder by the smaller of
         - (s^2 / 2) ||H^2 S_lo f||, and
         - the sum over eigenvalue groups J of (s^2 / 2) l_{J,max}^2
           ||(P_J S_lo f)|_D|| + s (l_{J,max} - l_{J,min}) ||P_J S_lo f||,
           which stays small for a state that D does not see.
-        With either remainder, ||u0 - s u1|| + rem(s) is convex in s and is
-        ||u0|| at s = 0, so its maximum on [0, h] sits at an end:
-        g <= max(||u0||, ||u0 - h u1|| + rem(h)).
+        Both are formed at lo, and both hold from hi as well: every time
+        hi - v in the backward remainder is >= lo, where ||H^2 S_t f|| is
+        largest, and per mode the remainder is S_lo f's coefficient times
+        e^{-s l} - 1 + s l (forward) or (e^{s l} - 1 - s l) e^{-h l}
+        (backward), each in [0, s^2 l^2 / 2] with a derivative in l of at
+        most s in size.  With either remainder each expansion is convex in s
+        and is g at its end for s = 0, so its maximum on [0, h] sits at an
+        end: g <= max(g(lo), ||u_lo - h u1_lo|| + rem(h)) and
+        g <= max(g(hi), ||u_hi + h u1_hi|| + rem(h)).  A bound that is nan
+        (inf - inf) yields to the other one.
+
+        u and u1 are formed once per distinct end of a block of cells:
+        where a cell's right end is the next cell's left end in the same
+        column, as when cells tile a window in order (the supremum search's
+        waves), the two share it, so k subcells of a cell cost k + 1 ends,
+        not 2 k.
         """
         lam = self.lam[:, None]
+        hi = lo + h
         g0, ub = np.empty(len(lo)), np.empty(len(lo))
-        # X and the arrays alive with it (about three more) share the budget
+        # X at up to two ends per cell, then each cell's products (about
+        # four arrays of n values per cell) share the budget with u and u1
         chunk = max(1, _BLOCK_ELEMENTS // (4 * len(self.lam)))
         for k0 in range(0, len(lo), chunk):
             cells = slice(k0, k0 + chunk)
-            hc = h[cells]
+            hc, col = h[cells], cols[cells]
+            # the ends are the cells' left ends, then the right ends that are
+            # not the next cell's left end in the same column
+            c = len(hc)
+            own = np.ones(c, dtype=bool)
+            own[:-1] = (hi[cells][:-1] != lo[cells][1:]) | (col[:-1] != col[1:])
+            extra = np.flatnonzero(own)
+            right = np.arange(1, c + 1)
+            right[extra] = np.arange(c, c + len(extra))
+            ts = np.concatenate((lo[cells], hi[cells][extra]))
             # h and lam scale the data one at a time, never each other: on a
             # stiff spectrum a product may overflow to inf, but a mode that
             # has decayed to 0 stays 0 instead of giving inf * 0
             with np.errstate(over="ignore", invalid="ignore"):
-                X = decay(self.lam, lo[cells]) * self.C[:, cols[cells]]
-                u0 = self.W @ X
-                g0[cells] = np.linalg.norm(u0, axis=0)
-                hLX = hc * (lam * X)
-                end = np.linalg.norm(u0 - self.W @ hLX, axis=0)
-                rem = 0.5 * np.linalg.norm(hc * (lam * hLX), axis=0)
-                by_group = 0.0
+                X = decay(self.lam, ts) * self.C[:, np.concatenate((col, col[extra]))]
+                u = self.W @ X
+                by_group = 0.0  # from S_lo f, where both remainders are formed
                 for idx, R, top, spread in self._groups:
-                    Xg, top = X[idx], top[:, None]
+                    Xg, top = X[:, :c][idx], top[:, None]
                     seen = np.linalg.norm(R @ Xg, axis=1)
                     by_group += 0.5 * np.sum(hc * (top * (hc * (top * seen))), axis=0)
                     by_group += hc * (spread @ np.linalg.norm(Xg, axis=1))
-                ub[cells] = np.maximum(g0[cells], end + np.fmin(rem, by_group))
+                LX = np.multiply(X, lam, out=X)
+                u1 = self.W @ LX
+                rem = 0.5 * np.linalg.norm(hc * (lam * (hc * LX[:, :c])), axis=0)
+                rem = np.fmin(rem, by_group)
+                del X, LX
+                g = np.linalg.norm(u, axis=0)
+                g0[cells] = g[:c]
+                forward = np.linalg.norm(u[:, :c] - hc * u1[:, :c], axis=0)
+                backward = np.linalg.norm(u[:, right] + hc * u1[:, right], axis=0)
+                ub[cells] = np.fmin(
+                    np.maximum(g[:c], forward + rem), np.maximum(g[right], backward + rem)
+                )
         return g0, ub
 
-    def _columns(self, keep: np.ndarray) -> RestrictedEvolution:
-        """The same evolution on the columns ``keep`` of the batch."""
-        if keep.all():
+    def _columns(self, cols: np.ndarray) -> RestrictedEvolution:
+        """The same evolution on the columns ``cols`` (indices) of the batch."""
+        if np.array_equal(cols, np.arange(self.C.shape[1])):
             return self
-        return RestrictedEvolution(self.sd, self.d_indices, self.C[:, keep])
+        return RestrictedEvolution(self.sd, self.d_indices, self.C[:, cols])
 
     def _sup_norms(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Certified sup of g over [a[j], b[j]] for each column j, by bound
         and split, and the time of the sample that gives it.
 
-        Each wave bounds g on its cells (``_cell_bounds``) and splits every
-        cell whose bound exceeds the column's best sampled value s by more
-        than ``_LR_REL_TOL`` ||S_a f|| into k equal subcells, which cover it:
-        s is returned, so s <= sup g <= s + _LR_REL_TOL ||S_a f||.  k is
-        the largest power of two up to ``_MAX_SPLIT`` whose next wave still
-        has at most ``_cell_chunk`` cells, so a small wave goes 8 ways and
-        a wave of many cells keeps bisecting.  The subcell ends are rounds
+        g is first sampled at b[j].  Each wave bounds g on its cells
+        (``_cell_bounds``, from both ends of each cell, so a maximum at b[j]
+        is certified without zooming in on it), samples g at their left
+        ends, and splits every cell whose bound exceeds the column's best
+        sampled value s by more than ``_LR_REL_TOL`` ||S_a f|| into k equal
+        subcells, which cover it: s is returned, so
+        s <= sup g <= s + _LR_REL_TOL ||S_a f||.  The cells of a wave are
+        kept in order by column and time, so neighbours share their
+        evaluated ends.  k is the largest power of two up to ``_MAX_SPLIT``
+        whose next wave still has at most ``_cell_chunk`` cells, so a small
+        wave goes 8 ways and a wave of many cells keeps bisecting.  The subcell ends are rounds
         of midpoints; a cell with no float between its ends holds no time
         that is not sampled, so it is not split, and a subcell of zero width
         is dropped.  A bound that overflows (+inf, or nan from inf - inf)
@@ -495,36 +535,48 @@ class RestrictedEvolution:
         return best, at
 
     def lr_norms(self, a, b, r) -> np.ndarray:
-        """L_r norms in time, one per column over its window (a, b).
+        """L_r norms in time over windows (a, b), one per entry of a, b and r
+        broadcast against the batch's columns (the last axis).
 
-        Each of a, b and r is one value for the batch or one per column.
-        The finite-r columns integrate the r-th power in one adaptive
-        Simpson call, each column estimated to relative tolerance
+        A scalar is one value for the batch and a 1-D array one per column;
+        an (exponents, 1) r gives each column every exponent, one row each.
+        The finite-r entries integrate the r-th power in one adaptive
+        Simpson call, each entry estimated to relative tolerance
         ``_LR_REL_TOL`` of its own integral (Simpson's error estimate, not a
-        bound), on times shared by the batch when the window is.  The r = inf
-        columns are certified: they split the cells of their graded grids,
-        up to ``_MAX_SPLIT`` ways per wave, in one run until each sampled
-        maximum is within ``_LR_REL_TOL`` ||S_a f|| of its supremum, a
-        proven bracket (``_sup_norms``).
+        bound).  Where they share one window, the batch shares its times
+        and each column's g is evaluated once and raised to each of its
+        exponents; on separate windows each entry is evaluated on its own.
+        The r = inf entries are certified: they split the cells of their
+        graded grids, up to ``_MAX_SPLIT`` ways per wave, in one run until
+        each sampled maximum is within ``_LR_REL_TOL`` ||S_a f|| of its
+        supremum, a proven bracket (``_sup_norms``).
         """
         n_batch = self.C.shape[1]
-        a, b, r = (np.broadcast_to(np.asarray(v, dtype=float), (n_batch,)) for v in (a, b, r))
-        out = np.empty(n_batch)
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(r), (n_batch,))
+        a, b, r = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b, r))
+        col = np.broadcast_to(np.arange(n_batch), shape).ravel()
+        out = np.empty(len(col))
         sup = np.isinf(r)
         if sup.any():
-            out[sup] = self._columns(sup)._sup_norms(a[sup], b[sup])[0]
+            out[sup] = self._columns(col[sup])._sup_norms(a[sup], b[sup])[0]
         fin = ~sup
         if fin.any():
-            part, a, b, r = self._columns(fin), a[fin], b[fin], r[fin]
+            col, a, b, r = col[fin], a[fin], b[fin], r[fin]
             if np.all(a == a[0]) and np.all(b == b[0]):
                 a, b = a[0], b[0]  # one window: the batch shares its times
+                states, col = np.unique(col, return_inverse=True)
+            else:
+                states, col = col, np.arange(len(col))
+            part = self._columns(states)
             if np.all(r == r[0]):
                 r = float(r[0])  # numpy's scalar-exponent paths: x ** 2 is x * x, x ** 0.5 sqrt
-            integrals = adaptive_simpson(
-                lambda ts: part.norms(ts) ** r, a, b, rel_tol=_LR_REL_TOL, norm=np.abs
-            )
+
+            def powers(ts: np.ndarray) -> np.ndarray:
+                return part.norms(ts)[..., col] ** r
+
+            integrals = adaptive_simpson(powers, a, b, rel_tol=_LR_REL_TOL, norm=np.abs)
             out[fin] = integrals ** (1.0 / r)
-        return out
+        return out.reshape(shape)
 
 
 def time_lr_norm(

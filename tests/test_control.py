@@ -775,7 +775,7 @@ def test_stabilize_costs_and_envelope_match_per_period_synthesis(monkeypatch):
         mp.setattr(RestrictedEvolution, "lr_norms", kept)
         rep = stabilize(sd, D, T, alpha, N, f0)
     want, ratio = _stabilize_period_by_period(sd, D, T, alpha, N, f0)
-    np.testing.assert_allclose(batched[0].reshape(N, 3), want, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(batched[0].T, want, rtol=1e-13, atol=0.0)
     totals = [np.sum(want[:, 0]), np.sqrt(np.sum(want[:, 1] ** 2)), np.max(want[:, 2])]
     np.testing.assert_allclose(list(rep.total_costs.values()), totals, rtol=1e-13, atol=0.0)
     assert list(rep.total_costs) == [1.0, 2.0, math.inf]
@@ -803,7 +803,47 @@ def test_stabilize_builds_two_kernels_and_certifies_once(monkeypatch):
     monkeypatch.setattr(RestrictedEvolution, "lr_norms", lr_norms)
     stabilize(sd, g.vertex_ids[:4], 1.0, 0.5, 10, np.ones(g.n))
     assert len(kernels) == 2
-    assert certified == [30]
+    assert certified == [10]
+
+
+def test_each_control_profile_is_evaluated_once_for_all_its_exponents(monkeypatch):
+    """``norms`` receives one column per control, however many exponents its
+    costs take: one for a synthesis and one per period for ``stabilize``,
+    whose L_1 and L_2 costs raise one profile to both powers."""
+    g = random_connected_graph(np.random.default_rng(5), 12)
+    sd = eigendecompose(g)
+    D = g.vertex_ids[:4]
+    widths = []
+    real = RestrictedEvolution.norms
+
+    def norms(self, ts):
+        widths.append(self.C.shape[1])
+        return real(self, ts)
+
+    monkeypatch.setattr(RestrictedEvolution, "norms", norms)
+    _, res = synth_control(sd, D, 1.0, np.ones(g.n), 0.5)
+    assert list(res.costs) == [1.0, 2.0, math.inf]
+    assert widths and set(widths) == {1}
+    widths.clear()
+    stabilize(sd, D, 1.0, 0.5, 10, np.ones(g.n))
+    assert widths and set(widths) == {10}
+
+
+@pytest.mark.parametrize("budget", [1, 700])
+def test_controlled_trajectory_by_blocks_of_steps_keeps_its_bits(monkeypatch, budget):
+    """The drives are formed a block of steps at a time, within the
+    evaluation budget (2 or 8 steps of 4 periods on 10 vertices here); each
+    column is the same product with the kernel, so the trajectory keeps the
+    bits of one block."""
+    g = random_connected_graph(np.random.default_rng(3), 10)
+    sd = eigendecompose(g)
+    rng = np.random.default_rng(4)
+    f0, eta = rng.standard_normal((g.n, 4)), rng.standard_normal((g.n, 4))
+    monkeypatch.setattr(graphheat.control, "_BLOCK_ELEMENTS", 2**40)
+    whole = _controlled_trajectory(sd, g.vertex_ids[:3], 1.0, f0, eta, 65)
+    monkeypatch.setattr(graphheat.control, "_BLOCK_ELEMENTS", budget)
+    blocked = _controlled_trajectory(sd, g.vertex_ids[:3], 1.0, f0, eta, 65)
+    np.testing.assert_array_equal(blocked, whole)
 
 
 def test_synth_control_without_cost_exponents_has_no_costs(k2):

@@ -332,6 +332,32 @@ def test_verify_multi_computes_window_terms_once_per_window(monkeypatch):
     assert len(calls) == len(set(calls)) == 6
 
 
+def test_verify_multi_evaluates_each_window_end_once(monkeypatch):
+    """The 18 sets' 6 windows have 6 distinct ends: g at all of them over
+    the battery is one ``norms`` call, and ||S_t phi|| over the battery is
+    taken once per distinct t, whether t starts a window or is a T."""
+    sd, D, consts = _corpus_graph_constants()
+    width = sd.n + 1000  # the deltas and the random states
+    ends, finals = [], []
+    real_norms, real_final = RestrictedEvolution.norms, RestrictedEvolution.final_norms
+
+    def norms(self, ts):
+        if self.C.shape[1] == width and np.ndim(ts) == 1:
+            ends.append(np.asarray(ts).tolist())
+        return real_norms(self, ts)
+
+    def final_norms(self, T):
+        if self.C.shape[1] == width:
+            finals.append(float(T))
+        return real_final(self, T)
+
+    monkeypatch.setattr(RestrictedEvolution, "norms", norms)
+    monkeypatch.setattr(RestrictedEvolution, "final_norms", final_norms)
+    verify_weak_obs_multi(sd, D, consts, samples=1000, seed=7)
+    assert ends == [[0.0, 0.25, 0.5, 1.0, 2.5, 5.0]]
+    assert sorted(finals) == [0.0, 0.25, 0.5, 1.0, 2.5, 5.0]
+
+
 def test_verify_multi_with_repeated_and_interleaved_windows():
     """A constant list that repeats sets and interleaves windows reports,
     for each set, what one verification of that set alone reports."""
@@ -381,7 +407,7 @@ def _survivors_gridding_every_state(sd, D, c, samples, seed):
     seen = np.linalg.norm(re.W, axis=0)
     exact = c.K * (seen * _mode_lr_norms(sd.eigenvalues, a, b, c.r))
     best = float(np.min(exact + (c.alpha - decay(sd.eigenvalues, c.T))))
-    lo, hi = _closed_form_bounds(_window_terms(re, a, b), c.r)
+    lo, hi = _closed_form_bounds(_window_terms(re, [(a, b)], re.final_norms)[0], c.r)
     margin = _RECHECK_MARGIN_REL * (c.K + c.alpha + 1.0) + 2.0 * _LR_REL_TOL * c.K * hi.max()
     cols = np.arange(C.shape[1])
     for regrid in (False, True):

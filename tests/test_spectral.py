@@ -576,6 +576,109 @@ def test_sup_search_on_a_corpus_size_graph_takes_at_most_six_waves(monkeypatch):
         assert len(bisected) >= 11, (wa, wb, bisected)
 
 
+def _forward_cell_bounds(re, lo, h, cols):
+    """The one-sided cell bound, a reference for ``_cell_bounds``: the
+    Taylor expansion from each cell's left end alone, max(g(lo),
+    ||u_lo - h u1_lo|| + rem(h)), with both remainders formed at lo."""
+    lam = re.lam[:, None]
+    X = decay(re.lam, lo) * re.C[:, cols]
+    u0 = re.W @ X
+    hLX = h * (lam * X)
+    end = np.linalg.norm(u0 - re.W @ hLX, axis=0)
+    rem = 0.5 * np.linalg.norm(h * (lam * hLX), axis=0)
+    by_group = 0.0
+    for idx, R, top, spread in re._groups:
+        Xg, top = X[idx], top[:, None]
+        seen = np.linalg.norm(R @ Xg, axis=1)
+        by_group += 0.5 * np.sum(h * (top * (h * (top * seen))), axis=0)
+        by_group += h * (spread @ np.linalg.norm(Xg, axis=1))
+    return np.maximum(np.linalg.norm(u0, axis=0), end + np.fmin(rem, by_group))
+
+
+@st.composite
+def _cell_cases(draw):
+    """An evolution of three states and cells on a window per state: the 32
+    cells of its graded grid, some split 8 ways, in order (each right end
+    is the next left end, and the second window starts where the first
+    ends, in another column), then random cells that share no end."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    kind = draw(st.sampled_from(["random", "stiff", "unseen", "far"]))
+    if kind == "unseen":  # an eigenfunction that vanishes on D, a state off D, a blend
+        g = cycle(8)
+        d_idx = np.array([0, 2, 4, 6])
+        F = np.zeros((8, 3))
+        F[:, 0] = np.sin(0.5 * np.pi * np.arange(8))
+        F[:, 1] = np.sin(0.25 * np.pi * np.arange(8)) * (np.arange(8) % 2)
+        F[:, 2] = F[:, 0] + 1e-9 * rng.standard_normal(8)
+    else:
+        m_range = (1e-3, 1e-2) if kind == "stiff" else (0.5, 2.0)
+        b_range = (1.0, 50.0) if kind == "stiff" else (0.5, 2.0)
+        g = random_connected_graph(rng, int(rng.integers(2, 11)), b_range=b_range, m_range=m_range)
+        d_idx = np.sort(rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False))
+        F = rng.standard_normal((g.n, 3))
+        F[:, 0] = 0.0
+        F[rng.integers(g.n), 0] = 1.0  # a delta, which spreads from where it starts
+    sd = eigendecompose(g)
+    a = draw(st.sampled_from([50.0, 1e4] if kind == "far" else [0.0, 1e-3, 0.5]))
+    b = a + draw(st.sampled_from([0.01, 1.0, 5.0]))
+    lo, hi, cols = [], [], []
+    for j, (wa, wb) in enumerate([(a, b), (b, 2.0 * b - a), (a, b)]):
+        grid = _graded_grid(wa, wb, float(sd.eigenvalues[-1]))
+        for left, right in zip(grid[:-1], grid[1:]):
+            ends = np.linspace(left, right, 9) if rng.uniform() < 0.25 else np.array([left, right])
+            ends[-1] = right
+            lo.extend(ends[:-1])
+            hi.extend(ends[1:])
+            cols.extend([j] * (len(ends) - 1))
+    lo, hi, cols = np.array(lo), np.array(hi), np.array(cols)
+    loose = rng.uniform(a, b, size=12)
+    lo = np.concatenate([lo, loose])
+    hi = np.concatenate([hi, np.minimum(loose + rng.uniform(0.0, 0.3, size=12) * (b - a), b)])
+    cols = np.concatenate([cols, rng.integers(0, 3, size=12)])
+    return RestrictedEvolution(sd, d_idx, sd.coefficients(F)), lo, hi, cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cell_cases())
+def test_two_sided_cell_bound_holds_and_is_at_most_the_one_sided_bound(case):
+    """On random and stiff weighted graphs, for states D does not see and on
+    far windows, the bound of each cell is at least g at 65 times spread
+    over the cell, ends included, and at most the Taylor bound from the
+    left end alone (both to rounding), and g(lo) is g at lo."""
+    re, lo, hi, cols = case
+    h = hi - lo
+    g0, ub = re._cell_bounds(lo, h, cols)
+    forward = _forward_cell_bounds(re, lo, h, cols)
+    size = RestrictedEvolution(re.sd, re.d_indices, re.C[:, cols]).final_norms(lo)  # ||S_lo f||
+    slack = 1e-12 * ub + 1e-14 * size
+    for frac in np.linspace(0.0, 1.0, 65):
+        t = np.where(frac == 1.0, hi, lo + frac * h)
+        got = np.linalg.norm(re.W @ (decay(re.lam, t) * re.C[:, cols]), axis=0)
+        assert np.all(got <= ub + slack), (frac, got - ub)
+    assert np.all((ub <= forward + slack) | np.isnan(forward)), ub - forward
+    want = np.linalg.norm(re.W @ (decay(re.lam, lo) * re.C[:, cols]), axis=0)
+    np.testing.assert_allclose(g0, want, rtol=1e-13, atol=1e-15 * size.max())
+
+
+@pytest.mark.parametrize("observed", [6, 7])
+def test_sup_search_certifies_a_peak_at_the_right_end_in_two_waves(monkeypatch, observed):
+    """On cycle-8 with D = {0, ..., observed - 1}, heat from the delta at
+    vertex ``observed`` keeps flowing into D over (0, 1), so g peaks at
+    b = 1.  The expansion from b certifies the last cells, so the search
+    takes at most 2 waves of ``_cell_bounds``; from the left ends alone it
+    took 5."""
+    g = cycle(8)
+    sd = eigendecompose(g)
+    f = np.zeros(8)
+    f[observed] = 1.0
+    re = RestrictedEvolution(sd, np.arange(observed), sd.coefficients(f))
+    waves = _counting_waves(monkeypatch)
+    best, at = re._sup_norms(np.zeros(1), np.ones(1))
+    assert len(waves) <= 2, waves
+    assert at[0] == 1.0
+    assert best[0] == re.norms([1.0])[0, 0]
+
+
 def _torus_odd_deltas():
     """torus-16x16 with the even vertices observed, and the coefficients of
     the deltas at its 128 odd vertices: the states the verifier's screen
@@ -870,8 +973,9 @@ def test_lr_bounds_contain_certified_norm(seed):
         for r in [1.0, 1.5, 2.0, 3.0, math.inf]:
             # certified to 1e-10 of each integral, so compare with 1e-9 room
             certified = time_lr_norm(sd, batch, D, (a, b), r)
+            terms = _window_terms(re, [(a, b)], re.final_norms)[0]
             for name, (lo, hi) in (
-                ("closed form", _closed_form_bounds(_window_terms(re, a, b), r)),
+                ("closed form", _closed_form_bounds(terms, r)),
                 ("grid", _grid_bounds(re, a, b, r)),
             ):
                 assert np.all(lo <= certified * (1.0 + 1e-9)), (name, r, lo, certified)
