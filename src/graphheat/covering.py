@@ -22,7 +22,9 @@ from .errors import (
     NotACycle,
     UnknownVertex,
 )
-from .graph import WeightedGraph, _boundary_weight, build_graph, validate_assumptions
+from .graph import (
+    MetricKind, WeightedGraph, _boundary_weight, _dist_to_set, build_graph, validate_assumptions,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +165,7 @@ def lift_function(c: CoveringMap, phi: Sequence[float]) -> np.ndarray:
 
 def ball_around_set(g: WeightedGraph, Y: Sequence[str], d: int) -> tuple[str, ...]:
     """Closed combinatorial d-ball around a vertex set, in vertex order."""
-    to_y = g.hop_table[:, g.subset_indices(Y)].min(axis=1, initial=np.inf)
+    to_y = _dist_to_set(g, MetricKind.COMBINATORIAL, g.subset_indices(Y))
     return tuple(g.vertex_ids[i] for i in np.nonzero(to_y <= d)[0])
 
 

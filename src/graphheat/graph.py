@@ -5,26 +5,24 @@ symmetric nonnegative edge weight b with zero diagonal, and a positive
 vertex measure m.  Vectors over the graph are numpy arrays ordered like
 ``vertex_ids``.
 
-Each graph computes its all-pairs distance tables once, on first use, and
-caches them on itself: hop counts from ``scipy.sparse.csgraph`` and exact
-length distances (1/b edge costs).  Every float is an exact dyadic rational,
-so every edge length 1/b is an integer multiple of a unit, the gcd of the
-lengths, and the length table holds each distance in units, in one of three
-tiers picked from the graph:
+Every metric query is a search from the sources it names, never an
+all-pairs table: a distance to a set (covering radius, inradius) is one
+Dijkstra seeded with the whole set, kept on the graph per (metric, set); a
+ball volume is one search per centre, cut off at the radius; a distance
+between two vertices is one single-source search.  Every float is an exact
+dyadic rational, so every edge length 1/b is an integer multiple of a
+unit, the gcd of the lengths, and each search runs on lengths in units, in
+one of two tiers picked from the graph:
 
 - When n times the longest edge is below 2**53 units, every sum Dijkstra
-  forms is an integer that a float holds exactly, so the table is scipy's
-  float64 Dijkstra, like the hop table.  Every graph with one distinct
-  weight is here, since its edges are 1 unit long.
+  forms is an integer that a float holds exactly, so the search is scipy's
+  float64 Dijkstra.  Hop counts are always here, and so is every graph
+  with one distinct weight, since its edges are 1 unit long.
 - Otherwise, a heap Dijkstra over Python ints.
-- The unit's denominator, the lcm of the denominators of the 1/b, grows by
-  about 50 bits per distinct weight.  Above ``_MAX_SCALE_BITS`` bits the
-  same Dijkstra runs on ``Fraction`` lengths, whose sums carry only the
-  denominators met along each path.
 
 Either way ball-membership comparisons at tied radii never flip due to
-rounding.  Every radius, ball and hop query reads these tables, and only
-the query boundary turns a table entry into a rational or float.
+rounding, and only the query boundary turns a distance in units into a
+rational or float.
 """
 
 from __future__ import annotations
@@ -36,13 +34,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import (
     DuplicateEdge,
@@ -57,13 +55,6 @@ from .errors import (
     ValidationError,
 )
 from .quadrature import _BLOCK_ELEMENTS, _blocks
-
-
-# An integer length table costs about L.bit_length() / 8 bytes per entry, and
-# L grows by about 50 bits per distinct non-dyadic weight: n = 200 with 2000
-# random weights has an 85412-bit L, a 549 MB table built more slowly than
-# the Fraction one.  Up to this limit a table stays near 50 MB at n = 300.
-_MAX_SCALE_BITS = 4096
 
 
 class MetricKind(Enum):
@@ -167,14 +158,6 @@ class WeightedGraph:
         return csr_array(self.weights)
 
     @cached_property
-    def hop_table(self) -> np.ndarray:
-        """All-pairs hop counts (float64, exact small integers); inf marks
-        an unreachable pair."""
-        table = shortest_path(self._edges, unweighted=True, directed=False)
-        table.setflags(write=False)
-        return table
-
-    @cached_property
     def transition_table(self) -> TransitionTable:
         """The random walk's jump law, shared by every sampler on this graph."""
         nbrs = [self.neighbors(j) for j in range(self.n)]
@@ -202,79 +185,36 @@ class WeightedGraph:
         return {}
 
     @cached_property
-    def _edge_lengths(self) -> tuple[Fraction | None, csr_array, np.ndarray]:
-        """(scale, edges, lengths): ``edges`` is b as a csr array, and
-        ``lengths[k]`` the exact length 1/b of its k-th stored entry, in an
-        object array.
+    def _set_distances(self) -> dict:
+        """Distances in units to each searched vertex set, per (metric,
+        set), filled by ``_dist_to_set``."""
+        return {}
 
-        The length unit is the gcd of the edge lengths (the gcd of their
+    @cached_property
+    def _edge_lengths(self) -> tuple[Fraction, csr_array | list]:
+        """(scale, edges): each edge length 1/b as an integer number of
+        units, the unit being the gcd of the lengths (the gcd of their
         numerators over the lcm of their denominators) and ``scale`` its
-        inverse, so each length is stored as the int length * scale.  When
-        the lcm has more than ``_MAX_SCALE_BITS`` bits, scale is None and
-        each length stays a Fraction.  ``1/Fraction(b)`` runs once per
-        distinct weight.
+        inverse.  ``edges`` is a float64 csr array of those integers when n
+        times the longest is below 2**53, so every Dijkstra sum is an
+        integer a float holds exactly, and otherwise one list of
+        (neighbour, int length) pairs per vertex.  ``1/Fraction(b)`` runs
+        once per distinct weight.
         """
         edges = self._edges
         distinct, which = np.unique(edges.data, return_inverse=True)
         lengths = [1 / Fraction(b) for b in distinct.tolist()]
-        den, num = 1, 0
-        for w in lengths:
-            den = math.lcm(den, w.denominator)
-            if den.bit_length() > _MAX_SCALE_BITS:
-                scale = None
-                break
-            num = math.gcd(num, w.numerator)
-        else:
-            scale = Fraction(den, num or 1)
-            lengths = [(w.numerator // num) * (den // w.denominator) for w in lengths]
-        return scale, edges, np.array(lengths, dtype=object)[which]
-
-    @property
-    def _length_scale(self) -> Fraction | None:
-        return self._edge_lengths[0]
-
-    @cached_property
-    def _length_table(self) -> np.ndarray:
-        """All-pairs length distances, exact and read-only, each distance
-        times ``_length_scale``; inf marks an unreachable pair.
-
-        When every edge is one unit long, a distance in units is a hop
-        count, and the table is ``hop_table`` itself.  Otherwise every
-        Dijkstra sum is an int of at most n * (largest edge length), so when
-        that is below 2**53 the table is scipy's float64 Dijkstra, exact
-        like ``hop_table``.  Otherwise it is an object array from a heap
-        Dijkstra over Python ints, or over Fractions when there is no length
-        scale.
-        """
-        n = self.n
-        scale, edges, lengths = self._edge_lengths
-        if scale is not None and set(lengths.tolist()) <= {1}:
-            return self.hop_table
-        if scale is not None and n * lengths.max(initial=0) < 2**53:
+        den = math.lcm(*(w.denominator for w in lengths))
+        num = math.gcd(*(w.numerator for w in lengths)) or 1
+        scale = Fraction(den, num)
+        units = [(w.numerator // num) * (den // w.denominator) for w in lengths]
+        if self.n * max(units, default=0) < 2**53:
             # sparse input: on a dense matrix scipy drops small entries
-            in_units = csr_array((lengths.astype(float), edges.indices, edges.indptr), shape=(n, n))
-            table = shortest_path(in_units, method="D", directed=False)
-            table.setflags(write=False)
-            return table
-        ptr, cols, lengths = edges.indptr.tolist(), edges.indices.tolist(), lengths.tolist()
-        adjacent = [list(zip(cols[lo:hi], lengths[lo:hi])) for lo, hi in zip(ptr, ptr[1:])]
-        table = np.empty((n, n), dtype=object)
-        for src in range(n):
-            dist: list = [math.inf] * n
-            dist[src] = 0
-            heap: list = [(0, src)]
-            while heap:
-                d, i = heappop(heap)
-                if d > dist[i]:
-                    continue
-                for j, w in adjacent[i]:
-                    nd = d + w
-                    if nd < dist[j]:
-                        dist[j] = nd
-                        heappush(heap, (nd, j))
-            table[src, :] = dist
-        table.setflags(write=False)
-        return table
+            data = np.array(units, dtype=float)[which]
+            return scale, csr_array((data, edges.indices, edges.indptr), shape=edges.shape)
+        ptr, cols = edges.indptr.tolist(), edges.indices.tolist()
+        units = [units[k] for k in which.tolist()]
+        return scale, [list(zip(cols[lo:hi], units[lo:hi])) for lo, hi in zip(ptr, ptr[1:])]
 
 
 @dataclass(frozen=True)
@@ -343,7 +283,7 @@ def validate_assumptions(g: WeightedGraph) -> AssumptionReport:
     deg = g.degrees()
     positive = g.weights[g.weights > 0.0]
     return AssumptionReport(
-        # on the sparse b that ``hop_table`` reads, without building the table
+        # on the sparse b that every hop search reads
         connected=bool(connected_components(g._edges, directed=False)[0] == 1),
         d_max=float(deg.max()) if g.n else 0.0,
         sup_m=float(g.m.max()),
@@ -356,32 +296,80 @@ def validate_assumptions(g: WeightedGraph) -> AssumptionReport:
 # metrics
 
 
-def _table(g: WeightedGraph, kind: MetricKind) -> np.ndarray:
-    return g.hop_table if kind is MetricKind.COMBINATORIAL else g._length_table
+def _unit_edges(g: WeightedGraph, kind: MetricKind) -> csr_array | list:
+    """The edges with their lengths in units: a csr array for scipy's
+    float64 Dijkstra (``unweighted`` for hops), or one list of (neighbour,
+    int length) pairs per vertex for the heap Dijkstra.  b is symmetric, so
+    scipy's default directed search needs no transpose."""
+    return g._edges if kind is MetricKind.COMBINATORIAL else g._edge_lengths[1]
 
 
-def _nearest(table: np.ndarray, cols: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """min over ``cols`` of each row of ``table``, or of each row in ``rows``,
-    gathered a block of rows at a time, so no copy of the whole rows x cols
-    block is made."""
-    out = np.empty(len(table) if rows is None else len(rows), dtype=table.dtype)
-    for rb in _blocks(len(out), _BLOCK_ELEMENTS // max(1, len(cols))):
-        block = table[rb][:, cols] if rows is None else table[np.ix_(rows[rb], cols)]
-        out[rb] = block.min(axis=1)
-    return out
+def _search(g: WeightedGraph, kind: MetricKind, sources: np.ndarray) -> np.ndarray:
+    """Distances in units from every vertex to the nearest of ``sources``:
+    one search seeded with all of them; inf out of reach."""
+    edges = _unit_edges(g, kind)
+    if isinstance(edges, list):
+        return np.array(_heap_dijkstra(edges, sources.tolist(), math.inf), dtype=object)
+    hops = kind is MetricKind.COMBINATORIAL
+    return dijkstra(edges, indices=sources, min_only=True, unweighted=hops)
+
+
+def _balls(g: WeightedGraph, kind: MetricKind, centres: np.ndarray, limit: int) -> np.ndarray:
+    """Which vertices lie within ``limit`` units of each of ``centres``, one
+    row each: one search per centre, cut off at the limit.  A heap search
+    keeps only the membership of its row, not the distances."""
+    edges = _unit_edges(g, kind)
+    if isinstance(edges, list):
+        return np.array(
+            [[d < math.inf for d in _heap_dijkstra(edges, [c], limit)] for c in centres.tolist()],
+            dtype=bool,
+        )
+    # every finite distance here is below 2**53, and a larger int may have no float
+    limit, hops = min(limit, 2**53), kind is MetricKind.COMBINATORIAL
+    return dijkstra(edges, indices=centres, limit=limit, unweighted=hops) < math.inf
+
+
+def _heap_dijkstra(adjacent: list, seeds: list, limit) -> list:
+    """Dijkstra over int lengths from all of ``seeds`` at once, reaching no
+    vertex beyond ``limit``; inf marks a vertex not reached."""
+    dist: list = [math.inf] * len(adjacent)
+    for s in seeds:
+        dist[s] = 0
+    heap = [(0, s) for s in seeds]
+    heapify(heap)
+    while heap:
+        d, i = heappop(heap)
+        if d > dist[i]:
+            continue
+        for j, w in adjacent[i]:
+            nd = d + w
+            if nd < dist[j] and nd <= limit:
+                dist[j] = nd
+                heappush(heap, (nd, j))
+    return dist
+
+
+def _dist_to_set(g: WeightedGraph, kind: MetricKind, idx: np.ndarray) -> np.ndarray:
+    """Read-only distances in units from every vertex to the nearest of
+    ``idx``: one search seeded with all of it, kept on the graph per
+    (metric, set)."""
+    key = (kind, frozenset(idx.tolist()))
+    dist = g._set_distances.get(key)
+    if dist is None:
+        dist = g._set_distances[key] = _search(g, kind, idx)
+        dist.setflags(write=False)
+    return dist
 
 
 def _as_result(g: WeightedGraph, kind: MetricKind, d, exact: bool):
-    """A table entry as reported: int (hops) or Fraction (length) when
-    exact, the correctly rounded float otherwise; ``math.inf`` when
+    """A distance in units as reported: int (hops) or Fraction (length)
+    when exact, the correctly rounded float otherwise; ``math.inf`` when
     unreachable either way."""
     if d == math.inf:
         return math.inf
     if kind is MetricKind.COMBINATORIAL:
         return int(d) if exact else float(d)
-    if isinstance(d, float):  # a float table holds exact integers
-        d = int(d)
-    d = Fraction(d, g._length_scale or 1)
+    d = Fraction(int(d), g._edge_lengths[0])  # a float search gives exact integers
     return d if exact else _as_float(d)
 
 
@@ -398,7 +386,8 @@ def distance(
     g: WeightedGraph, kind: MetricKind, x: str, y: str, *, exact: bool = False
 ):
     """Graph distance between two vertices; +inf when disconnected."""
-    return _as_result(g, kind, _table(g, kind)[g.index_of(x), g.index_of(y)], exact)
+    d = _search(g, kind, np.array([g.index_of(x)]))[g.index_of(y)]
+    return _as_result(g, kind, d, exact)
 
 
 def covering_radius(
@@ -411,7 +400,7 @@ def covering_radius(
     """
     if len(D) == 0:
         raise EmptySubset("covering radius needs a nonempty subset")
-    to_d = _nearest(_table(g, kind), g.subset_indices(D))
+    to_d = _dist_to_set(g, kind, g.subset_indices(D))
     return _as_result(g, kind, to_d.max(), exact)
 
 
@@ -437,7 +426,7 @@ def inradius(
             stacklevel=2,
         )
         return math.inf
-    to_comp = _nearest(_table(g, kind), np.flatnonzero(~inside), np.flatnonzero(inside))
+    to_comp = _dist_to_set(g, kind, np.flatnonzero(~inside))[inside]
     return _as_result(g, kind, to_comp.max(), exact)
 
 
@@ -445,27 +434,25 @@ def max_ball_volume(g: WeightedGraph, kind: MetricKind, r) -> float:
     """max_x m(B_r(x)) over closed balls of radius r.
 
     ``r`` may be a float, int, or Fraction; comparisons against the exact
-    distances are exact (floats convert exactly).  Each ball volume is
-    summed in vertex order, a block of rows at a time.
+    distances are exact (floats convert exactly).  Each ball is one
+    search from its centre cut off at r, the centres a block at a time, and
+    its volume is summed in vertex order.
     """
     if isinstance(r, float) and math.isinf(r):
         return float(g.m.sum())
     r = Fraction(r)
     if r < 0:
         raise ValidationError("ball radius must be nonnegative")
-    # integer entries d satisfy d <= r * scale exactly when d <= floor(r * scale);
-    # Fraction entries (no length scale) compare with r itself
-    scale = 1 if kind is MetricKind.COMBINATORIAL else g._length_scale
-    table = _table(g, kind)
-    bound = r if scale is None else math.floor(r * scale)
-    if table.dtype != object:
-        # every finite entry of a float table is below 2**53, and a larger
-        # int may have no float
-        bound = min(bound, 2**53)
+    # an integer distance d is <= r * scale exactly when d <= floor(r * scale)
+    scale = 1 if kind is MetricKind.COMBINATORIAL else g._edge_lengths[0]
+    limit = math.floor(r * scale)
+    centres = np.arange(g.n)
     volumes = np.empty(g.n)
-    for rb in _blocks(g.n, _BLOCK_ELEMENTS // (2 * g.n)):
-        # a running sum adds left to right, like a loop over the vertices
-        volumes[rb] = np.cumsum(np.where(table[rb] <= bound, g.m, 0.0), axis=1)[:, -1]
+    # each cell of a block: its distance, and a member's row, column and measure
+    for rb in _blocks(g.n, _BLOCK_ELEMENTS // (4 * g.n)):
+        rows, cols = np.divmod(np.flatnonzero(_balls(g, kind, centres[rb], limit)), g.n)
+        # bincount adds each ball's measures in vertex order, left to right
+        volumes[rb] = np.bincount(rows, weights=g.m[cols], minlength=rb.stop - rb.start)
     return float(volumes.max())
 
 

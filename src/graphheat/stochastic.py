@@ -29,7 +29,7 @@ import numpy as np
 import scipy.special
 
 from .errors import EmptySubset, ValidationError
-from .graph import MetricKind, WeightedGraph, covering_radius
+from .graph import MetricKind, WeightedGraph, _dist_to_set, covering_radius
 from .spectral import RestrictedEvolution, SpectralDecomposition
 
 _ESTIMATOR_STREAM = 2**64 - 1  # reserved stream index for batched estimators
@@ -303,7 +303,7 @@ def far_vertex_sequence(
     """
     if len(D) == 0:
         raise EmptySubset("far-vertex search needs a nonempty subset")
-    dist = g.hop_table[:, g.subset_indices(D)].min(axis=1)
+    dist = _dist_to_set(g, MetricKind.COMBINATORIAL, g.subset_indices(D))
     entries = []
     stopped = None
     for n in range(1, n_max + 1):
@@ -365,7 +365,7 @@ def necessity_bounds_check(
     deg_x = float(g.degrees()[x_idx])
     d_max = float(g.degrees().max())
 
-    hops = g.hop_table[x_idx, d_idx].min()
+    hops = _dist_to_set(g, MetricKind.COMBINATORIAL, d_idx)[x_idx]
     if hops == math.inf:
         raise ValidationError("x cannot reach D; the restricted norm is identically 0")
     n_comb = int(hops)

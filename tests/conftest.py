@@ -5,7 +5,7 @@ import pytest
 
 from graphheat.covering import build_cyclic_cover
 from graphheat.families import build_family
-from graphheat.graph import MetricKind, WeightedGraph, build_graph, covering_radius
+from graphheat.graph import MetricKind, WeightedGraph, _dist_to_set, build_graph, covering_radius
 from graphheat.spectral import eigendecompose
 
 
@@ -69,7 +69,7 @@ def grow_dense_subset(g: WeightedGraph, rng, max_covr=2.0):
         covr = covering_radius(g, MetricKind.LENGTH, D, exact=True)
         if covr <= max_covr:
             return tuple(D)
-        to_d = g._length_table[:, g.subset_indices(D)].min(axis=1)  # ordered like distances
+        to_d = _dist_to_set(g, MetricKind.LENGTH, g.subset_indices(D))  # ordered like distances
         worst = max(range(g.n), key=lambda i: to_d[i])  # first farthest vertex
         D.append(g.vertex_ids[worst])
 

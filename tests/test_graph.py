@@ -1,10 +1,10 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from collections import deque
 from fractions import Fraction
 from heapq import heappop, heappush
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import shortest_path
 from hypothesis import strategies as st
 
-from graphheat import graph as graph_module
 from graphheat.covering import ball_around_set
 from graphheat.errors import (
     DuplicateEdge,
@@ -24,10 +23,11 @@ from graphheat.errors import (
     SelfLoop,
     UnknownVertex,
 )
-from graphheat.families import build_family
+from graphheat.families import build_family, parity_subset
 from graphheat.graph import (
     FullSetInradiusWarning,
     MetricKind,
+    _dist_to_set,
     build_graph,
     covering_radius,
     distance,
@@ -38,6 +38,7 @@ from graphheat.graph import (
     max_ball_volume,
     validate_assumptions,
 )
+from graphheat.observability import _omega_geometry
 
 from conftest import cycle, path, random_connected_graph
 
@@ -140,41 +141,52 @@ def test_length_scale_common_denominator():
     g = build_graph(
         [("0", 1.0), ("1", 1.0), ("2", 1.0)], [("0", "1", 3.0), ("1", "2", 0.5)]
     )
-    assert g._length_scale == 3
-    assert g._length_table[0, 2] == 7  # 1/3 + 2 = 7/3
+    assert g._edge_lengths[0] == 3  # lengths 1/3 and 2 are 1 and 6 units
+    assert isinstance(g._edge_lengths[1], csr_array)
     assert distance(g, LEN, "0", "2", exact=True) == Fraction(7, 3)
-    assert path(3)._length_scale == 1
+    assert covering_radius(g, LEN, ["0"], exact=True) == Fraction(7, 3)
+    assert inradius(g, LEN, ["1", "2"], exact=True) == Fraction(7, 3)
+    assert max_ball_volume(g, LEN, 2) == 3.0  # around 1
+    assert max_ball_volume(g, LEN, Fraction(7, 4)) == 2.0
+    assert path(3)._edge_lengths[0] == 1
 
 
-def test_many_distinct_weights_use_fraction_table():
-    # 120 random weights: the lcm of the denominators of the 1/b would have
-    # about 6000 bits, so the table holds exact Fractions instead
+def test_many_distinct_weights_search_on_python_ints():
+    # 120 random weights: the lcm of the denominators of the 1/b has about
+    # 6000 bits, so the length searches run the heap Dijkstra on Python ints
     rng = np.random.default_rng(5)
     n = 120
     g = build_graph(
         [(str(i), 1.0) for i in range(n)],
         [(str(i), str((i + 1) % n), float(rng.uniform(0.5, 2.0))) for i in range(n)],
     )
-    assert g._length_scale is None
+    scale, edges = g._edge_lengths
+    assert scale.numerator.bit_length() > 4096 and isinstance(edges, list)
     want = ref_lengths(g)
-    assert g._length_table.tolist() == want
-    assert distance(g, LEN, "0", "60", exact=True) == want[0][60]
+    for y in ("1", "60", "119"):
+        assert distance(g, LEN, "0", y, exact=True) == want[0][g.index_of(y)]
     assert covering_radius(g, LEN, ["0"], exact=True) == max(want[0])
+    inside = list(g.vertex_ids[1:40])
+    assert inradius(g, LEN, inside, exact=True) == ref_inradius(want, range(1, 40))
     r = want[0][60]
     assert max_ball_volume(g, LEN, r) == ref_max_ball_volume(g, want, r)
 
 
 def test_uniform_non_dyadic_weight_takes_the_float_table():
     # 1/0.3 = 2**54/5404319552844595: the length unit is that one length, so
-    # every edge is 1 unit long and scipy's float Dijkstra builds the table
+    # every edge is 1 unit long and scipy's float Dijkstra runs the searches
     g = cycle(300, b=0.3)
-    assert g._length_scale == Fraction(5404319552844595, 2**54)
-    assert g._length_table.dtype == np.float64
-    assert g._length_table[0, 150] == 150.0
+    assert g._edge_lengths[0] == Fraction(5404319552844595, 2**54)
+    assert isinstance(g._edge_lengths[1], csr_array)
+    unit = 1 / Fraction(0.3)
+    assert distance(g, LEN, "0", "150", exact=True) == 150 * unit
     want = ref_covering_radius(ref_lengths(g), [0], Fraction(0))
-    assert want == 150 / Fraction(0.3)
+    assert want == 150 * unit
     got = covering_radius(g, LEN, ["0"], exact=True)
     assert type(got) is Fraction and got == want
+    assert inradius(g, LEN, [str(i) for i in range(1, 300)], exact=True) == 150 * unit
+    assert max_ball_volume(g, LEN, 150 * unit) == 300.0
+    assert max_ball_volume(g, LEN, 150 * unit - Fraction(1, 10**20)) == 299.0
 
 
 def test_float_distance_beyond_float_range_is_inf():
@@ -288,7 +300,7 @@ def test_metric_comparison(seed, n):
 
 
 # ---------------------------------------------------------------------------
-# distance tables against per-pair reference algorithms
+# metric queries against reference algorithms
 
 
 def ref_hops(g):
@@ -393,10 +405,6 @@ def table_cases(draw):
             for e in part["edges"]
         ]
     g = build_graph(vertices, edges)
-    if draw(st.booleans()):
-        # the Fraction table that a length scale beyond _MAX_SCALE_BITS selects
-        with patch.object(graph_module, "_MAX_SCALE_BITS", 0):
-            g._length_table
     D = draw(st.lists(st.sampled_from(g.vertex_ids), min_size=1, unique=True))
     return g, D
 
@@ -485,24 +493,21 @@ def dyadic_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(dyadic_cases())
 def test_float_table_matches_reference_on_both_sides_of_2_53(g):
-    """The float table is picked exactly when n * w_max < 2**53 and equals the
-    reference Dijkstra; exact queries return int or Fraction, never float,
-    on either table, and ball volumes at radii beyond 2**53 units are those
-    of the reference."""
-    scale, _edges, lengths = g._edge_lengths
-    w_max = lengths.max(initial=0)
-    fits = g.n * w_max < 2**53
-    assert (g._length_table.dtype == np.float64) == fits
+    """The float search is picked exactly when n * w_max < 2**53 and agrees
+    with the reference Dijkstra; exact queries return int or Fraction, never
+    float, on either tier, and ball volumes at radii beyond 2**53 units are
+    those of the reference."""
+    scale, edges = g._edge_lengths
+    w_max = max((scale / Fraction(b) for b in g.weights[g.weights > 0.0].tolist()), default=0)
+    assert isinstance(edges, csr_array) == (g.n * w_max < 2**53)
     rows = ref_lengths(g)
     hops = ref_hops(g)
     for i, x in enumerate(g.vertex_ids):
         for j, y in enumerate(g.vertex_ids):
-            d = g._length_table[i, j]
-            if rows[i][j] is None:
-                assert d == math.inf
-                continue
-            assert Fraction(int(d)) / scale == rows[i][j]
             got = distance(g, LEN, x, y, exact=True)
+            if rows[i][j] is None:
+                assert got == math.inf
+                continue
             assert type(got) is Fraction and got == rows[i][j]
             assert type(distance(g, COMB, x, y, exact=True)) is int
     for D in (["0"], list(g.vertex_ids[:-1])):
@@ -520,6 +525,92 @@ def test_float_table_matches_reference_on_both_sides_of_2_53(g):
         assert max_ball_volume(g, COMB, r) == ref_max_ball_volume(g, hops, r)
 
 
+def floyd_warshall(g, kind):
+    """All-pairs distances by Floyd-Warshall on exact Fractions, unit edges
+    for hops; math.inf marks an unreachable pair."""
+    d = [[Fraction(0) if i == j else math.inf for j in range(g.n)] for i in range(g.n)]
+    for i, j in zip(*np.nonzero(g.weights)):
+        d[i][j] = Fraction(1) if kind is COMB else 1 / Fraction(g.weights[i, j])
+    for k in range(g.n):
+        for i in range(g.n):
+            if d[i][k] == math.inf:
+                continue
+            d[i] = [min(dij, d[i][k] + dkj) for dij, dkj in zip(d[i], d[k])]
+    return d
+
+
+@st.composite
+def metric_cases(draw):
+    """A graph and a nonempty D: a random graph with weights on a 1e-3
+    grid, one with a single grid weight (the float tier), a complete graph
+    on 16 vertices with 120 random grid weights (a unit beyond 4096 bits),
+    or a random graph with weights of magnitude 1e-300 to 1e300."""
+    regime = draw(st.sampled_from(["grid", "uniform", "many", "magnitude"]))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    if regime == "many":
+        n = 16
+        vertices = [(str(i), round(float(rng.uniform(0.5, 2.0)), 3)) for i in range(n)]
+        edges = [
+            (str(i), str(j), round(float(rng.uniform(0.5, 2.0)), 3))
+            for i in range(n) for j in range(i + 1, n)
+        ]
+        g = build_graph(vertices, edges)
+        assert g._edge_lengths[0].numerator.bit_length() > 4096
+    else:
+        b = round(float(rng.uniform(0.5, 2.0)), 3)
+        data = graph_to_json(random_connected_graph(rng, draw(st.integers(1, 10))))
+        if draw(st.booleans()):  # a second component
+            data["vertices"].append({"id": "x", "m": 1.0})
+        for e in data["edges"]:
+            if regime == "uniform":
+                e["b"] = b
+            elif regime == "magnitude":
+                e["b"] = float(10.0 ** rng.uniform(-300, 300))
+        g = graph_from_json(data)
+    D = draw(st.lists(st.sampled_from(g.vertex_ids), min_size=1, unique=True))
+    return g, D
+
+
+def as_float(q):
+    """The correctly rounded float of an exact distance; +inf beyond range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
+
+
+@settings(max_examples=40, deadline=None)
+@given(metric_cases())
+def test_metric_queries_match_floyd_warshall(case):
+    """distance, covering_radius, inradius and max_ball_volume on both
+    metrics equal a brute-force Fraction Floyd-Warshall, exactly with
+    ``exact=True`` and correctly rounded without."""
+    g, D = case
+    d_idx = [g.index_of(v) for v in D]
+    omega = [v for v in g.vertex_ids if v not in D]
+    for kind in (COMB, LEN):
+        rows = floyd_warshall(g, kind)
+        covr = max(min(rows[i][j] for j in d_idx) for i in range(g.n))
+        inradii = {}
+        for inside in (D, omega):
+            if 0 < len(inside) < g.n:
+                idx = {g.index_of(v) for v in inside}
+                out = [j for j in range(g.n) if j not in idx]
+                inradii[tuple(inside)] = max(min(rows[i][j] for j in out) for i in idx)
+        for exact in (False, True):
+            want = (lambda d: d) if exact else as_float
+            for i, x in enumerate(g.vertex_ids):
+                for j, y in enumerate(g.vertex_ids):
+                    assert distance(g, kind, x, y, exact=exact) == want(rows[i][j])
+            assert covering_radius(g, kind, D, exact=exact) == want(covr)
+            for inside, inr in inradii.items():
+                assert inradius(g, kind, inside, exact=exact) == want(inr)
+        radii = sorted({d for row in rows for d in row if d != math.inf})
+        radii = radii[:: max(1, len(radii) // 6)] + [Fraction(1, 3)]
+        for r in radii + [as_float(r) for r in radii]:
+            assert max_ball_volume(g, kind, r) == ref_max_ball_volume(g, rows, r)
+
+
 @pytest.mark.parametrize(
     "family, spec",
     [
@@ -530,26 +621,54 @@ def test_float_table_matches_reference_on_both_sides_of_2_53(g):
         ("path", {"n": 9, "b": 2.0, "m": 3.0}),
     ],
 )
-def test_unit_length_graphs_read_the_hop_table_as_their_length_table(family, spec):
-    """When every edge is one length unit, the length table in units is the
-    hop table, which a Dijkstra over unit lengths gives, dtype included; a
-    graph with two edge lengths runs its own Dijkstra."""
+def test_unit_length_graphs_measure_length_in_hops(family, spec):
+    """When every edge is one length unit, a length in units is a hop count:
+    every query in the length metric is the hop query times the unit, and
+    agrees with a Dijkstra over unit lengths; a graph with two edge lengths
+    measures each in its own units."""
     g = build_family(family, spec).graph
     edges = csr_array(g.weights)
-    unit = csr_array((np.ones(edges.nnz), edges.indices, edges.indptr), shape=edges.shape)
-    want = shortest_path(unit, method="D", directed=False)
-    assert g._length_table is g.hop_table
-    assert g._length_table.dtype == want.dtype and np.array_equal(g._length_table, want)
+    unit_edges = csr_array((np.ones(edges.nnz), edges.indices, edges.indptr), shape=edges.shape)
+    want = shortest_path(unit_edges, method="D", directed=False)
+    scale, length_edges = g._edge_lengths
+    assert isinstance(length_edges, csr_array) and set(length_edges.data.tolist()) == {1.0}
+    unit = 1 / scale
+    x = g.vertex_ids[0]
+    for j, y in enumerate(g.vertex_ids):
+        assert distance(g, LEN, x, y, exact=True) == int(want[0, j]) * unit
+        assert distance(g, COMB, x, y, exact=True) == want[0, j]
+    D = list(g.vertex_ids[::3])
+    omega = [v for v in g.vertex_ids if v not in D]
+    covr = covering_radius(g, COMB, D, exact=True)
+    assert covering_radius(g, LEN, D, exact=True) == covr * unit
+    assert covr == want[:, g.subset_indices(D)].min(axis=1).max()
+    assert inradius(g, LEN, omega, exact=True) == inradius(g, COMB, omega, exact=True) * unit
+    for r in range(4):
+        assert max_ball_volume(g, LEN, r * unit) == max_ball_volume(g, COMB, r)
     mixed = build_graph([("0", 1.0), ("1", 1.0), ("2", 1.0)], [("0", "1", 1.0), ("1", "2", 2.0)])
-    assert mixed._length_table is not mixed.hop_table
-    assert mixed._length_table.tolist() == [[0, 2, 3], [2, 0, 1], [3, 1, 0]]
+    assert mixed._edge_lengths[0] == 2  # lengths 1 and 1/2 are 2 and 1 units
+    got = [[distance(mixed, LEN, x, y, exact=True) for y in "012"] for x in "012"]
+    assert got == [[0, 1, Fraction(3, 2)], [1, 0, Fraction(1, 2)], [Fraction(3, 2), Fraction(1, 2), 0]]
 
 
-def test_distance_tables_computed_once_and_read_only(c4):
-    for name in ("hop_table", "_length_table"):
-        table = getattr(c4, name)
-        assert getattr(c4, name) is table
-        assert not table.flags.writeable
+def test_distance_tables_computed_once_and_read_only():
+    """Each distance to a set is one search, kept on the graph per (metric,
+    set) and read-only, and a query on the same set, in any order, reads
+    it again."""
+    c4 = cycle(4)
+    heap = build_graph(  # lengths 1/1e-300 and 1: the heap tier
+        [("0", 1.0), ("1", 1.0), ("2", 1.0)], [("0", "1", 1e-300), ("1", "2", 1.0)]
+    )
+    assert isinstance(heap._edge_lengths[1], list)
+    for g in (c4, heap):
+        for kind in (COMB, LEN):
+            dist = _dist_to_set(g, kind, np.array([0, 2]))
+            assert _dist_to_set(g, kind, np.array([2, 0])) is dist
+            assert not dist.flags.writeable
+            covering_radius(g, kind, ["2", "0"])
+            inradius(g, kind, [v for i, v in enumerate(g.vertex_ids) if i not in (0, 2)])
+            assert g._set_distances[kind, frozenset({0, 2})] is dist
+        assert len(g._set_distances) == 2
 
 
 def test_graph_freed_after_distance_queries():
@@ -560,6 +679,28 @@ def test_graph_freed_after_distance_queries():
     del g
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("p, random_weights", [(32, False), (16, True)])
+def test_omega_geometry_peaks_below_4_mb(p, random_weights):
+    """The length geometry of Omega (covering radius of D, inradius, one
+    ball volume) builds no all-pairs table: on torus-32x32 and on
+    torus-16x16 with 512 random weights (a unit of about 23000 bits) it
+    peaks below 4 MB, where the tables took 12 MB and 15 MB."""
+    data = graph_to_json(build_family("torus", {"p": p, "q": p}).graph)
+    if random_weights:
+        rng = np.random.default_rng(1)
+        for e in data["edges"]:
+            e["b"] = float(rng.uniform(0.5, 2.0))
+    g = graph_from_json(data)
+    D = parity_subset(g, "even")
+    tracemalloc.start()
+    try:
+        _omega_geometry(g, D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
