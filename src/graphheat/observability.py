@@ -7,15 +7,14 @@ on the graph, so every constant set and sweep row of that pair reads the
 same values.  ``verify_weak_obs`` checks the estimate on a battery of unit
 states.  An eigenvector is a single mode, so its slack is exact, in closed
 form.  The other states go through bound, prune and evaluate: closed-form
-and then grid bounds on each state's time norm (first on the likeliest
-minimiser, then on the states its bound leaves) exclude every state that
+and then grid bounds on each state's time norm exclude every state that
 cannot hold the minimum slack, and only the rest go through the time-norm
 engine, in one batched call; at r = inf, states that tie by symmetry are
 certified once for the whole tie group.  The reported minimum is the
 smallest of the eigenvectors' exact minimum and the engine's minimum over
 the other states (estimated to 1e-10 for finite r, a proven lower bound
-for r = inf).  The constant sets of one window share its grids: each stage
-grids the union of their states once.
+for r = inf).  The constant sets of one window share one grid, of the
+union of their states.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .graph import (
     inradius,
     max_ball_volume,
 )
-from .quadrature import _BLOCK_ELEMENTS, _blocks
 from .spectral import (
     RestrictedEvolution,
     SpectralDecomposition,
@@ -288,13 +286,8 @@ def _phi_batch(
     sd: SpectralDecomposition, samples: int, seed: int
 ) -> tuple[np.ndarray, list[str]]:
     """Spectral coefficients of the test battery: all eigenvectors, all
-    Dirac deltas, and seeded random unit vectors (unit m-norm each).
-
-    The battery is filled into one (n, 2 n + samples) array.  The random
-    block is drawn a block of rows at a time, which draws the stream in the
-    order of one (n, samples) draw, and is normalized in place, by the
-    column norms ``np.linalg.norm(z, axis=0)`` gives: its sum of squares
-    runs over the rows in order when there are two columns or more."""
+    Dirac deltas, and seeded random unit vectors (unit m-norm each), in one
+    (n, 2 n + samples) array."""
     n = sd.n
     labels = [f"eigvec:{i}" for i in range(n)]
     labels += [f"delta:{v}" for v in sd.graph.vertex_ids]
@@ -303,17 +296,9 @@ def _phi_batch(
     out[np.arange(n), np.arange(n)] = 1.0
     np.multiply(np.sqrt(sd.graph.m)[None, :], sd.eigenvectors.T, out=out[:, n : 2 * n])
     if samples > 0:
-        rng = np.random.default_rng(seed)
         z = out[:, 2 * n :]
-        for rows in _blocks(n, _BLOCK_ELEMENTS // samples):
-            z[rows] = rng.standard_normal(z[rows].shape)
-        if samples == 1:  # numpy sums a single column pairwise
-            z /= np.linalg.norm(z, axis=0)
-        else:
-            squares = np.square(z[0])
-            for row in z[1:]:
-                squares += np.square(row)
-            z /= np.sqrt(squares)
+        z[...] = np.random.default_rng(seed).standard_normal((n, samples))
+        z /= np.linalg.norm(z, axis=0)
         labels += [f"random:{j}" for j in range(samples)]
     return out, labels
 
@@ -379,15 +364,18 @@ def _closed_form_bounds(
     return np.minimum(mean, power), np.maximum(mean, power)
 
 
-def _grid_bounds(re: RestrictedEvolution, a: float, b: float, r) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column bounds on ||g||_{L_r(a, b)} from g on the graded grid.
+def _grid_bounds(
+    re: RestrictedEvolution, a: float, b: float, exponents: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column bounds on ||g||_{L_r(a, b)} from g on the graded grid, one
+    row of them per exponent r in ``exponents``.
 
     On the cell [t_k, t_k + h] of ``spectral._graded_grid`` the rate norm
     L_k = ||H S_{t_k} phi|| bounds |g'|, so g stays between
     max(0, (g_k + g_{k+1} - h L_k)/2) and (g_k + g_{k+1} + h L_k)/2 there;
     the grid values themselves bound sup g from below.  Neither g nor the
-    reach h L_k depends on r, so a 1-D array of exponents r gives one row of
-    bounds per exponent from one evaluation of the batch.
+    reach h L_k depends on r, so every exponent reads one evaluation of the
+    batch.
     """
     ts = _graded_grid(a, b, float(re.lam[-1]))
     g = re.norms(ts)
@@ -401,9 +389,7 @@ def _grid_bounds(re: RestrictedEvolution, a: float, b: float, r) -> tuple[np.nda
             return g.max(axis=0), hi.max(axis=0)
         return np.sum(h * lo**r, axis=0) ** (1.0 / r), np.sum(h * hi**r, axis=0) ** (1.0 / r)
 
-    if np.ndim(r) == 0:
-        return bounds(float(r))
-    los, his = zip(*(bounds(float(q)) for q in r))
+    los, his = zip(*(bounds(float(r)) for r in exponents))
     return np.array(los), np.array(his)
 
 
@@ -438,10 +424,6 @@ class _Screen:
         ceiling = np.min(K * self.hi + base, initial=self.best)
         keep = ~(K * self.lo + base > ceiling + self.margin)
         self.cols, self.lo, self.hi = self.cols[keep], self.lo[keep], self.hi[keep]
-
-    def likeliest(self) -> np.ndarray:
-        """The position of the state with the smallest slack lower bound."""
-        return np.array([np.argmin(self.const.K * self.lo - self.final[self.cols])])
 
     def tie_group(self) -> np.ndarray:
         """Positions of the states whose slack lower bound lies within the
@@ -528,15 +510,11 @@ def verify_weak_obs_multi(
     - drop the states whose slack lower bound exceeds the smallest slack
       upper bound, the exact eigenvector slack included, by more than the
       margin (``_RECHECK_MARGIN_REL``);
-    - bound the state with the smallest slack lower bound again on a graded
-      grid (``_grid_bounds``) and prune with its tightened upper bound, then
-      grid the states still standing and prune once more.  A state dropped
-      before it is gridded has a lower bound above the final threshold
-      already, so the staging drops no survivor and keeps every reported
-      slack.  g and its reach on a window's grid do not depend on r, so the
-      sets of one window are staged together: each stage grids the union
-      of their states in one call and every set reads its own states'
-      bounds, at its own exponent, from it;
+    - bound the states still standing again on a graded grid
+      (``_grid_bounds``) and prune once more with the tightened bounds.
+      g and its reach on a window's grid do not depend on r, so one call
+      grids the union of the states that the window's sets still hold, and
+      every set reads its own states' bounds, at its own exponent, from it;
     - at r = inf, settle the set's tie group (``_settle_tie_groups``): the
       survivors whose slack lower bound K lo + alpha - ||S_T phi|| lies
       within the margin of the smallest, when there are at least two.  The
@@ -572,47 +550,30 @@ def verify_weak_obs_multi(
     seen = np.linalg.norm(re.W, axis=0)  # c_k = ||(v_k)|_D||
     final_norms = functools.cache(re.final_norms)
 
-    def regrid(picked: list[tuple[_Screen, np.ndarray]], a: float, b: float) -> None:
-        """Tighten the bounds of each screen's states at the positions
-        picked, from one grid of all of them on the window (a, b), then
-        prune each screen."""
-        if not picked:
-            return
-        union = np.unique(np.concatenate([s.cols[p] for s, p in picked]))
-        exponents = np.unique([s.const.r for s, _ in picked])
-        glo, ghi = _grid_bounds(
-            RestrictedEvolution(sd, d_idx, C[:, union]),
-            a,
-            b,
-            exponents if len(exponents) > 1 else exponents[0],
-        )
-        glo, ghi = np.atleast_2d(glo), np.atleast_2d(ghi)
-        for s, p in picked:
-            row, at = np.searchsorted(exponents, s.const.r), np.searchsorted(union, s.cols[p])
-            s.lo[p], s.hi[p] = np.maximum(s.lo[p], glo[row, at]), np.minimum(s.hi[p], ghi[row, at])
-            s.prune()
-
     by_window: dict[tuple[float, float], list[int]] = {}
     for i, const in enumerate(constants_list):
         by_window.setdefault((const.delta * const.T, const.T), []).append(i)
     screened: dict[int, _Screen] = {}
     window_terms = _window_terms(re, list(by_window), final_norms)
     for ((a, b), members), terms in zip(by_window.items(), window_terms):
-        stage = []
+        sets = []
         for i in members:
             const = constants_list[i]
             exact = const.K * (seen * _mode_lr_norms(lam, a, b, const.r))
             exact += const.alpha - decay(lam, const.T)
-            stage.append(_Screen(const, final_norms(const.T), terms, exact))
-        # the closed forms are loose where g moves fast, as at a = 0: the grid
-        # bounds the likeliest minimisers first, whose tightened upper bounds
-        # prune most of the rest before they are gridded
-        picked = [(s, s.likeliest()) for s in stage if len(s.cols)]
-        firsts = [s.cols[p[0]] for s, p in picked]
-        regrid(picked, a, b)
-        rest = [(s, np.flatnonzero(s.cols != first)) for (s, _), first in zip(picked, firsts)]
-        regrid([(s, p) for s, p in rest if len(p)], a, b)
-        screened.update(zip(members, stage))
+            sets.append(_Screen(const, final_norms(const.T), terms, exact))
+        # the closed forms are loose where g moves fast, as at a = 0: one grid
+        # of the union of the window's survivors tightens them for every set
+        live = [s for s in sets if len(s.cols)]
+        if live:
+            union = np.unique(np.concatenate([s.cols for s in live]))
+            exponents = np.unique([s.const.r for s in live])
+            glo, ghi = _grid_bounds(RestrictedEvolution(sd, d_idx, C[:, union]), a, b, exponents)
+            for s in live:
+                row, at = np.searchsorted(exponents, s.const.r), np.searchsorted(union, s.cols)
+                s.lo, s.hi = np.maximum(s.lo, glo[row, at]), np.minimum(s.hi, ghi[row, at])
+                s.prune()
+        screened.update(zip(members, sets))
     screens = [screened[i] for i in range(len(constants_list))]
     if not screens:
         return []

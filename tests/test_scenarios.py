@@ -179,6 +179,29 @@ def test_weak_obs_scenario_echoes_constants(tmp_path):
     assert "0.16666666666666666" in raw
 
 
+@pytest.mark.parametrize(
+    "graph, T",
+    [
+        ({"family": "cycle", "n": 300}, 200.0),
+        ({"family": "cycle", "n": 300}, 400.0),
+        ({"family": "torus", "p": 16, "q": 16}, 175.5),
+    ],
+    ids=["cycle-300-T200", "cycle-300-T400", "torus-16x16-T175.5"],
+)
+def test_cli_weak_obs_holds_at_long_horizons(tmp_path, graph, T):
+    """Long horizons with the even vertices observed, r = 1, delta = 0.5 and
+    1000 samples: the time-norm engine once refused eigenvector columns
+    whose norms had decayed below its tolerance, and these runs exited 2.
+    Each holds, to the verifier's tolerance."""
+    scenario = write_scenario(tmp_path, "long.json", {
+        "graph": graph, "subset": {"parity": "even"}, "task": "weak-obs",
+        "params": {"T": T, "delta": 0.5, "r": 1, "samples": 1000},
+    })
+    assert cli_main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    data = json.loads((tmp_path / "out" / "weak-obs_summary.json").read_text())
+    assert data["min_slack"] >= -1e-9 * (data["K"] + data["alpha"] + 1)
+
+
 def test_non_null_scenario(tmp_path):
     sc = Scenario(
         graph={"family": "cycle", "n": 4},
