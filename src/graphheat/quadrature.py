@@ -120,6 +120,15 @@ def adaptive_simpson(
     open_ = np.ones((k,) + tol0.shape, dtype=bool)  # entries not yet accepted
     total = 0.0 * whole
     depth = _INITIAL_DEPTH
+    # A panel is too narrow to split when hi - lo <= 1e-14 (|lo| + |hi| + 1).
+    # A panel at depth d is (b - a) 2^-d wide to within a few ulps of
+    # max(|a|, |b|), far below that threshold, so none can be too narrow while
+    # half the smallest window's nominal width exceeds 1e-14 (2 max(|a|, |b|)
+    # + 1); the rule is tested only from then on.  The smallest window sets
+    # that depth because its panels narrow first: the widest would set it
+    # too late and let a too-narrow panel of a small window split on.
+    narrow = 1e-14 * (2.0 * max(np.abs(a).max(), np.abs(b).max()) + 1.0)
+    smallest = float((b - a).min())
     while len(lo):
         tol = tol0 * 0.5**depth  # tol0 / k on the initial panels, halved per bisection
         # each panel's two children, interleaved: left[0], right[0], left[1], ...
@@ -130,15 +139,18 @@ def adaptive_simpson(
             ts = np.where(np.repeat(open_, 2, axis=0), ts, np.nan)
         cfl, cfm, cfh = _pairs(flo, fmid), np.asarray(fn(ts)), _pairs(fmid, fhi)
         cS = _spread((chi - clo) / 6.0, nd) * (cfl + 4.0 * cfm + cfh)
-        Sl, Sr = cS[0::2], cS[1::2]
-        delta = Sl + Sr - S
-        too_narrow = (hi - lo) <= 1e-14 * (np.abs(lo) + np.abs(hi) + 1.0)
-        ok = (norm(delta) <= 15.0 * tol) | _spread(too_narrow, open_.ndim)
+        two = cS[0::2] + cS[1::2]
+        delta = two - S
+        ok = norm(delta) <= 15.0 * tol
+        if smallest * 0.5 ** (depth + 1) <= narrow:
+            too_narrow = (hi - lo) <= 1e-14 * (np.abs(lo) + np.abs(hi) + 1.0)
+            ok |= _spread(too_narrow, open_.ndim)
         accept = _spread(open_ & ok, nd)
-        total = total + np.sum(np.where(accept, Sl + Sr + delta / 15.0, 0.0), axis=0)
+        total = total + np.add.reduce(np.where(accept, two + delta / 15.0, 0.0), axis=0)
         open_ = open_ & ~ok
         split = open_.reshape(len(lo), -1).any(axis=1)
-        if split.any() and depth + 1 > max_depth:
+        splits = int(np.count_nonzero(split))
+        if splits and depth + 1 > max_depth:
             # the first open entry; with per-column windows, its column's panel
             at = tuple(np.argwhere(open_)[0][: lo.ndim])
             raise QuadratureNonConvergence(
@@ -147,17 +159,17 @@ def adaptive_simpson(
                 + (f" (column {at[1]})" if lo.ndim > 1 else "")
             )
         # the next wave evaluates fn twice on each of its panels' entries
-        entries = 4 * int(np.count_nonzero(split)) * flo[0].size
+        entries = 4 * splits * flo[0].size
         if entries > _CHUNK_ELEMENTS:
             raise QuadratureNonConvergence(
                 f"Simpson refinement at depth {depth + 1} would evaluate {entries} "
                 f"entries in one wave, over the budget of {_CHUNK_ELEMENTS}"
             )
         lo, hi, flo, fmid, fhi, S, open_ = clo, chi, cfl, cfm, cfh, cS, np.repeat(open_, 2, axis=0)
-        if not split.all():  # the children of the panels that split
-            keep = np.repeat(split, 2)
+        if splits < len(split):  # the children of the panels that split, by one index
+            keep = np.flatnonzero(np.repeat(split, 2))
             lo, hi, flo, fmid, fhi, S, open_ = (
-                v[keep] for v in (lo, hi, flo, fmid, fhi, S, open_)
+                v.take(keep, axis=0) for v in (lo, hi, flo, fmid, fhi, S, open_)
             )
         depth += 1
     return total

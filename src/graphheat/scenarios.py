@@ -79,6 +79,8 @@ def dumps_deterministic(obj) -> str:
 
 
 def _cell(value) -> str:
+    if type(value) is int or type(value) is str:  # most cells, and cheaper than the ABCs below
+        return str(value)
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")  # nan, inf and -inf included
     if isinstance(value, Fraction):

@@ -221,6 +221,12 @@ def _gramian_kernel(
     return out
 
 
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis)`` of a real array, by its own
+    operations (the root of the sum of squares) without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
+
+
 def _cell_chunk(n: int) -> int:
     """The cells of a wave of the supremum search on n modes up to which a
     cell splits more than two ways (``RestrictedEvolution._sup_norms``):
@@ -299,7 +305,7 @@ class RestrictedEvolution:
                 else:  # scale the block per time, then one GEMM with W
                     U = self.W @ (E[:, :, None] * C[:, None, :]).reshape(n, -1)
                     shape, axis = (d, len(tc), C.shape[1]), 0
-                out[k0 : k0 + len(tc), cb] = np.sum(np.square(U, out=U).reshape(shape), axis=axis)
+                out[k0 : k0 + len(tc), cb] = np.add.reduce(np.square(U, out=U).reshape(shape), axis=axis)
                 del U  # no block's arrays outlive it
         return np.sqrt(out)
 
@@ -314,9 +320,12 @@ class RestrictedEvolution:
         """
         out = np.full(ts.shape, np.nan)
         rows, cols = np.nonzero(~np.isnan(ts))
-        times, which = np.unique(ts[rows, cols], return_inverse=True)
-        order = np.argsort(which, kind="stable")
-        rows, cols, which = rows[order], cols[order], which[order]
+        t = ts[rows, cols]
+        order = np.argsort(t, kind="stable")
+        rows, cols, t = rows[order], cols[order], t[order]
+        new = np.ones(len(t), dtype=bool)  # the first entry of each distinct time
+        new[1:] = t[1:] != t[:-1]
+        times, which = t[new], np.cumsum(new) - 1
         n = len(self.lam)
         chunk = max(1, _BLOCK_ELEMENTS // (4 * n))
         for k0 in range(0, len(which), chunk):
@@ -324,7 +333,7 @@ class RestrictedEvolution:
             first = which[k0]
             E = decay(self.lam, times[first : which[sl][-1] + 1])
             U = self.W @ (E[:, which[sl] - first] * self.C[:, cols[sl]])
-            out[rows[sl], cols[sl]] = np.sum(np.square(U, out=U), axis=0)
+            out[rows[sl], cols[sl]] = np.add.reduce(np.square(U, out=U), axis=0)
             del E, U  # freed before the next chunk allocates its own
         return np.sqrt(out)
 
@@ -338,7 +347,7 @@ class RestrictedEvolution:
         n, width = C.shape
         out = np.empty(width)
         for cb in _blocks(width, _BLOCK_ELEMENTS // (2 * n)):
-            out[cb] = np.sum(np.square(C[:, cb]) * damp[:, cb], axis=0)
+            out[cb] = np.add.reduce(np.square(C[:, cb]) * damp[:, cb], axis=0)
         return np.sqrt(out)
 
     def rate_norms(self, ts) -> np.ndarray:
@@ -366,7 +375,7 @@ class RestrictedEvolution:
         vals = np.empty(n_batch)
         for cb in _blocks(n_batch, _BLOCK_ELEMENTS // (2 * n)):
             C = self.C[:, cb]
-            vals[cb] = np.sum(C * (M @ C), axis=0)
+            vals[cb] = np.add.reduce(C * (M @ C), axis=0)
         return np.maximum(vals, 0.0)
 
     @property
@@ -453,18 +462,18 @@ class RestrictedEvolution:
                 by_group = 0.0  # from S_lo f, where both remainders are formed
                 for idx, R, top, spread in self._groups:
                     Xg, top = X[:, :c][idx], top[:, None]
-                    seen = np.linalg.norm(R @ Xg, axis=1)
-                    by_group += 0.5 * np.sum(hc * (top * (hc * (top * seen))), axis=0)
-                    by_group += hc * (spread @ np.linalg.norm(Xg, axis=1))
+                    seen = _norms(R @ Xg, 1)
+                    by_group += 0.5 * np.add.reduce(hc * (top * (hc * (top * seen))), axis=0)
+                    by_group += hc * (spread @ _norms(Xg, 1))
                 LX = np.multiply(X, lam, out=X)
                 u1 = self.W @ LX
-                rem = 0.5 * np.linalg.norm(hc * (lam * (hc * LX[:, :c])), axis=0)
+                rem = 0.5 * _norms(hc * (lam * (hc * LX[:, :c])), 0)
                 rem = np.fmin(rem, by_group)
                 del X, LX
-                g = np.linalg.norm(u, axis=0)
+                g = _norms(u, 0)
                 g0[cells] = g[:c]
-                forward = np.linalg.norm(u[:, :c] - hc * u1[:, :c], axis=0)
-                backward = np.linalg.norm(u[:, right] + hc * u1[:, right], axis=0)
+                forward = _norms(u[:, :c] - hc * u1[:, :c], 0)
+                backward = _norms(u[:, right] + hc * u1[:, right], 0)
                 ub[cells] = np.fmin(
                     np.maximum(g[:c], forward + rem), np.maximum(g[right], backward + rem)
                 )
@@ -499,10 +508,11 @@ class RestrictedEvolution:
         the left end of a cell whose sample equals it.
         """
         n_batch = self.C.shape[1]
-        windows, window_of = np.unique(np.stack([a, b], axis=1), axis=0, return_inverse=True)
+        windows: dict[tuple[float, float], int] = {}  # each distinct window's grid row
+        window_of = [windows.setdefault(w, len(windows)) for w in zip(a.tolist(), b.tolist())]
         lam_max = float(self.lam[-1])
-        grids = np.array([_graded_grid(wa, wb, lam_max) for wa, wb in windows.tolist()])
-        ts = grids[window_of.ravel()]  # (batch, _GRID_CELLS + 1)
+        grids = np.array([_graded_grid(wa, wb, lam_max) for wa, wb in windows])
+        ts = grids[window_of]  # (batch, _GRID_CELLS + 1)
         best = self.norms(b[None, :])[0]
         at = np.array(b, dtype=float)
         tol = _LR_REL_TOL * self.final_norms(a)

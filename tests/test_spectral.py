@@ -840,12 +840,20 @@ def _step_at_a_third(ts):
     return (ts > 1e6 + 1.0 / 3.0) * 1.0
 
 
+def _narrow_step_and_wide_bump(ts):
+    """Column 0 steps at a third of [1e6, 1e6 + 1e-6], column 1 is
+    1 / (1 + t^2) on [0, 1e3]."""
+    return np.where([True, False], (ts > 1e6 + 1e-6 / 3.0) * 1.0, 1.0 / (1.0 + ts * ts))
+
+
 def test_simpson_totals_are_pinned_bit_for_bit():
     """Adaptive Simpson totals on fixed integrands built from +, *, / and
     sqrt alone, which IEEE arithmetic rounds the same everywhere: a shared
     window with a vector integrand, tested as a whole and per column; one
     window per column, where accepted entries reach the integrand as nan;
-    and a step that refines until its panel is too narrow to split."""
+    and a step that refines until its panel is too narrow to split, alone
+    and in a column beside a window 1e9 times wider, so the narrow column
+    is tested as its own window sets, not as the widest one would."""
     from graphheat.quadrature import adaptive_simpson
 
     nan_seen = []
@@ -861,12 +869,17 @@ def test_simpson_totals_are_pinned_bit_for_bit():
             per_column, np.array([0.0, 0.25, 1.0]), np.array([1.0, 2.0, 1.5]), norm=np.abs
         ),
         "too narrow": adaptive_simpson(_step_at_a_third, 1e6, 1e6 + 1.0),
+        "too narrow, per column": adaptive_simpson(
+            _narrow_step_and_wide_bump, np.array([1e6, 0.0]), np.array([1e6 + 1e-6, 1e3]),
+            norm=np.abs,
+        ),
     }
     want = {
         "vector": ["0x1.1b6e192ebbd3fp+0", "0x0.0p+0", "0x1.e62c271043ce4p+0"],
         "vector, per column": ["0x1.1b6e192ebbd2bp+0", "0x0.0p+0", "0x1.e62c271043c97p+0"],
         "windows": ["0x1.761fd3621e9b7p+0", "0x1.1f0994dd34a25p+1", "0x1.307a1c02b91dcp-1"],
         "too narrow": ["0x1.5555554888889p-1"],
+        "too narrow, per column": ["0x1.651eeeeeeeeefp-21", "0x1.91de2c0eb7191p+0"],
     }
     assert {k: [float(x).hex() for x in np.atleast_1d(v)] for k, v in got.items()} == want
     assert any(nan_seen)

@@ -220,12 +220,20 @@ def test_transition_table_matches_direct_build(c8):
     hub = g.weights[0, g.neighbors(0)]
     # totals is the sequential sum, which differs from the pairwise hub.sum() here
     assert np.cumsum(hub)[-1] != hub.sum()
-    for graph in (g, c8, weighted_p3()):
+    isolated = build_graph(
+        [("0", 1.0), ("1", 1.0), ("lone", 1.0), ("2", 1.0)],
+        [("0", "1", 1.0), ("1", "2", 3.0)],
+    )
+    for graph in (g, c8, weighted_p3(), isolated):
         table = graph.transition_table
         width = max(len(graph.neighbors(j)) for j in range(graph.n))
         assert table.cumulative.shape == (graph.n, width)
         for j in range(graph.n):
             nb = graph.neighbors(j)
+            if len(nb) == 0:  # a row with no jump: target j, total 0
+                assert np.all(table.targets[j] == j) and table.totals[j] == 0.0
+                assert np.all(table.cumulative[j] == np.inf)
+                continue
             w = graph.weights[j, nb]
             running = np.cumsum(w)
             np.testing.assert_array_equal(table.cumulative[j, : len(nb)], running)

@@ -9,11 +9,18 @@ exact). Nothing is re-recorded and nothing under ``perfbench/`` is written.
     python3 tools/check_reference.py [workload ...]
 
 Exit code 0 means every record matched; 1 lists the inputs that differ or
-raise. All three workloads take about 8 s on two cores.
+raise. After the summary, one line per workload gives a SHA-256 digest of
+its replayed records (keys sorted, every float as ``float.hex``), so two
+checkouts replayed on the same machine can be shown bit-identical. The
+digest says nothing across machines: BLAS builds and thread counts round
+differently, within the tolerance the comparison allows. All three
+workloads take about 8 s on two cores.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import shutil
 import sys
 import traceback
@@ -29,14 +36,24 @@ import reference
 from workloads import WORKLOADS, write_scenarios
 
 
-def check_workload(name: str) -> list[str]:
-    """Differences of every input of one workload, as printable lines."""
+def _hexed(value):
+    """A record value with every float written exactly, as ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, list):
+        return [_hexed(v) for v in value]
+    return value
+
+
+def check_workload(name: str) -> tuple[list[str], str]:
+    """Differences of every input of one workload, as printable lines, and
+    the digest of its replayed records."""
     workload = WORKLOADS[name]
     refs = reference.load(name)
     workdir = ROOT / run.WORK_DIR / f"check-{name}"
     gh = run.import_graphheat(ROOT / "src")
     inputs = workload.universe()
-    problems = []
+    problems, records = [], {}
     t0 = perf_counter()
     try:
         if workload.prepare is not None:
@@ -49,21 +66,26 @@ def check_workload(name: str) -> list[str]:
             except Exception:
                 problems.append(f"{name} {inp.key}: raised\n{traceback.format_exc()}")
                 continue
+            records[inp.key] = _hexed(rec)
             diffs = reference.compare(refs.get(inp.key, {}), rec)
             problems += [f"{name} {inp.key}: {d}" for d in diffs]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print(f"{name}: {len(inputs)} inputs in {perf_counter() - t0:.1f} s", flush=True)
-    return problems
+    text = json.dumps(records, sort_keys=True, allow_nan=False)
+    return problems, hashlib.sha256(text.encode()).hexdigest()
 
 
 def main(argv: list[str]) -> int:
-    problems = []
+    problems, digests = [], {}
     for name in argv or sorted(WORKLOADS):
-        problems += check_workload(name)
+        found, digests[name] = check_workload(name)
+        problems += found
     for line in problems:
         print(line, file=sys.stderr)
     print("reference check: " + (f"{len(problems)} differences" if problems else "all inputs match"))
+    for name, digest in digests.items():
+        print(f"{name} records sha256: {digest}")
     return 1 if problems else 0
 
 
