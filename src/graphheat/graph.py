@@ -144,25 +144,44 @@ class WeightedGraph:
 
     def degrees(self) -> np.ndarray:
         """Weighted degree Deg(x) = (1/m(x)) * sum_y b(x,y); +inf where
-        it is beyond the float range."""
+        it is beyond the float range.  Formed once per graph, read-only."""
+        return self._degrees
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return self.weights.sum(axis=1) / self.m
+            deg = self.weights.sum(axis=1) / self.m
+        deg.setflags(write=False)
+        return deg
 
     def neighbors(self, i: int) -> np.ndarray:
         return np.nonzero(self.weights[i] > 0.0)[0]
 
     @cached_property
+    def _edge_positions(self) -> np.ndarray:
+        """The flat positions i n + j of the edges b(i, j) != 0, ascending:
+        the one scan of b that ``_edges`` and ``transition_table`` share (a
+        flat scan of the mask costs a tenth of np.nonzero's (row, column)
+        scan)."""
+        return np.flatnonzero(self.weights != 0)
+
+    @cached_property
     def _edges(self) -> csr_array:
         """b as a csr array, built once for every sparse graph query: on a
-        dense matrix scipy drops edges with b <= 1e-8."""
-        return csr_array(self.weights)
+        dense matrix scipy drops edges with b <= 1e-8.  It is assembled from
+        ``_edge_positions`` with the parts and the int32 indices that
+        ``csr_array(weights)`` makes, without a scan of its own."""
+        flat = self._edge_positions
+        rows, cols = np.divmod(flat, self.n)
+        indptr = np.zeros(self.n + 1, dtype=np.int32)  # n and nnz of a dense b fit int32
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        data = self.weights.ravel().take(flat)
+        return csr_array((data, cols.astype(np.int32), indptr), shape=(self.n, self.n))
 
     @cached_property
     def transition_table(self) -> TransitionTable:
         """The random walk's jump law, shared by every sampler on this graph."""
-        # each row's neighbours, ascending; a flat scan of the mask costs a
-        # tenth of np.nonzero's (row, column) scan
-        rows, nbrs = np.divmod(np.flatnonzero(self.weights > 0.0), self.n)
+        rows, nbrs = np.divmod(self._edge_positions, self.n)  # each row's neighbours, ascending
         count = np.bincount(rows, minlength=self.n)
         ends = np.cumsum(count)
         width = int(count.max(initial=0))
@@ -257,28 +276,29 @@ def build_graph(
             raise NonPositiveMeasure(f"m({v!r}) = {mv} is not a positive real")
         m[index[str(v)]] = mv
 
-    b = np.zeros((n, n))
-    seen: dict[tuple[int, int], float] = {}
+    seen: dict[int, float] = {}  # weight per edge key i n + j, i < j
     for (u, v, w) in edges:
         u, v = str(u), str(v)
-        if u not in index or v not in index:
+        i, j = index.get(u), index.get(v)
+        if i is None or j is None:
             raise UnknownVertex(f"edge ({u!r}, {v!r}) references an unknown vertex")
         w = float(w)
         if not math.isfinite(w) or w < 0.0:
             raise InvalidWeight(f"b({u!r},{v!r}) = {w} is not a finite nonnegative real")
-        i, j = index[u], index[v]
         if i == j:
             raise SelfLoop(f"self-loop at {u!r}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            if seen[key] != w:
+        key = i * n + j if i < j else j * n + i
+        old = seen.get(key)
+        if old is not None:
+            if old != w:
                 raise NonSymmetricWeight(
-                    f"edge ({u!r},{v!r}) given twice with weights {seen[key]} and {w}"
+                    f"edge ({u!r},{v!r}) given twice with weights {old} and {w}"
                 )
             raise DuplicateEdge(f"edge ({u!r},{v!r}) appears more than once")
         seen[key] = w
-        b[i, j] = w
-        b[j, i] = w
+    b = np.zeros((n, n))
+    lo, hi = np.divmod(np.fromiter(seen, dtype=np.int64, count=len(seen)), n)
+    b[lo, hi] = b[hi, lo] = np.fromiter(seen.values(), dtype=float, count=len(seen))
 
     return WeightedGraph(tuple(ids), m, b)
 

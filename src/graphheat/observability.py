@@ -285,18 +285,20 @@ class WeakObsVerification:
 def _phi_batch(
     sd: SpectralDecomposition, samples: int, seed: int
 ) -> tuple[np.ndarray, list[str]]:
-    """Spectral coefficients of the test battery: all eigenvectors, all
-    Dirac deltas, and seeded random unit vectors (unit m-norm each), in one
-    (n, 2 n + samples) array."""
+    """The test battery: its labels (all eigenvectors, all Dirac deltas,
+    then seeded random unit vectors, unit m-norm each) and the spectral
+    coefficients of the states it screens, the deltas and the random
+    vectors, in one (n, n + samples) array.  An eigenvector's coefficients
+    are a unit column, and its slack has a closed form, so none is stored:
+    column j holds the state of label n + j."""
     n = sd.n
     labels = [f"eigvec:{i}" for i in range(n)]
     labels += [f"delta:{v}" for v in sd.graph.vertex_ids]
     samples = max(samples, 0)
-    out = np.zeros((n, 2 * n + samples))
-    out[np.arange(n), np.arange(n)] = 1.0
-    np.multiply(np.sqrt(sd.graph.m)[None, :], sd.eigenvectors.T, out=out[:, n : 2 * n])
+    out = np.empty((n, n + samples))
+    np.multiply(np.sqrt(sd.graph.m)[None, :], sd.eigenvectors.T, out=out[:, :n])
     if samples > 0:
-        z = out[:, 2 * n :]
+        z = out[:, n:]
         z[...] = np.random.default_rng(seed).standard_normal((n, samples))
         z /= np.linalg.norm(z, axis=0)
         labels += [f"random:{j}" for j in range(samples)]
@@ -545,7 +547,6 @@ def verify_weak_obs_multi(
         raise EmptySubset("verification needs a nonempty observation set")
     C, labels = _phi_batch(sd, samples, seed)
     n, lam = sd.n, sd.eigenvalues
-    C = C[:, n:]  # the eigenvectors are the first n columns; the rest is screened
     re = RestrictedEvolution(sd, d_idx, C)
     seen = np.linalg.norm(re.W, axis=0)  # c_k = ||(v_k)|_D||
     final_norms = functools.cache(re.final_norms)

@@ -13,8 +13,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -141,8 +142,7 @@ def emit_report(report: TaskReport, out_dir: str | Path) -> list[Path]:
             line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
             buf.writelines(line % tuple(row) for row in rows.tolist())
         else:
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
+            writer.writerows(map(_cell, row) for row in rows)
         table_path = out / f"{report.task}_{name}.csv"
         table_path.write_text(buf.getvalue())
         paths.append(table_path)
@@ -494,6 +494,8 @@ def _task_necessity(g, D, seed, *, x, t_grid, n_max) -> TaskReport:
     if not x:
         raise ValidationError("necessity task needs a nonempty 'x' list")
     far = sto.far_vertex_sequence(g, D, n_max)
+    names = [f.name for f in fields(sto.NecessityRow)]
+    bound_fields = attrgetter(*names)  # the row's values in field order
     rows = []
     all_pass = True
     worst_lower = math.inf
@@ -504,7 +506,7 @@ def _task_necessity(g, D, seed, *, x, t_grid, n_max) -> TaskReport:
         for row in rep.rows:
             worst_lower = min(worst_lower, row.lower_margin)
             worst_upper = min(worst_upper, row.upper_margin)
-            rows.append([vertex, rep.n_comb, *astuple(row)])
+            rows.append([vertex, rep.n_comb, *bound_fields(row)])
     report = TaskReport(
         "necessity",
         {
@@ -517,7 +519,7 @@ def _task_necessity(g, D, seed, *, x, t_grid, n_max) -> TaskReport:
             "worst_upper_margin": worst_upper,
         },
         tables={
-            "bounds": (["x", "n_comb"] + [f.name for f in fields(sto.NecessityRow)], rows)
+            "bounds": (["x", "n_comb"] + names, rows)
         },
     )
     report.check("bounds_hold", all_pass, "margins >= -1e-12")
@@ -565,10 +567,14 @@ _JUMP_BUDGET = 2e7
 # Budget jumps per lock-step step, however few walks it moves: one walk on
 # cycle-4 with b = 1e8 (two AMD EPYC cores) took 7-12 us per step in
 # fk_estimate (about 400 of its wide-batch jumps) and 95-105 us in
-# sample_ctmc_paths (about 420 of its jumps).  Both constants were set when
-# a wide batch moved half as many jumps per second and a step cost what it
-# costs now; they stay, so a run at the budget ends sooner if wide and as
-# soon as before if step-bound, and every input admitted before still is.
+# sample_ctmc_paths (about 420 of its jumps).  On two shared Intel Xeon
+# cores the same walk takes 13-24 us per step in fk_estimate and 26-46 us in
+# sample_ctmc_paths, which took 225-350 us there while it computed one
+# Philox block per stream every two steps instead of fetching blocks
+# ahead.  Both constants were set when a wide batch moved half as many
+# jumps per second and a step cost at least what it costs now; they stay,
+# so a run at the budget ends no later than then, and every input admitted
+# before still is.
 _STEP_JUMPS = 300
 # Expected rows of the exported `paths` table.  A row costs far more than a
 # jump: on the same machine 1e6 rows took 3.4 s and 280 MB of peak RSS.

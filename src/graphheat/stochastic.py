@@ -10,6 +10,9 @@ bit-reproducible for a fixed seed regardless of how work is scheduled.
 ``sample_ctmc_paths`` moves many paths in lock-step, path i reading the
 stream keyed (seed, i) through a vectorized Philox, and returns their jump
 table; each path is bit-identical whichever other indices share the batch.
+The vectorized Philox fetches blocks ahead, twice as many at each refill
+up to a fixed budget of values, so a walk of many steps refills its
+streams a few times rather than once every two steps.
 ``fk_estimate`` moves its samples in lock-step on one reserved stream,
 drawing only for the samples still live, and sums its mean and variance
 exactly from the samples' per-vertex counts (Shewchuk's exact summation,
@@ -30,14 +33,15 @@ import scipy.special
 
 from .errors import EmptySubset, ValidationError
 from .graph import MetricKind, WeightedGraph, _dist_to_set, covering_radius
+from .quadrature import _BLOCK_ELEMENTS
 from .spectral import RestrictedEvolution, SpectralDecomposition
 
 _ESTIMATOR_STREAM = 2**64 - 1  # reserved stream index for batched estimators
 # How far below 0 a necessity margin may round and still pass.
 _MARGIN_SLACK = 1e-12
 
-# Philox4x64-10 multipliers and Weyl key increments (Random123)
-_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+# Philox4x64-10 multipliers, one per row, and Weyl key increments (Random123)
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -50,15 +54,17 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products a * b, the high
-    word assembled from 32-bit halves so no partial product overflows."""
-    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+def _mulhilo(a: tuple[np.ndarray, ...], b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * b, a passed as
+    (a, a_lo, a_hi) with its 32-bit halves formed once by the caller.  The
+    high word is assembled from 32-bit halves so that no partial sum
+    overflows (Hacker's Delight's mulhu)."""
+    a, a_lo, a_hi = a
     b_lo, b_hi = b & _LOW32, b >> _SHIFT32
-    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
-    carry = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
-    hi = a_hi * b_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + (carry >> _SHIFT32)
-    return hi, np.uint64(a) * b
+    t = a_lo * b_lo
+    u = a_hi * b_lo + (t >> _SHIFT32)
+    v = a_lo * b_hi + (u & _LOW32)
+    return a_hi * b_hi + (u >> _SHIFT32) + (v >> _SHIFT32), a * b
 
 
 class _PhiloxStreams:
@@ -67,44 +73,81 @@ class _PhiloxStreams:
     Stream i yields its k-th uniform from word k % 4 of counter block
     k // 4 + 1 as ``(word >> 11) * 2**-53``, exactly as
     ``_stream(seed, i).random()`` does.  Each stream keeps its own count of
-    uniforms drawn and its current block, so streams advance independently.
+    uniforms drawn and holds its uniforms ``start`` up to ``stop`` in its
+    row of ``buffer``, so streams advance independently.  A stream that has
+    drawn all it holds is refilled with consecutive blocks fetched ahead:
+    one at the first refill, twice as many at each next one, at most as
+    many as keep the buffer of all the streams within ``_BLOCK_ELEMENTS``
+    values (one block each when there are more streams than that allows).
+    Which blocks are fetched together never changes a uniform.
     """
 
     def __init__(self, seed: int, path_indices: Iterable[int]) -> None:
         seed %= 2**64
         keys = np.array([int(i) % 2**64 for i in path_indices], dtype=np.uint64)
         bumps = [r * _PHILOX_BUMP[0] + seed for r in range(_PHILOX_ROUNDS)]
-        self._key0 = [np.uint64(k % 2**64) for k in bumps]
+        self._key0 = np.array([k % 2**64 for k in bumps], dtype=np.uint64)
         self._key1 = np.stack(
             [keys + np.uint64(r * _PHILOX_BUMP[1] % 2**64) for r in range(_PHILOX_ROUNDS)]
         )
         self.drawn = np.zeros(len(keys), dtype=np.int64)
-        self.block = np.zeros((len(keys), 4))
-        self.loaded = np.zeros(len(keys), dtype=np.int64)  # 0: no block held
+        self.start = np.zeros(len(keys), dtype=np.int64)  # uniform held in column 0
+        self.stop = np.zeros(len(keys), dtype=np.int64)  # one past the last held
+        self.buffer = np.zeros((len(keys), 4))
+        self._ahead = 1  # blocks the next refill fetches
+        self._most = max(1, _BLOCK_ELEMENTS // (4 * max(len(keys), 1)))
 
     def _blocks(self, rows: np.ndarray, counters: np.ndarray) -> np.ndarray:
-        """The four uniforms of block ``counters[j]`` of stream ``rows[j]``."""
-        key1 = self._key1[:, rows]
-        c0 = counters.astype(np.uint64)
-        c1 = c2 = c3 = np.zeros_like(c0)
-        for r in range(_PHILOX_ROUNDS):
-            hi0, lo0 = _mulhilo(_PHILOX_MUL[0], c0)
-            hi1, lo1 = _mulhilo(_PHILOX_MUL[1], c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ self._key0[r], lo1, hi0 ^ c3 ^ key1[r], lo0
-        words = np.stack((c0, c1, c2, c3), axis=1)
+        """The four uniforms of block ``counters[j]`` of stream ``rows[j]``.
+
+        Words 0 and 2 of each block's state are the rows of x, words 1 and 3
+        those of y, so one ``_mulhilo`` call multiplies row j of x by
+        multiplier j, giving (hi_j, lo_j), and a round is
+        x, y = (hi_1 ^ y_0 ^ key0, hi_0 ^ y_1 ^ key1), (lo_1, lo_0).  The
+        multipliers are repeated to full rows: numpy multiplies by a
+        broadcast column at about half the speed.
+        """
+        mul = np.repeat(_PHILOX_MUL, len(rows), axis=1)
+        mul = (mul, mul & _LOW32, mul >> _SHIFT32)
+        keys = np.empty((_PHILOX_ROUNDS, 2, len(rows)), dtype=np.uint64)
+        keys[:, 0] = self._key0[:, None]
+        keys[:, 1] = self._key1[:, rows]
+        x = np.zeros((2, len(rows)), dtype=np.uint64)
+        x[0] = counters
+        y = np.zeros_like(x)
+        for key in keys:
+            hi, lo = _mulhilo(mul, x)
+            x, y = hi[::-1] ^ y ^ key, lo[::-1]
+        words = np.stack((x, y), axis=1).reshape(4, -1).T  # words 0, 1, 2, 3 of each block
         return (words >> _SHIFT11).astype(np.float64) * 2.0**-53
+
+    def _refill(self, rows: np.ndarray, k: np.ndarray) -> None:
+        """Hold the next ``_ahead`` blocks of each stream in ``rows`` from
+        the block of its uniform k on.  They are computed in parts whose
+        largest array, the round keys of 2 words per round and block, holds
+        at most ``_BLOCK_ELEMENTS`` values."""
+        ahead, self._ahead = self._ahead, min(2 * self._ahead, self._most)
+        if 4 * ahead > self.buffer.shape[1]:  # widen, keeping what the other rows hold
+            self.buffer = np.pad(self.buffer, ((0, 0), (0, 4 * ahead - self.buffer.shape[1])))
+        first = k // 4 + 1
+        streams = np.repeat(rows, ahead)
+        counters = (first[:, None] + np.arange(ahead)).ravel()
+        uniforms = np.empty((len(streams), 4))
+        part = _BLOCK_ELEMENTS // (2 * _PHILOX_ROUNDS)
+        for lo in range(0, len(streams), part):
+            uniforms[lo : lo + part] = self._blocks(streams[lo : lo + part], counters[lo : lo + part])
+        self.buffer[rows, : 4 * ahead] = uniforms.reshape(len(rows), 4 * ahead)
+        self.start[rows] = 4 * (first - 1)
+        self.stop[rows] = 4 * (first - 1 + ahead)
 
     def draw(self, rows: np.ndarray) -> np.ndarray:
         """The next uniform of each stream in ``rows`` (distinct positions)."""
         k = self.drawn[rows]
-        block_no = k // 4 + 1
-        stale = self.loaded[rows] != block_no
+        stale = k >= self.stop[rows]
         if stale.any():
-            fresh = rows[stale]
-            self.block[fresh] = self._blocks(fresh, block_no[stale])
-            self.loaded[fresh] = block_no[stale]
+            self._refill(rows[stale], k[stale])
         self.drawn[rows] = k + 1
-        return self.block[rows, k % 4]
+        return self.buffer[rows, k - self.start[rows]]
 
     def draw_positive(self, rows: np.ndarray) -> np.ndarray:
         """Like ``draw``, but a stream that yields 0.0 draws again, so only

@@ -17,6 +17,7 @@ from graphheat.covering import ball_around_set
 from graphheat.errors import (
     DuplicateEdge,
     EmptySubset,
+    InvalidWeight,
     NonPositiveMeasure,
     NonSymmetricWeight,
     ParseError,
@@ -81,6 +82,74 @@ def test_nonpositive_measure_rejected():
 def test_unknown_edge_endpoint():
     with pytest.raises(UnknownVertex):
         build_graph([("0", 1)], [("0", "9", 1.0)])
+
+
+# One faulty edge list per check of build_graph, on distinct vertex pairs,
+# with the error it raises; the last two are faulty at their second edge.
+_EDGE_FAULTS = {
+    "unknown vertex": (
+        [("a", "zz", 1.0)], UnknownVertex, "edge ('a', 'zz') references an unknown vertex"
+    ),
+    "invalid weight": (
+        [("b", "c", -1.0)], InvalidWeight, "b('b','c') = -1.0 is not a finite nonnegative real"
+    ),
+    "self-loop": ([("d", "d", 1.0)], SelfLoop, "self-loop at 'd'"),
+    "non-symmetric weight": (
+        [("c", "d", 1.0), ("d", "c", 2.0)],
+        NonSymmetricWeight,
+        "edge ('d','c') given twice with weights 1.0 and 2.0",
+    ),
+    "duplicate edge": (
+        [("a", "c", 0.5), ("c", "a", 0.5)], DuplicateEdge, "edge ('c','a') appears more than once"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "first, second", [(f, s) for f in _EDGE_FAULTS for s in _EDGE_FAULTS if f != s]
+)
+def test_first_faulty_edge_raises_its_error(first, second):
+    """With faults in two different edges, the first faulty edge raises its
+    own error type and message, whichever of the two comes first."""
+    vertices = [(v, 1.0) for v in "abcd"]
+    edges, error, message = _EDGE_FAULTS[first]
+    with pytest.raises(error) as raised:
+        build_graph(vertices, [("a", "b", 2.0)] + edges + _EDGE_FAULTS[second][0])
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def _edge_test_graphs():
+    tiny = build_graph([("0", 1.0), ("1", 1.0), ("2", 1.0)], [("0", "1", 1e-300), ("1", "2", 2.0)])
+    lone = build_graph([("0", 1.0), ("lone", 1.0), ("1", 1.0)], [("0", "1", 3.0)])
+    one = build_graph([("0", 1.0)], [])
+    return [tiny, lone, one, build_family("torus", {"p": 32, "q": 32}).graph]
+
+
+@pytest.mark.parametrize("g", _edge_test_graphs(), ids=["1e-300", "isolated", "n=1", "torus-32x32"])
+def test_edges_match_scipys_csr_of_the_weights(g):
+    """``_edges`` is built from the graph's one scan of b, field for field
+    and dtype for dtype what ``csr_array(weights)`` builds."""
+    want = csr_array(g.weights)
+    got = g._edges
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b)
+    assert got.has_canonical_format
+
+
+@pytest.mark.parametrize("g", _edge_test_graphs(), ids=["1e-300", "isolated", "n=1", "torus-32x32"])
+def test_degrees_are_formed_once_read_only_with_the_row_sum_bits(g):
+    deg = g.degrees()
+    assert deg is g.degrees() and not deg.flags.writeable
+    assert deg.tobytes() == (g.weights.sum(axis=1) / g.m).tobytes()
+
+
+def test_degree_beyond_the_float_range_reads_inf_without_a_warning():
+    huge = build_graph([("0", 1e-300), ("1", 1.0)], [("0", "1", 1e300)])
+    with np.errstate(over="raise"):
+        assert huge.degrees().tolist() == [math.inf, 1e300]
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,7 @@ def test_verify_reports_certified_minimum_over_all_states(seed):
     ]
     reports = verify_weak_obs_multi(sd, D, consts, samples=40, seed=seed)
     C, labels = _phi_batch(sd, 40, seed)
+    C = np.hstack((np.eye(g.n), C))  # the eigenvectors' unit coefficients lead, as the labels do
     re = RestrictedEvolution(sd, g.subset_indices(D), C)
     for c, ver in zip(consts, reports):
         a, b = c.delta * c.T, c.T
@@ -400,7 +401,6 @@ def _survivors_gridding_every_state(sd, D, c, samples, seed):
     with the smallest exact eigenvector slack as one more upper bound: the
     reference that the prune must match."""
     C, _ = _phi_batch(sd, samples, seed)
-    C = C[:, sd.n :]
     re = RestrictedEvolution(sd, sd.graph.subset_indices(D), C)
     a, b = c.delta * c.T, c.T
     final = re.final_norms(c.T)
@@ -621,7 +621,7 @@ def test_verify_multi_grids_each_window_once(monkeypatch):
     windows = [(a, b) for a, b, _ in grids]
     assert set(windows) <= {(c.delta * c.T, c.T) for c in consts}
     assert len(windows) == len(set(windows)), windows
-    screened = _phi_batch(sd, 1000, 7)[0][:, sd.n :]
+    screened = _phi_batch(sd, 1000, 7)[0]
     for _, _, C in grids:
         assert len(np.unique(C, axis=1).T) == C.shape[1]
         assert (C[:, :, None] == screened[:, None, :]).all(axis=0).any(axis=1).all()
@@ -631,9 +631,9 @@ def test_verify_multi_grids_each_window_once(monkeypatch):
 
 
 def _battery_by_concatenation(sd, samples, seed):
-    """The test battery as three blocks joined: the eigenvectors, the
+    """The screened states of the test battery as two blocks joined: the
     deltas and the normalized random draws."""
-    blocks = [np.eye(sd.n), (np.sqrt(sd.graph.m)[:, None] * sd.eigenvectors).T]
+    blocks = [(np.sqrt(sd.graph.m)[:, None] * sd.eigenvectors).T]
     if samples > 0:
         z = np.random.default_rng(seed).standard_normal((sd.n, samples))
         blocks.append(z / np.linalg.norm(z, axis=0))
@@ -644,28 +644,29 @@ def _battery_by_concatenation(sd, samples, seed):
 @pytest.mark.parametrize("samples", [0, 1, 2, 7, 300])
 def test_battery_is_filled_in_place_with_the_bits_of_its_blocks(samples, seed):
     """``_phi_batch`` normalizes the random block into one array; with any
-    battery seed it has the bits of its three blocks joined, and its labels
-    in their order."""
+    battery seed it has the bits of its two screened blocks joined, and its
+    labels in their order, the eigenvectors' first."""
     rng = np.random.default_rng(samples)
     sd = eigendecompose(random_connected_graph(rng, 17))
     C, labels = _phi_batch(sd, samples, seed)
     assert np.array_equal(C, _battery_by_concatenation(sd, samples, seed))
     assert labels[0] == "eigvec:0" and labels[sd.n] == f"delta:{sd.graph.vertex_ids[0]}"
-    assert len(labels) == C.shape[1] == 2 * sd.n + samples
+    assert len(labels) == sd.n + C.shape[1] == 2 * sd.n + samples
 
 
 def test_verify_on_torus_16x16_at_r_1_holds_the_battery_and_a_few_blocks():
     """The torus-16x16 verification at r = 1 (battery seed 1, 1000 random
-    states, n = 256) holds at most the battery, one copy of its columns and
-    two evaluation blocks at once, 10.4 MB; it holds 6.1 MB, and held
-    19.8 MB before the blocks."""
+    states, n = 256) holds at most the screened battery (the deltas and the
+    random states), one copy of its columns and two evaluation blocks at
+    once, 9.3 MB; it holds 5.9 MB, and held 6.4 MB with the eigenvectors'
+    identity block in the battery and 19.8 MB before the blocks."""
     from graphheat.quadrature import _BLOCK_ELEMENTS
 
     g = build_family("torus", {"p": 16, "q": 16}).graph
     sd = eigendecompose(g)
     D = parity_subset(g, "even")
     const = weak_obs_constants(g, sd, D, T=1.0, delta=0.0, r=1.0)
-    battery = 8 * g.n * (2 * g.n + 1000)
+    battery = 8 * g.n * (g.n + 1000)
     tracemalloc.start()
     try:
         verify_weak_obs_multi(sd, D, [const], samples=1000, seed=1)
@@ -684,9 +685,8 @@ def test_certified_norm_of_a_fast_decaying_mode_keeps_its_digits():
     D = grow_dense_subset(g, rng)
     sd = eigendecompose(g)
     d_idx = g.subset_indices(D)
-    C, labels = _phi_batch(sd, 0, 0)
-    j = labels.index("eigvec:39")
-    got = RestrictedEvolution(sd, d_idx, C[:, [j]]).lr_norms(2.5, 5.0, 1.0)[0]
+    C = np.eye(g.n)[:, [39]]  # the spectral coefficients of eigvec:39
+    got = RestrictedEvolution(sd, d_idx, C).lr_norms(2.5, 5.0, 1.0)[0]
     lam = float(sd.eigenvalues[39])
     on_d = float(np.linalg.norm(np.sqrt(g.m[d_idx]) * sd.eigenvectors[d_idx, 39]))
     want, _ = scipy.integrate.quad(
@@ -1133,7 +1133,7 @@ def test_tie_groups_keep_the_reported_minimum_a_certified_lower_bound(kind, seed
     every = _certify_every_survivor(sd, D, c, 40, seed)
     C, _ = _phi_batch(sd, 40, seed)
     d_idx = g.subset_indices(D)
-    re = RestrictedEvolution(sd, d_idx, C[:, g.n :])
+    re = RestrictedEvolution(sd, d_idx, C)
     a, lam = delta * T, sd.eigenvalues
     tol = _LR_REL_TOL * re.final_norms(a)
     upper = c.K * (re.lr_norms(a, T, math.inf) + tol) + c.alpha - re.final_norms(T)

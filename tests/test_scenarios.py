@@ -136,6 +136,26 @@ def test_csv_cells_pin_non_finite_and_extreme_floats(tmp_path):
     )
 
 
+def test_list_table_pins_quoted_cells_mixed_columns_and_ragged_rows(tmp_path):
+    """A list table is written row by row through the csv module: ids such
+    as the torus's "0,1" and embedded quotes are quoted, bools read
+    true/false, ints and floats keep their text, numpy scalars included,
+    and a short or long row is written as it stands."""
+    rows = [
+        ["0,1", 3, 0.25, True],
+        ["1,0", np.int64(-2), np.float64(1 / 3), np.bool_(False)],
+        ['say "hi"', 0, -0.0, False],
+        ["2,3", 7],
+        ("3,3", 1, 1e-310, True, "extra"),
+    ]
+    report = TaskReport("t", {}, tables={"law": (["target", "n", "p", "ok"], rows)})
+    emit_report(report, tmp_path)
+    assert (tmp_path / "t_law.csv").read_bytes() == (
+        b'target,n,p,ok\n"0,1",3,0.25,true\n"1,0",-2,0.33333333333333331,false\n'
+        b'"say ""hi""",0,-0,false\n"2,3",7\n"3,3",1,9.9999999999999694e-311,true,extra\n'
+    )
+
+
 def test_float_array_table_writes_the_bytes_of_its_cells(tmp_path):
     """A float ndarray table is written as '%.17g' % x per cell; that is
     the text of format(x, ".17g"), which every other table's cells use."""
@@ -477,6 +497,7 @@ def _l2_min_slack(payload):
     p = payload["params"]
     c = weak_obs_constants(g, sd, D, p["T"], p["delta"], 2.0)
     C, _ = _phi_batch(sd, p["samples"], payload["seed"])
+    C = np.hstack((np.eye(g.n), C))  # the eigenvectors' unit coefficients
     re = RestrictedEvolution(sd, g.subset_indices(D), C)
     norms = np.sqrt(re.l2_time_integral(c.delta * c.T, c.T))
     return float(np.min(c.K * norms + c.alpha - re.final_norms(c.T)))

@@ -201,18 +201,83 @@ def test_vectorized_philox_matches_numpy(seed):
 
 def test_zero_draw_advances_only_that_stream():
     streams = _PhiloxStreams(3, [0, 1, 2])
-    streams.block[:] = [
+    streams.buffer[:] = [
         [0.5, 0.6, 0.7, 0.8],
         [0.0, 0.0, 0.25, 0.4],
         [0.1, 0.2, 0.3, 0.0],
     ]
-    streams.loaded[:] = 1
+    streams.stop[:] = 4  # each stream holds block 1: its uniforms 0 to 3
     streams.drawn[2] = 3  # stream 2 sits on the last word of its block
     u = streams.draw_positive(np.arange(3))
     rng = numpy_stream(3, 2)
     fifth = [rng.random() for _ in range(5)][-1]
     assert u.tolist() == [0.5, 0.25, fifth]
     assert streams.drawn.tolist() == [1, 3, 5]
+
+
+def test_prefetched_streams_replay_numpy_through_refills(monkeypatch):
+    """On cycle-4 with b = 1000 (about 2 000 steps a path) every path reads
+    exactly the uniforms of its stream ``_stream(seed, i)`` in order, through
+    more than 20 refills.  The block budget is cut so the refills reach
+    their cap, and zeros are planted in a few blocks, in the stream and in
+    its reference alike: each zero holding draw is drawn again on its own
+    stream, which then refills out of step with the others (once while the
+    buffer widens)."""
+    g = build_family("cycle", {"n": 4, "b": 1000}).graph
+    indices = [0, 5, 2**40 + 3, 2**64 - 1] + list(range(10, 30))
+    planted = {1: [(3, 2), (3, 3)], 7: [(105, 2), (105, 3)], 20: [(400, 3)]}  # row: (block, word)
+    drawn = [[] for _ in indices]
+    refills = []
+    blocks, draw, refill = (
+        getattr(_PhiloxStreams, f) for f in ("_blocks", "draw", "_refill")
+    )
+
+    def planted_blocks(self, rows, counters):
+        out = blocks(self, rows, counters)
+        for row, spots in planted.items():
+            for block, word in spots:
+                out[(rows == row) & (counters == block), word] = 0.0
+        return out
+
+    def recorded_draw(self, rows):
+        u = draw(self, rows)
+        for r, v in zip(rows.tolist(), u.tolist()):
+            drawn[r].append(v)
+        return u
+
+    def counted_refill(self, rows, k):
+        refills.append(len(rows))
+        refill(self, rows, k)
+
+    monkeypatch.setattr(sto, "_BLOCK_ELEMENTS", 2**12)  # at most 42 blocks a refill, in parts
+    monkeypatch.setattr(_PhiloxStreams, "_blocks", planted_blocks)
+    monkeypatch.setattr(_PhiloxStreams, "draw", recorded_draw)
+    monkeypatch.setattr(_PhiloxStreams, "_refill", counted_refill)
+    sample_ctmc_paths(g, "0", 1.0, 11, indices)
+    assert len(refills) > 20 and 1 in refills
+    assert min(len(d) for d in drawn) > 3000
+    for row, i in enumerate(indices):
+        want = numpy_stream(11, i).random(len(drawn[row]))
+        for block, word in planted.get(row, []):
+            want[4 * (block - 1) + word] = 0.0
+        assert drawn[row] == want.tolist(), row
+    zeros = [row for row, d in enumerate(drawn) if 0.0 in d]
+    assert zeros == sorted(planted)
+
+
+def test_paths_of_a_range_equal_its_halves_on_a_long_walk():
+    """A batch fetches blocks ahead by its size, so the halves of a range
+    refill on other schedules; on cycle-4 with b = 1000 each half still
+    samples the bits of its paths in the whole range."""
+    g = build_family("cycle", {"n": 4, "b": 1000}).graph
+    whole = sample_ctmc_paths(g, "0", 1.0, 3, range(60))
+    low = sample_ctmc_paths(g, "0", 1.0, 3, range(30))
+    high = sample_ctmc_paths(g, "0", 1.0, 3, range(30, 60))
+    assert len(whole.path) > 60 * 1900
+    np.testing.assert_array_equal(whole.path, np.concatenate([low.path, high.path + 30]))
+    for name in ("step", "times", "states"):
+        got, want = getattr(whole, name), np.concatenate([getattr(low, name), getattr(high, name)])
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_transition_table_matches_direct_build(c8):

@@ -10,9 +10,12 @@ exact). Nothing is re-recorded and nothing under ``perfbench/`` is written.
 
 Exit code 0 means every record matched; 1 lists the inputs that differ or
 raise. After the summary, one line per workload gives a SHA-256 digest of
-its replayed records (keys sorted, every float as ``float.hex``), so two
-checkouts replayed on the same machine can be shown bit-identical. The
-digest says nothing across machines: BLAS builds and thread counts round
+its replayed records (keys sorted, every float as ``float.hex``), and one
+more per workload that writes reports (``families``, ``walk``) a SHA-256
+over every report file's path, relative to the work directory, and bytes.
+Two checkouts replayed on the same machine are shown bit-identical, in
+records and in report files, by equal digests. The digests compare
+checkouts on one machine only: BLAS builds and thread counts round
 differently, within the tolerance the comparison allows. All three
 workloads take about 8 s on two cores.
 """
@@ -33,7 +36,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import run  # first: fixes the BLAS thread count before numpy is imported
 import reference
-from workloads import WORKLOADS, write_scenarios
+from workloads import WORKLOADS, _out_dir, write_scenarios
 
 
 def _hexed(value):
@@ -45,15 +48,27 @@ def _hexed(value):
     return value
 
 
-def check_workload(name: str) -> tuple[list[str], str]:
+def _reports_digest(inputs, workdir: Path) -> str:
+    """SHA-256 over each report file's path relative to ``workdir`` and its
+    bytes, the files in path order."""
+    digest = hashlib.sha256()
+    files = sorted(f for inp in inputs for f in _out_dir(workdir, inp).rglob("*") if f.is_file())
+    for f in files:
+        data = f.read_bytes()
+        digest.update(f"{f.relative_to(workdir).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def check_workload(name: str) -> tuple[list[str], dict[str, str]]:
     """Differences of every input of one workload, as printable lines, and
-    the digest of its replayed records."""
+    the digests of its replayed records and, if it writes any, reports."""
     workload = WORKLOADS[name]
     refs = reference.load(name)
     workdir = ROOT / run.WORK_DIR / f"check-{name}"
     gh = run.import_graphheat(ROOT / "src")
     inputs = workload.universe()
-    problems, records = [], {}
+    problems, records, digests = [], {}, {}
     t0 = perf_counter()
     try:
         if workload.prepare is not None:
@@ -69,11 +84,13 @@ def check_workload(name: str) -> tuple[list[str], str]:
             records[inp.key] = _hexed(rec)
             diffs = reference.compare(refs.get(inp.key, {}), rec)
             problems += [f"{name} {inp.key}: {d}" for d in diffs]
+        if workload.prepare is not None:
+            digests["reports"] = _reports_digest(inputs, workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print(f"{name}: {len(inputs)} inputs in {perf_counter() - t0:.1f} s", flush=True)
     text = json.dumps(records, sort_keys=True, allow_nan=False)
-    return problems, hashlib.sha256(text.encode()).hexdigest()
+    return problems, {"records": hashlib.sha256(text.encode()).hexdigest(), **digests}
 
 
 def main(argv: list[str]) -> int:
@@ -84,8 +101,9 @@ def main(argv: list[str]) -> int:
     for line in problems:
         print(line, file=sys.stderr)
     print("reference check: " + (f"{len(problems)} differences" if problems else "all inputs match"))
-    for name, digest in digests.items():
-        print(f"{name} records sha256: {digest}")
+    for name, kinds in digests.items():
+        for kind, digest in kinds.items():
+            print(f"{name} {kind} sha256: {digest}")
     return 1 if problems else 0
 
 
