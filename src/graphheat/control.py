@@ -1,13 +1,15 @@
 """Gramian-based control synthesis, Duhamel verification, and obstructions.
 
 The synthesized minimal-energy control has the closed form
-u(tau) = 1_D^* S_{T-tau} eta, so the controlled final state is
-f(T) = S_T f0 + Q_T eta with Q_T the controllability Gramian.  The target
-norm is met exactly through the one-parameter family
-f(T) = (I + nu Q_T)^{-1} S_T f0 with the multiplier nu found by monotone
-bisection.  Verification evaluates Duhamel's formula apart from the Gramian
-algebra, exactly per segment for a control linear between knots and by
-adaptive Simpson for a closed-form one; it returns the final state only.
+u(tau) = 1_D^* S_{T-tau} eta, and a ``ControlSignal`` holds just that eta:
+the controlled final state is f(T) = S_T f0 + Q_T eta with Q_T the
+controllability Gramian.  The target norm is met exactly through the
+one-parameter family f(T) = (I + nu Q_T)^{-1} S_T f0 with the multiplier nu
+found by monotone bisection.  Verification evaluates Duhamel's formula
+apart from the Gramian algebra, by adaptive Simpson; it returns the final
+state only.  The mode-invariance check of an obstruction drives random
+controls linear between knots instead, whose Duhamel integral is exact per
+segment.
 Cost norms are certified time norms of the closed-form control: one
 engine call per synthesis, or one for all the periods of a stabilization.
 The Gramian, and the controlled trajectory that stabilization samples for
@@ -34,7 +36,6 @@ from .spectral import (
     _gramian_kernel,
     _real,
     decay,
-    semigroup_apply,
 )
 
 _INTRA_SAMPLES = 65
@@ -95,44 +96,35 @@ def _control_indices(sd: SpectralDecomposition, D: Sequence[str], T: float) -> n
 def _gramian_of(
     sd: SpectralDecomposition, D: Sequence[str], T: float, gram: Gramian | None
 ) -> Gramian:
-    """The Gramian of (D, T): ``gram`` when one is supplied, which must
-    match (D, T), and otherwise a new one."""
+    """The Gramian of (sd, D, T): ``gram`` when one is supplied, which must
+    match them, and otherwise a new one."""
     if gram is None:
         return gramian(sd, D, T)
-    _check_gramian(gram, D, T)
+    _check_gramian(gram, sd, D, T)
     return gram
 
 
-def _check_gramian(gram: Gramian, D: Sequence[str], T: float) -> None:
+def _check_gramian(gram: Gramian, sd: SpectralDecomposition, D: Sequence[str], T: float) -> None:
+    """A supplied Gramian must be built on this very decomposition, for
+    (D, T): its matrix acts on that decomposition's coefficients."""
+    if gram.sd is not sd:
+        raise ValidationError("supplied Gramian belongs to another decomposition")
     if gram.D != tuple(D) or gram.T != float(T):
         raise ValidationError("supplied Gramian does not match (D, T)")
 
 
 @dataclass(frozen=True, eq=False)
 class ControlSignal:
-    """A control supported on D: either a sampled grid or a closed form.
-
-    A grid signal holds ``times`` and ``values``: ``values[k]`` holds the
-    function values of u(times[k]) on the vertices of D (in the order of
-    ``D``), and u is linear between the knots.  A closed-form signal holds
-    only ``eta``: u(tau) = 1_D^* S_{T-tau} eta.
-    """
+    """The control u(tau) = 1_D^* S_{T-tau} eta on D over [0, T], held as
+    its eta: the closed form of every control ``synth_control`` returns."""
 
     D: tuple[str, ...]
     T: float
-    times: np.ndarray | None = None
-    values: np.ndarray | None = None
-    eta: np.ndarray | None = None
-
-    @property
-    def closed_form(self) -> bool:
-        return self.eta is not None
+    eta: np.ndarray
 
     def values_at(self, sd: SpectralDecomposition, taus: np.ndarray) -> np.ndarray:
-        """Values of a closed-form control on D at each of ``taus``, one row
-        per time; a grid signal raises ``ValidationError``."""
-        if not self.closed_form:
-            raise ValidationError("values_at needs a closed-form signal")
+        """Values of the control on D (in the order of ``D``) at each of
+        ``taus``, one row per time."""
         d_idx = sd.graph.subset_indices(self.D)
         E = decay(sd.eigenvalues, self.T - np.asarray(taus, dtype=float))
         return (sd.eigenvectors[d_idx, :] @ (E * sd.coefficients(self.eta)[:, None])).T
@@ -195,7 +187,7 @@ def synth_control(
 
     Where alpha_target > 0 and ||S_T f0|| already meets the target, the
     control is zero (nu = 0, energy 0) and no Gramian is built; a supplied
-    ``gram`` is still checked against (D, T).  Raises ``TargetUnreachable``
+    ``gram`` is still checked against (sd, D, T).  Raises ``TargetUnreachable``
     when the target norm lies below the invariant floor spanned by Gramian
     null modes (or, for alpha_target = 0, when the Gramian is numerically
     singular).
@@ -209,7 +201,7 @@ def synth_control(
     if gram is None:
         _control_indices(sd, D, T)  # what ``gramian`` would refuse
     else:
-        _check_gramian(gram, D, T)
+        _check_gramian(gram, sd, D, T)
 
     c0 = sd.coefficients(f0)
     sT = decay(sd.eigenvalues, T) * c0
@@ -331,43 +323,60 @@ def _controlled_trajectory(
     return out.transpose(0, 2, 1) @ sd.eigenvectors.T
 
 
-def _segment_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi_1(x) = (1 - e^{-x})/x and psi(x) = (x - 1 + e^{-x})/x^2 for x >= 0:
-    over a segment of length h with x = lam h, the integrals of e^{-lam (h-s)}
-    and of e^{-lam (h-s)} s/h are h phi_1(x) and h psi(x).  Below
+def _segment_weights(lam: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h phi_1(x) and h psi(x) at x = lam h, for every pair of an entry of
+    lam >= 0 and one of h > 0, with phi_1(x) = (1 - e^{-x})/x and
+    psi(x) = (x - 1 + e^{-x})/x^2: over a segment of length h, the
+    integrals of e^{-lam (h-s)} and of e^{-lam (h-s)} s/h.  Below
     ``_SERIES_BELOW``, psi = sum_k (-x)^k/(k+2)! in nested form and
-    phi_1 = 1 - x psi, so x = 0 gives phi_1 = 1 and psi = 1/2."""
+    phi_1 = 1 - x psi, so x = 0 gives h and h/2.  Above it they are
+    (1 - e^{-x})/lam and (1 - phi_1(x))/lam, which stay finite where x is
+    past the float range (e^{-x} = 0 there)."""
+    with np.errstate(over="ignore"):
+        x = np.multiply.outer(lam, h)
     small = x < _SERIES_BELOW
     xd = np.where(small, 1.0, x)
-    phi1 = -np.expm1(-xd) / xd
-    psi = (1.0 - phi1) / xd
+    rate = np.where(small, 1.0, lam[:, None])
+    rise = -np.expm1(-xd)
+    whole = rise / rate
+    ramp = (1.0 - rise / xd) / rate
     xs, series = x[small], 1.0
     for k in range(12, 2, -1):  # 11 terms, to x^10/12!
         series = 1.0 - xs / k * series
-    psi[small] = 0.5 * series
-    phi1[small] = 1.0 - xs * psi[small]
-    return phi1, psi
+    hs = np.broadcast_to(h, x.shape)[small]
+    ramp[small] = hs * (0.5 * series)
+    whole[small] = hs * (1.0 - xs * (0.5 * series))
+    return whole, ramp
 
 
 def _grid_forced(
     sd: SpectralDecomposition, d_idx: np.ndarray, knots: np.ndarray, values: np.ndarray, T: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """The forced part int_0^T S_{T-tau} 1_D u(tau) dtau, in the eigenbasis,
-    of each of a batch of grid signals on shared knots: values[j, k] holds
-    signal j's values on D at knots[k], and row j of the result its forced
-    part.  One GEMM embeds every knot value of every signal; the segment
-    weights are the knots' alone, so one ``_segment_weights`` call serves
-    the batch (see ``verify_control``)."""
+    of each of a batch of controls linear between shared knots that rise
+    from 0 to T: values[j, k] holds control j's values on D at knots[k].
+
+    It is exact per segment: with h = t_{k+1} - t_k and U_k the
+    coefficients of 1_D u(t_k), segment k adds
+    e^{-lam (T - t_{k+1})} (h phi_1 U_k + h psi (U_{k+1} - U_k)).  One GEMM
+    embeds every knot value of every control, and one ``_segment_weights``
+    call serves the batch.  The sum is bounded by 2 T max |U|; a control
+    whose bound may leave the float range has its U divided by a power of
+    two 2^s first.  Returns row j's forced part over 2^s_j and the column
+    of shifts s, 0 for every control in range.
+    """
     n_batch, n_knots, d = values.shape
     mD = sd.graph.m[d_idx]
     embed = mD[:, None] * values.transpose(2, 0, 1).reshape(d, -1)
     # U[j, :, k]: coefs of 1_D u_j(t_k)
     U = (sd.eigenvectors[d_idx, :].T @ embed).reshape(-1, n_batch, n_knots).transpose(1, 0, 2)
+    shift = np.frexp(np.abs(U).max(axis=(1, 2), initial=0.0))[1] + math.frexp(T)[1]
+    shift = np.maximum(shift - 1020, 0)[:, None]
+    U = np.ldexp(U, -shift[:, :, None])
     lam = sd.eigenvalues
-    h = np.diff(knots)
-    phi1, psi = _segment_weights(np.outer(lam, h))
-    weights = decay(lam, T - knots[1:]) * h
-    return np.sum(weights * (phi1 * U[..., :-1] + psi * np.diff(U, axis=-1)), axis=-1)
+    whole, ramp = _segment_weights(lam, np.diff(knots))
+    steps = decay(lam, T - knots[1:]) * (whole * U[..., :-1] + ramp * np.diff(U, axis=-1))
+    return np.sum(steps, axis=-1), shift
 
 
 def verify_control(
@@ -379,67 +388,54 @@ def verify_control(
 ) -> ControlResult:
     """Re-simulate Duhamel's formula f(T) = S_T f0 + int S_{T-tau} 1_D u(tau) dtau.
 
-    A grid signal is exact per segment: with h = t_{k+1} - t_k, x = lam h
-    and U_k the coefficients of 1_D u(t_k), segment k adds
-    e^{-lam (T - t_{k+1})} h (phi_1(x) U_k + psi(x) (U_{k+1} - U_k)).  A
-    closed-form signal takes one adaptive Simpson call over [0, T], a check
-    of Q_T eta that shares nothing with the Gramian algebra.  A signal needs
-    ``eta`` or a grid of one value row per knot, knots rising strictly from
-    0 to T.
+    The forced part takes one adaptive Simpson call over [0, T], a check of
+    Q_T eta that shares nothing with the Gramian algebra.  Only the final
+    state and its ratio to ||f0|| are returned.
     """
     if u.T != float(T):
         raise ValidationError("signal horizon does not match T")
     if u.D != tuple(D):
         raise ValidationError("signal is supported on another set than D")
-    knots = u.times
-    if not u.closed_form and not (
-        knots is not None
-        and u.values is not None
-        and u.values.shape == (len(knots), len(u.D))
-        and len(knots) >= 2
-        and knots[0] == 0.0
-        and knots[-1] == u.T
-        and np.all(np.diff(knots) > 0.0)
-    ):
-        raise ValidationError(
-            "a signal needs eta, or a value row per knot with knots rising from 0 to T"
-        )
     f0 = _real(f0, "initial state")
-    _real(u.eta if u.closed_form else u.values, "control values")
+    c_eta = sd.coefficients(_real(u.eta, "control values"))[:, None]
     d_idx = sd.graph.subset_indices(D)
+    mD = sd.graph.m[d_idx]
+    VD = sd.eigenvectors[d_idx, :]
     lam = sd.eigenvalues
 
-    if u.closed_form:
-        mD = sd.graph.m[d_idx]
-        VD = sd.eigenvectors[d_idx, :]
-        c_eta = sd.coefficients(u.eta)[:, None]
+    def integrand(taus: np.ndarray) -> np.ndarray:
+        E = decay(lam, T - taus)  # u(tau) = 1_D^* S_{T-tau} eta, as in ``values_at``
+        embedded = VD.T @ (mD[:, None] * (VD @ (E * c_eta)))  # coefs of 1_D u(tau)
+        return (E * embedded).T
 
-        def integrand(taus: np.ndarray) -> np.ndarray:
-            E = decay(lam, T - taus)  # u(tau) = 1_D^* S_{T-tau} eta, as in ``values_at``
-            embedded = VD.T @ (mD[:, None] * (VD @ (E * c_eta)))  # coefs of 1_D u(tau)
-            return (E * embedded).T
-
-        forced = adaptive_simpson(integrand, 0.0, T, rel_tol=1e-10)
-    else:
-        forced = _grid_forced(sd, d_idx, knots, u.values[None], T)[0]
+    forced = adaptive_simpson(integrand, 0.0, T, rel_tol=1e-10)
     fT_hat = decay(lam, T) * sd.coefficients(f0) + forced
     norm_f0 = sd.norm(f0)
     return ControlResult(
         final_state=sd.synthesize(fT_hat),
-        achieved_alpha=_norm(fT_hat) / norm_f0 if norm_f0 else 0.0,
+        achieved_alpha=float(_norms(fT_hat[None])[0]) / norm_f0 if norm_f0 else 0.0,
     )
 
 
-def _norm(x: np.ndarray) -> float:
-    """||x||, also where the squares of x overflow: then it is taken on x
-    divided by its largest entry, which multiplies the root.  A norm in
-    range is ``np.linalg.norm``'s, bit for bit."""
+def _norms(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(x^2 @ w), the norms of the rows of x (its last axis, ndim >= 2)
+    weighted by w, or Euclidean without w.  A finite row whose weighted
+    squares sum outside the normal range is divided by its largest entry
+    first, and the root multiplied back, so a norm near either end of the
+    float range stays finite and accurate; every other row keeps the plain
+    formula's bits."""
+    w = np.ones(x.shape[-1]) if w is None else w
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
-    if math.isinf(norm) and np.isfinite(x).all():
-        top = float(np.abs(x).max())
-        norm = top * float(np.linalg.norm(x / top))
-    return norm
+        squares = np.square(x) @ w
+    norms = np.sqrt(squares)
+    top = np.abs(x).max(axis=-1, initial=0.0)
+    normal = (squares >= np.finfo(float).tiny) & (squares < math.inf)
+    redo = ~normal & (top > 0.0) & (top < math.inf)
+    if redo.any():
+        unit = x[redo] / top[redo][:, None]
+        with np.errstate(over="ignore"):  # a norm past the float range reads inf
+            norms[redo] = top[redo] * np.sqrt(np.square(unit) @ w)
+    return norms
 
 
 def hautus_obstruction(
@@ -471,29 +467,6 @@ def hautus_obstruction(
     return [(groups[i][0], found[i]) for i in sorted(found)]
 
 
-def mode_invariance_check(
-    sd: SpectralDecomposition,
-    D: Sequence[str],
-    phi,
-    lam: float,
-    f0,
-    u: ControlSignal,
-    T: float,
-) -> tuple[float, float]:
-    """The drift |<f(T), phi> - e^{-lam T} <f0, phi>| of an obstruction
-    eigenfunction phi under u, and the size of the terms it compares: the
-    free term e^{-lam T} |<f0, phi>| plus the norm of the forced part
-    f(T) - S_T f0, which grows with m and u.  Controls on D cannot move the
-    phi-component, so for a genuine obstruction the drift is rounding noise
-    on that scale.  The batch of one of ``_mode_drift``, on the final state
-    of ``verify_control``."""
-    f0 = _real(f0, "initial state")
-    final = verify_control(sd, D, f0, u, T).final_state
-    free = semigroup_apply(sd, T, f0)
-    drift, scale = _mode_drift(sd, np.asarray(phi), lam, T, f0[None], free[None], final[None])
-    return float(drift[0]), float(scale[0])
-
-
 def mode_invariance_trials(
     sd: SpectralDecomposition,
     D: Sequence[str],
@@ -504,40 +477,23 @@ def mode_invariance_trials(
     values: np.ndarray,
     T: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``mode_invariance_check`` for a batch of grid controls on shared
-    knots, one Duhamel pass for all: row j of ``f0s`` is trial j's initial
-    state and values[j, k] its control's values on D at knots[k].  Returns
-    each trial's drift and scale."""
-    d_idx = sd.graph.subset_indices(D)
-    free = decay(sd.eigenvalues, T)[:, None] * sd.coefficients(f0s.T)
-    final = free + _grid_forced(sd, d_idx, knots, values, T).T
-    return _mode_drift(
-        sd, np.asarray(phi), lam, T, f0s, sd.synthesize(free).T, sd.synthesize(final).T
-    )
-
-
-def _mode_drift(
-    sd: SpectralDecomposition,
-    phi: np.ndarray,
-    lam: float,
-    T: float,
-    f0s: np.ndarray,
-    frees: np.ndarray,
-    finals: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of the (batch, n) arrays ``f0s``, ``frees`` and ``finals``
-    (the states f0, S_T f0 and f(T)): the drift of the phi-component and
-    the size of the terms it compares, as ``mode_invariance_check`` defines
-    them.  The m-norm of the forced part f(T) - S_T f0 is taken on the part
-    divided by its largest entry, which multiplies the root, so a forced
-    part whose squares overflow gives a finite scale."""
-    m = sd.graph.m
-    free = float(decay(lam, T)) * np.sum(f0s * phi * m, axis=1)
-    drift = np.abs(np.sum(finals * phi * m, axis=1) - free)
-    forced = finals - frees
-    top = np.abs(forced).max(axis=1, initial=0.0)
-    unit = forced / np.where(top > 0.0, top, 1.0)[:, None]
-    return drift, np.abs(free) + top * np.sqrt(np.sum(unit * unit * m, axis=1))
+    """The drift |<f(T), phi> - e^{-lam T} <f0, phi>| of an obstruction
+    eigenfunction phi under each of a batch of controls linear between
+    shared knots (row j of ``f0s`` is trial j's initial state, values[j, k]
+    its control's values on D at knots[k]), and the size of the terms it
+    compares, e^{-lam T} |<f0, phi>| + ||F|| with F = f(T) - S_T f0.
+    Controls on D cannot move the phi-component, so for a genuine
+    obstruction the drift, <F, phi> from F's coefficients on phi's own
+    eigen-group, is rounding noise on that scale.  A trial whose F may
+    leave the float range has both divided by ``_grid_forced``'s power of
+    two, so their ratio, the residual, stays finite.
+    """
+    forced, shift = _grid_forced(sd, sd.graph.subset_indices(D), knots, values, T)
+    _, group = min(sd.eigenvalue_groups(), key=lambda g: abs(g[0] - lam))
+    phi = np.asarray(phi)
+    drift = np.abs(forced[:, group] @ sd.coefficients(phi)[group])
+    free = float(decay(lam, T)) * np.sum(f0s * (phi * sd.graph.m), axis=1)
+    return drift, np.abs(np.ldexp(free, -shift[:, 0])) + _norms(forced)
 
 
 @dataclass(frozen=True)
@@ -597,7 +553,7 @@ def stabilize(
         re = RestrictedEvolution(sd, sd.graph.subset_indices(D), sd.coefficients(eta))
         costs[:live] = re.lr_norms(0.0, T, np.array(COST_EXPONENTS)[:, None]).T
         traj = _controlled_trajectory(sd, D, T, np.stack(starts, axis=1), eta, _INTRA_SAMPLES)
-        peaks = np.sqrt(np.square(traj) @ sd.graph.m).max(axis=0)
+        peaks = _norms(traj, sd.graph.m).max(axis=0)
         intra_ratio = max(intra_ratio, float(np.max(peaks / norms[:live])))
     total: dict[float, float] = {}
     for r, parts in zip(COST_EXPONENTS, costs.T.tolist()):

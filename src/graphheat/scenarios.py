@@ -684,12 +684,12 @@ def _task_stochastic(
     )
 
     if first_jump_samples > 0:
-        horizon = 20.0 / deg_x if deg_x > 0.0 else 0.0  # P(no jump by the horizon) = e^-20
         counts = np.zeros(g.n, dtype=np.int64)
-        # a path does not depend on its batch, so chunks of paths bound the memory
+        # a path does not depend on its batch, so chunks of paths bound the
+        # memory; without a horizon, every path of a start with Deg > 0 jumps
         for lo in range(0, first_jump_samples, _PATH_CHUNK):
             hi = min(lo + _PATH_CHUNK, first_jump_samples)
-            steps = sto._walk_steps(g, x, horizon, seed, range(lo, hi))
+            steps = sto._walk_steps(g, x, math.inf, seed, range(lo, hi))
             next(steps)  # step 0: every path at x
             _, _, targets = next(steps, (None, None, np.empty(0, dtype=int)))  # the k = 1 states
             counts += np.bincount(targets, minlength=g.n)

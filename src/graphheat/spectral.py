@@ -162,14 +162,17 @@ def _eigen_residuals(sd: SpectralDecomposition, lam, vectors) -> np.ndarray:
     w = v / (||v||_inf scale), whose image is of unit size, and the m-norm of
     H w - lam w is taken with the factor ||v||_inf put back per entry: a
     measure near either end of the float range, where H v itself would
-    overflow or its residual underflow, leaves the value in range.
+    overflow or its residual underflow, leaves the value in range.  A
+    subnormal lam_max, whose inverse overflows, divides w by the smallest
+    normal float instead, and the norm by their ratio.
     """
     V = np.asarray(vectors)
     top = np.abs(V).max(axis=0)
     top = np.where(top > 0.0, top, 1.0)
-    w = V / top / sd.scale
+    unit = max(sd.scale, np.finfo(float).tiny)
+    w = V / top / unit
     R = apply_laplacian(sd.graph, w) - w * lam
-    return np.linalg.norm(np.sqrt(sd.graph.m)[:, None] * top * R, axis=0)
+    return np.linalg.norm(np.sqrt(sd.graph.m)[:, None] * top * R, axis=0) * (unit / sd.scale)
 
 
 def semigroup_apply(sd: SpectralDecomposition, t: float, f) -> np.ndarray:

@@ -186,10 +186,10 @@ def _walk_steps(
     Step k yields (path, J_k, Y_k) for the paths whose k-th jump comes by
     t_max; step 0 is every path's start.  A step's uniforms are drawn only
     when the step is asked for, so a caller that stops after step k samples
-    no later jump.
+    no later jump, and may set t_max = inf.  A holding time past the float
+    range (a subnormal Deg) reads inf: that path never jumps by a finite
+    t_max.
     """
-    if not 0.0 <= t_max < math.inf:
-        raise ValidationError("horizon must be finite and nonnegative")
     i = g.index_of(x0)
     deg = g.degrees()
     streams = _PhiloxStreams(seed, path_indices)
@@ -202,7 +202,8 @@ def _walk_steps(
         u = streams.draw_positive(active)
         # math.log, not np.log: the two differ in the last bit on some inputs
         xi = -np.fromiter(map(math.log, u.tolist()), float, len(u))
-        t = clock[active] + xi / deg[state[active]]
+        with np.errstate(over="ignore"):
+            t = clock[active] + xi / deg[state[active]]
         moved = t <= t_max
         active, t = active[moved], t[moved]
         state[active] = g.transition_table.jump(state[active], streams.draw(active))
@@ -223,6 +224,8 @@ def sample_ctmc_paths(
     bit-identical whichever other indices share the batch; distinct indices
     give independent streams under the same seed.
     """
+    if not 0.0 <= t_max < math.inf:
+        raise ValidationError("horizon must be finite and nonnegative")
     steps = list(_walk_steps(g, x0, t_max, seed, path_indices))
     path, times, states = (np.concatenate(column) for column in zip(*steps))
     step = np.repeat(np.arange(len(steps)), [len(s[0]) for s in steps])
@@ -275,12 +278,13 @@ def fk_estimate(
     states = np.full(n_samples, x_idx, dtype=int)
     clock = np.zeros(n_samples)
     live = np.arange(n_samples)  # samples whose clock has not passed t
-    while len(live):
-        u = rng.random(len(live))
-        u[u == 0.0] = 0.5
-        clock[live] += -np.log(u) / deg[states[live]]
-        live = live[clock[live] <= t]
-        states[live] = g.transition_table.jump(states[live], rng.random(len(live)))
+    with np.errstate(over="ignore"):  # a subnormal Deg holds for ever: the clock reads inf
+        while len(live):
+            u = rng.random(len(live))
+            u[u == 0.0] = 0.5
+            clock[live] += -np.log(u) / deg[states[live]]
+            live = live[clock[live] <= t]
+            states[live] = g.transition_table.jump(states[live], rng.random(len(live)))
 
     # f scaled by 2**-e lies in (-1, 1), so no term or partial sum overflows
     e = math.frexp(float(np.abs(f).max()))[1]

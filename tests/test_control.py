@@ -13,10 +13,11 @@ from graphheat.control import (
     ControlSignal,
     _HAUTUS_REL,
     _controlled_trajectory,
+    _grid_forced,
+    _norms,
     _segment_weights,
     gramian,
     hautus_obstruction,
-    mode_invariance_check,
     mode_invariance_trials,
     stabilize,
     synth_control,
@@ -31,6 +32,7 @@ from graphheat.errors import (
 )
 from graphheat.families import build_family, parity_subset
 from graphheat.graph import build_graph
+from graphheat.observability import exact_obs_constant
 from graphheat.quadrature import adaptive_simpson
 from graphheat.spectral import RestrictedEvolution, eigendecompose, semigroup_apply
 
@@ -178,6 +180,27 @@ def test_synth_free_decay_builds_no_gramian(k2, monkeypatch):
     with pytest.raises(EmptySubset):
         synth_control(sd, [], 1.0, f0, 601.0)
     assert built == []
+
+
+def test_a_gramian_of_another_decomposition_is_refused():
+    """A Gramian acts on the coefficients of the decomposition it was built
+    on.  One of cycle-8 with b = 1, supplied on cycle-8 with b = 5 (even D,
+    T = 1, f0 = 1), once led the synthesis to nu = 820 instead of 425 with no
+    error; the synthesis and the exact observability constant now refuse
+    it, as they refuse one built for another (D, T)."""
+    g1 = build_family("cycle", {"n": 8}).graph
+    g5 = build_family("cycle", {"n": 8, "b": 5.0}).graph
+    sd1, sd5 = eigendecompose(g1), eigendecompose(g5)
+    D = even_ids(g5)
+    foreign = gramian(sd1, D, 1.0)
+    with pytest.raises(ValidationError, match="another decomposition"):
+        synth_control(sd5, D, 1.0, np.ones(8), 0.01, gram=foreign)
+    with pytest.raises(ValidationError, match="another decomposition"):
+        exact_obs_constant(sd5, D, 1.0, gram=foreign)
+    own = gramian(sd5, D, 1.0)
+    _, res = synth_control(sd5, D, 1.0, np.ones(8), 0.01, gram=own)
+    assert res.nu == synth_control(sd5, D, 1.0, np.ones(8), 0.01)[1].nu
+    assert exact_obs_constant(sd5, D, 1.0, gram=own) == exact_obs_constant(sd5, D, 1.0)
 
 
 def test_synth_k2_hits_target(k2):
@@ -346,7 +369,7 @@ def test_synth_rejects_complex_state(k2):
 def test_verify_zero_control_is_free_evolution(c4):
     sd = eigendecompose(c4)
     f0 = np.array([1.0, -1.0, 0.5, 0.0])
-    u = ControlSignal(("0",), 1.0, np.array([0.0, 1.0]), np.zeros((2, 1)))
+    u = ControlSignal(("0",), 1.0, np.zeros(4))
     res = verify_control(sd, ["0"], f0, u, 1.0)
     np.testing.assert_allclose(
         res.final_state, semigroup_apply(sd, 1.0, f0), atol=1e-12
@@ -364,10 +387,11 @@ def test_verify_reproduces_synth_prediction(c8):
 
 
 def test_verify_constant_control_scalar_graph():
+    """On one vertex S_t = I, so eta = 3 is the constant control u = 3."""
     g = build_graph([("0", 1.0)], [])
     sd = eigendecompose(g)
     f0 = np.array([2.0])
-    u = ControlSignal(("0",), 1.0, np.array([0.0, 1.0]), np.full((2, 1), 3.0))
+    u = ControlSignal(("0",), 1.0, np.array([3.0]))
     res = verify_control(sd, ["0"], f0, u, 1.0)
     np.testing.assert_allclose(res.final_state, [5.0], atol=1e-12)
 
@@ -375,46 +399,24 @@ def test_verify_constant_control_scalar_graph():
 def test_verify_rejects_complex_state_and_values(c4):
     sd = eigendecompose(c4)
     f0 = np.array([1.0, -1.0, 0.5, 0.0])
-    u = ControlSignal(("0",), 1.0, np.array([0.0, 1.0]), np.zeros((2, 1)))
+    u = ControlSignal(("0",), 1.0, np.zeros(4))
     with pytest.raises(ValidationError, match="real"):
         verify_control(sd, ["0"], f0 + 1.0j, u, 1.0)
-    complex_u = ControlSignal(("0",), 1.0, u.times, np.full((2, 1), 1.0j))
+    complex_u = ControlSignal(("0",), 1.0, np.full(4, 1.0j))
     with pytest.raises(ValidationError, match="real"):
         verify_control(sd, ["0"], f0, complex_u, 1.0)
 
 
 def test_signal_grid_reproduces_closed_form(k2):
     """On the control task's 512-point export grid, ``values_at`` is
-    u(tau) = (S_{T-tau} eta)|_D, evaluated here through ``semigroup_apply``."""
+    u(tau) = (S_{T-tau} eta)|_D, evaluated here through ``semigroup_apply``.
+    A signal is its eta: it has no other field."""
     sd = eigendecompose(k2)
     sig, _ = synth_control(sd, ["0"], 1.0, np.array([1.0, 0.0]), 0.1)
-    assert sig.closed_form and sig.times is None and sig.values is None
+    assert [f.name for f in dataclasses.fields(sig)] == ["D", "T", "eta"]
     taus = np.linspace(0.0, 1.0, 512)[[0, 100, 317, 511]]
     direct = [semigroup_apply(sd, 1.0 - tau, sig.eta)[:1] for tau in taus]
     np.testing.assert_allclose(sig.values_at(sd, taus), direct, atol=1e-12)
-
-
-def test_verify_rejects_signal_without_grid_or_eta(k2):
-    sd = eigendecompose(k2)
-    f0 = np.array([1.0, 0.0])
-    for u in [
-        ControlSignal(("0",), 1.0),
-        ControlSignal(("0",), 1.0, times=np.array([0.0, 1.0])),
-        ControlSignal(("0",), 1.0, values=np.zeros((2, 1))),
-    ]:
-        with pytest.raises(ValidationError, match="needs eta"):
-            verify_control(sd, ["0"], f0, u, 1.0)
-
-
-def test_grid_signal_has_no_values_at(k2):
-    """Only closed-form signals are evaluated pointwise; a grid signal is
-    read by ``verify_control`` segment by segment."""
-    sd = eigendecompose(k2)
-    u = ControlSignal(
-        ("0",), 1.0, np.array([0.0, 0.5, 1.0]), np.array([[0.0], [2.0], [1.0]])
-    )
-    with pytest.raises(ValidationError, match="closed-form"):
-        u.values_at(sd, np.array([0.0, 0.25, 0.5]))
 
 
 def test_verify_rejects_signal_for_another_set():
@@ -424,32 +426,20 @@ def test_verify_rejects_signal_for_another_set():
     sig, _ = synth_control(sd, ["0", "2"], 1.0, f0, 0.1)
     with pytest.raises(ValidationError, match="another set"):
         verify_control(sd, ["1", "3"], f0, sig, 1.0)
-    wide = ControlSignal(("0", "2"), 1.0, np.array([0.0, 1.0]), np.ones((2, 3)))
-    with pytest.raises(ValidationError, match="value row per knot"):
-        verify_control(sd, ["0", "2"], f0, wide, 1.0)
 
 
-@pytest.mark.parametrize(
-    "times", [[0.0], [0.0, 0.5], [0.1, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0, 0.7, 0.3, 1.0]]
-)
-def test_verify_rejects_knots_not_rising_from_0_to_T(k2, times):
-    sd = eigendecompose(k2)
-    u = ControlSignal(("0",), 1.0, np.array(times), np.ones((len(times), 1)))
-    with pytest.raises(ValidationError, match="knots rising from 0 to T"):
-        verify_control(sd, ["0"], np.array([1.0, 0.0]), u, 1.0)
-
-
-def _duhamel_per_knot(sd, D, f0, u, T):
-    """Duhamel's formula with one Simpson call per knot segment of a grid
-    signal: an independent route to the same final state."""
+def _duhamel_per_knot(sd, D, f0, knots, values, T):
+    """Duhamel's formula for a control linear between knots, with one
+    Simpson call per knot segment: an independent route to the final state
+    that ``_grid_forced``'s forced part gives."""
     d_idx = sd.graph.subset_indices(D)
     mD = sd.graph.m[d_idx]
     VD = sd.eigenvectors[d_idx, :]
     lam = sd.eigenvalues
     forced = np.zeros(sd.n)
-    for k in range(len(u.times) - 1):
-        t0, t1 = float(u.times[k]), float(u.times[k + 1])
-        v0, v1 = u.values[k], u.values[k + 1]
+    for k in range(len(knots) - 1):
+        t0, t1 = float(knots[k]), float(knots[k + 1])
+        v0, v1 = values[k], values[k + 1]
 
         def integrand(taus):
             w = (taus - t0) / (t1 - t0)
@@ -459,6 +449,15 @@ def _duhamel_per_knot(sd, D, f0, u, T):
 
         forced = forced + adaptive_simpson(integrand, t0, t1, rel_tol=1e-10)
     return sd.synthesize(np.exp(-lam * T) * sd.coefficients(f0) + forced)
+
+
+def _duhamel_exact(sd, D, f0, knots, values, T):
+    """The final state with ``_grid_forced``'s forced part, which needs no
+    power-of-two shift here."""
+    forced, shift = _grid_forced(sd, sd.graph.subset_indices(D), knots, values[None], T)
+    assert shift.tolist() == [[0]]
+    forced = forced[0]
+    return sd.synthesize(np.exp(-sd.eigenvalues * T) * sd.coefficients(f0) + forced)
 
 
 @settings(max_examples=40, deadline=None)
@@ -474,10 +473,10 @@ def test_verify_grid_signal_matches_per_knot_simpson(seed, n_knots):
     D = tuple(g.vertex_ids[i] for i in np.sort(rng.choice(g.n, size=size, replace=False)))
     T = float(rng.uniform(0.1, 5.0))
     knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, T, n_knots)), [T]])
-    u = ControlSignal(D, T, knots, rng.standard_normal((len(knots), len(D))))
+    values = rng.standard_normal((len(knots), len(D)))
     f0 = rng.standard_normal(g.n)
-    want = _duhamel_per_knot(sd, D, f0, u, T)
-    got = verify_control(sd, D, f0, u, T).final_state
+    want = _duhamel_per_knot(sd, D, f0, knots, values, T)
+    got = _duhamel_exact(sd, D, f0, knots, values, T)
     assert m_norm(g, got - want) <= 1e-10 * m_norm(g, want)
 
 
@@ -491,12 +490,12 @@ def _stiff_tree():
 
 
 @pytest.mark.parametrize("case", ["stiff_tree", "short_horizon"])
-def test_verify_grid_signal_is_exact_without_quadrature(monkeypatch, case):
-    """A grid signal takes the per-segment closed form and no Simpson call.
-    It matches per-knot Simpson on a stiff tree with knot gaps down to
-    1e-9 T, and at T = 1e-6, where every lambda h (lambda = 0 included)
-    takes the series branch.  f0 = 0, so the free decay cannot hide an
-    error in the forced term."""
+def test_verify_grid_signal_is_exact_without_quadrature(case):
+    """The per-segment closed form of a control linear between knots, with
+    no quadrature, matches per-knot Simpson on a stiff tree with knot gaps
+    down to 1e-9 T, and at T = 1e-6, where every lambda h (lambda = 0
+    included) takes the series branch.  f0 = 0, so the free decay cannot
+    hide an error in the forced term."""
     if case == "stiff_tree":
         g, D, T = _stiff_tree(), ("1", "3"), 2.0
         knots = T * np.array([0.0, 1e-9, 2e-9, 1e-6, 1e-3, 0.5, 1.0 - 1e-9, 1.0])
@@ -505,15 +504,10 @@ def test_verify_grid_signal_is_exact_without_quadrature(monkeypatch, case):
         knots = np.linspace(0.0, T, 7)
     sd = eigendecompose(g)
     rng = np.random.default_rng(0)
-    u = ControlSignal(D, T, knots, rng.standard_normal((len(knots), len(D))))
+    values = rng.standard_normal((len(knots), len(D)))
     f0 = np.zeros(g.n)
-    want = _duhamel_per_knot(sd, D, f0, u, T)
-
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("a grid signal needs no quadrature")
-
-    monkeypatch.setattr(graphheat.control, "adaptive_simpson", no_quadrature)
-    got = verify_control(sd, D, f0, u, T).final_state
+    want = _duhamel_per_knot(sd, D, f0, knots, values, T)
+    got = _duhamel_exact(sd, D, f0, knots, values, T)
     assert m_norm(g, got - want) <= 1e-10 * m_norm(g, want)
 
 
@@ -521,7 +515,7 @@ def test_segment_weights_match_high_precision():
     """phi_1 and psi on both sides of the series cut, at 0 and at large x,
     against 40-digit decimal evaluations of their closed forms."""
     xs = [0.0, 1e-12, 1e-6, 1e-3, 0.0999, 0.1, 0.1001, 0.5, 3.0, 40.0, 1e4]
-    phi1, psi = _segment_weights(np.array(xs))
+    phi1, psi = (w[:, 0] for w in _segment_weights(np.array(xs), np.ones(1)))
     assert (phi1[0], psi[0]) == (1.0, 0.5)
     with localcontext() as ctx:
         ctx.prec = 40
@@ -530,6 +524,16 @@ def test_segment_weights_match_high_precision():
             em1 = (-d).exp() - 1
             assert p1 == pytest.approx(float(-em1 / d), rel=1e-15, abs=0.0)
             assert ps == pytest.approx(float((d + em1) / (d * d)), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_segment_weights_stay_finite_where_lam_h_overflows():
+    """Where x = lam h is past the float range, h phi_1(x) and h psi(x) are
+    their limit 1/lam, taken as (1 - e^{-x})/lam and (1 - phi_1(x))/lam
+    with no warning; at a finite large x they keep the 1/x forms."""
+    lam = np.array([1e300, 1e290])  # lam h = inf and 1e300
+    whole, ramp = _segment_weights(lam, np.array([1e10]))
+    assert whole[:, 0].tolist() == ramp[:, 0].tolist() == (1.0 / lam).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +573,9 @@ def test_mode_invariance_zero_control(c4):
     sd = eigendecompose(c4)
     lam, basis = hautus_obstruction(sd, ["0", "2"])[0]
     phi = basis[:, 0]
-    f0 = np.array([1.0, 0.3, -0.2, 0.9])
-    u = ControlSignal(("0", "2"), 1.0, np.array([0.0, 1.0]), np.zeros((2, 2)))
-    assert mode_invariance_check(sd, ["0", "2"], phi, lam, f0, u, 1.0)[0] <= 1e-12
+    f0s = np.array([[1.0, 0.3, -0.2, 0.9]])
+    knots, values = np.array([0.0, 1.0]), np.zeros((1, 2, 2))
+    assert mode_invariance_trials(sd, ["0", "2"], phi, lam, f0s, knots, values, 1.0)[0][0] <= 1e-12
 
 
 def test_mode_invariance_random_controls(c8):
@@ -582,37 +586,41 @@ def test_mode_invariance_random_controls(c8):
     rng = np.random.default_rng(9)
     knots = np.linspace(0.0, 1.0, 9)
     for _ in range(10):
-        f0 = rng.standard_normal(8)
-        u = ControlSignal(tuple(D), 1.0, knots, rng.standard_normal((9, 4)))
-        assert mode_invariance_check(sd, D, phi, lam, f0, u, 1.0)[0] <= 1e-9
+        f0s = rng.standard_normal((1, 8))
+        values = rng.standard_normal((1, 9, 4))
+        assert mode_invariance_trials(sd, D, phi, lam, f0s, knots, values, 1.0)[0][0] <= 1e-9
 
 
 @pytest.mark.filterwarnings("error")
 def test_mode_invariance_check_at_a_far_horizon_takes_a_finite_norm(c8):
-    """At T = 1e200 on cycle-8 with even D the forced part of f(T) is about
-    1e199, whose squares overflow: ``verify_control`` takes ||f(T)|| on f(T)
-    over its largest entry, with no warning, and the one-trial check gives
-    the finite drift and scale of its batch of one.  A norm in range keeps
-    ``np.linalg.norm``'s bits."""
+    """At T = 1e200 on cycle-8 with even D the forced part F of f(T) is
+    about 1e199, whose squares overflow: the scale takes ||F|| on F over its
+    largest entry, with no warning, and the drift stays rounding noise on
+    it.  A norm in range keeps the plain formula's bits, and one whose
+    squares underflow is taken on the scaled row too."""
     sd = eigendecompose(c8)
     D = even_ids(c8)
     lam, basis = [f for f in hautus_obstruction(sd, D) if abs(f[0] - 2.0) < 1e-8][0]
     rng = np.random.default_rng(0)
     T = 1e200
-    f0 = rng.standard_normal(8)
+    f0s = rng.standard_normal((1, 8))
     knots = np.linspace(0.0, T, 9)
-    u = ControlSignal(tuple(D), T, knots, rng.standard_normal((9, 4)))
-    res = verify_control(sd, D, f0, u, T)
-    coefs = sd.coefficients(res.final_state)
-    top = np.abs(coefs).max()
-    assert top > 1e190 and math.isfinite(res.achieved_alpha)
-    want = top * np.linalg.norm(coefs / top) / sd.norm(f0)
-    assert res.achieved_alpha == pytest.approx(want, rel=1e-12)
-    drift, scale = mode_invariance_check(sd, D, basis[:, 0], lam, f0, u, T)
-    assert math.isfinite(scale) and 0.0 <= drift <= 1e-9 * scale
-    for scale in (1e-300, 1.0, 1e150):
-        x = scale * rng.standard_normal(40)
-        assert graphheat.control._norm(x) == float(np.linalg.norm(x))
+    values = rng.standard_normal((1, 9, 4))
+    forced, shift = _grid_forced(sd, c8.subset_indices(D), knots, values, T)
+    forced = forced[0]
+    top = np.abs(forced).max()
+    assert shift.tolist() == [[0]]
+    assert top > 1e190
+    drift, scale = mode_invariance_trials(sd, D, basis[:, 0], lam, f0s, knots, values, T)
+    assert scale[0] == pytest.approx(top * np.linalg.norm(forced / top), rel=1e-12)
+    assert math.isfinite(scale[0]) and 0.0 <= drift[0] <= 1e-9 * scale[0]
+    for size in (1e-300, 1.0, 1e150, 1e200):
+        x = size * rng.standard_normal((3, 40))
+        got = _norms(x)
+        if size in (1.0, 1e150):
+            np.testing.assert_array_equal(got, np.sqrt(np.square(x) @ np.ones(40)))
+        want = [np.linalg.norm(row / size) * size for row in x]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def _hautus_per_group(sd, D):
@@ -676,7 +684,7 @@ def test_hautus_stacked_svds_match_one_full_svd_per_group(spec, D):
 )
 def test_mode_invariance_trials_match_one_check_per_trial(spec):
     """One Duhamel pass over a batch of trials gives each trial the drift and
-    scale that ``mode_invariance_check`` gives it alone, on the draws of one
+    scale that a batch of one gives it alone, on the draws of one
     generator taken as the ``non-null`` task takes them: f0, then the knot
     values, trial by trial."""
     g = build_family(spec["family"], spec).graph
@@ -695,10 +703,11 @@ def test_mode_invariance_trials_match_one_check_per_trial(spec):
         sd, D, phi, lam, np.array(f0s), knots, np.array(values), T
     )
     for j in range(12):
-        u = ControlSignal(tuple(D), T, knots, values[j])
-        one_drift, one_scale = mode_invariance_check(sd, D, phi, lam, f0s[j], u, T)
-        assert scale[j] == pytest.approx(one_scale, rel=1e-12, abs=0.0)
-        assert abs(drift[j] - one_drift) <= 1e-14 * one_scale
+        one_drift, one_scale = mode_invariance_trials(
+            sd, D, phi, lam, f0s[j][None], knots, values[j][None], T
+        )
+        assert scale[j] == pytest.approx(one_scale[0], rel=1e-12, abs=0.0)
+        assert abs(drift[j] - one_drift[0]) <= 1e-14 * one_scale[0]
         assert drift[j] <= 1e-12 * scale[j]
 
 
@@ -707,7 +716,7 @@ def test_mode_invariance_orthogonal_component(c4):
     lam, basis = hautus_obstruction(sd, ["0", "2"])[0]
     phi = basis[:, 0]
     f0 = np.ones(4)  # orthogonal to phi
-    u = ControlSignal(("0", "2"), 1.0, np.array([0.0, 1.0]), np.zeros((2, 2)))
+    u = ControlSignal(("0", "2"), 1.0, np.zeros(4))
     res = verify_control(sd, ["0", "2"], f0, u, 1.0)
     assert abs(sd.inner(res.final_state, phi)) <= 1e-12
     assert abs(sd.inner(f0, phi)) <= 1e-12
@@ -856,6 +865,42 @@ def test_stabilize_rejects_complex_state(k2):
     sd = eigendecompose(k2)
     with pytest.raises(ValidationError, match="real"):
         stabilize(sd, ["0"], 1.0, 0.5, 2, np.array([1.0, 1.0j]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_stabilize_envelope_beyond_the_float_range_is_finite():
+    """On cycle-4 with b = 1e8 and m = 1e300 at T = 1e300 the squared m-norm
+    of the intra-period excursion overflows: its peak, about 1.6e198 in the
+    second period, which starts at norm 0.06, is taken on each state over
+    its largest entry, so M is finite, 5.4e199."""
+    g = build_family("cycle", {"n": 4, "b": 1e8, "m": 1e300}).graph
+    sd = eigendecompose(g)
+    f0 = np.random.default_rng(1).standard_normal(4)  # the CLI's {"random": 1}
+    rep = stabilize(sd, even_ids(g), 1e300, 0.5, 2, f0 / sd.norm(f0))
+    assert rep.period_norms[1] == pytest.approx(0.0603, rel=1e-3)
+    assert 1e199 < rep.M < 1e200
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "cycle", "n": 300},
+        {"family": "torus", "p": 16, "q": 16},
+        {"family": "cyclic-cover", "base": {"family": "cycle", "n": 4}, "k": 64},
+    ],
+)
+def test_stabilize_envelope_in_range_keeps_the_plain_norms_bits(spec, monkeypatch):
+    """On the graphs of the benchmark's stabilize scenarios (T = 1,
+    alpha = 0.5, 10 periods), every excursion norm is in range, and M is
+    the one that sqrt(x^2 @ m) gives, bit for bit."""
+    g = build_family(spec["family"], spec).graph
+    sd = eigendecompose(g)
+    D = parity_subset(g, "even")
+    f0 = np.random.default_rng(4).standard_normal(g.n)
+    got = stabilize(sd, D, 1.0, 0.5, 10, f0)
+    monkeypatch.setattr(graphheat.control, "_norms", lambda x, w: np.sqrt(np.square(x) @ w))
+    want = stabilize(sd, D, 1.0, 0.5, 10, f0)
+    assert got.M == want.M and got.period_norms == want.period_norms
 
 
 def test_controlled_trajectory_endpoints(k2):
