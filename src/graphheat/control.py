@@ -17,7 +17,13 @@ its envelope, both use the restricted Gramian kernel of ``spectral``: the
 trajectory takes one Gramian step over [0, h] per sample, for all periods
 at once.  Initial states and control values are real: complex input raises
 ``ValidationError`` instead of losing its imaginary part.  Decay factors
-over the spectrum come from ``spectral.decay``.
+over the spectrum come from ``spectral.decay``, and every norm from
+``quadrature.vector_norms``.  Answers scale with f0: the multiplier search,
+the energy, Duhamel's re-simulation and the stabilization envelope each
+work on f0 over a power of two near its norm, so nu, achieved_alpha and M
+are the same for c f0 as for f0 and costs, norms and states are c times
+theirs, up to rounding, until a value leaves the float range (it then reads
+inf; an f0 whose own m-norm is past the range is refused).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BisectionNonConvergence, EmptySubset, TargetUnreachable, ValidationError
-from .quadrature import _BLOCK_ELEMENTS, _blocks, adaptive_simpson
+from .quadrature import _BLOCK_ELEMENTS, _blocks, adaptive_simpson, vector_norms
 from .spectral import (
     RestrictedEvolution,
     SpectralDecomposition,
@@ -198,6 +204,8 @@ def synth_control(
     norm_f0 = sd.norm(f0)
     if norm_f0 == 0.0:
         raise ValidationError("synthesis needs a nonzero initial state")
+    if norm_f0 == math.inf:
+        raise ValidationError("the initial state's m-norm is beyond the float range")
     if gram is None:
         _control_indices(sd, D, T)  # what ``gramian`` would refuse
     else:
@@ -205,7 +213,7 @@ def synth_control(
 
     c0 = sd.coefficients(f0)
     sT = decay(sd.eigenvalues, T) * c0
-    norm_sT = float(np.linalg.norm(sT))
+    norm_sT = float(vector_norms(sT))
     target = alpha_target * norm_f0
     if alpha_target > 0.0 and norm_sT <= target:
         result = ControlResult(
@@ -220,15 +228,19 @@ def synth_control(
     Q = gramian(sd, D, T) if gram is None else gram
     mu, P = Q.eigenvalues, Q.eigenvectors
     beta = P.T @ sT
-
-    def shrunk(nu: float) -> np.ndarray:
-        """beta / (1 + nu mu): 0 where nu mu overflows a float, which the
-        multiplier search lets pass without a warning."""
-        return beta / (1.0 + nu * mu)
+    # The search runs on beta and the target over 2^e, ||f0|| in
+    # [2^(e-1), 2^e): the scaling is exact, so nu is the same for f0 at
+    # every scale, and h squares values of order one.
+    e = math.frexp(norm_f0)[1]
+    unit = np.ldexp(beta, -e)
 
     def h(nu: float) -> float:
-        s = shrunk(nu)
-        return float(np.sqrt(s.dot(s)))  # np.linalg.norm's own sum, without its checks
+        """||f(T)|| / 2^e under the multiplier nu.  unit / (1 + nu mu) is 0
+        where nu mu overflows a float, which the search lets pass without a
+        warning.  It is summed as a dot product, not by ``vector_norms``: it
+        runs at every step of every search, on terms of order one."""
+        s = unit / (1.0 + nu * mu)
+        return float(np.sqrt(s.dot(s)))
 
     if alpha_target == 0.0:
         if not Q.nonsingular:
@@ -236,18 +248,20 @@ def synth_control(
                 "exact null control refused: the Gramian is numerically singular "
                 "(an eigenfunction invisible on D blocks it)"
             )
-        eta_hat = P @ (-(beta / mu))
+        with np.errstate(over="ignore", invalid="ignore"):  # eta is checked below
+            eta_hat = P @ (-(beta / mu))
         fT_hat = np.zeros_like(beta)
         nu = math.inf
     else:
-        floor = float(np.linalg.norm(beta[mu == 0.0]))
-        with np.errstate(over="ignore"):  # nu mu may overflow (see shrunk)
+        floor = float(vector_norms(beta[mu == 0.0]))
+        goal = math.ldexp(target, -e)
+        with np.errstate(over="ignore"):  # nu mu may overflow (see h)
             nu_hi = 1.0
             h_hi = h(nu_hi)
-            while h_hi > target and nu_hi < _NU_MAX:
+            while h_hi > goal and nu_hi < _NU_MAX:
                 nu_hi *= 2.0
                 h_hi = h(nu_hi)
-            if h_hi > target:
+            if h_hi > goal:
                 raise TargetUnreachable(
                     f"target norm {target:.6g} is below the invariant floor "
                     f"{floor:.6g} enforced by modes vanishing on D"
@@ -256,30 +270,37 @@ def synth_control(
             for _ in range(200):
                 mid = 0.5 * (nu_lo + nu_hi)
                 h_mid = h(mid)
-                if h_mid > target:
+                if h_mid > goal:
                     nu_lo = mid
                 else:
                     nu_hi, h_hi = mid, h_mid
-                if abs(h_hi - target) <= 1e-12 * norm_f0:
+                if abs(h_hi - goal) <= 1e-12 * math.ldexp(norm_f0, -e):
                     break
                 if (nu_hi - nu_lo) <= 1e-15 * nu_hi:
                     break
             nu = nu_hi  # upper endpoint keeps ||f(T)|| <= target
-            if not (h_hi <= target * (1.0 + 1e-9) + 1e-300):
+            if not (h_hi <= goal * (1.0 + 1e-9) + 1e-300):
                 raise BisectionNonConvergence(
-                    f"multiplier search stalled at nu={nu:.6g}, ||f(T)||={h_hi:.6g}"
+                    f"multiplier search stalled at nu={nu:.6g}, "
+                    f"||f(T)||={math.ldexp(h_hi, e):.6g}"
                 )
-            scale = shrunk(nu)
-        eta_hat = P @ (-nu * scale)
+            scale = beta / (1.0 + nu * mu)
+        with np.errstate(over="ignore", invalid="ignore"):  # eta is checked below
+            eta_hat = P @ (-nu * scale)
         fT_hat = P @ scale
 
-    eta_vertex = sd.synthesize(eta_hat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta_vertex = sd.synthesize(eta_hat)
+    if not np.isfinite(eta_vertex).all():
+        raise ValidationError(f"the control's eta is beyond the float range (nu = {nu:.6g})")
+    with np.errstate(over="ignore"):  # over 2^2e; an energy past the float range reads inf
+        energy = float(np.ldexp(np.sum(mu * np.ldexp(P.T @ eta_hat, -e) ** 2), 2 * e))
     result = ControlResult(
         final_state=sd.synthesize(fT_hat),
-        achieved_alpha=float(np.linalg.norm(fT_hat)) / norm_f0,
+        achieved_alpha=float(vector_norms(fT_hat)) / norm_f0,
         costs=_signal_costs(sd, D, T, eta_vertex, cost_exponents),
         nu=nu,
-        energy=float(np.sum(mu * (P.T @ eta_hat) ** 2)),
+        energy=energy,
     )
     return ControlSignal(tuple(D), float(T), eta=eta_vertex), result
 
@@ -397,7 +418,11 @@ def verify_control(
     if u.D != tuple(D):
         raise ValidationError("signal is supported on another set than D")
     f0 = _real(f0, "initial state")
-    c_eta = sd.coefficients(_real(u.eta, "control values"))[:, None]
+    # Duhamel's formula is linear in (f0, eta): both are taken over 2^e,
+    # ||f0|| in [2^(e-1), 2^e), so that m u stays in range at every scale
+    norm_f0 = sd.norm(f0)
+    e = math.frexp(norm_f0)[1]
+    c_eta = sd.coefficients(np.ldexp(_real(u.eta, "control values"), -e))[:, None]
     d_idx = sd.graph.subset_indices(D)
     mD = sd.graph.m[d_idx]
     VD = sd.eigenvectors[d_idx, :]
@@ -409,33 +434,13 @@ def verify_control(
         return (E * embedded).T
 
     forced = adaptive_simpson(integrand, 0.0, T, rel_tol=1e-10)
-    fT_hat = decay(lam, T) * sd.coefficients(f0) + forced
-    norm_f0 = sd.norm(f0)
+    fT_hat = decay(lam, T) * sd.coefficients(np.ldexp(f0, -e)) + forced
+    with np.errstate(over="ignore"):  # a state past the float range reads inf
+        final_state = np.ldexp(sd.synthesize(fT_hat), e)
     return ControlResult(
-        final_state=sd.synthesize(fT_hat),
-        achieved_alpha=float(_norms(fT_hat[None])[0]) / norm_f0 if norm_f0 else 0.0,
+        final_state=final_state,
+        achieved_alpha=float(vector_norms(fT_hat)) / math.ldexp(norm_f0, -e) if norm_f0 else 0.0,
     )
-
-
-def _norms(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """sqrt(x^2 @ w), the norms of the rows of x (its last axis, ndim >= 2)
-    weighted by w, or Euclidean without w.  A finite row whose weighted
-    squares sum outside the normal range is divided by its largest entry
-    first, and the root multiplied back, so a norm near either end of the
-    float range stays finite and accurate; every other row keeps the plain
-    formula's bits."""
-    w = np.ones(x.shape[-1]) if w is None else w
-    with np.errstate(over="ignore"):
-        squares = np.square(x) @ w
-    norms = np.sqrt(squares)
-    top = np.abs(x).max(axis=-1, initial=0.0)
-    normal = (squares >= np.finfo(float).tiny) & (squares < math.inf)
-    redo = ~normal & (top > 0.0) & (top < math.inf)
-    if redo.any():
-        unit = x[redo] / top[redo][:, None]
-        with np.errstate(over="ignore"):  # a norm past the float range reads inf
-            norms[redo] = top[redo] * np.sqrt(np.square(unit) @ w)
-    return norms
 
 
 def hautus_obstruction(
@@ -448,13 +453,9 @@ def hautus_obstruction(
     An empty list means no obstruction: every eigenfunction sees D.
     """
     d_idx = sd.graph.subset_indices(D)
-    groups = sd.eigenvalue_groups()
-    by_size: dict[int, list[int]] = {}
-    for i, (_lam, idx) in enumerate(groups):
-        by_size.setdefault(len(idx), []).append(i)
     found: dict[int, np.ndarray] = {}
-    for k, which in by_size.items():
-        idx = np.array([groups[i][1] for i in which])  # (groups, k)
+    for which, idx in sd.eigenvalue_stacks:
+        k = idx.shape[1]
         blocks = sd.eigenvectors[d_idx[:, None], idx[:, None, :]]  # (groups, |D|, k)
         # a group wider than D keeps its whole right basis: its last k - |D|
         # right singular vectors have singular value 0
@@ -464,7 +465,7 @@ def hautus_obstruction(
         for i, group_idx, mask, v in zip(which, idx, null, vt):
             if mask.any():
                 found[i] = sd.eigenvectors[:, group_idx] @ v[mask].T
-    return [(groups[i][0], found[i]) for i in sorted(found)]
+    return [(sd.eigenvalue_groups[i][0], found[i]) for i in sorted(found)]
 
 
 def mode_invariance_trials(
@@ -489,11 +490,11 @@ def mode_invariance_trials(
     two, so their ratio, the residual, stays finite.
     """
     forced, shift = _grid_forced(sd, sd.graph.subset_indices(D), knots, values, T)
-    _, group = min(sd.eigenvalue_groups(), key=lambda g: abs(g[0] - lam))
+    _, group = min(sd.eigenvalue_groups, key=lambda g: abs(g[0] - lam))
     phi = np.asarray(phi)
     drift = np.abs(forced[:, group] @ sd.coefficients(phi)[group])
     free = float(decay(lam, T)) * np.sum(f0s * (phi * sd.graph.m), axis=1)
-    return drift, np.abs(np.ldexp(free, -shift[:, 0])) + _norms(forced)
+    return drift, np.abs(np.ldexp(free, -shift[:, 0])) + vector_norms(forced)
 
 
 @dataclass(frozen=True)
@@ -552,15 +553,24 @@ def stabilize(
         eta = np.stack(etas, axis=1)
         re = RestrictedEvolution(sd, sd.graph.subset_indices(D), sd.coefficients(eta))
         costs[:live] = re.lr_norms(0.0, T, np.array(COST_EXPONENTS)[:, None]).T
-        traj = _controlled_trajectory(sd, D, T, np.stack(starts, axis=1), eta, _INTRA_SAMPLES)
-        peaks = _norms(traj, sd.graph.m).max(axis=0)
-        intra_ratio = max(intra_ratio, float(np.max(peaks / norms[:live])))
+        # each period's trajectory over 2^e, its starting norm in
+        # [2^(e-1), 2^e): exact, and of order one however large f0 is
+        shift = np.frexp(norms[:live])[1]
+        starts = np.ldexp(np.stack(starts, axis=1), -shift)
+        traj = _controlled_trajectory(sd, D, T, starts, np.ldexp(eta, -shift), _INTRA_SAMPLES)
+        peaks = vector_norms(traj, w=sd.graph.m).max(axis=0)
+        intra_ratio = max(intra_ratio, float(np.max(peaks / np.ldexp(norms[:live], -shift))))
     total: dict[float, float] = {}
     for r, parts in zip(COST_EXPONENTS, costs.T.tolist()):
         if math.isinf(r):
             total[r] = max(parts)
-        else:
-            total[r] = float(sum(p**r for p in parts)) ** (1.0 / r)
+            continue
+        # where a part's r-th power could leave the float range, the parts
+        # are summed over 2^e, the largest in [2^(e-1), 2^e)
+        e = math.frexp(max(parts))[1]
+        e = e if abs(r * e) > 1000 else 0
+        with np.errstate(over="ignore"):  # a total past the float range reads inf
+            total[r] = float(np.ldexp(sum(math.ldexp(p, -e) ** r for p in parts) ** (1.0 / r), e))
     return StabilizationReport(
         period_norms=norms,
         omega=math.log(alpha) / T,

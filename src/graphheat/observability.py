@@ -37,6 +37,7 @@ from .graph import (
     inradius,
     max_ball_volume,
 )
+from .quadrature import vector_norms
 from .spectral import (
     RestrictedEvolution,
     SpectralDecomposition,
@@ -187,7 +188,7 @@ def up_sweep(
     does not rise as the cutoff keeps more modes."""
     geometry = _up_geometry(g, D)
     n_d = len(g.subset_indices(D))
-    groups = sd.eigenvalue_groups()
+    groups = sd.eigenvalue_groups
     reports = []
     sharp = 0.0
     for k, (lam, idx) in enumerate(groups):
@@ -300,7 +301,7 @@ def _phi_batch(
     if samples > 0:
         z = out[:, n:]
         z[...] = np.random.default_rng(seed).standard_normal((n, samples))
-        z /= np.linalg.norm(z, axis=0)
+        z /= vector_norms(z, axis=0)
         labels += [f"random:{j}" for j in range(samples)]
     return out, labels
 
@@ -389,7 +390,8 @@ def _grid_bounds(
     def bounds(r: float) -> tuple[np.ndarray, np.ndarray]:
         if math.isinf(r):
             return g.max(axis=0), hi.max(axis=0)
-        return np.sum(h * lo**r, axis=0) ** (1.0 / r), np.sum(h * hi**r, axis=0) ** (1.0 / r)
+        with np.errstate(over="ignore"):  # a bound past the float range reads inf
+            return np.sum(h * lo**r, axis=0) ** (1.0 / r), np.sum(h * hi**r, axis=0) ** (1.0 / r)
 
     los, his = zip(*(bounds(float(r)) for r in exponents))
     return np.array(los), np.array(his)
@@ -548,7 +550,7 @@ def verify_weak_obs_multi(
     C, labels = _phi_batch(sd, samples, seed)
     n, lam = sd.n, sd.eigenvalues
     re = RestrictedEvolution(sd, d_idx, C)
-    seen = np.linalg.norm(re.W, axis=0)  # c_k = ||(v_k)|_D||
+    seen = vector_norms(re.W, axis=0)  # c_k = ||(v_k)|_D||
     final_norms = functools.cache(re.final_norms)
 
     by_window: dict[tuple[float, float], list[int]] = {}

@@ -13,10 +13,17 @@ evaluated.  So one call integrates many windows at once.  Acceptance rests
 on the Simpson/Richardson difference, an error estimate and not a bound.
 An integrand that never converges is refused at a depth limit or, before
 its panels exhaust memory, at a budget of entries per wave.
+
+``vector_norms`` is the package's one norm (Euclidean, or m-weighted):
+the plain root of the sum of squares wherever that sum is a normal float,
+and a scaled one only where it is not, so every norm scales with its input.
+It lives here, the lowest numeric module, because Simpson's default panel
+test takes it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -30,10 +37,11 @@ from .errors import QuadratureNonConvergence
 _INITIAL_PANELS = 8
 _INITIAL_DEPTH = 3
 # The wave budget: (time, column) entries one Simpson wave may evaluate,
-# and the cells up to which the supremum search splits a cell more than two
-# ways (``spectral._cell_chunk``).  A Simpson wave over it is refused: a
-# wave holds about 100 bytes per entry.  It bounds how much work one wave
-# forms, not the memory of its evaluation, which ``_BLOCK_ELEMENTS`` does.
+# and cells one wave of the supremum search may bound; a wave over it is
+# refused (a Simpson wave holds about 100 bytes per entry).  It also sets
+# the cells up to which the supremum search splits a cell more than two
+# ways (``spectral._cell_chunk``).  It bounds how much work one wave forms,
+# not the memory of its evaluation, which ``_BLOCK_ELEMENTS`` does.
 _CHUNK_ELEMENTS = 2_000_000
 # The evaluation budget: elements of all the temporaries one block of a
 # batched evaluation holds at once (a chunk of times, cells, entries, rows
@@ -41,6 +49,7 @@ _CHUNK_ELEMENTS = 2_000_000
 # block's arrays stay in cache and are freed before the next block; a
 # single time or row that needs more takes a block to itself.
 _BLOCK_ELEMENTS = 2**18
+_NORMAL = np.finfo(float).tiny  # a sum of squares below it has lost digits
 
 
 def _blocks(total: int, width: int) -> list[slice]:
@@ -56,10 +65,29 @@ def _blocks(total: int, width: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [total])]
 
 
-def _panel_norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each panel's value (panels on the first axis)."""
-    v = np.asarray(v)
-    return np.linalg.norm(v.reshape(len(v), -1), axis=1)
+def vector_norms(x, axis: int = -1, w=None) -> np.ndarray:
+    """sqrt(sum w x^2) along ``axis``, the package's one norm, for normal
+    weights w > 0 that broadcast against x (1 by default).  It has the bits
+    of sqrt(add.reduce(x * x * w, axis)) wherever the sums are normal, and
+    divides only a slice whose sum is not by its largest entry (Blue's
+    scaling): 2^k x has 2^k times the norm of x, and a norm past the float
+    range reads inf, with no warning."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        sums = np.add.reduce(x * x if w is None else x * x * w, axis=axis)
+        norms = np.sqrt(sums)
+        low = np.minimum.reduce(sums, axis=None, initial=math.inf)
+        if low >= _NORMAL and np.maximum.reduce(sums, axis=None, initial=0.0) < math.inf:
+            return norms  # a nan sum fails the check, and stays nan
+        redo = ~((sums >= _NORMAL) & (sums < math.inf))
+        rows = np.moveaxis(x, axis, -1)[redo]
+        top = np.abs(rows).max(axis=-1, initial=0.0)
+        top[~((top > 0.0) & (top < math.inf))] = 1.0  # a zero or infinite slice is exact
+        unit = rows / top[:, None]
+        weights = 1.0 if w is None else np.moveaxis(np.broadcast_to(w, x.shape), axis, -1)[redo]
+        norms = np.array(norms)  # writable, also where it is one value
+        norms[redo] = top * np.sqrt(np.add.reduce(unit * unit * weights, axis=-1))
+    return norms
 
 
 def _spread(x: np.ndarray, ndim: int) -> np.ndarray:
@@ -100,7 +128,7 @@ def adaptive_simpson(
     (time, column) entries, raises ``QuadratureNonConvergence``.
     """
     if norm is None:
-        norm = _panel_norm
+        norm = lambda v: vector_norms(v.reshape(len(v), -1))  # one norm per panel
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not np.all(b > a):
         raise ValueError("integration window must satisfy a < b")

@@ -50,7 +50,7 @@ from .graph import (
     read_json,
     validate_assumptions,
 )
-from .quadrature import _BLOCK_ELEMENTS
+from .quadrature import _BLOCK_ELEMENTS, vector_norms
 from .spectral import _eigen_residuals, eigendecompose, semigroup_apply
 
 # ---------------------------------------------------------------------------
@@ -378,10 +378,15 @@ def _task_control(g, D, seed, *, T, delta, r, f0, alpha_target) -> TaskReport:
 
     signal, res = synth_control(sd, D, T, f0, alpha_target, cost_exponents=(r_ctl,))
     sim = verify_control(sd, D, f0, signal, T)
-    # on the size of the terms that make f(T), which may cancel to near 0
-    free = semigroup_apply(sd, T, f0)
-    ref = max(sd.norm(free) + sd.norm(res.final_state - free), 1e-30)
-    resim_err = sd.norm(res.final_state - sim.final_state) / ref
+    # on the size of the terms that make f(T), which may cancel to near 0,
+    # and at least 1e-30 ||f0||: all over 2^e, ||f0|| in [2^(e-1), 2^e), so
+    # that no scale of f0 passes vacuously or underflows the floor
+    e = math.frexp(sd.norm(f0))[1]
+    free, fT, resim = (
+        np.ldexp(x, -e) for x in (semigroup_apply(sd, T, f0), res.final_state, sim.final_state)
+    )
+    ref = max(sd.norm(free) + sd.norm(fT - free), 1e-30 * math.ldexp(sd.norm(f0), -e))
+    resim_err = sd.norm(fT - resim) / ref
 
     d_idx = g.subset_indices(D)
     times = np.linspace(0.0, T, _EXPORT_GRID_POINTS)
@@ -465,7 +470,7 @@ def _task_non_null(g, D, seed, *, T, n_random) -> TaskReport:
     resid = []
     for lo in range(0, n_random, chunk):
         draws = rng.standard_normal((min(chunk, n_random - lo), width))
-        f0s = draws[:, : sd.n] / np.sqrt(np.sum(draws[:, : sd.n] ** 2 * g.m, axis=1))[:, None]
+        f0s = draws[:, : sd.n] / vector_norms(draws[:, : sd.n], w=g.m)[:, None]
         values = draws[:, sd.n :].reshape(len(draws), len(knots), len(D))
         drift, scale = mode_invariance_trials(sd, D, phi, lam0, f0s, knots, values, T)
         resid += np.divide(drift, scale, out=drift.copy(), where=scale > 0.0).tolist()
@@ -534,7 +539,7 @@ def _task_stabilize(g, D, seed, *, T, alpha, N, f0) -> TaskReport:
     rows = []
     envelope_ok = True
     for k, nrm in enumerate(rep.period_norms):
-        bound = alpha**k * norm0 + 1e-8
+        bound = (alpha**k + 1e-8) * norm0  # relative: the same at every scale of f0
         envelope_ok = envelope_ok and nrm <= bound
         rows.append([k, nrm, alpha**k * norm0])
     report = TaskReport(

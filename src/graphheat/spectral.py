@@ -6,6 +6,10 @@ symmetrized by conjugation with the square-root measure scaling, solved
 with a dense symmetric eigensolver, and scaled back, so the returned
 eigenvectors are orthonormal in the m-weighted inner product.  Every
 e^{-lam t} comes from ``decay``: lam t beyond the float range decays to 0.
+Norms come from ``quadrature.vector_norms``, coefficients and time norms
+are scaled by a power of two where a state's size would leave the float
+range, so the answers for 2^k f are 2^k times those for f.  The eigenvalue
+groups, and their stacks by size, are formed once per decomposition.
 """
 
 from __future__ import annotations
@@ -17,9 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EigensolveFailure, EmptySubset, NegativeTime, ValidationError
+from .errors import (
+    EigensolveFailure,
+    EmptySubset,
+    NegativeTime,
+    QuadratureNonConvergence,
+    ValidationError,
+)
 from .graph import WeightedGraph
-from .quadrature import _BLOCK_ELEMENTS, _CHUNK_ELEMENTS, _blocks, adaptive_simpson
+from .quadrature import _BLOCK_ELEMENTS, _CHUNK_ELEMENTS, _blocks, adaptive_simpson, vector_norms
 
 # Relative tolerance of each column's estimated integral of g^r, and of each
 # column's certified supremum, relative to ||S_a f||.
@@ -77,14 +87,25 @@ class SpectralDecomposition:
         return float(np.sum(np.asarray(f) * np.asarray(g) * self.graph.m))
 
     def norm(self, f) -> float:
-        return math.sqrt(self.inner(f, f))
+        """m-weighted norm sqrt(sum f(x)^2 m(x)), at any scale of f."""
+        return float(vector_norms(f, w=self.graph.m))
 
     def coefficients(self, f) -> np.ndarray:
         """Spectral coefficients <f, v_i> of a state, or of each column of
-        an (n, k) batch of states."""
+        an (n, k) batch of states.  Where m f leaves the normal range, a
+        state is taken over 2^e, its largest entry in [2^(e-1), 2^e), and
+        its coefficients multiplied back: they are about sqrt(m) f, and
+        read inf only past the float range."""
         f = np.asarray(f)
         m = self.graph.m if f.ndim == 1 else self.graph.m[:, None]
-        return self.eigenvectors.T @ (m * f)
+        with np.errstate(over="ignore"):
+            mf = m * f
+        top = np.abs(mf).max(axis=0)
+        if np.all((top >= np.finfo(float).tiny) & (top < math.inf)):
+            return self.eigenvectors.T @ mf
+        e = np.frexp(np.abs(f).max(axis=0))[1]
+        with np.errstate(over="ignore"):
+            return np.ldexp(self.eigenvectors.T @ (m * np.ldexp(f, -e)), e)
 
     def synthesize(self, coefs) -> np.ndarray:
         return self.eigenvectors @ np.asarray(coefs)
@@ -101,20 +122,31 @@ class SpectralDecomposition:
         top = float(self.eigenvalues[-1])
         return top if top > 0.0 else 1.0
 
-    def eigenvalue_groups(self) -> list[tuple[float, np.ndarray]]:
-        """Indices grouped by numerically repeated eigenvalues (within
-        1e-8 ``scale`` of the group's smallest, so the grouping does not
-        depend on the size of m)."""
-        lam = self.eigenvalues
-        tol = 1e-8 * self.scale
-        groups: list[tuple[float, np.ndarray]] = []
-        start = 0
+    @cached_property
+    def eigenvalue_groups(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """Each group of numerically repeated eigenvalues (within 1e-8
+        ``scale`` of the group's smallest, so the grouping does not depend
+        on the size of m): its mean eigenvalue and its read-only indices."""
+        lam, order = self.eigenvalues, np.arange(self.n)
+        order.setflags(write=False)
+        groups, start = [], 0
         for i in range(1, len(lam) + 1):
-            if i == len(lam) or lam[i] - lam[start] > tol:
-                idx = np.arange(start, i)
-                groups.append((float(lam[idx].mean()), idx))
+            if i == len(lam) or lam[i] - lam[start] > 1e-8 * self.scale:
+                groups.append((float(lam[start:i].mean()), order[start:i]))
                 start = i
-        return groups
+        return tuple(groups)
+
+    @cached_property
+    def eigenvalue_stacks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The groups stacked by size k, sizes in order of first appearance:
+        their positions in ``eigenvalue_groups`` and their indices, one row
+        per group, (groups, k), read-only."""
+        sizes = np.array([len(idx) for _lam, idx in self.eigenvalue_groups])
+        stacks = [np.flatnonzero(sizes == k) for k in dict.fromkeys(sizes.tolist())]
+        stacks = [(w, np.array([self.eigenvalue_groups[i][1] for i in w])) for w in stacks]
+        for a in (a for stack in stacks for a in stack):
+            a.setflags(write=False)
+        return tuple(stacks)
 
 
 def eigendecompose(g: WeightedGraph) -> SpectralDecomposition:
@@ -172,7 +204,7 @@ def _eigen_residuals(sd: SpectralDecomposition, lam, vectors) -> np.ndarray:
     unit = max(sd.scale, np.finfo(float).tiny)
     w = V / top / unit
     R = apply_laplacian(sd.graph, w) - w * lam
-    return np.linalg.norm(np.sqrt(sd.graph.m)[:, None] * top * R, axis=0) * (unit / sd.scale)
+    return vector_norms(np.sqrt(sd.graph.m)[:, None] * top * R, axis=0) * (unit / sd.scale)
 
 
 def semigroup_apply(sd: SpectralDecomposition, t: float, f) -> np.ndarray:
@@ -224,12 +256,6 @@ def _gramian_kernel(
     return out
 
 
-def _norms(x: np.ndarray, axis: int) -> np.ndarray:
-    """``np.linalg.norm(x, axis=axis)`` of a real array, by its own
-    operations (the root of the sum of squares) without its dispatch."""
-    return np.sqrt(np.add.reduce(x * x, axis=axis))
-
-
 def _cell_chunk(n: int) -> int:
     """The cells of a wave of the supremum search on n modes up to which a
     cell splits more than two ways (``RestrictedEvolution._sup_norms``):
@@ -245,7 +271,9 @@ class RestrictedEvolution:
     Holds the D-restricted, sqrt(m)-scaled eigenvector rows W (|D| x n) and
     the spectral coefficients C (n x batch) of the batch; every evaluation
     on shared times is one matrix product per block of times and columns,
-    in which e^{-lam t} scales the smaller of W and C.
+    in which e^{-lam t} scales the smaller of W and C.  The blocked norms
+    sum the block's squares themselves, not through ``vector_norms``:
+    ``lr_norms`` scales the columns it hands them into range.
     """
 
     def __init__(self, sd: SpectralDecomposition, d_indices: np.ndarray, coefs: np.ndarray):
@@ -391,12 +419,8 @@ class RestrictedEvolution:
         key = tuple(self.d_indices.tolist())
         out = self.sd._group_factors.get(key)
         if out is None:
-            by_size: dict[int, list[np.ndarray]] = {}
-            for _lam, idx in self.sd.eigenvalue_groups():
-                by_size.setdefault(len(idx), []).append(idx)
             out = []
-            for groups in by_size.values():
-                idx = np.array(groups)
+            for _which, idx in self.sd.eigenvalue_stacks:
                 R = np.linalg.qr(self.W[:, idx].transpose(1, 0, 2), mode="r")
                 top = self.lam[idx[:, -1]]
                 out.append((idx, R, top, top - self.lam[idx[:, 0]]))
@@ -465,18 +489,18 @@ class RestrictedEvolution:
                 by_group = 0.0  # from S_lo f, where both remainders are formed
                 for idx, R, top, spread in self._groups:
                     Xg, top = X[:, :c][idx], top[:, None]
-                    seen = _norms(R @ Xg, 1)
+                    seen = vector_norms(R @ Xg, 1)
                     by_group += 0.5 * np.add.reduce(hc * (top * (hc * (top * seen))), axis=0)
-                    by_group += hc * (spread @ _norms(Xg, 1))
+                    by_group += hc * (spread @ vector_norms(Xg, 1))
                 LX = np.multiply(X, lam, out=X)
                 u1 = self.W @ LX
-                rem = 0.5 * _norms(hc * (lam * (hc * LX[:, :c])), 0)
+                rem = 0.5 * vector_norms(hc * (lam * (hc * LX[:, :c])), 0)
                 rem = np.fmin(rem, by_group)
                 del X, LX
-                g = _norms(u, 0)
+                g = vector_norms(u, 0)
                 g0[cells] = g[:c]
-                forward = _norms(u[:, :c] - hc * u1[:, :c], 0)
-                backward = _norms(u[:, right] + hc * u1[:, right], 0)
+                forward = vector_norms(u[:, :c] - hc * u1[:, :c], 0)
+                backward = vector_norms(u[:, right] + hc * u1[:, right], 0)
                 ub[cells] = np.fmin(
                     np.maximum(g[:c], forward + rem), np.maximum(g[right], backward + rem)
                 )
@@ -506,9 +530,11 @@ class RestrictedEvolution:
         of midpoints; a cell with no float between its ends holds no time
         that is not sampled, so it is not split, and a subcell of zero width
         is dropped.  A bound that overflows (+inf, or nan from inf - inf)
-        counts as exceeding.  The second array holds, per column, a time in
-        [a[j], b[j]] where g was sampled at the returned value: b[j], or
-        the left end of a cell whose sample equals it.
+        counts as exceeding, and a wave of more than ``_CHUNK_ELEMENTS``
+        cells (bounds that keep overflowing split without end) raises
+        ``QuadratureNonConvergence``.  The second array holds, per column, a
+        time in [a[j], b[j]] where g was sampled at the returned value:
+        b[j], or the left end of a cell whose sample equals it.
         """
         n_batch = self.C.shape[1]
         windows: dict[tuple[float, float], int] = {}  # each distinct window's grid row
@@ -524,6 +550,11 @@ class RestrictedEvolution:
         cols = np.repeat(np.arange(n_batch), _GRID_CELLS)
         chunk = _cell_chunk(len(self.lam))
         while len(lo):
+            if len(lo) > _CHUNK_ELEMENTS:
+                raise QuadratureNonConvergence(
+                    f"the supremum search would bound {len(lo)} cells in one wave, "
+                    f"over the budget of {_CHUNK_ELEMENTS}"
+                )
             g0, ub = self._cell_bounds(lo, hi - lo, cols)
             np.maximum.at(best, cols, g0)
             hit = g0 == best[cols]
@@ -563,16 +594,35 @@ class RestrictedEvolution:
         graded grids, up to ``_MAX_SPLIT`` ways per wave, in one run until
         each sampled maximum is within ``_LR_REL_TOL`` ||S_a f|| of its
         supremum, a proven bracket (``_sup_norms``).
+
+        A column whose profile could leave the float range, through the
+        squares that make g, through g^r and its integral over the window,
+        or (r = inf) through the sup search's products lam_max X, is
+        evaluated over 2^e, ||f|| in [2^(e-1), 2^e), and its norms are
+        multiplied back, so the norms of 2^k f are 2^k times those of f.
+        Every other column keeps its bits; one whose coefficients overflow
+        reads inf.
         """
         n_batch = self.C.shape[1]
         shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(r), (n_batch,))
         a, b, r = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b, r))
         col = np.broadcast_to(np.arange(n_batch), shape).ravel()
-        out = np.empty(len(col))
-        sup = np.isinf(r)
+        size = vector_norms(self.C, axis=0)[col]
+        out = np.full(len(col), math.inf)
+        sup, fin = np.isinf(r) & np.isfinite(size), np.isfinite(r) & np.isfinite(size)
+        e = np.frexp(size)[1]
+        power = np.where(np.isinf(r), 2.0, r)  # g is a root of a sum of squares
+        reach = power * e + np.where(sup, 0.0, np.log2(b - a))
+        risky = (np.abs(e) > 500) | (reach > 1000) | (power * (e - 1) < -1000)
+        risky |= sup & (e + math.log2(self.sd.scale) > 1000)
+        shift = np.zeros(n_batch, dtype=int)
+        shift[col[risky]] = e[risky]
+        back = shift[col]
+        evolution = self
+        if back.any():
+            evolution = RestrictedEvolution(self.sd, self.d_indices, np.ldexp(self.C, -shift))
         if sup.any():
-            out[sup] = self._columns(col[sup])._sup_norms(a[sup], b[sup])[0]
-        fin = ~sup
+            out[sup] = evolution._columns(col[sup])._sup_norms(a[sup], b[sup])[0]
         if fin.any():
             col, a, b, r = col[fin], a[fin], b[fin], r[fin]
             if np.all(a == a[0]) and np.all(b == b[0]):
@@ -580,7 +630,7 @@ class RestrictedEvolution:
                 states, col = np.unique(col, return_inverse=True)
             else:
                 states, col = col, np.arange(len(col))
-            part = self._columns(states)
+            part = evolution._columns(states)
             if np.all(r == r[0]):
                 r = float(r[0])  # numpy's scalar-exponent paths: x ** 2 is x * x, x ** 0.5 sqrt
 
@@ -589,7 +639,8 @@ class RestrictedEvolution:
 
             integrals = adaptive_simpson(powers, a, b, rel_tol=_LR_REL_TOL, norm=np.abs)
             out[fin] = integrals ** (1.0 / r)
-        return out.reshape(shape)
+        with np.errstate(over="ignore"):  # a norm past the float range reads inf
+            return np.ldexp(out, back).reshape(shape)
 
 
 def time_lr_norm(

@@ -14,7 +14,6 @@ from graphheat.control import (
     _HAUTUS_REL,
     _controlled_trajectory,
     _grid_forced,
-    _norms,
     _segment_weights,
     gramian,
     hautus_obstruction,
@@ -33,7 +32,7 @@ from graphheat.errors import (
 from graphheat.families import build_family, parity_subset
 from graphheat.graph import build_graph
 from graphheat.observability import exact_obs_constant
-from graphheat.quadrature import adaptive_simpson
+from graphheat.quadrature import adaptive_simpson, vector_norms
 from graphheat.spectral import RestrictedEvolution, eigendecompose, semigroup_apply
 
 from conftest import m_norm, random_connected_graph
@@ -317,7 +316,7 @@ def test_synth_control_follows_the_plain_multiplier_search_bit_for_bit(seed):
     scale = beta / (1.0 + nu * mu)
     eta_hat, fT_hat = P @ (-nu * scale), P @ scale
     assert res.nu.hex() == nu.hex()
-    assert res.achieved_alpha.hex() == (float(np.linalg.norm(fT_hat)) / norm_f0).hex()
+    assert res.achieved_alpha.hex() == (float(np.sqrt(np.add.reduce(fT_hat * fT_hat))) / norm_f0).hex()
     assert res.energy.hex() == float(np.sum(mu * (P.T @ eta_hat) ** 2)).hex()
 
 
@@ -616,9 +615,9 @@ def test_mode_invariance_check_at_a_far_horizon_takes_a_finite_norm(c8):
     assert math.isfinite(scale[0]) and 0.0 <= drift[0] <= 1e-9 * scale[0]
     for size in (1e-300, 1.0, 1e150, 1e200):
         x = size * rng.standard_normal((3, 40))
-        got = _norms(x)
+        got = vector_norms(x)
         if size in (1.0, 1e150):
-            np.testing.assert_array_equal(got, np.sqrt(np.square(x) @ np.ones(40)))
+            np.testing.assert_array_equal(got, np.sqrt(np.add.reduce(x * x, axis=-1)))
         want = [np.linalg.norm(row / size) * size for row in x]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
@@ -628,7 +627,7 @@ def _hautus_per_group(sd, D):
     of ``hautus_obstruction``."""
     d_idx = sd.graph.subset_indices(D)
     out = []
-    for lam, idx in sd.eigenvalue_groups():
+    for lam, idx in sd.eigenvalue_groups:
         _u, sigma, vt = np.linalg.svd(sd.eigenvectors[np.ix_(d_idx, idx)], full_matrices=True)
         sigma = np.concatenate([sigma, np.zeros(len(idx) - len(sigma))])
         null = sigma <= _HAUTUS_REL * sigma[0]
@@ -670,7 +669,7 @@ def test_hautus_stacked_svds_match_one_full_svd_per_group(spec, D):
             basis @ (basis.T @ (g.m[:, None] * ref)), ref, rtol=0.0, atol=1e-10
         )
     if len(D) == 1:
-        assert any(len(idx) > len(D) for _, idx in sd.eigenvalue_groups())
+        assert any(len(idx) > len(D) for _, idx in sd.eigenvalue_groups)
 
 
 @pytest.mark.parametrize(
@@ -881,6 +880,82 @@ def test_stabilize_envelope_beyond_the_float_range_is_finite():
     assert 1e199 < rep.M < 1e200
 
 
+@pytest.mark.filterwarnings("error")
+def test_stabilize_of_a_large_state_on_a_large_measure_scales_its_unit_state():
+    """On cycle-4 with b = 1e8 and m = 1e300 at T = 1e300, N = 2, the state
+    [1, 0.5, -0.3, 0.2] has m-norm 1.17e150, so its profile g is about
+    1e150 over a window 1e300 long, where Simpson's panel sums were
+    inf - inf.  Its norms and costs are 2^e times those of the same state
+    over 2^e, ||f0|| in [2^(e-1), 2^e), and M is the same, with no warning;
+    the L_1 total, about 2.7e348, reads inf."""
+    g = build_family("cycle", {"n": 4, "b": 1e8, "m": 1e300}).graph
+    sd = eigendecompose(g)
+    f0 = np.array([1.0, 0.5, -0.3, 0.2])
+    e = math.frexp(sd.norm(f0))[1]
+    got = stabilize(sd, even_ids(g), 1e300, 0.5, 2, f0)
+    unit = stabilize(sd, even_ids(g), 1e300, 0.5, 2, np.ldexp(f0, -e))
+    assert got.M == pytest.approx(unit.M, rel=1e-12) and got.omega == unit.omega
+    assert got.period_norms == pytest.approx(np.ldexp(unit.period_norms, e).tolist(), rel=1e-12)
+    with np.errstate(over="ignore"):
+        want = {r: float(np.ldexp(v, e)) for r, v in unit.total_costs.items()}
+    assert got.total_costs == pytest.approx(want, rel=1e-12)
+    assert got.total_costs[1.0] == math.inf
+    assert all(math.isfinite(got.total_costs[r]) for r in (2.0, math.inf))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(-900, 900), st.booleans())
+@example(0, 900, False)
+@example(0, -900, False)
+@example(1, 900, True)
+@example(1, -900, True)
+def test_control_and_stabilize_answer_the_same_at_every_scale_of_f0(seed, k, decimal):
+    """On a small random weighted graph, f0 times c = 2^k, k in [-900, 900],
+    or c = 10^(k // 4): control (synthesis and Duhamel re-simulation) and
+    stabilize reach the same verdicts, nu, achieved_alpha and M agree within
+    1e-12, and costs and norms are c times those at f0 (the energy c^2
+    times, where that is in range), with no warning."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(2, 7)))
+    sd = eigendecompose(g)
+    size = int(rng.integers(1, g.n + 1))
+    D = [g.vertex_ids[i] for i in sorted(rng.choice(g.n, size=size, replace=False))]
+    f0 = rng.standard_normal(g.n)
+    c = 10.0 ** (k // 4) if decimal else math.ldexp(1.0, k)
+    alpha = 0.5 * sd.norm(semigroup_apply(sd, 1.0, f0)) / sd.norm(f0)
+
+    def run(f):
+        try:
+            signal, res = synth_control(sd, D, 1.0, f, alpha)
+            sim = verify_control(sd, D, f, signal, 1.0)
+            rep = stabilize(sd, D, 1.0, 0.5, 3, f)
+        except TargetUnreachable as exc:
+            return str(exc).split(" ")[:2]  # the refusal's kind, not its numbers
+        return res, sim, rep
+
+    base, scaled = run(f0), run(c * f0)
+    if isinstance(base, list):
+        assert scaled == base
+        return
+    (res, sim, rep), (res_c, sim_c, rep_c) = base, scaled
+    assert res_c.nu == pytest.approx(res.nu, rel=1e-12)
+    assert res_c.achieved_alpha == pytest.approx(res.achieved_alpha, rel=1e-12)
+    assert sim_c.achieved_alpha == pytest.approx(sim.achieved_alpha, rel=1e-12)
+    assert res_c.costs == pytest.approx({r: c * v for r, v in res.costs.items()}, rel=1e-12)
+    energy = c * c * res.energy
+    if 1e-300 < energy < 1e300:
+        assert res_c.energy == pytest.approx(energy, rel=1e-12)
+    np.testing.assert_allclose(
+        res_c.final_state, c * res.final_state, rtol=1e-12, atol=1e-12 * c * sd.norm(f0)
+    )
+    assert rep_c.M == pytest.approx(rep.M, rel=1e-12) and rep_c.omega == rep.omega
+    assert rep_c.period_norms == pytest.approx([c * v for v in rep.period_norms], rel=1e-12)
+    assert rep_c.total_costs == pytest.approx(
+        {r: c * v for r, v in rep.total_costs.items()}, rel=1e-12
+    )
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -892,13 +967,17 @@ def test_stabilize_envelope_beyond_the_float_range_is_finite():
 def test_stabilize_envelope_in_range_keeps_the_plain_norms_bits(spec, monkeypatch):
     """On the graphs of the benchmark's stabilize scenarios (T = 1,
     alpha = 0.5, 10 periods), every excursion norm is in range, and M is
-    the one that sqrt(x^2 @ m) gives, bit for bit."""
+    the one that the plain sqrt(sum x^2 m) gives, bit for bit."""
     g = build_family(spec["family"], spec).graph
     sd = eigendecompose(g)
     D = parity_subset(g, "even")
     f0 = np.random.default_rng(4).standard_normal(g.n)
     got = stabilize(sd, D, 1.0, 0.5, 10, f0)
-    monkeypatch.setattr(graphheat.control, "_norms", lambda x, w: np.sqrt(np.square(x) @ w))
+    monkeypatch.setattr(
+        graphheat.control,
+        "vector_norms",
+        lambda x, axis=-1, w=1.0: np.sqrt(np.add.reduce(x * x * w, axis=axis)),
+    )
     want = stabilize(sd, D, 1.0, 0.5, 10, f0)
     assert got.M == want.M and got.period_norms == want.period_norms
 

@@ -938,7 +938,7 @@ def test_up_bounds_random_graphs():
 def _sharp_per_group(sd, D):
     """The sweep's sharp constants with one eigensolve per eigenvalue group,
     at the cutoff of the group's top, on both rows of the group."""
-    groups = sd.eigenvalue_groups()
+    groups = sd.eigenvalue_groups
     out = []
     for k, (_, idx) in enumerate(groups):
         sharp = up_sharp_constant(sd, D, float(sd.eigenvalues[idx[-1]]))
@@ -1016,7 +1016,7 @@ def test_up_sweep_eigenvalue_row_equals_midpoint_row(n):
     sd = eigendecompose(g)
     D = [v for v in g.vertex_ids if int(v) % 2 == 0]
     rows = up_sweep(g, sd, D)
-    groups = sd.eigenvalue_groups()
+    groups = sd.eigenvalue_groups
     assert len(rows) == 2 * len(groups) - 1
     assert any(len(idx) > 1 for _, idx in groups)
     for k, (_, idx) in enumerate(groups):

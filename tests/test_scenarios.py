@@ -470,6 +470,89 @@ def test_cli_f_spanning_the_float_range_runs_clean(tmp_path):
     assert summary["within_4_stderr"] == 1
 
 
+def _cycle4_at_scale(tmp_path, task, c, **params):
+    """Exit code, stderr and summary of ``task`` on cycle-4 with even D,
+    T = 1 and f0 = c [1, 0.5, -0.3, 0.2], run in a directory of its own."""
+    where = tmp_path / f"{task}-{c!r}"
+    where.mkdir()
+    return _run_cli(where, {
+        "graph": {"family": "cycle", "n": 4},
+        "subset": {"parity": "even"},
+        "task": task,
+        "params": {"T": 1.0, "f0": _scaled_f0(4, c), **params},
+        "seed": 1,
+    })
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+def test_cli_control_answers_the_same_at_any_scale_of_f0(tmp_path, c):
+    """With r = 2 and alpha_target 0.1 the parent read achieved_alpha nan
+    at c = 1e200 (exit 1) and refused the state as zero at c = 1e-200
+    (exit 2).  Both exit 0 with the c = 1 run's nu and achieved_alpha
+    within 1e-12, c times its cost and c^2 times its energy, which is past
+    the float range at 1e200 (inf) and below it at 1e-200 (0)."""
+    runs = {}
+    for scale in (1.0, c):
+        code, err, runs[scale] = _cycle4_at_scale(tmp_path, "control", scale, r=2, alpha_target=0.1)
+        assert code == 0 and err == "", err
+    one, other = runs[1.0], runs[c]
+    assert one["nu"] == pytest.approx(24.414006725419313, rel=1e-12)
+    assert one["achieved_alpha"] == pytest.approx(0.0999999999995514, rel=1e-12)
+    assert one["cost_r_control"] == pytest.approx(0.9882009009795403, rel=1e-12)
+    for key in ("nu", "achieved_alpha"):
+        assert other[key] == pytest.approx(one[key], rel=1e-12)
+    assert other["cost_r_control"] == pytest.approx(c * one["cost_r_control"], rel=1e-12)
+    assert other["energy"] == ("inf" if c > 1.0 else 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+def test_cli_stabilize_answers_the_same_at_any_scale_of_f0(tmp_path, c):
+    """With N = 3 the parent reported every period norm inf (c = 1e200) or
+    0 (c = 1e-200) and every cost 0, and passed.  The norms and costs are c
+    times those of c = 1 within 1e-12, and M and omega are the same."""
+    runs, norms = {}, {}
+    for scale in (1.0, c):
+        code, err, runs[scale] = _cycle4_at_scale(tmp_path, "stabilize", scale, N=3)
+        assert code == 0 and err == "", err
+        table = tmp_path / f"stabilize-{scale!r}" / "out" / "stabilize_norms.csv"
+        norms[scale] = [float(row["norm"]) for row in csv.DictReader(io.StringIO(table.read_text()))]
+    one, other = runs[1.0], runs[c]
+    assert norms[1.0][:2] == pytest.approx([1.1747340124470731, 0.5873670062225378], rel=1e-12)
+    assert [one["total_costs"][r] for r in ("1.0", "2.0", "inf")] == pytest.approx(
+        [0.78977, 0.49090, 0.43216], abs=1e-5
+    )
+    assert norms[c] == pytest.approx([c * v for v in norms[1.0]], rel=1e-12)
+    assert other["total_costs"] == pytest.approx(
+        {r: c * v for r, v in one["total_costs"].items()}, rel=1e-12
+    )
+    assert other["M"] == pytest.approx(one["M"], rel=1e-12) and other["omega"] == one["omega"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_stabilize_of_a_large_state_on_a_large_measure_runs_clean(tmp_path):
+    """cycle-4 with b = 1e8, m = 1e300, T = 1e300, N = 2 and f0
+    [1, 0.5, -0.3, 0.2] (m-norm 1.17e150): the parent ran Simpson's panel
+    sums into inf - inf and exited 2 at the wave budget, after overflow
+    warnings.  It exits 0 with no warning, finite period norms and finite
+    L_2 and L_inf costs; the L_1 cost, about 2.7e348, reads inf."""
+    code, err, summary = _run_cli(tmp_path, {
+        "graph": {"family": "cycle", "n": 4, "b": 1e8, "m": 1e300},
+        "subset": {"parity": "even"},
+        "task": "stabilize",
+        "params": {"T": 1e300, "N": 2, "f0": _scaled_f0(4, 1.0)},
+        "seed": 1,
+    })
+    assert code == 0 and err == "", err
+    costs = summary["total_costs"]
+    assert costs["1.0"] == "inf" and all(math.isfinite(costs[r]) for r in ("2.0", "inf"))
+    table = (tmp_path / "out" / "stabilize_norms.csv").read_text()
+    norms = [float(row["norm"]) for row in csv.DictReader(io.StringIO(table))]
+    assert norms[0] == pytest.approx(1.1747340124470731e150, rel=1e-12)
+    assert all(0.0 < v < math.inf for v in norms)
+
+
 @pytest.mark.filterwarnings("error")
 def test_cli_control_resimulation_at_a_long_horizon(tmp_path):
     """On cycle-300 at T = 400 (alpha = 2.0e-12) the free and forced parts of
@@ -1195,7 +1278,8 @@ _MAGNITUDE_KEYS = ("T", "t", "alpha", "alpha_target")
 @st.composite
 def _extreme_scenarios(draw):
     """A small valid scenario whose m and b, and whichever of T, t, alpha
-    and alpha_target its task takes, may each be set to a magnitude."""
+    and alpha_target its task takes, may each be set to a magnitude, and
+    whose f0, where its task takes one, may be a fixed state times one."""
     task = draw(st.sampled_from(sorted(_FUZZ_PARAMS)))
     graph = {"family": "cycle", "n": draw(st.sampled_from([4, 8]))}
     params = copy.deepcopy(_FUZZ_PARAMS[task])
@@ -1204,7 +1288,14 @@ def _extreme_scenarios(draw):
     ]:
         if draw(st.booleans()):
             target[key] = draw(_MAGNITUDES)
+    if "f0" in params and draw(st.booleans()):
+        params["f0"] = _scaled_f0(graph["n"], draw(_MAGNITUDES))
     return {"graph": graph, "task": task, "subset": {"parity": "even"}, "params": params, "seed": 1}
+
+
+def _scaled_f0(n, c):
+    """The state c [1, 0.5, -0.3, 0.2, ...] on n vertices, as a scenario's f0."""
+    return {"values": [c * v for v in [1.0, 0.5, -0.3, 0.2] * (n // 4)]}
 
 
 def _extreme(task, graph, **params):
@@ -1225,6 +1316,23 @@ def _extreme(task, graph, **params):
 @example(_extreme("non-null", {"n": 4, "m": 1e208}, T=1e208))
 # the squared m-norm of the stabilization envelope overflowed to M = inf
 @example(_extreme("stabilize", {"n": 4, "b": 1e8, "m": 1e300}, T=1e300))
+# f0 at the ends of the float range: h(nu), the squared m-norm, the time
+# norms' Simpson sums or the energy overflowed or underflowed
+@example(_extreme("control", {"n": 4}, r=2, alpha_target=0.1, f0=_scaled_f0(4, 1e200)))
+@example(_extreme("control", {"n": 4}, r=2, alpha_target=0.1, f0=_scaled_f0(4, 1e-200)))
+@example(_extreme("stabilize", {"n": 4}, N=3, f0=_scaled_f0(4, 1e200)))
+@example(_extreme("stabilize", {"n": 4}, N=3, f0=_scaled_f0(4, 1e-200)))
+@example(_extreme("stabilize", {"n": 4, "b": 1e8, "m": 1e300}, T=1e300, f0=_scaled_f0(4, 1.0)))
+# m f overflowed the spectral coefficients; an m-norm past the float range
+@example(_extreme("control", {"n": 4, "m": 1e108}, f0=_scaled_f0(4, 1e201)))
+@example(_extreme("control", {"n": 4, "m": 1e205}, f0=_scaled_f0(4, 1e206)))
+# a grid bound on an L_1 norm past the float range
+@example(_extreme("weak-obs", {"n": 4, "m": 1e-300}, T=1e299))
+# lam_max X overflowed every cell bound of the sup search, which split
+# without end (25 million cells, gigabytes, at the parent)
+@example(_extreme("stabilize", {"n": 8, "b": 1e273}, f0=_scaled_f0(8, 1e78)))
+# the control of a state at 1e300 over T = 1e-9 is past the float range
+@example(_extreme("control", {"n": 4}, T=1e-9, f0=_scaled_f0(4, 1e300)))
 # a subnormal Deg: the holding times overflow and the first-jump horizon is inf
 @example(_extreme("stochastic", {"n": 4, "b": 1e-8, "m": 1e300}, t=1e-300))
 # a subnormal lam_max: the eigen-residual's 1 / lam_max overflows

@@ -112,9 +112,33 @@ def test_decomposition_invariants(seed):
 def test_eigenvalue_groups_do_not_depend_on_the_size_of_m(m):
     """Scaling m scales the spectrum by 1/m: cycle-8 keeps its 5 groups,
     {0}, three pairs and {4}, on every scale of m."""
-    groups = eigendecompose(cycle(8, m=m)).eigenvalue_groups()
+    groups = eigendecompose(cycle(8, m=m)).eigenvalue_groups
     assert [idx.tolist() for _, idx in groups] == [[0], [1, 2], [3, 4], [5, 6], [7]]
     assert [lam * m for lam, _ in groups] == pytest.approx([0.0, 2 - math.sqrt(2), 2.0, 2 + math.sqrt(2), 4.0])
+
+
+def test_eigenvalue_groups_and_stacks_are_formed_once_and_read_only():
+    """The groups, and their stacks by size in order of first appearance,
+    are formed once per decomposition and cannot be written."""
+    sd = eigendecompose(cycle(8))
+    assert sd.eigenvalue_groups is sd.eigenvalue_groups
+    assert sd.eigenvalue_stacks is sd.eigenvalue_stacks
+    stacks = [(which.tolist(), idx.tolist()) for which, idx in sd.eigenvalue_stacks]
+    assert stacks == [([0, 4], [[0], [7]]), ([1, 2, 3], [[1, 2], [3, 4], [5, 6]])]
+    arrays = [idx for _, idx in sd.eigenvalue_groups] + [a for st in sd.eigenvalue_stacks for a in st]
+    assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m, k", [(1e200, 400), (1e-200, -500), (1.0, 1000), (1.0, -1000)])
+def test_coefficients_scale_where_m_f_leaves_the_normal_range(m, k):
+    """Where m f overflows or underflows, the coefficients of 2^k f are
+    still 2^k times those of f, with no warning."""
+    sd = eigendecompose(cycle(8, m=m))
+    f = np.random.default_rng(1).standard_normal((8, 2))
+    want = np.ldexp(sd.coefficients(f), k)
+    got = sd.coefficients(np.ldexp(f, k))
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
 
 @settings(max_examples=25, deadline=None)
@@ -1018,6 +1042,25 @@ def test_batched_time_norm_matches_columns(seed):
         for j in range(5):
             one = time_lr_norm(sd, batch[:, j], D, (a, b), r)
             assert got[j] == pytest.approx(one, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-900, 900), st.sampled_from([1.0, 2.0, math.inf]))
+@example(-900, 1.0)
+@example(-900, math.inf)
+@example(900, 2.0)
+@example(900, math.inf)
+def test_time_norms_scale_with_the_state(k, r):
+    """For r in {1, 2, inf} the time norm of 2^k f is 2^k times that of f
+    within 1e-12, k from -900 to 900, with no warning: a column whose g or
+    g^r could leave the float range is evaluated over a power of two."""
+    sd = small_sd(3)
+    f = np.random.default_rng(4).standard_normal(sd.n)
+    D = sd.graph.vertex_ids[:1]
+    base = time_lr_norm(sd, f, D, (0.1, 2.0), r)
+    got = time_lr_norm(sd, np.ldexp(f, k), D, (0.1, 2.0), r)
+    assert got == pytest.approx(math.ldexp(base, k), rel=1e-12)
 
 
 @settings(max_examples=10, deadline=None)
