@@ -158,7 +158,7 @@ class ControlResult:
 
 def _signal_costs(
     sd: SpectralDecomposition,
-    D: Sequence[str],
+    d_idx: np.ndarray,
     T: float,
     eta_vertex: np.ndarray,
     rs: Sequence[float],
@@ -175,7 +175,7 @@ def _signal_costs(
         raise ValidationError(f"cost exponents must lie in [1, inf], got {rs}")
     if not rs:
         return {}
-    re = RestrictedEvolution(sd, sd.graph.subset_indices(D), sd.coefficients(eta_vertex))
+    re = RestrictedEvolution(sd, d_idx, sd.coefficients(eta_vertex))
     return dict(zip(rs, re.lr_norms(0.0, T, np.array(rs)[:, None])[:, 0].tolist()))
 
 
@@ -206,10 +206,9 @@ def synth_control(
         raise ValidationError("synthesis needs a nonzero initial state")
     if norm_f0 == math.inf:
         raise ValidationError("the initial state's m-norm is beyond the float range")
-    if gram is None:
-        _control_indices(sd, D, T)  # what ``gramian`` would refuse
-    else:
+    if gram is not None:
         _check_gramian(gram, sd, D, T)
+    d_idx = _control_indices(sd, D, T)  # what ``gramian`` would refuse
 
     c0 = sd.coefficients(f0)
     sT = decay(sd.eigenvalues, T) * c0
@@ -219,7 +218,7 @@ def synth_control(
         result = ControlResult(
             final_state=sd.synthesize(sT),
             achieved_alpha=norm_sT / norm_f0,
-            costs=_signal_costs(sd, D, T, np.zeros(sd.n), cost_exponents),
+            costs=_signal_costs(sd, d_idx, T, np.zeros(sd.n), cost_exponents),
             nu=0.0,
             energy=0.0,
         )
@@ -298,7 +297,7 @@ def synth_control(
     result = ControlResult(
         final_state=sd.synthesize(fT_hat),
         achieved_alpha=float(vector_norms(fT_hat)) / norm_f0,
-        costs=_signal_costs(sd, D, T, eta_vertex, cost_exponents),
+        costs=_signal_costs(sd, d_idx, T, eta_vertex, cost_exponents),
         nu=nu,
         energy=energy,
     )

@@ -6,15 +6,15 @@ uncertainty principle hold; they are computed once per (graph, D) and kept
 on the graph, so every constant set and sweep row of that pair reads the
 same values.  ``verify_weak_obs`` checks the estimate on a battery of unit
 states.  An eigenvector is a single mode, so its slack is exact, in closed
-form.  The other states go through bound, prune and evaluate: closed-form
-and then grid bounds on each state's time norm exclude every state that
-cannot hold the minimum slack, and only the rest go through the time-norm
-engine, in one batched call; at r = inf, states that tie by symmetry are
-certified once for the whole tie group.  The reported minimum is the
-smallest of the eigenvectors' exact minimum and the engine's minimum over
-the other states (estimated to 1e-10 for finite r, a proven lower bound
-for r = inf).  The constant sets of one window share one grid, of the
-union of their states.
+form.  The other states go through bound, prune and evaluate, on one table
+of constant sets by states: closed-form and then grid bounds on each
+state's time norm exclude every state that cannot hold the minimum slack,
+and only the rest go through the time-norm engine, in one batched call;
+at r = inf, states that tie by symmetry are certified once for the whole
+tie group.  The reported minimum is the smallest of the eigenvectors'
+exact minimum and the engine's minimum over the other states (estimated
+to 1e-10 for finite r, a proven lower bound for r = inf).  The constant
+sets of one window share one grid, of the union of their states.
 """
 
 from __future__ import annotations
@@ -302,30 +302,42 @@ def _phi_batch(
         z = out[:, n:]
         z[...] = np.random.default_rng(seed).standard_normal((n, samples))
         z /= vector_norms(z, axis=0)
-        labels += [f"random:{j}" for j in range(samples)]
+        labels += _random_labels(samples)
     return out, labels
 
 
+@functools.lru_cache(maxsize=4)
+def _random_labels(samples: int) -> tuple[str, ...]:
+    """The labels of the battery's random states, formed once per count."""
+    return tuple(f"random:{j}" for j in range(samples))
+
+
 def _window_terms(
-    re: RestrictedEvolution, windows: Sequence[tuple[float, float]], final_norms: Callable
-) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+    re: RestrictedEvolution,
+    windows: Sequence[tuple[float, float]],
+    final_norms: Callable,
+    sup: Sequence[bool] | None = None,
+) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray | None]]:
     """The exponent-free terms of ``_closed_form_bounds`` on each window
     (a, b): its width w = b - a and, per column, L2 = ||g||_{L_2(a, b)}
     (closed form), G = ||S_a phi|| (from ``final_norms``, which may cache
-    it) and max(g(a), g(b)).  g comes from one ``norms`` call on the
-    distinct ends of all the windows."""
-    ends = np.unique(np.ravel(windows))
-    g = re.norms(ends)
+    it) and max(g(a), g(b)).  Only r = inf reads g at the ends, so it is
+    formed only for the windows that ``sup`` marks (all by default), from
+    one ``norms`` call on their distinct ends, and is None elsewhere."""
+    sup = [True] * len(windows) if sup is None else sup
+    ends = np.unique([t for window, s in zip(windows, sup) if s for t in window])
+    g = re.norms(ends) if len(ends) else None
     out = []
-    for a, b in windows:
-        ga, gb = g[np.searchsorted(ends, [a, b])]
+    for (a, b), s in zip(windows, sup):
+        at_ends = np.maximum(*g[np.searchsorted(ends, [a, b])]) if s else None
         l2 = np.sqrt(re.l2_time_integral(a, b))
-        out.append((b - a, l2, final_norms(a), np.maximum(ga, gb)))
+        out.append((b - a, l2, final_norms(a), at_ends))
     return out
 
 
-def _mode_lr_norms(lam: np.ndarray, a: float, b: float, r: float) -> np.ndarray:
-    """||e^{-lam t}||_{L_r(a, b)} for each rate in ``lam``, in closed form.
+def _mode_lr_norms(lam: np.ndarray, a, b, r: float) -> np.ndarray:
+    """||e^{-lam t}||_{L_r(a, b)} for each rate in ``lam``, in closed form,
+    shaped lam.shape + a.shape for windows (a, b) given as arrays.
 
     With w = b - a it is e^{-lam a} ((1 - e^{-r lam w}) / (r lam))^{1/r},
     w^{1/r} at lam = 0, and e^{-lam a} for r = inf.  The bracket is formed as
@@ -336,9 +348,9 @@ def _mode_lr_norms(lam: np.ndarray, a: float, b: float, r: float) -> np.ndarray:
     head = decay(lam, a)
     if math.isinf(r):
         return head
-    w = b - a
+    w = np.subtract(b, a)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rate = r * lam
+        rate = (r * lam).reshape(np.shape(lam) + (1,) * w.ndim)
         x = rate * w
         bracket = np.where(
             np.isinf(x), 1.0 / rate, w * np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
@@ -347,7 +359,7 @@ def _mode_lr_norms(lam: np.ndarray, a: float, b: float, r: float) -> np.ndarray:
 
 
 def _closed_form_bounds(
-    terms: tuple[float, np.ndarray, np.ndarray, np.ndarray], r: float
+    terms: tuple[float, np.ndarray, np.ndarray, np.ndarray | None], r: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-column bounds lo <= ||g||_{L_r(a, b)} <= hi, g(t) = ||(S_t phi)|_D||,
     from the window's ``_window_terms``.
@@ -397,64 +409,74 @@ def _grid_bounds(
     return np.array(los), np.array(his)
 
 
-class _Screen:
-    """Bound-and-prune state of one constant set over the states that are
-    not eigenvectors: the states still standing, ``cols``, with bounds
-    lo <= ||g||_{L_r} <= hi, and the states already settled, ``settled``,
-    with a lower bound on each one's slack, ``settled_slack``.  The
-    smallest exact eigenvector slack, ``best`` (held by eigenvector
-    ``best_at``), is an upper bound on the minimum from the start.  Each
-    prune keeps copies, so a bound shared through ``_window_terms`` is never
-    written."""
+def _kept(K, lo, hi, base, live, best, margin) -> np.ndarray:
+    """``live`` less the states that cannot hold their row's minimum: a
+    state goes when its slack lower bound K lo + base (base = alpha -
+    ||S_T phi||) exceeds the row's smallest slack upper bound, over its live
+    states and ``best``, by more than ``margin``.  Only a definite
+    comparison prunes, so a nan bound keeps its state (and, through the nan
+    minimum, every state of its row)."""
+    ceiling = np.min(K * hi + base, axis=1, initial=np.inf, where=live)
+    ceiling = np.minimum(ceiling, best)[:, None]
+    return live & ~(K * lo + base > ceiling + margin)
 
-    def __init__(
-        self, const: WeakObsConstants, final: np.ndarray, terms, exact: np.ndarray
-    ) -> None:
-        self.const, self.final = const, final
-        self.best_at = int(np.argmin(exact))
-        self.best = float(exact[self.best_at])
-        lo, hi = _closed_form_bounds(terms, const.r)
+
+class _ScreenTable:
+    """Bound-and-prune state of the constant sets (rows, with their K,
+    alpha, window (a, b), r and ||S_T phi|| per column, ``final``) over the
+    states that are not eigenvectors (columns): bounds
+    lo <= ||g||_{L_r} <= hi per entry, ``live`` marking the states still
+    standing, and ``settled``, the (rows, columns, slack lower bounds) of
+    each settled tie group.  The smallest exact eigenvector slack of a row,
+    ``best`` (held by eigenvector ``best_at``), is an upper bound on its
+    minimum from the start.  Only lo is tightened in place: hi is not read
+    after the last prune."""
+
+    def __init__(self, K, alpha, a, b, r, final, exact, lo, hi) -> None:
+        self.K, self.alpha, self.a, self.b, self.r = K[:, None], alpha[:, None], a, b, r
+        self.final, self.base, self.lo, self.hi = final, self.alpha - final, lo, hi
+        self.best_at = np.argmin(exact, axis=1)
+        self.best = exact[np.arange(len(exact)), self.best_at]
         self.margin = (
-            _RECHECK_MARGIN_REL * (const.K + const.alpha + 1.0)
-            + 2.0 * _LR_REL_TOL * const.K * float(hi.max())
-        )
-        self.cols, self.lo, self.hi = np.arange(len(final)), lo, hi
-        self.settled, self.settled_slack = np.empty(0, dtype=int), np.empty(0)
-        self.prune()
+            _RECHECK_MARGIN_REL * (K + alpha + 1.0) + 2.0 * _LR_REL_TOL * K * hi.max(axis=1)
+        )[:, None]
+        every = np.ones(lo.shape, dtype=bool)
+        self.live = _kept(self.K, lo, hi, self.base, every, self.best, self.margin)
+        self.settled: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def prune(self) -> None:
-        K, base = self.const.K, self.const.alpha - self.final[self.cols]
-        # only a definite comparison prunes, so a nan bound keeps its state
-        ceiling = np.min(K * self.hi + base, initial=self.best)
-        keep = ~(K * self.lo + base > ceiling + self.margin)
-        self.cols, self.lo, self.hi = self.cols[keep], self.lo[keep], self.hi[keep]
+    def tighten(self, rows: np.ndarray, cols: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Tighten the bounds of ``rows`` x ``cols``, which hold every live
+        state of ``rows``, with a second pair (rows x cols), and prune those
+        rows again."""
+        at = np.ix_(rows, cols)
+        lo, hi = np.maximum(self.lo[at], lo), np.minimum(self.hi[at], hi)
+        self.lo[at] = lo
+        K, base, best, margin = self.K[rows], self.base[at], self.best[rows], self.margin[rows]
+        self.live[at] = _kept(K, lo, hi, base, self.live[at], best, margin)
 
-    def tie_group(self) -> np.ndarray:
-        """Positions of the states whose slack lower bound lies within the
-        margin of the smallest one, the likeliest first; none unless there
-        are at least two of them (a nan bound joins no group)."""
-        lower = self.const.K * self.lo + self.const.alpha - self.final[self.cols]
-        tied = np.flatnonzero(lower <= np.min(lower, initial=np.inf) + self.margin)
-        if len(tied) < 2:
-            return np.empty(0, dtype=int)
-        first = np.argmin(lower[tied])
-        return np.concatenate(([tied[first]], np.delete(tied, first)))
-
-    def settle(self, positions: np.ndarray, slack: np.ndarray) -> None:
-        """Move the states at ``positions`` out of the screen, each with a
-        lower bound on its slack."""
-        self.settled = np.concatenate((self.settled, self.cols[positions]))
-        self.settled_slack = np.concatenate((self.settled_slack, slack))
-        keep = np.ones(len(self.cols), dtype=bool)
-        keep[positions] = False
-        self.cols, self.lo, self.hi = self.cols[keep], self.lo[keep], self.hi[keep]
+    def tie_groups(self) -> list[tuple[int, np.ndarray]]:
+        """Each r = inf row's tie group: the columns of the live states whose
+        slack lower bound lies within the margin of the smallest one, the
+        likeliest first; a row joins only with at least two of them (a nan
+        bound joins no group)."""
+        rows = np.flatnonzero(np.isinf(self.r))
+        lower = self.K[rows] * self.lo[rows] + self.alpha[rows] - self.final[rows]
+        live = self.live[rows]
+        floor = np.min(lower, axis=1, initial=np.inf, where=live)[:, None]
+        tied = live & (lower <= floor + self.margin[rows])
+        groups = []
+        for i in np.flatnonzero(np.count_nonzero(tied, axis=1) >= 2):
+            cols = np.flatnonzero(tied[i])
+            first = np.argmin(lower[i, cols])
+            groups.append((int(rows[i]), np.concatenate((cols[[first]], np.delete(cols, first)))))
+        return groups
 
 
 def _settle_tie_groups(
-    sd: SpectralDecomposition, d_idx: np.ndarray, C: np.ndarray, screens: list[_Screen]
+    sd: SpectralDecomposition, d_idx: np.ndarray, C: np.ndarray, table: _ScreenTable
 ) -> None:
-    """Settle the r = inf tie groups of ``screens`` with one certification
-    each (see ``verify_weak_obs_multi``).
+    """Settle the tie groups of ``table``'s r = inf rows with one
+    certification each (see ``verify_weak_obs_multi``).
 
     The likeliest member of every group is certified by ``_sup_norms``, all
     of them in one call, which also gives the time t of each one's best
@@ -464,30 +486,26 @@ def _settle_tie_groups(
     representative's certified slack, or above it, is settled with its
     sampled slack, and so is the representative; the rest stay screened.
     """
-    groups = [(s, s.tie_group()) for s in screens if math.isinf(s.const.r)]
-    groups = [(s, tied) for s, tied in groups if len(tied)]
+    groups = table.tie_groups()
     if not groups:
         return
-    a = np.array([s.const.delta * s.const.T for s, _ in groups])
-    b = np.array([s.const.T for s, _ in groups])
-    reps = np.array([s.cols[tied[0]] for s, tied in groups])
+    rows = [row for row, _ in groups]
+    a, b = table.a[rows], table.b[rows]
+    reps = np.array([tied[0] for _, tied in groups])
     sup, at = RestrictedEvolution(sd, d_idx, C[:, reps])._sup_norms(a, b)
     sizes = [len(tied) - 1 for _, tied in groups]
-    others = RestrictedEvolution(
-        sd, d_idx, C[:, np.concatenate([s.cols[tied[1:]] for s, tied in groups])]
-    )
+    others = RestrictedEvolution(sd, d_idx, C[:, np.concatenate([tied[1:] for _, tied in groups])])
     ends = np.cumsum(sizes)[:-1]
     sampled = np.split(others.norms(np.repeat(at, sizes)[None, :])[0], ends)
     reach = np.split(_LR_REL_TOL * others.final_norms(np.repeat(a, sizes)), ends)
-    for (s, tied), g_rep, g, tol in zip(groups, sup, sampled, reach):
-        K, alpha = s.const.K, s.const.alpha
-        rep_slack = K * g_rep + alpha - s.final[s.cols[tied[0]]]
-        slack = K * g + alpha - s.final[s.cols[tied[1:]]]
+    for (row, tied), g_rep, g, tol in zip(groups, sup, sampled, reach):
+        K, alpha, final = table.K[row, 0], table.alpha[row, 0], table.final[row]
+        rep_slack = K * g_rep + alpha - final[tied[0]]
+        slack = K * g + alpha - final[tied[1:]]
         drop = slack >= rep_slack - K * tol
-        s.settle(
-            np.concatenate(([tied[0]], tied[1:][drop])),
-            np.concatenate(([rep_slack], slack[drop])),
-        )
+        settled = np.concatenate(([tied[0]], tied[1:][drop]))
+        table.live[row, settled] = False
+        table.settled.append((np.full(len(settled), row), settled, np.append(rep_slack, slack[drop])))
 
 
 def verify_weak_obs_multi(
@@ -501,19 +519,21 @@ def verify_weak_obs_multi(
 
     An eigenvector e_k of the battery is a single mode: g(t) = c_k e^{-l_k t}
     with c_k = ||(v_k)|_D||, so its slack K c_k ||e^{-l_k t}||_{L_r} + alpha
-    - e^{-l_k T} is exact, in closed form (``_mode_lr_norms``).  The smallest
-    of these slacks bounds the minimum from above before any other state is
-    looked at.  The Dirac deltas and the random states run bound, prune and
-    evaluate, for each constant set:
+    - e^{-l_k T} is exact, in closed form (``_mode_lr_norms``, one call per
+    distinct r for all its windows).  The smallest of these slacks bounds the
+    minimum from above before any other state is looked at.  The Dirac
+    deltas and the random states run bound, prune and evaluate on one table
+    (``_ScreenTable``) of constant sets by states, each step a few array
+    operations over the whole table:
     - bound every state's time norm in closed form (``_closed_form_bounds``);
       the terms that depend on the window (delta T, T) alone, namely the L_2
       integral, ||S_{delta T} phi|| and g at both ends (``_window_terms``),
       are computed once per distinct window and shared by its exponents, g
-      once per distinct window end, and ||S_t phi|| once per distinct t,
-      whether t is an end delta T or a T;
+      once per distinct end of a window with an r = inf set, and
+      ||S_t phi|| once per distinct t, whether t is an end delta T or a T;
     - drop the states whose slack lower bound exceeds the smallest slack
-      upper bound, the exact eigenvector slack included, by more than the
-      margin (``_RECHECK_MARGIN_REL``);
+      upper bound of their set, the exact eigenvector slack included, by
+      more than the margin (``_RECHECK_MARGIN_REL``);
     - bound the states still standing again on a graded grid
       (``_grid_bounds``) and prune once more with the tightened bounds.
       g and its reach on a window's grid do not depend on r, so one call
@@ -530,84 +550,88 @@ def verify_weak_obs_multi(
       K ``_LR_REL_TOL`` ||S_{delta T} phi|| is settled with it, unsearched;
     - evaluate the survivors of every set together in one batched
       ``RestrictedEvolution.lr_norms`` call on their spectral coefficients,
-      each column on its own set's window and exponent: estimated to
-      ``_LR_REL_TOL`` for finite r, certified for r = inf.
+      set by set, each column on its own set's window and exponent:
+      estimated to ``_LR_REL_TOL`` for finite r, certified for r = inf.
     No pruned state can hold the minimum, so the reported minimum slack is
     the smallest of the exact eigenvector minimum (which wins a tie), the
     engine's minimum over the other states, the representative's certified
-    slack and the settled members' sampled slacks.  For r = inf each of
-    these is a lower bound on its state's slack, so the minimum is a lower
-    bound on the battery's; it lies within K tol of it where no tie group
-    forms and within 2 K tol where one does, tol = ``_LR_REL_TOL``
-    max ||S_{delta T} phi|| (a settled member's sampled slack is within
-    K tol of the representative's certified one, which is within K tol of
-    the representative's slack).  A sample does not bound an L_r norm from
-    below, so finite r has no tie rule.
+    slack and the settled members' sampled slacks; a tie among the others
+    goes to the first certified state, then the first settled one.  For
+    r = inf each of these is a lower bound on its state's slack, so the
+    minimum is a lower bound on the battery's; it lies within K tol of it
+    where no tie group forms and within 2 K tol where one does,
+    tol = ``_LR_REL_TOL`` max ||S_{delta T} phi|| (a settled member's
+    sampled slack is within K tol of the representative's certified one,
+    which is within K tol of the representative's slack).  A sample does
+    not bound an L_r norm from below, so finite r has no tie rule.
     """
     d_idx = sd.graph.subset_indices(D)
     if len(d_idx) == 0:
         raise EmptySubset("verification needs a nonempty observation set")
+    if not constants_list:
+        return []
     C, labels = _phi_batch(sd, samples, seed)
     n, lam = sd.n, sd.eigenvalues
     re = RestrictedEvolution(sd, d_idx, C)
     seen = vector_norms(re.W, axis=0)  # c_k = ||(v_k)|_D||
     final_norms = functools.cache(re.final_norms)
 
-    by_window: dict[tuple[float, float], list[int]] = {}
-    for i, const in enumerate(constants_list):
-        by_window.setdefault((const.delta * const.T, const.T), []).append(i)
-    screened: dict[int, _Screen] = {}
-    window_terms = _window_terms(re, list(by_window), final_norms)
-    for ((a, b), members), terms in zip(by_window.items(), window_terms):
-        sets = []
-        for i in members:
-            const = constants_list[i]
-            exact = const.K * (seen * _mode_lr_norms(lam, a, b, const.r))
-            exact += const.alpha - decay(lam, const.T)
-            sets.append(_Screen(const, final_norms(const.T), terms, exact))
-        # the closed forms are loose where g moves fast, as at a = 0: one grid
-        # of the union of the window's survivors tightens them for every set
-        live = [s for s in sets if len(s.cols)]
-        if live:
-            union = np.unique(np.concatenate([s.cols for s in live]))
-            exponents = np.unique([s.const.r for s in live])
-            glo, ghi = _grid_bounds(RestrictedEvolution(sd, d_idx, C[:, union]), a, b, exponents)
-            for s in live:
-                row, at = np.searchsorted(exponents, s.const.r), np.searchsorted(union, s.cols)
-                s.lo, s.hi = np.maximum(s.lo, glo[row, at]), np.minimum(s.hi, ghi[row, at])
-                s.prune()
-        screened.update(zip(members, sets))
-    screens = [screened[i] for i in range(len(constants_list))]
-    if not screens:
-        return []
-    _settle_tie_groups(sd, d_idx, C, screens)
+    K, alpha, a, b, r = np.array([(c.K, c.alpha, c.delta * c.T, c.T, c.r) for c in constants_list]).T
+    windows: dict[tuple[float, float], int] = {}
+    window = np.array([windows.setdefault(w, len(windows)) for w in zip(a.tolist(), b.tolist())])
+    sup = np.zeros(len(windows), dtype=bool)
+    sup[window[np.isinf(r)]] = True
+    terms = _window_terms(re, list(windows), final_norms, sup.tolist())
+    lo, hi = np.empty((2, len(r), C.shape[1]))
+    for i, (w, r_i) in enumerate(zip(window.tolist(), r.tolist())):
+        lo[i], hi[i] = _closed_form_bounds(terms[w], r_i)
+    exact = np.empty((len(r), n))
+    for r_i in dict.fromkeys(r.tolist()):  # a scalar exponent, as each set's own would be
+        rows = r == r_i
+        exact[rows] = seen * _mode_lr_norms(lam, a[rows], b[rows], r_i).T
+    exact = K[:, None] * exact + (alpha[:, None] - decay(lam, b).T)
+    final = np.array([final_norms(T) for T in b.tolist()])
+    table = _ScreenTable(K, alpha, a, b, r, final, exact, lo, hi)
+
+    # the closed forms are loose where g moves fast, as at a = 0: one grid
+    # of the union of a window's survivors tightens them for every set
+    standing = table.live.any(axis=1)
+    for w, (wa, wb) in enumerate(windows):
+        rows = np.flatnonzero((window == w) & standing)
+        if len(rows):
+            union = np.flatnonzero(table.live[rows].any(axis=0))
+            exponents = np.unique(r[rows])
+            glo, ghi = _grid_bounds(RestrictedEvolution(sd, d_idx, C[:, union]), wa, wb, exponents)
+            at = np.searchsorted(exponents, r[rows])
+            table.tighten(rows, union, glo[at], ghi[at])
+    _settle_tie_groups(sd, d_idx, C, table)
 
     # one certification for the survivors of every set, each on its own window
-    sizes = [len(s.cols) for s in screens]
+    rows, cols = np.nonzero(table.live)
     certified = np.empty(0)
-    if sum(sizes):
-        windows = np.array([(c.delta * c.T, c.T, c.r) for c in constants_list])
-        a, b, r = np.repeat(windows, sizes, axis=0).T
-        batch = C[:, np.concatenate([s.cols for s in screens])]
-        certified = RestrictedEvolution(sd, d_idx, batch).lr_norms(a, b, r)
-    out = []
-    for s, norms in zip(screens, np.split(certified, np.cumsum(sizes)[:-1])):
-        const = s.const
-        slack = np.concatenate((const.K * norms + const.alpha - s.final[s.cols], s.settled_slack))
-        cols = np.concatenate((s.cols, s.settled))
-        if len(slack) and not s.best <= np.min(slack):  # a nan slack is reported
-            min_slack, worst = float(np.min(slack)), n + int(cols[np.argmin(slack)])
-        else:
-            min_slack, worst = s.best, s.best_at
-        out.append(
-            WeakObsVerification(
-                constants=const,
-                min_slack=min_slack,
-                worst_label=labels[worst],
-                n_inputs=len(labels),
-            )
-        )
-    return out
+    if len(rows):
+        batch = RestrictedEvolution(sd, d_idx, C[:, cols])
+        certified = batch.lr_norms(a[rows], b[rows], r[rows])
+    slack = K[rows] * certified + alpha[rows] - final[rows, cols]
+    found = [(rows, cols, slack)] + table.settled
+    rows, cols, slack = (np.concatenate(v) for v in zip(*found))
+    order = np.argsort(rows, kind="stable")  # each set's certified states, then its settled ones
+    rows, cols, slack = rows[order], cols[order], slack[order]
+    low, worst = table.best.copy(), table.best_at.copy()
+    if len(rows):
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))  # each set's first entry
+        least = np.minimum.reduceat(slack, starts)
+        of = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(rows)))
+        hits = np.flatnonzero((slack == least[of]) | np.isnan(slack))
+        first = hits[np.unique(of[hits], return_index=True)[1]]  # np.argmin per set
+        owner = rows[starts]
+        take = ~(table.best[owner] <= least)  # a nan slack is reported
+        low[owner[take]] = least[take]
+        worst[owner[take]] = n + cols[first[take]]
+    return [
+        WeakObsVerification(constants=c, min_slack=m, worst_label=labels[w], n_inputs=len(labels))
+        for c, m, w in zip(constants_list, low.tolist(), worst.tolist())
+    ]
 
 
 def verify_weak_obs(

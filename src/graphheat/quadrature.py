@@ -157,7 +157,7 @@ def adaptive_simpson(
     # too late and let a too-narrow panel of a small window split on.
     narrow = 1e-14 * (2.0 * max(np.abs(a).max(), np.abs(b).max()) + 1.0)
     smallest = float((b - a).min())
-    while len(lo):
+    while True:
         tol = tol0 * 0.5**depth  # tol0 / k on the initial panels, halved per bisection
         # each panel's two children, interleaved: left[0], right[0], left[1], ...
         mid = 0.5 * (lo + hi)
@@ -178,7 +178,9 @@ def adaptive_simpson(
         open_ = open_ & ~ok
         split = open_.reshape(len(lo), -1).any(axis=1)
         splits = int(np.count_nonzero(split))
-        if splits and depth + 1 > max_depth:
+        if not splits:
+            return total
+        if depth + 1 > max_depth:
             # the first open entry; with per-column windows, its column's panel
             at = tuple(np.argwhere(open_)[0][: lo.ndim])
             raise QuadratureNonConvergence(
@@ -200,5 +202,3 @@ def adaptive_simpson(
                 v.take(keep, axis=0) for v in (lo, hi, flo, fmid, fhi, S, open_)
             )
         depth += 1
-    return total
-

@@ -265,6 +265,13 @@ def _cell_chunk(n: int) -> int:
     return max(1, _CHUNK_ELEMENTS // (4 * n))
 
 
+def _flat(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``x`` broadcast to ``shape``, as a new 1-D array."""
+    out = np.empty(shape, dtype=x.dtype)
+    out[...] = x
+    return out.reshape(-1)
+
+
 class RestrictedEvolution:
     """Vectorized evaluation of t -> ||(S_t f)|_D|| for a batch of states.
 
@@ -309,10 +316,8 @@ class RestrictedEvolution:
         if ts.ndim == 2:
             return self._entry_norms(ts)
         ts = np.atleast_1d(ts)
-        n, n_batch = self.C.shape
-        d = self.W.shape[0]
+        (d, n), n_batch = self.W.shape, self.C.shape[1]
         wide = n_batch > d and 2 * d * n <= _BLOCK_ELEMENTS
-        out = np.empty((len(ts), n_batch))
         # per time, the scaled factor has d n entries (wide) or n per column,
         # and U has d per column
         if wide:
@@ -322,23 +327,28 @@ class RestrictedEvolution:
             width = min(n_batch, _BLOCK_ELEMENTS // (n + d))
             per_time = (n + d) * max(1, width)
         chunk = max(1, _BLOCK_ELEMENTS // per_time)
+        if len(ts) <= chunk and width == n_batch:  # one block: its sums are the result's
+            return np.sqrt(self._block_sums(decay(self.lam, ts), self.C, wide))
+        out = np.empty((len(ts), n_batch))
         columns = _blocks(n_batch, width)
         for k0 in range(0, len(ts), chunk):
-            tc = ts[k0 : k0 + chunk]
-            E = decay(self.lam, tc)  # (n, tc)
-            if wide:  # scale the d x n rows of W per time: one GEMM per block of C
-                scaled = (E.T[:, None, :] * self.W[None]).reshape(-1, n)
+            E = decay(self.lam, ts[k0 : k0 + chunk])  # (n, times)
             for cb in columns:
-                C = self.C[:, cb]
-                if wide:
-                    U = scaled @ C
-                    shape, axis = (len(tc), d, C.shape[1]), 1
-                else:  # scale the block per time, then one GEMM with W
-                    U = self.W @ (E[:, :, None] * C[:, None, :]).reshape(n, -1)
-                    shape, axis = (d, len(tc), C.shape[1]), 0
-                out[k0 : k0 + len(tc), cb] = np.add.reduce(np.square(U, out=U).reshape(shape), axis=axis)
-                del U  # no block's arrays outlive it
+                out[k0 : k0 + E.shape[1], cb] = self._block_sums(E, self.C[:, cb], wide)
         return np.sqrt(out)
+
+    def _block_sums(self, E: np.ndarray, C: np.ndarray, wide: bool) -> np.ndarray:
+        """g^2 at the times of the decay factors E (n x times) for the
+        columns C, one row per time: the rows of W scaled per time times C
+        (``wide``), or W times the columns of C scaled per time."""
+        (d, n), times = self.W.shape, E.shape[1]
+        if wide:  # scale the d x n rows of W per time: one GEMM with C
+            U = (E.T[:, None, :] * self.W[None]).reshape(-1, n) @ C
+            shape, axis = (times, d, C.shape[1]), 1
+        else:  # scale C per time, then one GEMM with W
+            U = self.W @ (E[:, :, None] * C[:, None, :]).reshape(n, -1)
+            shape, axis = (d, times, C.shape[1]), 0
+        return np.add.reduce(np.square(U, out=U).reshape(shape), axis=axis)
 
     def _entry_norms(self, ts: np.ndarray) -> np.ndarray:
         """g at time ts[i, j] for column j, nan where ts[i, j] is nan.
@@ -460,7 +470,9 @@ class RestrictedEvolution:
         where a cell's right end is the next cell's left end in the same
         column, as when cells tile a window in order (the supremum search's
         waves), the two share it, so k subcells of a cell cost k + 1 ends,
-        not 2 k.
+        not 2 k.  A stack of single-mode groups (every group of a graph with
+        no repeated eigenvalue) is bounded as |R| |X|, the bits of the
+        stacked ||R X||, with no spread term, which is 0 there.
         """
         lam = self.lam[:, None]
         hi = lo + h
@@ -488,10 +500,14 @@ class RestrictedEvolution:
                 u = self.W @ X
                 by_group = 0.0  # from S_lo f, where both remainders are formed
                 for idx, R, top, spread in self._groups:
-                    Xg, top = X[:, :c][idx], top[:, None]
-                    seen = vector_norms(R @ Xg, 1)
+                    if idx.shape[1] == 1:  # ||R_J x|| = |R_J| |x|, and the spread is 0
+                        seen, drift = np.abs(R[:, 0]) * np.abs(X[idx[:, 0], :c]), 0.0
+                    else:
+                        Xg = X[:, :c][idx]
+                        seen, drift = vector_norms(R @ Xg, 1), hc * (spread @ vector_norms(Xg, 1))
+                    top = top[:, None]
                     by_group += 0.5 * np.add.reduce(hc * (top * (hc * (top * seen))), axis=0)
-                    by_group += hc * (spread @ vector_norms(Xg, 1))
+                    by_group += drift
                 LX = np.multiply(X, lam, out=X)
                 u1 = self.W @ LX
                 rem = 0.5 * vector_norms(hc * (lam * (hc * LX[:, :c])), 0)
@@ -604,9 +620,10 @@ class RestrictedEvolution:
         reads inf.
         """
         n_batch = self.C.shape[1]
-        shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(r), (n_batch,))
-        a, b, r = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b, r))
-        col = np.broadcast_to(np.arange(n_batch), shape).ravel()
+        a, b, r = (np.asarray(v, dtype=float) for v in (a, b, r))
+        col = np.arange(n_batch)
+        shape = np.broadcast(a, b, r, col).shape
+        a, b, r, col = (_flat(v, shape) for v in (a, b, r, col))
         size = vector_norms(self.C, axis=0)[col]
         out = np.full(len(col), math.inf)
         sup, fin = np.isinf(r) & np.isfinite(size), np.isfinite(r) & np.isfinite(size)
@@ -627,7 +644,8 @@ class RestrictedEvolution:
             col, a, b, r = col[fin], a[fin], b[fin], r[fin]
             if np.all(a == a[0]) and np.all(b == b[0]):
                 a, b = a[0], b[0]  # one window: the batch shares its times
-                states, col = np.unique(col, return_inverse=True)
+                states = np.flatnonzero(np.bincount(col, minlength=n_batch))
+                col = np.searchsorted(states, col)
             else:
                 states, col = col, np.arange(len(col))
             part = evolution._columns(states)
@@ -639,8 +657,10 @@ class RestrictedEvolution:
 
             integrals = adaptive_simpson(powers, a, b, rel_tol=_LR_REL_TOL, norm=np.abs)
             out[fin] = integrals ** (1.0 / r)
-        with np.errstate(over="ignore"):  # a norm past the float range reads inf
-            return np.ldexp(out, back).reshape(shape)
+        if back.any():
+            with np.errstate(over="ignore"):  # a norm past the float range reads inf
+                out = np.ldexp(out, back)
+        return out.reshape(shape)
 
 
 def time_lr_norm(

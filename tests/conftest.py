@@ -74,6 +74,17 @@ def grow_dense_subset(g: WeightedGraph, rng, max_covr=2.0):
         D.append(g.vertex_ids[worst])
 
 
+def corpus_recipe(n, seed):
+    """A graph of the acceptance-corpus recipe with n vertices and its D,
+    drawn from ``seed`` until D is a proper subset."""
+    rng = np.random.default_rng(seed)
+    while True:
+        g = random_connected_graph(rng, n)
+        D = grow_dense_subset(g, rng)
+        if len(D) < g.n:
+            return g, D
+
+
 class CorpusItem:
     def __init__(self, graph, D, sd):
         self.graph = graph

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,9 +37,9 @@ from graphheat.observability import (
     verify_weak_obs_multi,
     weak_obs_constants,
 )
-from graphheat.spectral import _LR_REL_TOL, RestrictedEvolution, decay, eigendecompose
+from graphheat.spectral import _LR_REL_TOL, RestrictedEvolution, _graded_grid, decay, eigendecompose
 
-from conftest import cycle, grow_dense_subset, random_connected_graph
+from conftest import corpus_recipe, cycle, grow_dense_subset, random_connected_graph
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +318,50 @@ def _corpus_graph_constants():
         for T in (0.5, 1.0, 5.0)
     ]
     return sd, D, consts
+
+
+def _numerics_digest(sd, D):
+    """SHA-256 over the bits the verification builds on: the eigenpairs,
+    a battery, g on a graded grid and closed-form mode norms (exp, expm1
+    and pow)."""
+    C, _ = _phi_batch(sd, 40, 7)
+    re = RestrictedEvolution(sd, sd.graph.subset_indices(D), C)
+    lam = sd.eigenvalues
+    parts = [
+        lam,
+        sd.eigenvectors,
+        C,
+        re.norms(_graded_grid(0.0, 1.0, float(lam[-1]))),
+        _mode_lr_norms(lam, 0.25, 1.0, 1.0),
+        _mode_lr_norms(lam, 0.25, 1.0, 3.0),
+    ]
+    return hashlib.sha256(b"".join(np.ascontiguousarray(p).tobytes() for p in parts)).hexdigest()
+
+
+@pytest.mark.parametrize("n, seed", [(7, 1), (22, 2), (40, 3)])
+def test_verify_multi_reports_are_pinned(n, seed):
+    """On a corpus-recipe graph of each size class (n = 7, 22 and 40), the
+    18 corpus constant sets under batteries of 0, 40 and 1000 random
+    states report the pinned worst_label and n_inputs, and the pinned
+    min_slack: bit for bit where this machine rounds the verification's
+    building blocks as the machine that recorded the pins did (equal
+    ``_numerics_digest``), and within 1e-10 relative, the reference
+    replay's tolerance, elsewhere."""
+    pins = json.loads((Path(__file__).parent / "data" / "verify_weak_obs_pins.json").read_text())
+    g, D = corpus_recipe(n, seed)
+    sd = eigendecompose(g)
+    consts = _corpus_constants(g, sd, D)
+    same_bits = _numerics_digest(sd, D) == pins["numerics"][str(n)]
+    for samples in (0, 40, 1000):
+        want = pins[f"{n} {samples}"]
+        got = verify_weak_obs_multi(sd, D, consts, samples=samples, seed=7)
+        assert [(v.worst_label, v.n_inputs) for v in got] == [(w[1], w[2]) for w in want]
+        if same_bits:
+            assert [v.min_slack.hex() for v in got] == [w[0] for w in want]
+        else:
+            np.testing.assert_allclose(
+                [v.min_slack for v in got], [float.fromhex(w[0]) for w in want], rtol=1e-10
+            )
 
 
 def test_verify_multi_computes_window_terms_once_per_window(monkeypatch):
@@ -1147,18 +1194,18 @@ def test_tie_groups_keep_the_reported_minimum_a_certified_lower_bound(kind, seed
 def test_corpus_recipe_forms_no_tie_group(corpus, monkeypatch):
     """The acceptance corpus (random weighted graphs, n <= 40) has no
     symmetry for a tie group to come from: at r = inf, under every window of
-    criterion 1, no screen forms one."""
+    criterion 1, no row of the screen table forms one."""
     import graphheat.observability as obs
 
     groups = []
-    real = obs._Screen.tie_group
+    real = obs._ScreenTable.tie_groups
 
     def recorded(self):
         tied = real(self)
-        groups.extend([len(tied)] if len(tied) else [])
+        groups.extend(len(cols) for _, cols in tied)
         return tied
 
-    monkeypatch.setattr(obs._Screen, "tie_group", recorded)
+    monkeypatch.setattr(obs._ScreenTable, "tie_groups", recorded)
     calls = 0
     for idx, item in enumerate(corpus):
         consts = [

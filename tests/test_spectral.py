@@ -18,7 +18,7 @@ from graphheat.errors import (
 from graphheat.families import build_family, parity_subset
 from graphheat.graph import MetricKind, build_graph, covering_radius, inradius, max_ball_volume
 from graphheat.observability import _phi_batch
-from graphheat.quadrature import _BLOCK_ELEMENTS, _blocks
+from graphheat.quadrature import _BLOCK_ELEMENTS, _blocks, vector_norms
 from graphheat.spectral import (
     _LR_REL_TOL,
     RestrictedEvolution,
@@ -33,7 +33,7 @@ from graphheat.spectral import (
     time_lr_norm,
 )
 
-from conftest import cycle, grow_dense_subset, m_norm, path, random_connected_graph
+from conftest import corpus_recipe, cycle, grow_dense_subset, m_norm, path, random_connected_graph
 
 
 def small_sd(seed, n_max=8):
@@ -682,6 +682,73 @@ def test_two_sided_cell_bound_holds_and_is_at_most_the_one_sided_bound(case):
     assert np.all((ub <= forward + slack) | np.isnan(forward)), ub - forward
     want = np.linalg.norm(re.W @ (decay(re.lam, lo) * re.C[:, cols]), axis=0)
     np.testing.assert_allclose(g0, want, rtol=1e-13, atol=1e-15 * size.max())
+
+
+def _stacked_cell_bounds(re, lo, h, cols):
+    """The two-sided cell bounds of cells that fill one block, with every
+    eigenvalue group, of one mode or more, bounded by the stacked formula
+    (its factor R, the norms of R X and of X, the spread term), and g and
+    the two expansions normed by one ``vector_norms`` call each: a
+    reference for ``_cell_bounds``, bit for bit."""
+    lam, hi, c = re.lam[:, None], lo + h, len(lo)
+    own = np.ones(c, dtype=bool)
+    own[:-1] = (hi[:-1] != lo[1:]) | (cols[:-1] != cols[1:])
+    extra = np.flatnonzero(own)
+    right = np.arange(1, c + 1)
+    right[extra] = np.arange(c, c + len(extra))
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = decay(re.lam, np.concatenate((lo, hi[extra]))) * re.C[:, np.concatenate((cols, cols[extra]))]
+        u = re.W @ X
+        by_group = 0.0
+        for idx, R, top, spread in re._groups:
+            Xg, top = X[:, :c][idx], top[:, None]
+            seen = vector_norms(R @ Xg, 1)
+            by_group += 0.5 * np.add.reduce(h * (top * (h * (top * seen))), axis=0)
+            by_group += h * (spread @ vector_norms(Xg, 1))
+        LX = X * lam
+        u1 = re.W @ LX
+        rem = np.fmin(0.5 * vector_norms(h * (lam * (h * LX[:, :c])), 0), by_group)
+        g = vector_norms(u, 0)
+        forward = vector_norms(u[:, :c] - h * u1[:, :c], 0)
+        backward = vector_norms(u[:, right] + h * u1[:, right], 0)
+        return g[:c], np.fmin(np.maximum(g[:c], forward + rem), np.maximum(g[right], backward + rem))
+
+
+@pytest.mark.parametrize("graph", ["corpus 9", "corpus 37", "corpus 40", "cycle-8", "torus-4x4"])
+def test_single_mode_groups_keep_the_stacked_cell_bounds(graph, monkeypatch):
+    """``_cell_bounds`` bounds a stack of single-mode eigenvalue groups as
+    |R| |X|, with no spread term: on corpus-recipe graphs (every group a
+    single mode) and on cycle-8 and torus-4x4 (stacks of one and of several
+    modes), it returns the stacked formula's bits on every wave of a
+    supremum search over four windows, and on each cell of its first wave
+    alone (numpy sums a single cell's expansions pairwise)."""
+    if graph.startswith("corpus"):
+        n = int(graph.split()[1])
+        g, D = corpus_recipe(n, n)
+    else:
+        g = cycle(8) if graph == "cycle-8" else build_family("torus", {"p": 4, "q": 4}).graph
+        D = parity_subset(g, "even")
+    sd = eigendecompose(g)
+    C = _phi_batch(sd, 8, 1)[0]
+    re = RestrictedEvolution(sd, g.subset_indices(D), C)
+    sizes = {idx.shape[1] for idx, _, _, _ in re._groups}
+    assert 1 in sizes and (sizes == {1}) == graph.startswith("corpus"), sizes
+    waves = []
+    real = RestrictedEvolution._cell_bounds
+
+    def recorded(self, lo, h, cols):
+        waves.append((lo, h, cols))
+        return real(self, lo, h, cols)
+
+    monkeypatch.setattr(RestrictedEvolution, "_cell_bounds", recorded)
+    windows = np.resize([(0.0, 0.5), (0.25, 1.0), (2.5, 5.0), (0.0, 5.0)], (C.shape[1], 2))
+    re._sup_norms(windows[:, 0], windows[:, 1])
+    monkeypatch.undo()
+    lo, h, cols = waves[0]
+    assert len(waves) > 1 and len(lo) <= _BLOCK_ELEMENTS // (4 * g.n)  # one block each
+    for cells in waves + [(lo[k : k + 1], h[k : k + 1], cols[k : k + 1]) for k in range(len(lo))]:
+        got, want = re._cell_bounds(*cells), _stacked_cell_bounds(re, *cells)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 @pytest.mark.parametrize("observed", [6, 7])
