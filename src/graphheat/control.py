@@ -313,10 +313,11 @@ def _controlled_trajectory(
     samples: int,
 ) -> np.ndarray:
     """Controlled states at ``samples`` >= 2 equally spaced times on [0, T]
-    for a batch of ``stabilize``'s periods: column j of the (n, N) arrays
-    ``f0`` and ``eta`` holds period j's real initial state and the eta of
-    its closed-form control.  Entry [k, j] of the (samples, N, n) result is
-    period j's state at t_k.
+    for a batch of ``stabilize``'s periods, in the eigenbasis: column j of
+    the (n, N) arrays ``f0`` and ``eta`` holds period j's real initial
+    state and the eta of its closed-form control.  Entry [k, :, j] of the
+    (samples, n, N) result holds the spectral coefficients of period j's
+    state at t_k, whose Euclidean norm is the state's m-norm.
 
     One Gramian step per sample: with h = T/(samples - 1),
     f(t_{k+1}) = S_h f(t_k) + Q_h S_{T - t_{k+1}} eta, where Q_h is the
@@ -340,7 +341,7 @@ def _controlled_trajectory(
         for k in range(steps.start, steps.stop):
             out[k + 1] = step * out[k] + drive[:, k - steps.start]
         del drive
-    return out.transpose(0, 2, 1) @ sd.eigenvectors.T
+    return out
 
 
 def _segment_weights(lam: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -525,8 +526,10 @@ def stabilize(
     to each exponent, and
     its intra-period excursion is sampled at ``_INTRA_SAMPLES`` equally
     spaced times by ``_controlled_trajectory`` (one Gramian step per
-    sample).  The envelope constants are omega = ln(alpha)/T and M, which
-    covers the largest excursion relative to its period's start.
+    sample) and measured on the states' spectral coefficients, whose
+    Euclidean norm is the m-norm.  The envelope constants are
+    omega = ln(alpha)/T and M, which covers the largest excursion relative
+    to its period's start.
     """
     if not (0.0 < alpha < 1.0):
         raise ValidationError("stabilization needs alpha in (0, 1)")
@@ -557,7 +560,7 @@ def stabilize(
         shift = np.frexp(norms[:live])[1]
         starts = np.ldexp(np.stack(starts, axis=1), -shift)
         traj = _controlled_trajectory(sd, D, T, starts, np.ldexp(eta, -shift), _INTRA_SAMPLES)
-        peaks = vector_norms(traj, w=sd.graph.m).max(axis=0)
+        peaks = vector_norms(traj, axis=1).max(axis=0)  # m-norms, from the coefficients
         intra_ratio = max(intra_ratio, float(np.max(peaks / np.ldexp(norms[:live], -shift))))
     total: dict[float, float] = {}
     for r, parts in zip(COST_EXPONENTS, costs.T.tolist()):

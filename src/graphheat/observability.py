@@ -481,9 +481,9 @@ def _settle_tie_groups(
     The likeliest member of every group is certified by ``_sup_norms``, all
     of them in one call, which also gives the time t of each one's best
     sample.  g(t) <= sup g, so K g(t) + alpha - ||S_T phi|| bounds each other
-    member's slack from below; one ``norms`` call samples them all.  A member
-    whose sampled slack is within K ``_LR_REL_TOL`` ||S_a phi|| of the
-    representative's certified slack, or above it, is settled with its
+    member's slack from below; one ``_norms_at`` call samples them all.  A
+    member whose sampled slack is within K ``_LR_REL_TOL`` ||S_a phi|| of
+    the representative's certified slack, or above it, is settled with its
     sampled slack, and so is the representative; the rest stay screened.
     """
     groups = table.tie_groups()
@@ -496,7 +496,7 @@ def _settle_tie_groups(
     sizes = [len(tied) - 1 for _, tied in groups]
     others = RestrictedEvolution(sd, d_idx, C[:, np.concatenate([tied[1:] for _, tied in groups])])
     ends = np.cumsum(sizes)[:-1]
-    sampled = np.split(others.norms(np.repeat(at, sizes)[None, :])[0], ends)
+    sampled = np.split(others._norms_at(np.repeat(at, sizes)), ends)
     reach = np.split(_LR_REL_TOL * others.final_norms(np.repeat(a, sizes)), ends)
     for (row, tied), g_rep, g, tol in zip(groups, sup, sampled, reach):
         K, alpha, final = table.K[row, 0], table.alpha[row, 0], table.final[row]
@@ -544,14 +544,16 @@ def verify_weak_obs_multi(
       within the margin of the smallest, when there are at least two.  The
       likeliest member is certified alone (the representatives of every set
       in one ``_sup_norms`` call), and each other member is sampled once,
-      at the time of the representative's best sample, in one ``norms``
-      call.  A sample bounds the sup from below, so a member whose sampled
-      slack is at least the representative's certified slack less
-      K ``_LR_REL_TOL`` ||S_{delta T} phi|| is settled with it, unsearched;
+      at the time of the representative's best sample, in one
+      ``_norms_at`` call.  A sample bounds the sup from below, so a member
+      whose sampled slack is at least the representative's certified slack
+      less K ``_LR_REL_TOL`` ||S_{delta T} phi|| is settled with it,
+      unsearched;
     - evaluate the survivors of every set together in one batched
       ``RestrictedEvolution.lr_norms`` call on their spectral coefficients,
-      set by set, each column on its own set's window and exponent:
-      estimated to ``_LR_REL_TOL`` for finite r, certified for r = inf.
+      each column on its own set's window and exponent: estimated to
+      ``_LR_REL_TOL`` for finite r, by one Simpson run per distinct window
+      on the times its columns share, and certified for r = inf.
     No pruned state can hold the minimum, so the reported minimum slack is
     the smallest of the exact eigenvector minimum (which wins a tie), the
     engine's minimum over the other states, the representative's certified

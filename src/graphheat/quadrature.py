@@ -5,14 +5,11 @@ array of times and returns one value (scalar or array) per time.  Each
 refinement wave is held as arrays, evaluated in one integrand call and
 tested in one vectorized step, which keeps Python off the hot path.
 
-The window is shared by every column, or given per column: then each
-column's panels are exactly those of its own one-column call, the
-integrand receives one time per (panel node, column) entry, and an entry
-whose column is already accepted on that panel is nan and need not be
-evaluated.  So one call integrates many windows at once.  Acceptance rests
-on the Simpson/Richardson difference, an error estimate and not a bound.
-An integrand that never converges is refused at a depth limit or, before
-its panels exhaust memory, at a budget of entries per wave.
+One call integrates one window, shared by every column of the values:
+the integrand receives one array of times per wave.  Acceptance rests on
+the Simpson/Richardson difference, an error estimate and not a bound.  An
+integrand that never converges is refused at a depth limit or, before its
+panels exhaust memory, at a budget of entries per wave.
 
 ``vector_norms`` is the package's one norm (Euclidean, or m-weighted):
 the plain root of the sum of squares wherever that sum is a normal float,
@@ -68,18 +65,21 @@ def _blocks(total: int, width: int) -> list[slice]:
 def vector_norms(x, axis: int = -1, w=None) -> np.ndarray:
     """sqrt(sum w x^2) along ``axis``, the package's one norm, for normal
     weights w > 0 that broadcast against x (1 by default).  It has the bits
-    of sqrt(add.reduce(x * x * w, axis)) wherever the sums are normal, and
-    divides only a slice whose sum is not by its largest entry (Blue's
-    scaling): 2^k x has 2^k times the norm of x, and a norm past the float
-    range reads inf, with no warning."""
+    of sqrt(add.reduce(x * x * w, axis)) wherever the sums are at least the
+    smallest normal float times the largest weight above 1 (a square that
+    underflows errs by up to 2^-1075, times its weight), and divides only a
+    slice whose sum is not by its largest entry (Blue's scaling): 2^k x has
+    2^k times the norm of x, and a norm past the float range reads inf,
+    with no warning."""
     x = np.asarray(x, dtype=float)
+    floor = _NORMAL if w is None else _NORMAL * max(1.0, float(np.max(w)))
     with np.errstate(over="ignore"):
         sums = np.add.reduce(x * x if w is None else x * x * w, axis=axis)
         norms = np.sqrt(sums)
         low = np.minimum.reduce(sums, axis=None, initial=math.inf)
-        if low >= _NORMAL and np.maximum.reduce(sums, axis=None, initial=0.0) < math.inf:
+        if low >= floor and np.maximum.reduce(sums, axis=None, initial=0.0) < math.inf:
             return norms  # a nan sum fails the check, and stays nan
-        redo = ~((sums >= _NORMAL) & (sums < math.inf))
+        redo = ~((sums >= floor) & (sums < math.inf))
         rows = np.moveaxis(x, axis, -1)[redo]
         top = np.abs(rows).max(axis=-1, initial=0.0)
         top[~((top > 0.0) & (top < math.inf))] = 1.0  # a zero or infinite slice is exact
@@ -105,32 +105,28 @@ def _pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def adaptive_simpson(
     fn: Callable[[np.ndarray], np.ndarray],
-    a: float | np.ndarray,
-    b: float | np.ndarray,
+    a: float,
+    b: float,
     *,
     rel_tol: float = 1e-10,
     max_depth: int = 40,
     norm: Callable[[np.ndarray], np.ndarray] | None = None,
 ):
-    """Integrate fn over [a, b] by adaptive Simpson with interval bisection.
+    """Integrate fn over the window [a, b] by adaptive Simpson with interval
+    bisection.
 
-    ``fn`` maps an array of times to an array of values with the time axis
-    first.  ``norm`` maps per-panel values (panel axis first) to what the
-    Simpson/Richardson test compares: by default one Euclidean norm per
+    ``fn`` maps a 1-D array of times to an array of values with the time
+    axis first.  ``norm`` maps per-panel values (panel axis first) to what
+    the Simpson/Richardson test compares: by default one Euclidean norm per
     panel, so a vector is accepted as a whole; ``np.abs`` on (times, k)
     values estimates each column to ``rel_tol`` of its own integral.
-
-    With arrays ``a`` and ``b`` of length k, column j is integrated over
-    [a[j], b[j]]: ``fn`` receives (times, k) arrays of per-entry times, nan
-    where the column is already accepted on that panel, and ``norm`` must
-    keep the column axis, as ``np.abs`` does.
     Exceeding ``max_depth``, or a wave of more than ``_CHUNK_ELEMENTS``
     (time, column) entries, raises ``QuadratureNonConvergence``.
     """
     if norm is None:
         norm = lambda v: vector_norms(v.reshape(len(v), -1))  # one norm per panel
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if not np.all(b > a):
+    a, b = float(a), float(b)
+    if not b > a:
         raise ValueError("integration window must satisfy a < b")
 
     k = _INITIAL_PANELS
@@ -151,26 +147,20 @@ def adaptive_simpson(
     # A panel is too narrow to split when hi - lo <= 1e-14 (|lo| + |hi| + 1).
     # A panel at depth d is (b - a) 2^-d wide to within a few ulps of
     # max(|a|, |b|), far below that threshold, so none can be too narrow while
-    # half the smallest window's nominal width exceeds 1e-14 (2 max(|a|, |b|)
-    # + 1); the rule is tested only from then on.  The smallest window sets
-    # that depth because its panels narrow first: the widest would set it
-    # too late and let a too-narrow panel of a small window split on.
-    narrow = 1e-14 * (2.0 * max(np.abs(a).max(), np.abs(b).max()) + 1.0)
-    smallest = float((b - a).min())
+    # half the window's nominal width exceeds 1e-14 (2 max(|a|, |b|) + 1);
+    # the rule is tested only from then on.
+    narrow = 1e-14 * (2.0 * max(abs(a), abs(b)) + 1.0)
     while True:
         tol = tol0 * 0.5**depth  # tol0 / k on the initial panels, halved per bisection
         # each panel's two children, interleaved: left[0], right[0], left[1], ...
         mid = 0.5 * (lo + hi)
         clo, chi = _pairs(lo, mid), _pairs(mid, hi)
-        ts = 0.5 * (clo + chi)
-        if ts.ndim > 1:  # per-column windows: only the open entries need values
-            ts = np.where(np.repeat(open_, 2, axis=0), ts, np.nan)
-        cfl, cfm, cfh = _pairs(flo, fmid), np.asarray(fn(ts)), _pairs(fmid, fhi)
+        cfl, cfm, cfh = _pairs(flo, fmid), np.asarray(fn(0.5 * (clo + chi))), _pairs(fmid, fhi)
         cS = _spread((chi - clo) / 6.0, nd) * (cfl + 4.0 * cfm + cfh)
         two = cS[0::2] + cS[1::2]
         delta = two - S
         ok = norm(delta) <= 15.0 * tol
-        if smallest * 0.5 ** (depth + 1) <= narrow:
+        if (b - a) * 0.5 ** (depth + 1) <= narrow:
             too_narrow = (hi - lo) <= 1e-14 * (np.abs(lo) + np.abs(hi) + 1.0)
             ok |= _spread(too_narrow, open_.ndim)
         accept = _spread(open_ & ok, nd)
@@ -181,12 +171,9 @@ def adaptive_simpson(
         if not splits:
             return total
         if depth + 1 > max_depth:
-            # the first open entry; with per-column windows, its column's panel
-            at = tuple(np.argwhere(open_)[0][: lo.ndim])
+            at = np.flatnonzero(split)[0]  # the first panel with an open entry
             raise QuadratureNonConvergence(
-                f"Simpson refinement exceeded depth {max_depth} on "
-                f"[{lo[at]:.6g}, {hi[at]:.6g}]"
-                + (f" (column {at[1]})" if lo.ndim > 1 else "")
+                f"Simpson refinement exceeded depth {max_depth} on [{lo[at]:.6g}, {hi[at]:.6g}]"
             )
         # the next wave evaluates fn twice on each of its panels' entries
         entries = 4 * splits * flo[0].size

@@ -295,13 +295,10 @@ class RestrictedEvolution:
         self.C = coefs[:, None] if coefs.ndim == 1 else coefs
 
     def norms(self, ts) -> np.ndarray:
-        """Restricted norms g(t) = ||(S_t f)|_D||, one row per row of times.
+        """Restricted norms g(t) = ||(S_t f)|_D|| at a 1-D array of times
+        shared by the batch, one row per time: shape (len(ts), batch).
 
-        ``ts`` is a 1-D array of times shared by the batch, giving shape
-        (len(ts), batch), or a (rows, batch) array with one time per entry
-        (``_entry_norms``), where a nan entry is not evaluated and gives nan.
-
-        On shared times the exponentials scale whichever factor is smaller:
+        The exponentials scale whichever factor is smaller:
         the rows of W, stacked over the block's times into one
         (times |D|) x n matrix times C, when the batch is wider than |D|,
         and otherwise the columns of C, stacked into one n x (times batch)
@@ -312,10 +309,7 @@ class RestrictedEvolution:
         scaled factor and the product together within ``_BLOCK_ELEMENTS``
         entries (one time per block when a single time needs more).
         """
-        ts = np.asarray(ts, dtype=float)
-        if ts.ndim == 2:
-            return self._entry_norms(ts)
-        ts = np.atleast_1d(ts)
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         (d, n), n_batch = self.W.shape, self.C.shape[1]
         wide = n_batch > d and 2 * d * n <= _BLOCK_ELEMENTS
         # per time, the scaled factor has d n entries (wide) or n per column,
@@ -350,32 +344,17 @@ class RestrictedEvolution:
             shape, axis = (d, times, C.shape[1]), 0
         return np.add.reduce(np.square(U, out=U).reshape(shape), axis=axis)
 
-    def _entry_norms(self, ts: np.ndarray) -> np.ndarray:
-        """g at time ts[i, j] for column j, nan where ts[i, j] is nan.
-
-        The entries are taken in time order, so each chunk needs one
-        exponential per distinct time in it.  At most four arrays of n values
-        per entry of a chunk are alive at once (the exponentials, the two
-        gathered factors and their product), and they share
-        ``_BLOCK_ELEMENTS``.
-        """
-        out = np.full(ts.shape, np.nan)
-        rows, cols = np.nonzero(~np.isnan(ts))
-        t = ts[rows, cols]
-        order = np.argsort(t, kind="stable")
-        rows, cols, t = rows[order], cols[order], t[order]
-        new = np.ones(len(t), dtype=bool)  # the first entry of each distinct time
-        new[1:] = t[1:] != t[:-1]
-        times, which = t[new], np.cumsum(new) - 1
-        n = len(self.lam)
-        chunk = max(1, _BLOCK_ELEMENTS // (4 * n))
-        for k0 in range(0, len(which), chunk):
-            sl = slice(k0, k0 + chunk)
-            first = which[k0]
-            E = decay(self.lam, times[first : which[sl][-1] + 1])
-            U = self.W @ (E[:, which[sl] - first] * self.C[:, cols[sl]])
-            out[rows[sl], cols[sl]] = np.add.reduce(np.square(U, out=U), axis=0)
-            del E, U  # freed before the next chunk allocates its own
+    def _norms_at(self, t: np.ndarray) -> np.ndarray:
+        """g at time t[j] for column j of the batch: the exponentials scale
+        the columns of C, which W multiplies, in blocks of columns that hold
+        three arrays of n values per column.  The scaled columns are formed
+        as the rows of their transpose, so W multiplies an F-ordered factor
+        whatever C's layout: BLAS may round a product by its layout."""
+        n, n_batch = self.C.shape
+        out = np.empty(n_batch)
+        for cb in _blocks(n_batch, _BLOCK_ELEMENTS // (3 * n)):
+            U = self.W @ (decay(t[cb], self.lam) * self.C[:, cb].T).T
+            out[cb] = np.add.reduce(np.square(U, out=U), axis=0)
         return np.sqrt(out)
 
     def final_norms(self, T) -> np.ndarray:
@@ -558,7 +537,7 @@ class RestrictedEvolution:
         lam_max = float(self.lam[-1])
         grids = np.array([_graded_grid(wa, wb, lam_max) for wa, wb in windows])
         ts = grids[window_of]  # (batch, _GRID_CELLS + 1)
-        best = self.norms(b[None, :])[0]
+        best = self._norms_at(b)
         at = np.array(b, dtype=float)
         tol = _LR_REL_TOL * self.final_norms(a)
         lo = ts[:, :-1].ravel()
@@ -601,11 +580,11 @@ class RestrictedEvolution:
         A scalar is one value for the batch and a 1-D array one per column;
         an (exponents, 1) r gives each column every exponent, one row each.
         The finite-r entries integrate the r-th power in one adaptive
-        Simpson call, each entry estimated to relative tolerance
-        ``_LR_REL_TOL`` of its own integral (Simpson's error estimate, not a
-        bound).  Where they share one window, the batch shares its times
-        and each column's g is evaluated once and raised to each of its
-        exponents; on separate windows each entry is evaluated on its own.
+        Simpson call per distinct window, each entry estimated to relative
+        tolerance ``_LR_REL_TOL`` of its own integral (Simpson's error
+        estimate, not a bound): a window's entries share its times, and each
+        of its columns' g is evaluated once and raised to each of its
+        exponents.  The wave budget and the depth limit hold per window.
         The r = inf entries are certified: they split the cells of their
         graded grids, up to ``_MAX_SPLIT`` ways per wave, in one run until
         each sampled maximum is within ``_LR_REL_TOL`` ||S_a f|| of its
@@ -640,23 +619,21 @@ class RestrictedEvolution:
             evolution = RestrictedEvolution(self.sd, self.d_indices, np.ldexp(self.C, -shift))
         if sup.any():
             out[sup] = evolution._columns(col[sup])._sup_norms(a[sup], b[sup])[0]
-        if fin.any():
-            col, a, b, r = col[fin], a[fin], b[fin], r[fin]
-            if np.all(a == a[0]) and np.all(b == b[0]):
-                a, b = a[0], b[0]  # one window: the batch shares its times
-                states = np.flatnonzero(np.bincount(col, minlength=n_batch))
-                col = np.searchsorted(states, col)
-            else:
-                states, col = col, np.arange(len(col))
-            part = evolution._columns(states)
-            if np.all(r == r[0]):
-                r = float(r[0])  # numpy's scalar-exponent paths: x ** 2 is x * x, x ** 0.5 sqrt
+        windows: dict[tuple[float, float], list[int]] = {}  # each finite-r window's entries
+        for i, w in zip(np.flatnonzero(fin).tolist(), zip(a[fin].tolist(), b[fin].tolist())):
+            windows.setdefault(w, []).append(i)
+        for (wa, wb), at in windows.items():
+            # the window's batch shares its times: each state is evaluated once
+            states = np.flatnonzero(np.bincount(col[at], minlength=n_batch))
+            part, which, rw = evolution._columns(states), np.searchsorted(states, col[at]), r[at]
+            if np.all(rw == rw[0]):
+                rw = float(rw[0])  # numpy's scalar-exponent paths: x ** 2 is x * x, x ** 0.5 sqrt
 
             def powers(ts: np.ndarray) -> np.ndarray:
-                return part.norms(ts)[..., col] ** r
+                return part.norms(ts)[:, which] ** rw
 
-            integrals = adaptive_simpson(powers, a, b, rel_tol=_LR_REL_TOL, norm=np.abs)
-            out[fin] = integrals ** (1.0 / r)
+            integrals = adaptive_simpson(powers, wa, wb, rel_tol=_LR_REL_TOL, norm=np.abs)
+            out[at] = integrals ** (1.0 / rw)
         if back.any():
             with np.errstate(over="ignore"):  # a norm past the float range reads inf
                 out = np.ldexp(out, back)

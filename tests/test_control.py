@@ -751,6 +751,14 @@ def test_stabilize_zero_state(k2):
     assert all(c == 0.0 for c in rep.total_costs.values())
 
 
+def _vertex_trajectory(sd, D, T, f0, eta, samples):
+    """One period's controlled states from ``_controlled_trajectory``,
+    synthesized at the vertices, one row per sample."""
+    return _controlled_trajectory(sd, D, T, f0[:, None], eta[:, None], samples)[:, :, 0] @ (
+        sd.eigenvectors.T
+    )
+
+
 def _stabilize_period_by_period(sd, D, T, alpha, num_periods, f0):
     """Each period's costs and excursion peak over its start, from one
     ``synth_control`` with costs and one single-period trajectory each."""
@@ -758,7 +766,7 @@ def _stabilize_period_by_period(sd, D, T, alpha, num_periods, f0):
     costs, ratios, f = [], [], f0
     for _ in range(num_periods):
         sig, res = synth_control(sd, D, T, f, alpha, gram=gram)
-        traj = _controlled_trajectory(sd, D, T, f[:, None], sig.eta[:, None], 65)[:, 0]
+        traj = _vertex_trajectory(sd, D, T, f, sig.eta, 65)
         ratios.append(max(m_norm(sd.graph, row) for row in traj) / m_norm(sd.graph, f))
         costs.append([res.costs[r] for r in (1.0, 2.0, math.inf)])
         f = res.final_state
@@ -986,7 +994,7 @@ def test_controlled_trajectory_endpoints(k2):
     sd = eigendecompose(k2)
     f0 = np.array([1.0, 0.0])
     sig, res = synth_control(sd, ["0"], 1.0, f0, 0.1)
-    traj = _controlled_trajectory(sd, ["0"], 1.0, f0[:, None], sig.eta[:, None], 2)[:, 0]
+    traj = _vertex_trajectory(sd, ["0"], 1.0, f0, sig.eta, 2)
     np.testing.assert_allclose(traj[0], f0, atol=1e-12)
     np.testing.assert_allclose(traj[1], res.final_state, atol=1e-10)
 
@@ -1035,7 +1043,7 @@ def test_controlled_trajectory_matches_per_time_closed_form(seed, samples):
         sig, _ = synth_control(sd, D, T, f0, float(rng.uniform(0.05, 0.95)))
     except TargetUnreachable:  # a mode invisible on D blocks the target
         return
-    traj = _controlled_trajectory(sd, D, T, f0[:, None], sig.eta[:, None], samples)[:, 0]
+    traj = _vertex_trajectory(sd, D, T, f0, sig.eta, samples)
     want = _trajectory_per_time(sd, D, f0, sig, np.linspace(0.0, T, samples))
     scale = m_norm(g, f0) + T * m_norm(g, sig.eta)
     for got_row, want_row in zip(traj, want):

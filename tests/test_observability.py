@@ -1109,34 +1109,34 @@ def test_tie_group_on_torus_16x16_is_certified_once(monkeypatch):
     """On torus-16x16 with the even vertices observed, T = 1, delta = 0 and
     r = inf, the screens leave the 128 odd-vertex deltas, tied by symmetry.
     The likeliest is certified alone, the other 127 are sampled at its best
-    time in one ``norms`` call and all settled, so no batched certification
-    runs.  The minimum lies within 2 K tol below that of certifying all
-    128, and within K tol above it."""
+    time in one ``_norms_at`` call and all settled, so no batched
+    certification runs.  The minimum lies within 2 K tol below that of
+    certifying all 128, and within K tol above it."""
     g = build_family("torus", {"p": 16, "q": 16}).graph
     sd = eigendecompose(g)
     D = parity_subset(g, "even")
     c = weak_obs_constants(g, sd, D, 1.0, 0.0, math.inf)
     every = _certify_every_survivor(sd, D, c, 1000, 5)
     sups, sampled, certified = [], [], []
-    real_sup, real_norms, real_lr = (
-        RestrictedEvolution._sup_norms, RestrictedEvolution.norms, RestrictedEvolution.lr_norms
+    real_sup, real_norms_at, real_lr = (
+        RestrictedEvolution._sup_norms, RestrictedEvolution._norms_at, RestrictedEvolution.lr_norms
     )
 
     def sup(self, a, b):
         sups.append(self.C.shape[1])
         return real_sup(self, a, b)
 
-    def norms(self, ts):
-        if np.ndim(ts) == 2 and self.C.shape[1] > 1:
+    def norms_at(self, t):
+        if self.C.shape[1] > 1:  # not the representative's first sample
             sampled.append(self.C.shape[1])
-        return real_norms(self, ts)
+        return real_norms_at(self, t)
 
     def lr(self, a, b, r):
         certified.append(self.C.shape[1])
         return real_lr(self, a, b, r)
 
     monkeypatch.setattr(RestrictedEvolution, "_sup_norms", sup)
-    monkeypatch.setattr(RestrictedEvolution, "norms", norms)
+    monkeypatch.setattr(RestrictedEvolution, "_norms_at", norms_at)
     monkeypatch.setattr(RestrictedEvolution, "lr_norms", lr)
     ver = verify_weak_obs(sd, D, c, samples=1000, seed=5)
     assert (sups, sampled, certified) == ([1], [127], [])

@@ -29,6 +29,7 @@ def test_vector_norms_in_range_keep_the_plain_sums_bits(axis, weighted):
 @given(st.integers(0, 10_000), st.integers(-1000, 1000), st.booleans())
 @example(0, -1000, False)
 @example(0, 1000, True)
+@example(0, -517, True)  # normal weighted sums of squares that underflowed
 def test_vector_norms_scale_with_their_input(seed, k, weighted):
     """2^k x has 2^k times the norm of x, for every k that keeps the norm in
     the normal range, within 1e-14 of the plain formula on x itself; with

@@ -472,7 +472,7 @@ def _bisected_sup(re, a, b, waves=None):
     windows, window_of = np.unique(np.stack([a, b], axis=1), axis=0, return_inverse=True)
     grids = np.array([_graded_grid(wa, wb, float(re.lam[-1])) for wa, wb in windows.tolist()])
     ts = grids[window_of.ravel()]
-    best = re.norms(b[None, :])[0]
+    best = re._norms_at(b)
     tol = _LR_REL_TOL * re.final_norms(a)
     lo, hi = ts[:, :-1].ravel(), ts[:, 1:].ravel()
     cols = np.repeat(np.arange(re.C.shape[1]), ts.shape[1] - 1)
@@ -813,20 +813,20 @@ def test_sup_search_returns_the_time_of_its_best_sample(monkeypatch, window):
     re = RestrictedEvolution(sd, d_idx, C)
     a, b = np.full(12, window[0]), np.full(12, window[1])
     samples = []
-    real_bounds, real_norms = RestrictedEvolution._cell_bounds, RestrictedEvolution.norms
+    real_bounds, real_norms_at = RestrictedEvolution._cell_bounds, RestrictedEvolution._norms_at
 
     def bounds(self, lo, h, cols):
         g0, ub = real_bounds(self, lo, h, cols)
         samples.extend(zip(cols.tolist(), lo.tolist(), g0.tolist()))
         return g0, ub
 
-    def norms(self, ts):
-        out = real_norms(self, ts)
-        samples.extend((j, t, v) for j, (t, v) in enumerate(zip(ts[0].tolist(), out[0].tolist())))
+    def norms_at(self, t):
+        out = real_norms_at(self, t)
+        samples.extend(zip(range(len(t)), t.tolist(), out.tolist()))
         return out
 
     monkeypatch.setattr(RestrictedEvolution, "_cell_bounds", bounds)
-    monkeypatch.setattr(RestrictedEvolution, "norms", norms)
+    monkeypatch.setattr(RestrictedEvolution, "_norms_at", norms_at)
     best, at = re._sup_norms(a, b)
     assert np.all((a <= at) & (at <= b))
     for j in range(12):
@@ -906,23 +906,6 @@ def test_quadrature_depth_exhaustion_raises():
     assert time_lr_norm(sd, np.ones(6), ["0"], (0.0, 1.0), 2) >= 0.0
 
 
-def test_quadrature_depth_exhaustion_names_the_column_panel():
-    """With one window per column, the refusal names the panel of the column
-    that does not converge, here the noisy second one."""
-    from graphheat.quadrature import adaptive_simpson
-
-    rng = np.random.default_rng(0)
-
-    def fn(ts):
-        return np.where(np.arange(2) == 1, rng.standard_normal(ts.shape), ts)
-
-    with pytest.raises(QuadratureNonConvergence, match=r"depth 3 on \[2, 2\.5\] \(column 1\)"):
-        adaptive_simpson(
-            fn, np.array([0.0, 2.0]), np.array([1.0, 6.0]), rel_tol=1e-12, max_depth=3,
-            norm=np.abs,
-        )
-
-
 def _vector_integrand(ts):
     return np.stack([1.0 / (1.0 + ts * ts), ts * ts * ts - 2.0 * ts, np.sqrt(ts + 0.01)], axis=1)
 
@@ -931,49 +914,24 @@ def _step_at_a_third(ts):
     return (ts > 1e6 + 1.0 / 3.0) * 1.0
 
 
-def _narrow_step_and_wide_bump(ts):
-    """Column 0 steps at a third of [1e6, 1e6 + 1e-6], column 1 is
-    1 / (1 + t^2) on [0, 1e3]."""
-    return np.where([True, False], (ts > 1e6 + 1e-6 / 3.0) * 1.0, 1.0 / (1.0 + ts * ts))
-
-
 def test_simpson_totals_are_pinned_bit_for_bit():
     """Adaptive Simpson totals on fixed integrands built from +, *, / and
-    sqrt alone, which IEEE arithmetic rounds the same everywhere: a shared
-    window with a vector integrand, tested as a whole and per column; one
-    window per column, where accepted entries reach the integrand as nan;
-    and a step that refines until its panel is too narrow to split, alone
-    and in a column beside a window 1e9 times wider, so the narrow column
-    is tested as its own window sets, not as the widest one would."""
+    sqrt alone, which IEEE arithmetic rounds the same everywhere: a vector
+    integrand, tested as a whole and per column, and a step that refines
+    until its panel is too narrow to split."""
     from graphheat.quadrature import adaptive_simpson
-
-    nan_seen = []
-
-    def per_column(ts):
-        nan_seen.append(bool(np.isnan(ts).any()))
-        return 1.0 / (1.0 + np.array([1.0, 4.0, 9.0]) * ts * ts) + np.sqrt(ts + 0.01)
 
     got = {
         "vector": adaptive_simpson(_vector_integrand, 0.0, 2.0),
         "vector, per column": adaptive_simpson(_vector_integrand, 0.0, 2.0, norm=np.abs),
-        "windows": adaptive_simpson(
-            per_column, np.array([0.0, 0.25, 1.0]), np.array([1.0, 2.0, 1.5]), norm=np.abs
-        ),
         "too narrow": adaptive_simpson(_step_at_a_third, 1e6, 1e6 + 1.0),
-        "too narrow, per column": adaptive_simpson(
-            _narrow_step_and_wide_bump, np.array([1e6, 0.0]), np.array([1e6 + 1e-6, 1e3]),
-            norm=np.abs,
-        ),
     }
     want = {
         "vector": ["0x1.1b6e192ebbd3fp+0", "0x0.0p+0", "0x1.e62c271043ce4p+0"],
         "vector, per column": ["0x1.1b6e192ebbd2bp+0", "0x0.0p+0", "0x1.e62c271043c97p+0"],
-        "windows": ["0x1.761fd3621e9b7p+0", "0x1.1f0994dd34a25p+1", "0x1.307a1c02b91dcp-1"],
         "too narrow": ["0x1.5555554888889p-1"],
-        "too narrow, per column": ["0x1.651eeeeeeeeefp-21", "0x1.91de2c0eb7191p+0"],
     }
     assert {k: [float(x).hex() for x in np.atleast_1d(v)] for k, v in got.items()} == want
-    assert any(nan_seen)
     # the step's panel is accepted as too narrow at depth 26, not before
     with pytest.raises(QuadratureNonConvergence) as depth:
         adaptive_simpson(_step_at_a_third, 1e6, 1e6 + 1.0, max_depth=25)
@@ -983,12 +941,12 @@ def test_simpson_totals_are_pinned_bit_for_bit():
 def test_simpson_refusals_keep_their_messages():
     from graphheat.quadrature import adaptive_simpson
 
+    def step_and_ramp(ts):  # column 0 never converges, column 1 at once
+        return np.stack([_step_at_a_third(ts), ts - 1e6], axis=1)
+
     with pytest.raises(QuadratureNonConvergence) as depth:
-        adaptive_simpson(
-            _step_at_a_third, np.array([1e6, 0.0]), np.array([1e6 + 1.0, 1.0]),
-            max_depth=20, norm=np.abs,
-        )
-    assert str(depth.value) == "Simpson refinement exceeded depth 20 on [1e+06, 1e+06] (column 0)"
+        adaptive_simpson(step_and_ramp, 1e6, 1e6 + 1.0, max_depth=20, norm=np.abs)
+    assert str(depth.value) == "Simpson refinement exceeded depth 20 on [1e+06, 1e+06]"
     rng = np.random.default_rng(0)
     with pytest.raises(QuadratureNonConvergence) as budget:
         adaptive_simpson(
@@ -1149,6 +1107,37 @@ def test_time_norms_on_mixed_windows_match_one_column_calls(seed):
         assert got[j] == pytest.approx(one, rel=1e-13, abs=0.0), (j, a[j], b[j], r[j])
 
 
+def test_finite_time_norms_take_one_simpson_run_per_distinct_window():
+    """On cycle-8, a call whose finite-r columns span three windows (and an
+    r = inf column on a fourth, which the sup search takes) makes exactly
+    one Simpson run per distinct finite-r window, each over a scalar window,
+    and every window's columns get the bits of a call on that window alone."""
+    import graphheat.spectral as spectral
+
+    sd = eigendecompose(cycle(8))
+    d_idx = np.array([0, 2, 4, 6])
+    C = sd.coefficients(np.random.default_rng(3).standard_normal((8, 7)))
+    a = np.array([0.0, 0.5, 0.0, 0.25, 0.5, 0.0, 0.1])
+    b = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 3.0])
+    r = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 1.5, math.inf])
+    runs = []
+    real = spectral.adaptive_simpson
+
+    def recorded(fn, wa, wb, **kw):
+        runs.append((wa, wb))
+        return real(fn, wa, wb, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "adaptive_simpson", recorded)
+        got = RestrictedEvolution(sd, d_idx, C).lr_norms(a, b, r)
+    assert sorted(runs) == [(0.0, 1.0), (0.25, 2.0), (0.5, 1.0)]
+    assert all(type(wa) is float and type(wb) is float for wa, wb in runs)
+    for wa, wb in runs:
+        on = (a == wa) & (b == wb) & np.isfinite(r)
+        alone = RestrictedEvolution(sd, d_idx, C[:, on]).lr_norms(wa, wb, r[on])
+        np.testing.assert_array_equal(got[on], alone)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([1, 120, 300, 2**18, 2_000_000]))
 def test_shared_time_norms_match_a_per_time_reference(seed, block_elements):
@@ -1156,7 +1145,7 @@ def test_shared_time_norms_match_a_per_time_reference(seed, block_elements):
     at most |D| wide and the rows of W when it is wider (and one time's copy
     of W fits half the block budget); both orientations, in one or several
     blocks of times and columns, give ||W (e^{-lam t} c)|| per
-    time and column, and what ``_entry_norms`` gives on the same times,
+    time and column, and what ``_norms_at`` gives at each of the times,
     including t = 0 and t = 1e308, where lam t overflows a float for every
     lam above 1.8.  They agree to 1e-13 of the size of the terms summed,
     ||abs(W) (e^{-lam t} abs(c))||, which bounds the norm and its rounding
@@ -1175,7 +1164,7 @@ def test_shared_time_norms_match_a_per_time_reference(seed, block_elements):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "_BLOCK_ELEMENTS", block_elements)
             got = re.norms(ts)
-            per_entry = re.norms(np.repeat(ts[:, None], width, axis=1))
+            per_entry = np.array([re._norms_at(np.full(width, t)) for t in ts])
         with np.errstate(over="ignore"):  # an overflowing lam t gives e^{-inf} = 0
             decays = [np.exp(-sd.eigenvalues * t)[:, None] for t in ts]
         want = np.array([np.linalg.norm(re.W @ (e * C), axis=0) for e in decays])
@@ -1306,7 +1295,7 @@ def test_eigendecompose_hands_eigh_the_bits_of_the_formula(seed, m):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([1, 50]))
 def test_blocked_products_match_one_block_to_rounding(seed, block_elements):
-    """``rate_norms``, ``l2_time_integral``, ``_entry_norms`` and
+    """``rate_norms``, ``l2_time_integral``, ``_norms_at`` and
     ``_cell_bounds`` multiply matrices a block at a time, whose products
     may round differently: against one block they agree to 1e-13 of the
     size of the terms summed."""
@@ -1318,7 +1307,7 @@ def test_blocked_products_match_one_block_to_rounding(seed, block_elements):
     for width in (1, 3, 12):
         C = rng.standard_normal((g.n, width))
         re = RestrictedEvolution(sd, d_idx, C)
-        entry_ts = np.where(rng.uniform(size=(len(ts), width)) < 0.2, np.nan, ts[:, None])
+        at = ts[rng.integers(len(ts), size=width)]  # one time per column
         lo = rng.uniform(0.0, 2.0, size=4 * width)
         h = rng.uniform(0.0, 0.5, size=4 * width)
         cols = np.repeat(np.arange(width), 4)
@@ -1327,7 +1316,7 @@ def test_blocked_products_match_one_block_to_rounding(seed, block_elements):
             return (
                 re.rate_norms(ts),
                 re.l2_time_integral(0.25, 1.5),
-                re.norms(entry_ts),
+                re._norms_at(at),
                 *re._cell_bounds(lo, h, cols),
             )
 
@@ -1338,16 +1327,13 @@ def test_blocked_products_match_one_block_to_rounding(seed, block_elements):
             blocked = evaluate()
         aW = np.abs(re.W)
         M = np.abs(_gramian_kernel(sd, d_idx, 0.25, 1.25))
-        entry_size = np.full(entry_ts.shape, np.nan)
-        for (i, j), t in np.ndenumerate(entry_ts):
-            if not np.isnan(t):
-                entry_size[i, j] = np.linalg.norm(aW @ (decay(sd.eigenvalues, t) * np.abs(C[:, j])))
+        at_size = np.linalg.norm(aW @ (decay(sd.eigenvalues, at) * np.abs(C)), axis=0)
         X = np.abs(decay(sd.eigenvalues, lo) * C[:, cols])
         cell_size = np.linalg.norm(aW @ X, axis=0)
         sizes = (
             whole[0],
             np.sum(np.abs(C) * (M @ np.abs(C)), axis=0),
-            entry_size,
+            at_size,
             cell_size,
             cell_size + whole[4],
         )
