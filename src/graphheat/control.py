@@ -61,15 +61,19 @@ class Gramian:
     ``matrix`` is the representation in the m-orthonormal eigenbasis, so it
     is an ordinary symmetric PSD matrix acting on spectral coefficients.
     Eigenvalues below the null clamp are stored as exact zeros; they span
-    the numerically unreachable subspace.
+    the numerically unreachable subspace.  Its arrays are read-only: the
+    decomposition keeps it, and every caller of one (D, T) reads them.
     """
 
-    sd: SpectralDecomposition
     D: tuple[str, ...]
     T: float
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.matrix, self.eigenvalues, self.eigenvectors):
+            a.setflags(write=False)
 
     @property
     def nonsingular(self) -> bool:
@@ -80,12 +84,18 @@ class Gramian:
 def gramian(sd: SpectralDecomposition, D: Sequence[str], T: float) -> Gramian:
     """Closed-form Gramian in the eigenbasis: the restricted Gramian kernel
     over [0, T], symmetrized, with its eigenvalues below the null clamp set
-    to zero."""
-    mat = _gramian_kernel(sd, _control_indices(sd, D, T), 0.0, T)
-    mat = 0.5 * (mat + mat.T)
-    mu, P = np.linalg.eigh(mat)
-    mu = np.where(mu <= _NULL_CLAMP_REL * max(float(mu[-1]), 0.0), 0.0, mu)
-    return Gramian(sd, tuple(D), float(T), mat, mu, P)
+    to zero.  ``sd`` keeps the one it built last, so the syntheses and
+    observability constants of one (D, T) share one Gramian; a call with
+    another (D, T) builds its own and replaces it."""
+    Q = sd._gramian
+    if Q is None or Q.D != tuple(D) or Q.T != float(T):
+        mat = _gramian_kernel(sd, _control_indices(sd, D, T), 0.0, T)
+        mat = 0.5 * (mat + mat.T)
+        mu, P = np.linalg.eigh(mat)
+        mu = np.where(mu <= _NULL_CLAMP_REL * max(float(mu[-1]), 0.0), 0.0, mu)
+        Q = Gramian(tuple(D), float(T), mat, mu, P)
+        object.__setattr__(sd, "_gramian", Q)  # sd is frozen; the slot is its cache
+    return Q
 
 
 def _control_indices(sd: SpectralDecomposition, D: Sequence[str], T: float) -> np.ndarray:
@@ -97,26 +107,6 @@ def _control_indices(sd: SpectralDecomposition, D: Sequence[str], T: float) -> n
     if len(d_idx) == 0:
         raise EmptySubset("Gramian needs a nonempty control set")
     return d_idx
-
-
-def _gramian_of(
-    sd: SpectralDecomposition, D: Sequence[str], T: float, gram: Gramian | None
-) -> Gramian:
-    """The Gramian of (sd, D, T): ``gram`` when one is supplied, which must
-    match them, and otherwise a new one."""
-    if gram is None:
-        return gramian(sd, D, T)
-    _check_gramian(gram, sd, D, T)
-    return gram
-
-
-def _check_gramian(gram: Gramian, sd: SpectralDecomposition, D: Sequence[str], T: float) -> None:
-    """A supplied Gramian must be built on this very decomposition, for
-    (D, T): its matrix acts on that decomposition's coefficients."""
-    if gram.sd is not sd:
-        raise ValidationError("supplied Gramian belongs to another decomposition")
-    if gram.D != tuple(D) or gram.T != float(T):
-        raise ValidationError("supplied Gramian does not match (D, T)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,17 +176,16 @@ def synth_control(
     f0,
     alpha_target: float,
     *,
-    gram: Gramian | None = None,
     cost_exponents: Sequence[float] = COST_EXPONENTS,
 ) -> tuple[ControlSignal, ControlResult]:
     """Minimal-energy control driving ||f(T)|| to min(alpha ||f0||, ||S_T f0||).
 
     Where alpha_target > 0 and ||S_T f0|| already meets the target, the
-    control is zero (nu = 0, energy 0) and no Gramian is built; a supplied
-    ``gram`` is still checked against (sd, D, T).  Raises ``TargetUnreachable``
-    when the target norm lies below the invariant floor spanned by Gramian
-    null modes (or, for alpha_target = 0, when the Gramian is numerically
-    singular).
+    control is zero (nu = 0, energy 0) and no Gramian is built; otherwise
+    it reads the Gramian of (D, T) that ``gramian`` keeps on ``sd``.  Raises
+    ``TargetUnreachable`` when the target norm lies below the invariant
+    floor spanned by Gramian null modes (or, for alpha_target = 0, when the
+    Gramian is numerically singular).
     """
     if alpha_target < 0:
         raise ValidationError("alpha_target must be nonnegative")
@@ -206,8 +195,6 @@ def synth_control(
         raise ValidationError("synthesis needs a nonzero initial state")
     if norm_f0 == math.inf:
         raise ValidationError("the initial state's m-norm is beyond the float range")
-    if gram is not None:
-        _check_gramian(gram, sd, D, T)
     d_idx = _control_indices(sd, D, T)  # what ``gramian`` would refuse
 
     c0 = sd.coefficients(f0)
@@ -224,7 +211,7 @@ def synth_control(
         )
         return ControlSignal(tuple(D), float(T), eta=np.zeros(sd.n)), result
 
-    Q = gramian(sd, D, T) if gram is None else gram
+    Q = gramian(sd, D, T)
     mu, P = Q.eigenvalues, Q.eigenvectors
     beta = P.T @ sT
     # The search runs on beta and the target over 2^e, ||f0|| in
@@ -537,10 +524,10 @@ def stabilize(
         raise ValidationError("need at least one period")
     f = _real(f0, "initial state")
     norms = [sd.norm(f)]
-    gram = gramian(sd, D, T)
+    d_idx = _control_indices(sd, D, T)  # refused as the syntheses would, also for f0 = 0
     starts, etas = [], []
     while len(starts) < num_periods and norms[-1] > 0.0:
-        signal, res = synth_control(sd, D, T, f, alpha, gram=gram, cost_exponents=())
+        signal, res = synth_control(sd, D, T, f, alpha, cost_exponents=())
         starts.append(f)
         etas.append(signal.eta)
         f = res.final_state
@@ -553,7 +540,7 @@ def stabilize(
     intra_ratio = 1.0
     if live:
         eta = np.stack(etas, axis=1)
-        re = RestrictedEvolution(sd, sd.graph.subset_indices(D), sd.coefficients(eta))
+        re = RestrictedEvolution(sd, d_idx, sd.coefficients(eta))
         costs[:live] = re.lr_norms(0.0, T, np.array(COST_EXPONENTS)[:, None]).T
         # each period's trajectory over 2^e, its starting norm in
         # [2^(e-1), 2^e): exact, and of order one however large f0 is

@@ -11,10 +11,12 @@ of constant sets by states: closed-form and then grid bounds on each
 state's time norm exclude every state that cannot hold the minimum slack,
 and only the rest go through the time-norm engine, in one batched call;
 at r = inf, states that tie by symmetry are certified once for the whole
-tie group.  The reported minimum is the smallest of the eigenvectors'
-exact minimum and the engine's minimum over the other states (estimated
-to 1e-10 for finite r, a proven lower bound for r = inf).  The constant
-sets of one window share one grid, of the union of their states.
+tie group.  Each constant set keeps one slack row over the battery, in
+label order: the eigenvectors' exact slacks, then the settled or
+certified slack of every other state (estimated to 1e-10 for finite r, a
+proven lower bound for r = inf), +inf where a state was pruned.  The
+reported minimum is the row's smallest entry, a nan one included.  The
+constant sets of one window share one grid, of the union of their states.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .control import Gramian, _gramian_of
+from .control import gramian
 from .errors import EmptySubset, FullSubset, NotRelativelyDense, ValidationError
 from .graph import (
     MetricKind,
@@ -128,10 +130,14 @@ def up_paper_bound(
     bound 42 vol(Inr(Omega)) / inf m needs the stricter energy condition
     sup I <= inf m / (42 Inr(Omega) vol(Inr(Omega))^2).
     """
-    return _up_report(g, sd, sup_I, _up_geometry(g, D), up_sharp_constant(sd, D, sup_I))
+    return _up_report(g, sd, sup_I, _up_geometry(g, sd, D), up_sharp_constant(sd, D, sup_I))
 
 
-def _up_geometry(g: WeightedGraph, D: Sequence[str]) -> tuple[float, float]:
+def _up_geometry(
+    g: WeightedGraph, sd: SpectralDecomposition, D: Sequence[str]
+) -> tuple[float, float]:
+    if g is not sd.graph:
+        raise ValidationError("decomposition does not belong to the given graph")
     if len(D) == 0:
         raise EmptySubset("uncertainty bounds need a nonempty subset")
     if set(D) >= set(g.vertex_ids):
@@ -186,7 +192,7 @@ def up_sweep(
     modes than D has vertices (the D-block has rank <= |D|, so mu_min = 0),
     and on every row after the first +inf: by Cauchy interlacing mu_min
     does not rise as the cutoff keeps more modes."""
-    geometry = _up_geometry(g, D)
+    geometry = _up_geometry(g, sd, D)
     n_d = len(g.subset_indices(D))
     groups = sd.eigenvalue_groups
     reports = []
@@ -233,6 +239,8 @@ def weak_obs_constants(
     For D = X the estimate degenerates to K = 1/((1-delta) T)^{1/r} and
     alpha = 0 (pure contraction), with lam = inf and kappa = 0 by convention.
     """
+    if g is not sd.graph:
+        raise ValidationError("decomposition does not belong to the given graph")
     if len(D) == 0:
         raise EmptySubset("observability needs a nonempty observation set")
     if not 0.0 < T < math.inf:
@@ -425,24 +433,21 @@ class _ScreenTable:
     """Bound-and-prune state of the constant sets (rows, with their K,
     alpha, window (a, b), r and ||S_T phi|| per column, ``final``) over the
     states that are not eigenvectors (columns): bounds
-    lo <= ||g||_{L_r} <= hi per entry, ``live`` marking the states still
-    standing, and ``settled``, the (rows, columns, slack lower bounds) of
-    each settled tie group.  The smallest exact eigenvector slack of a row,
-    ``best`` (held by eigenvector ``best_at``), is an upper bound on its
-    minimum from the start.  Only lo is tightened in place: hi is not read
-    after the last prune."""
+    lo <= ||g||_{L_r} <= hi per entry and ``live`` marking the states still
+    standing.  The smallest exact eigenvector slack of a row, ``best``, is
+    an upper bound on its minimum from the start.  Only lo is tightened in
+    place: hi is not read after the last prune, and from then on holds each
+    state's slack, +inf until the state is settled or certified."""
 
     def __init__(self, K, alpha, a, b, r, final, exact, lo, hi) -> None:
         self.K, self.alpha, self.a, self.b, self.r = K[:, None], alpha[:, None], a, b, r
         self.final, self.base, self.lo, self.hi = final, self.alpha - final, lo, hi
-        self.best_at = np.argmin(exact, axis=1)
-        self.best = exact[np.arange(len(exact)), self.best_at]
+        self.best = exact.min(axis=1)
         self.margin = (
             _RECHECK_MARGIN_REL * (K + alpha + 1.0) + 2.0 * _LR_REL_TOL * K * hi.max(axis=1)
         )[:, None]
         every = np.ones(lo.shape, dtype=bool)
         self.live = _kept(self.K, lo, hi, self.base, every, self.best, self.margin)
-        self.settled: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def tighten(self, rows: np.ndarray, cols: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
         """Tighten the bounds of ``rows`` x ``cols``, which hold every live
@@ -484,7 +489,8 @@ def _settle_tie_groups(
     member's slack from below; one ``_norms_at`` call samples them all.  A
     member whose sampled slack is within K ``_LR_REL_TOL`` ||S_a phi|| of
     the representative's certified slack, or above it, is settled with its
-    sampled slack, and so is the representative; the rest stay screened.
+    sampled slack, and so is the representative, each slack written to its
+    entry of ``table.hi``; the rest stay screened.
     """
     groups = table.tie_groups()
     if not groups:
@@ -505,7 +511,7 @@ def _settle_tie_groups(
         drop = slack >= rep_slack - K * tol
         settled = np.concatenate(([tied[0]], tied[1:][drop]))
         table.live[row, settled] = False
-        table.settled.append((np.full(len(settled), row), settled, np.append(rep_slack, slack[drop])))
+        table.hi[row, settled] = np.append(rep_slack, slack[drop])
 
 
 def verify_weak_obs_multi(
@@ -554,13 +560,14 @@ def verify_weak_obs_multi(
       each column on its own set's window and exponent: estimated to
       ``_LR_REL_TOL`` for finite r, by one Simpson run per distinct window
       on the times its columns share, and certified for r = inf.
-    No pruned state can hold the minimum, so the reported minimum slack is
-    the smallest of the exact eigenvector minimum (which wins a tie), the
-    engine's minimum over the other states, the representative's certified
-    slack and the settled members' sampled slacks; a tie among the others
-    goes to the first certified state, then the first settled one.  For
-    r = inf each of these is a lower bound on its state's slack, so the
-    minimum is a lower bound on the battery's; it lies within K tol of it
+    Each set's slacks form one row in battery-label order: the exact
+    eigenvector slacks, then each other state's certified or settled slack,
+    +inf where it was pruned (the row shares its storage with the exact
+    slacks and hi).  No pruned state can hold the minimum, so the reported
+    minimum slack is the row's smallest entry, a nan one included, and its
+    label the first state in battery order that holds it.  For r = inf
+    each entry is a lower bound on its state's slack, so the minimum is a
+    lower bound on the battery's; it lies within K tol of it
     where no tie group forms and within 2 K tol where one does,
     tol = ``_LR_REL_TOL`` max ||S_{delta T} phi|| (a settled member's
     sampled slack is within K tol of the representative's certified one,
@@ -584,14 +591,16 @@ def verify_weak_obs_multi(
     sup = np.zeros(len(windows), dtype=bool)
     sup[window[np.isinf(r)]] = True
     terms = _window_terms(re, list(windows), final_norms, sup.tolist())
-    lo, hi = np.empty((2, len(r), C.shape[1]))
+    slacks = np.empty((len(r), n + C.shape[1]))  # each set's slack row, by label
+    exact, hi = slacks[:, :n], slacks[:, n:]
+    lo = np.empty_like(hi)
     for i, (w, r_i) in enumerate(zip(window.tolist(), r.tolist())):
         lo[i], hi[i] = _closed_form_bounds(terms[w], r_i)
-    exact = np.empty((len(r), n))
     for r_i in dict.fromkeys(r.tolist()):  # a scalar exponent, as each set's own would be
         rows = r == r_i
         exact[rows] = seen * _mode_lr_norms(lam, a[rows], b[rows], r_i).T
-    exact = K[:, None] * exact + (alpha[:, None] - decay(lam, b).T)
+    exact *= K[:, None]
+    exact += alpha[:, None] - decay(lam, b).T
     final = np.array([final_norms(T) for T in b.tolist()])
     table = _ScreenTable(K, alpha, a, b, r, final, exact, lo, hi)
 
@@ -606,30 +615,16 @@ def verify_weak_obs_multi(
             glo, ghi = _grid_bounds(RestrictedEvolution(sd, d_idx, C[:, union]), wa, wb, exponents)
             at = np.searchsorted(exponents, r[rows])
             table.tighten(rows, union, glo[at], ghi[at])
+    hi.fill(np.inf)  # the last prune is done: hi takes the slacks found from here on
     _settle_tie_groups(sd, d_idx, C, table)
 
     # one certification for the survivors of every set, each on its own window
     rows, cols = np.nonzero(table.live)
-    certified = np.empty(0)
     if len(rows):
-        batch = RestrictedEvolution(sd, d_idx, C[:, cols])
-        certified = batch.lr_norms(a[rows], b[rows], r[rows])
-    slack = K[rows] * certified + alpha[rows] - final[rows, cols]
-    found = [(rows, cols, slack)] + table.settled
-    rows, cols, slack = (np.concatenate(v) for v in zip(*found))
-    order = np.argsort(rows, kind="stable")  # each set's certified states, then its settled ones
-    rows, cols, slack = rows[order], cols[order], slack[order]
-    low, worst = table.best.copy(), table.best_at.copy()
-    if len(rows):
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))  # each set's first entry
-        least = np.minimum.reduceat(slack, starts)
-        of = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(rows)))
-        hits = np.flatnonzero((slack == least[of]) | np.isnan(slack))
-        first = hits[np.unique(of[hits], return_index=True)[1]]  # np.argmin per set
-        owner = rows[starts]
-        take = ~(table.best[owner] <= least)  # a nan slack is reported
-        low[owner[take]] = least[take]
-        worst[owner[take]] = n + cols[first[take]]
+        certified = RestrictedEvolution(sd, d_idx, C[:, cols]).lr_norms(a[rows], b[rows], r[rows])
+        hi[rows, cols] = K[rows] * certified + alpha[rows] - final[rows, cols]
+    worst = np.argmin(slacks, axis=1)  # the first nan, where a row has one
+    low = slacks[np.arange(len(slacks)), worst]
     return [
         WeakObsVerification(constants=c, min_slack=m, worst_label=labels[w], n_inputs=len(labels))
         for c, m, w in zip(constants_list, low.tolist(), worst.tolist())
@@ -647,21 +642,19 @@ def verify_weak_obs(
     return verify_weak_obs_multi(sd, D, [constants], samples, seed)[0]
 
 
-def exact_obs_constant(
-    sd: SpectralDecomposition, D: Sequence[str], T: float, *, gram: Gramian | None = None
-) -> float:
+def exact_obs_constant(sd: SpectralDecomposition, D: Sequence[str], T: float) -> float:
     """Smallest C with ||S_T phi||^2 <= C^2 int_0^T ||(S_t phi)|_D||^2 dt.
 
     Square root of the largest generalized eigenvalue of (S_T^* S_T, G)
-    where G is the observability Gramian (``gram`` when supplied, as for
-    ``synth_control``); +inf exactly when G is not ``Gramian.nonsingular``,
-    the rank decision ``synth_control`` uses to refuse null control (S_T is
-    injective on a finite graph, so any null direction of G defeats every
-    finite constant).
+    where G is the observability Gramian, the one ``gramian`` keeps on
+    ``sd`` for ``synth_control`` too; +inf exactly when G is not
+    ``Gramian.nonsingular``, the rank decision ``synth_control`` uses to
+    refuse null control (S_T is injective on a finite graph, so any null
+    direction of G defeats every finite constant).
     """
     if T <= 0:
         raise ValidationError(f"final time must be positive, got {T}")
-    Q = _gramian_of(sd, D, T, gram)
+    Q = gramian(sd, D, T)
     if not Q.nonsingular:
         return math.inf
     A = np.diag(decay(2.0 * sd.eigenvalues, T))

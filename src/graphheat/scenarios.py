@@ -23,7 +23,6 @@ import numpy as np
 from . import observability as obs
 from . import stochastic as sto
 from .control import (
-    gramian,
     hautus_obstruction,
     mode_invariance_trials,
     stabilize,
@@ -434,10 +433,7 @@ def _task_non_null(g, D, seed, *, T, n_random) -> TaskReport:
         raise ValidationError("'n_random' must be at least 1, got 0")
     sd = eigendecompose(g)
     obstructions = hautus_obstruction(sd, D)
-    # one Gramian for the constant and the synthesis; a T <= 0 is refused
-    # by exact_obs_constant, in its own words, before any Gramian is built
-    gram = gramian(sd, D, T) if T > 0 else None
-    c_exact = obs.exact_obs_constant(sd, D, T, gram=gram)
+    c_exact = obs.exact_obs_constant(sd, D, T)
     report = TaskReport(
         "non-null",
         {
@@ -485,7 +481,7 @@ def _task_non_null(g, D, seed, *, T, n_random) -> TaskReport:
     floor = math.exp(-lam0 * T) * abs(sd.inner(f0, phi))
     target = 0.5 * floor
     try:
-        synth_control(sd, D, T, f0, target, gram=gram)
+        synth_control(sd, D, T, f0, target)
         unreachable = False
     except TargetUnreachable:
         unreachable = True

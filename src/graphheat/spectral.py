@@ -15,7 +15,7 @@ groups, and their stacks by size, are formed once per decomposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -73,6 +73,8 @@ class SpectralDecomposition:
     graph: WeightedGraph
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, ordered like eigenvalues
+    # the Gramian that ``control.gramian`` built last on this decomposition
+    _gramian: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.eigenvalues.setflags(write=False)

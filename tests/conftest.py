@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from graphheat.covering import build_cyclic_cover
 from graphheat.families import build_family
 from graphheat.graph import MetricKind, WeightedGraph, _dist_to_set, build_graph, covering_radius
 from graphheat.spectral import eigendecompose
+
+# Every run draws the same examples, so two checkouts are tested on one set
+# of inputs and a failing draw shows on every run, not only on some.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 def cycle(n, m=1.0, b=1.0):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from graphheat.control import (
-    gramian,
     hautus_obstruction,
     mode_invariance_trials,
     stabilize,
@@ -121,7 +120,6 @@ def test_criterion_3_duality_controllability(corpus, corpus_constants):
     worst_resim = 0.0
     min_alpha = math.inf
     active = 0
-    gram_cache = {}
     for idx, item in enumerate(corpus):
         sd, D = item.sd, item.D
         norm = lambda f: m_norm(item.graph, f)
@@ -135,9 +133,6 @@ def test_criterion_3_duality_controllability(corpus, corpus_constants):
                         if math.isinf(r_obs)
                         else (math.inf if r_obs == 1.0 else 2.0)
                     )
-                    key = (idx, T)
-                    if key not in gram_cache:
-                        gram_cache[key] = gramian(sd, D, T)
                     f0 = rng.standard_normal(sd.n)
                     f0 /= norm(f0)
                     signal, res = synth_control(
@@ -146,7 +141,6 @@ def test_criterion_3_duality_controllability(corpus, corpus_constants):
                         T,
                         f0,
                         const.alpha,
-                        gram=gram_cache[key],
                         cost_exponents=(r_ctl,),
                     )
                     active += res.nu > 0

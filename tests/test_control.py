@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -159,8 +161,7 @@ def test_synth_free_decay_suffices(k2):
 def test_synth_free_decay_builds_no_gramian(k2, monkeypatch):
     """Where ||S_T f0|| already meets alpha ||f0|| the control is zero, with
     nu = 0, energy 0 and zero costs, and no Gramian is built.  T and D are
-    validated as the Gramian validates them, and a supplied Gramian must
-    still match (D, T)."""
+    validated as the Gramian validates them."""
     sd = eigendecompose(k2)
     f0 = np.array([1.0, 0.0])
     built = []
@@ -172,8 +173,6 @@ def test_synth_free_decay_builds_no_gramian(k2, monkeypatch):
     free = semigroup_apply(sd, 1.0, f0)
     np.testing.assert_allclose(res.final_state, free, rtol=1e-15, atol=0.0)
     assert res.achieved_alpha == pytest.approx(m_norm(k2, free), rel=1e-15)
-    with pytest.raises(ValidationError, match="does not match"):
-        synth_control(sd, ["0"], 1.0, f0, 601.0, gram=real(sd, ["0"], 2.0))
     with pytest.raises(ValidationError, match="horizon must be positive"):
         synth_control(sd, ["0"], 0.0, f0, 601.0)
     with pytest.raises(EmptySubset):
@@ -181,25 +180,67 @@ def test_synth_free_decay_builds_no_gramian(k2, monkeypatch):
     assert built == []
 
 
-def test_a_gramian_of_another_decomposition_is_refused():
+def test_each_decomposition_synthesizes_with_its_own_gramian():
     """A Gramian acts on the coefficients of the decomposition it was built
-    on.  One of cycle-8 with b = 1, supplied on cycle-8 with b = 5 (even D,
+    on.  One of cycle-8 with b = 1, read on cycle-8 with b = 5 (even D,
     T = 1, f0 = 1), once led the synthesis to nu = 820 instead of 425 with no
-    error; the synthesis and the exact observability constant now refuse
-    it, as they refuse one built for another (D, T)."""
+    error; each decomposition now keeps its own, so a Gramian built on the
+    other one first changes nothing."""
     g1 = build_family("cycle", {"n": 8}).graph
     g5 = build_family("cycle", {"n": 8, "b": 5.0}).graph
     sd1, sd5 = eigendecompose(g1), eigendecompose(g5)
     D = even_ids(g5)
-    foreign = gramian(sd1, D, 1.0)
-    with pytest.raises(ValidationError, match="another decomposition"):
-        synth_control(sd5, D, 1.0, np.ones(8), 0.01, gram=foreign)
-    with pytest.raises(ValidationError, match="another decomposition"):
-        exact_obs_constant(sd5, D, 1.0, gram=foreign)
-    own = gramian(sd5, D, 1.0)
-    _, res = synth_control(sd5, D, 1.0, np.ones(8), 0.01, gram=own)
-    assert res.nu == synth_control(sd5, D, 1.0, np.ones(8), 0.01)[1].nu
-    assert exact_obs_constant(sd5, D, 1.0, gram=own) == exact_obs_constant(sd5, D, 1.0)
+    gramian(sd1, D, 1.0)
+    _, res = synth_control(sd5, D, 1.0, np.ones(8), 0.01)
+    assert res.nu == pytest.approx(425.4166802763939, rel=1e-9)
+    assert res.nu == synth_control(eigendecompose(g5), D, 1.0, np.ones(8), 0.01)[1].nu
+    nu_1 = synth_control(sd1, D, 1.0, np.ones(8), 0.01)[1].nu
+    assert nu_1 == pytest.approx(819.581297814846, rel=1e-9)
+
+
+def test_one_gramian_serves_every_call_of_one_decomposition_and_horizon(monkeypatch):
+    """``gramian`` keeps the Gramian it built last on the decomposition:
+    two syntheses of one (D, T) build one, and so do an exact observability
+    constant and a synthesis, which read the bits of a fresh build.  A
+    sweep over 50 horizons keeps only the last one, with read-only arrays."""
+    g = random_connected_graph(np.random.default_rng(4), 12)
+    sd = eigendecompose(g)
+    D, f0 = list(g.vertex_ids[:5]), np.random.default_rng(1).standard_normal(12)
+    fresh = exact_obs_constant(eigendecompose(g), D, 0.7)
+    built, real = [], graphheat.control.Gramian  # the (D, T) of each Gramian built
+    monkeypatch.setattr(graphheat.control, "Gramian", lambda *a: built.append(a[:2]) or real(*a))
+    first = synth_control(sd, D, 1.0, f0, 0.01)[1]
+    second = synth_control(sd, D, 1.0, f0, 0.01)[1]
+    assert len(built) == 1 and first.nu == second.nu
+    c_exact = exact_obs_constant(sd, D, 0.7)
+    synth_control(sd, D, 0.7, f0, 0.01)
+    assert built == [(tuple(D), 1.0), (tuple(D), 0.7)]
+    assert c_exact == fresh
+    for T in np.linspace(0.1, 5.0, 50):
+        synth_control(sd, D, T, f0, 0.01, cost_exponents=())
+    Q = gramian(sd, D, 5.0)
+    assert len(built) == 52 and sd._gramian is Q and Q.T == 5.0
+    for a in (Q.matrix, Q.eigenvalues, Q.eigenvectors):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_a_decomposition_with_a_gramian_is_freed_without_the_cyclic_collector():
+    """The decomposition's Gramian refers to no decomposition, so keeping
+    it forms no reference cycle: with the cyclic collector off, the
+    decomposition goes with its last reference."""
+    sd = eigendecompose(random_connected_graph(np.random.default_rng(2), 10))
+    synth_control(sd, ["0", "3"], 1.0, np.ones(10), 0.01)
+    assert sd._gramian is not None
+    gone = weakref.ref(sd)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del sd
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_synth_k2_hits_target(k2):
@@ -309,10 +350,10 @@ def test_synth_control_follows_the_plain_multiplier_search_bit_for_bit(seed):
         nu = _plain_multiplier_search(beta, mu, target, norm_f0)
     except TargetUnreachable as exc:
         with pytest.raises(TargetUnreachable) as got:
-            synth_control(sd, D, T, f0, alpha, gram=Q, cost_exponents=())
+            synth_control(sd, D, T, f0, alpha, cost_exponents=())
         assert str(got.value) == str(exc)
         return
-    _signal, res = synth_control(sd, D, T, f0, alpha, gram=Q, cost_exponents=())
+    _signal, res = synth_control(sd, D, T, f0, alpha, cost_exponents=())
     scale = beta / (1.0 + nu * mu)
     eta_hat, fT_hat = P @ (-nu * scale), P @ scale
     assert res.nu.hex() == nu.hex()
@@ -320,7 +361,7 @@ def test_synth_control_follows_the_plain_multiplier_search_bit_for_bit(seed):
     assert res.energy.hex() == float(np.sum(mu * (P.T @ eta_hat) ** 2)).hex()
 
 
-def test_synth_control_refusal_texts_match_the_plain_search(c4):
+def test_synth_control_refusal_texts_match_the_plain_search(c4, monkeypatch):
     """Below the floor of the modes that vanish on D the target is
     unreachable; a Gramian whose eigenvalues are nan makes every h(nu) nan,
     so the search runs out and stalls.  Both refusals keep their texts."""
@@ -333,7 +374,7 @@ def test_synth_control_refusal_texts_match_the_plain_search(c4):
     with pytest.raises(TargetUnreachable) as want:
         _plain_multiplier_search(beta, Q.eigenvalues, alpha * sd.norm(phi), sd.norm(phi))
     with pytest.raises(TargetUnreachable) as got:
-        synth_control(sd, D, 1.0, phi, alpha, gram=Q)
+        synth_control(sd, D, 1.0, phi, alpha)
     assert str(got.value) == str(want.value)
 
     nan_gram = dataclasses.replace(Q, eigenvalues=np.full(4, math.nan))
@@ -341,8 +382,9 @@ def test_synth_control_refusal_texts_match_the_plain_search(c4):
     beta = Q.eigenvectors.T @ (graphheat.spectral.decay(sd.eigenvalues, 1.0) * sd.coefficients(f0))
     with pytest.raises(BisectionNonConvergence) as want:
         _plain_multiplier_search(beta, nan_gram.eigenvalues, 0.01 * sd.norm(f0), sd.norm(f0))
+    monkeypatch.setattr(graphheat.control, "gramian", lambda *a: nan_gram)
     with pytest.raises(BisectionNonConvergence) as got:
-        synth_control(sd, D, 1.0, f0, 0.01, gram=nan_gram)
+        synth_control(sd, D, 1.0, f0, 0.01)
     assert str(got.value) == str(want.value)
     assert "||f(T)||=nan" in str(got.value)
 
@@ -762,10 +804,9 @@ def _vertex_trajectory(sd, D, T, f0, eta, samples):
 def _stabilize_period_by_period(sd, D, T, alpha, num_periods, f0):
     """Each period's costs and excursion peak over its start, from one
     ``synth_control`` with costs and one single-period trajectory each."""
-    gram = gramian(sd, D, T)
     costs, ratios, f = [], [], f0
     for _ in range(num_periods):
-        sig, res = synth_control(sd, D, T, f, alpha, gram=gram)
+        sig, res = synth_control(sd, D, T, f, alpha)
         traj = _vertex_trajectory(sd, D, T, f, sig.eta, 65)
         ratios.append(max(m_norm(sd.graph, row) for row in traj) / m_norm(sd.graph, f))
         costs.append([res.costs[r] for r in (1.0, 2.0, math.inf)])

@@ -242,17 +242,15 @@ def test_non_null_builds_one_gramian(tmp_path, monkeypatch):
     """The exact constant and the below-floor synthesis of ``non-null`` read
     one Gramian, built once."""
     import graphheat.control
-    import graphheat.scenarios
 
     built = []
-    real = graphheat.control.gramian
+    real = graphheat.control.Gramian
 
     def counted(*args):
         built.append(args)
         return real(*args)
 
-    monkeypatch.setattr(graphheat.control, "gramian", counted)
-    monkeypatch.setattr(graphheat.scenarios, "gramian", counted)
+    monkeypatch.setattr(graphheat.control, "Gramian", counted)
     sc = Scenario(
         graph={"family": "cycle", "n": 8},
         task="non-null",
