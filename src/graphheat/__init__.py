@@ -6,7 +6,18 @@ explicit constants, Gramian-based minimal-energy control synthesis with
 certified contraction targets, eigenfunction obstructions to exact null
 control, two-sided necessity bounds, and Monte Carlo cross-validation
 through the associated continuous-time random walk.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS`` to 1 where they are unset, before numpy is
+imported, so a run writes the same bytes on any number of cores: BLAS
+rounds a product by how it splits the work.  A count set in the
+environment is kept, and numpy imported before graphheat keeps its own.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .covering import (
     CoveringMap,

@@ -8,8 +8,8 @@ one-parameter family f(T) = (I + nu Q_T)^{-1} S_T f0 with the multiplier nu
 found by monotone bisection.  Verification evaluates Duhamel's formula
 apart from the Gramian algebra, by adaptive Simpson; it returns the final
 state only.  The mode-invariance check of an obstruction drives random
-controls linear between knots instead, whose Duhamel integral is exact per
-segment.
+controls constant on equal segments instead, whose Duhamel integral is
+exact per segment.
 Cost norms are certified time norms of the closed-form control: one
 engine call per synthesis, or one for all the periods of a stabilization.
 The Gramian, and the controlled trajectory that stabilization samples for
@@ -49,7 +49,6 @@ _NULL_CLAMP_REL = 1e-13
 _NONSINGULAR_REL = 1e-10
 _HAUTUS_REL = 1e-10
 _NU_MAX = 1e18
-_SERIES_BELOW = 0.1  # psi's closed form loses ~2e-16/x relative; its series does not
 
 COST_EXPONENTS = (1.0, 2.0, math.inf)
 
@@ -331,59 +330,42 @@ def _controlled_trajectory(
     return out
 
 
-def _segment_weights(lam: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """h phi_1(x) and h psi(x) at x = lam h, for every pair of an entry of
-    lam >= 0 and one of h > 0, with phi_1(x) = (1 - e^{-x})/x and
-    psi(x) = (x - 1 + e^{-x})/x^2: over a segment of length h, the
-    integrals of e^{-lam (h-s)} and of e^{-lam (h-s)} s/h.  Below
-    ``_SERIES_BELOW``, psi = sum_k (-x)^k/(k+2)! in nested form and
-    phi_1 = 1 - x psi, so x = 0 gives h and h/2.  Above it they are
-    (1 - e^{-x})/lam and (1 - phi_1(x))/lam, which stay finite where x is
-    past the float range (e^{-x} = 0 there)."""
+def _phi1_weight(lam: np.ndarray, h: float) -> np.ndarray:
+    """h phi_1(lam h) = (1 - e^{-lam h})/lam for lam >= 0, the integral of
+    e^{-lam (h - s)} over [0, h]: h where lam h is below the normal range
+    (lam = 0 included; the product has lost digits there, and h phi_1
+    rounds to h), and 1/lam where lam h is past the float range."""
     with np.errstate(over="ignore"):
-        x = np.multiply.outer(lam, h)
-    small = x < _SERIES_BELOW
-    xd = np.where(small, 1.0, x)
-    rate = np.where(small, 1.0, lam[:, None])
-    rise = -np.expm1(-xd)
-    whole = rise / rate
-    ramp = (1.0 - rise / xd) / rate
-    xs, series = x[small], 1.0
-    for k in range(12, 2, -1):  # 11 terms, to x^10/12!
-        series = 1.0 - xs / k * series
-    hs = np.broadcast_to(h, x.shape)[small]
-    ramp[small] = hs * (0.5 * series)
-    whole[small] = hs * (1.0 - xs * (0.5 * series))
-    return whole, ramp
+        x = lam * h
+    return np.divide(-np.expm1(-x), lam, out=np.full(x.shape, h), where=x >= np.finfo(float).tiny)
 
 
 def _grid_forced(
-    sd: SpectralDecomposition, d_idx: np.ndarray, knots: np.ndarray, values: np.ndarray, T: float
+    sd: SpectralDecomposition, d_idx: np.ndarray, values: np.ndarray, T: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The forced part int_0^T S_{T-tau} 1_D u(tau) dtau, in the eigenbasis,
-    of each of a batch of controls linear between shared knots that rise
-    from 0 to T: values[j, k] holds control j's values on D at knots[k].
+    of each of a batch of controls constant on equal segments of [0, T]:
+    values[j, k] holds control j's values on D over the k-th segment.
 
-    It is exact per segment: with h = t_{k+1} - t_k and U_k the
-    coefficients of 1_D u(t_k), segment k adds
-    e^{-lam (T - t_{k+1})} (h phi_1 U_k + h psi (U_{k+1} - U_k)).  One GEMM
-    embeds every knot value of every control, and one ``_segment_weights``
-    call serves the batch.  The sum is bounded by 2 T max |U|; a control
-    whose bound may leave the float range has its U divided by a power of
-    two 2^s first.  Returns row j's forced part over 2^s_j and the column
-    of shifts s, 0 for every control in range.
+    It is exact: with U_k the coefficients of 1_D u on segment k, which
+    ends at t_{k+1}, segment k adds e^{-lam (T - t_{k+1})} h phi_1(lam h) U_k
+    for the segments' length h.  One GEMM embeds every value of every
+    control.  The sum is bounded by T max |U|; a control whose bound may
+    leave the float range has its U divided by a power of two 2^s first.
+    Returns row j's forced part over 2^s_j and the column of shifts s, 0
+    for every control in range.
     """
-    n_batch, n_knots, d = values.shape
+    n_batch, n_segments, d = values.shape
     mD = sd.graph.m[d_idx]
     embed = mD[:, None] * values.transpose(2, 0, 1).reshape(d, -1)
-    # U[j, :, k]: coefs of 1_D u_j(t_k)
-    U = (sd.eigenvectors[d_idx, :].T @ embed).reshape(-1, n_batch, n_knots).transpose(1, 0, 2)
+    # U[j, :, k]: coefs of 1_D u_j on segment k
+    U = (sd.eigenvectors[d_idx, :].T @ embed).reshape(-1, n_batch, n_segments).transpose(1, 0, 2)
     shift = np.frexp(np.abs(U).max(axis=(1, 2), initial=0.0))[1] + math.frexp(T)[1]
     shift = np.maximum(shift - 1020, 0)[:, None]
     U = np.ldexp(U, -shift[:, :, None])
     lam = sd.eigenvalues
-    whole, ramp = _segment_weights(lam, np.diff(knots))
-    steps = decay(lam, T - knots[1:]) * (whole * U[..., :-1] + ramp * np.diff(U, axis=-1))
+    ends = np.linspace(0.0, T, n_segments + 1)[1:]
+    steps = decay(lam, T - ends) * _phi1_weight(lam, T / n_segments)[:, None] * U
     return np.sum(steps, axis=-1), shift
 
 
@@ -461,22 +443,21 @@ def mode_invariance_trials(
     phi,
     lam: float,
     f0s: np.ndarray,
-    knots: np.ndarray,
     values: np.ndarray,
     T: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The drift |<f(T), phi> - e^{-lam T} <f0, phi>| of an obstruction
-    eigenfunction phi under each of a batch of controls linear between
-    shared knots (row j of ``f0s`` is trial j's initial state, values[j, k]
-    its control's values on D at knots[k]), and the size of the terms it
-    compares, e^{-lam T} |<f0, phi>| + ||F|| with F = f(T) - S_T f0.
-    Controls on D cannot move the phi-component, so for a genuine
-    obstruction the drift, <F, phi> from F's coefficients on phi's own
-    eigen-group, is rounding noise on that scale.  A trial whose F may
-    leave the float range has both divided by ``_grid_forced``'s power of
-    two, so their ratio, the residual, stays finite.
+    eigenfunction phi under each of a batch of controls constant on equal
+    segments of [0, T] (row j of ``f0s`` is trial j's initial state,
+    values[j, k] its control's values on D over the k-th segment), and the
+    size of the terms it compares, e^{-lam T} |<f0, phi>| + ||F|| with
+    F = f(T) - S_T f0.  Controls on D cannot move the phi-component, so
+    for a genuine obstruction the drift, <F, phi> from F's coefficients on
+    phi's own eigen-group, is rounding noise on that scale.  A trial whose
+    F may leave the float range has both divided by ``_grid_forced``'s
+    power of two, so their ratio, the residual, stays finite.
     """
-    forced, shift = _grid_forced(sd, sd.graph.subset_indices(D), knots, values, T)
+    forced, shift = _grid_forced(sd, sd.graph.subset_indices(D), values, T)
     _, group = min(sd.eigenvalue_groups, key=lambda g: abs(g[0] - lam))
     phi = np.asarray(phi)
     drift = np.abs(forced[:, group] @ sd.coefficients(phi)[group])

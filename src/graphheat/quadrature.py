@@ -35,10 +35,9 @@ _INITIAL_PANELS = 8
 _INITIAL_DEPTH = 3
 # The wave budget: (time, column) entries one Simpson wave may evaluate,
 # and cells one wave of the supremum search may bound; a wave over it is
-# refused (a Simpson wave holds about 100 bytes per entry).  It also sets
-# the cells up to which the supremum search splits a cell more than two
-# ways (``spectral._cell_chunk``).  It bounds how much work one wave forms,
-# not the memory of its evaluation, which ``_BLOCK_ELEMENTS`` does.
+# refused (a Simpson wave holds about 100 bytes per entry).  It bounds how
+# much work one wave forms, not the memory of its evaluation, which
+# ``_BLOCK_ELEMENTS`` does.
 _CHUNK_ELEMENTS = 2_000_000
 # The evaluation budget: elements of all the temporaries one block of a
 # batched evaluation holds at once (a chunk of times, cells, entries, rows

@@ -456,19 +456,19 @@ def _task_non_null(g, D, seed, *, T, n_random) -> TaskReport:
     report.summary["obstruction_eigen_residual"] = resid_eig
     report.check("obstruction_residual", resid_eig <= 1e-10, f"{resid_eig:.3e}")
 
-    # Each trial draws its f0 and then its knot values: one draw per chunk of
-    # trials takes them in that order.  A chunk's arrays hold about
-    # _BLOCK_ELEMENTS entries, so the trial count does not bound the memory.
+    # Each trial draws its f0 and then its control's values on 9 equal
+    # segments of [0, T]: one draw per chunk of trials takes them in that
+    # order.  A chunk's arrays hold about _BLOCK_ELEMENTS entries, so the
+    # trial count does not bound the memory.
     rng = np.random.default_rng(seed)
-    knots = np.linspace(0.0, T, 9)
-    width = sd.n + len(knots) * len(D)
-    chunk = max(1, _BLOCK_ELEMENTS // (len(knots) * width))
+    width = sd.n + 9 * len(D)
+    chunk = max(1, _BLOCK_ELEMENTS // (9 * width))
     resid = []
     for lo in range(0, n_random, chunk):
         draws = rng.standard_normal((min(chunk, n_random - lo), width))
         f0s = draws[:, : sd.n] / vector_norms(draws[:, : sd.n], w=g.m)[:, None]
-        values = draws[:, sd.n :].reshape(len(draws), len(knots), len(D))
-        drift, scale = mode_invariance_trials(sd, D, phi, lam0, f0s, knots, values, T)
+        values = draws[:, sd.n :].reshape(len(draws), 9, len(D))
+        drift, scale = mode_invariance_trials(sd, D, phi, lam0, f0s, values, T)
         resid += np.divide(drift, scale, out=drift.copy(), where=scale > 0.0).tolist()
     rows = [[trial, r] for trial, r in enumerate(resid)]
     worst = float(np.max(resid, initial=0.0))  # a nan residual fails

@@ -36,8 +36,6 @@ from .quadrature import _BLOCK_ELEMENTS, _CHUNK_ELEMENTS, _blocks, adaptive_simp
 _LR_REL_TOL = 1e-10
 # Cells of the graded grid that starts the grid bounds and the supremum search.
 _GRID_CELLS = 32
-# Most subcells a cell of the supremum search splits into per wave.
-_MAX_SPLIT = 8
 
 
 def _real(x, what: str) -> np.ndarray:
@@ -258,15 +256,6 @@ def _gramian_kernel(
     return out
 
 
-def _cell_chunk(n: int) -> int:
-    """The cells of a wave of the supremum search on n modes up to which a
-    cell splits more than two ways (``RestrictedEvolution._sup_norms``):
-    four arrays of n values per cell fill the wave budget
-    ``_CHUNK_ELEMENTS``.  It shapes the waves, not their memory:
-    ``_cell_bounds`` evaluates a wave in blocks of ``_BLOCK_ELEMENTS``."""
-    return max(1, _CHUNK_ELEMENTS // (4 * n))
-
-
 def _flat(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """``x`` broadcast to ``shape``, as a new 1-D array."""
     out = np.empty(shape, dtype=x.dtype)
@@ -450,10 +439,10 @@ class RestrictedEvolution:
         u and u1 are formed once per distinct end of a block of cells:
         where a cell's right end is the next cell's left end in the same
         column, as when cells tile a window in order (the supremum search's
-        waves), the two share it, so k subcells of a cell cost k + 1 ends,
-        not 2 k.  A stack of single-mode groups (every group of a graph with
-        no repeated eigenvalue) is bounded as |R| |X|, the bits of the
-        stacked ||R X||, with no spread term, which is 0 there.
+        waves), the two share it, so the four quarters of a cell cost five
+        ends, not eight.  A stack of single-mode groups (every group of a
+        graph with no repeated eigenvalue) is bounded as |R| |X|, the bits
+        of the stacked ||R X||, with no spread term, which is 0 there.
         """
         lam = self.lam[:, None]
         hi = lo + h
@@ -513,39 +502,32 @@ class RestrictedEvolution:
         """Certified sup of g over [a[j], b[j]] for each column j, by bound
         and split, and the time of the sample that gives it.
 
-        g is first sampled at b[j].  Each wave bounds g on its cells
+        g is first sampled at b[j], and each column's cells start as its
+        window's graded grid.  Each wave bounds g on its cells
         (``_cell_bounds``, from both ends of each cell, so a maximum at b[j]
         is certified without zooming in on it), samples g at their left
-        ends, and splits every cell whose bound exceeds the column's best
-        sampled value s by more than ``_LR_REL_TOL`` ||S_a f|| into k equal
-        subcells, which cover it: s is returned, so
+        ends, and quarters every cell whose bound exceeds the column's best
+        sampled value s by more than ``_LR_REL_TOL`` ||S_a f||: the quarters
+        cover it, so s is returned and
         s <= sup g <= s + _LR_REL_TOL ||S_a f||.  The cells of a wave are
         kept in order by column and time, so neighbours share their
-        evaluated ends.  k is the largest power of two up to ``_MAX_SPLIT``
-        whose next wave still has at most ``_cell_chunk`` cells, so a small
-        wave goes 8 ways and a wave of many cells keeps bisecting.  The subcell ends are rounds
-        of midpoints; a cell with no float between its ends holds no time
-        that is not sampled, so it is not split, and a subcell of zero width
-        is dropped.  A bound that overflows (+inf, or nan from inf - inf)
-        counts as exceeding, and a wave of more than ``_CHUNK_ELEMENTS``
-        cells (bounds that keep overflowing split without end) raises
-        ``QuadratureNonConvergence``.  The second array holds, per column, a
-        time in [a[j], b[j]] where g was sampled at the returned value:
-        b[j], or the left end of a cell whose sample equals it.
+        evaluated ends.  A cell with no float between its ends holds no
+        time that is not sampled, so it is not split, and a quarter that
+        rounding collapses to zero width is dropped.  A bound that
+        overflows (+inf, or nan from inf - inf) counts as exceeding, and a
+        wave of more than ``_CHUNK_ELEMENTS`` cells (bounds that keep
+        overflowing split without end) raises ``QuadratureNonConvergence``.
+        The second array holds, per column, a time in [a[j], b[j]] where g
+        was sampled at the returned value: b[j], or the left end of a cell
+        whose sample equals it.
         """
-        n_batch = self.C.shape[1]
-        windows: dict[tuple[float, float], int] = {}  # each distinct window's grid row
-        window_of = [windows.setdefault(w, len(windows)) for w in zip(a.tolist(), b.tolist())]
         lam_max = float(self.lam[-1])
-        grids = np.array([_graded_grid(wa, wb, lam_max) for wa, wb in windows])
-        ts = grids[window_of]  # (batch, _GRID_CELLS + 1)
+        ts = np.array([_graded_grid(wa, wb, lam_max) for wa, wb in zip(a.tolist(), b.tolist())])
         best = self._norms_at(b)
         at = np.array(b, dtype=float)
         tol = _LR_REL_TOL * self.final_norms(a)
-        lo = ts[:, :-1].ravel()
-        hi = ts[:, 1:].ravel()
-        cols = np.repeat(np.arange(n_batch), _GRID_CELLS)
-        chunk = _cell_chunk(len(self.lam))
+        lo, hi = ts[:, :-1].ravel(), ts[:, 1:].ravel()
+        cols = np.repeat(np.arange(self.C.shape[1]), _GRID_CELLS)
         while len(lo):
             if len(lo) > _CHUNK_ELEMENTS:
                 raise QuadratureNonConvergence(
@@ -558,18 +540,9 @@ class RestrictedEvolution:
             at[cols[hit]] = lo[hit]
             mid = 0.5 * (lo + hi)
             split = ~(ub <= best[cols] + tol[cols]) & (lo < mid) & (mid < hi)
-            cols = cols[split]
-            k = 2
-            while k < _MAX_SPLIT and 2 * k * len(cols) <= chunk:
-                k *= 2
-            edges = np.stack((lo[split], mid[split], hi[split]), axis=1)
-            while edges.shape[1] <= k:  # k + 1 ends per cell, by rounds of midpoints
-                finer = np.empty((len(edges), 2 * edges.shape[1] - 1))
-                finer[:, 0::2] = edges
-                finer[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
-                edges = finer
-            lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-            cols = np.repeat(cols, k)
+            lo, mid, hi = lo[split], mid[split], hi[split]
+            ends = np.stack((lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi), axis=1)
+            lo, hi, cols = ends[:, :-1].ravel(), ends[:, 1:].ravel(), np.repeat(cols[split], 4)
             wide = lo < hi
             if not wide.all():
                 lo, hi, cols = lo[wide], hi[wide], cols[wide]
@@ -587,10 +560,10 @@ class RestrictedEvolution:
         estimate, not a bound): a window's entries share its times, and each
         of its columns' g is evaluated once and raised to each of its
         exponents.  The wave budget and the depth limit hold per window.
-        The r = inf entries are certified: they split the cells of their
-        graded grids, up to ``_MAX_SPLIT`` ways per wave, in one run until
-        each sampled maximum is within ``_LR_REL_TOL`` ||S_a f|| of its
-        supremum, a proven bracket (``_sup_norms``).
+        The r = inf entries are certified: they quarter the cells of their
+        graded grids in one run until each sampled maximum is within
+        ``_LR_REL_TOL`` ||S_a f|| of its supremum, a proven bracket
+        (``_sup_norms``).
 
         A column whose profile could leave the float range, through the
         squares that make g, through g^r and its integral over the window,

@@ -200,10 +200,8 @@ def _walk_steps(
     yield active, clock.copy(), state.copy()
     while len(active) and deg[i] > 0.0:  # an isolated start never jumps
         u = streams.draw_positive(active)
-        # math.log, not np.log: the two differ in the last bit on some inputs
-        xi = -np.fromiter(map(math.log, u.tolist()), float, len(u))
         with np.errstate(over="ignore"):
-            t = clock[active] + xi / deg[state[active]]
+            t = clock[active] + -np.log(u) / deg[state[active]]
         moved = t <= t_max
         active, t = active[moved], t[moved]
         state[active] = g.transition_table.jump(state[active], streams.draw(active))

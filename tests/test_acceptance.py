@@ -228,13 +228,12 @@ def test_criterion_4_non_null_controllability(c4):
         assert math.isinf(exact_obs_constant(sd, D, T)), f"k={k}: constant finite"
 
         phi = basis[:, 0]
-        knots = np.linspace(0.0, T, 9)
         worst_resid = 0.0
         for _ in range(50):
             f0 = rng.standard_normal(g.n)
             f0 /= m_norm(g, f0)
-            values = rng.standard_normal((1, 9, len(D)))
-            drift, _ = mode_invariance_trials(sd, D, phi, lam, f0[None], knots, values, T)
+            values = rng.standard_normal((1, 9, len(D)))  # constant on 9 segments
+            drift, _ = mode_invariance_trials(sd, D, phi, lam, f0[None], values, T)
             worst_resid = max(worst_resid, drift[0])
         assert worst_resid <= 1e-9, f"k={k}: mode invariance {worst_resid:.3e}"
 

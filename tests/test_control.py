@@ -2,7 +2,6 @@ import dataclasses
 import gc
 import math
 import weakref
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from graphheat.control import (
     _HAUTUS_REL,
     _controlled_trajectory,
     _grid_forced,
-    _segment_weights,
+    _phi1_weight,
     gramian,
     hautus_obstruction,
     mode_invariance_trials,
@@ -469,33 +468,30 @@ def test_verify_rejects_signal_for_another_set():
         verify_control(sd, ["1", "3"], f0, sig, 1.0)
 
 
-def _duhamel_per_knot(sd, D, f0, knots, values, T):
-    """Duhamel's formula for a control linear between knots, with one
-    Simpson call per knot segment: an independent route to the final state
-    that ``_grid_forced``'s forced part gives."""
+def _duhamel_per_segment(sd, D, f0, values, T):
+    """Duhamel's formula for a control constant on equal segments of [0, T]
+    (values[k] on the k-th), with one Simpson call per segment: an
+    independent route to the final state that ``_grid_forced``'s forced
+    part gives."""
     d_idx = sd.graph.subset_indices(D)
-    mD = sd.graph.m[d_idx]
     VD = sd.eigenvectors[d_idx, :]
     lam = sd.eigenvalues
+    ends = np.linspace(0.0, T, len(values) + 1)
     forced = np.zeros(sd.n)
-    for k in range(len(knots) - 1):
-        t0, t1 = float(knots[k]), float(knots[k + 1])
-        v0, v1 = values[k], values[k + 1]
+    for k, value in enumerate(values):
+        embedded = VD.T @ (sd.graph.m[d_idx] * value)  # coefs of 1_D u on the segment
 
         def integrand(taus):
-            w = (taus - t0) / (t1 - t0)
-            u_vals = v0[None, :] + w[:, None] * (v1 - v0)[None, :]
-            embedded = VD.T @ (mD[None, :] * u_vals).T
-            return (np.exp(-np.outer(lam, T - taus)) * embedded).T
+            return (np.exp(-np.outer(lam, T - taus)) * embedded[:, None]).T
 
-        forced = forced + adaptive_simpson(integrand, t0, t1, rel_tol=1e-10)
+        forced = forced + adaptive_simpson(integrand, ends[k], ends[k + 1], rel_tol=1e-10)
     return sd.synthesize(np.exp(-lam * T) * sd.coefficients(f0) + forced)
 
 
-def _duhamel_exact(sd, D, f0, knots, values, T):
+def _duhamel_exact(sd, D, f0, values, T):
     """The final state with ``_grid_forced``'s forced part, which needs no
     power-of-two shift here."""
-    forced, shift = _grid_forced(sd, sd.graph.subset_indices(D), knots, values[None], T)
+    forced, shift = _grid_forced(sd, sd.graph.subset_indices(D), values[None], T)
     assert shift.tolist() == [[0]]
     forced = forced[0]
     return sd.synthesize(np.exp(-sd.eigenvalues * T) * sd.coefficients(f0) + forced)
@@ -503,21 +499,21 @@ def _duhamel_exact(sd, D, f0, knots, values, T):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 12))
-@example(9999, 11)  # knots 1.7e-3 apart on one vertex
+@example(9999, 11)  # 12 segments on one vertex
 def test_verify_grid_signal_matches_per_knot_simpson(seed, n_knots):
-    """The exact per-segment integral of a piecewise-linear control at
-    unaligned knot times agrees with one Simpson call per segment."""
+    """The exact per-segment integral of a control constant on the
+    n_knots + 1 equal segments between knots agrees with one Simpson call
+    per segment."""
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, int(rng.integers(1, 9)))
     sd = eigendecompose(g)
     size = int(rng.integers(1, g.n + 1))
     D = tuple(g.vertex_ids[i] for i in np.sort(rng.choice(g.n, size=size, replace=False)))
     T = float(rng.uniform(0.1, 5.0))
-    knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, T, n_knots)), [T]])
-    values = rng.standard_normal((len(knots), len(D)))
+    values = rng.standard_normal((n_knots + 1, len(D)))
     f0 = rng.standard_normal(g.n)
-    want = _duhamel_per_knot(sd, D, f0, knots, values, T)
-    got = _duhamel_exact(sd, D, f0, knots, values, T)
+    want = _duhamel_per_segment(sd, D, f0, values, T)
+    got = _duhamel_exact(sd, D, f0, values, T)
     assert m_norm(g, got - want) <= 1e-10 * m_norm(g, want)
 
 
@@ -532,49 +528,51 @@ def _stiff_tree():
 
 @pytest.mark.parametrize("case", ["stiff_tree", "short_horizon"])
 def test_verify_grid_signal_is_exact_without_quadrature(case):
-    """The per-segment closed form of a control linear between knots, with
-    no quadrature, matches per-knot Simpson on a stiff tree with knot gaps
-    down to 1e-9 T, and at T = 1e-6, where every lambda h (lambda = 0
-    included) takes the series branch.  f0 = 0, so the free decay cannot
-    hide an error in the forced term."""
+    """The per-segment closed form of a control constant on equal segments,
+    with no quadrature, matches per-segment Simpson on a stiff tree, where
+    lambda h reaches 1.4e4, and at T = 1e-6, where every positive lambda h
+    is below 1e-6 and lambda = 0 takes the weight h.  f0 = 0, so the free
+    decay cannot hide an error in the forced term."""
     if case == "stiff_tree":
-        g, D, T = _stiff_tree(), ("1", "3"), 2.0
-        knots = T * np.array([0.0, 1e-9, 2e-9, 1e-6, 1e-3, 0.5, 1.0 - 1e-9, 1.0])
+        g, D, T, segments = _stiff_tree(), ("1", "3"), 2.0, 8
     else:
-        g, D, T = build_family("cycle", {"n": 6}).graph, ("0", "2"), 1e-6
-        knots = np.linspace(0.0, T, 7)
+        g, D, T, segments = build_family("cycle", {"n": 6}).graph, ("0", "2"), 1e-6, 6
     sd = eigendecompose(g)
-    rng = np.random.default_rng(0)
-    values = rng.standard_normal((len(knots), len(D)))
+    values = np.random.default_rng(0).standard_normal((segments, len(D)))
     f0 = np.zeros(g.n)
-    want = _duhamel_per_knot(sd, D, f0, knots, values, T)
-    got = _duhamel_exact(sd, D, f0, knots, values, T)
+    want = _duhamel_per_segment(sd, D, f0, values, T)
+    got = _duhamel_exact(sd, D, f0, values, T)
     assert m_norm(g, got - want) <= 1e-10 * m_norm(g, want)
 
 
 def test_segment_weights_match_high_precision():
-    """phi_1 and psi on both sides of the series cut, at 0 and at large x,
-    against 40-digit decimal evaluations of their closed forms."""
-    xs = [0.0, 1e-12, 1e-6, 1e-3, 0.0999, 0.1, 0.1001, 0.5, 3.0, 40.0, 1e4]
-    phi1, psi = (w[:, 0] for w in _segment_weights(np.array(xs), np.ones(1)))
-    assert (phi1[0], psi[0]) == (1.0, 0.5)
-    with localcontext() as ctx:
-        ctx.prec = 40
-        for x, p1, ps in zip(xs[1:], phi1[1:], psi[1:]):
-            d = Decimal(x)
-            em1 = (-d).exp() - 1
-            assert p1 == pytest.approx(float(-em1 / d), rel=1e-15, abs=0.0)
-            assert ps == pytest.approx(float((d + em1) / (d * d)), rel=1e-14, abs=0.0)
+    """The segment weight h phi_1(lam h) = (1 - e^{-lam h})/lam (h at
+    lam = 0) is within 4 ulps of a 50-digit value at the float lam and h,
+    for lam h from 0 through the subnormals to past the float range.  The
+    bare -expm1(-lam h)/lam is not where lam h is subnormal: the product
+    has lost digits there."""
+    import mpmath
+
+    xs = (0.0, 5e-324, 1e-310, 1e-8, 0.1, 1.0, 700.0, 1e300)
+    cases = [(x / h, h) for x in xs for h in (1 / 9, 1e-10)] + [(1e300, 1e10)]  # lam h = inf
+    got = [float(_phi1_weight(np.array([lam]), h)[0]) for lam, h in cases]
+    with mpmath.workdps(50):
+        want = [
+            float(-mpmath.expm1(-mpmath.mpf(lam) * h) / lam if lam else mpmath.mpf(h))
+            for lam, h in cases
+        ]
+    for (lam, h), x, y in zip(cases, got, want):
+        assert abs(x - y) <= 4 * np.spacing(y), (lam, h, x, y)
+    lam, h = 9e-310, 1 / 9  # lam h = 1e-310
+    assert abs(-math.expm1(-lam * h) / lam - h) > 4 * np.spacing(h)
 
 
 @pytest.mark.filterwarnings("error")
 def test_segment_weights_stay_finite_where_lam_h_overflows():
-    """Where x = lam h is past the float range, h phi_1(x) and h psi(x) are
-    their limit 1/lam, taken as (1 - e^{-x})/lam and (1 - phi_1(x))/lam
-    with no warning; at a finite large x they keep the 1/x forms."""
+    """Where x = lam h is past the float range, or so large that e^{-x} is
+    0, the weight h phi_1(x) is its limit 1/lam, with no warning."""
     lam = np.array([1e300, 1e290])  # lam h = inf and 1e300
-    whole, ramp = _segment_weights(lam, np.array([1e10]))
-    assert whole[:, 0].tolist() == ramp[:, 0].tolist() == (1.0 / lam).tolist()
+    assert _phi1_weight(lam, 1e10).tolist() == (1.0 / lam).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +613,8 @@ def test_mode_invariance_zero_control(c4):
     lam, basis = hautus_obstruction(sd, ["0", "2"])[0]
     phi = basis[:, 0]
     f0s = np.array([[1.0, 0.3, -0.2, 0.9]])
-    knots, values = np.array([0.0, 1.0]), np.zeros((1, 2, 2))
-    assert mode_invariance_trials(sd, ["0", "2"], phi, lam, f0s, knots, values, 1.0)[0][0] <= 1e-12
+    values = np.zeros((1, 1, 2))
+    assert mode_invariance_trials(sd, ["0", "2"], phi, lam, f0s, values, 1.0)[0][0] <= 1e-12
 
 
 def test_mode_invariance_random_controls(c8):
@@ -625,11 +623,10 @@ def test_mode_invariance_random_controls(c8):
     lam, basis = [f for f in hautus_obstruction(sd, D) if abs(f[0] - 2.0) < 1e-8][0]
     phi = basis[:, 0]
     rng = np.random.default_rng(9)
-    knots = np.linspace(0.0, 1.0, 9)
     for _ in range(10):
         f0s = rng.standard_normal((1, 8))
         values = rng.standard_normal((1, 9, 4))
-        assert mode_invariance_trials(sd, D, phi, lam, f0s, knots, values, 1.0)[0][0] <= 1e-9
+        assert mode_invariance_trials(sd, D, phi, lam, f0s, values, 1.0)[0][0] <= 1e-9
 
 
 @pytest.mark.filterwarnings("error")
@@ -645,14 +642,13 @@ def test_mode_invariance_check_at_a_far_horizon_takes_a_finite_norm(c8):
     rng = np.random.default_rng(0)
     T = 1e200
     f0s = rng.standard_normal((1, 8))
-    knots = np.linspace(0.0, T, 9)
     values = rng.standard_normal((1, 9, 4))
-    forced, shift = _grid_forced(sd, c8.subset_indices(D), knots, values, T)
+    forced, shift = _grid_forced(sd, c8.subset_indices(D), values, T)
     forced = forced[0]
     top = np.abs(forced).max()
     assert shift.tolist() == [[0]]
     assert top > 1e190
-    drift, scale = mode_invariance_trials(sd, D, basis[:, 0], lam, f0s, knots, values, T)
+    drift, scale = mode_invariance_trials(sd, D, basis[:, 0], lam, f0s, values, T)
     assert scale[0] == pytest.approx(top * np.linalg.norm(forced / top), rel=1e-12)
     assert math.isfinite(scale[0]) and 0.0 <= drift[0] <= 1e-9 * scale[0]
     for size in (1e-300, 1.0, 1e150, 1e200):
@@ -726,26 +722,24 @@ def test_hautus_stacked_svds_match_one_full_svd_per_group(spec, D):
 def test_mode_invariance_trials_match_one_check_per_trial(spec):
     """One Duhamel pass over a batch of trials gives each trial the drift and
     scale that a batch of one gives it alone, on the draws of one
-    generator taken as the ``non-null`` task takes them: f0, then the knot
-    values, trial by trial."""
+    generator taken as the ``non-null`` task takes them: f0, then the
+    values on the 9 segments, trial by trial."""
     g = build_family(spec["family"], spec).graph
     D = parity_subset(g, "even")
     sd = eigendecompose(g)
     lam, basis = hautus_obstruction(sd, D)[0]
     phi = basis[:, 0]
-    T, knots = 1.0, np.linspace(0.0, 1.0, 9)
+    T = 1.0
     rng = np.random.default_rng(3)
     f0s, values = [], []
     for _ in range(12):
         f0 = rng.standard_normal(g.n)
         f0s.append(f0 / sd.norm(f0))
-        values.append(rng.standard_normal((len(knots), len(D))))
-    drift, scale = mode_invariance_trials(
-        sd, D, phi, lam, np.array(f0s), knots, np.array(values), T
-    )
+        values.append(rng.standard_normal((9, len(D))))
+    drift, scale = mode_invariance_trials(sd, D, phi, lam, np.array(f0s), np.array(values), T)
     for j in range(12):
         one_drift, one_scale = mode_invariance_trials(
-            sd, D, phi, lam, f0s[j][None], knots, values[j][None], T
+            sd, D, phi, lam, f0s[j][None], values[j][None], T
         )
         assert scale[j] == pytest.approx(one_scale[0], rel=1e-12, abs=0.0)
         assert abs(drift[j] - one_drift[0]) <= 1e-14 * one_scale[0]

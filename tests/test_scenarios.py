@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import graphheat
 from graphheat import stochastic as sto
 from graphheat.cli import main as cli_main
 from graphheat.control import hautus_obstruction, mode_invariance_trials, synth_control
@@ -698,10 +702,11 @@ def test_cli_non_null_refuses_zero_trials(tmp_path):
     assert summary is None
 
 
-def test_non_null_trials_draw_f0_then_the_knot_values(tmp_path):
-    """The batched trials take each trial's f0 and then its knot values from
-    the scenario's generator, as one trial at a time did: the task's
-    residuals are those of the same batch on draws taken trial by trial."""
+def test_non_null_trials_draw_f0_then_the_segment_values(tmp_path):
+    """The batched trials take each trial's f0 and then its control's values
+    on the 9 segments from the scenario's generator, as one trial at a time
+    did: the task's residuals are those of the same batch on draws taken
+    trial by trial."""
     scenario = Scenario(
         graph={"family": "cycle", "n": 32},
         subset={"parity": "even"},
@@ -717,17 +722,52 @@ def test_non_null_trials_draw_f0_then_the_knot_values(tmp_path):
     D = parity_subset(g, "even")
     lam, basis = hautus_obstruction(sd, D)[0]
     rng = np.random.default_rng(11)
-    knots = np.linspace(0.0, 2.0, 9)
     f0s, values = [], []
     for _ in range(7):
         f0 = rng.standard_normal(g.n)
         f0 /= sd.norm(f0)
         f0s.append(f0)
-        values.append(rng.standard_normal((len(knots), len(D))))
+        values.append(rng.standard_normal((9, len(D))))
     drift, scale = mode_invariance_trials(
-        sd, D, basis[:, 0], lam, np.array(f0s), knots, np.array(values), 2.0
+        sd, D, basis[:, 0], lam, np.array(f0s), np.array(values), 2.0
     )
     assert [float(r) for _, r in rows] == (drift / scale).tolist()
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "graph, task, params",
+    [
+        ({"family": "torus", "p": 16, "q": 16}, "weak-obs", {"T": 1.0, "r": "inf", "samples": 1000}),
+        ({"family": "torus", "p": 16, "q": 16}, "weak-obs", {"T": 1.0, "r": 1, "samples": 1000}),
+        ({"family": "cycle", "n": 300}, "control", {"T": 1.0}),
+    ],
+    ids=["torus16-weak-obs-r-inf", "torus16-weak-obs-r-1", "cycle300-control"],
+)
+def test_a_cli_run_writes_the_bytes_of_one_blas_thread_by_default(tmp_path, graph, task, params):
+    """A console run with the BLAS thread variables unset writes the files
+    it writes with them at 1, byte for byte: BLAS rounds a product by how
+    it splits the work across threads (torus-16x16 weak-obs at r = inf gave
+    K = 3240.0 on one thread and 3240.0000000000014 on two), so the package
+    pins one thread where the environment sets none."""
+    scenario = write_scenario(tmp_path, "sc.json", {
+        "graph": graph, "subset": {"parity": "even"}, "task": task, "params": params, "seed": 1,
+    })
+    src = str(Path(graphheat.__file__).resolve().parent.parent)
+    written = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+        env.update(dict.fromkeys(_BLAS_THREADS, threads) if threads else {})
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"out-{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "graphheat.cli", "run", str(scenario), "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        written.append({f.relative_to(out): f.read_bytes() for f in out.rglob("*") if f.is_file()})
+    assert written[0] and written[0] == written[1]
 
 
 @pytest.mark.filterwarnings("error")

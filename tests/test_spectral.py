@@ -22,7 +22,6 @@ from graphheat.quadrature import _BLOCK_ELEMENTS, _blocks, vector_norms
 from graphheat.spectral import (
     _LR_REL_TOL,
     RestrictedEvolution,
-    _cell_chunk,
     _gramian_kernel,
     _graded_grid,
     apply_laplacian,
@@ -467,7 +466,7 @@ def test_time_norm_sup_is_certified_on_stiff_trees(case):
 
 def _bisected_sup(re, a, b, waves=None):
     """The supremum search that splits each live cell in two per wave: a
-    reference for ``_sup_norms``, which splits up to 8 ways.  ``waves``,
+    reference for ``_sup_norms``, which quarters it.  ``waves``,
     if given, collects the number of cells of each wave."""
     windows, window_of = np.unique(np.stack([a, b], axis=1), axis=0, return_inverse=True)
     grids = np.array([_graded_grid(wa, wb, float(re.lam[-1])) for wa, wb in windows.tolist()])
@@ -570,11 +569,12 @@ def test_sup_search_on_a_far_window_with_sparse_floats(weight):
     assert np.all(np.abs(got - _bisected_sup(re, a, b)) <= tol)
 
 
-def test_sup_search_on_a_corpus_size_graph_takes_at_most_six_waves(monkeypatch):
+def test_sup_search_on_a_corpus_size_graph_takes_at_most_eight_waves(monkeypatch):
     """On a 40-vertex graph drawn like the acceptance corpus's, the deltas
     on the unobserved vertices reach D late, so their sup sits inside the
-    window.  Each column, alone or in one batch, is certified in at most 6
-    waves of ``_cell_bounds``; splitting in two per wave takes 11 or more."""
+    window.  Each column, alone or in one batch, is certified in at most 8
+    waves of ``_cell_bounds`` by quartering; splitting in two per wave
+    takes 11 or more."""
     rng = np.random.default_rng(3)
     g = random_connected_graph(rng, 40)
     D = grow_dense_subset(g, rng)
@@ -590,11 +590,11 @@ def test_sup_search_on_a_corpus_size_graph_takes_at_most_six_waves(monkeypatch):
         for j in range(C.shape[1]):
             waves.clear()
             RestrictedEvolution(sd, d_idx, C[:, [j]])._sup_norms(a[:1], b[:1])
-            assert len(waves) <= 6, (wa, wb, j, waves)
+            assert len(waves) <= 8, (wa, wb, j, waves)
         re = RestrictedEvolution(sd, d_idx, C)
         waves.clear()
         re._sup_norms(a, b)
-        assert len(waves) <= 6, (wa, wb, waves)
+        assert len(waves) <= 8, (wa, wb, waves)
         bisected = []
         _bisected_sup(re, a, b, bisected)
         assert len(bisected) >= 11, (wa, wb, bisected)
@@ -783,23 +783,58 @@ def _torus_odd_deltas():
     return sd, d_idx, sd.coefficients(F)
 
 
-def test_sup_search_on_torus_16x16_forms_no_wave_over_one_chunk(monkeypatch):
+def _recording_waves(monkeypatch):
+    """Record the cells (lo, hi, cols) of every ``_cell_bounds`` call."""
+    waves = []
+    real = RestrictedEvolution._cell_bounds
+
+    def recorded(self, lo, h, cols):
+        waves.append((lo.copy(), lo + h, cols.copy()))
+        return real(self, lo, h, cols)
+
+    monkeypatch.setattr(RestrictedEvolution, "_cell_bounds", recorded)
+    return waves
+
+
+def _children_per_cell(waves):
+    """For each wave after the first, how many of its cells tile each cell
+    of the wave before: a cell's children come in order, one after the
+    other, the first starting at its left end and the last ending at its
+    right end, each starting where the one before ends."""
+    counts = []
+    for (lo, hi, cols), (nlo, nhi, ncols) in zip(waves, waves[1:]):
+        n, k = np.zeros(len(lo), dtype=int), 0
+        for p in range(len(lo)):
+            if k < len(nlo) and (ncols[k], nlo[k]) == (cols[p], lo[p]):
+                first = k
+                while nhi[k] != hi[p]:
+                    assert (ncols[k + 1], nlo[k + 1]) == (cols[p], nhi[k])
+                    k += 1
+                k += 1
+                n[p] = k - first
+        assert k == len(nlo)
+        counts.append(n)
+    return counts
+
+
+def test_sup_search_quarters_every_cell_it_splits(monkeypatch):
     """The sup search over the 128 odd-vertex deltas of torus-16x16 on
-    (0, 1), at n = 256, runs in waves of about 1000 cells: there a wider
-    split would only add cells, so every wave formed by splitting fits one
-    chunk of ``_cell_bounds`` (the first wave is the 32-cell grids of all
-    columns), and the search takes no more waves than splitting in two
-    does."""
+    (0, 1), in one batch and for a column alone, splits every cell it
+    cannot settle into exactly four cells that tile it, in every wave
+    (none of this window's quarters collapses to zero width); the first
+    wave is the 32-cell grids of all columns."""
     sd, d_idx, C = _torus_odd_deltas()
-    re = RestrictedEvolution(sd, d_idx, C)
-    a, b = np.zeros(128), np.ones(128)
-    bisected = []
-    _bisected_sup(re, a, b, bisected)
-    waves = _counting_waves(monkeypatch)
-    re._sup_norms(a, b)
-    assert waves[0] == 32 * 128
-    assert max(waves[1:]) <= _cell_chunk(256), waves
-    assert len(waves) <= len(bisected)
+    waves = _recording_waves(monkeypatch)
+    RestrictedEvolution(sd, d_idx, C)._sup_norms(np.zeros(128), np.ones(128))
+    assert len(waves[0][0]) == 32 * 128 and len(waves) > 2
+    for n in _children_per_cell(waves):
+        assert set(n.tolist()) <= {0, 4} and n.any()
+    for j in (0, 77):
+        waves.clear()
+        RestrictedEvolution(sd, d_idx, C[:, [j]])._sup_norms(np.zeros(1), np.ones(1))
+        assert len(waves) > 2
+        for n in _children_per_cell(waves):
+            assert set(n.tolist()) <= {0, 4} and n.any()
 
 
 @pytest.mark.parametrize("window", [(0.0, 1.0), (0.0, 0.01), (0.5, 1.0)])
@@ -840,10 +875,10 @@ def test_sup_search_returns_the_time_of_its_best_sample(monkeypatch, window):
 def test_sup_search_drops_the_subcells_rounding_collapses(monkeypatch):
     """On a window of 101 floats the 32 grid cells span 3 or 4 floats.  With
     every bound overflowed (+inf exceeds any tolerance), each cell that has
-    a float inside splits 8 ways by rounds of midpoints, and the subcells
-    that rounding collapses to zero width are dropped: the next wave tiles
-    the split cells with cells of positive width only.  The search ends
-    when no cell has a float inside, and has then sampled every float."""
+    a float inside is quartered, and the quarters that rounding collapses
+    to zero width are dropped: the next wave tiles the split cells with
+    cells of positive width only.  The search ends when no cell has a float
+    inside, and has then sampled every float."""
     sd = eigendecompose(cycle(8))
     d_idx = np.array([0, 2, 4, 6])
     C = sd.coefficients(np.random.default_rng(4).standard_normal((8, 2)))
@@ -873,9 +908,9 @@ def test_sup_search_drops_the_subcells_rounding_collapses(monkeypatch):
             assert np.sum(nhi[ncols == j] - nlo[ncols == j]) == np.sum(
                 hi[split & (cols == j)] - lo[split & (cols == j)]
             )
-        dropped += 8 * int(split.sum()) - len(nlo)
-    # 2 x 32 cells of 3 or 4 floats split into 512 subcells: 200 hold a float step
-    assert [len(lo) for lo, _, _ in waves] == [64, 200] and dropped == 312
+        dropped += 4 * int(split.sum()) - len(nlo)
+    # 2 x 32 cells of 3 or 4 floats split into 256 quarters: 200 hold a float step
+    assert [len(lo) for lo, _, _ in waves] == [64, 200] and dropped == 56
     lo, hi, _ = waves[-1]
     assert np.all((lo == hi) | (np.nextafter(lo, np.inf) == hi))
     every_float = lambda j: 1.0 + np.spacing(1.0) * np.arange(101)  # noqa: E731

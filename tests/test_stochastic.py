@@ -60,7 +60,7 @@ def reference_path(g, x0, t_max, seed, path_index):
         u = rng.random()
         while u == 0.0:
             u = rng.random()
-        t += -math.log(u) / deg[states[-1]]
+        t += -np.log(u) / deg[states[-1]]
         if t > t_max:
             break
         nb = g.neighbors(states[-1])
@@ -348,6 +348,25 @@ def test_jump_where_a_subnormal_total_rounds_up():
     assert 0.0 <= est.mean <= 2.0
     batch = sample_ctmc_paths(g, "1", 1.0, 1, range(200))
     assert set(batch.states.tolist()) <= {0, 1, 2}
+
+
+def test_np_log_of_a_scalar_has_the_bits_of_every_batch_entry():
+    """Holding times are -log(u): a path alone takes np.log of its uniform,
+    a batch takes it on an array of uniforms.  np.log works entry by entry,
+    so every slice (lengths 1 to 33, from offsets 0 to 8, as views and as
+    copies) gives each uniform the bits of its scalar np.log, whatever the
+    vector width and the tail: a path keeps its bits whichever indices
+    share its batch."""
+    u = np.random.default_rng(5).random(2000)
+    u[:4] = [2.0**-53, 0.5, 1.0 - 2.0**-53, 1e-300]  # the extremes of the draws, and beyond
+    alone = np.array([np.log(x) for x in u.tolist()])
+    for offset in range(9):
+        for length in range(1, 34):
+            for start in range(offset, len(u) - length + 1, 97):
+                part = u[start : start + length]
+                want = alone[start : start + length]
+                np.testing.assert_array_equal(np.log(part), want)
+                np.testing.assert_array_equal(np.log(part.copy()), want)
 
 
 @pytest.mark.parametrize("name", ["K2", "C8", "P3", "torus", "hub"])

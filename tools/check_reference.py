@@ -60,6 +60,24 @@ def _reports_digest(inputs, workdir: Path) -> str:
     return digest.hexdigest()
 
 
+def replay(workload, inputs, gh, workdir: Path) -> tuple[dict, list[str]]:
+    """Run ``inputs`` of a workload through the benchmark's operation and
+    record functions with the package ``gh``, report files under
+    ``workdir``: the records by input key, and a line with the traceback
+    of each input that raised."""
+    records, raised = {}, []
+    if workload.prepare is not None:
+        write_scenarios(inputs, workdir)
+    for inp in inputs:
+        if workload.prepare is not None:
+            workload.prepare(inp, workdir)
+        try:
+            records[inp.key] = workload.record(inp, workdir, workload.op(gh, inp, workdir))
+        except Exception:
+            raised.append(f"{workload.name} {inp.key}: raised\n{traceback.format_exc()}")
+    return records, raised
+
+
 def check_workload(name: str) -> tuple[list[str], dict[str, str]]:
     """Differences of every input of one workload, as printable lines, and
     the digests of its replayed records and, if it writes any, reports."""
@@ -68,28 +86,18 @@ def check_workload(name: str) -> tuple[list[str], dict[str, str]]:
     workdir = ROOT / run.WORK_DIR / f"check-{name}"
     gh = run.import_graphheat(ROOT / "src")
     inputs = workload.universe()
-    problems, records, digests = [], {}, {}
+    digests = {}
     t0 = perf_counter()
     try:
-        if workload.prepare is not None:
-            write_scenarios(inputs, workdir)
-        for inp in inputs:
-            if workload.prepare is not None:
-                workload.prepare(inp, workdir)
-            try:
-                rec = workload.record(inp, workdir, workload.op(gh, inp, workdir))
-            except Exception:
-                problems.append(f"{name} {inp.key}: raised\n{traceback.format_exc()}")
-                continue
-            records[inp.key] = _hexed(rec)
-            diffs = reference.compare(refs.get(inp.key, {}), rec)
-            problems += [f"{name} {inp.key}: {d}" for d in diffs]
+        records, problems = replay(workload, inputs, gh, workdir)
+        for key, rec in records.items():
+            problems += [f"{name} {key}: {d}" for d in reference.compare(refs.get(key, {}), rec)]
         if workload.prepare is not None:
             digests["reports"] = _reports_digest(inputs, workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print(f"{name}: {len(inputs)} inputs in {perf_counter() - t0:.1f} s", flush=True)
-    text = json.dumps(records, sort_keys=True, allow_nan=False)
+    text = json.dumps({k: _hexed(rec) for k, rec in records.items()}, sort_keys=True, allow_nan=False)
     return problems, {"records": hashlib.sha256(text.encode()).hexdigest(), **digests}
 
 
